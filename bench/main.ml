@@ -199,9 +199,9 @@ let bench_history_snoc =
 let bench_history_prefix_walk =
   let h = K.History.of_list (List.init 200 (fun i -> i mod 5)) in
   let t =
-    K.History.fold_prefixes
-      (fun p acc -> K.Counter_table.set acc p (K.History.length p + 1))
-      h K.Counter_table.empty
+    List.fold_left
+      (fun acc p -> K.Counter_table.set acc p (K.History.length p + 1))
+      K.Counter_table.empty (K.History.prefixes h)
   in
   Test.make ~name:"counter: bump over 200-prefix history"
     (Staged.stage (fun () -> K.Counter_table.bump_prefix_max t h))

@@ -100,13 +100,7 @@ module Impl (P : PARAMS) = struct
     let tables = List.map (fun m -> m.m_counters) ms in
     match P.merge with
     | `Min -> Counter_table.min_merge tables
-    | `Max ->
-      List.fold_left
-        (fun acc t ->
-          List.fold_left
-            (fun acc (h, c) -> if c > Counter_table.get acc h then Counter_table.set acc h c else acc)
-            acc (Counter_table.bindings t))
-        Counter_table.empty tables
+    | `Max -> Counter_table.max_merge tables
 
   let is_leader_in counters history = Counter_table.is_max counters history
 
@@ -117,9 +111,7 @@ module Impl (P : PARAMS) = struct
     (* Line 9: bump the counter of every received history to one more than
        the best counter among its prefixes. *)
     let counters =
-      List.fold_left
-        (fun c m -> Counter_table.bump_prefix_max c m.m_history)
-        counters current
+      Counter_table.bump_all counters (List.map (fun m -> m.m_history) current)
     in
     let st = { st with written; proposed; counters } in
     (* As in Alg. 2, WRITTENOLD := WRITTEN runs every round (the agreement

@@ -61,6 +61,8 @@ let to_list h =
   go [] h
 
 let length h = h.len
+let id h = h.id
+let parent h = match h.node with Root -> h | Snoc (p, _) -> p
 let last h = match h.node with Root -> None | Snoc (_, v) -> Some v
 let equal a b = a.id = b.id
 let compare a b = Int.compare a.id b.id
@@ -80,8 +82,6 @@ let prefixes h =
     match h.node with Root -> h :: acc | Snoc (p, _) -> go (h :: acc) p
   in
   go [] h
-
-let fold_prefixes f h init = List.fold_left (fun acc p -> f p acc) init (prefixes h)
 
 let pp ppf h =
   Format.fprintf ppf "⟨@[%a@]⟩"

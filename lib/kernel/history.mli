@@ -28,6 +28,15 @@ val length : t -> int
 val last : t -> Value.t option
 (** Last appended value; [None] on [empty]. *)
 
+val id : t -> int
+(** Intern id, unique within one interner scope; [empty] has id 0. A
+    history is interned after its parent, so ids strictly decrease along
+    {!parent} links toward the root. *)
+
+val parent : t -> t
+(** The history without its last value; [parent empty] is [empty].
+    Walking [parent] links visits every prefix without allocating. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Arbitrary total order (by intern id), suitable for [Map]/[Set] keys.
@@ -46,10 +55,6 @@ val is_prefix : prefix:t -> t -> bool
 val prefixes : t -> t list
 (** All prefixes of [h] from [empty] up to and including [h] itself,
     shortest first. Length [length h + 1]. *)
-
-val fold_prefixes : (t -> 'a -> 'a) -> t -> 'a -> 'a
-(** [fold_prefixes f h init] folds [f] over every prefix of [h] (including
-    [empty] and [h]), shortest first. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [⟨v1·v2·…⟩]. *)

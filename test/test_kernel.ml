@@ -258,6 +258,172 @@ let prop_ct_min_merge_model =
           Counter_table.get merged h = expected)
         [ 0; 1; 2; 3 ])
 
+(* Reference model: the map-keyed table the flat one replaced. Its
+   [compare] is the order contract (it fixes ESS inbox order). *)
+module Ref_table = struct
+  module M = History.Map
+
+  let empty = M.empty
+  let get t h = Option.value ~default:0 (M.find_opt h t)
+  let set t h c = if c <= 0 then M.remove h t else M.add h c t
+
+  let min_merge = function
+    | [] -> empty
+    | t0 :: ts ->
+      List.fold_left
+        (fun acc t -> M.filter_map (fun h c -> Option.map (min c) (M.find_opt h t)) acc)
+        t0 ts
+
+  let max_merge ts = List.fold_left (M.union (fun _ a b -> Some (max a b))) empty ts
+
+  let bump t h =
+    set t h (1 + List.fold_left (fun acc p -> max acc (get t p)) 0 (History.prefixes h))
+
+  let is_max t h = get t h >= M.fold (fun _ c acc -> max acc c) t 0
+
+  let max_binding t =
+    M.fold
+      (fun h c best ->
+        match best with
+        | Some (h', c') when c < c' || (c = c' && History.compare_lexicographic h' h <= 0) ->
+          best
+        | Some _ | None -> Some (h, c))
+      t None
+
+  let compare = M.compare Int.compare
+end
+
+type ct_op =
+  | Set of int * int * int  (* table, history, count (0 removes) *)
+  | Min_merge of int list
+  | Max_merge of int list
+  | Bump of int * int  (* table, history *)
+  | Bump_all of int * int list  (* table, histories in inbox order *)
+
+let pp_ct_op = function
+  | Set (t, h, c) -> Printf.sprintf "set t%d h%d %d" t h c
+  | Min_merge ts -> "min_merge [" ^ String.concat ";" (List.map string_of_int ts) ^ "]"
+  | Max_merge ts -> "max_merge [" ^ String.concat ";" (List.map string_of_int ts) ^ "]"
+  | Bump (t, h) -> Printf.sprintf "bump t%d h%d" t h
+  | Bump_all (t, hs) ->
+    Printf.sprintf "bump_all t%d [%s]" t (String.concat ";" (List.map string_of_int hs))
+
+(* Every history over {0,1,2} up to length 4, [empty] included: plenty of
+   prefix chains, and enough keys for tables that span several storage
+   segments. Interned in a generated order, so intern ids and the
+   lexicographic order disagree. *)
+let ct_universe seed =
+  let rec words n =
+    if n = 0 then [ [] ]
+    else [] :: List.concat_map (fun w -> [ 0 :: w; 1 :: w; 2 :: w ]) (words (n - 1))
+  in
+  Array.of_list (List.map History.of_list (Rng.shuffle (Rng.make seed) (words 4)))
+
+let prop_ct_differential =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map3 (fun t h c -> Set (t, h, c)) nat nat (int_bound 4));
+          (2, map (fun ts -> Min_merge ts) (list_size (int_bound 4) nat));
+          (1, map (fun ts -> Max_merge ts) (list_size (int_bound 4) nat));
+          (3, map2 (fun t h -> Bump (t, h)) nat nat);
+          (2, map2 (fun t hs -> Bump_all (t, hs)) nat (list_size (int_bound 5) nat));
+        ])
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (seed, ops) ->
+        Printf.sprintf "seed %d: %s" seed (String.concat ", " (List.map pp_ct_op ops)))
+      QCheck.Gen.(pair small_nat (list_size (int_range 1 40) op_gen))
+  in
+  QCheck.Test.make ~name:"flat table = map model after every op" ~count:200 arb
+    (fun (seed, ops) ->
+      History.with_fresh_interner (fun () ->
+          let hs = ct_universe seed in
+          let h i = hs.(i mod Array.length hs) in
+          (* Besides [empty], two dense tables over a random ~4/5 of the
+             universe: about a hundred entries, more than one segment. *)
+          let dense rng =
+            Array.fold_left
+              (fun (t, r) h ->
+                let c = Rng.int rng 5 in
+                (Counter_table.set t h c, Ref_table.set r h c))
+              (Counter_table.empty, Ref_table.empty) hs
+          in
+          let rng = Rng.make seed in
+          let pool = ref [| (Counter_table.empty, Ref_table.empty); dense rng; dense rng |] in
+          let nth i = !pool.(i mod Array.length !pool) in
+          let sign x = Int.compare x 0 in
+          let agrees (t, r) =
+            let same_binding (h, c) (h', c') = History.equal h h' && c = c' in
+            List.equal same_binding (Counter_table.bindings t) (Ref_table.M.bindings r)
+            && Counter_table.cardinal t = Ref_table.M.cardinal r
+            && Array.for_all
+                 (fun h ->
+                   Counter_table.get t h = Ref_table.get r h
+                   && Counter_table.is_max t h = Ref_table.is_max r h)
+                 hs
+            && Option.equal same_binding (Counter_table.max_binding t) (Ref_table.max_binding r)
+            && Array.for_all
+                 (fun (t', r') ->
+                   sign (Counter_table.compare t t') = sign (Ref_table.compare r r')
+                   && Counter_table.equal t t' = (Ref_table.compare r r' = 0))
+                 !pool
+          in
+          List.for_all
+            (fun op ->
+              let next =
+                match op with
+                | Set (i, j, c) ->
+                  let t, r = nth i in
+                  (Counter_table.set t (h j) c, Ref_table.set r (h j) c)
+                | Min_merge is ->
+                  let ts, rs = List.split (List.map nth is) in
+                  (Counter_table.min_merge ts, Ref_table.min_merge rs)
+                | Max_merge is ->
+                  let ts, rs = List.split (List.map nth is) in
+                  (Counter_table.max_merge ts, Ref_table.max_merge rs)
+                | Bump (i, j) ->
+                  let t, r = nth i in
+                  (Counter_table.bump_prefix_max t (h j), Ref_table.bump r (h j))
+                | Bump_all (i, js) ->
+                  let t, r = nth i in
+                  let hs = List.map h js in
+                  (Counter_table.bump_all t hs, List.fold_left Ref_table.bump r hs)
+              in
+              let ok = agrees next in
+              pool := Array.append !pool [| next |];
+              ok)
+            ops))
+
+let prop_ct_max_merge_laws =
+  (* Ablation A3's merge: the model's pointwise-max union, commutative and
+     idempotent, and pointwise at least min_merge. *)
+  let kvs_gen =
+    QCheck.Gen.(
+      list_size (int_bound 5) (pair (list_size (int_bound 2) (int_bound 2)) (int_range 1 5)))
+  in
+  QCheck.Test.make ~name:"max_merge = map model, commutative, idempotent" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 4) kvs_gen))
+    (fun kvss ->
+      let build set empty kvs =
+        List.fold_left (fun t (k, v) -> set t (History.of_list k) v) empty kvs
+      in
+      let tables = List.map (build Counter_table.set Counter_table.empty) kvss in
+      let refs = List.map (build Ref_table.set Ref_table.empty) kvss in
+      let merged = Counter_table.max_merge tables in
+      let lo = Counter_table.min_merge tables in
+      List.equal
+        (fun (h, c) (h', c') -> History.equal h h' && c = c')
+        (Counter_table.bindings merged)
+        (Ref_table.M.bindings (Ref_table.max_merge refs))
+      && Counter_table.equal merged (Counter_table.max_merge (List.rev tables))
+      && Counter_table.equal merged (Counter_table.max_merge (tables @ tables))
+      && List.for_all
+           (fun (h, c) -> Counter_table.get lo h <= c)
+           (Counter_table.bindings merged))
+
 (* --- Stats ------------------------------------------------------------------ *)
 
 let test_stats_mean_stddev () =
@@ -413,6 +579,8 @@ let () =
           Alcotest.test_case "is_max" `Quick test_ct_is_max;
           Alcotest.test_case "max_binding" `Quick test_ct_max_binding;
           qc prop_ct_min_merge_model;
+          qc prop_ct_differential;
+          qc prop_ct_max_merge_laws;
         ] );
       ( "stats",
         [
