@@ -651,7 +651,8 @@ let mc_cmd =
   in
   let max_delay_arg =
     Arg.(value & opt int 1
-         & info [ "max-delay" ] ~docv:"D" ~doc:"Late arrivals span round+1 .. round+D.")
+         & info [ "max-delay" ] ~docv:"D"
+             ~doc:"Late arrivals span round+1 .. round+D (D >= 1).")
   in
   let search_arg =
     let of_string = Arg.enum [ ("bfs", Mc.Bfs); ("dfs", Mc.Dfs) ] in

@@ -89,3 +89,93 @@ module type SERVICE = sig
   val get : state -> Anon_kernel.Value.Set.t
   (** The non-blocking [get] (Alg. 4 lines 5–6). *)
 end
+
+(** Where a process stands in a run. Halted processes decided. Away
+    processes are churners between their leave and rejoin rounds. *)
+type fate = Live | Crashed | Halted | Away
+
+(** The per-round stepping core of {!Step_core}: one iteration of Alg. 1
+    over every process, as three phases ([begin_round], [compute],
+    [deliver]), for processes that may decide. *)
+module type CORE = sig
+  type state
+  type msg
+  type t
+
+  val create :
+    inputs:Anon_kernel.Value.t array -> crash:Crash.t -> churn:Churn.t -> env:Env.t -> t
+  (** A core at round 0, before the first {!begin_round}. Inputs are read
+      at every [initialize] (round 1 and each rejoin). *)
+
+  val copy : t -> t
+  (** Independent snapshot: phase calls on the copy never affect the
+      original (algorithm states are immutable and shared). *)
+
+  val begin_round : ?on_leave:(pid:int -> unit) -> ?on_rejoin:(pid:int -> unit) -> t -> unit
+  (** Advance to the next round: churn transitions, then the crash latch.
+      Halted processes ignore churn; a rejoiner's state and mailbox are
+      discarded here and rebuilt at the next {!compute}. *)
+
+  val compute :
+    ?observe:(pid:int -> round:int -> state -> unit) ->
+    ?on_decide:(pid:int -> round:int -> value:Anon_kernel.Value.t -> unit) ->
+    ?on_compute:(pid:int -> state -> unit) ->
+    t ->
+    msg Dispatch.outbound list
+  (** The round's compute phase over every live process in pid order;
+      returns the broadcasts (ascending pid). [on_decide] fires as a
+      decider halts. [on_compute] sees the new state of every process
+      that ran [compute] (not [initialize]), after [on_decide] and before
+      [observe]. [observe] sees every post-compute state (deciders
+      included) labelled with the algorithm round [k-1]. *)
+
+  val ctx : t -> Adversary.ctx
+  (** The adversary context after {!compute}: senders, obligated and alive
+      receivers all coincide — the live processes not crashing this
+      round. *)
+
+  val deliver :
+    ?on_deliver:(sender:int -> receiver:int -> arrival:int -> unit) ->
+    ?on_crash:(pid:int -> unit) ->
+    t ->
+    plan:Adversary.plan ->
+    crash_rng:Anon_kernel.Rng.t ->
+    Dispatch.stats
+  (** Dispatch the round's broadcasts under [plan], mark the latched
+      crashers, and (ESS, past GST) latch the plan's source as the stable
+      source. [crash_rng] is consumed only for an {e unscripted}
+      [Broadcast_subset] crasher — the model checker's plans always script
+      those, so it may pass any generator. *)
+
+  val set_state : t -> int -> state -> unit
+  (** Replace a process's state between rounds; bumps its version. *)
+
+  val touch : t -> int -> unit
+  (** Bump a process's version: a layer above changed a part of its view
+      the core does not hold. *)
+
+  val n : t -> int
+  val round : t -> int
+  val fate : t -> int -> fate
+  val state : t -> int -> state option
+
+  val out : t -> int -> msg option
+  (** The broadcast produced by the last {!compute}, [None] when the
+      process sent nothing (halted, crashed, away). *)
+
+  val inflight : t -> int -> (int * int * msg) list
+  (** Undrained [(arrival, sent, msg)] deliveries, newest first. *)
+
+  val version : t -> int -> int
+  val crashing_now : t -> Crash.event list
+  val crashing_pids : t -> int list
+  val stable : t -> int option
+  val correct : t -> int list
+  val correct_stayers : t -> int list
+
+  val undecided_correct_stayers : t -> int list
+  (** Liveness is owed to correct stayers only: a churner may rejoin after
+      everyone halted and run alone forever. *)
+
+  val mailbox_pending : t -> int -> int
+end

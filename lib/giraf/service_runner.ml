@@ -56,7 +56,8 @@ type outcome = {
 }
 
 module Make (S : Intf.SERVICE) = struct
-  module Core = Step_core.Service (S)
+  module Svc = Step_core.Service (S)
+  module Core = Svc.Core
 
   let run ?observe ?(recorder = Anon_obs.Recorder.off) config ~workload =
     let module R = Anon_obs.Recorder in
@@ -96,10 +97,11 @@ module Make (S : Intf.SERVICE) = struct
     R.emit recorder (fun () -> E.Run_start { algo = S.name; n; seed = config.seed });
     let rng = Rng.make config.seed in
     let crash_rng = Rng.split rng in
-    let core =
-      Core.create ~n ~crash:config.crash ~churn:config.churn
+    let svc =
+      Svc.create ~n ~crash:config.crash ~churn:config.churn
         ~env:(Adversary.env config.adversary) ~workload
     in
+    let core = Svc.core svc in
     let ops = ref [] in
     let adds = ref [] in
     let rounds = ref [] in
@@ -119,7 +121,7 @@ module Make (S : Intf.SERVICE) = struct
     for k = 1 to config.horizon do
       let compute_time = 2 * k in
       let op_time = (2 * k) + 1 in
-      Core.begin_round core
+      Svc.begin_round svc
         ~on_leave:(fun ~pid ~pending ->
           (* A leaver's pending add is recorded incomplete — the value may
              or may not have propagated; the weak-set axioms only bind
@@ -135,7 +137,7 @@ module Make (S : Intf.SERVICE) = struct
           R.emit recorder (fun () -> E.Churn { pid; round = k; rejoin = true }));
       let outgoing =
         M.time t_compute (fun () ->
-            Core.compute core ?observe
+            Svc.compute svc ?observe
               ~on_add_complete:(fun ~pid ~value ~invoked_round ->
                 M.observe m_add_latency (float_of_int (k - 1 - invoked_round));
                 R.emit recorder (fun () ->
@@ -179,7 +181,7 @@ module Make (S : Intf.SERVICE) = struct
       end;
       (* Client operations while in round k. One operation at a time per
          client; adds block until their value is written. *)
-      Core.ops core
+      Svc.ops svc
         ~on_get:(fun ~pid ~result ->
           M.incr m_gets;
           R.emit recorder (fun () ->
@@ -214,7 +216,7 @@ module Make (S : Intf.SERVICE) = struct
     (* Adds still pending at the end of the run are recorded as
        incomplete. *)
     for p = 0 to n - 1 do
-      match Core.blocked core p with
+      match Svc.blocked svc p with
       | None -> ()
       | Some (value, invoked_round) -> record_incomplete ~client:p ~value ~invoked_round
     done;

@@ -18,16 +18,25 @@
       live non-crashing process timely), the crashers are marked, and the
       ESS stable-source bookkeeping advances.
 
-    {!Runner} and {!Service_runner} drive a core round-by-round with
-    observation hooks; [Anon_mc.Consensus_sys] and [Anon_mc.Ws_sys] cut
-    the same cycle after the compute phase, [copy] the core to branch, and
-    read states through the accessors. The hooks default to no-ops so the
-    checker pays nothing for the runner's observability.
+    One core ({!Consensus}) owns the three phases for processes that may
+    decide. The weak-set {!Service} is a thin layer over that core: its
+    processes never decide, and it adds only the client scripts, the
+    BLOCK flags and a client-operation phase between rounds. It reaches
+    the core through the [on_compute] hook (an add completes when
+    [compute] clears BLOCK) and [set_state]/[touch] (the operation
+    phase).
+
+    {!Runner}, {!Service_runner} and [Anon_rsm] drive a core
+    round-by-round with observation hooks; the model checker
+    ([Anon_mc.System]) cuts the same cycle after the compute phase,
+    [copy]s the core to branch, and reads states through the accessors.
+    The hooks default to no-ops so the checker pays nothing for the
+    runner's observability.
 
     Per-process [version] counters increment whenever that process's
-    observable view (state, broadcast, mailbox, fate, stable flag)
-    changes; the checker uses them to update canonical-key digests
-    incrementally instead of re-rendering every view.
+    observable view changes: state, broadcast, mailbox, fate, stable
+    flag, or (through [touch]) a client script or BLOCK flag. The checker
+    uses them to rehash only the views that changed.
 
     {b Pinned adversary stack order.} The plan fed to [deliver] may pass
     through wrapper layers before it arrives here; their order is fixed,
@@ -40,7 +49,7 @@
     one round late regardless of fault draws. [Anon_chaos.Fault.compose]
     is the canonical constructor for the full stack. *)
 
-type fate = Live | Crashed | Halted | Away
+type fate = Intf.fate = Live | Crashed | Halted | Away
 
 type op_spec = Do_add of Anon_kernel.Value.t | Do_get | Do_add_with of (Anon_kernel.Value.Set.t -> Anon_kernel.Value.t)
 (** One client operation of a weak-set workload (see {!Service_runner},
@@ -51,89 +60,23 @@ type workload = (int * (int * op_spec) list) list
 
 (** Consensus-style stepping (Alg. 2/3 families): processes may decide
     and halt. *)
-module Consensus (A : Intf.ALGORITHM) : sig
-  type t
-
-  val create :
-    inputs:Anon_kernel.Value.t array ->
-    crash:Crash.t ->
-    churn:Churn.t ->
-    env:Env.t ->
-    t
-  (** A core at round 0, before the first {!begin_round}. Inputs are read
-      at every [initialize] (round 1 and each rejoin). *)
-
-  val copy : t -> t
-  (** Independent snapshot: phase calls on the copy never affect the
-      original (algorithm states are immutable and shared). *)
-
-  val begin_round : ?on_leave:(pid:int -> unit) -> ?on_rejoin:(pid:int -> unit) -> t -> unit
-  (** Advance to the next round: churn transitions, then the crash latch.
-      Halted processes ignore churn; a rejoiner's state and mailbox are
-      discarded here and rebuilt at the next {!compute}. *)
-
-  val compute :
-    ?observe:(pid:int -> round:int -> A.state -> unit) ->
-    ?on_decide:(pid:int -> round:int -> value:Anon_kernel.Value.t -> unit) ->
-    t ->
-    A.msg Dispatch.outbound list
-  (** The round's compute phase over every live process in pid order;
-      returns the broadcasts (ascending pid). [observe] sees every
-      post-compute state (deciders included) labelled with the algorithm
-      round [k-1]; [on_decide] fires as the decider halts. *)
-
-  val ctx : t -> Adversary.ctx
-  (** The adversary context after {!compute}: senders, obligated and alive
-      receivers all coincide — the live processes not crashing this
-      round. *)
-
-  val deliver :
-    ?on_deliver:(sender:int -> receiver:int -> arrival:int -> unit) ->
-    ?on_crash:(pid:int -> unit) ->
-    t ->
-    plan:Adversary.plan ->
-    crash_rng:Anon_kernel.Rng.t ->
-    Dispatch.stats
-  (** Dispatch the round's broadcasts under [plan], mark the latched
-      crashers, and (ESS, past GST) latch the plan's source as the stable
-      source. [crash_rng] is consumed only for an {e unscripted}
-      [Broadcast_subset] crasher — the model checker's plans always script
-      those, so it may pass any generator. *)
-
-  val n : t -> int
-  val round : t -> int
-  val fate : t -> int -> fate
-  val state : t -> int -> A.state option
-  val out : t -> int -> A.msg option
-  (** The broadcast produced by the last {!compute}, [None] when the
-      process sent nothing (halted, crashed, away). *)
-
-  val inflight : t -> int -> (int * int * A.msg) list
-  (** Undrained [(arrival, sent, msg)] deliveries, newest first. *)
-
-  val version : t -> int -> int
-  val crashing_now : t -> Crash.event list
-  val crashing_pids : t -> int list
-  val stable : t -> int option
-  val correct : t -> int list
-  val correct_stayers : t -> int list
-  val undecided_correct_stayers : t -> int list
-  (** Liveness is owed to correct stayers only: a churner may rejoin after
-      everyone halted and run alone forever. *)
-
-  val mailbox_pending : t -> int -> int
-end
+module Consensus (A : Intf.ALGORITHM) :
+  Intf.CORE with type state = A.state and type msg = A.msg
 
 (** Weak-set-style stepping (Alg. 4): no decisions, but a per-round
-    client-operation phase between {!Service.deliver} and the next
-    {!Service.begin_round}. *)
+    client-operation phase between the core's [deliver] and the next
+    {!Service.begin_round}. The phases [ctx] and [deliver] and the
+    accessors are the core's, reached through {!Service.core}. *)
 module Service (S : Intf.SERVICE) : sig
+  module Core : Intf.CORE with type state = S.state and type msg = S.msg
+
   type t
 
   val create :
     n:int -> crash:Crash.t -> churn:Churn.t -> env:Env.t -> workload:workload -> t
 
   val copy : t -> t
+  val core : t -> Core.t
 
   val begin_round :
     ?on_leave:(pid:int -> pending:(Anon_kernel.Value.t * int) option -> unit) ->
@@ -141,7 +84,8 @@ module Service (S : Intf.SERVICE) : sig
     t ->
     unit
   (** As for consensus; a leaver's pending add (value, invoked round) is
-      handed to [on_leave] for recording as incomplete. *)
+      handed to [on_leave] for recording as incomplete and cleared. A
+      rejoiner keeps its remaining script. *)
 
   val compute :
     ?observe:(pid:int -> round:int -> S.state -> unit) ->
@@ -149,17 +93,8 @@ module Service (S : Intf.SERVICE) : sig
     t ->
     S.msg Dispatch.outbound list
   (** The compute phase; a pending add completes ([on_add_complete]) the
-      moment the BLOCK flag clears, before [observe] sees the state. *)
-
-  val ctx : t -> Adversary.ctx
-
-  val deliver :
-    ?on_deliver:(sender:int -> receiver:int -> arrival:int -> unit) ->
-    ?on_crash:(pid:int -> unit) ->
-    t ->
-    plan:Adversary.plan ->
-    crash_rng:Anon_kernel.Rng.t ->
-    Dispatch.stats
+      moment [compute] clears the BLOCK flag, before [observe] sees the
+      state. Clearing by [initialize] does not count. *)
 
   val ops :
     ?on_get:(pid:int -> result:Anon_kernel.Value.Set.t -> unit) ->
@@ -170,17 +105,6 @@ module Service (S : Intf.SERVICE) : sig
       client in pid order, each starting no earlier than its scripted
       round. Adds set the BLOCK flag; gets are non-blocking. *)
 
-  val n : t -> int
-  val round : t -> int
-  val fate : t -> int -> fate
-  val state : t -> int -> S.state option
-  val out : t -> int -> S.msg option
-  val inflight : t -> int -> (int * int * S.msg) list
-  val version : t -> int -> int
   val script : t -> int -> (int * op_spec) list
   val blocked : t -> int -> (Anon_kernel.Value.t * int) option
-  val crashing_now : t -> Crash.event list
-  val crashing_pids : t -> int list
-  val correct : t -> int list
-  val mailbox_pending : t -> int -> int
 end

@@ -1,19 +1,3 @@
-let key ~round ~global ~views =
-  let views = List.sort String.compare views in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "r=";
-  Buffer.add_string buf (string_of_int round);
-  Buffer.add_char buf '#';
-  Buffer.add_string buf global;
-  List.iter
-    (fun v ->
-      Buffer.add_char buf '\x01';
-      Buffer.add_string buf v)
-    views;
-  Buffer.contents buf
-
-let hash_hex s = Anon_kernel.Hashing.(to_hex (hash_string s))
-
 module Digest = struct
   module H = Anon_kernel.Hashing.Fast
 
@@ -27,24 +11,33 @@ module Digest = struct
   let basis2 = H.byte H.init '\xa5'
 
   (* A dual-stream accumulator, fed piecewise so callers can hash a view
-     without first materializing it as a string. Feeding the pieces of a
-     view must produce the same bytes as rendering it — the differential
-     suite pins [key = full_key] to hold that invariant. *)
-  type stream = { mutable a : int; mutable b : int }
+     without first materializing it as a string — or, for the reference
+     path, a buffer collecting the same bytes as text. One writer feeds
+     both, so the differential suite's [key = full_key] pins the cached
+     hashes against the rendered views. *)
+  type sums = { mutable a : int; mutable b : int }
+  type stream = Hash of sums | Text of Buffer.t
 
-  let stream () = { a = H.init; b = basis2 }
+  let sums () = { a = H.init; b = basis2 }
+  let text b = Text b
 
   let feed_char st c =
-    let c = Char.code c in
-    st.a <- (st.a lxor c) * H.prime;
-    st.b <- (st.b lxor c) * H.prime
+    match st with
+    | Hash h ->
+      let c = Char.code c in
+      h.a <- (h.a lxor c) * H.prime;
+      h.b <- (h.b lxor c) * H.prime
+    | Text b -> Buffer.add_char b c
 
   let feed_string st s =
-    for i = 0 to String.length s - 1 do
-      let c = Char.code (String.unsafe_get s i) in
-      st.a <- (st.a lxor c) * H.prime;
-      st.b <- (st.b lxor c) * H.prime
-    done
+    match st with
+    | Hash h ->
+      for i = 0 to String.length s - 1 do
+        let c = Char.code (String.unsafe_get s i) in
+        h.a <- (h.a lxor c) * H.prime;
+        h.b <- (h.b lxor c) * H.prime
+      done
+    | Text b -> Buffer.add_string b s
 
   (* Decimal digits, matching [string_of_int] byte for byte. *)
   let rec feed_nat st n =
@@ -60,9 +53,9 @@ module Digest = struct
 
   (* One pass over the view feeding both streams. *)
   let view_hashes v =
-    let st = stream () in
-    feed_string st v;
-    (st.a, st.b)
+    let h = sums () in
+    feed_string (Hash h) v;
+    (h.a, h.b)
 
   type t = {
     versions : int array;  (* last refreshed Step_core version; -1 = never *)
@@ -90,24 +83,15 @@ module Digest = struct
       sum2 = t.sum2;
     }
 
-  let commit t ~slot ~version a b =
-    t.sum1 <- t.sum1 - t.h1.(slot) + a;
-    t.sum2 <- t.sum2 - t.h2.(slot) + b;
-    t.h1.(slot) <- a;
-    t.h2.(slot) <- b;
-    t.versions.(slot) <- version
-
-  let refresh t ~slot ~version render =
-    if t.versions.(slot) <> version then begin
-      let a, b = view_hashes (render ()) in
-      commit t ~slot ~version a b
-    end
-
   let refresh_stream t ~slot ~version fill =
     if t.versions.(slot) <> version then begin
-      let st = stream () in
-      fill st;
-      commit t ~slot ~version st.a st.b
+      let h = sums () in
+      fill (Hash h);
+      t.sum1 <- t.sum1 - t.h1.(slot) + h.a;
+      t.sum2 <- t.sum2 - t.h2.(slot) + h.b;
+      t.h1.(slot) <- h.a;
+      t.h2.(slot) <- h.b;
+      t.versions.(slot) <- version
     end
 
   let render ~round ~global sum1 sum2 =

@@ -18,7 +18,7 @@ type spec = {
   armed : bool;
 }
 
-module Make
+module Family
     (A : MODEL) (Cfg : sig
       val spec : spec
     end) =
@@ -26,65 +26,36 @@ struct
   module Core = G.Step_core.Consensus (A)
 
   let spec = Cfg.spec
-  let n = G.Crash.n spec.crash
+  let crash = spec.crash
+  let churn = spec.churn
+  let env = spec.env
+  let max_delay = spec.max_delay
+  let armed = spec.armed
+  let state_key = A.state_key
+  let msg_key = A.msg_key
+  let n = G.Crash.n crash
 
   let () =
     if List.length spec.inputs <> n then
       invalid_arg "Consensus_sys.make: inputs/crash size mismatch";
-    if G.Churn.n spec.churn <> n then
+    if G.Churn.n churn <> n then
       invalid_arg "Consensus_sys.make: churn/crash size mismatch";
     List.iter
       (fun (ev : G.Churn.event) ->
-        if G.Crash.crash_round spec.crash ev.pid <> None then
+        if G.Crash.crash_round crash ev.pid <> None then
           invalid_arg
             (Printf.sprintf "Consensus_sys.make: p%d both crashes and churns" ev.pid))
-      (G.Churn.events spec.churn)
+      (G.Churn.events churn)
 
   let inputs = Array.of_list spec.inputs
 
-  (* The scheduled crash and churn windows are part of a process's view
-     key, so symmetry reduction never merges processes whose futures
-     differ. Both are fixed per exploration — render once. *)
-  let fate_str =
-    Array.init n (fun p ->
-        match G.Crash.crash_round spec.crash p with
-        | None -> ""
-        | Some r ->
-          let kind =
-            match
-              List.find_opt
-                (fun (e : G.Crash.event) -> e.pid = p)
-                (G.Crash.events spec.crash)
-            with
-            | Some { broadcast = G.Crash.Silent; _ } -> 's'
-            | Some { broadcast = G.Crash.Broadcast_all; _ } -> 'a'
-            | Some { broadcast = G.Crash.Broadcast_subset; _ } | None -> 'b'
-          in
-          Printf.sprintf "c%d%c" r kind)
+  type node = { core : Core.t; inv : Inv.Consensus.t }
 
-  let churn_fate_str =
-    Array.init n (fun p ->
-        match G.Churn.event spec.churn p with
-        | None -> ""
-        | Some { leave; rejoin; _ } ->
-          Printf.sprintf "l%d%s" leave
-            (match rejoin with Some r -> Printf.sprintf "j%d" r | None -> ""))
-
-  type sys = {
-    core : Core.t;  (** Node = core after the compute phase of iteration [round]. *)
-    inv : Inv.Consensus.t;
-    digest : Canon.Digest.t;
-    memo : G.Plan_enum.memo;
-        (** Plan-enumeration cache. Shared along the whole search at
-            [jobs = 1] (states of one exploration repeat their enumeration
-            signature constantly); per-replay at [jobs > 1], where tasks
-            must not share tables across domains. *)
-  }
+  let core nd = nd.core
+  let stable nd = Core.stable nd.core
 
   let init () =
-    let core =
-      Core.create ~inputs ~crash:spec.crash ~churn:spec.churn ~env:spec.env
-    in
+    let core = Core.create ~inputs ~crash ~churn ~env in
     Core.begin_round core;
     (* Iteration 1 is [initialize] everywhere — no process can decide. *)
     ignore (Core.compute core : A.msg G.Dispatch.outbound list);
@@ -93,11 +64,8 @@ struct
       inv =
         Inv.Consensus.create
           ~agreement_exempt:
-            (List.map (fun (ev : G.Churn.event) -> ev.pid)
-               (G.Churn.events spec.churn))
+            (List.map (fun (ev : G.Churn.event) -> ev.pid) (G.Churn.events churn))
           ~inputs:spec.inputs ();
-      digest = Canon.Digest.create ~n;
-      memo = G.Plan_enum.memo ();
     }
 
   (* One transition, phase-shifted against the runner's loop: deliver the
@@ -106,11 +74,11 @@ struct
      [k+1] (churn transitions, crash latch), then run iteration [k+1]'s
      compute, feeding decisions to the invariants. The crash RNG is never
      consumed: Plan_enum scripts every crasher's deliveries. *)
-  let step s (plan : G.Adversary.plan) =
-    let core = Core.copy s.core in
+  let step nd (plan : G.Adversary.plan) =
+    let core = Core.copy nd.core in
     ignore (Core.deliver core ~plan ~crash_rng:(Rng.make 0) : G.Dispatch.stats);
     Core.begin_round core;
-    let inv = ref s.inv in
+    let inv = ref nd.inv in
     let viols = ref [] in
     ignore
       (Core.compute core ~on_decide:(fun ~pid ~round:_ ~value ->
@@ -118,188 +86,34 @@ struct
            inv := inv';
            viols := !viols @ vs)
         : A.msg G.Dispatch.outbound list);
-    ( { core; inv = !inv; digest = Canon.Digest.copy s.digest; memo = s.memo },
-      !viols )
+    ({ core; inv = !inv }, !viols)
 
-  let apply s plan = fst (step s plan)
-  let ctx s = Core.ctx s.core
+  let view_extra _ _ _ = ()
 
-  let expand s =
-    let pspec =
-      {
-        G.Plan_enum.env = spec.env;
-        stable = Core.stable s.core;
-        max_delay = spec.max_delay;
-        crashing = Core.crashing_pids s.core;
-        include_inadmissible = spec.armed;
-      }
-    in
-    (* The marker attached to an armed (inadmissible) plan names the
-       obligation the all-late plan breaks in this environment — exactly
-       what the offline checker will report for the replayed trace. *)
-    let armed_violations (c : G.Adversary.ctx) =
-      let round = c.round in
-      match spec.env with
-      | G.Env.Dynamic { stability; _ } ->
-        let window = ((round - 1) / stability) + 1 in
-        let correct_senders =
-          List.filter (fun p -> List.mem p c.correct) c.senders
-        in
-        if G.Env.pulse ~stability ~round then
-          [
-            G.Checker.No_root
-              {
-                round;
-                window;
-                senders =
-                  List.map
-                    (fun p -> (p, List.filter (fun q -> q <> p) c.obligated))
-                    correct_senders;
-              };
-          ]
-        else
-          List.map
-            (fun p ->
-              G.Checker.Stability_violation
-                {
-                  round;
-                  window;
-                  sender = p;
-                  missing = List.filter (fun q -> q <> p) c.obligated;
-                })
-            correct_senders
-      | G.Env.Sync | G.Env.Ms | G.Env.Es _ | G.Env.Ess _ | G.Env.Async ->
-        [ G.Checker.No_source { round } ]
-    in
-    let c0 = ctx s in
-    List.map
-      (fun (c : G.Plan_enum.choice) ->
-        let s', vs = step s c.plan in
-        let vs = if c.admissible then vs else armed_violations c0 @ vs in
-        (c.plan, s', vs))
-      (G.Plan_enum.enumerate_memo s.memo pspec c0)
-
-  let render_view core p =
-    match Core.fate core p with
-    | G.Step_core.Crashed -> "X"
-    | G.Step_core.Halted -> "H"
-    | G.Step_core.Away -> "A|" ^ churn_fate_str.(p)
-    | G.Step_core.Live ->
-      let fl =
-        List.sort
-          (fun (a1, s1, (k1 : string)) (a2, s2, k2) ->
-            match Int.compare a1 a2 with
-            | 0 -> (
-              match Int.compare s1 s2 with 0 -> String.compare k1 k2 | c -> c)
-            | c -> c)
-          (List.map
-             (fun (a, sent, m) -> (a, sent, A.msg_key m))
-             (Core.inflight core p))
-      in
-      let b = Buffer.create 64 in
-      (match Core.state core p with
-      | Some st -> Buffer.add_string b (A.state_key st)
-      | None -> ());
-      Buffer.add_string b "|m:";
-      (match Core.out core p with
-      | Some out -> Buffer.add_string b (A.msg_key out)
-      | None -> ());
-      Buffer.add_char b '|';
-      Buffer.add_string b fate_str.(p);
-      Buffer.add_string b churn_fate_str.(p);
-      if Core.stable core = Some p then Buffer.add_string b "|S";
-      List.iter
-        (fun (a, sent, mk) ->
-          Buffer.add_string b "|i:";
-          Buffer.add_string b (string_of_int sent);
-          Buffer.add_char b '@';
-          Buffer.add_string b (string_of_int a);
-          Buffer.add_char b '=';
-          Buffer.add_string b mk)
-        fl;
-      Buffer.contents b
-
-  (* [render_view] fed straight into the digest streams, piece by piece —
-     the hot path behind [key] skips the intermediate view string. Must
-     mirror [render_view] byte for byte; [key = key_full] along sampled
-     walks (test_step_core) pins the two. *)
-  let fill_view core p st =
-    match Core.fate core p with
-    | G.Step_core.Crashed -> Canon.Digest.feed_char st 'X'
-    | G.Step_core.Halted -> Canon.Digest.feed_char st 'H'
-    | G.Step_core.Away ->
-      Canon.Digest.feed_string st "A|";
-      Canon.Digest.feed_string st churn_fate_str.(p)
-    | G.Step_core.Live ->
-      let fl =
-        List.sort
-          (fun (a1, s1, (k1 : string)) (a2, s2, k2) ->
-            match Int.compare a1 a2 with
-            | 0 -> (
-              match Int.compare s1 s2 with 0 -> String.compare k1 k2 | c -> c)
-            | c -> c)
-          (List.map
-             (fun (a, sent, m) -> (a, sent, A.msg_key m))
-             (Core.inflight core p))
-      in
-      (match Core.state core p with
-      | Some stv -> Canon.Digest.feed_string st (A.state_key stv)
-      | None -> ());
-      Canon.Digest.feed_string st "|m:";
-      (match Core.out core p with
-      | Some out -> Canon.Digest.feed_string st (A.msg_key out)
-      | None -> ());
-      Canon.Digest.feed_char st '|';
-      Canon.Digest.feed_string st fate_str.(p);
-      Canon.Digest.feed_string st churn_fate_str.(p);
-      if Core.stable core = Some p then Canon.Digest.feed_string st "|S";
-      List.iter
-        (fun (a, sent, mk) ->
-          Canon.Digest.feed_string st "|i:";
-          Canon.Digest.feed_int st sent;
-          Canon.Digest.feed_char st '@';
-          Canon.Digest.feed_int st a;
-          Canon.Digest.feed_char st '=';
-          Canon.Digest.feed_string st mk)
-        fl
-
-  let global s =
+  let global nd =
     let decided =
-      List.sort_uniq Value.compare (List.map snd (Inv.Consensus.decided s.inv))
+      List.sort_uniq Value.compare (List.map snd (Inv.Consensus.decided nd.inv))
     in
     String.concat "," (List.map Value.to_string decided)
 
-  let key s =
-    for p = 0 to n - 1 do
-      Canon.Digest.refresh_stream s.digest ~slot:p
-        ~version:(Core.version s.core p) (fill_view s.core p)
-    done;
-    Canon.Digest.key s.digest ~round:(Core.round s.core) ~global:(global s)
-
-  (* Reference key, bypassing the per-slot version cache — the
-     differential test pins [key = key_full] along sampled walks. *)
-  let key_full s =
-    Canon.Digest.full_key ~round:(Core.round s.core) ~global:(global s)
-      ~views:(List.init n (render_view s.core))
-
   (* Liveness is owed to correct stayers only (cf. Runner/Checker): a
      churner may rejoin after everyone halted and run alone forever. *)
-  let terminal s = Core.undecided_correct_stayers s.core = []
-  let pending s = Core.undecided_correct_stayers s.core
+  let terminal nd = Core.undecided_correct_stayers nd.core = []
+  let pending nd = Core.undecided_correct_stayers nd.core
 
   (* Pid-indexed rendering for the differential test: fate and state key
      per process, then the decisions recorded so far. *)
-  let snapshot s =
+  let snapshot nd =
     let b = Buffer.create 256 in
-    Buffer.add_string b (Printf.sprintf "r%d\n" (Core.round s.core));
+    Buffer.add_string b (Printf.sprintf "r%d\n" (Core.round nd.core));
     for p = 0 to n - 1 do
       Buffer.add_string b
-        (match Core.fate s.core p with
+        (match Core.fate nd.core p with
         | G.Step_core.Crashed -> Printf.sprintf "p%d X\n" p
         | G.Step_core.Halted -> Printf.sprintf "p%d H\n" p
         | G.Step_core.Away -> Printf.sprintf "p%d A\n" p
         | G.Step_core.Live -> (
-          match Core.state s.core p with
+          match Core.state nd.core p with
           | Some st -> Printf.sprintf "p%d L %s\n" p (A.state_key st)
           | None -> Printf.sprintf "p%d L ?\n" p))
     done;
@@ -307,7 +121,7 @@ struct
       List.sort compare
         (List.map
            (fun (p, v) -> (p, Value.to_string v))
-           (Inv.Consensus.decided s.inv))
+           (Inv.Consensus.decided nd.inv))
     in
     Buffer.add_string b
       ("decided "
@@ -316,16 +130,12 @@ struct
     Buffer.contents b
 end
 
-let make (module A : MODEL) spec =
-  (module Make
+let family (module A : MODEL) spec =
+  (module Family
             (A)
             (struct
               let spec = spec
-            end) : Explore.SYSTEM)
+            end) : System.FAMILY)
 
-let make_probe (module A : MODEL) spec =
-  (module Make
-            (A)
-            (struct
-              let spec = spec
-            end) : Explore.SYSTEM_DEBUG)
+let make model spec = System.make (family model spec)
+let make_probe model spec = System.make_probe (family model spec)

@@ -1,4 +1,5 @@
-(** Consensus algorithms as explorable systems.
+(** Consensus algorithms as explorable systems: the consensus family of
+    {!System}.
 
     Wraps any key-serializable {!Anon_giraf.Intf.ALGORITHM} into an
     {!Explore.SYSTEM} whose transitions replicate {!Anon_giraf.Runner.Make}

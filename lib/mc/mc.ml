@@ -150,14 +150,28 @@ let system config ~inputs ~crash ~churn =
 (* --- the run ------------------------------------------------------------------ *)
 
 let run ?(recorder = R.off) ?progress ?out config =
-  if config.n < 1 then invalid_arg "Mc.run: n must be >= 1";
-  if config.rounds < 1 then invalid_arg "Mc.run: rounds must be >= 1";
+  let fail what = G.Config_error.fail ~where:"Mc.run" what in
+  if config.n < 1 then fail (Printf.sprintf "n must be >= 1 (got %d)" config.n);
+  if config.rounds < 1 then
+    fail (Printf.sprintf "rounds must be >= 1 (got %d)" config.rounds);
   if config.crashes < 0 || config.crashes > config.n then
-    invalid_arg "Mc.run: crashes must be in [0, n]";
+    fail
+      (Printf.sprintf "crashes must be in [0, n] (got %d, n = %d)" config.crashes
+         config.n);
   if config.churn < 0 || config.churn > config.n then
-    invalid_arg "Mc.run: churn must be in [0, n]";
+    fail
+      (Printf.sprintf "churn must be in [0, n] (got %d, n = %d)" config.churn
+         config.n);
   if config.churn > 0 && config.algo = Ms_weakset then
-    invalid_arg "Mc.run: churn is not supported for ms-weakset";
+    fail "churn is not supported for ms-weakset";
+  (* A delay bound of 0 would drop every late delivery and explore the
+     partially synchronous environments as if synchronous; [--env sync]
+     says that explicitly. *)
+  if config.max_delay < 1 then
+    fail (Printf.sprintf "max_delay must be >= 1 (got %d)" config.max_delay);
+  if config.ops_per_client < 0 then
+    fail
+      (Printf.sprintf "ops_per_client must be >= 0 (got %d)" config.ops_per_client);
   (* The same derivation as Scenario.inputs, so an emitted witness (which
      carries only the seed) replays against identical proposals. *)
   let inputs =

@@ -36,7 +36,7 @@ type config = {
           enumerated like crashes (leave round in [1..rounds], rejoin in
           [(leave, rounds]] or never) and crossed with the crash schedules
           under pid-disjointness. Rejected for {!Ms_weakset}. *)
-  max_delay : int;
+  max_delay : int;  (** Late arrivals span round+1 .. round+max_delay; [>= 1]. *)
   search : search;
   armed : bool;  (** Include one inadmissible plan per demanding round. *)
   jobs : int option;  (** BFS only; as {!Anon_exec.Pool.resolve}. *)
@@ -88,7 +88,12 @@ val run :
     {!Anon_obs.Trace} sink captures the counterexample timeline.
     [progress] (e.g. [Format.err_formatter] under [anonc mc --progress])
     prints one live line per crash schedule and per BFS level — frontier
-    depth, canonical states/sec, dedup hit-rate. *)
+    depth, canonical states/sec, dedup hit-rate.
+
+    @raise Anon_giraf.Config_error.Invalid_config (where ["Mc.run"]) when
+    [n < 1], [rounds < 1], [crashes] or [churn] is outside [[0, n]],
+    [churn > 0] for {!Ms_weakset}, [max_delay < 1] or
+    [ops_per_client < 0]. *)
 
 val pp_report : Format.formatter -> report -> unit
 val report_json : report -> Anon_obs.Json.t

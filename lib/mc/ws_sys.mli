@@ -1,4 +1,5 @@
-(** The weak-set service (Alg. 4) as an explorable system.
+(** The weak-set service (Alg. 4) as an explorable system: the weak-set
+    family of {!System}.
 
     Mirrors {!Anon_giraf.Service_runner.Make} phase-shifted the same way as
     {!Consensus_sys}: a node is the system after the compute phase of

@@ -99,7 +99,6 @@ let translate_churn ~g0 ~n churn =
 
 module Make (A : G.Intf.ALGORITHM) = struct
   module Core = G.Step_core.Consensus (A)
-  module Tag = G.Instance_tag.Make (A)
 
   type live = {
     id : int;
@@ -150,6 +149,7 @@ module Make (A : G.Intf.ALGORITHM) = struct
     let stalled = ref 0 in
     let broadcasts = ref 0 in
     let instance_msgs = ref 0 in
+    let bundle = Array.make config.n 0 in  (* this round's bundle size per sender *)
     let open_instance gr =
       let id = !next_instance in
       incr next_instance;
@@ -215,7 +215,7 @@ module Make (A : G.Intf.ALGORITHM) = struct
       let (_ : G.Dispatch.stats) =
         Core.deliver inst.core ~plan ~crash_rng:inst.crash_rng
       in
-      (inst.id, outgoing)
+      outgoing
     in
     let close ~gr ~done_ inst =
       let value, decided =
@@ -288,17 +288,25 @@ module Make (A : G.Intf.ALGORITHM) = struct
         M.set_gauge g_inflight depth;
         M.observe h_queue (float_of_int (!arrived - !next))
       end;
-      let per_instance = List.map step !inflight in
-      let bundles = Tag.of_rounds per_instance in
-      let nb = List.length bundles in
-      broadcasts := !broadcasts + nb;
-      M.incr ~by:nb m_broadcasts;
+      (* A sender's messages of one global round travel as one bundle: its
+         message of each instance, each framed by a one-unit instance tag. *)
       List.iter
-        (fun { G.Dispatch.msg = bundle; _ } ->
-          instance_msgs := !instance_msgs + List.length bundle;
-          M.incr ~by:(List.length bundle) m_instance_msgs;
-          if obs_on then M.observe h_bundle (float_of_int (Tag.size bundle)))
-        bundles;
+        (fun inst ->
+          List.iter
+            (fun { G.Dispatch.sender; msg } ->
+              incr instance_msgs;
+              if bundle.(sender) = 0 then incr broadcasts;
+              bundle.(sender) <-
+                bundle.(sender) + 1 + if obs_on then A.msg_size msg else 0)
+            (step inst))
+        !inflight;
+      Array.iteri
+        (fun p size ->
+          if size > 0 then begin
+            if obs_on then M.observe h_bundle (float_of_int size);
+            bundle.(p) <- 0
+          end)
+        bundle;
       inflight :=
         List.filter
           (fun inst ->
@@ -333,6 +341,8 @@ module Make (A : G.Intf.ALGORITHM) = struct
         instances
     in
     if obs_on then begin
+      M.incr ~by:!broadcasts m_broadcasts;
+      M.incr ~by:!instance_msgs m_instance_msgs;
       M.set_gauge g_rounds (float_of_int rounds);
       R.flush recorder
     end;

@@ -7,10 +7,14 @@
     seeded from {!instance_seed} — the per-instance semantics are the
     exact {!Anon_giraf.Runner} code path, which is what the W=1/B=1
     differential test pins). Each global round, every in-flight instance
-    advances one local round; the per-instance broadcasts of the round
-    are merged into one instance-tagged bundle per sender
-    ({!Anon_giraf.Instance_tag}), so the window shares each round's
-    physical broadcast and [batch] proposals amortize one round-trip.
+    advances one local round. A sender's messages of the round count as
+    one physical broadcast, a bundle tagging each message with its
+    instance, so the window shares each round's physical broadcast and
+    [batch] proposals amortize one round-trip. Instances dispatch
+    independently; bundles are only counted: [broadcasts] is the number
+    of distinct senders per round, [instance_msgs] the per-instance
+    messages, and the [rsm.bundle_size] histogram takes per sender
+    [1 + msg_size] for each of its instance messages.
 
     An instance opened at global round [g] covers up to [batch] queued
     proposals that have already arrived ([arrival <= g]); process [i]

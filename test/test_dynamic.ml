@@ -620,15 +620,19 @@ let test_mc_churn_crash_disjoint () =
 
 let test_mc_churn_rejected_for_weakset () =
   Alcotest.check_raises "ms-weakset + churn"
-    (Invalid_argument "Mc.run: churn is not supported for ms-weakset") (fun () ->
+    (G.Config_error.Invalid_config
+       { where = "Mc.run"; what = "churn is not supported for ms-weakset" })
+    (fun () ->
       ignore (Mc.run (mc_config ~algo:Mc.Ms_weakset ~env:G.Env.Ms ~churn:1 ())))
 
-let test_mc_armed_dynamic_violation () =
+let test_mc_armed_dynamic_violation algo () =
   (* Armed exploration under a rooted dynamic env must surface a No_root
      violation that the checker confirms on replay. *)
   let r =
     Mc.run
-      (mc_config ~env:(G.Env.Dynamic { stability = 2; rooted = true }) ~armed:true ())
+      (mc_config ~algo
+         ~env:(G.Env.Dynamic { stability = 2; rooted = true })
+         ~armed:true ())
   in
   check_bool "violation" true (r.Mc.verdict = Mc.Violation);
   (match r.Mc.violation with
@@ -861,6 +865,8 @@ let () =
           Alcotest.test_case "churn rejected for weak-set" `Quick
             test_mc_churn_rejected_for_weakset;
           Alcotest.test_case "armed dynamic violation" `Quick
-            test_mc_armed_dynamic_violation;
+            (test_mc_armed_dynamic_violation Mc.Es);
+          Alcotest.test_case "armed dynamic violation (weak set)" `Quick
+            (test_mc_armed_dynamic_violation Mc.Ms_weakset);
         ] );
     ]

@@ -84,9 +84,9 @@ let test_ws_verified () =
 (* --- the incremental canonical digest ----------------------------------------- *)
 
 (* Property: after an arbitrary sequence of per-slot edits — refreshed
-   through either the string path or the piecewise stream path, with
-   branches taken via [copy] along the way — the maintained digest equals
-   the from-scratch [full_key] over the current views. *)
+   through the piecewise stream path, with branches taken via [copy]
+   along the way — the maintained digest equals the from-scratch
+   [full_key] over the current views. *)
 let test_digest_incremental_matches_full () =
   let module Canon = Anon_mc.Canon in
   let module Rng = Anon_kernel.Rng in
@@ -96,11 +96,8 @@ let test_digest_incremental_matches_full () =
   let versions = Array.make n 0 in
   let refresh_all d =
     for p = 0 to n - 1 do
-      if Rng.bool rng then
-        Canon.Digest.refresh d ~slot:p ~version:versions.(p) (fun () -> views.(p))
-      else
-        Canon.Digest.refresh_stream d ~slot:p ~version:versions.(p) (fun st ->
-            Canon.Digest.feed_string st views.(p))
+      Canon.Digest.refresh_stream d ~slot:p ~version:versions.(p) (fun st ->
+          Canon.Digest.feed_string st views.(p))
     done
   in
   let d = ref (Canon.Digest.create ~n) in
@@ -202,6 +199,31 @@ let test_es_unguarded_safe_when_admissible () =
   let r = Mc.run (config ~algo:Mc.Es_unguarded ~n:3 ~crashes:1 ()) in
   check_bool "verified" true (r.Mc.verdict = Mc.Verified)
 
+(* --- invalid input ----------------------------------------------------------------- *)
+
+(* Bad input is a structured [Invalid_config] from [Mc.run], never an
+   [Invalid_argument] from inside the search, and a delay bound of 0 is
+   not silently explored as synchrony. *)
+let test_invalid_configs_rejected () =
+  let ok = config () in
+  let ws = { ok with algo = Mc.Ms_weakset; env = G.Env.Ms } in
+  List.iter
+    (fun (label, bad) ->
+      match Mc.run bad with
+      | exception G.Config_error.Invalid_config { where = "Mc.run"; _ } -> ()
+      | exception e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: expected Invalid_config" label)
+    [
+      ("n = 0", { ok with n = 0 });
+      ("rounds = 0", { ok with rounds = 0 });
+      ("crashes > n", { ok with crashes = 5 });
+      ("negative churn", { ok with churn = -1 });
+      ("weak-set churn", { ws with churn = 1 });
+      ("negative max_delay", { ok with max_delay = -1 });
+      ("max_delay = 0", { ok with max_delay = 0 });
+      ("negative ops_per_client", { ws with ops_per_client = -1 });
+    ]
+
 let () =
   Alcotest.run "mc"
     [
@@ -237,5 +259,10 @@ let () =
         [
           Alcotest.test_case "unguarded safe on admissible schedules" `Quick
             test_es_unguarded_safe_when_admissible;
+        ] );
+      ( "validation",
+        [
+          Alcotest.test_case "invalid configs rejected" `Quick
+            test_invalid_configs_rejected;
         ] );
     ]
