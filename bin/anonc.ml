@@ -713,9 +713,8 @@ let load_cmd =
       value_range hot_value horizon seed failures churn_spec label out bench_out
       metrics json_trace jobs =
     set_jobs jobs;
-    (* Validate before Crash.random can trip its bare [invalid_arg]: bad
-       CLI input must surface as Invalid_config / exit 2, like every other
-       subcommand. *)
+    (* Checked before any shard starts: [Crash.random] rejects a bad count
+       too, but only once the first shard builds its crash schedule. *)
     if failures < 0 || failures > n then
       G.Config_error.fail ~where:"anonc load"
         (Printf.sprintf "failures must be in [0, n] (got %d of n=%d)" failures n);

@@ -214,6 +214,9 @@ type report = { runs_done : int; finding : finding option }
 
 let campaign ?algo ?(inadmissible = false) ?(dynamic = false) ?(churn = false)
     ?jobs ~runs ~seed () =
+  if runs < 0 then
+    G.Config_error.fail ~where:"Fuzz.campaign"
+      (Printf.sprintf "runs must be >= 0 (got %d)" runs);
   let rng = Rng.make seed in
   (* Sampling consumes the rng stream independently of run outcomes, so
      drawing all cases up front yields exactly the cases the sequential

@@ -56,6 +56,8 @@ val campaign :
     sample dynamic-graph environment overrides and join/leave schedules —
     see {!Scenario.sample}.
 
+    @raise Anon_giraf.Config_error.Invalid_config when [runs < 0].
+
     Cases execute through {!Anon_exec.Pool.map} — [jobs] as there. All
     cases are sampled up front and evaluated in submission-order chunks,
     and the lowest violating index wins, so the report ([runs_done] and

@@ -5,49 +5,179 @@ type kind = Lockstep | Live
 
 let kind_name = function Lockstep -> "lockstep" | Live -> "live"
 
-type 'msg arrival = int * int * 'msg
+(* One arrival round's entries, kept in reverse canonical order: the
+   entry [fresh] lists last comes first. Filing a canonically-next entry
+   is then one cons, and a bucket's current-round messages (the largest
+   sent round it can hold) sit at its front. Only the [Round] filing
+   that made a bucket (its [generation]) conses onto it in place; every
+   other change builds a new bucket, so copies can share buckets. *)
+type 'msg bucket = { arrival : int; generation : int; mutable entries : (int * 'msg) list }
 
-(* Inbox assembly shared by every execution backend: partition the
-   in-flight list at [arrival <= round], sort the ready arrivals
-   canonically by (arrival, sent, message), and split into the
-   deduplicated current-round set and the fresh list. The canonical order
-   is what lets the lockstep runner, the model checker and the live
-   backend share one reading of Alg. 1 line 10: no algorithm can
-   distinguish any other order (messages are sets — anonymity merges
-   duplicates). *)
-let ready_inbox ~compare ~round inflight =
-  (* Same-object messages compare equal without walking the structure — a
-     broadcast shares one message value across its receivers, and late
-     entries resurface across rounds. *)
-  let compare m1 m2 = if m1 == m2 then 0 else compare m1 m2 in
-  let ready, rest =
-    (* Post-GST steady state: everything in flight is ready. Checking
-       first skips the two-list rebuild of [partition]. *)
-    if List.for_all (fun (a, _, _) -> a <= round) inflight then (inflight, [])
-    else List.partition (fun (a, _, _) -> a <= round) inflight
+(* A process's buckets in descending arrival order. A lockstep round
+   files most of its deliveries into the latest bucket, the head; the
+   ready buckets are a suffix, already in the order [take] folds them. *)
+type 'msg t = 'msg bucket list array
+
+let create ~n = Array.make n []
+let copy = Array.copy
+let clear t p = t.(p) <- []
+let length t p = List.fold_left (fun acc b -> acc + List.length b.entries) 0 t.(p)
+
+(* [acc] behind a bucket's entries as [(arrival, sent, msg)] triples, in
+   canonical order. *)
+let rec list_bucket arrival acc = function
+  | [] -> acc
+  | (sent, m) :: tl -> list_bucket arrival ((arrival, sent, m) :: acc) tl
+
+let to_list t p = List.fold_left (fun acc b -> list_bucket b.arrival acc b.entries) [] t.(p)
+
+let rec find_bucket arrival = function
+  | b :: tl when b.arrival > arrival -> find_bucket arrival tl
+  | b :: _ when b.arrival = arrival -> Some b
+  | _ -> None
+
+(* [bs] with [b] in its place, replacing the bucket of the same arrival. *)
+let rec set_bucket b = function
+  | b' :: tl when b'.arrival > b.arrival -> b' :: set_bucket b tl
+  | b' :: tl when b'.arrival = b.arrival -> b :: tl
+  | bs -> b :: bs
+
+(* Same-object messages compare equal without walking the structure — a
+   broadcast shares one message value across its receivers. *)
+let compare_msg compare m1 m2 = if m1 == m2 then 0 else compare m1 m2
+
+let insert ~compare t p ~arrival ~sent msg =
+  (* Behind every entry that sorts at or after [(sent, msg)]: among equal
+     entries the newest reads first in [fresh]. *)
+  let rec place = function
+    | ((s, m) as e) :: tl when s > sent || (s = sent && compare_msg compare m msg >= 0) ->
+      e :: place tl
+    | l -> (sent, msg) :: l
   in
-  let ready =
+  let entries = match find_bucket arrival t.(p) with Some b -> b.entries | None -> [] in
+  t.(p) <- set_bucket { arrival; generation = 0; entries = place entries } t.(p)
+
+(* Round [round]'s message set from a bucket's front run of [sent =
+   round] entries. The run is in reverse [fresh] order, so keeping the
+   first of each equal run keeps the copy [fresh] lists last, and consing
+   yields ascending order. *)
+let current_of ~compare ~round entries =
+  let rec uniq acc prev = function
+    | (s, m) :: tl when s = round ->
+      if compare_msg compare prev m = 0 then uniq acc m tl else uniq (m :: acc) m tl
+    | _ -> acc
+  in
+  match entries with (s, m) :: tl when s = round -> uniq [ m ] m tl | _ -> []
+
+(* The buckets at or before [round]: a suffix. *)
+let rec ready_from round = function
+  | b :: tl when b.arrival > round -> ready_from round tl
+  | ready -> ready
+
+(* The buckets before the suffix [ready]. *)
+let rec until ready = function
+  | bs when bs == ready -> []
+  | b :: tl -> b :: until ready tl
+  | [] -> []
+
+let take ~compare t p ~round =
+  let ready = ready_from round t.(p) in
+  t.(p) <- until ready t.(p);
+  match ready with
+  | [] -> ([], [])
+  | b :: _ ->
+    (* Arrivals never precede sends (every backend clamps [arrival >=
+       sent]), so round-[round] messages can only sit in bucket [round]. *)
+    let current = if b.arrival = round then current_of ~compare ~round b.entries else [] in
+    (current, List.fold_left (fun fresh b -> List.rev_append b.entries fresh) [] ready)
+
+module Round = struct
+  (* Deliveries are recorded in dispatch order — sender by sender — as
+     [(receiver, arrival)] int pairs packed into [deliveries]; [groups]
+     holds each sender's first delivery and its shared [(sent, msg)]
+     entry, the latest sender first. *)
+  type 'msg boxes = 'msg t
+
+  type 'msg t = {
+    mutable generation : int;  (* one per [reset]; buckets made by [insert] have 0 *)
+    mutable sent : int;
+    mutable groups : (int * (int * 'msg)) list;
+    mutable last_pid : int;
+    mutable deliveries : int array;
+    mutable ndeliveries : int;
+  }
+
+  let create ~n =
+    {
+      generation = 0;
+      sent = 0;
+      groups = [];
+      last_pid = -1;
+      deliveries = Array.make (8 * n) 0;
+      ndeliveries = 0;
+    }
+
+  let reset r ~sent =
+    r.generation <- r.generation + 1;
+    r.sent <- sent;
+    r.groups <- [];
+    r.last_pid <- -1;
+    r.ndeliveries <- 0
+
+  let deliver r ~sender ~receiver ~arrival msg =
+    let d = r.ndeliveries in
+    if sender <> r.last_pid then begin
+      r.groups <- (d, (r.sent, msg)) :: r.groups;
+      r.last_pid <- sender
+    end;
+    if 2 * d = Array.length r.deliveries then begin
+      let a = Array.make ((4 * d) + 2) 0 in
+      Array.blit r.deliveries 0 a 0 (2 * d);
+      r.deliveries <- a
+    end;
+    r.deliveries.(2 * d) <- receiver;
+    r.deliveries.((2 * d) + 1) <- arrival;
+    r.ndeliveries <- d + 1
+
+  (* Each sender's deliveries [\[first, last)] and entry, in filing
+     order: ascending message, equal messages latest sender first
+     (descending pid in lockstep) — the order [fresh] reads them. *)
+  let ordered ~compare r =
+    let rec spans last acc = function
+      | [] -> acc
+      | (first, e) :: earlier -> spans first ((first, last, e) :: acc) earlier
+    in
     List.sort
-      (fun (a1, s1, m1) (a2, s2, m2) ->
-        match Int.compare a1 a2 with
-        | 0 -> ( match Int.compare s1 s2 with 0 -> compare m1 m2 | c -> c)
-        | c -> c)
-      ready
-  in
-  (* Arrivals never precede sends (every backend clamps [arrival >=
-     sent]), so a ready entry with [sent = round] has [arrival = round]
-     too: the current-round messages are one contiguous run of the sorted
-     list, already in message order — deduplication is adjacent-uniq, no
-     second sort. *)
-  let rec uniq_current = function
-    | [] -> []
-    | (_, s, m) :: tl ->
-      if s = round then
-        match tl with
-        | (_, s', m') :: _ when s' = round && compare m m' = 0 -> uniq_current tl
-        | _ -> m :: uniq_current tl
-      else uniq_current tl
-  in
-  let current = uniq_current ready in
-  let fresh = List.map (fun (_, sent, m) -> (sent, m)) ready in
-  (current, fresh, rest)
+      (fun (f1, _, (_, m1)) (f2, _, (_, m2)) ->
+        match compare_msg compare m1 m2 with 0 -> Int.compare f2 f1 | c -> c)
+      (spans r.ndeliveries [] r.groups)
+
+  (* Receiver [q]'s bucket for [arrival] as this filing may extend it:
+     one it made, or a new one that starts from the old one's entries. *)
+  let bucket r (boxes : 'msg boxes) q arrival =
+    match find_bucket arrival boxes.(q) with
+    | Some b when b.generation = r.generation -> b
+    | old ->
+      let entries = match old with Some b -> b.entries | None -> [] in
+      let b = { arrival; generation = r.generation; entries } in
+      boxes.(q) <- set_bucket b boxes.(q);
+      b
+
+  let file ~compare r (boxes : 'msg boxes) =
+    let deliveries = r.deliveries and generation = r.generation in
+    let rec go = function
+      | [] -> ()
+      | (first, last, e) :: later ->
+        for d = first to last - 1 do
+          let q = deliveries.(2 * d) and arrival = deliveries.((2 * d) + 1) in
+          let b =
+            match boxes.(q) with
+            | b :: _ when b.arrival = arrival && b.generation = generation -> b
+            | _ -> bucket r boxes q arrival
+          in
+          b.entries <- e :: b.entries
+        done;
+        go later
+    in
+    go (ordered ~compare r)
+end

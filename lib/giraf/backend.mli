@@ -6,7 +6,7 @@
     - {b lockstep} — {!Step_core} driven by {!Runner}, {!Service_runner}
       and the model checker: one thread, rounds advance globally, and
       deliveries follow an adversary plan. Fully deterministic; this is
-      the Tier-1 and model-checking path, and nothing here changes it.
+      the Tier-1 and model-checking path.
     - {b live} — [Anon_live]: every process is a concurrent task, messages
       cross real in-process channels through a faulty transport, and round
       advancement is driven by wall-clock timeouts with adaptive backoff
@@ -14,32 +14,96 @@
 
     What the backends must agree on {e exactly} — and what this module
     therefore owns — is the mailbox semantics of Alg. 1: how a process's
-    undrained arrivals become the inbox of its next [compute]. Keeping
-    {!ready_inbox} here and nowhere else is what makes the zero-fault
-    live-vs-lockstep differential suite an equality of decisions rather
-    than a family resemblance. *)
+    undrained arrivals become the inbox of its next [compute]. One
+    mailbox type and one reader ({!take}) live here and nowhere else,
+    which is what makes the zero-fault live-vs-lockstep differential
+    suite an equality of decisions rather than a family resemblance.
+
+    {b Canonical order.} A mailbox holds [(arrival, sent, msg)] entries
+    and keeps them in the order a reader sees them: ascending [arrival],
+    then ascending [sent], then ascending message. Equal messages keep
+    the order they were filed in: {!Round.file} lists them by descending
+    sender (the order the lockstep dispatch schedules them, newest
+    first), {!insert} puts the newest first. Entries are bucketed by
+    arrival round, so a reader never sorts: in lockstep every live
+    process takes all arrivals [<= k-1] at round [k], and reads exactly
+    one bucket. *)
 
 type kind = Lockstep | Live
 
 val kind_name : kind -> string
 
-type 'msg arrival = int * int * 'msg
-(** [(arrival_round, sent_round, msg)] with [arrival_round >= sent_round].
-    The lockstep backend takes arrival rounds from the adversary plan; the
-    live backend assigns the local round at which the packet was drained
-    from the wire (clamped to [>= sent_round]). *)
+type 'msg t
+(** The mailboxes of processes [0 .. n-1]: each process's undrained
+    arrivals. Mutable: {!copy} before branching. A process's mailbox is
+    touched only by calls that name it, so threads that each own one
+    process may share a [t]. *)
 
-val ready_inbox :
+val create : n:int -> 'msg t
+
+val copy : 'msg t -> 'msg t
+(** O(n): the copies share their entries, and a change to either never
+    shows in the other, provided every {!Round.file} into either uses
+    one {!Round.t}. *)
+
+val clear : 'msg t -> int -> unit
+(** [clear mb p] empties process [p]'s mailbox. *)
+
+val length : 'msg t -> int -> int
+(** Number of undrained entries of a process. *)
+
+val to_list : 'msg t -> int -> (int * int * 'msg) list
+(** Every undrained [(arrival, sent, msg)] of a process, in canonical
+    order. *)
+
+val insert :
+  compare:('msg -> 'msg -> int) -> 'msg t -> int -> arrival:int -> sent:int -> 'msg -> unit
+(** The live backend's ordered insert of one packet into a process's
+    mailbox, [arrival >= sent]: behind every entry of its bucket that
+    sorts before it, ahead of every equal one. Costs the length of the
+    bucket's run that sorts at or after it. *)
+
+val take :
   compare:('msg -> 'msg -> int) ->
+  'msg t ->
+  int ->
   round:int ->
-  'msg arrival list ->
-  'msg list * (int * 'msg) list * 'msg arrival list
-(** [ready_inbox ~compare ~round inflight] is [(current, fresh, rest)]:
-    the arrivals with [arrival_round <= round] sorted canonically by
-    [(arrival, sent, message)], split into the deduplicated round-[round]
-    message set [current] (Alg. 1 line 10; adjacent-uniq under [compare]),
-    the full [(sent_round, msg)] list [fresh] (late messages included, for
-    algorithms that read earlier-round mailboxes), and the still-undrained
-    remainder [rest]. The caller guarantees the process's own round-
-    [round] message is among the arrivals (self-delivery is implicit and
-    always timely). *)
+  'msg list * (int * 'msg) list
+(** [take ~compare mb p ~round] removes process [p]'s entries with
+    [arrival <= round] and returns [(current, fresh)]: [fresh] is their
+    [(sent, msg)] list in canonical order (late messages included, for
+    algorithms that read earlier-round mailboxes), and [current] is the
+    deduplicated round-[round] message set (Alg. 1 line 10) in ascending
+    order, keeping of each run of equal messages the copy [fresh] lists
+    last. The caller guarantees the process's own round-[round] message
+    is among the arrivals (self-delivery is implicit and always timely).
+    Costs the number of entries taken plus the number of buckets kept;
+    its only message comparisons are the adjacent checks on round
+    [round]'s entries. *)
+
+(** One lockstep round's deliveries, filed into the receivers' mailboxes
+    in one ordering. The dispatch records each delivery as it happens;
+    {!file} then orders the round's broadcasts once and files every
+    delivery with one cons. A [Round.t] is scratch: every {!reset}
+    forgets the previous round, so copies of a core may share one. *)
+module Round : sig
+  type 'msg boxes := 'msg t
+  type 'msg t
+
+  val create : n:int -> 'msg t
+  (** Room for [4 * n] deliveries; more grows it. *)
+
+  val reset : 'msg t -> sent:int -> unit
+  (** Start recording round [sent]'s deliveries. *)
+
+  val deliver : 'msg t -> sender:int -> receiver:int -> arrival:int -> 'msg -> unit
+  (** Record one delivery of [sender]'s round broadcast, [arrival >= sent].
+      A sender's deliveries must be recorded contiguously, all carrying
+      its one message; senders recorded later read first among equal
+      messages. *)
+
+  val file : compare:('msg -> 'msg -> int) -> 'msg t -> 'msg boxes -> unit
+  (** Order the recorded broadcasts by message and file every recorded
+      delivery into its receiver's mailbox. The receivers must hold no
+      entry sent after round [sent]. *)
+end

@@ -18,7 +18,9 @@ let of_events ~n evs =
   { n; by_pid }
 
 let random ~n ~failures ~max_round rng =
-  if failures < 0 || failures > n then invalid_arg "Crash.random: bad failure count";
+  if failures < 0 || failures > n then
+    Config_error.fail ~where:"Crash.random"
+      (Printf.sprintf "failures must be in [0, n] (got %d of n=%d)" failures n);
   let victims = Rng.shuffle rng (List.init n Fun.id) in
   let rec take k = function
     | [] -> []

@@ -26,8 +26,9 @@ val of_events : n:int -> event list -> t
 val random :
   n:int -> failures:int -> max_round:int -> Anon_kernel.Rng.t -> t
 (** [failures] distinct processes crash at uniform rounds in
-    [\[1, max_round\]] with [Broadcast_subset] behaviour. Requires
-    [0 <= failures <= n]. *)
+    [\[1, max_round\]] with [Broadcast_subset] behaviour.
+
+    @raise Config_error.Invalid_config unless [0 <= failures <= n]. *)
 
 val n : t -> int
 val events : t -> event list

@@ -9,7 +9,7 @@ type stats = {
 }
 
 let dispatch ~round ~outgoing ~crashing_events ~eligible ~receivers ~plan ~crash_rng
-    ?(on_deliver = fun ~sender:_ ~receiver:_ ~arrival:_ -> ()) ~schedule () =
+    ?on_deliver ~schedule () =
   let timely = ref [] in
   let delivered = ref 0 in
   let timely_count = ref 0 in
@@ -20,8 +20,10 @@ let dispatch ~round ~outgoing ~crashing_events ~eligible ~receivers ~plan ~crash
   let deliver ~sender ~msg (d : Adversary.delivery) =
     if d.receiver <> sender && eligible d.receiver then begin
       let arrival = max d.arrival round in
-      schedule ~receiver:d.receiver ~arrival ~sent:round msg;
-      on_deliver ~sender ~receiver:d.receiver ~arrival;
+      schedule ~sender ~receiver:d.receiver ~arrival ~sent:round msg;
+      (match on_deliver with
+      | Some f -> f ~sender ~receiver:d.receiver ~arrival
+      | None -> ());
       incr delivered;
       if arrival = round then begin
         incr timely_count;
@@ -40,7 +42,7 @@ let dispatch ~round ~outgoing ~crashing_events ~eligible ~receivers ~plan ~crash
   in
   List.iter
     (fun { sender; msg } ->
-      schedule ~receiver:sender ~arrival:round ~sent:round msg;
+      schedule ~sender ~receiver:sender ~arrival:round ~sent:round msg;
       (match crashing sender with
       | Some ev -> (
         let scripted =

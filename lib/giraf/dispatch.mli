@@ -21,7 +21,7 @@ val dispatch :
   plan:Adversary.plan ->
   crash_rng:Anon_kernel.Rng.t ->
   ?on_deliver:(sender:int -> receiver:int -> arrival:int -> unit) ->
-  schedule:(receiver:int -> arrival:int -> sent:int -> 'msg -> unit) ->
+  schedule:(sender:int -> receiver:int -> arrival:int -> sent:int -> 'msg -> unit) ->
   unit ->
   stats
 (** Self-delivery (always timely) is performed for every outbound message;
@@ -31,6 +31,8 @@ val dispatch :
     the subset is chosen with [crash_rng]; all other senders follow
     [plan]. [eligible] says whether a pid may still receive (alive,
     not halted); [receivers] lists the pids a crashing sender may target.
-    Arrivals are clamped to [>= round]. [on_deliver] observes every
+    Arrivals are clamped to [>= round]. [schedule] sees every delivery,
+    self-deliveries included, sender by sender in [outgoing] order, each
+    sender's self-delivery first. [on_deliver] observes every
     point-to-point delivery (self-deliveries excluded), after the
     corresponding [schedule] call. *)

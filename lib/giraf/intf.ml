@@ -164,7 +164,9 @@ module type CORE = sig
       process sent nothing (halted, crashed, away). *)
 
   val inflight : t -> int -> (int * int * msg) list
-  (** Undrained [(arrival, sent, msg)] deliveries, newest first. *)
+  (** Undrained [(arrival, sent, msg)] deliveries in the order a later
+      [compute] reads them in [fresh]: ascending arrival, sent round and
+      message, equal messages by descending sender pid. *)
 
   val version : t -> int -> int
   val crashing_now : t -> Crash.event list

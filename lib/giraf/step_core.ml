@@ -13,10 +13,9 @@ type workload = (int * (int * op_spec) list) list
    decision; the service layer below runs a client-operation phase
    between rounds instead. *)
 
-(* Inbox assembly is owned by the backend seam ({!Backend.ready_inbox}):
-   the live backend must consume arrivals with byte-identical semantics,
-   so the one implementation lives there and both backends call it. *)
-let ready_inbox = Backend.ready_inbox
+(* Mailboxes are owned by the backend seam ({!Backend}): the live
+   backend must consume arrivals with byte-identical semantics, so the
+   one implementation lives there and both backends call it. *)
 
 module Consensus (A : Intf.ALGORITHM) = struct
   type state = A.state
@@ -30,7 +29,7 @@ module Consensus (A : Intf.ALGORITHM) = struct
     env : Env.t;
     st : A.state option array;  (* None before initialize / while away *)
     out : A.msg option array;  (* this round's broadcast; None = sends nothing *)
-    inflight : (int * int * A.msg) list array;  (* (arrival, sent, msg), undrained *)
+    inflight : A.msg Backend.t;  (* undrained arrivals *)
     fate : fate array;
     version : int array;  (* bumped whenever p's observable view changes *)
     is_crashing : bool array;  (* scratch mirror of crashing_now pids *)
@@ -40,6 +39,7 @@ module Consensus (A : Intf.ALGORITHM) = struct
     mutable stable : int option;  (* ESS: the current segment's stable source *)
     correct : int list;
     correct_stayers : int list;
+    filing : A.msg Backend.Round.t;  (* deliver's scratch, shared by copies *)
   }
 
   let create ~inputs ~crash ~churn ~env =
@@ -53,7 +53,7 @@ module Consensus (A : Intf.ALGORITHM) = struct
       env;
       st = Array.make n None;
       out = Array.make n None;
-      inflight = Array.make n [];
+      inflight = Backend.create ~n;
       fate = Array.make n Live;
       version = Array.make n 0;
       is_crashing = Array.make n false;
@@ -63,6 +63,7 @@ module Consensus (A : Intf.ALGORITHM) = struct
       stable = None;
       correct;
       correct_stayers = List.filter (Churn.is_stayer churn) correct;
+      filing = Backend.Round.create ~n;
     }
 
   let copy t =
@@ -70,7 +71,7 @@ module Consensus (A : Intf.ALGORITHM) = struct
       t with
       st = Array.copy t.st;
       out = Array.copy t.out;
-      inflight = Array.copy t.inflight;
+      inflight = Backend.copy t.inflight;
       fate = Array.copy t.fate;
       version = Array.copy t.version;
       is_crashing = Array.copy t.is_crashing;
@@ -81,14 +82,14 @@ module Consensus (A : Intf.ALGORITHM) = struct
   let fate t p = t.fate.(p)
   let state t p = t.st.(p)
   let out t p = t.out.(p)
-  let inflight t p = t.inflight.(p)
+  let inflight t p = Backend.to_list t.inflight p
   let version t p = t.version.(p)
   let stable t = t.stable
   let correct t = t.correct
   let correct_stayers t = t.correct_stayers
   let crashing_now t = t.crashing_now
   let crashing_pids t = List.map (fun (ev : Crash.event) -> ev.pid) t.crashing_now
-  let mailbox_pending t p = List.length t.inflight.(p)
+  let mailbox_pending t p = Backend.length t.inflight p
   let touch t p = t.version.(p) <- t.version.(p) + 1
 
   let set_state t p st =
@@ -118,7 +119,7 @@ module Consensus (A : Intf.ALGORITHM) = struct
         | Away | Live ->
           t.fate.(ev.pid) <- Live;
           t.st.(ev.pid) <- None;
-          t.inflight.(ev.pid) <- [];
+          Backend.clear t.inflight ev.pid;
           touch t ev.pid;
           (match on_rejoin with Some f -> f ~pid:ev.pid | None -> ())
         | Crashed | Halted -> ())
@@ -153,10 +154,9 @@ module Consensus (A : Intf.ALGORITHM) = struct
           t.out.(p) <- Some m;
           rev_out := { Dispatch.sender = p; msg = m } :: !rev_out
         | Some st ->
-          let current, fresh, rest =
-            ready_inbox ~compare:A.msg_compare ~round:(k - 1) t.inflight.(p)
+          let current, fresh =
+            Backend.take ~compare:A.msg_compare t.inflight p ~round:(k - 1)
           in
-          t.inflight.(p) <- rest;
           let st', m, dec =
             A.compute st ~round:(k - 1) ~inbox:{ Intf.current; fresh }
           in
@@ -201,25 +201,31 @@ module Consensus (A : Intf.ALGORITHM) = struct
       alive;
     }
 
+  (* Dispatch schedules sender by sender, in pid order (the crash RNG
+     draws and [on_deliver] events follow it); the deliveries are recorded
+     in that order and filed afterwards, one ordering of the round's
+     broadcasts for every receiver. *)
   let deliver ?on_deliver ?on_crash t ~plan ~crash_rng =
     let k = t.round in
+    Backend.Round.reset t.filing ~sent:k;
     let stats =
       Dispatch.dispatch ~round:k ~outgoing:t.outgoing
         ~crashing_events:t.crashing_now
         ~eligible:(fun q -> q >= 0 && q < t.n && t.fate.(q) = Live)
         ~receivers:(alive t) ~plan ~crash_rng
         ?on_deliver
-        ~schedule:(fun ~receiver ~arrival ~sent msg ->
-          t.inflight.(receiver) <- (arrival, sent, msg) :: t.inflight.(receiver);
+        ~schedule:(fun ~sender ~receiver ~arrival ~sent:_ msg ->
+          Backend.Round.deliver t.filing ~sender ~receiver ~arrival msg;
           touch t receiver)
         ()
     in
+    Backend.Round.file ~compare:A.msg_compare t.filing t.inflight;
     List.iter
       (fun (ev : Crash.event) ->
         t.fate.(ev.pid) <- Crashed;
         t.st.(ev.pid) <- None;
         t.out.(ev.pid) <- None;
-        t.inflight.(ev.pid) <- [];
+        Backend.clear t.inflight ev.pid;
         touch t ev.pid;
         match on_crash with Some f -> f ~pid:ev.pid | None -> ())
       t.crashing_now;

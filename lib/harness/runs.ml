@@ -49,7 +49,10 @@ let note_of_snapshot snap =
 
 let metrics_note b = Option.map note_of_snapshot b.metrics
 
-let seeds ?(base = 1000) n = List.init n (fun i -> base + (7919 * i))
+let seeds ?(base = 1000) n =
+  if n < 0 then
+    G.Config_error.fail ~where:"Runs.seeds" (Printf.sprintf "runs must be >= 0 (got %d)" n);
+  List.init n (fun i -> base + (7919 * i))
 
 let distinct_inputs ~n rng = Rng.shuffle rng (List.init n (fun i -> i + 1))
 

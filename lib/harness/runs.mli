@@ -54,7 +54,9 @@ module Of (A : Anon_giraf.Intf.ALGORITHM) : sig
 end
 
 val seeds : ?base:int -> int -> int list
-(** [seeds n] is [n] distinct seeds. *)
+(** [seeds n] is [n] distinct seeds.
+
+    @raise Anon_giraf.Config_error.Invalid_config when [n < 0]. *)
 
 val distinct_inputs : n:int -> Anon_kernel.Rng.t -> Anon_kernel.Value.t list
 (** [n] distinct values in a small range, shuffled. *)

@@ -133,9 +133,11 @@ let check_safety ~inputs decisions =
 
 module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
   (* One process's end-of-round loop (Alg. 1), run on its own thread. *)
-  let run_process ~config ~transport ~start_s ~wall_deadline ~rng ~cell pid =
+  let run_process ~config ~transport ~inboxes ~start_s ~wall_deadline ~rng ~cell pid =
     let n = Array.length config.inputs in
-    let inflight = ref [] in
+    let insert ~arrival ~sent m =
+      Backend.insert ~compare:A.msg_compare inboxes pid ~arrival ~sent m
+    in
     let st = ref None in
     let expected = Array.make n true in
     let heard = Array.make n 0 in  (* highest sent round seen per peer *)
@@ -143,7 +145,7 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
     expected.(pid) <- false;
     (* Wait until every still-expected peer's round-[k] message arrived,
        pacing with the adaptive timeout. Returns [false] on wall-budget
-       exhaustion. Drained packets join [inflight] with
+       exhaustion. Drained packets join the inbox with
        [arrival = max sent k]: ripe-now packets for rounds <= k are late
        by exactly the lockstep clamp, faster peers' future rounds stay
        timely for when this process gets there. *)
@@ -156,7 +158,7 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
         List.iter
           (fun (src, sent, payload) ->
             if sent > heard.(src) then heard.(src) <- sent;
-            inflight := (max sent k, sent, payload) :: !inflight)
+            insert ~arrival:(max sent k) ~sent payload)
           (Transport.drain transport ~dst:pid);
         let missing = ref 0 in
         for q = 0 to n - 1 do
@@ -222,10 +224,9 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
             st := Some s;
             Some m
           | Some s -> (
-            let current, fresh, rest =
-              Backend.ready_inbox ~compare:A.msg_compare ~round:(kk - 1) !inflight
+            let current, fresh =
+              Backend.take ~compare:A.msg_compare inboxes pid ~round:(kk - 1)
             in
-            inflight := rest;
             let s', m, dec =
               A.compute s ~round:(kk - 1) ~inbox:{ Anon_giraf.Intf.current; fresh }
             in
@@ -245,7 +246,7 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
         | Some m -> (
           (* Self-delivery is implicit and always timely (dispatch.ml
              does the same for the lockstep backend). *)
-          inflight := (kk, kk, m) :: !inflight;
+          insert ~arrival:kk ~sent:kk m;
           match Crash.crash_round config.crash pid with
           | Some r when r = kk ->
             (match (Crash.crashing_at config.crash ~round:kk
@@ -282,6 +283,8 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
     let transport =
       Transport.create ~n ~faults:config.faults ~seed:config.seed ()
     in
+    (* One mailbox per process; each thread touches only its own. *)
+    let inboxes = Backend.create ~n in
     let root_rng = Rng.make (config.seed lxor 0x5f3759df) in
     let rngs = Array.init n (fun _ -> Rng.split root_rng) in
     let cells =
@@ -303,7 +306,7 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
       Array.init n (fun pid ->
           Thread.create
             (fun () ->
-              run_process ~config ~transport ~start_s ~wall_deadline
+              run_process ~config ~transport ~inboxes ~start_s ~wall_deadline
                 ~rng:rngs.(pid) ~cell:cells.(pid) pid)
             ())
     in

@@ -4,8 +4,8 @@
     adversary's delivery plan, this runner gives each process its own
     thread and lets synchrony emerge from the wall clock: processes
     exchange round messages over the faulty {!Transport}, pace their
-    rounds with an adaptive {!Pacer}, and assemble inboxes through the
-    shared {!Anon_giraf.Backend.ready_inbox} — the seam that makes a
+    rounds with an adaptive {!Pacer}, and file and read their inboxes
+    through the shared {!Anon_giraf.Backend} mailbox — the seam that makes a
     zero-fault live run decide {e exactly} what the lockstep runner
     decides at the same rounds (the differential suite pins this).
 

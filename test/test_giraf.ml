@@ -76,6 +76,168 @@ let test_mailbox_drain_once () =
   ignore (G.Mailbox.drain mb ~upto:1);
   check_int "second drain empty" 0 (List.length (G.Mailbox.drain mb ~upto:1))
 
+(* --- Backend mailbox ------------------------------------------------------------ *)
+
+(* The reference model: an unsorted in-flight list, newest first, and
+   the inbox assembly that sorted it at every read. *)
+let model_ready_inbox ~compare ~round inflight =
+  let compare m1 m2 = if m1 == m2 then 0 else compare m1 m2 in
+  let ready, rest =
+    if List.for_all (fun (a, _, _) -> a <= round) inflight then (inflight, [])
+    else List.partition (fun (a, _, _) -> a <= round) inflight
+  in
+  let ready =
+    List.sort
+      (fun (a1, s1, m1) (a2, s2, m2) ->
+        match Int.compare a1 a2 with
+        | 0 -> ( match Int.compare s1 s2 with 0 -> compare m1 m2 | c -> c)
+        | c -> c)
+      ready
+  in
+  let rec uniq_current = function
+    | [] -> []
+    | (_, s, m) :: tl ->
+      if s = round then
+        match tl with
+        | (_, s', m') :: _ when s' = round && compare m m' = 0 -> uniq_current tl
+        | _ -> m :: uniq_current tl
+      else uniq_current tl
+  in
+  let current = uniq_current ready in
+  let fresh = List.map (fun (_, sent, m) -> (sent, m)) ready in
+  (current, fresh, rest)
+
+(* A generated scenario: per sent round, the broadcasts in ascending
+   sender pid, each a fresh string (so copies differ under [==]) with its
+   [(receiver, arrival)] deliveries, then the drains [(receiver, round)]
+   that follow it. *)
+let mailbox_receivers = 3
+
+let gen_mailbox_scenario rng =
+  let universe = [| 'a'; 'b'; 'c' |] in
+  List.init (1 + Rng.int rng 6) (fun i ->
+      let sent = i + 1 in
+      let broadcasts =
+        List.filter_map
+          (fun pid ->
+            if Rng.chance rng 0.3 then None
+            else
+              let msg = String.make 1 universe.(Rng.int rng (Array.length universe)) in
+              let deliveries =
+                List.init (Rng.int rng 5) (fun _ ->
+                    (Rng.int rng mailbox_receivers, sent + Rng.int rng 4))
+              in
+              Some (pid, msg, deliveries))
+          [ 0; 1; 2; 3; 4 ]
+      in
+      let drains =
+        List.init (Rng.int rng 3) (fun _ ->
+            (Rng.int rng mailbox_receivers, Rng.int rng (sent + 4)))
+      in
+      (sent, broadcasts, drains))
+
+let same_msgs l1 l2 = List.length l1 = List.length l2 && List.for_all2 ( == ) l1 l2
+
+let same_fresh l1 l2 =
+  List.length l1 = List.length l2
+  && List.for_all2 (fun (s1, m1) (s2, m2) -> s1 = s2 && m1 == m2) l1 l2
+
+let same_entries l1 l2 =
+  List.length l1 = List.length l2
+  && List.for_all2 (fun (a1, s1, m1) (a2, s2, m2) -> a1 = a2 && s1 = s2 && m1 == m2) l1 l2
+
+(* The model's remainder in the order a later read lists it. *)
+let model_order rest =
+  List.stable_sort
+    (fun (a1, s1, m1) (a2, s2, m2) -> compare (a1, s1, m1) (a2, s2, m2))
+    rest
+
+(* Both filing paths against the model, drain by drain: the lockstep
+   path records each sent round as the dispatch would (senders in pid
+   order) and files it with one ordering; the live path inserts the same
+   entries one at a time in a random order. The model sees each path's
+   entries newest first, in the order that path scheduled them. *)
+let prop_mailbox_matches_model =
+  QCheck.Test.make ~name:"bucketed mailbox = sort-per-read model" ~count:500
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.make seed in
+      let scenario = gen_mailbox_scenario rng in
+      let compare = String.compare in
+      let lock = G.Backend.create ~n:mailbox_receivers in
+      let live = G.Backend.create ~n:mailbox_receivers in
+      let lock_model = Array.make mailbox_receivers [] in
+      let live_model = Array.make mailbox_receivers [] in
+      let filing = G.Backend.Round.create ~n:2 in
+      let snapshot = ref None in
+      let ok = ref true in
+      let drain boxes model q round =
+        let current, fresh = G.Backend.take ~compare boxes q ~round in
+        let current', fresh', rest' = model_ready_inbox ~compare ~round model.(q) in
+        model.(q) <- rest';
+        ok :=
+          !ok && same_msgs current current' && same_fresh fresh fresh'
+          && same_entries (G.Backend.to_list boxes q) (model_order rest')
+          && G.Backend.length boxes q = List.length rest'
+      in
+      List.iter
+        (fun (sent, broadcasts, drains) ->
+          G.Backend.Round.reset filing ~sent;
+          let entries = ref [] in
+          List.iter
+            (fun (pid, msg, deliveries) ->
+              List.iter
+                (fun (q, arrival) ->
+                  G.Backend.Round.deliver filing ~sender:pid ~receiver:q ~arrival msg;
+                  lock_model.(q) <- (arrival, sent, msg) :: lock_model.(q);
+                  entries := (q, arrival, msg) :: !entries)
+                deliveries)
+            broadcasts;
+          G.Backend.Round.file ~compare filing lock;
+          if !snapshot = None && Rng.chance rng 0.3 then
+            snapshot := Some (G.Backend.copy lock, Array.copy lock_model);
+          List.iter
+            (fun (q, arrival, msg) ->
+              G.Backend.insert ~compare live q ~arrival ~sent msg;
+              live_model.(q) <- (arrival, sent, msg) :: live_model.(q))
+            (Rng.shuffle rng !entries);
+          List.iter
+            (fun (q, round) ->
+              drain lock lock_model q round;
+              drain live live_model q round)
+            drains)
+        scenario;
+      for q = 0 to mailbox_receivers - 1 do
+        drain lock lock_model q max_int;
+        drain live live_model q max_int
+      done;
+      (* A copy keeps what it held, whatever the original filed or took
+         since. *)
+      (match !snapshot with
+      | Some (boxes, model) ->
+        for q = 0 to mailbox_receivers - 1 do
+          ok := !ok && same_entries (G.Backend.to_list boxes q) (model_order model.(q))
+        done
+      | None -> ());
+      !ok)
+
+(* Equal messages: the lockstep filing lists the higher pid's copy first
+   in [fresh] and keeps the lowest pid's copy in [current]. *)
+let test_mailbox_tie_order () =
+  let a0 = String.make 1 'a' and a1 = String.make 1 'a' and a2 = String.make 1 'a' in
+  let box = G.Backend.create ~n:1 in
+  let filing = G.Backend.Round.create ~n:3 in
+  G.Backend.Round.reset filing ~sent:1;
+  List.iter
+    (fun (pid, m) -> G.Backend.Round.deliver filing ~sender:pid ~receiver:0 ~arrival:1 m)
+    [ (0, a0); (1, "b"); (2, a1); (3, a2) ];
+  G.Backend.Round.file ~compare:String.compare filing box;
+  let current, fresh = G.Backend.take ~compare:String.compare box 0 ~round:1 in
+  check_bool "fresh: a by descending pid, then b" true
+    (same_fresh fresh [ (1, a2); (1, a1); (1, a0); (1, "b") ]);
+  check_bool "current keeps p0's copy" true (List.hd current == a0);
+  Alcotest.(check (list string)) "current" [ "a"; "b" ] current
+
 (* --- Adversary ----------------------------------------------------------------- *)
 
 let ctx ~round ~senders ~obligated ~correct ~alive =
@@ -320,6 +482,30 @@ let test_runner_config_validation () =
     (invalid "Runner.run" "horizon must be >= 1 (got -5)") (fun () ->
       ignore (Probe_runner.run bad))
 
+(* Bad counts from the command line reach these functions unchecked;
+   each rejects them as [Invalid_config], so the CLI exits 2. *)
+let test_count_validation () =
+  List.iter
+    (fun (label, where, f) ->
+      match f () with
+      | exception G.Config_error.Invalid_config e when e.where = where -> ()
+      | exception e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+      | () -> Alcotest.failf "%s: expected Invalid_config" label)
+    [
+      ( "run/metrics/weakset --failures=-1",
+        "Crash.random",
+        fun () -> ignore (G.Crash.random ~n:5 ~failures:(-1) ~max_round:10 (Rng.make 1)) );
+      ( "run -n 4 --failures 9",
+        "Crash.random",
+        fun () -> ignore (G.Crash.random ~n:4 ~failures:9 ~max_round:10 (Rng.make 1)) );
+      ( "fuzz --runs=-2",
+        "Fuzz.campaign",
+        fun () -> ignore (Anon_chaos.Fuzz.campaign ~runs:(-2) ~seed:1 ()) );
+      ("metrics --runs=-1", "Runs.seeds", fun () -> ignore (Anon_harness.Runs.seeds (-1)));
+    ];
+  check_int "--runs 0 stays valid" 0 (List.length (Anon_harness.Runs.seeds 0));
+  check_int "an empty campaign" 0 (Anon_chaos.Fuzz.campaign ~runs:0 ~seed:1 ()).runs_done
+
 let test_service_runner_config_validation () =
   let module W = G.Service_runner.Make (Anon_consensus.Weak_set_ms) in
   let config n crash horizon =
@@ -387,7 +573,7 @@ let test_trace_accessors () =
 
 let test_dispatch_crash_modes () =
   let deliveries = ref [] in
-  let schedule ~receiver ~arrival ~sent:_ _msg =
+  let schedule ~sender:_ ~receiver ~arrival ~sent:_ _msg =
     deliveries := (receiver, arrival) :: !deliveries
   in
   let run broadcast =
@@ -734,6 +920,11 @@ let () =
           Alcotest.test_case "late messages" `Quick test_mailbox_late_messages;
           Alcotest.test_case "drain once" `Quick test_mailbox_drain_once;
         ] );
+      ( "backend mailbox",
+        [
+          qc prop_mailbox_matches_model;
+          Alcotest.test_case "tie order" `Quick test_mailbox_tie_order;
+        ] );
       ( "adversary",
         [
           Alcotest.test_case "sync" `Quick test_adversary_sync;
@@ -783,6 +974,7 @@ let () =
             test_runner_config_validation;
           Alcotest.test_case "service runner validation" `Quick
             test_service_runner_config_validation;
+          Alcotest.test_case "count validation" `Quick test_count_validation;
         ] );
       ( "env-property",
         [
