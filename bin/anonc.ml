@@ -125,6 +125,22 @@ let with_recorder ?(trace = None) ~metrics ~json_trace f =
       | _ -> ());
       result)
 
+(* Write [json] and a newline to [path] and say so; a path that cannot be
+   written ends [anonc CMD] with exit 1. *)
+let write_json ~cmd ~what path json =
+  match
+    let oc = open_out path in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        output_string oc (O.Json.to_string json);
+        output_char oc '\n')
+  with
+  | () -> Format.fprintf ppf "%s written to %s@." what path
+  | exception Sys_error msg ->
+    Format.eprintf "anonc %s: cannot write %s: %s@." cmd path msg;
+    exit 1
+
 (* --- run ------------------------------------------------------------------ *)
 
 type algo = Es | Ess
@@ -425,21 +441,11 @@ let metrics_cmd =
     match batch.metrics with
     | None -> ()
     | Some snap ->
-      (match out with
-      | Some path -> (
-        match
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
-              output_string oc (O.Json.to_string (O.Metrics.to_json snap));
-              output_char oc '\n')
-        with
-        | () -> Format.fprintf ppf "metrics snapshot written to %s@." path
-        | exception Sys_error msg ->
-          Format.eprintf "anonc metrics: cannot write %s: %s@." path msg;
-          exit 1)
-      | None -> ());
+      Option.iter
+        (fun path ->
+          write_json ~cmd:"metrics" ~what:"metrics snapshot" path
+            (O.Metrics.to_json snap))
+        out;
       if json then print_endline (O.Json.to_string (O.Metrics.to_json snap))
       else begin
         Format.fprintf ppf
@@ -695,20 +701,6 @@ let mc_cmd =
 (* --- load ------------------------------------------------------------------ *)
 
 let load_cmd =
-  let write_json ~what path json =
-    match
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (O.Json.to_string json);
-          output_char oc '\n')
-    with
-    | () -> Format.fprintf ppf "%s written to %s@." what path
-    | exception Sys_error msg ->
-      Format.eprintf "anonc load: cannot write %s: %s@." path msg;
-      exit 1
-  in
   let run algo n gst env_override rate sweep proposals window batch shards skew
       value_range hot_value horizon seed failures churn_spec label out bench_out
       metrics json_trace jobs =
@@ -793,7 +785,7 @@ let load_cmd =
         | [ r ] -> Anon_rsm.Load.to_json r
         | rs -> O.Json.List (List.map Anon_rsm.Load.to_json rs)
       in
-      write_json ~what:"load report" path doc);
+      write_json ~cmd:"load" ~what:"load report" path doc);
     (match bench_out with
     | None -> ()
     | Some path ->
@@ -808,7 +800,7 @@ let load_cmd =
             ("load", O.Json.List (List.map Anon_rsm.Load.row_json reports));
           ]
       in
-      write_json ~what:"anon-bench/3 baseline" path doc);
+      write_json ~cmd:"load" ~what:"anon-bench/3 baseline" path doc);
     if
       List.exists
         (fun (r : Anon_rsm.Load.report) ->
@@ -985,9 +977,11 @@ let live_cmd =
       (if List.length o.Lv.Runner.timeout_curve > 10 then ";..." else "")
       curve_max;
     match o.Lv.Runner.safety with
-    | Lv.Runner.Safe -> Format.fprintf ppf "  safety: agreement+validity OK@."
-    | Lv.Runner.Violations vs ->
-      List.iter (fun v -> Format.fprintf ppf "  SAFETY VIOLATION: %s@." v) vs
+    | [] -> Format.fprintf ppf "  safety: agreement+validity OK@."
+    | vs ->
+      List.iter
+        (fun v -> Format.fprintf ppf "  SAFETY VIOLATION: %a@." G.Checker.pp_violation v)
+        vs
   in
   let report_json ~algo ~n ~faults ~(config : Lv.Runner.config)
       (o : Lv.Runner.outcome) =
@@ -1049,9 +1043,12 @@ let live_cmd =
           O.Json.List (List.map (fun v -> O.Json.Float v) o.Lv.Runner.timeout_curve) );
         ( "safety",
           match o.Lv.Runner.safety with
-          | Lv.Runner.Safe -> O.Json.String "ok"
-          | Lv.Runner.Violations vs ->
-            O.Json.List (List.map (fun v -> O.Json.String v) vs) );
+          | [] -> O.Json.String "ok"
+          | vs ->
+            O.Json.List
+              (List.map
+                 (fun v -> O.Json.String (Format.asprintf "%a" G.Checker.pp_violation v))
+                 vs) );
       ]
   in
   let run algo n net_spec timeout_init timeout_max growth decay retries miss_grace
@@ -1113,7 +1110,7 @@ let live_cmd =
     in
     (match out with
     | None -> ()
-    | Some path -> (
+    | Some path ->
       let doc =
         match
           List.map
@@ -1124,21 +1121,10 @@ let live_cmd =
         | [ r ] -> r
         | rs -> O.Json.List rs
       in
-      match
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            output_string oc (O.Json.to_string doc);
-            output_char oc '\n')
-      with
-      | () -> Format.fprintf ppf "live report written to %s@." path
-      | exception Sys_error msg ->
-        Format.eprintf "anonc live: cannot write %s: %s@." path msg;
-        exit 1));
+      write_json ~cmd:"live" ~what:"live report" path doc);
     (match bench_out with
     | None -> ()
-    | Some path -> (
+    | Some path ->
       (* anon-bench/3 micro rows (ns, lower-better) so `anonc bench diff`
          can gate live-backend latency like any other baseline. *)
       let micro =
@@ -1172,21 +1158,10 @@ let live_cmd =
             ("micro", O.Json.List micro);
           ]
       in
-      match
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            output_string oc (O.Json.to_string doc);
-            output_char oc '\n')
-      with
-      | () -> Format.fprintf ppf "anon-bench/3 baseline written to %s@." path
-      | exception Sys_error msg ->
-        Format.eprintf "anonc live: cannot write %s: %s@." path msg;
-        exit 1));
+      write_json ~cmd:"live" ~what:"anon-bench/3 baseline" path doc);
     if
       List.exists
-        (fun (_, _, (o : Lv.Runner.outcome)) -> o.Lv.Runner.safety <> Lv.Runner.Safe)
+        (fun (_, _, (o : Lv.Runner.outcome)) -> o.Lv.Runner.safety <> [])
         runs
     then begin
       Format.eprintf "anonc live: safety violation@.";
@@ -1362,7 +1337,9 @@ let experiment_cmd =
           (fun id ->
             match H.Registry.find id with
             | Some e -> e
-            | None -> failwith ("unknown experiment: " ^ id))
+            | None ->
+              G.Config_error.fail ~where:"anonc experiment"
+                (Printf.sprintf "unknown experiment %s (see anonc list)" id))
           ids
     in
     List.iter

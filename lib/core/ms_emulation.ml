@@ -22,8 +22,14 @@ type config = {
 let default_config ?(horizon_rounds = 100) ?(max_steps = 100_000) ?(seed = 42)
     ?(latency = fun ~pid ~round rng -> uniform_latency ~max:3 ~pid ~round rng)
     ?(stop_on_decision = true) ~inputs ~crash () =
-  if List.length inputs <> Giraf.Crash.n crash then
-    invalid_arg "Ms_emulation.default_config: inputs/crash size mismatch";
+  let where = "Ms_emulation.default_config" in
+  Giraf.Churn.validate ~where ~n:(List.length inputs) ~crash ();
+  if horizon_rounds < 1 then
+    Giraf.Config_error.fail ~where
+      (Printf.sprintf "horizon_rounds must be >= 1 (got %d)" horizon_rounds);
+  if max_steps < 1 then
+    Giraf.Config_error.fail ~where
+      (Printf.sprintf "max_steps must be >= 1 (got %d)" max_steps);
   { inputs; crash; horizon_rounds; max_steps; seed; latency; stop_on_decision }
 
 type outcome = {

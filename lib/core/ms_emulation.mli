@@ -42,6 +42,9 @@ val default_config :
   ?horizon_rounds:int -> ?max_steps:int -> ?seed:int ->
   ?latency:latency_fn -> ?stop_on_decision:bool ->
   inputs:Anon_kernel.Value.t list -> crash:Anon_giraf.Crash.t -> unit -> config
+(** @raise Anon_giraf.Config_error.Invalid_config on empty [inputs], a
+    [crash] schedule sized for another [n] ({!Anon_giraf.Churn.validate}),
+    [horizon_rounds < 1] or [max_steps < 1]. *)
 
 type outcome = {
   trace : Anon_giraf.Trace.t;

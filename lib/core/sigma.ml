@@ -28,6 +28,9 @@ let pp_verdict ppf = function
       pp_pids out_p0 pp_pids out_p1
 
 let two_run_attack (module C : CANDIDATE) ~horizon =
+  if horizon < 1 then
+    Anon_giraf.Config_error.fail ~where:"Sigma.two_run_attack"
+      (Printf.sprintf "horizon must be >= 1 (got %d)" horizon);
   (* Run r1 at p0: hears only itself forever. Find the first time its
      output settles to {p0}. *)
   let rec r1 st round =

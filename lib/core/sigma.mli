@@ -42,7 +42,8 @@ type verdict =
 val pp_verdict : Format.formatter -> verdict -> unit
 
 val two_run_attack : (module CANDIDATE) -> horizon:int -> verdict
-(** Execute the proof's adversary against a candidate (with [n = 2]). *)
+(** Execute the proof's adversary against a candidate (with [n = 2]).
+    @raise Anon_giraf.Config_error.Invalid_config when [horizon < 1]. *)
 
 val builtin_candidates : (module CANDIDATE) list
 (** Natural Σ-emulation attempts, all defeated:

@@ -179,33 +179,81 @@ let check_env (t : Trace.t) =
         else check_stability t ~stability info)
       rounds
 
+(* --- Consensus judge -------------------------------------------------------- *)
+
+module Consensus = struct
+  type t = {
+    inputs : Value.Set.t;
+    exempt : int list;  (* pids outside the agreement obligation *)
+    first : (int * Value.t) option;
+    decided : (int * Value.t) list;  (* latest first *)
+  }
+
+  let create ?(exempt = []) ~inputs () =
+    { inputs = Value.set_of_list inputs; exempt; first = None; decided = [] }
+
+  let observe t ~pid ~value =
+    let exempt = List.mem pid t.exempt in
+    let validity =
+      if Value.Set.mem value t.inputs then [] else [ Validity_violation { pid; value } ]
+    in
+    let agreement =
+      if exempt then []
+      else
+        match t.first with
+        | Some (p1, v1) when not (Value.equal v1 value) ->
+          [ Agreement_violation { p1; v1; p2 = pid; v2 = value } ]
+        | Some _ | None -> []
+    in
+    let irrevocability =
+      match List.assoc_opt pid t.decided with
+      | Some v0 when not (Value.equal v0 value) ->
+        [ Agreement_violation { p1 = pid; v1 = v0; p2 = pid; v2 = value } ]
+      | Some _ | None -> []
+    in
+    let t =
+      {
+        t with
+        first =
+          (if exempt then t.first
+           else match t.first with None -> Some (pid, value) | some -> some);
+        decided = (pid, value) :: t.decided;
+      }
+    in
+    (t, validity @ agreement @ irrevocability)
+
+  let decided t = List.rev t.decided
+end
+
+(* The judge applied to a finished run, its findings regrouped so that
+   every validity violation precedes every agreement violation. *)
+let check_decisions ?exempt ~inputs decisions =
+  let _, found =
+    List.fold_left
+      (fun (judge, found) (pid, _, value) ->
+        let judge, vs = Consensus.observe judge ~pid ~value in
+        (judge, List.rev_append vs found))
+      (Consensus.create ?exempt ~inputs (), [])
+      decisions
+  in
+  let validity, agreement =
+    List.partition (function Validity_violation _ -> true | _ -> false) (List.rev found)
+  in
+  validity @ agreement
+
 (* --- Consensus checking -------------------------------------------------- *)
 
 let check_consensus ?(expect_termination = true) (t : Trace.t) =
   let decisions = Trace.decisions t in
-  let proposed = Array.to_list t.inputs in
-  let validity =
-    List.filter_map
-      (fun (pid, _, v) ->
-        if List.exists (Value.equal v) proposed then None
-        else Some (Validity_violation { pid; value = v }))
-      decisions
-  in
   (* Agreement and termination are promised to correct {e stayers} only: a
      churner that rejoins after every stayer halted runs alone on a fresh
      state and may legitimately decide its own value (anonymity leaves it
      nothing to recover). With [Churn.none] every pid is a stayer, so this
      is the classic check. Validity binds everyone. *)
-  let stayer pid = Churn.is_stayer t.churn pid in
-  let agreement =
-    match List.filter (fun (p, _, _) -> stayer p) decisions with
-    | [] -> []
-    | (p1, _, v1) :: rest ->
-      List.filter_map
-        (fun (p2, _, v2) ->
-          if Value.equal v1 v2 then None
-          else Some (Agreement_violation { p1; v1; p2; v2 }))
-        rest
+  let safety =
+    check_decisions
+      ~exempt:(List.map (fun (ev : Churn.event) -> ev.pid) (Churn.events t.churn))
+      ~inputs:(Array.to_list t.inputs) decisions
   in
   let termination =
     if not expect_termination then []
@@ -213,13 +261,13 @@ let check_consensus ?(expect_termination = true) (t : Trace.t) =
       let decided = List.map (fun (pid, _, _) -> pid) decisions in
       let undecided =
         List.filter
-          (fun p -> stayer p && not (List.mem p decided))
+          (fun p -> Churn.is_stayer t.churn p && not (List.mem p decided))
           (Crash.correct t.crash)
       in
       if undecided = [] then []
       else [ Termination_violation { undecided; horizon = Trace.last_round t } ]
   in
-  validity @ agreement @ termination
+  safety @ termination
 
 (* --- Weak-set semantics --------------------------------------------------- *)
 
@@ -239,39 +287,69 @@ type ws_get = {
 
 type ws_op = Ws_add of ws_add | Ws_get of ws_get
 
+module Weak_set = struct
+  type t = {
+    invoked : Value.Set.t;
+    completed : (Value.t * int) list;  (* (value, completion time), latest first *)
+  }
+
+  let create () = { invoked = Value.Set.empty; completed = [] }
+  let invoke_add t v = { t with invoked = Value.Set.add v t.invoked }
+  let complete_add t v ~time = { t with completed = (v, time) :: t.completed }
+  let invoked t = t.invoked
+  let completed_values t = Value.set_of_list (List.map fst t.completed)
+
+  let observe_get t ~client ~correct ~invoked_at ~result =
+    let lost =
+      if not correct then []
+      else
+        List.filter_map
+          (fun (v, completed_at) ->
+            if completed_at < invoked_at && not (Value.Set.mem v result) then
+              Some
+                (Weak_set_lost_add
+                   { value = v; get_client = client; get_invoked = invoked_at })
+            else None)
+          (List.rev t.completed)
+    in
+    let phantom =
+      Value.Set.fold
+        (fun v acc ->
+          if Value.Set.mem v t.invoked then acc
+          else Weak_set_phantom_value { value = v; get_client = client } :: acc)
+        result []
+    in
+    lost @ phantom
+end
+
+(* Each get is judged against every add invoked by the time it completed
+   and every add completion; the findings are regrouped so that every
+   lost add precedes every phantom value. *)
 let check_weak_set ?correct ops =
   let adds = List.filter_map (function Ws_add a -> Some a | Ws_get _ -> None) ops in
-  let gets = List.filter_map (function Ws_get g -> Some g | Ws_add _ -> None) ops in
   let is_correct client =
     match correct with None -> true | Some cs -> List.mem client cs
   in
-  let lost_for_get g =
-    List.filter_map
-      (fun a ->
-        match a.add_completed with
-        | Some c when c < g.get_invoked && not (Value.Set.mem a.add_value g.get_result)
-          ->
-          Some
-            (Weak_set_lost_add
-               {
-                 value = a.add_value;
-                 get_client = g.get_client;
-                 get_invoked = g.get_invoked;
-               })
-        | Some _ | None -> None)
-      adds
+  let judge_get g =
+    let judge =
+      List.fold_left
+        (fun judge a ->
+          let judge =
+            if a.add_invoked <= g.get_completed then
+              Weak_set.invoke_add judge a.add_value
+            else judge
+          in
+          match a.add_completed with
+          | Some time -> Weak_set.complete_add judge a.add_value ~time
+          | None -> judge)
+        (Weak_set.create ()) adds
+    in
+    Weak_set.observe_get judge ~client:g.get_client ~correct:(is_correct g.get_client)
+      ~invoked_at:g.get_invoked ~result:g.get_result
   in
-  let phantom_for_get g =
-    Value.Set.fold
-      (fun v acc ->
-        let justified =
-          List.exists
-            (fun a -> Value.equal a.add_value v && a.add_invoked <= g.get_completed)
-            adds
-        in
-        if justified then acc
-        else Weak_set_phantom_value { value = v; get_client = g.get_client } :: acc)
-      g.get_result []
+  let lost, phantom =
+    List.partition
+      (function Weak_set_lost_add _ -> true | _ -> false)
+      (List.concat_map (function Ws_get g -> judge_get g | Ws_add _ -> []) ops)
   in
-  List.concat_map lost_for_get (List.filter (fun g -> is_correct g.get_client) gets)
-  @ List.concat_map phantom_for_get gets
+  lost @ phantom

@@ -46,6 +46,23 @@ let events t =
   Array.to_list t.by_pid |> List.filter_map Fun.id
   |> List.sort (fun a b -> compare (a.leave, a.pid) (b.leave, b.pid))
 
+let validate ~where ~n ~crash ?churn () =
+  let fail fmt = Printf.ksprintf (Config_error.fail ~where) fmt in
+  if n < 1 then fail "inputs must be non-empty";
+  if Crash.n crash <> n then
+    fail "inputs/crash size mismatch (%d inputs, crash schedule for %d)" n
+      (Crash.n crash);
+  Option.iter
+    (fun churn ->
+      if churn.n <> n then
+        fail "inputs/churn size mismatch (%d inputs, churn schedule for %d)" n churn.n;
+      List.iter
+        (fun ev ->
+          if Crash.crash_round crash ev.pid <> None then
+            fail "p%d both crashes and churns — pick one" ev.pid)
+        (events churn))
+    churn
+
 let event t pid = t.by_pid.(pid)
 let is_stayer t pid = t.by_pid.(pid) = None
 let stayers t = List.filter (is_stayer t) (List.init t.n Fun.id)

@@ -8,7 +8,8 @@
     indistinguishable from a fresh process proposing its original input.
 
     Churn is orthogonal to crashes: a schedule may combine both, but a pid
-    may appear in at most one of the two (validated by the runners). A
+    may appear in at most one of the two (see {!validate}, which every
+    backend calls before it runs). A
     process that has already decided and halted ignores its churn event —
     decisions are irrevocable, so there is nothing left to leave. *)
 
@@ -34,6 +35,12 @@ val random :
     else never. Requires [0 <= churners <= n]. *)
 
 val n : t -> int
+
+val validate : where:string -> n:int -> crash:Crash.t -> ?churn:t -> unit -> unit
+(** The one check that a run's schedules fit its [n] processes. Raises
+    {!Config_error.Invalid_config} at [where] when [n < 1], when [crash]
+    or [churn] is sized for another [n], or when a pid both crashes and
+    churns. Backends without churn omit [churn]. *)
 
 val events : t -> event list
 (** Sorted by (leave round, pid). *)

@@ -11,25 +11,11 @@ type config = {
 }
 
 let validate ~where config =
-  let n = Array.length config.inputs in
-  if n < 1 then Config_error.fail ~where "inputs must be non-empty";
+  Churn.validate ~where ~n:(Array.length config.inputs) ~crash:config.crash
+    ~churn:config.churn ();
   if config.horizon < 1 then
     Config_error.fail ~where
-      (Printf.sprintf "horizon must be >= 1 (got %d)" config.horizon);
-  if Crash.n config.crash <> n then
-    Config_error.fail ~where
-      (Printf.sprintf "inputs/crash size mismatch (%d inputs, crash schedule for %d)"
-         n (Crash.n config.crash));
-  if Churn.n config.churn <> n then
-    Config_error.fail ~where
-      (Printf.sprintf "inputs/churn size mismatch (%d inputs, churn schedule for %d)"
-         n (Churn.n config.churn));
-  List.iter
-    (fun (ev : Churn.event) ->
-      if Crash.crash_round config.crash ev.pid <> None then
-        Config_error.fail ~where
-          (Printf.sprintf "p%d both crashes and churns — pick one" ev.pid))
-    (Churn.events config.churn)
+      (Printf.sprintf "horizon must be >= 1 (got %d)" config.horizon)
 
 let default_config ?(horizon = 200) ?(stop_on_decision = true) ?(seed = 42) ?churn
     ~inputs ~crash adversary =

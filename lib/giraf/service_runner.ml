@@ -8,6 +8,9 @@ type op_spec = Step_core.op_spec =
 type workload = (int * (int * op_spec) list) list
 
 let random_workload ~n ~ops_per_client ~max_start ~value_range rng =
+  if ops_per_client < 0 then
+    Config_error.fail ~where:"Service_runner.random_workload"
+      (Printf.sprintf "ops_per_client must be >= 0 (got %d)" ops_per_client);
   let fresh_value =
     let used = Hashtbl.create 64 in
     fun () ->
@@ -76,24 +79,10 @@ module Make (S : Intf.SERVICE) = struct
     let t_deliver = R.histogram recorder "phase.deliver_us" in
     let n = config.n in
     let where = "Service_runner.run" in
-    if n < 1 then Config_error.fail ~where "n must be >= 1";
+    Churn.validate ~where ~n ~crash:config.crash ~churn:config.churn ();
     if config.horizon < 1 then
       Config_error.fail ~where
         (Printf.sprintf "horizon must be >= 1 (got %d)" config.horizon);
-    if Crash.n config.crash <> n then
-      Config_error.fail ~where
-        (Printf.sprintf "crash schedule size mismatch (n = %d, crash schedule for %d)"
-           n (Crash.n config.crash));
-    if Churn.n config.churn <> n then
-      Config_error.fail ~where
-        (Printf.sprintf "churn schedule size mismatch (n = %d, churn schedule for %d)"
-           n (Churn.n config.churn));
-    List.iter
-      (fun (ev : Churn.event) ->
-        if Crash.crash_round config.crash ev.pid <> None then
-          Config_error.fail ~where
-            (Printf.sprintf "p%d both crashes and churns — pick one" ev.pid))
-      (Churn.events config.churn);
     R.emit recorder (fun () -> E.Run_start { algo = S.name; n; seed = config.seed });
     let rng = Rng.make config.seed in
     let crash_rng = Rng.split rng in

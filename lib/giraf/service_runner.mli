@@ -31,7 +31,8 @@ val random_workload :
   Anon_kernel.Rng.t ->
   workload
 (** Mixed add/get scripts with distinct add values across all clients (so
-    that semantic checking is exact). *)
+    that semantic checking is exact).
+    @raise Config_error.Invalid_config when [ops_per_client < 0]. *)
 
 type config = {
   n : int;

@@ -21,18 +21,13 @@ type config = {
 }
 
 let validate ~where config =
-  let n = List.length config.inputs in
-  if n < 1 then Config_error.fail ~where "inputs must be non-empty";
+  Churn.validate ~where ~n:(List.length config.inputs) ~crash:config.crash ();
   if config.horizon_ticks < 1 then
     Config_error.fail ~where
       (Printf.sprintf "horizon_ticks must be >= 1 (got %d)" config.horizon_ticks);
   if config.max_rounds < 1 then
     Config_error.fail ~where
-      (Printf.sprintf "max_rounds must be >= 1 (got %d)" config.max_rounds);
-  if Crash.n config.crash <> n then
-    Config_error.fail ~where
-      (Printf.sprintf "inputs/crash size mismatch (%d inputs, crash schedule for %d)"
-         n (Crash.n config.crash))
+      (Printf.sprintf "max_rounds must be >= 1 (got %d)" config.max_rounds)
 
 let default_config ?(horizon_ticks = 2_000) ?(max_rounds = 400) ?(seed = 42)
     ?(pace = fixed_pace 1) ?(delay = fixed_delay 1) ?(stop_on_decision = true)

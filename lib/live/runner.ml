@@ -22,12 +22,7 @@ type config = {
 }
 
 let validate ~where config =
-  let n = Array.length config.inputs in
-  if n < 1 then Config_error.fail ~where "inputs must be non-empty";
-  if Crash.n config.crash <> n then
-    Config_error.fail ~where
-      (Printf.sprintf "inputs/crash size mismatch (%d inputs, crash schedule for %d)"
-         n (Crash.n config.crash));
+  Anon_giraf.Churn.validate ~where ~n:(Array.length config.inputs) ~crash:config.crash ();
   ignore (Netfault.validate ~where config.faults);
   (* Pacer.create re-checks at run time; validating here too gives config
      construction the same fail-fast contract as the lockstep runner. *)
@@ -82,8 +77,6 @@ type process_report = {
   decide_latency_s : float option;
 }
 
-type safety = Safe | Violations of string list
-
 type outcome = {
   decisions : (int * int * Value.t) list;
   all_correct_decided : bool;
@@ -94,7 +87,7 @@ type outcome = {
   transport : Transport.stats;
   timeout_curve : float list;
   decide_latency : Anon_obs.Hist.t;
-  safety : safety;
+  safety : Anon_giraf.Checker.violation list;
 }
 
 (* Per-process scratch: written only by the owning thread, read by the
@@ -107,29 +100,6 @@ type cell = {
   mutable c_rebroadcasts : int;
   pacer : Pacer.t;
 }
-
-let check_safety ~inputs decisions =
-  let violations = ref [] in
-  (match decisions with
-  | [] | [ _ ] -> ()
-  | (p0, _, v0) :: rest ->
-    List.iter
-      (fun (p, _, v) ->
-        if Value.compare v v0 <> 0 then
-          violations :=
-            Printf.sprintf "agreement: p%d decided %s but p%d decided %s" p
-              (Value.to_string v) p0 (Value.to_string v0)
-            :: !violations)
-      rest);
-  List.iter
-    (fun (p, _, v) ->
-      if not (Array.exists (fun i -> Value.compare i v = 0) inputs) then
-        violations :=
-          Printf.sprintf "validity: p%d decided %s, proposed by nobody" p
-            (Value.to_string v)
-          :: !violations)
-    decisions;
-  match List.rev !violations with [] -> Safe | vs -> Violations vs
 
 module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
   (* One process's end-of-round loop (Alg. 1), run on its own thread. *)
@@ -360,7 +330,9 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
             (fun acc t -> match List.nth_opt t i with Some v -> Float.max acc v | None -> acc)
             0. trajectories)
     in
-    let safety = check_safety ~inputs:config.inputs decisions in
+    let safety =
+      Anon_giraf.Checker.check_decisions ~inputs:(Array.to_list config.inputs) decisions
+    in
     (* Observability is aggregated post-join: recorders are not
        thread-safe, and the event stream only needs decide order, which
        the wall-clock timestamps preserve. *)

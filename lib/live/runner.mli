@@ -23,7 +23,8 @@
     Every run is bounded twice — [round_budget] rounds and
     [wall_budget_s] seconds — so an undecidable configuration returns a
     structured [outcome] with diagnostics; it never hangs. Agreement and
-    validity over the decided processes are checked on {e every} run. *)
+    validity over the decided processes are judged by
+    {!Anon_giraf.Checker} on {e every} run. *)
 
 type config = {
   inputs : Anon_kernel.Value.t array;  (** One proposal per process; defines [n]. *)
@@ -81,8 +82,6 @@ type process_report = {
   decide_latency_s : float option;  (** Run start to decision, wall seconds. *)
 }
 
-type safety = Safe | Violations of string list
-
 type outcome = {
   decisions : (int * int * Anon_kernel.Value.t) list;
       (** [(pid, round, value)] in wall-clock decide order. *)
@@ -96,9 +95,10 @@ type outcome = {
       (** Per wait-round maximum of the processes' pacer trajectories —
           the run's discovered-synchrony profile. *)
   decide_latency : Anon_obs.Hist.t;  (** Seconds; one observation per decision. *)
-  safety : safety;
-      (** Agreement + validity over the decided processes, checked on
-          every run (fault-heavy and undecided runs included). *)
+  safety : Anon_giraf.Checker.violation list;
+      (** {!Anon_giraf.Checker.check_decisions} over every decision
+          (validity, agreement, irrevocability), checked on every run
+          (fault-heavy and undecided runs included); [\[\]] is safe. *)
 }
 
 module Make (A : Anon_giraf.Intf.ALGORITHM) : sig

@@ -1,6 +1,6 @@
 open Anon_kernel
 module G = Anon_giraf
-module Inv = Anon_consensus.Invariants
+module Judge = G.Checker.Consensus
 
 module type MODEL = sig
   include G.Intf.ALGORITHM
@@ -36,20 +36,12 @@ struct
   let n = G.Crash.n crash
 
   let () =
-    if List.length spec.inputs <> n then
-      invalid_arg "Consensus_sys.make: inputs/crash size mismatch";
-    if G.Churn.n churn <> n then
-      invalid_arg "Consensus_sys.make: churn/crash size mismatch";
-    List.iter
-      (fun (ev : G.Churn.event) ->
-        if G.Crash.crash_round crash ev.pid <> None then
-          invalid_arg
-            (Printf.sprintf "Consensus_sys.make: p%d both crashes and churns" ev.pid))
-      (G.Churn.events churn)
+    G.Churn.validate ~where:"Consensus_sys.make" ~n:(List.length spec.inputs) ~crash
+      ~churn ()
 
   let inputs = Array.of_list spec.inputs
 
-  type node = { core : Core.t; inv : Inv.Consensus.t }
+  type node = { core : Core.t; inv : Judge.t }
 
   let core nd = nd.core
   let stable nd = Core.stable nd.core
@@ -62,9 +54,8 @@ struct
     {
       core;
       inv =
-        Inv.Consensus.create
-          ~agreement_exempt:
-            (List.map (fun (ev : G.Churn.event) -> ev.pid) (G.Churn.events churn))
+        Judge.create
+          ~exempt:(List.map (fun (ev : G.Churn.event) -> ev.pid) (G.Churn.events churn))
           ~inputs:spec.inputs ();
     }
 
@@ -72,7 +63,7 @@ struct
      round-[k] messages per [plan] and mark the crashers (Dispatch
      semantics, shared with Runner through Step_core), advance to round
      [k+1] (churn transitions, crash latch), then run iteration [k+1]'s
-     compute, feeding decisions to the invariants. The crash RNG is never
+     compute, feeding decisions to the checker's judge. The crash RNG is never
      consumed: Plan_enum scripts every crasher's deliveries. *)
   let step nd (plan : G.Adversary.plan) =
     let core = Core.copy nd.core in
@@ -82,7 +73,7 @@ struct
     let viols = ref [] in
     ignore
       (Core.compute core ~on_decide:(fun ~pid ~round:_ ~value ->
-           let inv', vs = Inv.Consensus.observe !inv ~pid ~value in
+           let inv', vs = Judge.observe !inv ~pid ~value in
            inv := inv';
            viols := !viols @ vs)
         : A.msg G.Dispatch.outbound list);
@@ -92,7 +83,7 @@ struct
 
   let global nd =
     let decided =
-      List.sort_uniq Value.compare (List.map snd (Inv.Consensus.decided nd.inv))
+      List.sort_uniq Value.compare (List.map snd (Judge.decided nd.inv))
     in
     String.concat "," (List.map Value.to_string decided)
 
@@ -121,7 +112,7 @@ struct
       List.sort compare
         (List.map
            (fun (p, v) -> (p, Value.to_string v))
-           (Inv.Consensus.decided nd.inv))
+           (Judge.decided nd.inv))
     in
     Buffer.add_string b
       ("decided "

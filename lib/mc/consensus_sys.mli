@@ -8,8 +8,8 @@
     (round-[k] messages produced, round-[k] crash events latched), and one
     step applies a round-[k] delivery plan, marks the crashers, and runs the
     compute phase of iteration [k+1]. Decisions feed
-    {!Anon_consensus.Invariants.Consensus} online, so a violating schedule
-    is reported at the transition that commits it.
+    {!Anon_giraf.Checker.Consensus} online, so a violating schedule is
+    reported at the transition that commits it.
 
     The crash schedule is fixed per exploration (enumerated outside, see
     {!Mc}), which keeps the static [correct] set — and therefore the
@@ -40,8 +40,9 @@ type spec = {
 }
 
 val make : (module MODEL) -> spec -> (module Explore.SYSTEM)
-(** @raise Invalid_argument when [inputs] size disagrees with [crash] or
-    [churn], or when a pid both crashes and churns. *)
+(** @raise Anon_giraf.Config_error.Invalid_config (see
+    {!Anon_giraf.Churn.validate}) when [inputs] is empty, its size
+    disagrees with [crash] or [churn], or a pid both crashes and churns. *)
 
 val make_probe : (module MODEL) -> spec -> (module Explore.SYSTEM_DEBUG)
 (** Same system with the pid-indexed {!Explore.SYSTEM_DEBUG.snapshot}

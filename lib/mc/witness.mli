@@ -17,7 +17,7 @@ type t = {
   replay_violations : Anon_giraf.Checker.violation list;
       (** What {!Anon_chaos.Fuzz.run_case} reports for [case] — the
           end-to-end confirmation (may include a trailing termination
-          violation the online invariants don't track, or, for a bounded
+          violation the online judges don't track, or, for a bounded
           witness, consist of it entirely). *)
 }
 

@@ -1,7 +1,7 @@
 open Anon_kernel
 module G = Anon_giraf
 module S = Anon_consensus.Weak_set_ms
-module Inv = Anon_consensus.Invariants
+module Judge = G.Checker.Weak_set
 module D = Canon.Digest
 
 type spec = {
@@ -23,9 +23,7 @@ struct
   let spec = Cfg.spec
   let n = spec.n
 
-  let () =
-    if G.Crash.n spec.crash <> n then
-      invalid_arg "Ws_sys.make: n/crash size mismatch"
+  let () = G.Churn.validate ~where:"Ws_sys.make" ~n ~crash:spec.crash ()
 
   let crash = spec.crash
   let churn = G.Churn.none ~n
@@ -38,7 +36,7 @@ struct
   let workload =
     Anon_chaos.Scenario.mc_workload ~n ~ops_per_client:spec.ops_per_client
 
-  type node = { svc : Svc.t; inv : Inv.Weak_set.t }
+  type node = { svc : Svc.t; inv : Judge.t }
 
   let core nd = Svc.core nd.svc
 
@@ -51,7 +49,7 @@ struct
     let svc = Svc.create ~n ~crash ~churn ~env ~workload in
     Svc.begin_round svc;
     ignore (Svc.compute svc : S.msg G.Dispatch.outbound list);
-    { svc; inv = Inv.Weak_set.create () }
+    { svc; inv = Judge.create () }
 
   (* One transition: round-[k] deliveries per plan and crasher marking
      (shared Step_core/Dispatch semantics), the round-[k] operation phase
@@ -68,12 +66,12 @@ struct
     let gets = ref [] in
     Svc.ops svc
       ~on_get:(fun ~pid ~result -> gets := (pid, result) :: !gets)
-      ~on_add:(fun ~pid:_ ~value -> inv := Inv.Weak_set.invoke_add !inv value);
+      ~on_add:(fun ~pid:_ ~value -> inv := Judge.invoke_add !inv value);
     let op_time = (2 * k) + 1 in
     let viols =
       List.concat_map
         (fun (p, result) ->
-          Inv.Weak_set.observe_get !inv ~client:p
+          Judge.observe_get !inv ~client:p
             ~correct:(G.Crash.is_correct crash p)
             ~invoked_at:op_time ~result)
         (List.rev !gets)
@@ -81,7 +79,7 @@ struct
     Svc.begin_round svc;
     ignore
       (Svc.compute svc ~on_add_complete:(fun ~pid:_ ~value ~invoked_round:_ ->
-           inv := Inv.Weak_set.complete_add !inv value ~time:(2 * (k + 1)))
+           inv := Judge.complete_add !inv value ~time:(2 * (k + 1)))
         : S.msg G.Dispatch.outbound list);
     ({ svc; inv = !inv }, viols)
 
@@ -110,8 +108,8 @@ struct
 
   let global nd =
     Printf.sprintf "inv:%s/comp:%s"
-      (set_str (Inv.Weak_set.invoked nd.inv))
-      (set_str (Inv.Weak_set.completed_values nd.inv))
+      (set_str (Judge.invoked nd.inv))
+      (set_str (Judge.completed_values nd.inv))
 
   (* The explored workload is finite: once every live client's script is
      drained and no add is blocked, no transition can complete another

@@ -8,7 +8,7 @@
     operation per unblocked client, on the service-runner logical clock:
     computes at [2k], operations at [2k + 1]), and computes iteration
     [k+1], detecting [add] completions. Each completed [get] is judged
-    online against {!Anon_consensus.Invariants.Weak_set}.
+    online against {!Anon_giraf.Checker.Weak_set}.
 
     The workload is {!Anon_chaos.Scenario.mc_workload} — deterministic and
     pid-pinned, so emitted witnesses replay through the chaos path
@@ -27,7 +27,9 @@ type spec = {
 }
 
 val make : spec -> (module Explore.SYSTEM)
-(** @raise Invalid_argument when [n] disagrees with [crash]. *)
+(** @raise Anon_giraf.Config_error.Invalid_config (see
+    {!Anon_giraf.Churn.validate}) when [n < 1] or [crash] is sized for
+    another [n]. *)
 
 val make_probe : spec -> (module Explore.SYSTEM_DEBUG)
 (** Same system with the pid-indexed {!Explore.SYSTEM_DEBUG.snapshot}

@@ -14,7 +14,7 @@ type config = {
 
 let validate ?(where = "Rsm.validate") config =
   let fail what = G.Config_error.fail ~where what in
-  if config.n < 1 then fail (Printf.sprintf "n must be >= 1 (got %d)" config.n);
+  G.Churn.validate ~where ~n:config.n ~crash:config.crash ~churn:config.churn ();
   if config.window < 1 then
     fail (Printf.sprintf "window must be >= 1 (got %d)" config.window);
   if config.batch < 1 then
@@ -24,22 +24,14 @@ let validate ?(where = "Rsm.validate") config =
       (Printf.sprintf "batch must be <= window (got batch %d, window %d)"
          config.batch config.window);
   if config.horizon < 1 then
-    fail (Printf.sprintf "horizon must be >= 1 (got %d)" config.horizon);
-  if G.Crash.n config.crash <> config.n then
-    fail
-      (Printf.sprintf "n/crash size mismatch (n = %d, crash schedule for %d)"
-         config.n (G.Crash.n config.crash));
-  if G.Churn.n config.churn <> config.n then
-    fail
-      (Printf.sprintf "n/churn size mismatch (n = %d, churn schedule for %d)"
-         config.n (G.Churn.n config.churn));
-  List.iter
-    (fun (ev : G.Churn.event) ->
-      if G.Crash.crash_round config.crash ev.pid <> None then
-        fail (Printf.sprintf "p%d both crashes and churns — pick one" ev.pid))
-    (G.Churn.events config.churn)
+    fail (Printf.sprintf "horizon must be >= 1 (got %d)" config.horizon)
 
 let instance_seed ~seed ~instance = seed + (1_000_003 * instance)
+
+(* Process [i] of an instance proposes batch value [i mod b]. *)
+let instance_inputs ~n batch_values =
+  let vs = Array.of_list batch_values in
+  Array.init n (fun i -> vs.(i mod Array.length vs))
 
 type instance_result = {
   instance : int;
@@ -166,9 +158,8 @@ module Make (A : G.Intf.ALGORITHM) = struct
       let covered = List.rev !covered in
       let batch_values = List.map (fun p -> p.Workload.value) covered in
       let arrivals = List.map (fun p -> p.Workload.arrival) covered in
-      let vs = Array.of_list batch_values in
-      let b = Array.length vs in
-      let inputs = Array.init config.n (fun i -> vs.(i mod b)) in
+      let b = !count in
+      let inputs = instance_inputs ~n:config.n batch_values in
       let crash = translate_crash ~g0:gr ~n:config.n config.crash in
       let churn = translate_churn ~g0:gr ~n:config.n config.churn in
       let adversary = config.adversary id in
@@ -326,19 +317,22 @@ module Make (A : G.Intf.ALGORITHM) = struct
     let instances =
       List.init !next_instance (fun i -> Hashtbl.find closed i)
     in
-    let agreement_ok =
-      List.for_all
+    (* Every decider of an instance is a replica of the log, so no
+       churner is exempt from agreement. *)
+    let violations =
+      List.concat_map
         (fun (ir : instance_result) ->
-          match ir.decisions with
-          | [] -> true
-          | (_, _, v0) :: rest -> List.for_all (fun (_, _, v) -> v = v0) rest)
+          G.Checker.check_decisions
+            ~inputs:(Array.to_list (instance_inputs ~n:config.n ir.batch_values))
+            ir.decisions)
         instances
     in
+    let none_of kind = not (List.exists kind violations) in
+    let agreement_ok =
+      none_of (function G.Checker.Agreement_violation _ -> true | _ -> false)
+    in
     let validity_ok =
-      List.for_all
-        (fun (ir : instance_result) ->
-          List.for_all (fun (_, _, v) -> List.mem v ir.batch_values) ir.decisions)
-        instances
+      none_of (function G.Checker.Validity_violation _ -> true | _ -> false)
     in
     if obs_on then begin
       M.incr ~by:!broadcasts m_broadcasts;

@@ -18,8 +18,10 @@
 
     An instance opened at global round [g] covers up to [batch] queued
     proposals that have already arrived ([arrival <= g]); process [i]
-    proposes value [i mod b] of the batch, so validity confines the
-    decision to the batch. Decided values commit into a contiguous log:
+    proposes value [i mod b] of the batch, and validity is judged against
+    those proposals (with [b > n], batch values past [n] are proposed by
+    nobody and may not be decided). Decided values commit into a
+    contiguous log:
     the commit pointer advances across instances in log order and stops
     at the first undecided position — a crashed/stalled instance leaves a
     hole that blocks commit (but not decides) behind it, keeping the
@@ -79,8 +81,11 @@ type outcome = {
   rounds : int;  (** Global rounds executed. *)
   broadcasts : int;  (** Physical bundle broadcasts (one per sender per round). *)
   instance_msgs : int;  (** Per-instance messages inside those bundles. *)
-  agreement_ok : bool;  (** No instance saw two distinct decided values. *)
-  validity_ok : bool;  (** Every decision is one of its instance's batch values. *)
+  agreement_ok : bool;
+      (** No instance saw two distinct decided values
+          ({!Anon_giraf.Checker.check_decisions}, no pid exempt). *)
+  validity_ok : bool;
+      (** Every decision is a value some process of its instance proposed. *)
 }
 
 val latencies : outcome -> float list

@@ -90,21 +90,5 @@ let stabilizing_oracle ~n ~stabilize_at ~leader ~seed ~pid ~step =
     abs h mod n
 
 let check ~proposals (out : outcome) =
-  let validity =
-    List.filter_map
-      (fun (pid, v, _, _) ->
-        if List.exists (Value.equal v) proposals then None
-        else Some (Checker.Validity_violation { pid; value = v }))
-      out.decisions
-  in
-  let agreement =
-    match out.decisions with
-    | [] -> []
-    | (p1, v1, _, _) :: rest ->
-      List.filter_map
-        (fun (p2, v2, _, _) ->
-          if Value.equal v1 v2 then None
-          else Some (Checker.Agreement_violation { p1; v1; p2; v2 }))
-        rest
-  in
-  validity @ agreement
+  Checker.check_decisions ~inputs:proposals
+    (List.map (fun (pid, v, _, decided) -> (pid, decided, v)) out.decisions)

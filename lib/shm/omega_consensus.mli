@@ -39,4 +39,5 @@ val stabilizing_oracle :
 
 val check : proposals:Anon_kernel.Value.t list -> outcome ->
   Anon_giraf.Checker.violation list
-(** Validity and agreement over the decisions. *)
+(** {!Anon_giraf.Checker.check_decisions} over the decisions: validity
+    against [proposals], then agreement. *)

@@ -502,9 +502,140 @@ let test_count_validation () =
         "Fuzz.campaign",
         fun () -> ignore (Anon_chaos.Fuzz.campaign ~runs:(-2) ~seed:1 ()) );
       ("metrics --runs=-1", "Runs.seeds", fun () -> ignore (Anon_harness.Runs.seeds (-1)));
+      ( "weakset --ops=-1",
+        "Service_runner.random_workload",
+        fun () ->
+          ignore
+            (G.Service_runner.random_workload ~n:3 ~ops_per_client:(-1) ~max_start:5
+               ~value_range:10 (Rng.make 1)) );
+      ( "emulate -n 0",
+        "Ms_emulation.default_config",
+        fun () ->
+          ignore
+            (Anon_consensus.Ms_emulation.default_config ~inputs:[]
+               ~crash:(G.Crash.none ~n:0) ()) );
+      ( "emulate --rounds 0",
+        "Ms_emulation.default_config",
+        fun () ->
+          ignore
+            (Anon_consensus.Ms_emulation.default_config ~horizon_rounds:0 ~inputs:[ 1; 2 ]
+               ~crash:(G.Crash.none ~n:2) ()) );
+      ( "emulate --rounds=-1",
+        "Ms_emulation.default_config",
+        fun () ->
+          ignore
+            (Anon_consensus.Ms_emulation.default_config ~horizon_rounds:(-1)
+               ~inputs:[ 1; 2 ] ~crash:(G.Crash.none ~n:2) ()) );
+      ( "emulation max_steps 0",
+        "Ms_emulation.default_config",
+        fun () ->
+          ignore
+            (Anon_consensus.Ms_emulation.default_config ~max_steps:0 ~inputs:[ 1; 2 ]
+               ~crash:(G.Crash.none ~n:2) ()) );
+      ( "sigma --horizon 0",
+        "Sigma.two_run_attack",
+        fun () ->
+          List.iter
+            (fun cand -> ignore (Anon_consensus.Sigma.two_run_attack cand ~horizon:0))
+            Anon_consensus.Sigma.builtin_candidates );
+      ( "sigma --horizon=-1",
+        "Sigma.two_run_attack",
+        fun () ->
+          List.iter
+            (fun cand -> ignore (Anon_consensus.Sigma.two_run_attack cand ~horizon:(-1)))
+            Anon_consensus.Sigma.builtin_candidates );
     ];
   check_int "--runs 0 stays valid" 0 (List.length (Anon_harness.Runs.seeds 0));
-  check_int "an empty campaign" 0 (Anon_chaos.Fuzz.campaign ~runs:0 ~seed:1 ()).runs_done
+  check_int "an empty campaign" 0 (Anon_chaos.Fuzz.campaign ~runs:0 ~seed:1 ()).runs_done;
+  check_bool "--ops 0 stays valid" true
+    (List.for_all
+       (fun (_, script) -> script = [])
+       (G.Service_runner.random_workload ~n:3 ~ops_per_client:0 ~max_start:5
+          ~value_range:10 (Rng.make 1)))
+
+(* The one schedule validator ([Churn.validate]) behind every backend:
+   each caller reports under its own [where] with the shared [what]. *)
+let test_schedule_validator_table () =
+  let module W = G.Service_runner.Make (Anon_consensus.Weak_set_ms) in
+  let module Rsm = Anon_rsm.Rsm in
+  let inputs = [ 1; 2; 3 ] in
+  let crash2 = G.Crash.none ~n:2 in
+  let crash_p1 = G.Crash.of_events ~n:3 [ ev 1 2 G.Crash.Silent ] in
+  let churn_p1 = G.Churn.of_events ~n:3 [ { pid = 1; leave = 3; rejoin = None } ] in
+  let service crash churn =
+    W.run
+      {
+        G.Service_runner.n = 3;
+        crash;
+        churn;
+        adversary = G.Adversary.ms ();
+        horizon = 10;
+        seed = 1;
+      }
+      ~workload:[]
+    |> ignore
+  in
+  let rsm crash churn =
+    Rsm.validate
+      {
+        Rsm.n = 3;
+        window = 1;
+        batch = 1;
+        horizon = 10;
+        seed = 1;
+        crash;
+        churn;
+        adversary = (fun _ -> G.Adversary.sync ());
+      }
+  in
+  let runner crash churn =
+    ignore (G.Runner.default_config ~inputs ~crash ~churn (G.Adversary.sync ()))
+  in
+  let consensus_sys crash churn =
+    ignore
+      (Anon_mc.Consensus_sys.make
+         (module Anon_consensus.Es_consensus)
+         { inputs; crash; churn; env = G.Env.Sync; max_delay = 1; armed = false })
+  in
+  let none3 = G.Churn.none ~n:3 in
+  let mismatch = "inputs/crash size mismatch (3 inputs, crash schedule for 2)" in
+  let overlap = "p1 both crashes and churns — pick one" in
+  List.iter
+    (fun (where, what, f) ->
+      Alcotest.check_raises (where ^ ": " ^ what) (invalid where what) f)
+    [
+      ("Runner.default_config", mismatch, fun () -> runner crash2 none3);
+      ("Runner.default_config", overlap, fun () -> runner crash_p1 churn_p1);
+      ("Service_runner.run", mismatch, fun () -> service crash2 none3);
+      ("Service_runner.run", overlap, fun () -> service crash_p1 churn_p1);
+      ( "Skew_runner.default_config",
+        mismatch,
+        fun () -> ignore (G.Skew_runner.default_config ~inputs ~crash:crash2 ()) );
+      ("Rsm.validate", mismatch, fun () -> rsm crash2 none3);
+      ("Rsm.validate", overlap, fun () -> rsm crash_p1 churn_p1);
+      ( "Live.Runner.default_config",
+        mismatch,
+        fun () -> ignore (Anon_live.Runner.default_config ~inputs ~crash:crash2 ()) );
+      ( "Ms_emulation.default_config",
+        mismatch,
+        fun () ->
+          ignore (Anon_consensus.Ms_emulation.default_config ~inputs ~crash:crash2 ()) );
+      ("Consensus_sys.make", mismatch, fun () -> consensus_sys crash2 none3);
+      ("Consensus_sys.make", overlap, fun () -> consensus_sys crash_p1 churn_p1);
+      ( "Ws_sys.make",
+        mismatch,
+        fun () ->
+          ignore
+            (Anon_mc.Ws_sys.make
+               {
+                 n = 3;
+                 crash = crash2;
+                 env = G.Env.Ms;
+                 max_delay = 1;
+                 armed = false;
+                 ops_per_client = 1;
+               }) );
+    ]
 
 let test_service_runner_config_validation () =
   let module W = G.Service_runner.Make (Anon_consensus.Weak_set_ms) in
@@ -518,14 +649,14 @@ let test_service_runner_config_validation () =
       seed = 1;
     }
   in
-  Alcotest.check_raises "n < 1" (invalid "Service_runner.run" "n must be >= 1")
+  Alcotest.check_raises "n < 1" (invalid "Service_runner.run" "inputs must be non-empty")
     (fun () -> ignore (W.run (config 0 (G.Crash.none ~n:0) 10) ~workload:[]));
   Alcotest.check_raises "horizon < 1"
     (invalid "Service_runner.run" "horizon must be >= 1 (got 0)") (fun () ->
       ignore (W.run (config 2 (G.Crash.none ~n:2) 0) ~workload:[]));
   Alcotest.check_raises "crash size mismatch"
     (invalid "Service_runner.run"
-       "crash schedule size mismatch (n = 3, crash schedule for 2)") (fun () ->
+       "inputs/crash size mismatch (3 inputs, crash schedule for 2)") (fun () ->
       ignore (W.run (config 3 (G.Crash.none ~n:2) 10) ~workload:[]))
 
 (* --- Env / Trace / Dispatch ----------------------------------------------------- *)
@@ -802,6 +933,195 @@ let test_checker_exact_lost_add () =
       (String.concat "; "
          (List.map (Format.asprintf "%a" G.Checker.pp_violation) vs))
 
+let test_checker_irrevocability () =
+  let pp vs =
+    String.concat "; " (List.map (Format.asprintf "%a" G.Checker.pp_violation) vs)
+  in
+  (* An exempt pid escapes agreement but not irrevocability. *)
+  (match
+     G.Checker.check_decisions ~exempt:[ 0 ] ~inputs:[ 1; 2 ] [ (0, 3, 1); (0, 4, 2) ]
+   with
+  | [ G.Checker.Agreement_violation { p1 = 0; v1 = 1; p2 = 0; v2 = 2 } ] -> ()
+  | vs -> Alcotest.failf "expected p0 deciding 1 then 2, got [%s]" (pp vs));
+  (* Without exemption the redecision also disagrees with the first decider. *)
+  match
+    G.Checker.check_decisions ~inputs:[ 1; 2 ] [ (1, 3, 1); (0, 3, 1); (0, 4, 2) ]
+  with
+  | [
+   G.Checker.Agreement_violation { p1 = 1; v1 = 1; p2 = 0; v2 = 2 };
+   G.Checker.Agreement_violation { p1 = 0; v1 = 1; p2 = 0; v2 = 2 };
+  ] -> ()
+  | vs -> Alcotest.failf "expected agreement then irrevocability, got [%s]" (pp vs)
+
+(* --- Property: the judges reproduce the reference checkers ------------------------ *)
+
+(* The after-the-fact checks as they stood before they were rebuilt on the
+   online judges, kept as reference models: every validity violation, then
+   agreement against the first stayer's decision, then termination; every
+   lost add, then every phantom value. *)
+let model_check_consensus ?(expect_termination = true) (t : G.Trace.t) =
+  let decisions = G.Trace.decisions t in
+  let proposed = Array.to_list t.inputs in
+  let validity =
+    List.filter_map
+      (fun (pid, _, v) ->
+        if List.exists (Value.equal v) proposed then None
+        else Some (G.Checker.Validity_violation { pid; value = v }))
+      decisions
+  in
+  let stayer pid = G.Churn.is_stayer t.churn pid in
+  let agreement =
+    match List.filter (fun (p, _, _) -> stayer p) decisions with
+    | [] -> []
+    | (p1, _, v1) :: rest ->
+      List.filter_map
+        (fun (p2, _, v2) ->
+          if Value.equal v1 v2 then None
+          else Some (G.Checker.Agreement_violation { p1; v1; p2; v2 }))
+        rest
+  in
+  let termination =
+    if not expect_termination then []
+    else
+      let decided = List.map (fun (pid, _, _) -> pid) decisions in
+      let undecided =
+        List.filter
+          (fun p -> stayer p && not (List.mem p decided))
+          (G.Crash.correct t.crash)
+      in
+      if undecided = [] then []
+      else
+        [ G.Checker.Termination_violation { undecided; horizon = G.Trace.last_round t } ]
+  in
+  validity @ agreement @ termination
+
+let model_check_weak_set ?correct ops =
+  let adds = List.filter_map (function G.Checker.Ws_add a -> Some a | _ -> None) ops in
+  let gets = List.filter_map (function G.Checker.Ws_get g -> Some g | _ -> None) ops in
+  let is_correct client =
+    match correct with None -> true | Some cs -> List.mem client cs
+  in
+  let lost_for_get (g : G.Checker.ws_get) =
+    List.filter_map
+      (fun (a : G.Checker.ws_add) ->
+        match a.add_completed with
+        | Some c when c < g.get_invoked && not (Value.Set.mem a.add_value g.get_result) ->
+          Some
+            (G.Checker.Weak_set_lost_add
+               {
+                 value = a.add_value;
+                 get_client = g.get_client;
+                 get_invoked = g.get_invoked;
+               })
+        | Some _ | None -> None)
+      adds
+  in
+  let phantom_for_get (g : G.Checker.ws_get) =
+    Value.Set.fold
+      (fun v acc ->
+        let justified =
+          List.exists
+            (fun (a : G.Checker.ws_add) ->
+              Value.equal a.add_value v && a.add_invoked <= g.get_completed)
+            adds
+        in
+        if justified then acc
+        else
+          G.Checker.Weak_set_phantom_value { value = v; get_client = g.get_client } :: acc)
+      g.get_result []
+  in
+  List.concat_map lost_for_get
+    (List.filter (fun (g : G.Checker.ws_get) -> is_correct g.get_client) gets)
+  @ List.concat_map phantom_for_get gets
+
+(* Random traces: distinct decider pids spread over a few rounds, random
+   churners and crashes, inputs and decided values from small overlapping
+   ranges so that validity and agreement violations are common. *)
+let gen_consensus_trace rng =
+  let n = Rng.int_in rng 1 6 in
+  let roles = Rng.shuffle rng (List.init n Fun.id) in
+  let churners = List.filteri (fun i _ -> i < Rng.int_in rng 0 n) roles in
+  let crashers =
+    List.filter (fun p -> (not (List.mem p churners)) && Rng.chance rng 0.25) roles
+  in
+  let churn =
+    G.Churn.of_events ~n
+      (List.map
+         (fun pid ->
+           let leave = Rng.int_in rng 1 5 in
+           let rejoin = if Rng.bool rng then Some (leave + 2) else None in
+           { G.Churn.pid; leave; rejoin })
+         churners)
+  in
+  let crash = G.Crash.of_events ~n (List.map (fun p -> ev p 2 G.Crash.Silent) crashers) in
+  let deciders = List.filter (fun _ -> Rng.chance rng 0.7) (Rng.shuffle rng roles) in
+  let last = Rng.int_in rng 1 4 in
+  let rounds =
+    List.init last (fun i ->
+        {
+          (base_round ~round:(i + 1) ~senders:[] ~obligated:[] ~timely:[]) with
+          G.Trace.decided =
+            List.filteri (fun j _ -> j mod last = i) deciders
+            |> List.map (fun p -> (p, Rng.int_in rng 0 5));
+        })
+  in
+  {
+    G.Trace.n;
+    inputs = Array.init n (fun _ -> Rng.int_in rng 0 3);
+    crash;
+    churn;
+    env = G.Env.Sync;
+    rounds;
+  }
+
+(* Random operation logs: interleaved adds and gets on a small clock, so
+   completions coincide with invocations, overlapping operations (as the
+   shared-memory scheduler produces) and unjustified values are common. *)
+let gen_ws_ops rng =
+  let clients = Rng.int_in rng 1 3 in
+  let ops =
+    List.init (Rng.int_in rng 0 12) (fun _ ->
+        let client = Rng.int rng clients in
+        let invoked = Rng.int_in rng 0 8 in
+        if Rng.bool rng then
+          G.Checker.Ws_add
+            {
+              add_client = client;
+              add_value = Rng.int_in rng 0 5;
+              add_invoked = invoked;
+              add_completed =
+                (if Rng.chance rng 0.8 then Some (invoked + Rng.int_in rng 0 3)
+                 else None);
+            }
+        else
+          G.Checker.Ws_get
+            {
+              get_client = client;
+              get_result =
+                Value.set_of_list
+                  (List.filter (fun _ -> Rng.bool rng) (List.init 7 Fun.id));
+              get_invoked = invoked;
+              get_completed = invoked + Rng.int_in rng 0 3;
+            })
+  in
+  let correct =
+    if Rng.bool rng then None
+    else Some (List.filter (fun _ -> Rng.bool rng) (List.init clients Fun.id))
+  in
+  (ops, correct)
+
+let prop_checker_matches_model =
+  QCheck.Test.make ~name:"judges = reference checkers, element for element" ~count:2000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.make seed in
+      let trace = gen_consensus_trace rng in
+      let expect_termination = Rng.bool rng in
+      let ops, correct = gen_ws_ops rng in
+      G.Checker.check_consensus ~expect_termination trace
+      = model_check_consensus ~expect_termination trace
+      && G.Checker.check_weak_set ?correct ops = model_check_weak_set ?correct ops)
+
 (* --- Property: every built-in adversary honours its own Env.t ----------------- *)
 
 (* Feed each adversary 200 rounds of contexts from a random crash schedule
@@ -967,6 +1287,8 @@ let () =
             test_checker_exact_agreement;
           Alcotest.test_case "exact no source" `Quick test_checker_exact_no_source;
           Alcotest.test_case "exact lost add" `Quick test_checker_exact_lost_add;
+          Alcotest.test_case "irrevocability" `Quick test_checker_irrevocability;
+          qc prop_checker_matches_model;
         ] );
       ( "config",
         [
@@ -975,6 +1297,8 @@ let () =
           Alcotest.test_case "service runner validation" `Quick
             test_service_runner_config_validation;
           Alcotest.test_case "count validation" `Quick test_count_validation;
+          Alcotest.test_case "schedule validator table" `Quick
+            test_schedule_validator_table;
         ] );
       ( "env-property",
         [

@@ -189,9 +189,10 @@ let pp_decisions ds =
     (List.map (fun (p, r, v) -> Printf.sprintf "p%d@r%d=%d" p r v) (by_pid ds))
 
 let assert_safe label = function
-  | L.Runner.Safe -> ()
-  | L.Runner.Violations vs ->
-    Alcotest.failf "%s: safety violated: %s" label (String.concat "; " vs)
+  | [] -> ()
+  | vs ->
+    Alcotest.failf "%s: safety violated: %s" label
+      (String.concat "; " (List.map (Format.asprintf "%a" G.Checker.pp_violation) vs))
 
 let run_differential (algo_name, (module A : G.Intf.ALGORITHM)) =
   let module LR = G.Runner.Make (A) in

@@ -275,6 +275,41 @@ let test_churn_hole_blocks_commit () =
   check_bool "validity" true out.Rsm.validity_ok;
   commit_is_contiguous out
 
+(* Validity is judged against what an instance's processes proposed, not
+   against its batch: at n = 1 with batch 2 only the first batch value is
+   proposed, so an algorithm that decides [input + 1] commits the second
+   batch value, which nobody proposed. *)
+module Plus_one = struct
+  let name = "plus-one"
+
+  type state = Value.t
+  type msg = unit
+
+  let msg_compare = compare
+  let msg_size () = 0
+  let pp_msg ppf () = Format.pp_print_string ppf "()"
+  let leader _ = None
+  let initialize v = (v, ())
+  let compute v ~round:_ ~inbox:_ = (v, (), Some (v + 1))
+end
+
+let test_validity_against_proposals () =
+  let module M = Rsm.Make (Plus_one) in
+  let proposals =
+    [
+      { Workload.id = 0; arrival = 1; value = 5 };
+      { Workload.id = 1; arrival = 1; value = 6 };
+    ]
+  in
+  let out =
+    M.run (config ~n:1 ~window:2 ~batch:2 (fun _ -> G.Adversary.sync ())) ~proposals
+  in
+  check_int "one instance commits" 1 out.Rsm.commit;
+  Alcotest.(check (option int)) "it commits 6" (Some 6)
+    (List.hd out.Rsm.instances).Rsm.value;
+  check_bool "agreement" true out.Rsm.agreement_ok;
+  check_bool "6 was never proposed" false out.Rsm.validity_ok
+
 (* --- fuzz smoke: dynamic graphs + churn through the load path ---------------- *)
 
 let test_fuzz_dynamic_churn_smoke () =
@@ -360,6 +395,8 @@ let () =
             test_crash_subset_decides;
           Alcotest.test_case "churn hole freezes commit" `Quick
             test_churn_hole_blocks_commit;
+          Alcotest.test_case "validity against proposals, not the batch" `Quick
+            test_validity_against_proposals;
         ] );
       ( "fuzz",
         [
