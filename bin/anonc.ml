@@ -9,7 +9,7 @@
      fuzz       random-config fuzzing with shrinking + JSON repro/replay
      mc         bounded exhaustive model checking (symmetry-reduced)
      load       open-loop multi-shot load generator over the RSM layer
-     live       consensus on the live async backend (threads + faulty wire)
+     live       consensus on the live async backend (wall clock + faulty wire)
      experiment run one experiment table (or all) from the registry
      list       list experiment ids *)
 
@@ -899,8 +899,8 @@ let live_cmd =
     Format.fprintf ppf "live run: algo=%s n=%d net=%s seed=%d@." algo n
       (Ch.Netfault.to_string faults) config.Lv.Runner.seed;
     Format.fprintf ppf
-      "  backend=live threads=%d timeout=%gs..%gs growth=%g decay=%g retries=%d@."
-      n config.Lv.Runner.timeout_init_s config.Lv.Runner.timeout_max_s
+      "  backend=live clock=wall timeout=%gs..%gs growth=%g decay=%g retries=%d@."
+      config.Lv.Runner.timeout_init_s config.Lv.Runner.timeout_max_s
       config.Lv.Runner.growth config.Lv.Runner.decay config.Lv.Runner.retries;
     let decided = List.length o.Lv.Runner.decisions in
     let correct = List.length (G.Crash.correct config.Lv.Runner.crash) in
@@ -1103,7 +1103,7 @@ let live_cmd =
                     { faults with Ch.Netfault.drop = d }
               in
               let config = config_for faults in
-              let o = LR.run ~recorder config in
+              let o = LR.run ~recorder ~clock:Lv.Runner.Wall config in
               render_report ppf ~algo:(live_algo_name algo) ~n ~faults ~config o;
               (faults, config, o))
             drops)
@@ -1257,11 +1257,11 @@ let live_cmd =
   in
   Cmd.v
     (Cmd.info "live"
-       ~doc:"Run consensus on the live async backend: one thread per process, \
-             real in-process channels, wire-level fault injection, and \
-             adaptive timeouts standing in for GST. Exits 1 on a safety \
-             violation, 2 on invalid parameters; an over-budget run reports \
-             undecided and exits 0.")
+       ~doc:"Run consensus on the live async backend: one event loop on the \
+             wall clock, every process at its own pace, wire-level fault \
+             injection, and adaptive timeouts standing in for GST. Exits 1 \
+             on a safety violation, 2 on invalid parameters; an over-budget \
+             run reports undecided and exits 0.")
     Term.(
       const run $ algo_arg $ n_arg $ net_arg $ timeout_init_arg $ timeout_max_arg
       $ growth_arg $ decay_arg $ retries_arg $ miss_grace_arg $ round_budget_arg

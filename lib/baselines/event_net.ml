@@ -49,14 +49,6 @@ module Make (P : PROTO) = struct
     | Fire of { pid : int; tag : int }
     | Inject of { pid : int; cmd : P.cmd }
 
-  (* Queue keyed by (time, sequence number): deterministic FIFO within a
-     time unit. *)
-  module Q = Map.Make (struct
-    type t = int * int
-
-    let compare = compare
-  end)
-
   type outcome = {
     emissions : (int * int * P.out) list;
     messages_sent : int;
@@ -67,8 +59,8 @@ module Make (P : PROTO) = struct
     let rng = Rng.make config.seed in
     let n = config.n in
     let states = Array.make n None in
-    let queue = ref Q.empty in
-    let seq = ref 0 in
+    (* Every event under one pid: deterministic FIFO within a time unit. *)
+    let queue = Anon_giraf.Calendar.create () in
     let emissions = ref [] in
     let messages_sent = ref 0 in
     let crash_time pid =
@@ -79,10 +71,7 @@ module Make (P : PROTO) = struct
     let crashed pid now =
       match crash_time pid with Some t -> now >= t | None -> false
     in
-    let push time ev =
-      incr seq;
-      queue := Q.add (time, !seq) ev !queue
-    in
+    let push time ev = Anon_giraf.Calendar.add queue ~time ~pid:0 ev in
     let rec apply pid now effects =
       match effects with
       | [] -> ()
@@ -119,10 +108,9 @@ module Make (P : PROTO) = struct
     let final_time = ref 0 in
     let continue = ref true in
     while !continue do
-      match Q.min_binding_opt !queue with
+      match Anon_giraf.Calendar.pop queue with
       | None -> continue := false
-      | Some (((time, _) as key), ev) ->
-        queue := Q.remove key !queue;
+      | Some (time, _, ev) ->
         if time > config.horizon then continue := false
         else begin
           final_time := time;

@@ -53,17 +53,10 @@ module Make (A : Giraf.Intf.ALGORITHM) = struct
       if c <> 0 then c else A.msg_compare m1 m2
   end
 
-  type phase =
-    | Ready  (** About to trigger its next end-of-round. *)
-    | Waiting of { complete_at : int; sent_round : int }
-    | Stopped  (** Crashed, decided, or past the round horizon. *)
-
   type proc = {
     pid : int;
     mutable st : A.state option;
     mutable round : int;  (* end-of-rounds performed *)
-    mutable phase : phase;
-    mailbox : A.msg Giraf.Mailbox.t;
     mutable delivered : Elt.t list;
     mutable delivery_log : (Elt.t * int) list;
         (* (element, round the process was in when it got the element);
@@ -86,12 +79,14 @@ module Make (A : Giraf.Intf.ALGORITHM) = struct
             pid;
             st = None;
             round = 0;
-            phase = Ready;
-            mailbox = Giraf.Mailbox.create ~compare:A.msg_compare ();
             delivered = [];
             delivery_log = [];
           })
     in
+    let mailboxes = Giraf.Backend.create ~n in
+    (* A process's only event is its next end-of-round: at step 0, then
+       when its own add completes. Events at one step run in pid order. *)
+    let calendar = Giraf.Calendar.create () in
     let ops : add_op list ref = ref [] in
     (* An element is visible once the earliest add of it completed. *)
     let visible_elements now =
@@ -118,19 +113,14 @@ module Make (A : Giraf.Intf.ALGORITHM) = struct
     let all_correct_decided () =
       List.for_all (fun p -> halted.(p)) correct
     in
-    let steps = ref 0 in
-    let running = ref true in
     (* One end-of-round for process p at time t: compute the previous round
        (or initialize), then begin adding the next round's pair. *)
     let end_of_round proc t =
       let next = proc.round + 1 in
       match Giraf.Crash.crash_round config.crash proc.pid with
-      | Some r when r <= next ->
-        proc.phase <- Stopped;
-        push crashed_at next proc.pid
+      | Some r when r <= next -> push crashed_at next proc.pid
       | Some _ | None ->
-        if next > config.horizon_rounds then proc.phase <- Stopped
-        else begin
+        if next <= config.horizon_rounds then begin
           let outcome =
             if next = 1 then begin
               let st, m = A.initialize inputs.(proc.pid) in
@@ -138,8 +128,9 @@ module Make (A : Giraf.Intf.ALGORITHM) = struct
               Some m
             end
             else begin
-              let fresh = Giraf.Mailbox.drain proc.mailbox ~upto:(next - 1) in
-              let current = Giraf.Mailbox.current proc.mailbox ~round:(next - 1) in
+              let current, fresh =
+                Giraf.Backend.take ~compare:A.msg_compare mailboxes proc.pid ~round:(next - 1)
+              in
               let st = match proc.st with Some st -> st | None -> assert false in
               let st', m, dec =
                 A.compute st ~round:(next - 1) ~inbox:{ Giraf.Intf.current; fresh }
@@ -151,7 +142,6 @@ module Make (A : Giraf.Intf.ALGORITHM) = struct
                 decisions := (proc.pid, next - 1, v) :: !decisions;
                 push decided_at (next - 1) (proc.pid, v);
                 halted.(proc.pid) <- true;
-                proc.phase <- Stopped;
                 None
               | None -> Some m
             end
@@ -168,44 +158,50 @@ module Make (A : Giraf.Intf.ALGORITHM) = struct
                    :: !ops;
             (* Own message is delivered to itself immediately (Alg. 1
                line 10 keeps the process's own message in its mailbox). *)
-            Giraf.Mailbox.schedule proc.mailbox ~arrival:next ~sent:next m;
+            Giraf.Backend.insert mailboxes proc.pid ~arrival:next ~sent:next m;
             proc.delivered <- (next, m) :: proc.delivered;
             proc.delivery_log <- ((next, m), next) :: proc.delivery_log;
-            proc.phase <- Waiting { complete_at = t + lat; sent_round = next }
+            Giraf.Calendar.add calendar ~time:(t + lat) ~pid:proc.pid ()
         end
     in
-    while !running && !steps <= config.max_steps do
-      let t = !steps in
-      Array.iter
-        (fun proc ->
-          match proc.phase with
-          | Stopped -> ()
-          | Ready -> end_of_round proc t
-          | Waiting { complete_at; sent_round = _ } when complete_at <= t ->
-            (* Our own add completed: read the set, deliver everything new,
-               then trigger the next end-of-round (Alg. 5 lines 5–9). *)
-            let fresh =
-              List.filter
-                (fun elt ->
-                  not (List.exists (fun d -> Elt.compare d elt = 0) proc.delivered))
-                (visible_elements t)
-            in
-            List.iter
-              (fun ((k, m) as elt) ->
-                proc.delivered <- elt :: proc.delivered;
-                proc.delivery_log <- (elt, proc.round) :: proc.delivery_log;
-                (* Receive ⟨m, k⟩: lands in M[k]; it is timely for round k
-                   iff the process is still in a round <= k, i.e. will
-                   consume it at its compute(k). *)
-                let arrival = Stdlib.max proc.round k in
-                Giraf.Mailbox.schedule proc.mailbox ~arrival ~sent:k m)
-              fresh;
-            end_of_round proc t
-          | Waiting _ -> ())
-        procs;
-      if config.stop_on_decision && all_correct_decided () then running := false;
-      incr steps
-    done;
+    (* Our own add completed at step [t]: read the set, deliver
+       everything new, then trigger the next end-of-round (Alg. 5 lines
+       5–9). *)
+    let add_completed proc t =
+      let fresh =
+        List.filter
+          (fun elt -> not (List.exists (fun d -> Elt.compare d elt = 0) proc.delivered))
+          (visible_elements t)
+      in
+      List.iter
+        (fun ((k, m) as elt) ->
+          proc.delivered <- elt :: proc.delivered;
+          proc.delivery_log <- (elt, proc.round) :: proc.delivery_log;
+          (* Receive ⟨m, k⟩: lands in M[k]; it is timely for round k iff
+             the process is still in a round <= k, i.e. will consume it at
+             its compute(k). *)
+          let arrival = Stdlib.max proc.round k in
+          Giraf.Backend.insert mailboxes proc.pid ~arrival ~sent:k m)
+        fresh;
+      end_of_round proc t
+    in
+    (* Step [t] has run. [steps] ends one past the step the run stopped
+       after: on a decision, once no add is pending, or at [max_steps]. *)
+    let rec loop t =
+      if config.stop_on_decision && all_correct_decided () then t + 1
+      else
+        match Giraf.Calendar.next_time calendar with
+        | None -> t + 1
+        | Some t when t > config.max_steps -> config.max_steps + 1
+        | Some t ->
+          while Giraf.Calendar.next_time calendar = Some t do
+            let _, pid, () = Option.get (Giraf.Calendar.pop calendar) in
+            add_completed procs.(pid) t
+          done;
+          loop t
+    in
+    Array.iter (fun proc -> end_of_round proc 0) procs;
+    let steps = loop 0 in
     (* Assemble the emulated-round trace. *)
     let max_round =
       Array.fold_left (fun acc proc -> Stdlib.max acc proc.round) 0 procs
@@ -263,7 +259,7 @@ module Make (A : Giraf.Intf.ALGORITHM) = struct
       trace;
       decisions = List.rev !decisions;
       all_correct_decided = all_correct_decided ();
-      steps = !steps;
+      steps;
       rounds_completed = Array.map (fun proc -> proc.round) procs;
     }
 end

@@ -52,6 +52,9 @@ type outcome = {
   decisions : (int * int * Anon_kernel.Value.t) list;
   all_correct_decided : bool;
   steps : int;
+      (** One past the last step run: the step at which every correct
+          process had decided (with [stop_on_decision]), the last add's
+          completion once no add is pending, or [max_steps]. *)
   rounds_completed : int array;  (** Per pid, last end-of-round performed. *)
 }
 

@@ -1,16 +1,14 @@
 (* The dispatch-backend seam: the mailbox semantics both backends share.
    See backend.mli. *)
 
-type kind = Lockstep | Live
-
-let kind_name = function Lockstep -> "lockstep" | Live -> "live"
-
 (* One arrival round's entries, kept in reverse canonical order: the
    entry [fresh] lists last comes first. Filing a canonically-next entry
    is then one cons, and a bucket's current-round messages (the largest
    sent round it can hold) sit at its front. Only the [Round] filing
    that made a bucket (its [generation]) conses onto it in place; every
-   other change builds a new bucket, so copies can share buckets. *)
+   other change builds a new bucket, so copies can share buckets.
+   Generation 0 marks a bucket {!insert} filled: its entries are newest
+   first and unsorted until a reader sorts them. *)
 type 'msg bucket = { arrival : int; generation : int; mutable entries : (int * 'msg) list }
 
 (* A process's buckets in descending arrival order. A lockstep round
@@ -29,7 +27,24 @@ let rec list_bucket arrival acc = function
   | [] -> acc
   | (sent, m) :: tl -> list_bucket arrival ((arrival, sent, m) :: acc) tl
 
-let to_list t p = List.fold_left (fun acc b -> list_bucket b.arrival acc b.entries) [] t.(p)
+(* Same-object messages compare equal without walking the structure — a
+   broadcast shares one message value across its receivers. *)
+let compare_msg compare m1 m2 = if m1 == m2 then 0 else compare m1 m2
+
+(* A bucket's entries in reverse canonical order. A stable sort of
+   [insert]'s newest-first list keeps equal entries newest first, the
+   order [fresh] reads them. *)
+let entries ~compare b =
+  if b.generation <> 0 then b.entries
+  else
+    List.rev
+      (List.stable_sort
+         (fun (s1, m1) (s2, m2) ->
+           match Int.compare s1 s2 with 0 -> compare_msg compare m1 m2 | c -> c)
+         b.entries)
+
+let to_list ~compare t p =
+  List.fold_left (fun acc b -> list_bucket b.arrival acc (entries ~compare b)) [] t.(p)
 
 let rec find_bucket arrival = function
   | b :: tl when b.arrival > arrival -> find_bucket arrival tl
@@ -42,20 +57,9 @@ let rec set_bucket b = function
   | b' :: tl when b'.arrival = b.arrival -> b :: tl
   | bs -> b :: bs
 
-(* Same-object messages compare equal without walking the structure — a
-   broadcast shares one message value across its receivers. *)
-let compare_msg compare m1 m2 = if m1 == m2 then 0 else compare m1 m2
-
-let insert ~compare t p ~arrival ~sent msg =
-  (* Behind every entry that sorts at or after [(sent, msg)]: among equal
-     entries the newest reads first in [fresh]. *)
-  let rec place = function
-    | ((s, m) as e) :: tl when s > sent || (s = sent && compare_msg compare m msg >= 0) ->
-      e :: place tl
-    | l -> (sent, msg) :: l
-  in
+let insert t p ~arrival ~sent msg =
   let entries = match find_bucket arrival t.(p) with Some b -> b.entries | None -> [] in
-  t.(p) <- set_bucket { arrival; generation = 0; entries = place entries } t.(p)
+  t.(p) <- set_bucket { arrival; generation = 0; entries = (sent, msg) :: entries } t.(p)
 
 (* Round [round]'s message set from a bucket's front run of [sent =
    round] entries. The run is in reverse [fresh] order, so keeping the
@@ -85,11 +89,15 @@ let take ~compare t p ~round =
   t.(p) <- until ready t.(p);
   match ready with
   | [] -> ([], [])
-  | b :: _ ->
+  | b :: older ->
+    let latest = entries ~compare b in
     (* Arrivals never precede sends (every backend clamps [arrival >=
        sent]), so round-[round] messages can only sit in bucket [round]. *)
-    let current = if b.arrival = round then current_of ~compare ~round b.entries else [] in
-    (current, List.fold_left (fun fresh b -> List.rev_append b.entries fresh) [] ready)
+    let current = if b.arrival = round then current_of ~compare ~round latest else [] in
+    ( current,
+      List.fold_left
+        (fun fresh b -> List.rev_append (entries ~compare b) fresh)
+        (List.rev latest) older )
 
 module Round = struct
   (* Deliveries are recorded in dispatch order — sender by sender — as

@@ -4,13 +4,14 @@
     ({!Intf.ALGORITHM} / {!Intf.SERVICE}):
 
     - {b lockstep} — {!Step_core} driven by {!Runner}, {!Service_runner}
-      and the model checker: one thread, rounds advance globally, and
-      deliveries follow an adversary plan. Fully deterministic; this is
-      the Tier-1 and model-checking path.
-    - {b live} — [Anon_live]: every process is a concurrent task, messages
-      cross real in-process channels through a faulty transport, and round
-      advancement is driven by wall-clock timeouts with adaptive backoff
-      (synchrony is discovered, not scripted).
+      and the model checker: rounds advance globally, and deliveries
+      follow an adversary plan. This is the Tier-1 and model-checking
+      path.
+    - {b live} — [Anon_live]: every process fires its end-of-rounds at
+      its own pace, packets cross a faulty transport with their own due
+      times, and round advancement is driven by timeouts with adaptive
+      backoff (synchrony is discovered, not scripted). Both are
+      deterministic: the live loop takes its events from a {!Calendar}.
 
     What the backends must agree on {e exactly} — and what this module
     therefore owns — is the mailbox semantics of Alg. 1: how a process's
@@ -19,25 +20,21 @@
     which is what makes the zero-fault live-vs-lockstep differential
     suite an equality of decisions rather than a family resemblance.
 
-    {b Canonical order.} A mailbox holds [(arrival, sent, msg)] entries
-    and keeps them in the order a reader sees them: ascending [arrival],
-    then ascending [sent], then ascending message. Equal messages keep
-    the order they were filed in: {!Round.file} lists them by descending
-    sender (the order the lockstep dispatch schedules them, newest
-    first), {!insert} puts the newest first. Entries are bucketed by
-    arrival round, so a reader never sorts: in lockstep every live
-    process takes all arrivals [<= k-1] at round [k], and reads exactly
-    one bucket. *)
-
-type kind = Lockstep | Live
-
-val kind_name : kind -> string
+    {b Canonical order.} A mailbox holds [(arrival, sent, msg)] entries,
+    and a reader sees them in ascending [arrival], then ascending
+    [sent], then ascending message. Equal messages keep the order they
+    were filed in: {!Round.file} lists them by descending sender (the
+    order the lockstep dispatch schedules them, newest first), {!insert}
+    puts the newest first. Entries are bucketed by arrival round. A
+    lockstep bucket is kept in canonical order and never sorted on
+    read: in lockstep every live process takes all arrivals [<= k-1] at
+    round [k], and reads exactly one bucket. A live bucket is filed in
+    arrival order and sorted once, when it is read. *)
 
 type 'msg t
 (** The mailboxes of processes [0 .. n-1]: each process's undrained
-    arrivals. Mutable: {!copy} before branching. A process's mailbox is
-    touched only by calls that name it, so threads that each own one
-    process may share a [t]. *)
+    arrivals. Mutable: {!copy} before branching. A mailbox is filled
+    either by {!Round.file} or by {!insert}, never by both. *)
 
 val create : n:int -> 'msg t
 
@@ -52,16 +49,14 @@ val clear : 'msg t -> int -> unit
 val length : 'msg t -> int -> int
 (** Number of undrained entries of a process. *)
 
-val to_list : 'msg t -> int -> (int * int * 'msg) list
+val to_list : compare:('msg -> 'msg -> int) -> 'msg t -> int -> (int * int * 'msg) list
 (** Every undrained [(arrival, sent, msg)] of a process, in canonical
     order. *)
 
-val insert :
-  compare:('msg -> 'msg -> int) -> 'msg t -> int -> arrival:int -> sent:int -> 'msg -> unit
-(** The live backend's ordered insert of one packet into a process's
-    mailbox, [arrival >= sent]: behind every entry of its bucket that
-    sorts before it, ahead of every equal one. Costs the length of the
-    bucket's run that sorts at or after it. *)
+val insert : 'msg t -> int -> arrival:int -> sent:int -> 'msg -> unit
+(** The live backend's filing of one packet into a process's mailbox,
+    [arrival >= sent]: one cons onto its arrival bucket. Among equal
+    entries the newest reads first. *)
 
 val take :
   compare:('msg -> 'msg -> int) ->
@@ -77,9 +72,10 @@ val take :
     order, keeping of each run of equal messages the copy [fresh] lists
     last. The caller guarantees the process's own round-[round] message
     is among the arrivals (self-delivery is implicit and always timely).
-    Costs the number of entries taken plus the number of buckets kept;
-    its only message comparisons are the adjacent checks on round
-    [round]'s entries. *)
+    On lockstep buckets it costs the number of entries taken plus the
+    number of buckets kept, and its only message comparisons are the
+    adjacent checks on round [round]'s entries; each bucket {!insert}
+    filled is stable-sorted once. *)
 
 (** One lockstep round's deliveries, filed into the receivers' mailboxes
     in one ordering. The dispatch records each delivery as it happens;

@@ -55,9 +55,12 @@ module Make (A : Intf.ALGORITHM) = struct
     mutable halted : bool;  (* decided *)
     rounds_msgs : (int, A.msg list) Hashtbl.t;  (* M_i[k], deduped+sorted *)
     mutable fresh : (int * A.msg) list;  (* arrivals since last compute, reversed *)
-    mutable next_fire : int;
     compute_log : (int, A.msg list) Hashtbl.t;  (* round -> current at compute *)
   }
+
+  (* A relayed round set reaching a receiver, or a process's next
+     end-of-round. *)
+  type event = Delivery of int * int * int * A.msg list | End_of_round
 
   let current_of proc k =
     Option.value ~default:[] (Hashtbl.find_opt proc.rounds_msgs k)
@@ -102,17 +105,12 @@ module Make (A : Intf.ALGORITHM) = struct
             halted = false;
             rounds_msgs = Hashtbl.create 64;
             fresh = [];
-            next_fire = 0;
             compute_log = Hashtbl.create 64;
           })
     in
-    (* Delivery events: tick -> (sender, receiver, round, message set) list. *)
-    let events : (int, (int * int * int * A.msg list) list) Hashtbl.t =
-      Hashtbl.create 256
-    in
-    let schedule_delivery tick ev =
-      Hashtbl.replace events tick (ev :: Option.value ~default:[] (Hashtbl.find_opt events tick))
-    in
+    (* A tick's deliveries run in the order they were scheduled, filed
+       under pid -1 ahead of its end-of-rounds, which run in pid order. *)
+    let calendar = Calendar.create () in
     let decisions = ref [] in
     let sent_msgs : (int * int, A.msg) Hashtbl.t = Hashtbl.create 256 in
     let crashed_at : (int, int list) Hashtbl.t = Hashtbl.create 16 in
@@ -201,7 +199,8 @@ module Make (A : Intf.ALGORITHM) = struct
                   Stdlib.max 1
                     (config.delay ~sender:proc.pid ~receiver:q ~round:next rng)
                 in
-                schedule_delivery (t + d) (proc.pid, q, next, snapshot))
+                Calendar.add calendar ~time:(t + d) ~pid:(-1)
+                  (Delivery (proc.pid, q, next, snapshot)))
               receivers;
             if crashing_now then begin
               proc.stopped <- true;
@@ -210,48 +209,53 @@ module Make (A : Intf.ALGORITHM) = struct
               R.emit recorder (fun () -> E.Crash { pid = proc.pid; round = next })
             end
             else
-              proc.next_fire <-
-                t + Stdlib.max 1 (config.pace ~pid:proc.pid ~round:next rng)
+              Calendar.add calendar
+                ~time:(t + Stdlib.max 1 (config.pace ~pid:proc.pid ~round:next rng))
+                ~pid:proc.pid End_of_round
         end
     in
-    let t = ref 0 in
-    let running = ref true in
-    while !running && !t <= config.horizon_ticks do
-      (match Hashtbl.find_opt events !t with
-      | None -> ()
-      | Some evs ->
+    let deliver s q k msgs =
+      let proc = procs.(q) in
+      if not proc.stopped then
         List.iter
-          (fun (s, q, k, msgs) ->
-            let proc = procs.(q) in
-            if not proc.stopped then
-              List.iter
-                (fun m ->
-                  if insert proc ~k m then begin
-                    proc.fresh <- (k, m) :: proc.fresh;
-                    M.incr m_deliveries;
-                    (* Arrival round: the first round whose compute sees
-                       this message as fresh (the relay carries round-k
-                       sets, so [s] may not be the original sender of
-                       every copy — it is the flow edge's source). *)
-                    R.emit recorder (fun () ->
-                        E.Deliver
-                          {
-                            sender = s;
-                            receiver = q;
-                            round = k;
-                            arrival = Stdlib.max k (proc.round + 1);
-                          })
-                  end)
-                msgs)
-          (List.rev evs);
-        Hashtbl.remove events !t);
-      Array.iter
-        (fun proc -> if (not proc.stopped) && proc.next_fire = !t then fire proc !t)
-        procs;
-      if config.stop_on_decision && all_correct_decided () then running := false;
-      if Array.for_all (fun proc -> proc.stopped) procs then running := false;
-      incr t
-    done;
+          (fun m ->
+            if insert proc ~k m then begin
+              proc.fresh <- (k, m) :: proc.fresh;
+              M.incr m_deliveries;
+              (* Arrival round: the first round whose compute sees this
+                 message as fresh (the relay carries round-k sets, so [s]
+                 may not be the original sender of every copy — it is the
+                 flow edge's source). *)
+              R.emit recorder (fun () ->
+                  E.Deliver
+                    {
+                      sender = s;
+                      receiver = q;
+                      round = k;
+                      arrival = Stdlib.max k (proc.round + 1);
+                    })
+            end)
+          msgs
+    in
+    Array.iter (fun proc -> Calendar.add calendar ~time:0 ~pid:proc.pid End_of_round) procs;
+    (* One tick per iteration; ticks without events are skipped. [ticks]
+       ends one past the tick the run stopped after, or at the horizon. *)
+    let rec loop () =
+      match Calendar.next_time calendar with
+      | Some t when t <= config.horizon_ticks ->
+        while Calendar.next_time calendar = Some t do
+          match Option.get (Calendar.pop calendar) with
+          | _, _, Delivery (s, q, k, msgs) -> deliver s q k msgs
+          | _, pid, End_of_round -> if not procs.(pid).stopped then fire procs.(pid) t
+        done;
+        if
+          (config.stop_on_decision && all_correct_decided ())
+          || Array.for_all (fun proc -> proc.stopped) procs
+        then t + 1
+        else loop ()
+      | Some _ | None -> config.horizon_ticks + 1
+    in
+    let t = loop () in
     (* Post-hoc, content-based trace: sender s's round-k message is timely
        to q iff (a copy of) it sat in q's round-k set when q computed
        round k. *)
@@ -308,7 +312,7 @@ module Make (A : Intf.ALGORITHM) = struct
       }
     in
     let decided = all_correct_decided () in
-    let ticks = Stdlib.min !t config.horizon_ticks in
+    let ticks = Stdlib.min t config.horizon_ticks in
     if obs_on then begin
       M.set_gauge m_ticks (float_of_int ticks);
       (match kernel_before with

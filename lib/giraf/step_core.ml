@@ -82,7 +82,7 @@ module Consensus (A : Intf.ALGORITHM) = struct
   let fate t p = t.fate.(p)
   let state t p = t.st.(p)
   let out t p = t.out.(p)
-  let inflight t p = Backend.to_list t.inflight p
+  let inflight t p = Backend.to_list ~compare:A.msg_compare t.inflight p
   let version t p = t.version.(p)
   let stable t = t.stable
   let correct t = t.correct

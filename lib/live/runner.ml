@@ -2,6 +2,7 @@
 
 open Anon_kernel
 module Backend = Anon_giraf.Backend
+module Calendar = Anon_giraf.Calendar
 module Crash = Anon_giraf.Crash
 module Config_error = Anon_giraf.Config_error
 module Netfault = Anon_chaos.Netfault
@@ -90,282 +91,297 @@ type outcome = {
   safety : Anon_giraf.Checker.violation list;
 }
 
-(* Per-process scratch: written only by the owning thread, read by the
-   main thread after the join. *)
-type cell = {
-  mutable c_decision : (int * Value.t) option;
-  mutable c_decide_at : float;  (* seconds since run start; decisions only *)
-  mutable c_stop : stop_reason;
-  mutable c_rounds : int;
-  mutable c_rebroadcasts : int;
-  pacer : Pacer.t;
-}
+type clock = Virtual | Wall
 
 module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
-  (* One process's end-of-round loop (Alg. 1), run on its own thread. *)
-  let run_process ~config ~transport ~inboxes ~start_s ~wall_deadline ~rng ~cell pid =
-    let n = Array.length config.inputs in
-    let insert ~arrival ~sent m =
-      Backend.insert ~compare:A.msg_compare inboxes pid ~arrival ~sent m
-    in
-    let st = ref None in
-    let expected = Array.make n true in
-    let heard = Array.make n 0 in  (* highest sent round seen per peer *)
-    let miss = Array.make n 0 in
-    expected.(pid) <- false;
-    (* Wait until every still-expected peer's round-[k] message arrived,
-       pacing with the adaptive timeout. Returns [false] on wall-budget
-       exhaustion. Drained packets join the inbox with
-       [arrival = max sent k]: ripe-now packets for rounds <= k are late
-       by exactly the lockstep clamp, faster peers' future rounds stay
-       timely for when this process gets there. *)
-    let wait_round k my_msg =
-      Pacer.note_wait cell.pacer;
-      let expiries = ref 0 in
-      let result = ref None in
-      let deadline = ref (Transport.now_s () +. Pacer.current cell.pacer) in
-      while !result = None do
-        List.iter
-          (fun (src, sent, payload) ->
-            if sent > heard.(src) then heard.(src) <- sent;
-            insert ~arrival:(max sent k) ~sent payload)
-          (Transport.drain transport ~dst:pid);
-        let missing = ref 0 in
-        for q = 0 to n - 1 do
-          if expected.(q) && heard.(q) < k then incr missing
-        done;
-        if !missing = 0 then begin
-          if !expiries = 0 then Pacer.on_quorum cell.pacer;
-          for q = 0 to n - 1 do
-            miss.(q) <- 0
-          done;
-          result := Some true
-        end
-        else begin
-          let now = Transport.now_s () in
-          if now >= wall_deadline then result := Some false
-          else if now >= !deadline then begin
-            Pacer.on_expiry cell.pacer;
-            incr expiries;
-            if !expiries > config.retries then begin
-              (* Proceed short. Peers silent this round accumulate a
-                 miss; [miss_grace] in a row and they stop being
-                 expected — that is how halted deciders and crashers are
-                 discovered without any announcement. *)
-              for q = 0 to n - 1 do
-                if expected.(q) then
-                  if heard.(q) < k then begin
-                    miss.(q) <- miss.(q) + 1;
-                    if miss.(q) >= config.miss_grace then expected.(q) <- false
-                  end
-                  else miss.(q) <- 0
-              done;
-              result := Some true
-            end
-            else begin
-              (* Retransmit: our broadcast may be what a slow peer is
-                 waiting on; duplicates merge under anonymity. *)
-              Transport.broadcast transport ~src:pid ~round:k my_msg;
-              cell.c_rebroadcasts <- cell.c_rebroadcasts + 1;
-              deadline := Transport.now_s () +. Pacer.current cell.pacer
-            end
-          end
-          else Thread.delay 0.0003
-        end
-      done;
-      Option.get !result
-    in
-    let halted = ref false in
-    let k = ref 1 in
-    while not !halted do
-      let kk = !k in
-      if kk > config.round_budget then begin
-        cell.c_stop <- Round_budget_exhausted;
-        halted := true
-      end
-      else begin
-        cell.c_rounds <- kk;
-        (* End-of-round [kk]: initialize, or compute round [kk-1]'s
-           mailbox through the shared backend seam. *)
-        let outgoing =
-          match !st with
-          | None ->
-            let s, m = A.initialize config.inputs.(pid) in
-            st := Some s;
-            Some m
-          | Some s -> (
-            let current, fresh =
-              Backend.take ~compare:A.msg_compare inboxes pid ~round:(kk - 1)
-            in
-            let s', m, dec =
-              A.compute s ~round:(kk - 1) ~inbox:{ Anon_giraf.Intf.current; fresh }
-            in
-            st := Some s';
-            match dec with
-            | Some v ->
-              (* Decide and halt: the round-[kk] message is not sent. *)
-              cell.c_decision <- Some (kk - 1, v);
-              cell.c_decide_at <- Transport.now_s () -. start_s;
-              cell.c_stop <- Decided;
-              halted := true;
-              None
-            | None -> Some m)
-        in
-        match outgoing with
-        | None -> ()
-        | Some m -> (
-          (* Self-delivery is implicit and always timely (dispatch.ml
-             does the same for the lockstep backend). *)
-          insert ~arrival:kk ~sent:kk m;
-          match Crash.crash_round config.crash pid with
-          | Some r when r = kk ->
-            (match (Crash.crashing_at config.crash ~round:kk
-                    |> List.find (fun (ev : Crash.event) -> ev.pid = pid))
-                     .broadcast
-            with
-            | Crash.Silent -> ()
-            | Crash.Broadcast_all -> Transport.broadcast transport ~src:pid ~round:kk m
-            | Crash.Broadcast_subset ->
-              let others =
-                List.filter (fun q -> q <> pid) (List.init n Fun.id)
-              in
-              Transport.send_to transport ~src:pid ~round:kk
-                ~dsts:(Rng.subset rng ~p:0.5 others)
-                m);
-            cell.c_stop <- Crashed;
-            halted := true
-          | Some _ | None ->
-            Transport.broadcast transport ~src:pid ~round:kk m;
-            if wait_round kk m then incr k
-            else begin
-              cell.c_stop <- Wall_budget_exhausted;
-              halted := true
-            end)
-      end
-    done
+  type event =
+    | Arrival of { src : int; sent : int; payload : A.msg }
+    | Deadline of int  (* the epoch it was armed in *)
 
-  let run ?(recorder = Anon_obs.Recorder.off) config =
+  type proc = {
+    pid : int;
+    pacer : Pacer.t;
+    rng : Rng.t;  (* Broadcast_subset crash draws *)
+    expected : bool array;
+    heard : int array;  (* highest sent round seen per peer *)
+    miss : int array;  (* consecutive short rounds each peer was silent *)
+    mutable state : A.state;
+    mutable msg : A.msg;  (* the round message, for rebroadcasts *)
+    mutable round : int;  (* end-of-rounds begun: the round waited on *)
+    mutable missing : int;  (* expected peers not yet heard at [round] *)
+    mutable expiries : int;  (* of the current wait *)
+    mutable epoch : int;  (* of the armed deadline *)
+    mutable stop : stop_reason option;
+    mutable decision : (int * Value.t) option;
+    mutable decide_at : float;  (* clock seconds; decisions only *)
+    mutable rebroadcasts : int;
+  }
+
+  let run ?(recorder = Anon_obs.Recorder.off) ~clock config =
     let module R = Anon_obs.Recorder in
     let module M = Anon_obs.Metrics in
     let module E = Anon_obs.Event in
     validate ~where:"Live.Runner.run" config;
     let n = Array.length config.inputs in
-    let transport =
-      Transport.create ~n ~faults:config.faults ~seed:config.seed ()
-    in
-    (* One mailbox per process; each thread touches only its own. *)
+    R.emit recorder (fun () -> E.Run_start { algo = A.name; n; seed = config.seed });
+    let m_decisions = R.counter recorder "live.decisions" in
+    let m_crashes = R.counter recorder "live.crashes" in
+    let m_timeouts = R.counter recorder "live.timeouts" in
+    let m_rebroadcasts = R.counter recorder "live.rebroadcasts" in
+    let m_retrans = R.counter recorder "live.wire_retransmissions" in
+    let h_latency = R.histogram recorder "live.decide_latency_s" in
+    let h_timeout = R.histogram recorder "live.timeout_s" in
+    let transport = Transport.create ~n ~faults:config.faults ~seed:config.seed () in
     let inboxes = Backend.create ~n in
+    let calendar = Calendar.create () in
+    (* Times are nanoseconds since the run started, on [clock]. *)
+    let ns_of_s s = int_of_float (s *. 1e9) in
+    let s_of_ns t = float_of_int t /. 1e9 in
+    let budget = ns_of_s config.wall_budget_s in
+    (* [now ()] reads the clock; [reach t] moves it to [t]: a jump, or a
+       sleep until [t] is due. *)
+    let now, reach =
+      match clock with
+      | Virtual ->
+        let t = ref 0 in
+        ((fun () -> !t), fun t' -> t := t')
+      | Wall ->
+        let start = Anon_obs.Clock.now_ns () in
+        let now () = Int64.to_int (Anon_obs.Clock.since_ns start) in
+        let reach t =
+          let wait = t - now () in
+          if wait > 0 then Unix.sleepf (s_of_ns wait)
+        in
+        (now, reach)
+    in
     let root_rng = Rng.make (config.seed lxor 0x5f3759df) in
-    let rngs = Array.init n (fun _ -> Rng.split root_rng) in
-    let cells =
-      Array.init n (fun _ ->
+    let procs =
+      Array.init n (fun pid ->
+          let state, msg = A.initialize config.inputs.(pid) in
+          let expected = Array.make n true in
+          expected.(pid) <- false;
           {
-            c_decision = None;
-            c_decide_at = 0.;
-            c_stop = Wall_budget_exhausted;
-            c_rounds = 0;
-            c_rebroadcasts = 0;
+            pid;
             pacer =
               Pacer.create ~growth:config.growth ~decay:config.decay
                 ~init_s:config.timeout_init_s ~max_s:config.timeout_max_s ();
+            rng = Rng.split root_rng;
+            expected;
+            heard = Array.make n 0;
+            miss = Array.make n 0;
+            state;
+            msg;
+            round = 0;
+            missing = 0;
+            expiries = 0;
+            epoch = 0;
+            stop = None;
+            decision = None;
+            decide_at = 0.;
+            rebroadcasts = 0;
           })
     in
-    let start_s = Transport.now_s () in
-    let wall_deadline = start_s +. config.wall_budget_s in
-    let threads =
-      Array.init n (fun pid ->
-          Thread.create
-            (fun () ->
-              run_process ~config ~transport ~inboxes ~start_s ~wall_deadline
-                ~rng:rngs.(pid) ~cell:cells.(pid) pid)
-            ())
-    in
-    Array.iter Thread.join threads;
-    let wall_s = Transport.now_s () -. start_s in
-    let processes =
-      Array.mapi
-        (fun pid c ->
-          {
-            pid;
-            decision = c.c_decision;
-            stop = c.c_stop;
-            rounds_executed = c.c_rounds;
-            timeouts_expired = Pacer.expiries c.pacer;
-            rebroadcasts = c.c_rebroadcasts;
-            decide_latency_s =
-              (match c.c_decision with Some _ -> Some c.c_decide_at | None -> None);
-          })
-        cells
-    in
-    let decisions =
-      Array.to_list cells
-      |> List.mapi (fun pid c ->
-             match c.c_decision with
-             | Some (r, v) -> [ (c.c_decide_at, (pid, r, v)) ]
-             | None -> [])
-      |> List.concat
-      |> List.sort (fun (t1, _) (t2, _) -> Float.compare t1 t2)
-      |> List.map snd
-    in
-    let undecided =
-      List.filter
-        (fun pid -> cells.(pid).c_decision = None)
-        (Crash.correct config.crash)
-    in
-    let rounds_max = Array.fold_left (fun acc c -> max acc c.c_rounds) 0 cells in
+    let running = ref n in
+    let decisions = ref [] in
     let decide_latency = Anon_obs.Hist.create () in
-    Array.iter
-      (fun c ->
-        match c.c_decision with
-        | Some _ -> Anon_obs.Hist.observe decide_latency c.c_decide_at
-        | None -> ())
-      cells;
+    let stop p reason =
+      p.stop <- Some reason;
+      decr running
+    in
+    (* One copy per packet on the wire: the event is shared, the
+       calendar files each copy under its receiver. *)
+    let deliver ev ~dst ~due = Calendar.add calendar ~time:due ~pid:dst ev in
+    let broadcast p ~round m =
+      Transport.broadcast transport ~now:(now ()) ~src:p.pid ~round
+        (deliver (Arrival { src = p.pid; sent = round; payload = m }))
+    in
+    let arm p =
+      p.epoch <- p.epoch + 1;
+      Calendar.add calendar
+        ~time:(now () + ns_of_s (Pacer.current p.pacer))
+        ~pid:p.pid (Deadline p.epoch)
+    in
+    (* End-of-round [p.round + 1]: initialize (round 1, done when [p] was
+       made) or compute round [p.round]'s mailbox, then halt, crash, or
+       broadcast. Returns whether [p] now waits on its new round. *)
+    let end_of_round p =
+      let k = p.round + 1 in
+      if k > config.round_budget then begin
+        stop p Round_budget_exhausted;
+        false
+      end
+      else begin
+        p.round <- k;
+        let decision =
+          if k = 1 then None
+          else begin
+            let current, fresh =
+              Backend.take ~compare:A.msg_compare inboxes p.pid ~round:(k - 1)
+            in
+            let state, m, dec =
+              A.compute p.state ~round:(k - 1) ~inbox:{ Anon_giraf.Intf.current; fresh }
+            in
+            p.state <- state;
+            p.msg <- m;
+            dec
+          end
+        in
+        match decision with
+        | Some v ->
+          (* Decide and halt: the round-[k] message is not sent. *)
+          let at = s_of_ns (now ()) in
+          p.decision <- Some (k - 1, v);
+          p.decide_at <- at;
+          decisions := (p.pid, k - 1, v) :: !decisions;
+          stop p Decided;
+          Anon_obs.Hist.observe decide_latency at;
+          M.incr m_decisions;
+          M.observe h_latency at;
+          R.emit recorder (fun () -> E.Decide { pid = p.pid; round = k - 1; value = v });
+          false
+        | None -> (
+          (* Self-delivery is implicit and always timely (dispatch.ml
+             does the same for the lockstep backend). *)
+          let m = p.msg in
+          Backend.insert inboxes p.pid ~arrival:k ~sent:k m;
+          match Crash.crash_round config.crash p.pid with
+          | Some r when r = k ->
+            (match
+               (List.find
+                  (fun (ev : Crash.event) -> ev.pid = p.pid)
+                  (Crash.crashing_at config.crash ~round:k))
+                 .broadcast
+             with
+            | Crash.Silent -> ()
+            | Crash.Broadcast_all -> broadcast p ~round:k m
+            | Crash.Broadcast_subset ->
+              let others = List.filter (fun q -> q <> p.pid) (List.init n Fun.id) in
+              Transport.send_to transport ~now:(now ()) ~src:p.pid ~round:k
+                ~dsts:(Rng.subset p.rng ~p:0.5 others)
+                (deliver (Arrival { src = p.pid; sent = k; payload = m })));
+            stop p Crashed;
+            M.incr m_crashes;
+            R.emit recorder (fun () -> E.Crash { pid = p.pid; round = k });
+            false
+          | Some _ | None ->
+            broadcast p ~round:k m;
+            true)
+      end
+    in
+    (* Run end-of-rounds until [p] stops or waits on a round some
+       expected peer has not yet sent. *)
+    let rec advance p =
+      if end_of_round p then begin
+        Pacer.note_wait p.pacer;
+        p.expiries <- 0;
+        p.missing <- 0;
+        for q = 0 to n - 1 do
+          if p.expected.(q) && p.heard.(q) < p.round then p.missing <- p.missing + 1
+        done;
+        if p.missing = 0 then quorum p else arm p
+      end
+    and quorum p =
+      if p.expiries = 0 then Pacer.on_quorum p.pacer;
+      Array.fill p.miss 0 n 0;
+      advance p
+    in
+    let on_arrival p ~src ~sent payload =
+      let k = p.round in
+      Backend.insert inboxes p.pid ~arrival:(max sent k) ~sent payload;
+      if sent > p.heard.(src) then begin
+        let was_missing = p.expected.(src) && p.heard.(src) < k in
+        p.heard.(src) <- sent;
+        if was_missing && sent >= k then begin
+          p.missing <- p.missing - 1;
+          if p.missing = 0 then quorum p
+        end
+      end
+    in
+    let on_deadline p =
+      Pacer.on_expiry p.pacer;
+      M.incr m_timeouts;
+      p.expiries <- p.expiries + 1;
+      if p.expiries > config.retries then begin
+        (* Proceed short. Peers silent this round accumulate a miss;
+           [miss_grace] in a row and they stop being expected — that is
+           how halted deciders and crashers are discovered without any
+           announcement. *)
+        for q = 0 to n - 1 do
+          if p.expected.(q) then
+            if p.heard.(q) < p.round then begin
+              p.miss.(q) <- p.miss.(q) + 1;
+              if p.miss.(q) >= config.miss_grace then p.expected.(q) <- false
+            end
+            else p.miss.(q) <- 0
+        done;
+        advance p
+      end
+      else begin
+        (* Retransmit: our broadcast may be what a slow peer is waiting
+           on; duplicates merge under anonymity. *)
+        broadcast p ~round:p.round p.msg;
+        p.rebroadcasts <- p.rebroadcasts + 1;
+        M.incr m_rebroadcasts;
+        arm p
+      end
+    in
+    Array.iter advance procs;
+    let rec loop () =
+      match Calendar.next_time calendar with
+      | Some t when !running > 0 && max t (now ()) < budget ->
+        reach t;
+        let _, pid, ev = Option.get (Calendar.pop calendar) in
+        let p = procs.(pid) in
+        (if p.stop = None then
+           match ev with
+           | Arrival { src; sent; payload } -> on_arrival p ~src ~sent payload
+           | Deadline epoch -> if epoch = p.epoch then on_deadline p);
+        loop ()
+      | Some _ | None -> ()
+    in
+    loop ();
+    if !running > 0 then begin
+      reach budget;
+      Array.iter (fun p -> if p.stop = None then stop p Wall_budget_exhausted) procs
+    end;
+    let wall_s = s_of_ns (now ()) in
+    let processes =
+      Array.map
+        (fun p ->
+          {
+            pid = p.pid;
+            decision = p.decision;
+            stop = Option.get p.stop;
+            rounds_executed = p.round;
+            timeouts_expired = Pacer.expiries p.pacer;
+            rebroadcasts = p.rebroadcasts;
+            decide_latency_s = Option.map (fun _ -> p.decide_at) p.decision;
+          })
+        procs
+    in
+    let decisions = List.rev !decisions in
+    let undecided =
+      List.filter (fun pid -> procs.(pid).decision = None) (Crash.correct config.crash)
+    in
+    let rounds_max = Array.fold_left (fun acc p -> max acc p.round) 0 procs in
     (* Elementwise max across the per-process pacer trajectories: the
        run's worst-case discovered timeout at each wait-round index. *)
     let timeout_curve =
-      let trajectories = Array.map (fun c -> Pacer.trajectory c.pacer) cells in
+      let trajectories = Array.map (fun p -> Pacer.trajectory p.pacer) procs in
       let len = Array.fold_left (fun acc t -> max acc (List.length t)) 0 trajectories in
       List.init len (fun i ->
           Array.fold_left
             (fun acc t -> match List.nth_opt t i with Some v -> Float.max acc v | None -> acc)
             0. trajectories)
     in
+    let transport = Transport.stats transport in
     let safety =
       Anon_giraf.Checker.check_decisions ~inputs:(Array.to_list config.inputs) decisions
     in
-    (* Observability is aggregated post-join: recorders are not
-       thread-safe, and the event stream only needs decide order, which
-       the wall-clock timestamps preserve. *)
-    if R.active recorder then begin
-      R.emit recorder (fun () -> E.Run_start { algo = A.name; n; seed = config.seed });
-      let m_decisions = R.counter recorder "live.decisions" in
-      let m_crashes = R.counter recorder "live.crashes" in
-      let m_timeouts = R.counter recorder "live.timeouts" in
-      let m_rebroadcasts = R.counter recorder "live.rebroadcasts" in
-      let m_retrans = R.counter recorder "live.wire_retransmissions" in
-      let h_latency = R.histogram recorder "live.decide_latency_s" in
-      let h_timeout = R.histogram recorder "live.timeout_s" in
-      List.iter
-        (fun (pid, round, value) ->
-          M.incr m_decisions;
-          R.emit recorder (fun () -> E.Decide { pid; round; value }))
-        decisions;
-      Array.iter
-        (fun p ->
-          if p.stop = Crashed then begin
-            M.incr m_crashes;
-            R.emit recorder (fun () -> E.Crash { pid = p.pid; round = p.rounds_executed })
-          end;
-          M.incr ~by:p.timeouts_expired m_timeouts;
-          M.incr ~by:p.rebroadcasts m_rebroadcasts;
-          Option.iter (M.observe h_latency) p.decide_latency_s)
-        processes;
-      List.iter (M.observe h_timeout) timeout_curve;
-      M.incr ~by:(Transport.stats transport).Transport.retransmissions m_retrans;
-      R.emit recorder (fun () ->
-          E.Run_end { rounds = rounds_max; decided = undecided = [] });
-      R.flush recorder
-    end;
+    List.iter (M.observe h_timeout) timeout_curve;
+    M.incr ~by:transport.Transport.retransmissions m_retrans;
+    R.emit recorder (fun () -> E.Run_end { rounds = rounds_max; decided = undecided = [] });
+    R.flush recorder;
     {
       decisions;
       all_correct_decided = undecided = [];
@@ -373,7 +389,7 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
       processes;
       rounds_max;
       wall_s;
-      transport = Transport.stats transport;
+      transport;
       timeout_curve;
       decide_latency;
       safety;

@@ -1,13 +1,21 @@
-(** The live execution backend: one thread per anonymous process.
+(** The live execution backend: every anonymous process at its own pace.
 
     Where {!Anon_giraf.Runner} advances every process in lockstep under an
-    adversary's delivery plan, this runner gives each process its own
-    thread and lets synchrony emerge from the wall clock: processes
-    exchange round messages over the faulty {!Transport}, pace their
-    rounds with an adaptive {!Pacer}, and file and read their inboxes
-    through the shared {!Anon_giraf.Backend} mailbox — the seam that makes a
-    zero-fault live run decide {e exactly} what the lockstep runner
-    decides at the same rounds (the differential suite pins this).
+    adversary's delivery plan, this runner lets synchrony emerge from a
+    clock: processes exchange round messages over the faulty
+    {!Transport}, pace their rounds with an adaptive {!Pacer}, and file
+    and read their inboxes through the shared {!Anon_giraf.Backend}
+    mailbox — the seam that makes a zero-fault live run decide
+    {e exactly} what the lockstep runner decides at the same rounds (the
+    differential suite pins this).
+
+    One single-threaded loop drives every process. It takes two kinds of
+    event from an {!Anon_giraf.Calendar}: a packet arrival, filed under
+    its receiver at the due time the transport drew for it, and a pacer
+    deadline, filed under the waiting process with an epoch so that a
+    superseded deadline is ignored. The run is a function of its config
+    and its clock's readings: on the [Virtual] clock it is
+    deterministic.
 
     Per-process protocol, mirroring Alg. 1 end-of-round [k]:
     initialize (k = 1) or compute round [k-1]'s mailbox; halt on decision;
@@ -18,13 +26,16 @@
     round message (harmless under anonymity — duplicates merge) and grow
     the timeout; then the round proceeds short, and peers silent for
     [miss_grace] consecutive short rounds stop being expected (halted and
-    crashed peers are discovered, not announced).
+    crashed peers are discovered, not announced). An arrival is filed
+    with [arrival = max sent k]: a packet for a round the receiver has
+    passed is late by exactly the lockstep clamp, and a faster peer's
+    future round stays timely for when the receiver gets there.
 
     Every run is bounded twice — [round_budget] rounds and
-    [wall_budget_s] seconds — so an undecidable configuration returns a
-    structured [outcome] with diagnostics; it never hangs. Agreement and
-    validity over the decided processes are judged by
-    {!Anon_giraf.Checker} on {e every} run. *)
+    [wall_budget_s] seconds on the run's clock — so an undecidable
+    configuration returns a structured [outcome] with diagnostics; it
+    never hangs. Agreement and validity over the decided processes are
+    judged by {!Anon_giraf.Checker} on {e every} run. *)
 
 type config = {
   inputs : Anon_kernel.Value.t array;  (** One proposal per process; defines [n]. *)
@@ -37,7 +48,7 @@ type config = {
   retries : int;  (** Timeout expiries (with rebroadcast) before a round proceeds short. *)
   miss_grace : int;  (** Consecutive short rounds before a silent peer is unexpected. *)
   round_budget : int;  (** Max end-of-rounds per process. *)
-  wall_budget_s : float;  (** Wall-clock ceiling for the whole run. *)
+  wall_budget_s : float;  (** Ceiling for the whole run, seconds on its clock. *)
   seed : int;  (** Transport faults, subset crashes. *)
 }
 
@@ -65,7 +76,7 @@ val default_config :
     non-finite probabilities, or negative retry/budget knobs. [run]
     re-validates direct constructions. *)
 
-(** Why a process thread stopped. *)
+(** Why a process stopped. *)
 type stop_reason =
   | Decided
   | Crashed
@@ -79,17 +90,17 @@ type process_report = {
   rounds_executed : int;  (** End-of-rounds performed. *)
   timeouts_expired : int;
   rebroadcasts : int;  (** Application-level retransmissions on expiry. *)
-  decide_latency_s : float option;  (** Run start to decision, wall seconds. *)
+  decide_latency_s : float option;  (** Run start to decision, clock seconds. *)
 }
 
 type outcome = {
   decisions : (int * int * Anon_kernel.Value.t) list;
-      (** [(pid, round, value)] in wall-clock decide order. *)
+      (** [(pid, round, value)] in decide order. *)
   all_correct_decided : bool;
   undecided : int list;  (** Correct pids that did not decide, increasing. *)
   processes : process_report array;
   rounds_max : int;  (** Highest end-of-round any process reached. *)
-  wall_s : float;  (** Run duration, start to last thread joined. *)
+  wall_s : float;  (** Run duration on its clock, seconds. *)
   transport : Transport.stats;
   timeout_curve : float list;
       (** Per wait-round maximum of the processes' pacer trajectories —
@@ -101,11 +112,16 @@ type outcome = {
           (fault-heavy and undecided runs included); [\[\]] is safe. *)
 }
 
+(** The clock a run reads. [Virtual] jumps straight to the next event,
+    so a run takes only its CPU time and repeats exactly. [Wall] reads
+    the monotonic clock, sleeps until the next event is due and stamps
+    each send with the real time, so CPU cost shows in decide
+    latencies. *)
+type clock = Virtual | Wall
+
 module Make (A : Anon_giraf.Intf.ALGORITHM) : sig
-  val run : ?recorder:Anon_obs.Recorder.t -> config -> outcome
-  (** Execute with one thread per process and block until all joined
-      (bounded by the budgets — never a hang). [recorder] receives the
-      run/decide/crash event stream and [live.*] metrics after the join;
-      per-thread observability is aggregated, not streamed, because
-      recorders are not thread-safe. *)
+  val run : ?recorder:Anon_obs.Recorder.t -> clock:clock -> config -> outcome
+  (** Execute until every process stopped or a budget ran out — never a
+      hang. [recorder] receives the run/decide/crash event stream as it
+      happens, and the [live.*] metrics. *)
 end

@@ -1,4 +1,4 @@
-(* The loopback wire. See transport.mli. *)
+(* The loopback wire's fault gauntlet. See transport.mli. *)
 
 open Anon_kernel
 module Netfault = Anon_chaos.Netfault
@@ -7,32 +7,22 @@ module Config_error = Anon_giraf.Config_error
 
 type stats = {
   copies_sent : int;
-  dropped : int;
   retransmissions : int;
   duplicated : int;
   delayed : int;
   severed : int;
 }
 
-(* Per-sender mutable counters: each sender thread touches only its own
-   slot, so no locking; [stats] sums after the threads join. *)
-type counters = {
-  mutable c_sent : int;
-  mutable c_dropped : int;
-  mutable c_duplicated : int;
-  mutable c_delayed : int;
-  mutable c_severed : int;
-}
-
-type 'a t = {
+type t = {
   n : int;
   faults : Netfault.spec;
-  mailboxes : (int * int * 'a) Chan.t array;
   rngs : Rng.t array;  (* one per sender *)
-  counters : counters array;  (* one per sender *)
+  mutable sent : int;
+  mutable retransmitted : int;
+  mutable duplicates : int;
+  mutable delays : int;
+  mutable severs : int;
 }
-
-let now_s () = Anon_obs.Clock.ns_to_s (Anon_obs.Clock.now_ns ())
 
 (* Retransmission timing: the first resend fires after [base_rto_s],
    doubling per consecutive loss up to [rto_cap_s]; past [max_attempts]
@@ -46,6 +36,8 @@ let max_attempts = 12
    (at least [sever_floor_s]), the maximal admissible lateness. *)
 let sever_floor_s = 0.05
 
+let ns_of_s s = int_of_float (s *. 1e9)
+
 let create ~n ~faults ~seed () =
   if n < 1 then
     Config_error.fail ~where:"Live.Transport.create"
@@ -55,78 +47,59 @@ let create ~n ~faults ~seed () =
   {
     n;
     faults;
-    mailboxes = Array.init n (fun _ -> Chan.create ());
     rngs = Array.init n (fun _ -> Rng.split root);
-    counters =
-      Array.init n (fun _ ->
-          { c_sent = 0; c_dropped = 0; c_duplicated = 0; c_delayed = 0; c_severed = 0 });
+    sent = 0;
+    retransmitted = 0;
+    duplicates = 0;
+    delays = 0;
+    severs = 0;
   }
 
-let n t = t.n
-
-let send_one t ~src ~round ~dst payload =
+let send_one t ~now ~src ~round ~dst deliver =
   let rng = t.rngs.(src) in
-  let c = t.counters.(src) in
   let f = t.faults in
-  let now = now_s () in
-  let due = ref now in
-  c.c_sent <- c.c_sent + 1;
+  let lag = ref 0. in
+  t.sent <- t.sent + 1;
   (match f.Netfault.sever with
   | Some top when not (Topology.edge top ~n:t.n ~round ~src ~dst) ->
-    c.c_severed <- c.c_severed + 1;
-    due := !due +. Float.max f.Netfault.max_delay_s sever_floor_s
+    t.severs <- t.severs + 1;
+    lag := Float.max f.Netfault.max_delay_s sever_floor_s
   | Some _ | None -> ());
   if f.Netfault.delay > 0. && Rng.chance rng f.Netfault.delay then begin
-    c.c_delayed <- c.c_delayed + 1;
-    due := !due +. Rng.float rng f.Netfault.max_delay_s
+    t.delays <- t.delays + 1;
+    lag := !lag +. Rng.float rng f.Netfault.max_delay_s
   end;
   if f.Netfault.drop > 0. then begin
     let rto = ref base_rto_s in
     let attempts = ref 0 in
     while !attempts < max_attempts && Rng.chance rng f.Netfault.drop do
       incr attempts;
-      due := !due +. !rto;
+      lag := !lag +. !rto;
       rto := Float.min (!rto *. 2.) rto_cap_s
     done;
-    c.c_dropped <- c.c_dropped + !attempts
+    t.retransmitted <- t.retransmitted + !attempts
   end;
-  Chan.post t.mailboxes.(dst) ~due:!due (src, round, payload);
+  let due = now + ns_of_s !lag in
+  deliver ~dst ~due;
   if f.Netfault.duplicate > 0. && Rng.chance rng f.Netfault.duplicate then begin
-    c.c_duplicated <- c.c_duplicated + 1;
+    t.duplicates <- t.duplicates + 1;
     let echo_lag = Rng.float rng (Float.max f.Netfault.max_delay_s base_rto_s) in
-    Chan.post t.mailboxes.(dst) ~due:(!due +. echo_lag) (src, round, payload)
+    deliver ~dst ~due:(due + ns_of_s echo_lag)
   end
 
-let send_to t ~src ~round ~dsts payload =
-  List.iter
-    (fun dst -> if dst <> src then send_one t ~src ~round ~dst payload)
-    dsts
+let send_to t ~now ~src ~round ~dsts deliver =
+  List.iter (fun dst -> if dst <> src then send_one t ~now ~src ~round ~dst deliver) dsts
 
-let broadcast t ~src ~round payload =
+let broadcast t ~now ~src ~round deliver =
   for dst = 0 to t.n - 1 do
-    if dst <> src then send_one t ~src ~round ~dst payload
+    if dst <> src then send_one t ~now ~src ~round ~dst deliver
   done
 
-let drain t ~dst = Chan.drain_ready t.mailboxes.(dst) ~now:(now_s ())
-let pending t ~dst = Chan.pending t.mailboxes.(dst)
-
 let stats t =
-  Array.fold_left
-    (fun acc c ->
-      {
-        copies_sent = acc.copies_sent + c.c_sent;
-        dropped = acc.dropped + c.c_dropped;
-        retransmissions = acc.retransmissions + c.c_dropped;
-        duplicated = acc.duplicated + c.c_duplicated;
-        delayed = acc.delayed + c.c_delayed;
-        severed = acc.severed + c.c_severed;
-      })
-    {
-      copies_sent = 0;
-      dropped = 0;
-      retransmissions = 0;
-      duplicated = 0;
-      delayed = 0;
-      severed = 0;
-    }
-    t.counters
+  {
+    copies_sent = t.sent;
+    retransmissions = t.retransmitted;
+    duplicated = t.duplicates;
+    delayed = t.delays;
+    severed = t.severs;
+  }

@@ -1,44 +1,11 @@
-(* Tests for the abstract weak-set object and the MS emulation (Alg. 5 /
-   Thm. 4). *)
+(* Tests for the MS emulation (Alg. 5 / Thm. 4). *)
 
 module G = Anon_giraf
 module C = Anon_consensus
-module Obj = C.Weak_set_obj
 module Emu = C.Ms_emulation.Make (C.Es_consensus)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-
-(* --- Weak_set_obj ------------------------------------------------------------- *)
-
-let test_obj_visibility () =
-  let t = Obj.create ~compare:Int.compare () in
-  Obj.begin_add t ~now:10 ~latency:5 42;
-  Alcotest.(check (list int)) "invisible before completion" [] (Obj.get t ~now:12);
-  Alcotest.(check (list int)) "visible at completion" [ 42 ] (Obj.get t ~now:15);
-  check_bool "not completed early" false (Obj.completed t ~now:12 42);
-  check_bool "completed at 15" true (Obj.completed t ~now:15 42)
-
-let test_obj_visible_early () =
-  let t = Obj.create ~compare:Int.compare () in
-  Obj.begin_add t ~now:0 ~latency:10 ~visible_after:2 7;
-  Alcotest.(check (list int)) "visible before completion" [ 7 ] (Obj.get t ~now:3);
-  check_bool "still not completed" false (Obj.completed t ~now:3 7)
-
-let test_obj_dedup () =
-  let t = Obj.create ~compare:Int.compare () in
-  Obj.begin_add t ~now:0 ~latency:2 1;
-  Obj.begin_add t ~now:1 ~latency:2 1;
-  Alcotest.(check (list int)) "single entry" [ 1 ] (Obj.all_started t)
-
-let test_obj_latency_validation () =
-  let t = Obj.create ~compare:Int.compare () in
-  Alcotest.check_raises "latency >= 1"
-    (Invalid_argument "Weak_set_obj.begin_add: latency must be >= 1") (fun () ->
-      Obj.begin_add t ~now:0 ~latency:0 1);
-  Alcotest.check_raises "visible_after range"
-    (Invalid_argument "Weak_set_obj.begin_add: visible_after out of range") (fun () ->
-      Obj.begin_add t ~now:0 ~latency:2 ~visible_after:3 1)
 
 (* --- Ms_emulation ---------------------------------------------------------------- *)
 
@@ -101,16 +68,25 @@ let test_emulation_trace_shape () =
     (fun i (info : G.Trace.round_info) -> check_int "consecutive rounds" (i + 1) info.round)
     rounds
 
+let test_emulation_idle_stop () =
+  (* `anonc emulate --rounds 3`: every process stops at the round horizon
+     undecided, and the run ends one step past the last add completing,
+     not at [max_steps]. *)
+  let n = 5 in
+  let config =
+    C.Ms_emulation.default_config
+      ~inputs:(Anon_harness.Runs.distinct_inputs ~n (Anon_kernel.Rng.make 42))
+      ~crash:(G.Crash.none ~n) ~horizon_rounds:3 ~seed:42 ()
+  in
+  let out = Emu.run config in
+  check_bool "undecided" false out.all_correct_decided;
+  Alcotest.(check (array int)) "every process at the horizon" [| 3; 3; 3; 3; 3 |]
+    out.rounds_completed;
+  check_int "steps" 9 out.steps
+
 let () =
   Alcotest.run "ms-emulation"
     [
-      ( "weak-set-object",
-        [
-          Alcotest.test_case "visibility" `Quick test_obj_visibility;
-          Alcotest.test_case "visible early" `Quick test_obj_visible_early;
-          Alcotest.test_case "dedup" `Quick test_obj_dedup;
-          Alcotest.test_case "latency validation" `Quick test_obj_latency_validation;
-        ] );
       ( "emulation",
         [
           Alcotest.test_case "satisfies MS (Thm. 4)" `Quick test_emulation_satisfies_ms;
@@ -118,5 +94,6 @@ let () =
           Alcotest.test_case "with crash" `Quick test_emulation_with_crash;
           Alcotest.test_case "alternating latency" `Quick test_emulation_alternating_latency;
           Alcotest.test_case "trace shape" `Quick test_emulation_trace_shape;
+          Alcotest.test_case "idle stop" `Quick test_emulation_idle_stop;
         ] );
     ]

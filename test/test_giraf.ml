@@ -47,34 +47,34 @@ let prop_crash_random =
 
 (* --- Mailbox ----------------------------------------------------------------- *)
 
-let make_mailbox () = G.Mailbox.create ~compare:String.compare ()
+(* Packets filed one at a time, as the live backend and the MS emulation
+   file them. *)
+let take_string mb ~round = G.Backend.take ~compare:String.compare mb 0 ~round
 
 let test_mailbox_current_dedup () =
-  let mb = make_mailbox () in
-  G.Mailbox.schedule mb ~arrival:1 ~sent:1 "a";
-  G.Mailbox.schedule mb ~arrival:1 ~sent:1 "a";
-  G.Mailbox.schedule mb ~arrival:1 ~sent:1 "b";
-  let fresh = G.Mailbox.drain mb ~upto:1 in
+  let mb = G.Backend.create ~n:1 in
+  G.Backend.insert mb 0 ~arrival:1 ~sent:1 "a";
+  G.Backend.insert mb 0 ~arrival:1 ~sent:1 "a";
+  G.Backend.insert mb 0 ~arrival:1 ~sent:1 "b";
+  let current, fresh = take_string mb ~round:1 in
   check_int "all arrivals reported fresh" 3 (List.length fresh);
-  Alcotest.(check (list string)) "current deduped and sorted" [ "a"; "b" ]
-    (G.Mailbox.current mb ~round:1)
+  Alcotest.(check (list string)) "current deduped and sorted" [ "a"; "b" ] current
 
 let test_mailbox_late_messages () =
-  let mb = make_mailbox () in
-  G.Mailbox.schedule mb ~arrival:3 ~sent:1 "late";
-  Alcotest.(check (list string)) "nothing before drain" [] (G.Mailbox.current mb ~round:1);
-  let fresh1 = G.Mailbox.drain mb ~upto:2 in
+  let mb = G.Backend.create ~n:1 in
+  G.Backend.insert mb 0 ~arrival:3 ~sent:1 "late";
+  let _, fresh1 = take_string mb ~round:2 in
   check_int "not arrived yet" 0 (List.length fresh1);
-  let fresh2 = G.Mailbox.drain mb ~upto:3 in
-  Alcotest.(check (list (pair int string))) "late tagged with sent round" [ (1, "late") ] fresh2;
-  Alcotest.(check (list string)) "merged into its round" [ "late" ]
-    (G.Mailbox.current mb ~round:1)
+  let current, fresh2 = take_string mb ~round:3 in
+  Alcotest.(check (list (pair int string)))
+    "late tagged with sent round" [ (1, "late") ] fresh2;
+  Alcotest.(check (list string)) "not in the round-3 set" [] current
 
 let test_mailbox_drain_once () =
-  let mb = make_mailbox () in
-  G.Mailbox.schedule mb ~arrival:1 ~sent:1 "x";
-  ignore (G.Mailbox.drain mb ~upto:1);
-  check_int "second drain empty" 0 (List.length (G.Mailbox.drain mb ~upto:1))
+  let mb = G.Backend.create ~n:1 in
+  G.Backend.insert mb 0 ~arrival:1 ~sent:1 "x";
+  ignore (take_string mb ~round:1);
+  check_int "second drain empty" 0 (List.length (snd (take_string mb ~round:1)))
 
 (* --- Backend mailbox ------------------------------------------------------------ *)
 
@@ -177,7 +177,7 @@ let prop_mailbox_matches_model =
         model.(q) <- rest';
         ok :=
           !ok && same_msgs current current' && same_fresh fresh fresh'
-          && same_entries (G.Backend.to_list boxes q) (model_order rest')
+          && same_entries (G.Backend.to_list ~compare boxes q) (model_order rest')
           && G.Backend.length boxes q = List.length rest'
       in
       List.iter
@@ -198,7 +198,7 @@ let prop_mailbox_matches_model =
             snapshot := Some (G.Backend.copy lock, Array.copy lock_model);
           List.iter
             (fun (q, arrival, msg) ->
-              G.Backend.insert ~compare live q ~arrival ~sent msg;
+              G.Backend.insert live q ~arrival ~sent msg;
               live_model.(q) <- (arrival, sent, msg) :: live_model.(q))
             (Rng.shuffle rng !entries);
           List.iter
@@ -216,7 +216,8 @@ let prop_mailbox_matches_model =
       (match !snapshot with
       | Some (boxes, model) ->
         for q = 0 to mailbox_receivers - 1 do
-          ok := !ok && same_entries (G.Backend.to_list boxes q) (model_order model.(q))
+          ok :=
+            !ok && same_entries (G.Backend.to_list ~compare boxes q) (model_order model.(q))
         done
       | None -> ());
       !ok)
@@ -237,6 +238,62 @@ let test_mailbox_tie_order () =
     (same_fresh fresh [ (1, a2); (1, a1); (1, a0); (1, "b") ]);
   check_bool "current keeps p0's copy" true (List.hd current == a0);
   Alcotest.(check (list string)) "current" [ "a"; "b" ] current
+
+(* --- Calendar ------------------------------------------------------------------ *)
+
+let test_calendar_pop_order () =
+  let cal = G.Calendar.create () in
+  check_bool "empty" true (G.Calendar.next_time cal = None);
+  List.iter
+    (fun (time, pid, ev) -> G.Calendar.add cal ~time ~pid ev)
+    [ (3, 0, "late"); (1, 2, "p2"); (1, 0, "a"); (1, 0, "b"); (2, 0, "mid"); (1, 1, "p1") ];
+  Alcotest.(check (option int)) "next time" (Some 1) (G.Calendar.next_time cal);
+  let rec drain acc =
+    match G.Calendar.pop cal with
+    | Some (time, pid, ev) -> drain ((time, pid, ev) :: acc)
+    | None -> List.rev acc
+  in
+  Alcotest.(check (list (triple int int string)))
+    "time, then pid, then insertion (FIFO at equal time and pid)"
+    [ (1, 0, "a"); (1, 0, "b"); (1, 1, "p1"); (1, 2, "p2"); (2, 0, "mid"); (3, 0, "late") ]
+    (drain [])
+
+(* Adds interleaved with pops: every pop returns the first of the pending
+   events in a stable sort by (time, pid). *)
+let prop_calendar_matches_model =
+  QCheck.Test.make ~name:"calendar = stable-sort model" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.make seed in
+      let cal = G.Calendar.create () in
+      let pending = ref [] in
+      let ok = ref true in
+      let pop_both () =
+        let model =
+          List.stable_sort
+            (fun (t1, p1, _) (t2, p2, _) -> compare (t1, p1) (t2, p2))
+            (List.rev !pending)
+        in
+        match (G.Calendar.pop cal, model) with
+        | None, [] -> ()
+        | Some got, first :: _ ->
+          ok := !ok && got = first;
+          pending := List.filter (fun e -> e <> first) !pending
+        | _ -> ok := false
+      in
+      for i = 1 to 200 do
+        if Rng.chance rng 0.4 then pop_both ()
+        else begin
+          let time = Rng.int rng 6 in
+          let pid = Rng.int rng 4 in
+          G.Calendar.add cal ~time ~pid i;
+          pending := (time, pid, i) :: !pending
+        end
+      done;
+      while !pending <> [] do
+        pop_both ()
+      done;
+      !ok && G.Calendar.pop cal = None)
 
 (* --- Adversary ----------------------------------------------------------------- *)
 
@@ -1239,6 +1296,11 @@ let () =
           Alcotest.test_case "current dedup" `Quick test_mailbox_current_dedup;
           Alcotest.test_case "late messages" `Quick test_mailbox_late_messages;
           Alcotest.test_case "drain once" `Quick test_mailbox_drain_once;
+        ] );
+      ( "calendar",
+        [
+          Alcotest.test_case "pop order" `Quick test_calendar_pop_order;
+          qc prop_calendar_matches_model;
         ] );
       ( "backend mailbox",
         [

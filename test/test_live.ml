@@ -51,36 +51,28 @@ let test_netfault_invalid () =
       "drop:";
     ]
 
-(* --- Chan / Transport -------------------------------------------------------- *)
+(* --- Transport ------------------------------------------------------------------ *)
 
-let test_chan_due_ordering () =
-  let ch = L.Chan.create () in
-  L.Chan.post ch ~due:3.0 "late";
-  L.Chan.post ch ~due:1.0 "a";
-  L.Chan.post ch ~due:1.0 "b";  (* same due: post order preserved *)
-  check_int "pending" 3 (L.Chan.pending ch);
-  Alcotest.(check (list string)) "ripe, due then seq order" [ "a"; "b" ]
-    (L.Chan.drain_ready ch ~now:2.0);
-  check_int "future item stays" 1 (L.Chan.pending ch);
-  Alcotest.(check (list string)) "ripe later" [ "late" ] (L.Chan.drain_ready ch ~now:3.5);
-  Alcotest.(check (list string)) "empty" [] (L.Chan.drain_ready ch ~now:9.0)
+(* Every copy the wire hands back, in the order it handed them:
+   [(dst, due, payload)]. *)
+let copies () =
+  let got = ref [] in
+  let deliver payload ~dst ~due = got := (dst, due, payload) :: !got in
+  (got, deliver)
 
 let test_transport_faultless_fifo () =
   let t = L.Transport.create ~n:3 ~faults:Chaos.Netfault.none ~seed:7 () in
-  L.Transport.broadcast t ~src:0 ~round:1 "r1";
-  L.Transport.broadcast t ~src:0 ~round:2 "r2";
-  (* Give the due times (== send instants) a beat to pass. *)
-  Thread.delay 0.002;
-  (match L.Transport.drain t ~dst:1 with
-  | [ (0, 1, "r1"); (0, 2, "r2") ] -> ()
-  | other ->
-    Alcotest.failf "faultless wire must be FIFO per link (got %d packets)"
-      (List.length other));
-  check_int "no self-delivery over the wire" 0 (L.Transport.pending t ~dst:0);
+  let got, deliver = copies () in
+  L.Transport.broadcast t ~now:5 ~src:0 ~round:1 (deliver "r1");
+  L.Transport.broadcast t ~now:5 ~src:0 ~round:2 (deliver "r2");
+  Alcotest.(check (list (triple int int string)))
+    "each copy due at once, in send order per link, none to self"
+    [ (1, 5, "r1"); (2, 5, "r1"); (1, 5, "r2"); (2, 5, "r2") ]
+    (List.rev !got);
   let st = L.Transport.stats t in
   check_int "copies: 2 broadcasts x 2 peers" 4 st.L.Transport.copies_sent;
   check_int "no faults injected" 0
-    (st.L.Transport.dropped + st.L.Transport.duplicated + st.L.Transport.delayed
+    (st.L.Transport.retransmissions + st.L.Transport.duplicated + st.L.Transport.delayed
    + st.L.Transport.severed)
 
 let test_transport_faulty_delivers_eventually () =
@@ -88,16 +80,16 @@ let test_transport_faulty_delivers_eventually () =
      time — messages are delayed, never lost. *)
   let faults = { Chaos.Netfault.none with Chaos.Netfault.drop = 0.9 } in
   let t = L.Transport.create ~n:2 ~faults ~seed:11 () in
+  let got, deliver = copies () in
   for r = 1 to 20 do
-    L.Transport.broadcast t ~src:0 ~round:r (string_of_int r)
+    L.Transport.broadcast t ~now:0 ~src:0 ~round:r (deliver r)
   done;
-  let deadline = L.Transport.now_s () +. 10.0 in
-  let got = ref 0 in
-  while !got < 20 && L.Transport.now_s () < deadline do
-    got := !got + List.length (L.Transport.drain t ~dst:1);
-    Thread.delay 0.005
-  done;
-  check_int "all 20 delivered despite drop:0.9" 20 !got;
+  check_int "all 20 reach p1 despite drop:0.9" 20
+    (List.length (List.filter (fun (dst, _, _) -> dst = 1) !got));
+  (* Twelve lost attempts back off 10 ms doubling to a 160 ms cap:
+     under 1.5 s in all. *)
+  check_bool "every due time bounded and not before the send" true
+    (List.for_all (fun (_, due, _) -> due >= 0 && due < 1_500_000_000) !got);
   check_bool "drops recovered by retransmission" true
     ((L.Transport.stats t).L.Transport.retransmissions > 0)
 
@@ -207,7 +199,7 @@ let run_differential (algo_name, (module A : G.Intf.ALGORITHM)) =
           (G.Runner.default_config ~seed:42 ~inputs ~crash (G.Adversary.sync ()))
       in
       let live =
-        LiveR.run
+        LiveR.run ~clock:L.Runner.Virtual
           (L.Runner.default_config ~timeout_init_s:0.08 ~timeout_max_s:0.4
              ~retries:2 ~miss_grace:1 ~wall_budget_s:60.0 ~seed:42 ~inputs ~crash ())
       in
@@ -239,7 +231,7 @@ let test_live_faulty_decides () =
       [ { G.Crash.pid = 2; round = 2; broadcast = G.Crash.Broadcast_subset } ]
   in
   let o =
-    LiveR.run
+    LiveR.run ~clock:L.Runner.Virtual
       (L.Runner.default_config ~faults:faulty_spec ~timeout_init_s:0.02
          ~timeout_max_s:0.5 ~wall_budget_s:60.0 ~seed:9 ~inputs ~crash ())
   in
@@ -259,7 +251,7 @@ let test_live_undecided_budget () =
       [ { G.Crash.pid = 0; round = 1; broadcast = G.Crash.Silent } ]
   in
   let o =
-    LiveR.run
+    LiveR.run ~clock:L.Runner.Virtual
       (L.Runner.default_config ~timeout_init_s:5.0 ~timeout_max_s:10.0
          ~wall_budget_s:0.3 ~inputs ~crash ())
   in
@@ -273,6 +265,69 @@ let test_live_undecided_budget () =
        o.L.Runner.processes);
   check_bool "returned promptly" true (o.L.Runner.wall_s < 10.0)
 
+let test_live_replay () =
+  (* On the virtual clock a lossy run is a function of its config: run it
+     twice, and the outcome and the recorded event stream repeat. *)
+  let module LiveR = L.Runner.Make (C.Ess_consensus) in
+  let n = 12 in
+  let crash =
+    G.Crash.of_events ~n
+      [
+        { G.Crash.pid = 3; round = 2; broadcast = G.Crash.Broadcast_subset };
+        { G.Crash.pid = 7; round = 4; broadcast = G.Crash.Silent };
+      ]
+  in
+  let config =
+    L.Runner.default_config
+      ~faults:
+        (Chaos.Netfault.of_string
+           "drop:0.1,dup:0.05,delay:0.2:0.005,sever:partition-pulse:3")
+      ~seed:5 ~inputs:(List.init n (fun i -> (i mod 4) + 1)) ~crash ()
+  in
+  let run () =
+    let sink = Anon_obs.Sink.memory ~capacity:100_000 in
+    let recorder = Anon_obs.Recorder.create ~sink () in
+    let o = LiveR.run ~recorder ~clock:L.Runner.Virtual config in
+    ( ( o.L.Runner.decisions,
+        o.L.Runner.processes,
+        o.L.Runner.rounds_max,
+        o.L.Runner.wall_s,
+        o.L.Runner.transport,
+        o.L.Runner.timeout_curve ),
+      Anon_obs.Sink.events sink,
+      o )
+  in
+  let first, events1, o = run () in
+  let second, events2, _ = run () in
+  assert_safe "replay" o.L.Runner.safety;
+  check_bool "decided" true o.L.Runner.all_correct_decided;
+  check_bool "wire faults injected" true
+    (o.L.Runner.transport.L.Transport.retransmissions > 0
+    && o.L.Runner.transport.L.Transport.duplicated > 0
+    && o.L.Runner.transport.L.Transport.severed > 0);
+  check_bool "same outcome" true (first = second);
+  check_bool "same event stream" true (events1 = events2);
+  check_int "one decide event per decision" (List.length o.L.Runner.decisions)
+    (List.length
+       (List.filter (function Anon_obs.Event.Decide _ -> true | _ -> false) events1))
+
+let test_live_scale () =
+  (* Zero faults at n = 128: every round fills before any deadline, so
+     each process broadcasts rounds 1-6 exactly once and nobody waits. *)
+  let module LiveR = L.Runner.Make (C.Es_consensus) in
+  let n = 128 in
+  let o =
+    LiveR.run ~clock:L.Runner.Virtual
+      (L.Runner.default_config ~inputs:(List.init n (fun i -> (i mod 4) + 1))
+         ~crash:(G.Crash.none ~n) ())
+  in
+  check_bool "all decided" true o.L.Runner.all_correct_decided;
+  check_bool "every decision at round 6" true
+    (List.for_all (fun (_, r, _) -> r = 6) o.L.Runner.decisions);
+  check_int "copies: 6 rounds x n x (n-1)" 97_536 o.L.Runner.transport.L.Transport.copies_sent;
+  check_int "no timeouts" 0
+    (Array.fold_left (fun acc p -> acc + p.L.Runner.timeouts_expired) 0 o.L.Runner.processes)
+
 let () =
   Alcotest.run "live"
     [
@@ -283,7 +338,6 @@ let () =
         ] );
       ( "wire",
         [
-          Alcotest.test_case "chan due ordering" `Quick test_chan_due_ordering;
           Alcotest.test_case "faultless fifo" `Quick test_transport_faultless_fifo;
           Alcotest.test_case "lossy wire still delivers" `Quick
             test_transport_faulty_delivers_eventually;
@@ -299,5 +353,7 @@ let () =
         [
           Alcotest.test_case "faulty wire decides + safe" `Slow test_live_faulty_decides;
           Alcotest.test_case "undecided budget, no hang" `Quick test_live_undecided_budget;
+          Alcotest.test_case "lossy virtual run replays" `Quick test_live_replay;
+          Alcotest.test_case "n=128 zero faults, no timeouts" `Quick test_live_scale;
         ] );
     ]
