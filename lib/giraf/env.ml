@@ -32,6 +32,11 @@ let gst = function
   | Ms | Async | Dynamic _ -> None
   | Es { gst } | Ess { gst } -> Some gst
 
+let validate ~where = function
+  | (Es { gst } | Ess { gst }) when gst < 1 ->
+    Config_error.fail ~where (Printf.sprintf "gst must be >= 1 (got %d)" gst)
+  | Sync | Ms | Es _ | Ess _ | Async | Dynamic _ -> ()
+
 let of_string s =
   let fail () =
     Error

@@ -43,6 +43,11 @@ val requires_source : t -> round:int -> bool
 val gst : t -> int option
 (** The round from which the eventual guarantee holds, if any. *)
 
+val validate : where:string -> t -> unit
+(** Reject an ES/ESS [gst] below 1, which {!of_string} would not parse
+    either.
+    @raise Config_error.Invalid_config naming [where]. *)
+
 val of_string : string -> (t, string) result
 (** Parse a CLI spelling: [sync], [ms], [async], [es:GST], [ess:GST],
     [dynamic:S] (rooted) or [dynamic:S:unrooted]; [es]/[ess] without a GST

@@ -147,6 +147,14 @@ module type CORE = sig
       [Broadcast_subset] crasher — the model checker's plans always script
       those, so it may pass any generator. *)
 
+  val preview :
+    t -> plan:Adversary.plan -> crash_rng:Anon_kernel.Rng.t -> (int * int * int) list * int option
+  (** What {!deliver} would do under [plan], without doing it: every
+      [(sender, receiver, arrival)] delivery it would schedule, in
+      dispatch order, self-deliveries included, and the stable source it
+      would leave latched. Mutates nothing but [crash_rng], which it
+      consumes exactly as {!deliver} would. *)
+
   val set_state : t -> int -> state -> unit
   (** Replace a process's state between rounds; bumps its version. *)
 
@@ -167,6 +175,10 @@ module type CORE = sig
   (** Undrained [(arrival, sent, msg)] deliveries in the order a later
       [compute] reads them in [fresh]: ascending arrival, sent round and
       message, equal messages by descending sender pid. *)
+
+  val input : t -> int -> Anon_kernel.Value.t
+  (** The process's proposal, which [initialize] reads at round 1 and at
+      every rejoin. *)
 
   val version : t -> int -> int
   val crashing_now : t -> Crash.event list

@@ -13,6 +13,7 @@ type config = {
 let validate ~where config =
   Churn.validate ~where ~n:(Array.length config.inputs) ~crash:config.crash
     ~churn:config.churn ();
+  Env.validate ~where (Adversary.env config.adversary);
   if config.horizon < 1 then
     Config_error.fail ~where
       (Printf.sprintf "horizon must be >= 1 (got %d)" config.horizon)

@@ -31,8 +31,9 @@ val default_config :
     {!Churn.none}.
 
     @raise Config_error.Invalid_config on empty [inputs], [horizon < 1],
-    an inputs/crash or inputs/churn size mismatch, or a pid that both
-    crashes and churns. [run] re-validates, so directly constructed
+    an inputs/crash or inputs/churn size mismatch, a pid that both
+    crashes and churns, or an adversary environment {!Env.validate}
+    rejects (GST below 1). [run] re-validates, so directly constructed
     configs are rejected too. *)
 
 type outcome = {

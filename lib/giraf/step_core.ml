@@ -78,6 +78,7 @@ module Consensus (A : Intf.ALGORITHM) = struct
     }
 
   let n t = t.n
+  let input t p = t.inputs.(p)
   let round t = t.round
   let fate t p = t.fate.(p)
   let state t p = t.st.(p)
@@ -201,23 +202,41 @@ module Consensus (A : Intf.ALGORITHM) = struct
       alive;
     }
 
+  (* The round's dispatch, shared by [deliver] and its dry run
+     [preview]: eligibility, crash broadcast kinds and clamping stay in
+     Dispatch. *)
+  let dispatch ?on_deliver t ~plan ~crash_rng ~schedule =
+    Dispatch.dispatch ~round:t.round ~outgoing:t.outgoing
+      ~crashing_events:t.crashing_now
+      ~eligible:(fun q -> q >= 0 && q < t.n && t.fate.(q) = Live)
+      ~receivers:(alive t) ~plan ~crash_rng ?on_deliver ~schedule ()
+
+  (* ESS from GST on: the plan's source becomes the stable source. *)
+  let latched_stable t (plan : Adversary.plan) =
+    match t.env with
+    | Env.Ess { gst } when t.round >= gst -> (
+      match plan.source with Some _ as src -> src | None -> t.stable)
+    | Env.Sync | Env.Ms | Env.Es _ | Env.Ess _ | Env.Async | Env.Dynamic _ -> t.stable
+
+  let preview t ~plan ~crash_rng =
+    let rev = ref [] in
+    ignore
+      (dispatch t ~plan ~crash_rng ~schedule:(fun ~sender ~receiver ~arrival ~sent:_ _ ->
+           rev := (sender, receiver, arrival) :: !rev)
+        : Dispatch.stats);
+    (List.rev !rev, latched_stable t plan)
+
   (* Dispatch schedules sender by sender, in pid order (the crash RNG
      draws and [on_deliver] events follow it); the deliveries are recorded
      in that order and filed afterwards, one ordering of the round's
      broadcasts for every receiver. *)
   let deliver ?on_deliver ?on_crash t ~plan ~crash_rng =
-    let k = t.round in
-    Backend.Round.reset t.filing ~sent:k;
+    Backend.Round.reset t.filing ~sent:t.round;
     let stats =
-      Dispatch.dispatch ~round:k ~outgoing:t.outgoing
-        ~crashing_events:t.crashing_now
-        ~eligible:(fun q -> q >= 0 && q < t.n && t.fate.(q) = Live)
-        ~receivers:(alive t) ~plan ~crash_rng
-        ?on_deliver
+      dispatch ?on_deliver t ~plan ~crash_rng
         ~schedule:(fun ~sender ~receiver ~arrival ~sent:_ msg ->
           Backend.Round.deliver t.filing ~sender ~receiver ~arrival msg;
           touch t receiver)
-        ()
     in
     Backend.Round.file ~compare:A.msg_compare t.filing t.inflight;
     List.iter
@@ -229,15 +248,12 @@ module Consensus (A : Intf.ALGORITHM) = struct
         touch t ev.pid;
         match on_crash with Some f -> f ~pid:ev.pid | None -> ())
       t.crashing_now;
-    (match t.env with
-    | Env.Ess { gst } when k >= gst -> (
-      match plan.Adversary.source with
-      | Some _ as src when src <> t.stable ->
-        (match t.stable with Some p -> touch t p | None -> ());
-        (match src with Some p -> touch t p | None -> ());
-        t.stable <- src
-      | Some _ | None -> ())
-    | Env.Sync | Env.Ms | Env.Es _ | Env.Ess _ | Env.Async | Env.Dynamic _ -> ());
+    let stable = latched_stable t plan in
+    if not (Option.equal Int.equal stable t.stable) then begin
+      (match t.stable with Some p -> touch t p | None -> ());
+      (match stable with Some p -> touch t p | None -> ());
+      t.stable <- stable
+    end;
     stats
 
   let undecided_correct_stayers t =

@@ -29,7 +29,8 @@
     {!Runner}, {!Service_runner} and [Anon_rsm] drive a core
     round-by-round with observation hooks; the model checker
     ([Anon_mc.System]) cuts the same cycle after the compute phase,
-    [copy]s the core to branch, and reads states through the accessors.
+    [copy]s the core to branch, reads states through the accessors, and
+    asks [preview] what a plan would deliver without delivering it.
     The hooks default to no-ops so the checker pays nothing for the
     runner's observability.
 

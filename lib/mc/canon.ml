@@ -83,18 +83,23 @@ module Digest = struct
       sum2 = t.sum2;
     }
 
+  let slot t p = (t.h1.(p), t.h2.(p))
+
+  let assign t ~slot ~version a b =
+    t.sum1 <- t.sum1 - t.h1.(slot) + a;
+    t.sum2 <- t.sum2 - t.h2.(slot) + b;
+    t.h1.(slot) <- a;
+    t.h2.(slot) <- b;
+    t.versions.(slot) <- version
+
   let refresh_stream t ~slot ~version fill =
     if t.versions.(slot) <> version then begin
       let h = sums () in
       fill (Hash h);
-      t.sum1 <- t.sum1 - t.h1.(slot) + h.a;
-      t.sum2 <- t.sum2 - t.h2.(slot) + h.b;
-      t.h1.(slot) <- h.a;
-      t.h2.(slot) <- h.b;
-      t.versions.(slot) <- version
+      assign t ~slot ~version h.a h.b
     end
 
-  let render ~round ~global sum1 sum2 =
+  let key_of_sums ~round ~global sum1 sum2 =
     let b = Buffer.create (String.length global + 24) in
     Buffer.add_string b (string_of_int round);
     Buffer.add_char b '#';
@@ -104,7 +109,7 @@ module Digest = struct
     Buffer.add_int64_be b (Int64.of_int sum2);
     Buffer.contents b
 
-  let key t ~round ~global = render ~round ~global t.sum1 t.sum2
+  let key t ~round ~global = key_of_sums ~round ~global t.sum1 t.sum2
 
   let full_key ~round ~global ~views =
     let sum1 = ref 0 and sum2 = ref 0 in
@@ -114,5 +119,5 @@ module Digest = struct
         sum1 := !sum1 + a;
         sum2 := !sum2 + b)
       views;
-    render ~round ~global !sum1 !sum2
+    key_of_sums ~round ~global !sum1 !sum2
 end

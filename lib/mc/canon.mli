@@ -12,11 +12,12 @@
 
     A view must capture everything that influences the process's future
     observable behaviour: local algorithm state, the message it just
-    broadcast, undelivered in-flight messages, its crash fate under the
-    (fixed, per-exploration) crash schedule, and any per-process
-    environment marker (the ESS stable source). Views are built from the
-    run-independent [state_key]/[msg_key] serializations of lib/core, so
-    keys agree across domains and interner scopes. *)
+    broadcast, undelivered in-flight messages, its crash and churn fates
+    under the (fixed, per-exploration) schedules, the input an away
+    process rejoins from, and any per-process environment marker (the
+    ESS stable source). Views are built from the run-independent
+    [state_key]/[msg_key] serializations of lib/core, so keys agree
+    across domains and interner scopes. *)
 
 (** Incremental multiset digests — the state keys of the explorer.
 
@@ -64,6 +65,19 @@ module Digest : sig
 
   val key : t -> round:int -> global:string -> string
   (** The digest key over the current slot contributions. *)
+
+  val slot : t -> int -> int * int
+  (** A slot's contribution, the hash pair of its view — current once
+      the slot is refreshed. *)
+
+  val assign : t -> slot:int -> version:int -> int -> int -> unit
+  (** [assign t ~slot ~version a b] sets [slot]'s contribution to the
+      pair [(a, b)], known to be the hash pair of its view at [version]
+      — what {!refresh_stream} would compute for it. *)
+
+  val key_of_sums : round:int -> global:string -> int -> int -> string
+  (** The key whose slot contributions sum (wrapping) to the given pair:
+      [key t] is [key_of_sums] of [t]'s slot sums. *)
 
   val full_key : round:int -> global:string -> views:string list -> string
   (** Reference implementation: the same key computed from scratch over

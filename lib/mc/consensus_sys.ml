@@ -63,7 +63,8 @@ struct
      round-[k] messages per [plan] and mark the crashers (Dispatch
      semantics, shared with Runner through Step_core), advance to round
      [k+1] (churn transitions, crash latch), then run iteration [k+1]'s
-     compute, feeding decisions to the checker's judge. The crash RNG is never
+     compute, feeding decisions to the checker's judge; the deciders are
+     the transition's loud pids. The crash RNG is never
      consumed: Plan_enum scripts every crasher's deliveries. *)
   let step nd (plan : G.Adversary.plan) =
     let core = Core.copy nd.core in
@@ -71,13 +72,15 @@ struct
     Core.begin_round core;
     let inv = ref nd.inv in
     let viols = ref [] in
+    let deciders = ref [] in
     ignore
       (Core.compute core ~on_decide:(fun ~pid ~round:_ ~value ->
            let inv', vs = Judge.observe !inv ~pid ~value in
            inv := inv';
-           viols := !viols @ vs)
+           viols := !viols @ vs;
+           deciders := pid :: !deciders)
         : A.msg G.Dispatch.outbound list);
-    ({ core; inv = !inv }, !viols)
+    ({ core; inv = !inv }, !viols, !deciders)
 
   let view_extra _ _ _ = ()
 

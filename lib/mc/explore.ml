@@ -1,12 +1,20 @@
 module R = Anon_obs.Recorder
 module M = Anon_obs.Metrics
 
+type 'sys branch =
+  | Stepped of {
+      plan : Anon_giraf.Adversary.plan;
+      sys : 'sys;
+      violations : Anon_giraf.Checker.violation list;
+    }
+  | Predicted of { plan : Anon_giraf.Adversary.plan; key : string }
+
 module type SYSTEM = sig
   type sys
 
   val init : unit -> sys
   val apply : sys -> Anon_giraf.Adversary.plan -> sys
-  val expand : sys -> (Anon_giraf.Adversary.plan * sys * Anon_giraf.Checker.violation list) list
+  val expand : sys -> sys branch list
   val key : sys -> string
   val terminal : sys -> bool
   val pending : sys -> int list
@@ -118,40 +126,59 @@ let make_acc () =
     nondec = None;
   }
 
-(* One successor, in deterministic order. Returns [Some prefix'] when the
-   node should be explored further. Violations are reported before the
-   dedup check — a violating transition may well land on a visited state. *)
-let admit acc ~prefix ~level ~depth sc =
+(* One successor, in deterministic order: its plan, key and violations,
+   and [rest] — whether it is terminal, the pids it leaves pending, and
+   what the search holds to go on from it — called only when [key] is
+   new. Returns [Some (prefix', held)] when the node should be explored
+   further. Violations are reported before the dedup check — a violating
+   transition may well land on a visited state. *)
+let admit acc ~prefix ~level ~depth ~plan ~key ~violations rest =
   acc.raw <- acc.raw + 1;
-  if sc.s_violations <> [] then begin
+  if violations <> [] then begin
     (if acc.viol = None then
-       acc.viol <-
-         Some { w_plans = prefix @ [ sc.s_plan ]; w_violations = sc.s_violations });
+       acc.viol <- Some { w_plans = prefix @ [ plan ]; w_violations = violations });
     None
   end
-  else if Hashtbl.mem acc.visited sc.s_key then begin
+  else if Hashtbl.mem acc.visited key then begin
     acc.dedup <- acc.dedup + 1;
     None
   end
   else begin
-    Hashtbl.replace acc.visited sc.s_key ();
+    Hashtbl.replace acc.visited key ();
     acc.canonical <- acc.canonical + 1;
-    if sc.s_terminal then begin
+    let terminal, pending, held = rest () in
+    if terminal then begin
       acc.term <- acc.term + 1;
       None
     end
     else if level + 1 >= depth then begin
       acc.bound <- acc.bound + 1;
-      if sc.s_pending <> [] then begin
+      if pending <> [] then begin
         acc.pend_bound <- acc.pend_bound + 1;
         if acc.nondec = None then
-          acc.nondec <-
-            Some { b_plans = prefix @ [ sc.s_plan ]; b_blocked = sc.s_pending }
+          acc.nondec <- Some { b_plans = prefix @ [ plan ]; b_blocked = pending }
       end;
       None
     end
-    else Some (prefix @ [ sc.s_plan ])
+    else Some (prefix @ [ plan ], held)
   end
+
+(* One branch of [parent] as what [admit] reads, with the successor as
+   what the search holds. A predicted branch is quiet (it commits no
+   violation) and is built with [apply] only when [rest] is called. *)
+let parts (type s) (module S : SYSTEM with type sys = s) (parent : s) branch =
+  let rest s' () = (S.terminal s', S.pending s', s') in
+  match branch with
+  | Stepped { plan; sys; violations } -> (plan, S.key sys, violations, rest sys)
+  | Predicted { plan; key } -> (plan, key, [], fun () -> rest (S.apply parent plan) ())
+
+(* [admit] for the sequential orders, which hold the visited set while
+   they expand: a predicted key already visited is a duplicate, never
+   built. *)
+let admit_branch (type s) (module S : SYSTEM with type sys = s) acc ~prefix ~level
+    ~depth (parent : s) branch =
+  let plan, key, violations, rest = parts (module S) parent branch in
+  admit acc ~prefix ~level ~depth ~plan ~key ~violations rest
 
 let finish acc =
   {
@@ -252,19 +279,12 @@ let bfs_held ~recorder ?progress ~depth (module S : SYSTEM) =
             (fun (prefix, sys) ->
               acc.n_expanded <- acc.n_expanded + 1;
               List.iter
-                (fun (plan, s', viols) ->
-                  let sc =
-                    {
-                      s_plan = plan;
-                      s_key = S.key s';
-                      s_violations = viols;
-                      s_terminal = S.terminal s';
-                      s_pending = S.pending s';
-                    }
-                  in
-                  match admit acc ~prefix ~level:!level ~depth sc with
+                (fun branch ->
+                  match
+                    admit_branch (module S) acc ~prefix ~level:!level ~depth sys branch
+                  with
                   | None -> ()
-                  | Some prefix' -> next := (prefix', s') :: !next)
+                  | Some held -> next := held :: !next)
                 (S.expand sys))
             !frontier;
           frontier := List.rev !next;
@@ -282,19 +302,15 @@ let bfs ?jobs ?(recorder = R.off) ?progress ~depth (module S : SYSTEM) =
   else
   let t0 = Anon_obs.Clock.now_ns () in
   let acc = make_acc () in
+  (* Workers see no visited set, so they build every predicted branch. *)
   let successors sys =
     List.map
-      (fun (plan, s', viols) ->
-        {
-          s_plan = plan;
-          s_key = S.key s';
-          s_violations = viols;
-          s_terminal = S.terminal s';
-          s_pending = S.pending s';
-        })
+      (fun branch ->
+        let s_plan, s_key, s_violations, rest = parts (module S) sys branch in
+        let s_terminal, s_pending, _ = rest () in
+        { s_plan; s_key; s_violations; s_terminal; s_pending })
       (S.expand sys)
   in
-  let replay prefix = List.fold_left S.apply (S.init ()) prefix in
   let root_key, root_term, root_pending =
     Anon_exec.Pool.isolate
       (fun () ->
@@ -313,16 +329,20 @@ let bfs ?jobs ?(recorder = R.off) ?progress ~depth (module S : SYSTEM) =
     (match progress with
     | Some ppf -> report_progress ppf ~t0 ~label:"level" ~depth:!level ~frontier:len acc
     | None -> ());
-    (* Workers re-simulate each prefix from a fresh [init] inside their own
-       task (own interner scope) and return only plain successor records;
-       the merge below is sequential in submission order, so the whole
-       layer's accounting — and the winning witness — is identical for
-       every [jobs] value. *)
+    (* Workers re-simulate each prefix from their task's one [init]
+       (own interner scope, and the system's caches shared by the task's
+       replays only) and return only plain successor records; the merge
+       below is sequential in submission order, so the whole layer's
+       accounting — and the winning witness — is identical for every
+       [jobs] value. *)
     let chunk_size = max 1 ((len + (4 * jobs) - 1) / (4 * jobs)) in
     let results =
       Anon_exec.Pool.map ~jobs
         (fun prefixes ->
-          List.map (fun prefix -> (prefix, successors (replay prefix))) prefixes)
+          let root = S.init () in
+          List.map
+            (fun prefix -> (prefix, successors (List.fold_left S.apply root prefix)))
+            prefixes)
         (chunk chunk_size !frontier)
     in
     let next = ref [] in
@@ -333,9 +353,13 @@ let bfs ?jobs ?(recorder = R.off) ?progress ~depth (module S : SYSTEM) =
             acc.n_expanded <- acc.n_expanded + 1;
             List.iter
               (fun sc ->
-                match admit acc ~prefix ~level:!level ~depth sc with
+                match
+                  admit acc ~prefix ~level:!level ~depth ~plan:sc.s_plan ~key:sc.s_key
+                    ~violations:sc.s_violations (fun () ->
+                      (sc.s_terminal, sc.s_pending, ()))
+                with
                 | None -> ()
-                | Some prefix' -> next := prefix' :: !next)
+                | Some (prefix', ()) -> next := prefix' :: !next)
               succs)
           per_chunk)
       results;
@@ -367,20 +391,11 @@ let dfs ?(recorder = R.off) ?progress ~depth (module S : SYSTEM) =
             | Some _ | None -> ());
             acc.peak <- max acc.peak stack;
             List.iter
-              (fun (plan, s', viols) ->
+              (fun branch ->
                 if acc.viol = None then
-                  let sc =
-                    {
-                      s_plan = plan;
-                      s_key = S.key s';
-                      s_violations = viols;
-                      s_terminal = S.terminal s';
-                      s_pending = S.pending s';
-                    }
-                  in
-                  match admit acc ~prefix ~level ~depth sc with
+                  match admit_branch (module S) acc ~prefix ~level ~depth sys branch with
                   | None -> ()
-                  | Some prefix' -> go s' prefix' (level + 1) (stack + 1))
+                  | Some (prefix', s') -> go s' prefix' (level + 1) (stack + 1))
               (S.expand sys)
           end
         in

@@ -16,6 +16,19 @@
     memory-light: it holds one live branch and shares immutable ancestor
     nodes, stopping at the first violation in deterministic branch order. *)
 
+(** One successor of a node under one plan, in {!SYSTEM.expand}'s order. *)
+type 'sys branch =
+  | Stepped of {
+      plan : Anon_giraf.Adversary.plan;
+      sys : 'sys;
+      violations : Anon_giraf.Checker.violation list;
+          (** The safety violations the transition commits. *)
+    }  (** The successor, built. *)
+  | Predicted of { plan : Anon_giraf.Adversary.plan; key : string }
+      (** Only the successor's {!SYSTEM.key}, known without stepping it.
+          Such a successor commits no violation and is admissible; the
+          search builds it with {!SYSTEM.apply} only when [key] is new. *)
+
 module type SYSTEM = sig
   type sys
 
@@ -25,12 +38,19 @@ module type SYSTEM = sig
       scopes. *)
 
   val apply : sys -> Anon_giraf.Adversary.plan -> sys
-  (** Deterministically replay one recorded plan (prefix re-simulation). *)
+  (** Deterministically step one plan, leaving the input node as it was:
+      prefix re-simulation (a worker task replays all its prefixes from
+      one root), and building a {!Predicted} successor. *)
 
-  val expand : sys -> (Anon_giraf.Adversary.plan * sys * Anon_giraf.Checker.violation list) list
+  val expand : sys -> sys branch list
   (** All successors under the round's admissible (and, when armed,
-      deliberately inadmissible) plans, in a deterministic order, each with
-      the safety violations the transition triggers. *)
+      deliberately inadmissible) plans, in a deterministic order. Each is
+      either stepped, with the safety violations the transition triggers,
+      or predicted: a successor whose key the system knows without
+      stepping it. Inadmissible plans are always stepped. The search
+      counts a predicted key it has visited as a duplicate and builds
+      the others with [apply], so every report is the one a fully
+      stepped expansion gives. *)
 
   val key : sys -> string
   (** Canonical key modulo process permutation. *)

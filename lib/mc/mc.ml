@@ -164,6 +164,7 @@ let run ?(recorder = R.off) ?progress ?out config =
          config.n);
   if config.churn > 0 && config.algo = Ms_weakset then
     fail "churn is not supported for ms-weakset";
+  G.Env.validate ~where:"Mc.run" config.env;
   (* A delay bound of 0 would drop every late delivery and explore the
      partially synchronous environments as if synchronous; [--env sync]
      says that explicitly. *)

@@ -92,8 +92,9 @@ val run :
 
     @raise Anon_giraf.Config_error.Invalid_config (where ["Mc.run"]) when
     [n < 1], [rounds < 1], [crashes] or [churn] is outside [[0, n]],
-    [churn > 0] for {!Ms_weakset}, [max_delay < 1] or
-    [ops_per_client < 0]. *)
+    [churn > 0] for {!Ms_weakset}, [max_delay < 1],
+    [ops_per_client < 0], or an [env] {!Anon_giraf.Env.validate} rejects
+    (GST below 1). *)
 
 val pp_report : Format.formatter -> report -> unit
 val report_json : report -> Anon_obs.Json.t

@@ -7,9 +7,22 @@
     consensus ({!Consensus_sys}) and weak-set ({!Ws_sys}) families share:
     the crash and churn fates of each view, plan enumeration with the
     armed-plan markers, the one process-view writer behind both [key] and
-    [key_full], and the incremental digest. A family supplies only what
-    differs: its transition and the judge it feeds, extra view fields, the
-    global facts, when a branch closes, and the pid-indexed snapshot. *)
+    [key_full], the incremental digest, and successor keys predicted
+    without stepping. A family supplies only what differs: its transition
+    and the judge it feeds, extra view fields, the global facts, when a
+    branch closes, and the pid-indexed snapshot.
+
+    {b Predicted successors.} A process's next view is a function of its
+    view, the round, the multiset of messages it receives, whether it is
+    the ESS stable source after the plan, whether it crashes at the end
+    of the round, and, if it will rejoin, its input. [expand] keeps a per-exploration memo from that
+    transition to the post-view digest, or to {e loud} when the process
+    fed the judge; deliveries come from {!Anon_giraf.Intf.CORE.preview},
+    a dry run of the real dispatch. When all [n] transitions of a plan
+    are known and quiet, the successor's key is the parent's global facts
+    with the post-view digests summed, and the branch is
+    {!Explore.Predicted}; otherwise it is stepped, and teaches its [n]
+    transitions (DESIGN.md §10). *)
 
 module type FAMILY = sig
   module Core : Anon_giraf.Intf.CORE
@@ -32,8 +45,14 @@ module type FAMILY = sig
 
   val init : unit -> node
 
-  val step : node -> Anon_giraf.Adversary.plan -> node * Anon_giraf.Checker.violation list
-  (** One transition on a copy, with the safety violations it commits. *)
+  val step :
+    node -> Anon_giraf.Adversary.plan -> node * Anon_giraf.Checker.violation list * int list
+  (** One transition on a copy, with the safety violations it commits
+      and the pids that fed the judge in it (consensus: the deciders;
+      weak set: the clients that invoked an add, ran a get or completed
+      an add). A transition of any other process leaves the judge, and
+      so the global facts, untouched — what lets {!make}'s [expand]
+      predict successor keys without stepping. *)
 
   val view_extra : Canon.Digest.stream -> node -> int -> unit
   (** Family fields of a live process's view, written after its fates. *)

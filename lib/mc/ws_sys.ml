@@ -56,7 +56,8 @@ struct
      (op_time = 2k + 1; adds invoked as the phase runs, gets judged after
      every invocation of the phase is recorded), then round [k+1]'s
      compute, completing adds whose BLOCK flag cleared at
-     compute_time = 2(k+1). *)
+     compute_time = 2(k+1). Every client that ran a get, invoked an add
+     or completed one is a loud pid of the transition. *)
   let step nd (plan : G.Adversary.plan) =
     let svc = Svc.copy nd.svc in
     ignore
@@ -64,9 +65,12 @@ struct
     let k = Core.round (Svc.core svc) in
     let inv = ref nd.inv in
     let gets = ref [] in
+    let loud = ref [] in
     Svc.ops svc
       ~on_get:(fun ~pid ~result -> gets := (pid, result) :: !gets)
-      ~on_add:(fun ~pid:_ ~value -> inv := Judge.invoke_add !inv value);
+      ~on_add:(fun ~pid ~value ->
+        inv := Judge.invoke_add !inv value;
+        loud := pid :: !loud);
     let op_time = (2 * k) + 1 in
     let viols =
       List.concat_map
@@ -78,10 +82,11 @@ struct
     in
     Svc.begin_round svc;
     ignore
-      (Svc.compute svc ~on_add_complete:(fun ~pid:_ ~value ~invoked_round:_ ->
-           inv := Judge.complete_add !inv value ~time:(2 * (k + 1)))
+      (Svc.compute svc ~on_add_complete:(fun ~pid ~value ~invoked_round:_ ->
+           inv := Judge.complete_add !inv value ~time:(2 * (k + 1));
+           loud := pid :: !loud)
         : S.msg G.Dispatch.outbound list);
-    ({ svc; inv = !inv }, viols)
+    ({ svc; inv = !inv }, viols, List.map fst !gets @ !loud)
 
   let write_op st (start, op) =
     D.feed_int st start;

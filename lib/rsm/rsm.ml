@@ -15,6 +15,7 @@ type config = {
 let validate ?(where = "Rsm.validate") config =
   let fail what = G.Config_error.fail ~where what in
   G.Churn.validate ~where ~n:config.n ~crash:config.crash ~churn:config.churn ();
+  G.Env.validate ~where (G.Adversary.env (config.adversary 0));
   if config.window < 1 then
     fail (Printf.sprintf "window must be >= 1 (got %d)" config.window);
   if config.batch < 1 then

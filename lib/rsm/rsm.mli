@@ -52,7 +52,8 @@ val validate : ?where:string -> config -> unit
 (** Raises {!Anon_giraf.Config_error.Invalid_config} (default [where]:
     ["Rsm.validate"]) on [n < 1], [window < 1], [batch < 1],
     [batch > window], [horizon < 1], crash/churn schedules sized other
-    than [n], or a pid appearing in both schedules. *)
+    than [n], a pid appearing in both schedules, or an instance
+    environment {!Anon_giraf.Env.validate} rejects (GST below 1). *)
 
 val instance_seed : seed:int -> instance:int -> int
 (** The seed instance [k] runs at — exported so differential tests can

@@ -559,6 +559,12 @@ let test_count_validation () =
         "Fuzz.campaign",
         fun () -> ignore (Anon_chaos.Fuzz.campaign ~runs:(-2) ~seed:1 ()) );
       ("metrics --runs=-1", "Runs.seeds", fun () -> ignore (Anon_harness.Runs.seeds (-1)));
+      ( "run/metrics --gst=-1",
+        "Runner.default_config",
+        fun () ->
+          ignore
+            (G.Runner.default_config ~inputs:[ 1; 2 ] ~crash:(G.Crash.none ~n:2)
+               (G.Adversary.es ~gst:(-1) ())) );
       ( "weakset --ops=-1",
         "Service_runner.random_workload",
         fun () ->

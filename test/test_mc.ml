@@ -1,6 +1,7 @@
 (* Tests for the model checker: verdicts on known-good configurations,
-   symmetry reduction, determinism across worker counts, and the
-   counterexample-to-chaos-replay loop. *)
+   symmetry reduction, successor keys predicted without stepping,
+   determinism across worker counts, and the counterexample-to-chaos-replay
+   loop. *)
 
 module G = Anon_giraf
 module Mc = Anon_mc.Mc
@@ -116,6 +117,137 @@ let test_digest_incremental_matches_full () =
       (Canon.Digest.key !d ~round ~global)
   done
 
+(* The benchmark's mc-es workload: the counts the predicted search must
+   keep. *)
+let test_es_gst6_pinned () =
+  let r =
+    Mc.run
+      (config ~n:3 ~env:(G.Env.Es { gst = 6 }) ~rounds:10 ~jobs:(Some 1) ())
+  in
+  check_bool "verified" true (r.Mc.verdict = Mc.Verified);
+  check_int "raw states" 20056 r.Mc.stats.Explore.raw_states;
+  check_int "canonical states" 753 r.Mc.stats.Explore.canonical_states
+
+(* --- predicted successors ------------------------------------------------------ *)
+
+(* The reference the predicted search must agree with: every predicted
+   branch built with [apply], after checking that the prediction named
+   the built successor's key (a plain exception: at [jobs > 1] this runs
+   in worker domains). *)
+module Eager (S : Explore.SYSTEM) : Explore.SYSTEM with type sys = S.sys = struct
+  include S
+
+  let expand s =
+    List.map
+      (function
+        | Explore.Stepped _ as b -> b
+        | Explore.Predicted { plan; key } ->
+          let sys = S.apply s plan in
+          if not (String.equal (S.key sys) key) then
+            failwith "predicted key <> key (apply s plan)";
+          Explore.Stepped { plan; sys; violations = [] })
+      (S.expand s)
+end
+
+let crash_events ~n evs =
+  G.Crash.of_events ~n
+    (List.map
+       (fun (pid, round) -> { G.Crash.pid; round; broadcast = G.Crash.Broadcast_subset })
+       evs)
+
+let consensus_sys ?(model = (module Anon_consensus.Es_consensus : Anon_mc.Consensus_sys.MODEL))
+    ?(crash = []) ?(churn = []) ?(max_delay = 1) ?(armed = false) env =
+  Anon_mc.Consensus_sys.make model
+    {
+      Anon_mc.Consensus_sys.inputs = [ 3; 1; 2 ];
+      crash = crash_events ~n:3 crash;
+      churn = G.Churn.of_events ~n:3 churn;
+      env;
+      max_delay;
+      armed;
+    }
+
+let ws_sys ~n ?(max_delay = 1) env =
+  Anon_mc.Ws_sys.make
+    {
+      Anon_mc.Ws_sys.n;
+      crash = G.Crash.none ~n;
+      env;
+      max_delay;
+      armed = false;
+      ops_per_client = 1;
+    }
+
+type search = Bfs of int | Dfs
+
+(* Stats, violation witness and non-deciding witness of the predicted
+   search equal the eager reference's. *)
+let prediction_case (label, sys, depth, searches) =
+  Alcotest.test_case label `Quick (fun () ->
+      let (module S : Explore.SYSTEM) = sys in
+      List.iter
+        (fun search ->
+          let run (module X : Explore.SYSTEM) =
+            match search with
+            | Bfs jobs -> Explore.bfs ~jobs ~depth (module X)
+            | Dfs -> Explore.dfs ~depth (module X)
+          in
+          let name =
+            match search with Bfs j -> Printf.sprintf "bfs jobs=%d" j | Dfs -> "dfs"
+          in
+          let predicted = run (module S) and eager = run (module Eager (S)) in
+          check_bool (name ^ ": same stats") true (predicted.Explore.stats = eager.Explore.stats);
+          check_bool (name ^ ": same violation") true
+            (predicted.Explore.violation = eager.Explore.violation);
+          check_bool (name ^ ": same non-deciding branch") true
+            (predicted.Explore.non_deciding = eager.Explore.non_deciding))
+        searches)
+
+let prediction_cases =
+  let es g = G.Env.Es { gst = g } in
+  [
+    ("ES n=3 depth 10 gst 6", consensus_sys (es 6), 10, [ Bfs 1; Bfs 4; Dfs ]);
+    ("ES 1 crash", consensus_sys ~crash:[ (1, 2) ] (es 2), 6, [ Bfs 1; Bfs 4 ]);
+    ("ES 2 crashes", consensus_sys ~crash:[ (0, 1); (2, 3) ] (es 2), 6, [ Bfs 1; Dfs ]);
+    ( "ESS n=3 depth 4",
+      consensus_sys ~model:(module Anon_consensus.Ess_consensus) (G.Env.Ess { gst = 2 }),
+      4,
+      [ Bfs 1 ] );
+    ("weak set n=3", ws_sys ~n:3 G.Env.Ms, 4, [ Bfs 1; Dfs ]);
+    (* Equal Away views rejoin from different inputs. *)
+    ( "churn 2, same rounds",
+      consensus_sys
+        ~churn:
+          [
+            { G.Churn.pid = 0; leave = 2; rejoin = Some 3 };
+            { G.Churn.pid = 2; leave = 2; rejoin = Some 3 };
+          ]
+        (es 3),
+      5,
+      [ Bfs 1; Bfs 4; Dfs ] );
+    (* ... and leave from converged, equal Live views. *)
+    ( "churn 2, converged before leaving",
+      consensus_sys
+        ~churn:
+          [
+            { G.Churn.pid = 0; leave = 6; rejoin = Some 7 };
+            { G.Churn.pid = 2; leave = 6; rejoin = Some 7 };
+          ]
+        (es 10),
+      7,
+      [ Bfs 1; Bfs 4; Dfs ] );
+    (* A crasher that decides in its crash round shows [H] and becomes
+       [X]; another [H] stays [H]. *)
+    ("decision in the crash round", consensus_sys ~crash:[ (1, 5) ] G.Env.Ms, 5, [ Bfs 1 ]);
+    ( "dynamic:2",
+      consensus_sys (G.Env.Dynamic { stability = 2; rooted = true }),
+      6,
+      [ Bfs 1 ] );
+    ("armed", consensus_sys ~armed:true (es 2), 5, [ Bfs 1; Dfs ]);
+    ("max_delay 2", consensus_sys ~max_delay:2 (es 3), 6, [ Bfs 1 ]);
+    ("weak set max_delay 2", ws_sys ~n:2 ~max_delay:2 G.Env.Ms, 4, [ Bfs 1 ]);
+  ]
+
 (* --- bounded verdicts and their witnesses ------------------------------------- *)
 
 let test_es_shallow_bounded_witness_replays () =
@@ -222,6 +354,8 @@ let test_invalid_configs_rejected () =
       ("negative max_delay", { ok with max_delay = -1 });
       ("max_delay = 0", { ok with max_delay = 0 });
       ("negative ops_per_client", { ws with ops_per_client = -1 });
+      ("gst = 0", { ok with env = G.Env.Es { gst = 0 } });
+      ("negative ess gst", { ok with algo = Mc.Ess; env = G.Env.Ess { gst = -1 } });
     ]
 
 let () =
@@ -240,7 +374,9 @@ let () =
             test_ws_n3_reduction_pinned;
           Alcotest.test_case "digest: incremental = full rehash" `Quick
             test_digest_incremental_matches_full;
+          Alcotest.test_case "ES n=3 gst 6 depth 10 pinned" `Quick test_es_gst6_pinned;
         ] );
+      ("prediction", List.map prediction_case prediction_cases);
       ( "witnesses",
         [
           Alcotest.test_case "shallow ES bounded witness replays" `Quick

@@ -1,9 +1,11 @@
 (* Differential test: the runner path and the model-checker stepper are two
-   views of ONE lockstep semantics. We sample admissible plan paths from the
-   MC stepper (all four algorithms, static and dynamic environments, crash
-   and churn schedules, fixed seeds), replay the identical plans through the
-   runner via [Adversary.of_schedule], and assert byte-identical per-round
-   states and decisions.
+   views of ONE lockstep semantics. We sample plan paths from the MC stepper
+   (all four algorithms, static and dynamic environments, crash and churn
+   schedules, armed plans, fixed seeds), replay the identical plans through
+   the runner via [Adversary.of_schedule], and assert byte-identical
+   per-round states and decisions. Along the way every node's key is
+   checked against a full rehash, and every successor key the stepper
+   predicted without stepping against the key of the built successor.
 
    The MC side renders each node with [Explore.SYSTEM_DEBUG.snapshot]
    (pid-indexed fate + state key + global facts); the runner side
@@ -37,13 +39,28 @@ let sample_path (module Sys : Anon_mc.Explore.SYSTEM_DEBUG) ~rng ~depth =
   let check_digest s =
     check_string "incremental key = full rehash" (Sys.key_full s) (Sys.key s)
   in
+  (* ... and a prediction check: every branch whose key [expand] predicted
+     without stepping must name the key of the successor [apply] builds. *)
+  let check_predictions s branches =
+    List.iter
+      (function
+        | Anon_mc.Explore.Predicted { plan; key } ->
+          check_string "predicted key = key (apply s plan)" (Sys.key (Sys.apply s plan)) key
+        | Anon_mc.Explore.Stepped _ -> ())
+      branches
+  in
   let rec go s plans snaps steps =
     if steps = 0 || Sys.terminal s then (List.rev plans, List.rev snaps)
     else
       match Sys.expand s with
       | [] -> (List.rev plans, List.rev snaps)
-      | succs ->
-        let plan, s', _ = List.nth succs (K.Rng.int rng (List.length succs)) in
+      | branches ->
+        check_predictions s branches;
+        let plan, s' =
+          match List.nth branches (K.Rng.int rng (List.length branches)) with
+          | Anon_mc.Explore.Stepped { plan; sys; _ } -> (plan, sys)
+          | Anon_mc.Explore.Predicted { plan; _ } -> (plan, Sys.apply s plan)
+        in
         check_digest s';
         go s' (plan :: plans) (Sys.snapshot s' :: snaps) (steps - 1)
   in
@@ -54,12 +71,10 @@ let sample_path (module Sys : Anon_mc.Explore.SYSTEM_DEBUG) ~rng ~depth =
 
 (* --- consensus ---------------------------------------------------------- *)
 
-let consensus_diff (module A : Mc_cs.MODEL) ~label ~env ~inputs ~crash ~churn
-    ~max_delay ~depth ~seed () =
+let consensus_diff (module A : Mc_cs.MODEL) ?(armed = false) ~label ~env ~inputs
+    ~crash ~churn ~max_delay ~depth ~seed () =
   let module Sys =
-    (val Mc_cs.make_probe
-           (module A)
-           { Mc_cs.inputs; crash; churn; env; max_delay; armed = false })
+    (val Mc_cs.make_probe (module A) { Mc_cs.inputs; crash; churn; env; max_delay; armed })
   in
   let rng = K.Rng.make seed in
   let plans, mc_snaps = sample_path (module Sys) ~rng ~depth in
@@ -350,16 +365,70 @@ let ws_cases =
     ("ws ms delay2", G.Env.Ms, 2, G.Crash.none ~n:2, 2, 1, 4, [ 25 ]);
   ]
 
+(* Walks where a predicted key is easy to get wrong: two churners whose
+   equal Away views rejoin from different inputs, a crasher that decides
+   in its crash round (view [H], then [X]), and armed plans. *)
+let churn2_same_rounds ~leave ~rejoin =
+  G.Churn.of_events ~n:3
+    [
+      { G.Churn.pid = 0; leave; rejoin = Some rejoin };
+      { G.Churn.pid = 2; leave; rejoin = Some rejoin };
+    ]
+
+let prediction_cases =
+  [
+    ( "es churn-2 same rounds",
+      es,
+      false,
+      G.Env.Es { gst = 3 },
+      crash_none,
+      churn2_same_rounds ~leave:2 ~rejoin:3,
+      5,
+      [ 31; 32; 33; 34 ] );
+    (* Timely rounds before GST can make the two churners' Live views
+       equal before they leave, so only their inputs tell the two
+       departures apart. *)
+    ( "es churn-2 converged, leave 6 rejoin 7",
+      es,
+      false,
+      G.Env.Es { gst = 10 },
+      crash_none,
+      churn2_same_rounds ~leave:6 ~rejoin:7,
+      7,
+      [ 46; 47; 49; 54 ] );
+    ( "es ms decide in crash round",
+      es,
+      false,
+      G.Env.Ms,
+      crash1 G.Crash.Broadcast_subset 5,
+      churn_none,
+      5,
+      [ 35; 36; 37; 38 ] );
+    ("es armed", es, true, G.Env.Es { gst = 2 }, crash_none, churn_none, 5, [ 39; 40 ]);
+    ( "ess armed crash",
+      ess,
+      true,
+      G.Env.Ess { gst = 2 },
+      crash1 G.Crash.Broadcast_subset 3,
+      churn_none,
+      5,
+      [ 41; 42 ] );
+  ]
+
 let consensus_tests =
   List.map
-    (fun (label, model, env, crash, churn, depth, seeds) ->
+    (fun (label, model, armed, env, crash, churn, depth, seeds) ->
       Alcotest.test_case label `Quick (fun () ->
           List.iter
             (fun seed ->
-              consensus_diff model ~label ~env ~inputs:inputs3 ~crash ~churn
+              consensus_diff model ~armed ~label ~env ~inputs:inputs3 ~crash ~churn
                 ~max_delay:1 ~depth ~seed ())
             seeds))
-    consensus_cases
+    (List.map
+       (fun (label, model, env, crash, churn, depth, seeds) ->
+         (label, model, false, env, crash, churn, depth, seeds))
+       consensus_cases
+    @ prediction_cases)
 
 let ws_tests =
   List.map
