@@ -22,6 +22,20 @@ module Ch = Anon_chaos
 
 let ppf = Format.std_formatter
 
+(* Every subcommand's EXIT STATUS section. A command-line parse error,
+   which cmdliner reports as [Cmd.Exit.cli_error], exits 2 like every other
+   invalid input (see the entry point). *)
+let exits =
+  [
+    Cmd.Exit.info 0 ~doc:"on success.";
+    Cmd.Exit.info 1
+      ~doc:"on a safety violation, a fuzz finding, a replay mismatch, a benchmark \
+            regression, or an output file that cannot be written.";
+    Cmd.Exit.info 2
+      ~doc:"on invalid input: a command-line parse error or an invalid \
+            configuration.";
+  ]
+
 (* --- shared options ------------------------------------------------------- *)
 
 let n_arg =
@@ -292,7 +306,7 @@ let run_cmd =
           let module R = G.Runner.Make (C.Ess_consensus) in
           report_outcome ~rounds (R.run ~recorder config))
   in
-  Cmd.v (Cmd.info "run" ~doc:"Run one consensus simulation.")
+  Cmd.v (Cmd.info "run" ~exits ~doc:"Run one consensus simulation.")
     Term.(
       const run $ algo_arg $ schedule_arg $ env_override_arg $ churn_spec_arg
       $ n_arg $ gst_arg $ seed_arg $ horizon_arg () $ failures_arg
@@ -335,7 +349,7 @@ let weakset_cmd =
   let ops_arg =
     Arg.(value & opt int 6 & info [ "ops" ] ~docv:"OPS" ~doc:"Operations per client.")
   in
-  Cmd.v (Cmd.info "weakset" ~doc:"Drive the MS weak-set (Alg. 4).")
+  Cmd.v (Cmd.info "weakset" ~exits ~doc:"Drive the MS weak-set (Alg. 4).")
     Term.(
       const run $ n_arg $ seed_arg $ horizon_arg ~default:120 () $ failures_arg
       $ ops_arg $ trace_arg $ metrics_arg $ json_trace_arg)
@@ -360,7 +374,7 @@ let emulate_cmd =
     Format.fprintf ppf "MS property over emulated rounds: %s@."
       (if env = [] then "ok (Thm. 4 holds)" else string_of_int (List.length env) ^ " violations")
   in
-  Cmd.v (Cmd.info "emulate" ~doc:"Emulate MS from a weak-set (Alg. 5).")
+  Cmd.v (Cmd.info "emulate" ~exits ~doc:"Emulate MS from a weak-set (Alg. 5).")
     Term.(const run $ n_arg $ seed_arg
           $ Arg.(value & opt int 60 & info [ "rounds" ] ~doc:"Emulated rounds."))
 
@@ -393,7 +407,7 @@ let skew_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "skew"
+    (Cmd.info "skew" ~exits
        ~doc:"Run ES consensus with unsynchronized rounds (relay semantics).")
     Term.(
       const run $ n_arg $ seed_arg
@@ -411,7 +425,7 @@ let sigma_cmd =
         Format.fprintf ppf "%-28s %a@." Cand.name C.Sigma.pp_verdict verdict)
       C.Sigma.builtin_candidates
   in
-  Cmd.v (Cmd.info "sigma" ~doc:"Prop. 4: defeat candidate Σ emulators.")
+  Cmd.v (Cmd.info "sigma" ~exits ~doc:"Prop. 4: defeat candidate Σ emulators.")
     Term.(const run $ horizon_arg ~default:200 ())
 
 (* --- metrics --------------------------------------------------------------- *)
@@ -470,7 +484,7 @@ let metrics_cmd =
                    histogram summaries) as JSON to $(docv).")
   in
   Cmd.v
-    (Cmd.info "metrics"
+    (Cmd.info "metrics" ~exits
        ~doc:"Run a batch with instrumentation on; print the merged metrics.")
     Term.(
       const run $ algo_arg $ schedule_arg $ n_arg $ gst_arg $ seed_arg
@@ -555,7 +569,7 @@ let fuzz_cmd =
                    violations reproduce identically.")
   in
   Cmd.v
-    (Cmd.info "fuzz"
+    (Cmd.info "fuzz" ~exits
        ~doc:"Fuzz random configurations against the checker; shrink and save \
              counterexamples.")
     Term.(const run $ runs_arg $ seed_arg $ inadmissible_arg $ dynamic_arg
@@ -689,7 +703,7 @@ let mc_cmd =
                    states/sec, dedup hit-rate).")
   in
   Cmd.v
-    (Cmd.info "mc"
+    (Cmd.info "mc" ~exits
        ~doc:"Exhaustively model-check bounded schedules (symmetry-reduced); exits 1 \
              iff a violation is found.")
     Term.(
@@ -869,7 +883,7 @@ let load_cmd =
                    per rate) for $(b,anonc bench diff).")
   in
   Cmd.v
-    (Cmd.info "load"
+    (Cmd.info "load" ~exits
        ~doc:"Drive the multi-shot consensus service with an open-loop \
              workload; exits 1 on a safety violation, 2 on invalid \
              parameters.")
@@ -1256,7 +1270,7 @@ let live_cmd =
          & info [ "label" ] ~docv:"LABEL" ~doc:"Baseline label for --bench-out.")
   in
   Cmd.v
-    (Cmd.info "live"
+    (Cmd.info "live" ~exits
        ~doc:"Run consensus on the live async backend: one event loop on the \
              wall clock, every process at its own pace, wire-level fault \
              injection, and adaptive timeouts standing in for GST. Exits 1 \
@@ -1316,13 +1330,13 @@ let bench_cmd =
   in
   let diff_cmd =
     Cmd.v
-      (Cmd.info "diff"
+      (Cmd.info "diff" ~exits
          ~doc:"Compare two persisted bench baselines row by row; exits 1 iff a \
                row regressed beyond the threshold, 2 on unreadable/incomparable \
                baselines.")
       Term.(const diff_run $ old_arg $ new_arg $ threshold_arg $ force_arg)
   in
-  Cmd.group (Cmd.info "bench" ~doc:"Benchmark baseline tooling.") [ diff_cmd ]
+  Cmd.group (Cmd.info "bench" ~exits ~doc:"Benchmark baseline tooling.") [ diff_cmd ]
 
 (* --- experiment / list ---------------------------------------------------- *)
 
@@ -1353,7 +1367,7 @@ let experiment_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (default: all).")
   in
   let csv_arg = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of a table.") in
-  Cmd.v (Cmd.info "experiment" ~doc:"Regenerate experiment tables.")
+  Cmd.v (Cmd.info "experiment" ~exits ~doc:"Regenerate experiment tables.")
     Term.(const run $ ids_arg $ csv_arg $ jobs_arg)
 
 let list_cmd =
@@ -1373,11 +1387,11 @@ let list_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit ids and titles as JSON.")
   in
-  Cmd.v (Cmd.info "list" ~doc:"List experiment ids.") Term.(const run $ json_arg)
+  Cmd.v (Cmd.info "list" ~exits ~doc:"List experiment ids.") Term.(const run $ json_arg)
 
 let () =
   let info =
-    Cmd.info "anonc" ~version:"1.0.0"
+    Cmd.info "anonc" ~exits ~version:"1.0.0"
       ~doc:"Fault-tolerant consensus in unknown and anonymous networks (ICDCS'09 reproduction)."
   in
   let group =
@@ -1387,6 +1401,7 @@ let () =
         list_cmd ]
   in
   match Cmd.eval ~catch:false group with
+  | code when code = Cmd.Exit.cli_error -> exit 2
   | code -> exit code
   | exception G.Config_error.Invalid_config e ->
     Format.eprintf "anonc: invalid configuration — %s@." (G.Config_error.to_string e);

@@ -2,8 +2,16 @@
 
     A history is the sequence of values a process has appended to its
     [HISTORY] variable, one per round. Histories are interned so that
-    equality is O(1), hashing is O(1), and the prefix walks required by
-    the counter table (Alg. 3 line 9) are O(length difference).
+    equality and hashing are O(1).
+
+    The intern trie is cut into {e runs}: maximal first-child paths. A
+    history joins its parent's run iff it is the first child of that
+    parent interned in the current scope; otherwise it starts a run of its
+    own. Ids grow with depth along a run, so the members of run R with an
+    id at most [id h] are exactly [h]'s ancestors-or-self on R. Walking
+    from [h] to the root visits one run per branch point on the way
+    ({!run}, {!run_parent}); {!is_prefix} and the counter table's line-9
+    lookup (Alg. 3) walk runs instead of parent links.
 
     The intern table is {e domain-local}: each domain of the execution
     pool (lib/exec) interns into its own table, so parallel simulations
@@ -37,6 +45,16 @@ val parent : t -> t
 (** The history without its last value; [parent empty] is [empty].
     Walking [parent] links visits every prefix without allocating. *)
 
+val run : t -> int
+(** The id of the head of [h]'s run: [h]'s highest ancestor-or-self that
+    shares its run. [empty] heads run 0. Like ids, runs are per interner
+    scope. *)
+
+val run_parent : t -> t
+(** The parent of the head of [h]'s run: [h]'s deepest ancestor on another
+    run, which has an id below [run h]. For the members of run 0 it is
+    [empty] (as [parent empty] is). *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Arbitrary total order (by intern id), suitable for [Map]/[Set] keys.
@@ -50,7 +68,8 @@ val hash : t -> int
 
 val is_prefix : prefix:t -> t -> bool
 (** [is_prefix ~prefix:h1 h2] holds iff [h1] is a (not necessarily proper)
-    prefix of [h2]. [empty] is a prefix of everything. *)
+    prefix of [h2]. [empty] is a prefix of everything. O(runs on [h2]'s
+    path above [h1]). *)
 
 val prefixes : t -> t list
 (** All prefixes of [h] from [empty] up to and including [h] itself,

@@ -44,6 +44,7 @@ type kernel_baseline = {
   intern_misses : int;
   min_merges : int;
   prefix_bumps : int;
+  table_slots : int;
 }
 
 let kernel_baseline () =
@@ -52,6 +53,7 @@ let kernel_baseline () =
     intern_misses = History.intern_misses ();
     min_merges = Counter_table.min_merge_ops ();
     prefix_bumps = Counter_table.prefix_bump_ops ();
+    table_slots = Counter_table.slot_visits ();
   }
 
 let record_kernel t b =
@@ -66,5 +68,6 @@ let record_kernel t b =
       b.min_merges;
     record "kernel.counter_table.prefix_bumps"
       (Counter_table.prefix_bump_ops ())
-      b.prefix_bumps
+      b.prefix_bumps;
+    record "kernel.counter_table.slots" (Counter_table.slot_visits ()) b.table_slots
   end

@@ -48,10 +48,12 @@ val gauge : t -> string -> Metrics.gauge
 type kernel_baseline
 
 val kernel_baseline : unit -> kernel_baseline
-(** Sample the kernel's global instrumentation counters (cheap: four int
+(** Sample the kernel's global instrumentation counters (cheap: five int
     reads). *)
 
 val record_kernel : t -> kernel_baseline -> unit
 (** Record the deltas since [kernel_baseline] as counters
     [kernel.history.intern_hits], [kernel.history.intern_misses],
-    [kernel.counter_table.min_merges], [kernel.counter_table.prefix_bumps]. *)
+    [kernel.counter_table.min_merges], [kernel.counter_table.prefix_bumps]
+    and [kernel.counter_table.slots] (entries the table kernels visited,
+    {!Anon_kernel.Counter_table.slot_visits}). *)

@@ -119,6 +119,27 @@ let test_blocking_tracks_stabilization () =
         check_bool "within stabilization + 8" true (r <= gst + 8))
     [ 6; 20; 50 ]
 
+(* Line 8 and 9 work per round must not grow with the round: the entries
+   the counter-table kernels visit per executed round at GST 2000 stay
+   within 2x of GST 250. *)
+let test_counter_work_flat () =
+  let per_round gst =
+    let config =
+      G.Runner.default_config ~horizon:(gst + 100) ~inputs:(ordered 5)
+        ~crash:(G.Crash.none ~n:5)
+        (G.Adversary.ess_blocking ~gst ())
+    in
+    let before = Counter_table.slot_visits () in
+    let out = R.run config in
+    check_bool "decided" true out.all_correct_decided;
+    float_of_int (Counter_table.slot_visits () - before) /. float_of_int out.rounds_executed
+  in
+  let early = per_round 250 and late = per_round 2000 in
+  check_bool
+    (Printf.sprintf "slots/round %.1f at GST 2000 <= 2 x %.1f at GST 250" late early)
+    true
+    (late <= 2. *. early)
+
 let test_leader_set_stabilizes () =
   let n = 6 in
   let gst = 12 in
@@ -308,6 +329,7 @@ let () =
         [
           Alcotest.test_case "sync replay" `Quick test_sync_replay;
           Alcotest.test_case "tracks stabilization" `Quick test_blocking_tracks_stabilization;
+          Alcotest.test_case "counter work per round is flat" `Quick test_counter_work_flat;
           Alcotest.test_case "leader set stabilizes" `Quick test_leader_set_stabilizes;
           Alcotest.test_case "terminates under ESS" `Quick test_ess_terminates;
         ] );

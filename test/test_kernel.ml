@@ -279,7 +279,10 @@ module Ref_table = struct
   let bump t h =
     set t h (1 + List.fold_left (fun acc p -> max acc (get t p)) 0 (History.prefixes h))
 
-  let is_max t h = get t h >= M.fold (fun _ c acc -> max acc c) t 0
+  (* Folds the table once per partial application. *)
+  let is_max t =
+    let peak = M.fold (fun _ c acc -> max acc c) t 0 in
+    fun h -> get t h >= peak
 
   let max_binding t =
     M.fold
@@ -299,6 +302,10 @@ type ct_op =
   | Max_merge of int list
   | Bump of int * int  (* table, history *)
   | Bump_all of int * int list  (* table, histories in inbox order *)
+  | Bump_prefix of int * int * int  (* table, history, levels up *)
+  | Twin of int  (* table, rebuilt by other ops with equal content *)
+  | Twin_merge of int  (* min_merge of a table's twin and the table *)
+  | Trim of int * int  (* table, entries removed from the top id down *)
 
 let pp_ct_op = function
   | Set (t, h, c) -> Printf.sprintf "set t%d h%d %d" t h c
@@ -307,6 +314,10 @@ let pp_ct_op = function
   | Bump (t, h) -> Printf.sprintf "bump t%d h%d" t h
   | Bump_all (t, hs) ->
     Printf.sprintf "bump_all t%d [%s]" t (String.concat ";" (List.map string_of_int hs))
+  | Bump_prefix (t, h, up) -> Printf.sprintf "bump t%d (h%d up %d)" t h up
+  | Twin t -> Printf.sprintf "twin t%d" t
+  | Twin_merge t -> Printf.sprintf "min_merge [twin t%d; t%d]" t t
+  | Trim (t, k) -> Printf.sprintf "trim t%d by %d" t k
 
 (* Every history over {0,1,2} up to length 4, [empty] included: plenty of
    prefix chains, and enough keys for tables that span several storage
@@ -319,17 +330,45 @@ let ct_universe seed =
   in
   Array.of_list (List.map History.of_list (Rng.shuffle (Rng.make seed) (words 4)))
 
-let prop_ct_differential =
+(* Several lineages at least [depth] deep: each branches off an earlier
+   one at a random depth and then appends random values. Interned one
+   lineage after another, so every later branch starts a new run, and
+   there are enough keys for tables that span every tree level. *)
+let ct_deep_universe seed =
+  let rng = Rng.make seed and depth = 320 in
+  let lineages = Array.make 8 History.empty in
+  let all = ref [ History.empty ] in
+  let append h v =
+    h := History.snoc !h v;
+    all := !h :: !all
+  in
+  for k = 0 to Array.length lineages - 1 do
+    let h = ref (if k = 0 then History.empty else lineages.(Rng.int rng k)) in
+    (* Walk up to a random depth, then branch with a value no other
+       lineage takes. *)
+    let branch = Rng.int rng depth in
+    while History.length !h > branch do h := History.parent !h done;
+    append h (3 + k);
+    for _ = History.length !h to depth + Rng.int rng 8 do append h (Rng.int rng 3) done;
+    lineages.(k) <- !h
+  done;
+  Array.of_list (List.rev !all)
+
+(* Checks the table against the map model after every op of a random
+   sequence over the histories [universe seed]; [ops] adds generators to
+   the five every universe draws from. *)
+let ct_differential ~name ~count ~ops universe =
   let op_gen =
     QCheck.Gen.(
       frequency
-        [
-          (3, map3 (fun t h c -> Set (t, h, c)) nat nat (int_bound 4));
-          (2, map (fun ts -> Min_merge ts) (list_size (int_bound 4) nat));
-          (1, map (fun ts -> Max_merge ts) (list_size (int_bound 4) nat));
-          (3, map2 (fun t h -> Bump (t, h)) nat nat);
-          (2, map2 (fun t hs -> Bump_all (t, hs)) nat (list_size (int_bound 5) nat));
-        ])
+        ([
+           (3, map3 (fun t h c -> Set (t, h, c)) nat nat (int_bound 4));
+           (2, map (fun ts -> Min_merge ts) (list_size (int_bound 4) nat));
+           (1, map (fun ts -> Max_merge ts) (list_size (int_bound 4) nat));
+           (3, map2 (fun t h -> Bump (t, h)) nat nat);
+           (2, map2 (fun t hs -> Bump_all (t, hs)) nat (list_size (int_bound 5) nat));
+         ]
+        @ ops))
   in
   let arb =
     QCheck.make
@@ -337,13 +376,13 @@ let prop_ct_differential =
         Printf.sprintf "seed %d: %s" seed (String.concat ", " (List.map pp_ct_op ops)))
       QCheck.Gen.(pair small_nat (list_size (int_range 1 40) op_gen))
   in
-  QCheck.Test.make ~name:"flat table = map model after every op" ~count:200 arb
+  QCheck.Test.make ~name ~count arb
     (fun (seed, ops) ->
       History.with_fresh_interner (fun () ->
-          let hs = ct_universe seed in
+          let hs = universe seed in
           let h i = hs.(i mod Array.length hs) in
           (* Besides [empty], two dense tables over a random ~4/5 of the
-             universe: about a hundred entries, more than one segment. *)
+             universe: more than one segment. *)
           let dense rng =
             Array.fold_left
               (fun (t, r) h ->
@@ -354,15 +393,22 @@ let prop_ct_differential =
           let rng = Rng.make seed in
           let pool = ref [| (Counter_table.empty, Ref_table.empty); dense rng; dense rng |] in
           let nth i = !pool.(i mod Array.length !pool) in
+          (* The same bindings, set one by one in id order. *)
+          let twin t =
+            List.fold_left
+              (fun acc (h, c) -> Counter_table.set acc h c)
+              Counter_table.empty (Counter_table.bindings t)
+          in
           let sign x = Int.compare x 0 in
           let agrees (t, r) =
             let same_binding (h, c) (h', c') = History.equal h h' && c = c' in
+            let is_max_r = Ref_table.is_max r in
             List.equal same_binding (Counter_table.bindings t) (Ref_table.M.bindings r)
             && Counter_table.cardinal t = Ref_table.M.cardinal r
             && Array.for_all
                  (fun h ->
                    Counter_table.get t h = Ref_table.get r h
-                   && Counter_table.is_max t h = Ref_table.is_max r h)
+                   && Counter_table.is_max t h = is_max_r h)
                  hs
             && Option.equal same_binding (Counter_table.max_binding t) (Ref_table.max_binding r)
             && Array.for_all
@@ -391,11 +437,71 @@ let prop_ct_differential =
                   let t, r = nth i in
                   let hs = List.map h js in
                   (Counter_table.bump_all t hs, List.fold_left Ref_table.bump r hs)
+                | Bump_prefix (i, j, up) ->
+                  let t, r = nth i in
+                  let rec lift h k = if k = 0 then h else lift (History.parent h) (k - 1) in
+                  let p = lift (h j) up in
+                  (Counter_table.bump_prefix_max t p, Ref_table.bump r p)
+                | Twin i ->
+                  let t, r = nth i in
+                  (twin t, r)
+                | Twin_merge i ->
+                  let t, r = nth i in
+                  (Counter_table.min_merge [ twin t; t ], r)
+                | Trim (i, k) ->
+                  (* One removal at a time from the end, so the length
+                     crosses segment boundaries. *)
+                  let t, r = nth i in
+                  let top = List.filteri (fun j _ -> j < k) (List.rev (Counter_table.bindings t)) in
+                  List.fold_left
+                    (fun (t, r) (h, _) -> (Counter_table.set t h 0, Ref_table.set r h 0))
+                    (t, r) top
               in
               let ok = agrees next in
               pool := Array.append !pool [| next |];
               ok)
             ops))
+
+(* Two tables with equal content, one appended in id order and one whose
+   odd entries land in the middle: min_merge skips every full segment
+   they share through hash-consing and visits at most two 32-slot
+   segments' worth of entries. The deep universe is large enough for a
+   tree with two inner levels (more than 32 x 32 + 32 entries). *)
+let test_ct_hash_consing () =
+  History.with_fresh_interner (fun () ->
+      let hs = ct_deep_universe 3 in
+      let count h = 1 + (History.length h mod 4) in
+      let set_all t hs = Array.fold_left (fun t h -> Counter_table.set t h (count h)) t hs in
+      let a = set_all Counter_table.empty hs in
+      let b =
+        let evens, odds = List.partition (fun h -> History.id h mod 2 = 0) (Array.to_list hs) in
+        set_all (set_all Counter_table.empty (Array.of_list evens)) (Array.of_list odds)
+      in
+      check_bool "more than 1 056 entries" true (Counter_table.cardinal a > 1056);
+      check_bool "equal content" true (Counter_table.equal a b);
+      let before = Counter_table.slot_visits () in
+      let m = Counter_table.min_merge [ a; b ] in
+      let visited = Counter_table.slot_visits () - before in
+      check_bool (Printf.sprintf "visited %d <= 64" visited) true (visited <= 64);
+      check_bool "merge = a" true (Counter_table.equal m a);
+      let before = Counter_table.slot_visits () in
+      check_int "compare" 0 (Counter_table.compare b a);
+      check_bool "compare visits <= 64" true (Counter_table.slot_visits () - before <= 64))
+
+let prop_ct_differential =
+  ct_differential ~name:"flat table = map model after every op" ~count:200 ~ops:[] ct_universe
+
+let prop_ct_differential_deep =
+  ct_differential ~name:"deep lineages: table = map model after every op" ~count:25
+    ~ops:
+      QCheck.Gen.
+        [
+          (2, map3 (fun t h up -> Bump_prefix (t, h, up)) nat nat (int_bound 40));
+          (1, map (fun t -> Twin t) nat);
+          (1, map (fun t -> Twin_merge t) nat);
+          (1, map2 (fun t k -> Trim (t, k)) nat (int_bound 40));
+        ]
+    ct_deep_universe
 
 let prop_ct_max_merge_laws =
   (* Ablation A3's merge: the model's pointwise-max union, commutative and
@@ -579,7 +685,9 @@ let () =
           Alcotest.test_case "is_max" `Quick test_ct_is_max;
           Alcotest.test_case "max_binding" `Quick test_ct_max_binding;
           qc prop_ct_min_merge_model;
+          Alcotest.test_case "hash-consed segments" `Quick test_ct_hash_consing;
           qc prop_ct_differential;
+          qc prop_ct_differential_deep;
           qc prop_ct_max_merge_laws;
         ] );
       ( "stats",
