@@ -220,7 +220,7 @@ let bench_counter_min_merge =
   Test.make ~name:"counter: min-merge 4 tables x30 entries"
     (Staged.stage (fun () -> K.Counter_table.min_merge tables))
 
-let inbox_of sets = { G.Intf.current = sets; fresh = [] }
+let inbox_of sets = { G.Intf.current = sets; fresh = Lazy.from_val [] }
 
 let bench_es_compute =
   let sets = List.init 16 (fun i -> K.Value.set_of_list [ i; i + 1; 40 ]) in

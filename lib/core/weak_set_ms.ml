@@ -30,7 +30,7 @@ let compute st ~round:_ ~inbox:{ Anon_giraf.Intf.current; fresh } =
   (* Line 15 unions messages of every round heard so far; [fresh] carries
      exactly the arrivals (including late ones) since the last round. *)
   let proposed =
-    List.fold_left (fun acc (_, m) -> Value.Set.union acc m) st.proposed fresh
+    List.fold_left (fun acc (_, m) -> Value.Set.union acc m) st.proposed (Lazy.force fresh)
   in
   let block =
     st.block

@@ -25,13 +25,33 @@ type rotation = Round_robin | Random_source | Pinned of int
 
 let receivers_of ctx sender = List.filter (fun q -> q <> sender) ctx.alive
 
-let timely_all ctx =
-  let deliveries =
-    List.map
-      (fun p ->
-        (p, List.map (fun q -> { receiver = q; arrival = ctx.round }) (receivers_of ctx p)))
-      ctx.senders
+(* [List.mem] on pids, without its polymorphic comparison. *)
+let rec mem (p : int) = function [] -> false | q :: tl -> q = p || mem p tl
+
+(* Every alive process as a receiver at [arrival]: a round's deliveries
+   are built once, not once per sender. *)
+let to_alive ctx ~arrival = List.map (fun q -> { receiver = q; arrival }) ctx.alive
+
+(* [ds] without its deliveries to [p]: the entries before [p]'s last one
+   are copied, less [p]'s, and the suffix after it is shared, so each
+   sender's row of a round costs O(1) words per link and equals mapping
+   [receivers_of ctx p]. One scan finds that entry; the copy is a loop
+   (tail-mod-cons), not a recursion as deep as the prefix. *)
+let without p ds =
+  let rec last_at i last = function
+    | [] -> last
+    | d :: tl -> last_at (i + 1) (if d.receiver = p then i else last) tl
   in
+  let[@tail_mod_cons] rec copy k = function
+    | [] -> []
+    | d :: tl ->
+      if k = 0 then tl else if d.receiver = p then copy (k - 1) tl else d :: copy (k - 1) tl
+  in
+  match last_at 0 (-1) ds with -1 -> ds | k -> copy k ds
+
+let timely_all ctx =
+  let all = to_alive ctx ~arrival:ctx.round in
+  let deliveries = List.map (fun p -> (p, without p all)) ctx.senders in
   let source = match ctx.senders with [] -> None | s :: _ -> Some s in
   { source; deliveries }
 
@@ -40,7 +60,7 @@ let late_arrival ctx rng max_delay = ctx.round + Rng.int_in rng 1 (max 1 max_del
 (* Source candidates must be correct (so they survive the round) and
    actually broadcasting this round. *)
 let source_candidates ctx =
-  List.filter (fun p -> List.mem p ctx.correct) ctx.senders
+  List.filter (fun p -> mem p ctx.correct) ctx.senders
 
 let pick_source ~rotation ctx rng =
   match source_candidates ctx with
@@ -49,7 +69,7 @@ let pick_source ~rotation ctx rng =
     (match rotation with
     | Round_robin -> Some (List.nth candidates (ctx.round mod List.length candidates))
     | Random_source -> Some (Rng.pick rng candidates)
-    | Pinned p -> if List.mem p candidates then Some p else Some (List.hd candidates))
+    | Pinned p -> if mem p candidates then Some p else Some (List.hd candidates))
 
 (* One round of "minimal + noise" schedule: [source] (if any) is timely to
    all obligated receivers; every other (sender, receiver) link is timely
@@ -60,7 +80,7 @@ let noisy_round ~source ~noise ~max_delay ctx rng =
       (fun p ->
         let is_source = match source with Some s -> s = p | None -> false in
         let plan_receiver q =
-          let must_be_timely = is_source && List.mem q ctx.obligated in
+          let must_be_timely = is_source && mem q ctx.obligated in
           let arrival =
             if must_be_timely || Rng.chance rng noise then ctx.round
             else late_arrival ctx rng max_delay
@@ -116,18 +136,17 @@ let blocking_round ctx =
     | [ s ] -> Some s
     | s0 :: s1 :: _ -> Some (if ctx.round mod 2 = 1 then s0 else s1)
   in
+  let late = to_alive ctx ~arrival:(ctx.round + 1) in
+  let source_plan q =
+    let arrival = if mem q ctx.obligated then ctx.round else ctx.round + 1 in
+    { receiver = q; arrival }
+  in
   let deliveries =
     List.map
       (fun p ->
-        let is_source = match source with Some s -> s = p | None -> false in
-        let plan q =
-          let arrival =
-            if is_source && List.mem q ctx.obligated then ctx.round
-            else ctx.round + 1
-          in
-          { receiver = q; arrival }
-        in
-        (p, List.map plan (receivers_of ctx p)))
+        match source with
+        | Some s when s = p -> (p, List.map source_plan (receivers_of ctx p))
+        | Some _ | None -> (p, without p late))
       ctx.senders
   in
   { source; deliveries }

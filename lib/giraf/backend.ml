@@ -88,16 +88,21 @@ let take ~compare t p ~round =
   let ready = ready_from round t.(p) in
   t.(p) <- until ready t.(p);
   match ready with
-  | [] -> ([], [])
+  | [] -> ([], Lazy.from_val [])
   | b :: older ->
     let latest = entries ~compare b in
     (* Arrivals never precede sends (every backend clamps [arrival >=
        sent]), so round-[round] messages can only sit in bucket [round]. *)
     let current = if b.arrival = round then current_of ~compare ~round latest else [] in
+    (* The drained buckets have left [p]'s mailbox. A copy may still
+       hold them, but only the filing of a bucket's own generation
+       conses onto it, and that filing is over: [fresh] reads the same
+       whenever it is forced. *)
     ( current,
-      List.fold_left
-        (fun fresh b -> List.rev_append (entries ~compare b) fresh)
-        (List.rev latest) older )
+      lazy
+        (List.fold_left
+           (fun fresh b -> List.rev_append (entries ~compare b) fresh)
+           (List.rev latest) older) )
 
 module Round = struct
   (* Deliveries are recorded in dispatch order — sender by sender — as

@@ -63,7 +63,7 @@ val take :
   'msg t ->
   int ->
   round:int ->
-  'msg list * (int * 'msg) list
+  'msg list * (int * 'msg) list Lazy.t
 (** [take ~compare mb p ~round] removes process [p]'s entries with
     [arrival <= round] and returns [(current, fresh)]: [fresh] is their
     [(sent, msg)] list in canonical order (late messages included, for
@@ -72,10 +72,22 @@ val take :
     order, keeping of each run of equal messages the copy [fresh] lists
     last. The caller guarantees the process's own round-[round] message
     is among the arrivals (self-delivery is implicit and always timely).
-    On lockstep buckets it costs the number of entries taken plus the
-    number of buckets kept, and its only message comparisons are the
-    adjacent checks on round [round]'s entries; each bucket {!insert}
-    filled is stable-sorted once. *)
+
+    [fresh] is built only when forced ([Lazy.from_val \[\]] when nothing
+    arrived). Forcing it later, after further {!Round.file}s or
+    {!insert}s into [mb] or its copies, yields the same list: the taken
+    buckets have left [p]'s mailbox, and a filing conses in place only
+    onto buckets it made itself (every {!Round.reset} starts a new
+    generation), so a taken bucket never changes, even one a {!copy}
+    still holds. A lazy value must not be forced from two domains at
+    once; the backends hand each one to a single [compute], which
+    forces it at most once.
+
+    On lockstep buckets [take] costs the number of entries taken plus
+    the number of buckets kept, and its only message comparisons are the
+    adjacent checks on round [round]'s entries; [fresh], when forced,
+    costs the number of entries taken. Each bucket {!insert} filled is
+    stable-sorted once, when it is read. *)
 
 (** One lockstep round's deliveries, filed into the receivers' mailboxes
     in one ordering. The dispatch records each delivery as it happens;

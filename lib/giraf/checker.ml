@@ -64,18 +64,45 @@ let pp_violation ppf = function
 
 (* --- Environment checking ----------------------------------------------- *)
 
+(* One round's timely links as an n×n byte table: whether [s] reached
+   [q] timely is one lookup. Each sender's row comes from its first entry
+   in [info.timely], the one [Trace.timely_to] reads. Loading a round
+   refills the table, so a round costs O(n²) plus O(n) per sender
+   checked. Pids outside [0, n) are never timely (runner traces hold
+   none). *)
+module Links = struct
+  type t = { n : int; cells : Bytes.t; loaded : Bytes.t (* per sender: its row is set *) }
+
+  let create ~n = { n; cells = Bytes.make (n * n) '\000'; loaded = Bytes.make n '\000' }
+  let in_range t p = p >= 0 && p < t.n
+
+  let load t (info : Trace.round_info) =
+    Bytes.fill t.cells 0 (t.n * t.n) '\000';
+    Bytes.fill t.loaded 0 t.n '\000';
+    List.iter
+      (fun (s, rs) ->
+        if in_range t s && Bytes.get t.loaded s = '\000' then begin
+          Bytes.set t.loaded s '\001';
+          List.iter
+            (fun q -> if in_range t q then Bytes.set t.cells ((s * t.n) + q) '\001')
+            rs
+        end)
+      info.timely
+
+  let timely t s q =
+    in_range t s && in_range t q && Bytes.get t.cells ((s * t.n) + q) <> '\000'
+end
+
 (* The obligated processes that sender [s]'s timely receivers, plus
    itself, fail to include — the diagnostic payload when [covers] says
    no. *)
-let missing_receivers (info : Trace.round_info) s =
-  let reached = s :: Trace.timely_to info s in
-  List.filter (fun q -> not (List.mem q reached)) info.obligated
+let missing_receivers links (info : Trace.round_info) s =
+  List.filter (fun q -> q <> s && not (Links.timely links s q)) info.obligated
 
-(* [covers info s] without materializing the missing list — the common
-   "is there a source?" probe in the per-round checks. *)
-let covers (info : Trace.round_info) s =
-  let reached = Trace.timely_to info s in
-  List.for_all (fun q -> q = s || List.mem q reached) info.obligated
+(* [covers links info s] without materializing the missing list — the
+   common "is there a source?" probe in the per-round checks. *)
+let covers links (info : Trace.round_info) s =
+  List.for_all (fun q -> q = s || Links.timely links s q) info.obligated
 
 let correct_senders (t : Trace.t) (info : Trace.round_info) =
   List.filter (Crash.is_correct t.crash) info.senders
@@ -91,31 +118,32 @@ let demanding_rounds (t : Trace.t) =
 (* A per-round MS source need not be correct — it only needs its
    end-of-round to occur in this round and its message to reach every
    obligated process timely. *)
-let check_ms_round _t (info : Trace.round_info) =
-  let has_source = List.exists (covers info) info.senders in
+let check_ms_round links (info : Trace.round_info) =
+  let has_source = List.exists (covers links info) info.senders in
   if has_source then [] else [ No_source { round = info.round } ]
 
-let check_all_timely t (info : Trace.round_info) =
+let check_all_timely t links (info : Trace.round_info) =
   List.concat_map
     (fun s ->
-      if covers info s then []
+      if covers links info s then []
       else
         [ Source_not_timely
-            { round = info.round; sender = s; missing = missing_receivers info s } ])
+            { round = info.round; sender = s; missing = missing_receivers links info s } ])
     (correct_senders t info)
+
+(* The correct senders covering a round: its stable-source candidates. *)
+let candidates t links info = List.filter (covers links info) (correct_senders t info)
 
 (* From [gst] on the same process must be a source every round — except
    that a source which decides and halts stops executing rounds, so the
    obligation passes to a new stable source. We therefore require a single
    covering source per maximal segment, with segment boundaries only where
-   every remaining candidate stopped sending (halted). *)
-let check_stable_source t ~gst rounds =
-  let late = List.filter (fun (i : Trace.round_info) -> i.round >= gst) rounds in
-  let candidates_of info = List.filter (covers info) (correct_senders t info) in
+   every remaining candidate stopped sending (halted). [late] pairs each
+   round from [gst] on with its {!candidates}. *)
+let check_stable_source ~gst late =
   let rec walk candidates = function
     | [] -> []
-    | (info : Trace.round_info) :: rest ->
-      let now = candidates_of info in
+    | ((info : Trace.round_info), now) :: rest ->
       let still = List.filter (fun s -> List.mem s now) candidates in
       if still <> [] then walk still rest
       else if List.for_all (fun s -> not (List.mem s info.senders)) candidates then
@@ -125,17 +153,15 @@ let check_stable_source t ~gst rounds =
   in
   match late with
   | [] -> []
-  | first :: rest -> (
-    match candidates_of first with
-    | [] -> [ Unstable_source { gst } ]
-    | candidates -> walk candidates rest)
+  | (_, []) :: _ -> [ Unstable_source { gst } ]
+  | (_, candidates) :: rest -> walk candidates rest
 
 (* Pulse round of a rooted dynamic environment: some sender must cover
    every obligated receiver (a root of the round's graph). The diagnostic
    carries every sender's missing receivers — the offending links. *)
-let check_root t ~stability (info : Trace.round_info) =
+let check_root t links ~stability (info : Trace.round_info) =
   let window = ((info.round - 1) / stability) + 1 in
-  let has_root = List.exists (covers info) info.senders in
+  let has_root = List.exists (covers links info) info.senders in
   if has_root then []
   else
     [
@@ -144,40 +170,59 @@ let check_root t ~stability (info : Trace.round_info) =
           round = info.round;
           window;
           senders =
-            List.map (fun s -> (s, missing_receivers info s)) (correct_senders t info);
+            List.map
+              (fun s -> (s, missing_receivers links info s))
+              (correct_senders t info);
         };
     ]
 
 (* Healed round of a stability window: every correct sender timely to every
    obligated receiver. *)
-let check_stability t ~stability (info : Trace.round_info) =
+let check_stability t links ~stability (info : Trace.round_info) =
   let window = ((info.round - 1) / stability) + 1 in
   List.concat_map
     (fun s ->
-      match missing_receivers info s with
+      match missing_receivers links info s with
       | [] -> []
       | missing -> [ Stability_violation { round = info.round; window; sender = s; missing } ])
     (correct_senders t info)
 
+(* Every demanding round is loaded into one link table once and judged
+   by every check it owes; the findings keep the order of one pass per
+   check. *)
 let check_env (t : Trace.t) =
-  let rounds = demanding_rounds t in
+  let judge f =
+    let links = Links.create ~n:t.n in
+    List.map
+      (fun info ->
+        Links.load links info;
+        f links info)
+      (demanding_rounds t)
+  in
   match t.env with
   | Env.Async -> []
-  | Env.Ms -> List.concat_map (check_ms_round t) rounds
-  | Env.Sync -> List.concat_map (check_all_timely t) rounds
+  | Env.Ms -> List.concat (judge check_ms_round)
+  | Env.Sync -> List.concat (judge (check_all_timely t))
   | Env.Es { gst } ->
-    List.concat_map (check_ms_round t) rounds
-    @ List.concat_map (check_all_timely t)
-        (List.filter (fun (i : Trace.round_info) -> i.round >= gst) rounds)
+    let found =
+      judge (fun links info ->
+          ( check_ms_round links info,
+            if info.round >= gst then check_all_timely t links info else [] ))
+    in
+    List.concat_map fst found @ List.concat_map snd found
   | Env.Ess { gst } ->
-    List.concat_map (check_ms_round t) rounds @ check_stable_source t ~gst rounds
+    let found =
+      judge (fun links info ->
+          ( check_ms_round links info,
+            if info.round >= gst then Some (info, candidates t links info) else None ))
+    in
+    List.concat_map fst found @ check_stable_source ~gst (List.filter_map snd found)
   | Env.Dynamic { stability; rooted } ->
-    List.concat_map
-      (fun (info : Trace.round_info) ->
-        if Env.pulse ~stability ~round:info.round then
-          if rooted then check_root t ~stability info else []
-        else check_stability t ~stability info)
-      rounds
+    List.concat
+      (judge (fun links info ->
+           if Env.pulse ~stability ~round:info.round then
+             if rooted then check_root t links ~stability info else []
+           else check_stability t links ~stability info))
 
 (* --- Consensus judge -------------------------------------------------------- *)
 

@@ -1,9 +1,16 @@
 open Anon_kernel
 
 type event = { pid : int; leave : int; rejoin : int option }
-type t = { n : int; by_pid : event option array }
 
-let none ~n = { n; by_pid = Array.make n None }
+(* [events] sorted by (leave, pid), and indexed once by leave and by
+   rejoin round (each round's events in that order). *)
+type t = {
+  n : int;
+  by_pid : event option array;
+  events : event list;
+  leaving : event By_round.t;
+  rejoining : event By_round.t;
+}
 
 let of_events ~n evs =
   let by_pid = Array.make n None in
@@ -18,7 +25,19 @@ let of_events ~n evs =
       if by_pid.(ev.pid) <> None then invalid_arg "Churn.of_events: duplicate pid";
       by_pid.(ev.pid) <- Some ev)
     evs;
-  { n; by_pid }
+  let events =
+    Array.to_list by_pid |> List.filter_map Fun.id
+    |> List.sort (fun a b -> compare (a.leave, a.pid) (b.leave, b.pid))
+  in
+  {
+    n;
+    by_pid;
+    events;
+    leaving = By_round.index (fun ev -> Some ev.leave) events;
+    rejoining = By_round.index (fun ev -> ev.rejoin) events;
+  }
+
+let none ~n = of_events ~n []
 
 let random ~n ~churners ~max_round rng =
   if churners < 0 || churners > n then invalid_arg "Churn.random: bad churner count";
@@ -42,9 +61,7 @@ let random ~n ~churners ~max_round rng =
 
 let n t = t.n
 
-let events t =
-  Array.to_list t.by_pid |> List.filter_map Fun.id
-  |> List.sort (fun a b -> compare (a.leave, a.pid) (b.leave, b.pid))
+let events t = t.events
 
 let validate ~where ~n ~crash ?churn () =
   let fail fmt = Printf.ksprintf (Config_error.fail ~where) fmt in
@@ -74,10 +91,8 @@ let away t ~pid ~round =
     round >= ev.leave
     && match ev.rejoin with None -> true | Some r -> round < r)
 
-let leaving_at t ~round = List.filter (fun ev -> ev.leave = round) (events t)
-
-let rejoining_at t ~round =
-  List.filter (fun ev -> ev.rejoin = Some round) (events t)
+let leaving_at t ~round = By_round.find t.leaving round
+let rejoining_at t ~round = By_round.find t.rejoining round
 
 let churners t = List.length (events t)
 

@@ -2,9 +2,14 @@ open Anon_kernel
 
 type last_broadcast = Silent | Broadcast_all | Broadcast_subset
 type event = { pid : int; round : int; broadcast : last_broadcast }
-type t = { n : int; by_pid : event option array }
 
-let none ~n = { n; by_pid = Array.make n None }
+(* [events] sorted by (round, pid), and indexed by round once. *)
+type t = {
+  n : int;
+  by_pid : event option array;
+  events : event list;
+  by_round : event By_round.t;
+}
 
 let of_events ~n evs =
   let by_pid = Array.make n None in
@@ -15,7 +20,13 @@ let of_events ~n evs =
       if by_pid.(ev.pid) <> None then invalid_arg "Crash.of_events: duplicate pid";
       by_pid.(ev.pid) <- Some ev)
     evs;
-  { n; by_pid }
+  let events =
+    Array.to_list by_pid |> List.filter_map Fun.id
+    |> List.sort (fun a b -> compare (a.round, a.pid) (b.round, b.pid))
+  in
+  { n; by_pid; events; by_round = By_round.index (fun ev -> Some ev.round) events }
+
+let none ~n = of_events ~n []
 
 let random ~n ~failures ~max_round rng =
   if failures < 0 || failures > n then
@@ -37,9 +48,7 @@ let random ~n ~failures ~max_round rng =
 
 let n t = t.n
 
-let events t =
-  Array.to_list t.by_pid |> List.filter_map Fun.id
-  |> List.sort (fun a b -> compare (a.round, a.pid) (b.round, b.pid))
+let events t = t.events
 
 let is_correct t pid = t.by_pid.(pid) = None
 
@@ -49,7 +58,7 @@ let correct t =
 let crash_round t pid =
   match t.by_pid.(pid) with None -> None | Some ev -> Some ev.round
 
-let crashing_at t ~round = List.filter (fun ev -> ev.round = round) (events t)
+let crashing_at t ~round = By_round.find t.by_round round
 let failures t = List.length (events t)
 
 let pp_broadcast ppf = function

@@ -40,6 +40,18 @@ let dispatch ~round ~outgoing ~crashing_events ~eligible ~receivers ~plan ~crash
   let crashing pid =
     List.find_opt (fun (ev : Crash.event) -> ev.pid = pid) crashing_events
   in
+  (* Each sender's first plan entry, as [List.assoc_opt] finds it, indexed
+     once by pid. Only outgoing senders are looked up, so the largest of
+     them sizes the index. *)
+  let entries =
+    let size = List.fold_left (fun m { sender; _ } -> max m (sender + 1)) 0 outgoing in
+    let a = Array.make size None in
+    List.iter
+      (fun (s, ds) -> if s >= 0 && s < size && Option.is_none a.(s) then a.(s) <- Some ds)
+      plan.Adversary.deliveries;
+    a
+  in
+  let entry s = if s >= 0 && s < Array.length entries then entries.(s) else None in
   List.iter
     (fun { sender; msg } ->
       schedule ~sender ~receiver:sender ~arrival:round ~sent:round msg;
@@ -47,8 +59,7 @@ let dispatch ~round ~outgoing ~crashing_events ~eligible ~receivers ~plan ~crash
       | Some ev -> (
         let scripted =
           match ev.broadcast with
-          | Crash.Broadcast_subset ->
-            List.assoc_opt sender plan.Adversary.deliveries
+          | Crash.Broadcast_subset -> entry sender
           | Crash.Silent | Crash.Broadcast_all -> None
         in
         match scripted with
@@ -79,7 +90,7 @@ let dispatch ~round ~outgoing ~crashing_events ~eligible ~receivers ~plan ~crash
                 deliver ~sender ~msg { Adversary.receiver = q; arrival })
               (Rng.subset crash_rng ~p:0.5 others)))
       | None -> (
-        match List.assoc_opt sender plan.Adversary.deliveries with
+        match entry sender with
         | None -> ()
         | Some ds -> List.iter (fun d -> deliver ~sender ~msg d) ds));
       flush_timely sender)

@@ -17,11 +17,14 @@ type 'msg inbox = {
       (** The round-[k] message set [M_i\[k\]] at [compute (k, M_i)] time:
           deduplicated, sorted by the algorithm's message order, and always
           containing the process's own round-[k] message (Alg. 1 line 10). *)
-  fresh : (int * 'msg) list;
+  fresh : (int * 'msg) list Lazy.t;
       (** Every [(sent_round, msg)] arrival since the previous [compute],
           including late messages for earlier rounds and the process's own
           round-[k] message. Needed by algorithms that read
-          [M_i\[k'\], 1 ≤ k' ≤ k_i] (Alg. 4 line 15). *)
+          [M_i\[k'\], 1 ≤ k' ≤ k_i] (Alg. 4 line 15); the others never
+          force it, and the backends build it only when forced (see
+          {!Backend.take}). Force it, if at all, inside the [compute] that
+          receives it. *)
 }
 
 (** Consensus-style automaton: proposes a value at initialization and may

@@ -138,7 +138,8 @@ module Make (A : Intf.ALGORITHM) = struct
                 else begin
                   let current = current_of proc (next - 1) in
                   Hashtbl.replace proc.compute_log (next - 1) current;
-                  let fresh = List.rev proc.fresh in
+                  let arrived = proc.fresh in
+                  let fresh = lazy (List.rev arrived) in
                   proc.fresh <- [];
                   let st = match proc.st with Some st -> st | None -> assert false in
                   let st', m, dec =

@@ -12,7 +12,7 @@ let check_bool = Alcotest.(check bool)
 
 let vset = Value.set_of_list
 
-let inbox current = { G.Intf.current; fresh = [] }
+let inbox current = { G.Intf.current; fresh = Lazy.from_val [] }
 
 (* --- unit-level compute ------------------------------------------------------ *)
 

@@ -21,7 +21,7 @@ let msg ?(proposed = []) ?(history = []) ?(counters = []) () =
         Counter_table.empty counters;
   }
 
-let inbox current = { G.Intf.current; fresh = [] }
+let inbox current = { G.Intf.current; fresh = Lazy.from_val [] }
 
 (* --- unit-level compute -------------------------------------------------------- *)
 

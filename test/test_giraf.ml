@@ -45,11 +45,75 @@ let prop_crash_random =
            (fun (e : G.Crash.event) -> e.round >= 1 && e.round <= 10)
            (G.Crash.events c))
 
+(* The per-round lookups read an index built with the schedule; each must
+   equal filtering [events], which must be the input sorted by round (or
+   leave round), then pid. *)
+let prop_schedule_lookups =
+  QCheck.Test.make ~name:"per-round crash and churn lookups = filtered events"
+    ~count:300 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.make seed in
+      let n = Rng.int_in rng 1 10 in
+      let pids = Rng.shuffle rng (List.init n Fun.id) in
+      let crashers, churners = List.partition (fun _ -> Rng.bool rng) pids in
+      let crash_evs =
+        List.filter_map
+          (fun pid ->
+            if Rng.chance rng 0.3 then None
+            else
+              let broadcast =
+                Rng.pick rng [ G.Crash.Silent; G.Crash.Broadcast_all; G.Crash.Broadcast_subset ]
+              in
+              Some { G.Crash.pid; round = Rng.int_in rng 1 6; broadcast })
+          crashers
+      in
+      let churn_evs =
+        List.filter_map
+          (fun pid ->
+            if Rng.chance rng 0.3 then None
+            else
+              let leave = Rng.int_in rng 1 6 in
+              let rejoin =
+                if Rng.bool rng then Some (leave + Rng.int_in rng 1 4) else None
+              in
+              Some { G.Churn.pid; leave; rejoin })
+          churners
+      in
+      let crash = G.Crash.of_events ~n crash_evs in
+      let churn = G.Churn.of_events ~n churn_evs in
+      let crash_sorted =
+        List.sort
+          (fun (a : G.Crash.event) (b : G.Crash.event) -> compare (a.round, a.pid) (b.round, b.pid))
+          crash_evs
+      in
+      let churn_sorted =
+        List.sort
+          (fun (a : G.Churn.event) (b : G.Churn.event) -> compare (a.leave, a.pid) (b.leave, b.pid))
+          churn_evs
+      in
+      G.Crash.events crash = crash_sorted
+      && G.Churn.events churn = churn_sorted
+      && G.Crash.failures crash = List.length crash_evs
+      && G.Churn.churners churn = List.length churn_evs
+      && List.for_all
+           (fun round ->
+             G.Crash.crashing_at crash ~round
+             = List.filter (fun (ev : G.Crash.event) -> ev.round = round) (G.Crash.events crash)
+             && G.Churn.leaving_at churn ~round
+                = List.filter (fun (ev : G.Churn.event) -> ev.leave = round) (G.Churn.events churn)
+             && G.Churn.rejoining_at churn ~round
+                = List.filter
+                    (fun (ev : G.Churn.event) -> ev.rejoin = Some round)
+                    (G.Churn.events churn))
+           (List.init 14 Fun.id))
+
 (* --- Mailbox ----------------------------------------------------------------- *)
 
 (* Packets filed one at a time, as the live backend and the MS emulation
    file them. *)
-let take_string mb ~round = G.Backend.take ~compare:String.compare mb 0 ~round
+let take_string mb ~round =
+  let current, fresh = G.Backend.take ~compare:String.compare mb 0 ~round in
+  (current, Lazy.force fresh)
 
 let test_mailbox_current_dedup () =
   let mb = G.Backend.create ~n:1 in
@@ -156,7 +220,10 @@ let model_order rest =
    path records each sent round as the dispatch would (senders in pid
    order) and files it with one ordering; the live path inserts the same
    entries one at a time in a random order. The model sees each path's
-   entries newest first, in the order that path scheduled them. *)
+   entries newest first, in the order that path scheduled them. Every
+   drain's lazy [fresh] is forced only at the end, after later rounds
+   (and a repeat of the last round) were filed into the same mailboxes
+   and into the snapshot copy. *)
 let prop_mailbox_matches_model =
   QCheck.Test.make ~name:"bucketed mailbox = sort-per-read model" ~count:500
     QCheck.(int_bound 1_000_000)
@@ -171,12 +238,14 @@ let prop_mailbox_matches_model =
       let filing = G.Backend.Round.create ~n:2 in
       let snapshot = ref None in
       let ok = ref true in
+      let unforced = ref [] in
       let drain boxes model q round =
         let current, fresh = G.Backend.take ~compare boxes q ~round in
         let current', fresh', rest' = model_ready_inbox ~compare ~round model.(q) in
         model.(q) <- rest';
+        unforced := (fresh, fresh') :: !unforced;
         ok :=
-          !ok && same_msgs current current' && same_fresh fresh fresh'
+          !ok && same_msgs current current'
           && same_entries (G.Backend.to_list ~compare boxes q) (model_order rest')
           && G.Backend.length boxes q = List.length rest'
       in
@@ -220,7 +289,21 @@ let prop_mailbox_matches_model =
             !ok && same_entries (G.Backend.to_list ~compare boxes q) (model_order model.(q))
         done
       | None -> ());
-      !ok)
+      (* The last round again, landing in the buckets the snapshot still
+         shares with drained inboxes. *)
+      let last = List.length scenario in
+      G.Backend.Round.reset filing ~sent:last;
+      for q = 0 to mailbox_receivers - 1 do
+        let arrival = last + Rng.int rng 4 in
+        G.Backend.Round.deliver filing ~sender:0 ~receiver:q ~arrival "z";
+        G.Backend.insert live q ~arrival ~sent:last "z"
+      done;
+      G.Backend.Round.file ~compare filing lock;
+      Option.iter (fun (boxes, _) -> G.Backend.Round.file ~compare filing boxes) !snapshot;
+      !ok
+      && List.for_all
+           (fun (fresh, fresh') -> same_fresh (Lazy.force fresh) fresh')
+           !unforced)
 
 (* Equal messages: the lockstep filing lists the higher pid's copy first
    in [fresh] and keeps the lowest pid's copy in [current]. *)
@@ -235,7 +318,7 @@ let test_mailbox_tie_order () =
   G.Backend.Round.file ~compare:String.compare filing box;
   let current, fresh = G.Backend.take ~compare:String.compare box 0 ~round:1 in
   check_bool "fresh: a by descending pid, then b" true
-    (same_fresh fresh [ (1, a2); (1, a1); (1, a0); (1, "b") ]);
+    (same_fresh (Lazy.force fresh) [ (1, a2); (1, a1); (1, a0); (1, "b") ]);
   check_bool "current keeps p0's copy" true (List.hd current == a0);
   Alcotest.(check (list string)) "current" [ "a"; "b" ] current
 
@@ -396,6 +479,202 @@ let test_adversary_blocking_alternates () =
   Alcotest.(check (option int)) "odd source" (Some 0) (src 1);
   Alcotest.(check (option int)) "even source" (Some 1) (src 2)
 
+(* --- Property: plans = the per-sender reference construction ------------------ *)
+
+(* The adversaries as they built plans before sharing delivery lists
+   within a round: every sender's list is mapped afresh from its own
+   filtered copy of [alive]. Kept as the reference the shared
+   construction must equal. *)
+module Ref_adversary = struct
+  open G.Adversary
+
+  type spec =
+    | Sync
+    | Ms of { rotation : rotation; noise : float; max_delay : int }
+    | Es of { gst : int; noise : float; max_delay : int }
+    | Ess of {
+        gst : int;
+        source : int option;
+        rotation : rotation;
+        noise : float;
+        max_delay : int;
+      }
+    | Es_blocking of { gst : int }
+    | Ess_blocking of { gst : int; source : int option }
+    | Dynamic of {
+        stability : int;
+        rooted : bool;
+        rotation : rotation;
+        noise : float;
+        max_delay : int;
+      }
+    | Async of { max_delay : int; timely_chance : float }
+
+  let build = function
+    | Sync -> sync ()
+    | Ms { rotation; noise; max_delay } -> ms ~rotation ~noise ~max_delay ()
+    | Es { gst; noise; max_delay } -> es ~gst ~noise ~max_delay ()
+    | Ess { gst; source; rotation; noise; max_delay } ->
+      ess ~gst ?source ~rotation ~noise ~max_delay ()
+    | Es_blocking { gst } -> es_blocking ~gst ()
+    | Ess_blocking { gst; source } -> ess_blocking ~gst ?source ()
+    | Dynamic { stability; rooted; rotation; noise; max_delay } ->
+      dynamic ~stability ~rooted ~rotation ~noise ~max_delay ()
+    | Async { max_delay; timely_chance } -> async ~max_delay ~timely_chance ()
+
+  let receivers_of ctx sender = List.filter (fun q -> q <> sender) ctx.alive
+
+  let timely_all ctx =
+    let deliveries =
+      List.map
+        (fun p ->
+          (p, List.map (fun q -> { receiver = q; arrival = ctx.round }) (receivers_of ctx p)))
+        ctx.senders
+    in
+    let source = match ctx.senders with [] -> None | s :: _ -> Some s in
+    { source; deliveries }
+
+  let late_arrival ctx rng max_delay = ctx.round + Rng.int_in rng 1 (max 1 max_delay)
+  let source_candidates ctx = List.filter (fun p -> List.mem p ctx.correct) ctx.senders
+
+  let pick_source ~rotation ctx rng =
+    match source_candidates ctx with
+    | [] -> None
+    | candidates -> (
+      match rotation with
+      | Round_robin -> Some (List.nth candidates (ctx.round mod List.length candidates))
+      | Random_source -> Some (Rng.pick rng candidates)
+      | Pinned p -> if List.mem p candidates then Some p else Some (List.hd candidates))
+
+  let noisy_round ~source ~noise ~max_delay ctx rng =
+    let deliveries =
+      List.map
+        (fun p ->
+          let is_source = match source with Some s -> s = p | None -> false in
+          let plan_receiver q =
+            let must_be_timely = is_source && List.mem q ctx.obligated in
+            let arrival =
+              if must_be_timely || Rng.chance rng noise then ctx.round
+              else late_arrival ctx rng max_delay
+            in
+            { receiver = q; arrival }
+          in
+          (p, List.map plan_receiver (receivers_of ctx p)))
+        ctx.senders
+    in
+    { source; deliveries }
+
+  let blocking_round ctx =
+    let source =
+      match source_candidates ctx with
+      | [] -> None
+      | [ s ] -> Some s
+      | s0 :: s1 :: _ -> Some (if ctx.round mod 2 = 1 then s0 else s1)
+    in
+    let deliveries =
+      List.map
+        (fun p ->
+          let is_source = match source with Some s -> s = p | None -> false in
+          let plan q =
+            let arrival =
+              if is_source && List.mem q ctx.obligated then ctx.round else ctx.round + 1
+            in
+            { receiver = q; arrival }
+          in
+          (p, List.map plan (receivers_of ctx p)))
+        ctx.senders
+    in
+    { source; deliveries }
+
+  let stable_rotation source ctx =
+    match source with
+    | Some p -> Pinned p
+    | None -> ( match ctx.correct with [] -> Round_robin | p :: _ -> Pinned p)
+
+  let plan spec ctx rng =
+    match spec with
+    | Sync -> timely_all ctx
+    | Ms { rotation; noise; max_delay } ->
+      let source = pick_source ~rotation ctx rng in
+      noisy_round ~source ~noise ~max_delay ctx rng
+    | Es { gst; noise; max_delay } ->
+      if ctx.round >= gst then timely_all ctx
+      else
+        let source = pick_source ~rotation:Round_robin ctx rng in
+        noisy_round ~source ~noise ~max_delay ctx rng
+    | Ess { gst; source; rotation; noise; max_delay } ->
+      let rotation = if ctx.round >= gst then stable_rotation source ctx else rotation in
+      let source = pick_source ~rotation ctx rng in
+      noisy_round ~source ~noise ~max_delay ctx rng
+    | Es_blocking { gst } -> if ctx.round >= gst then timely_all ctx else blocking_round ctx
+    | Ess_blocking { gst; source } ->
+      if ctx.round >= gst then
+        let source = pick_source ~rotation:(stable_rotation source ctx) ctx rng in
+        noisy_round ~source ~noise:0.0 ~max_delay:1 ctx rng
+      else blocking_round ctx
+    | Dynamic { stability; rooted; rotation; noise; max_delay } ->
+      if not (G.Env.pulse ~stability ~round:ctx.round) then timely_all ctx
+      else if rooted then
+        let source = pick_source ~rotation ctx rng in
+        noisy_round ~source ~noise ~max_delay ctx rng
+      else noisy_round ~source:None ~noise ~max_delay ctx rng
+    | Async { max_delay; timely_chance } ->
+      noisy_round ~source:None ~noise:timely_chance ~max_delay ctx rng
+end
+
+(* Random contexts over n <= 12: random alive (sometimes shuffled, now and
+   then naming a pid twice), sender, obligated and correct subsets, rounds
+   on both sides of GST, and every built-in adversary with random
+   parameters. Each plan must equal the reference's, and both must leave
+   the RNG in the same state. *)
+let prop_plans_match_reference =
+  QCheck.Test.make ~name:"plans = per-sender reference construction" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.make seed in
+      let n = Rng.int_in rng 1 12 in
+      let subset () = List.filter (fun _ -> Rng.chance rng 0.7) (List.init n Fun.id) in
+      let alive =
+        let a = subset () in
+        let a = if Rng.chance rng 0.2 then Rng.shuffle rng a else a in
+        match a with
+        | p :: _ when Rng.chance rng 0.1 -> a @ [ p ]
+        | _ -> a
+      in
+      let senders = if Rng.bool rng then alive else subset () in
+      let obligated = if Rng.bool rng then alive else subset () in
+      let correct = subset () in
+      let gst = Rng.int_in rng 1 15 in
+      let round = Rng.int_in rng 1 30 in
+      let c = ctx ~round ~senders ~obligated ~correct ~alive in
+      let rotation =
+        Rng.pick rng
+          G.Adversary.[ Round_robin; Random_source; Pinned (Rng.int rng (n + 1)) ]
+      in
+      let noise = Rng.pick rng [ 0.0; 0.3; 1.0 ] in
+      let max_delay = Rng.int_in rng 1 4 in
+      let source = if Rng.bool rng then Some (Rng.int rng (n + 1)) else None in
+      let spec =
+        Rng.pick rng
+          Ref_adversary.
+            [
+              Sync;
+              Ms { rotation; noise; max_delay };
+              Es { gst; noise; max_delay };
+              Ess { gst; source; rotation; noise; max_delay };
+              Es_blocking { gst };
+              Ess_blocking { gst; source };
+              Dynamic
+                { stability = Rng.int_in rng 1 4; rooted = Rng.bool rng; rotation; noise; max_delay };
+              Async { max_delay; timely_chance = noise };
+            ]
+      in
+      let plan_seed = Rng.int rng 1_000_000 in
+      let rng1 = Rng.make plan_seed and rng2 = Rng.make plan_seed in
+      let got = G.Adversary.plan (Ref_adversary.build spec) c rng1 in
+      let expected = Ref_adversary.plan spec c rng2 in
+      got = expected && rng1 = rng2)
+
 (* --- Runner: a probe algorithm that records its inboxes --------------------- *)
 
 module Probe = struct
@@ -512,6 +791,30 @@ let test_runner_horizon () =
   let out = Never.run (probe_config ~adversary:(silent_adversary ()) ~horizon:17 ()) in
   check_int "runs to horizon" 17 out.rounds_executed;
   check_bool "nobody decided" true (out.decisions = [])
+
+(* An algorithm that never reads [fresh] must never pay for it: the lazy
+   value reaches [compute] unforced, and nothing in the round forces it
+   later. Late arrivals make most inboxes span several buckets. *)
+let test_runner_fresh_stays_lazy () =
+  let received = ref [] in
+  let module Lazy_probe = struct
+    include Probe
+
+    let compute st ~round ~inbox =
+      received := (Lazy.is_val inbox.G.Intf.fresh, inbox.G.Intf.fresh) :: !received;
+      let st, m, _ = compute st ~round ~inbox in
+      (st, m, None)
+  end in
+  let module R = G.Runner.Make (Lazy_probe) in
+  ignore
+    (R.run
+       (probe_config ~inputs:[ 1; 2; 3; 4 ] ~crash:(G.Crash.none ~n:4)
+          ~adversary:(G.Adversary.async ~max_delay:3 ()) ~horizon:12 ()));
+  check_int "every process computed rounds 1 to 11" (4 * 11) (List.length !received);
+  check_bool "fresh unforced when compute received it" true
+    (List.for_all (fun (forced, _) -> not forced) !received);
+  check_bool "fresh unforced after the run" true
+    (List.for_all (fun (_, fresh) -> not (Lazy.is_val fresh)) !received)
 
 (* --- Config validation ----------------------------------------------------- *)
 
@@ -1097,6 +1400,162 @@ let model_check_weak_set ?correct ops =
     (List.filter (fun (g : G.Checker.ws_get) -> is_correct g.get_client) gets)
   @ List.concat_map phantom_for_get gets
 
+(* --- Property: the link-table env check = the list-based reference ---------- *)
+
+(* [Checker.check_env] as it read coverage before the per-round link
+   table: one [List.assoc_opt] and a [List.mem] per obligated receiver. *)
+module Ref_env = struct
+  open G.Checker
+
+  let missing_receivers (info : G.Trace.round_info) s =
+    let reached = s :: G.Trace.timely_to info s in
+    List.filter (fun q -> not (List.mem q reached)) info.obligated
+
+  let covers (info : G.Trace.round_info) s =
+    let reached = G.Trace.timely_to info s in
+    List.for_all (fun q -> q = s || List.mem q reached) info.obligated
+
+  let correct_senders (t : G.Trace.t) (info : G.Trace.round_info) =
+    List.filter (G.Crash.is_correct t.crash) info.senders
+
+  let demanding_rounds (t : G.Trace.t) =
+    List.filter
+      (fun (info : G.Trace.round_info) ->
+        info.obligated <> [] && correct_senders t info <> [])
+      t.rounds
+
+  let check_ms_round (info : G.Trace.round_info) =
+    if List.exists (covers info) info.senders then [] else [ No_source { round = info.round } ]
+
+  let check_all_timely t (info : G.Trace.round_info) =
+    List.concat_map
+      (fun s ->
+        if covers info s then []
+        else
+          [ Source_not_timely
+              { round = info.round; sender = s; missing = missing_receivers info s } ])
+      (correct_senders t info)
+
+  let check_stable_source t ~gst rounds =
+    let late = List.filter (fun (i : G.Trace.round_info) -> i.round >= gst) rounds in
+    let candidates_of info = List.filter (covers info) (correct_senders t info) in
+    let rec walk candidates = function
+      | [] -> []
+      | (info : G.Trace.round_info) :: rest ->
+        let now = candidates_of info in
+        let still = List.filter (fun s -> List.mem s now) candidates in
+        if still <> [] then walk still rest
+        else if List.for_all (fun s -> not (List.mem s info.senders)) candidates then
+          if now = [] then [ Unstable_source { gst } ] else walk now rest
+        else [ Unstable_source { gst } ]
+    in
+    match late with
+    | [] -> []
+    | first :: rest -> (
+      match candidates_of first with
+      | [] -> [ Unstable_source { gst } ]
+      | candidates -> walk candidates rest)
+
+  let check_root t ~stability (info : G.Trace.round_info) =
+    let window = ((info.round - 1) / stability) + 1 in
+    if List.exists (covers info) info.senders then []
+    else
+      [
+        No_root
+          {
+            round = info.round;
+            window;
+            senders = List.map (fun s -> (s, missing_receivers info s)) (correct_senders t info);
+          };
+      ]
+
+  let check_stability t ~stability (info : G.Trace.round_info) =
+    let window = ((info.round - 1) / stability) + 1 in
+    List.concat_map
+      (fun s ->
+        match missing_receivers info s with
+        | [] -> []
+        | missing -> [ Stability_violation { round = info.round; window; sender = s; missing } ])
+      (correct_senders t info)
+
+  let check_env (t : G.Trace.t) =
+    let rounds = demanding_rounds t in
+    match t.env with
+    | G.Env.Async -> []
+    | G.Env.Ms -> List.concat_map check_ms_round rounds
+    | G.Env.Sync -> List.concat_map (check_all_timely t) rounds
+    | G.Env.Es { gst } ->
+      List.concat_map check_ms_round rounds
+      @ List.concat_map (check_all_timely t)
+          (List.filter (fun (i : G.Trace.round_info) -> i.round >= gst) rounds)
+    | G.Env.Ess { gst } -> List.concat_map check_ms_round rounds @ check_stable_source t ~gst rounds
+    | G.Env.Dynamic { stability; rooted } ->
+      List.concat_map
+        (fun (info : G.Trace.round_info) ->
+          if G.Env.pulse ~stability ~round:info.round then
+            if rooted then check_root t ~stability info else []
+          else check_stability t ~stability info)
+        rounds
+end
+
+(* Random traces under every environment: random crashes, senders and
+   obligated sets, senders with no timely entry, timely lists that name a
+   sender twice (only the first entry counts) and now and then the sender
+   itself, and senders covering everyone often enough that some rounds
+   pass, stable sources hold for a while and others hand over. *)
+let gen_env_trace rng =
+  let n = Rng.int_in rng 1 8 in
+  let pids = List.init n Fun.id in
+  let subset p = List.filter (fun _ -> Rng.chance rng p) pids in
+  let crash =
+    G.Crash.of_events ~n
+      (List.filter_map
+         (fun pid ->
+           if Rng.chance rng 0.2 then
+             Some { G.Crash.pid; round = Rng.int_in rng 1 10; broadcast = G.Crash.Silent }
+           else None)
+         pids)
+  in
+  let gst = Rng.int_in rng 1 8 in
+  let env =
+    Rng.pick rng
+      [
+        G.Env.Async;
+        G.Env.Ms;
+        G.Env.Sync;
+        G.Env.Es { gst };
+        G.Env.Ess { gst };
+        G.Env.Dynamic { stability = Rng.int_in rng 1 3; rooted = Rng.bool rng };
+      ]
+  in
+  let stable = Rng.int rng n in
+  let rounds =
+    List.init (Rng.int_in rng 0 12) (fun i ->
+        let senders = subset 0.8 in
+        let obligated = if Rng.bool rng then senders else subset 0.7 in
+        let reach s =
+          if s = stable || Rng.chance rng 0.3 then List.filter (fun q -> q <> s) pids
+          else subset 0.5
+        in
+        let timely =
+          List.concat_map
+            (fun s ->
+              if Rng.chance rng 0.15 then []
+              else if Rng.chance rng 0.1 then [ (s, reach s); (s, subset 0.5) ]
+              else [ (s, reach s) ])
+            (Rng.shuffle rng senders)
+        in
+        base_round ~round:(i + 1) ~senders ~obligated ~timely)
+  in
+  { G.Trace.n; inputs = Array.make n 0; crash; churn = G.Churn.none ~n; env; rounds }
+
+let prop_env_matches_reference =
+  QCheck.Test.make ~name:"env check = list-based reference" ~count:2000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let trace = gen_env_trace (Rng.make seed) in
+      G.Checker.check_env trace = Ref_env.check_env trace)
+
 (* Random traces: distinct decider pids spread over a few rounds, random
    churners and crashes, inputs and decided values from small overlapping
    ranges so that validity and agreement violations are common. *)
@@ -1296,6 +1755,7 @@ let () =
           Alcotest.test_case "of_events" `Quick test_crash_of_events;
           Alcotest.test_case "validation" `Quick test_crash_validation;
           qc prop_crash_random;
+          qc prop_schedule_lookups;
         ] );
       ( "mailbox",
         [
@@ -1323,6 +1783,7 @@ let () =
           Alcotest.test_case "es post gst" `Quick test_adversary_es_post_gst;
           Alcotest.test_case "blocking alternates" `Quick
             test_adversary_blocking_alternates;
+          qc prop_plans_match_reference;
         ] );
       ( "runner",
         [
@@ -1334,6 +1795,7 @@ let () =
           Alcotest.test_case "identical messages merge" `Quick
             test_runner_identical_messages_merge;
           Alcotest.test_case "horizon" `Quick test_runner_horizon;
+          Alcotest.test_case "fresh stays lazy" `Quick test_runner_fresh_stays_lazy;
         ] );
       ( "env-trace-dispatch",
         [
@@ -1357,6 +1819,7 @@ let () =
           Alcotest.test_case "exact lost add" `Quick test_checker_exact_lost_add;
           Alcotest.test_case "irrevocability" `Quick test_checker_irrevocability;
           qc prop_checker_matches_model;
+          qc prop_env_matches_reference;
         ] );
       ( "config",
         [

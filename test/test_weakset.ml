@@ -10,7 +10,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let vset = Value.set_of_list
-let inbox ?(fresh = []) current = { G.Intf.current; fresh }
+let inbox ?(fresh = []) current = { G.Intf.current; fresh = Lazy.from_val fresh }
 
 (* --- unit-level service semantics --------------------------------------------- *)
 
