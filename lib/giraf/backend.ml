@@ -65,7 +65,7 @@ let insert t p ~arrival ~sent msg =
    round] entries. The run is in reverse [fresh] order, so keeping the
    first of each equal run keeps the copy [fresh] lists last, and consing
    yields ascending order. *)
-let current_of ~compare ~round entries =
+let current_of ~compare ~(round : int) entries =
   let rec uniq acc prev = function
     | (s, m) :: tl when s = round ->
       if compare_msg compare prev m = 0 then uniq acc m tl else uniq (m :: acc) m tl

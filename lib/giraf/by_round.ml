@@ -1,6 +1,7 @@
-(* Schedule events grouped by round once, when a schedule is built, so
-   that a round's lookup allocates nothing. [Crash] indexes crashes by
-   their round, [Churn] leaves and rejoins by theirs. *)
+(* Schedule events grouped by round once, when a schedule is built. A
+   round's lookup raises nothing, and one without events, the common
+   case, allocates nothing. [Crash] indexes crashes by their round,
+   [Churn] leaves and rejoins by theirs. *)
 
 module Rounds = Map.Make (Int)
 
@@ -16,4 +17,4 @@ let index round_of evs =
       | Some r -> Rounds.update r (fun evs -> Some (ev :: Option.value ~default:[] evs)) m)
     evs Rounds.empty
 
-let find t round = match Rounds.find round t with evs -> evs | exception Not_found -> []
+let find t round = match Rounds.find_opt round t with Some evs -> evs | None -> []

@@ -17,7 +17,7 @@ val dispatch :
   outgoing:'msg outbound list ->
   crashing_events:Crash.event list ->
   eligible:(int -> bool) ->
-  receivers:int list ->
+  receivers:(unit -> int list) ->
   plan:Adversary.plan ->
   crash_rng:Anon_kernel.Rng.t ->
   ?on_deliver:(sender:int -> receiver:int -> arrival:int -> unit) ->
@@ -29,9 +29,11 @@ val dispatch :
     — for [Broadcast_subset] a plan entry for the crashing sender, when
     present, pins the subset (and arrivals) deterministically, otherwise
     the subset is chosen with [crash_rng]; all other senders follow
-    [plan]. [eligible] says whether a pid may still receive (alive,
-    not halted); [receivers] lists the pids a crashing sender may target.
-    Arrivals are clamped to [>= round]. [schedule] sees every delivery,
+    [plan], a sender's first entry winning. [eligible] says whether a pid
+    may still receive (alive, not halted); [receivers ()] lists the pids
+    a crashing sender may target, and is called only for a crashing
+    sender that broadcasts without a scripted subset. Arrivals are
+    clamped to [>= round]. [schedule] sees every delivery,
     self-deliveries included, sender by sender in [outgoing] order, each
     sender's self-delivery first. [on_deliver] observes every
     point-to-point delivery (self-deliveries excluded), after the

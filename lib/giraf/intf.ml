@@ -97,6 +97,15 @@ end
     processes are churners between their leave and rejoin rounds. *)
 type fate = Live | Crashed | Halted | Away
 
+(** [all_halted fate c pids]: every pid of [pids] is [Halted] in [c],
+    read through [fate]. [all_halted C.fate c (C.correct_stayers c)] is
+    the test [C.undecided_correct_stayers c = \[\]] without building the
+    list, for the per-round stop checks. *)
+let rec all_halted fate c = function
+  | [] -> true
+  | p :: tl -> (
+    match fate c p with Halted -> all_halted fate c tl | Live | Crashed | Away -> false)
+
 (** The per-round stepping core of {!Step_core}: one iteration of Alg. 1
     over every process, as three phases ([begin_round], [compute],
     [deliver]), for processes that may decide. *)

@@ -54,6 +54,8 @@ let decision_round outcome =
 module Make (A : Intf.ALGORITHM) = struct
   module Core = Step_core.Consensus (A)
 
+  let decided core = Intf.all_halted Core.fate core (Core.correct_stayers core)
+
   let run ?observe ?(recorder = Anon_obs.Recorder.off) config =
     let module R = Anon_obs.Recorder in
     let module M = Anon_obs.Metrics in
@@ -196,8 +198,7 @@ module Make (A : Intf.ALGORITHM) = struct
                 timely = stats.timely_count;
               })
       end;
-      if config.stop_on_decision && Core.undecided_correct_stayers core = [] then
-        continue := false;
+      if config.stop_on_decision && decided core then continue := false;
       incr round
     done;
     let trace =
@@ -210,8 +211,8 @@ module Make (A : Intf.ALGORITHM) = struct
         rounds = List.rev !rounds;
       }
     in
-    let all_correct_decided = Core.undecided_correct_stayers core = [] in
-    let rounds_executed = min (!round - 1) config.horizon in
+    let all_correct_decided = decided core in
+    let rounds_executed = Int.min (!round - 1) config.horizon in
     if obs_on then begin
       M.set_gauge m_rounds (float_of_int rounds_executed);
       (match kernel_before with

@@ -97,46 +97,64 @@ module Consensus (A : Intf.ALGORITHM) = struct
     t.st.(p) <- Some st;
     touch t p
 
+  (* Churn transitions. Halted processes ignore churn — decisions are
+     irrevocable, there is nothing left to leave. A rejoiner restarts
+     from scratch: anonymity leaves no identifier under which state or
+     mail could have been parked. *)
+  let rec leave t on_leave = function
+    | [] -> ()
+    | (ev : Churn.event) :: tl ->
+      (match t.fate.(ev.pid) with
+      | Live ->
+        t.fate.(ev.pid) <- Away;
+        t.out.(ev.pid) <- None;
+        touch t ev.pid;
+        (match on_leave with Some f -> f ~pid:ev.pid | None -> ())
+      | Crashed | Halted | Away -> ());
+      leave t on_leave tl
+
+  let rec rejoin t on_rejoin = function
+    | [] -> ()
+    | (ev : Churn.event) :: tl ->
+      (match t.fate.(ev.pid) with
+      | Away | Live ->
+        t.fate.(ev.pid) <- Live;
+        t.st.(ev.pid) <- None;
+        Backend.clear t.inflight ev.pid;
+        touch t ev.pid;
+        (match on_rejoin with Some f -> f ~pid:ev.pid | None -> ())
+      | Crashed | Halted -> ());
+      rejoin t on_rejoin tl
+
+  let rec unmark t = function
+    | [] -> ()
+    | (ev : Crash.event) :: tl ->
+      t.is_crashing.(ev.pid) <- false;
+      unmark t tl
+
+  (* The round's crash events of processes that can still crash, each
+     marked in [is_crashing]: a process that already crashed or decided
+     cannot crash again. *)
+  let[@tail_mod_cons] rec latch t = function
+    | [] -> []
+    | (ev : Crash.event) :: tl -> (
+      match t.fate.(ev.pid) with
+      | Live | Away ->
+        t.is_crashing.(ev.pid) <- true;
+        ev :: latch t tl
+      | Crashed | Halted -> latch t tl)
+
+  (* A round without events allocates nothing: each helper returns at
+     once on an empty list. *)
   let begin_round ?on_leave ?on_rejoin t =
     let k = t.round + 1 in
     t.round <- k;
-    (* Churn transitions. Halted processes ignore churn — decisions are
-       irrevocable, there is nothing left to leave. A rejoiner restarts
-       from scratch: anonymity leaves no identifier under which state or
-       mail could have been parked. *)
-    List.iter
-      (fun (ev : Churn.event) ->
-        match t.fate.(ev.pid) with
-        | Live ->
-          t.fate.(ev.pid) <- Away;
-          t.out.(ev.pid) <- None;
-          touch t ev.pid;
-          (match on_leave with Some f -> f ~pid:ev.pid | None -> ())
-        | Crashed | Halted | Away -> ())
-      (Churn.leaving_at t.churn ~round:k);
-    List.iter
-      (fun (ev : Churn.event) ->
-        match t.fate.(ev.pid) with
-        | Away | Live ->
-          t.fate.(ev.pid) <- Live;
-          t.st.(ev.pid) <- None;
-          Backend.clear t.inflight ev.pid;
-          touch t ev.pid;
-          (match on_rejoin with Some f -> f ~pid:ev.pid | None -> ())
-        | Crashed | Halted -> ())
-      (Churn.rejoining_at t.churn ~round:k);
+    leave t on_leave (Churn.leaving_at t.churn ~round:k);
+    rejoin t on_rejoin (Churn.rejoining_at t.churn ~round:k);
     (* Latch the round's crash events against the fates as they stand
-       before the compute: a process that already crashed or decided
-       cannot crash again. *)
-    List.iter (fun (ev : Crash.event) -> t.is_crashing.(ev.pid) <- false) t.crashing_now;
-    t.crashing_now <-
-      List.filter
-        (fun (ev : Crash.event) ->
-          match t.fate.(ev.pid) with
-          | Live | Away -> true
-          | Crashed | Halted -> false)
-        (Crash.crashing_at t.crash ~round:k);
-    List.iter (fun (ev : Crash.event) -> t.is_crashing.(ev.pid) <- true) t.crashing_now
+       before the compute. *)
+    unmark t t.crashing_now;
+    t.crashing_now <- latch t (Crash.crashing_at t.crash ~round:k)
 
   let compute ?observe ?on_decide ?on_compute t =
     let k = t.round in
@@ -209,7 +227,7 @@ module Consensus (A : Intf.ALGORITHM) = struct
     Dispatch.dispatch ~round:t.round ~outgoing:t.outgoing
       ~crashing_events:t.crashing_now
       ~eligible:(fun q -> q >= 0 && q < t.n && t.fate.(q) = Live)
-      ~receivers:(alive t) ~plan ~crash_rng ?on_deliver ~schedule ()
+      ~receivers:(fun () -> alive t) ~plan ~crash_rng ?on_deliver ~schedule ()
 
   (* ESS from GST on: the plan's source becomes the stable source. *)
   let latched_stable t (plan : Adversary.plan) =
@@ -217,6 +235,18 @@ module Consensus (A : Intf.ALGORITHM) = struct
     | Env.Ess { gst } when t.round >= gst -> (
       match plan.source with Some _ as src -> src | None -> t.stable)
     | Env.Sync | Env.Ms | Env.Es _ | Env.Ess _ | Env.Async | Env.Dynamic _ -> t.stable
+
+  (* The latched crashers stop: state, broadcast and mailbox go. *)
+  let rec crash t on_crash = function
+    | [] -> ()
+    | (ev : Crash.event) :: tl ->
+      t.fate.(ev.pid) <- Crashed;
+      t.st.(ev.pid) <- None;
+      t.out.(ev.pid) <- None;
+      Backend.clear t.inflight ev.pid;
+      touch t ev.pid;
+      (match on_crash with Some f -> f ~pid:ev.pid | None -> ());
+      crash t on_crash tl
 
   let preview t ~plan ~crash_rng =
     let rev = ref [] in
@@ -239,15 +269,7 @@ module Consensus (A : Intf.ALGORITHM) = struct
           touch t receiver)
     in
     Backend.Round.file ~compare:A.msg_compare t.filing t.inflight;
-    List.iter
-      (fun (ev : Crash.event) ->
-        t.fate.(ev.pid) <- Crashed;
-        t.st.(ev.pid) <- None;
-        t.out.(ev.pid) <- None;
-        Backend.clear t.inflight ev.pid;
-        touch t ev.pid;
-        match on_crash with Some f -> f ~pid:ev.pid | None -> ())
-      t.crashing_now;
+    crash t on_crash t.crashing_now;
     let stable = latched_stable t plan in
     if not (Option.equal Int.equal stable t.stable) then begin
       (match t.stable with Some p -> touch t p | None -> ());

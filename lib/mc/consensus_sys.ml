@@ -92,7 +92,7 @@ struct
 
   (* Liveness is owed to correct stayers only (cf. Runner/Checker): a
      churner may rejoin after everyone halted and run alone forever. *)
-  let terminal nd = Core.undecided_correct_stayers nd.core = []
+  let terminal nd = G.Intf.all_halted Core.fate nd.core (Core.correct_stayers nd.core)
   let pending nd = Core.undecided_correct_stayers nd.core
 
   (* Pid-indexed rendering for the differential test: fate and state key

@@ -87,7 +87,7 @@ let translate_churn ~g0 ~n churn =
          let rejoin = Option.map (fun r -> r - g0 + 1) ev.rejoin in
          match rejoin with
          | Some r when r <= 1 -> None
-         | _ -> Some { ev with leave = max 1 leave; rejoin })
+         | _ -> Some { ev with leave = Int.max 1 leave; rejoin })
   |> G.Churn.of_events ~n
 
 module Make (A : G.Intf.ALGORITHM) = struct
@@ -104,9 +104,13 @@ module Make (A : G.Intf.ALGORITHM) = struct
     first_proposal : int;
     batch_values : Value.t list;
     arrivals : int list;
-    mutable decisions : (int * int * Value.t) list;  (* reversed *)
+    decisions : (int * int * Value.t) list ref;  (* reversed *)
+    on_decide : (pid:int -> round:int -> value:Value.t -> unit) option;
     mutable local_rounds : int;
   }
+
+  (* Every correct stayer decided: liveness is owed to them only. *)
+  let decided core = G.Intf.all_halted Core.fate core (Core.correct_stayers core)
 
   let run ?(recorder = Anon_obs.Recorder.off) ?on_commit config ~proposals =
     let module R = Anon_obs.Recorder in
@@ -135,7 +139,7 @@ module Make (A : G.Intf.ALGORITHM) = struct
     let arrived = ref 0 in  (* proposals with arrival <= current round *)
     let next_instance = ref 0 in
     let inflight : live list ref = ref [] in  (* ascending id *)
-    let closed : (int, instance_result) Hashtbl.t = Hashtbl.create 64 in
+    let closed = ref (Array.make 16 None) in  (* by instance id, grown by doubling *)
     let commit = ref 0 in
     let committed_proposals = ref 0 in
     let decided_proposals = ref 0 in
@@ -143,6 +147,18 @@ module Make (A : G.Intf.ALGORITHM) = struct
     let broadcasts = ref 0 in
     let instance_msgs = ref 0 in
     let bundle = Array.make config.n 0 in  (* this round's bundle size per sender *)
+    (* A schedule without events reads the same in every local frame, so
+       every instance shares it instead of translating it. *)
+    let crash_from g0 =
+      match G.Crash.events config.crash with
+      | [] -> config.crash
+      | _ :: _ -> translate_crash ~g0 ~n:config.n config.crash
+    in
+    let churn_from g0 =
+      match G.Churn.events config.churn with
+      | [] -> config.churn
+      | _ :: _ -> translate_churn ~g0 ~n:config.n config.churn
+    in
     let open_instance gr =
       let id = !next_instance in
       incr next_instance;
@@ -161,8 +177,8 @@ module Make (A : G.Intf.ALGORITHM) = struct
       let arrivals = List.map (fun p -> p.Workload.arrival) covered in
       let b = !count in
       let inputs = instance_inputs ~n:config.n batch_values in
-      let crash = translate_crash ~g0:gr ~n:config.n config.crash in
-      let churn = translate_churn ~g0:gr ~n:config.n config.churn in
+      let crash = crash_from gr in
+      let churn = churn_from gr in
       let adversary = config.adversary id in
       let rng = Rng.make (instance_seed ~seed:config.seed ~instance:id) in
       let crash_rng = Rng.split rng in
@@ -172,6 +188,11 @@ module Make (A : G.Intf.ALGORITHM) = struct
       M.incr ~by:b m_proposals;
       M.incr m_instances;
       if obs_on then M.observe h_batch_fill (float_of_int b);
+      let decisions = ref [] in
+      let on_decide ~pid ~round ~value =
+        decisions := (pid, round, value) :: !decisions;
+        M.incr m_decides
+      in
       inflight :=
         !inflight
         @ [
@@ -186,7 +207,8 @@ module Make (A : G.Intf.ALGORITHM) = struct
               first_proposal = first;
               batch_values;
               arrivals;
-              decisions = [];
+              decisions;
+              on_decide = Some on_decide;
               local_rounds = 0;
             };
           ]
@@ -197,11 +219,7 @@ module Make (A : G.Intf.ALGORITHM) = struct
     let step inst =
       inst.local_rounds <- inst.local_rounds + 1;
       Core.begin_round inst.core;
-      let on_decide ~pid ~round ~value =
-        inst.decisions <- (pid, round, value) :: inst.decisions;
-        M.incr m_decides
-      in
-      let outgoing = Core.compute inst.core ~on_decide in
+      let outgoing = Core.compute inst.core ?on_decide:inst.on_decide in
       let ctx = Core.ctx inst.core in
       let plan = G.Adversary.plan inst.adversary ctx inst.rng in
       let (_ : G.Dispatch.stats) =
@@ -211,10 +229,9 @@ module Make (A : G.Intf.ALGORITHM) = struct
     in
     let close ~gr ~done_ inst =
       let value, decided =
-        if done_ && inst.decisions <> [] then
-          let _, _, v = List.hd inst.decisions in
-          (Some v, Some gr)
-        else (None, None)
+        match !(inst.decisions) with
+        | (_, _, v) :: _ when done_ -> (Some v, Some gr)
+        | _ -> (None, None)
       in
       (match value with
       | Some _ ->
@@ -229,23 +246,29 @@ module Make (A : G.Intf.ALGORITHM) = struct
       | None ->
         incr stalled;
         M.incr m_stalled);
-      Hashtbl.add closed inst.id
-        {
-          instance = inst.id;
-          first_proposal = inst.first_proposal;
-          batch_values = inst.batch_values;
-          arrivals = inst.arrivals;
-          opened = inst.opened;
-          decided;
-          value;
-          decisions = List.rev inst.decisions;
-          local_rounds = inst.local_rounds;
-        }
+      let a = !closed in
+      if inst.id >= Array.length a then begin
+        closed := Array.make (Int.max (inst.id + 1) (2 * Array.length a)) None;
+        Array.blit a 0 !closed 0 (Array.length a)
+      end;
+      !closed.(inst.id) <-
+        Some
+          {
+            instance = inst.id;
+            first_proposal = inst.first_proposal;
+            batch_values = inst.batch_values;
+            arrivals = inst.arrivals;
+            opened = inst.opened;
+            decided;
+            value;
+            decisions = List.rev !(inst.decisions);
+            local_rounds = inst.local_rounds;
+          }
     in
     let advance_commit gr =
       let continue = ref true in
       while !continue do
-        match Hashtbl.find_opt closed !commit with
+        match if !commit < Array.length !closed then !closed.(!commit) else None with
         | Some { value = Some v; arrivals; _ } ->
           let instance = !commit in
           incr commit;
@@ -257,6 +280,36 @@ module Make (A : G.Intf.ALGORITHM) = struct
           R.emit recorder (fun () -> E.Commit { instance; round = gr; value = v })
         | Some { value = None; _ } | None -> continue := false
       done
+    in
+    (* A sender's messages of one global round travel as one bundle: its
+       message of each instance, each framed by a one-unit instance tag. *)
+    let rec bundle_up = function
+      | [] -> ()
+      | { G.Dispatch.sender; msg } :: tl ->
+        incr instance_msgs;
+        if bundle.(sender) = 0 then incr broadcasts;
+        bundle.(sender) <- bundle.(sender) + 1 + if obs_on then A.msg_size msg else 0;
+        bundle_up tl
+    in
+    let rec step_all = function
+      | [] -> ()
+      | inst :: tl ->
+        bundle_up (step inst);
+        step_all tl
+    in
+    (* The instances still in flight, once every one whose correct
+       stayers all decided is closed (in id order); the list is rebuilt
+       only when one closes. *)
+    let rec sweep gr = function
+      | [] -> []
+      | inst :: tl as insts ->
+        if decided inst.core then begin
+          close ~gr ~done_:true inst;
+          sweep gr tl
+        end
+        else
+          let tl' = sweep gr tl in
+          if tl' == tl then insts else inst :: tl'
     in
     let g = ref 0 in
     let finished = nq = 0 in
@@ -280,44 +333,23 @@ module Make (A : G.Intf.ALGORITHM) = struct
         M.set_gauge g_inflight depth;
         M.observe h_queue (float_of_int (!arrived - !next))
       end;
-      (* A sender's messages of one global round travel as one bundle: its
-         message of each instance, each framed by a one-unit instance tag. *)
-      List.iter
-        (fun inst ->
-          List.iter
-            (fun { G.Dispatch.sender; msg } ->
-              incr instance_msgs;
-              if bundle.(sender) = 0 then incr broadcasts;
-              bundle.(sender) <-
-                bundle.(sender) + 1 + if obs_on then A.msg_size msg else 0)
-            (step inst))
-        !inflight;
-      Array.iteri
-        (fun p size ->
-          if size > 0 then begin
-            if obs_on then M.observe h_bundle (float_of_int size);
-            bundle.(p) <- 0
-          end)
-        bundle;
-      inflight :=
-        List.filter
-          (fun inst ->
-            if Core.undecided_correct_stayers inst.core = [] then begin
-              close ~gr ~done_:true inst;
-              false
-            end
-            else true)
-          !inflight;
+      step_all !inflight;
+      for p = 0 to config.n - 1 do
+        let size = bundle.(p) in
+        if size > 0 then begin
+          if obs_on then M.observe h_bundle (float_of_int size);
+          bundle.(p) <- 0
+        end
+      done;
+      inflight := sweep gr !inflight;
       advance_commit gr;
-      if !inflight = [] && !next >= nq then finished := true
+      match !inflight with [] when !next >= nq -> finished := true | _ -> ()
     done;
     let rounds = !g in
     (* Instances still open at the horizon never became committable. *)
     List.iter (fun inst -> close ~gr:rounds ~done_:false inst) !inflight;
     inflight := [];
-    let instances =
-      List.init !next_instance (fun i -> Hashtbl.find closed i)
-    in
+    let instances = List.init !next_instance (fun i -> Option.get !closed.(i)) in
     (* Every decider of an instance is a replica of the log, so no
        churner is exempt from agreement. *)
     let violations =

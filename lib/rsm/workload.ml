@@ -19,6 +19,13 @@ let make ?(where = "Workload.make") ?(skew = 0.) ?(value_range = 16)
   if Float.is_nan rate then fail "rate must not be NaN";
   if not (Float.is_finite rate && rate > 0.) then
     fail (Printf.sprintf "rate must be a finite positive number (got %g)" rate);
+  (* Past [max_int], [int_of_float] is unspecified (0 on amd64): the last
+     proposal would arrive before the first. *)
+  let last = 1. +. (float_of_int (proposals - 1) /. rate) in
+  if not (last < float_of_int max_int) then
+    fail
+      (Printf.sprintf "rate %g puts the last of %d proposals past round max_int" rate
+         proposals);
   if Float.is_nan skew then fail "skew must not be NaN";
   if not (skew >= 0. && skew <= 1.) then
     fail (Printf.sprintf "skew must be in [0,1] (got %g)" skew);

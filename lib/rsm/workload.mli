@@ -39,9 +39,11 @@ val make :
   t
 (** Validates every field and raises {!Anon_giraf.Config_error.Invalid_config}
     (component [where], default ["Workload.make"]) on: [proposals < 1],
-    a rate that is NaN, infinite or [<= 0], a skew that is NaN or outside
-    [\[0,1\]], [value_range < 1], or [shards < 1]. Defaults: [skew = 0.],
-    [value_range = 16], [hot_value = 0], [shards = 1]. *)
+    a rate that is NaN, infinite or [<= 0], a rate whose last arrival
+    [1 + (proposals - 1) / rate] does not fit in an int, a skew that is
+    NaN or outside [\[0,1\]], [value_range < 1], or [shards < 1].
+    Defaults: [skew = 0.], [value_range = 16], [hot_value = 0],
+    [shards = 1]. *)
 
 type proposal = { id : int; arrival : int; value : Anon_kernel.Value.t }
 (** [id] is the global proposal index in [\[0, proposals)]; [arrival] the

@@ -675,6 +675,107 @@ let prop_plans_match_reference =
       let expected = Ref_adversary.plan spec c rng2 in
       got = expected && rng1 = rng2)
 
+(* The dispatch with each sender's entry found by [List.assoc_opt]: every
+   [schedule] call as [(sender, receiver, arrival)], and the stats. *)
+let ref_dispatch ~round ~outgoing ~crashing ~eligible ~receivers
+    ~(plan : G.Adversary.plan) ~crash_rng =
+  let log = ref [] and timely = ref [] and delivered = ref 0 and count = ref 0 in
+  List.iter
+    (fun { G.Dispatch.sender; msg = () } ->
+      log := (sender, sender, round) :: !log;
+      let cur = ref [] in
+      let deliver (d : G.Adversary.delivery) =
+        if d.receiver <> sender && eligible d.receiver then begin
+          let arrival = max d.arrival round in
+          log := (sender, d.receiver, arrival) :: !log;
+          incr delivered;
+          if arrival = round then begin
+            incr count;
+            cur := d.receiver :: !cur
+          end
+        end
+      in
+      let others () = List.filter (fun q -> q <> sender) receivers in
+      let entry = List.assoc_opt sender plan.deliveries in
+      (match List.find_opt (fun (ev : G.Crash.event) -> ev.pid = sender) crashing with
+      | None -> Option.iter (List.iter deliver) entry
+      | Some ev -> (
+        match (ev.broadcast, entry) with
+        | G.Crash.Silent, _ -> ()
+        | G.Crash.Broadcast_subset, Some ds -> List.iter deliver ds
+        | G.Crash.Broadcast_all, _ ->
+          List.iter (fun q -> deliver { receiver = q; arrival = round }) (others ())
+        | G.Crash.Broadcast_subset, None ->
+          List.iter
+            (fun q ->
+              let arrival =
+                if Rng.bool crash_rng then round else round + Rng.int_in crash_rng 1 3
+              in
+              deliver { receiver = q; arrival })
+            (Rng.subset crash_rng ~p:0.5 (others ()))));
+      if !cur <> [] then timely := (sender, !cur) :: !timely)
+    outgoing;
+  ( List.rev !log,
+    { G.Dispatch.timely = !timely; delivered = !delivered; timely_count = !count } )
+
+(* Random rounds over n <= 10: outgoing senders ascending (as a core
+   lists them), plan entries in that order or shuffled, with senders
+   missing or listed twice, crashing senders of every kind, and receivers
+   not all eligible. Dispatch must make the reference's [schedule] calls,
+   return its stats and leave the crash RNG in the same state. *)
+let prop_dispatch_matches_reference =
+  QCheck.Test.make ~name:"dispatch = assoc-list reference" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.make seed in
+      let n = Rng.int_in rng 1 10 in
+      let round = Rng.int_in rng 1 20 in
+      let subset () = List.filter (fun _ -> Rng.chance rng 0.7) (List.init n Fun.id) in
+      let senders = subset () in
+      let outgoing = List.map (fun sender -> { G.Dispatch.sender; msg = () }) senders in
+      let row () =
+        List.map
+          (fun q -> { G.Adversary.receiver = q; arrival = round + Rng.int_in rng (-1) 2 })
+          (subset ())
+      in
+      let entries = List.map (fun s -> (s, row ())) (if Rng.bool rng then senders else subset ()) in
+      let entries = if Rng.chance rng 0.3 then Rng.shuffle rng entries else entries in
+      let entries =
+        if Rng.chance rng 0.2 then entries @ List.map (fun (s, _) -> (s, row ())) entries
+        else entries
+      in
+      let crashing =
+        List.filter_map
+          (fun pid ->
+            if Rng.chance rng 0.2 then
+              Some
+                {
+                  G.Crash.pid;
+                  round;
+                  broadcast = Rng.pick rng G.Crash.[ Silent; Broadcast_all; Broadcast_subset ];
+                }
+            else None)
+          senders
+      in
+      let live = subset () and receivers = subset () in
+      let eligible q = List.mem q live in
+      let plan = { G.Adversary.source = None; deliveries = entries } in
+      let crash_seed = Rng.int rng 1_000_000 in
+      let rng1 = Rng.make crash_seed and rng2 = Rng.make crash_seed in
+      let log = ref [] in
+      let stats =
+        G.Dispatch.dispatch ~round ~outgoing ~crashing_events:crashing ~eligible
+          ~receivers:(fun () -> receivers)
+          ~plan ~crash_rng:rng1
+          ~schedule:(fun ~sender ~receiver ~arrival ~sent:_ () ->
+            log := (sender, receiver, arrival) :: !log)
+          ()
+      in
+      let expected_log, expected_stats =
+        ref_dispatch ~round ~outgoing ~crashing ~eligible ~receivers ~plan ~crash_rng:rng2
+      in
+      List.rev !log = expected_log && stats = expected_stats && rng1 = rng2)
+
 (* --- Runner: a probe algorithm that records its inboxes --------------------- *)
 
 module Probe = struct
@@ -1080,7 +1181,7 @@ let test_dispatch_crash_modes () =
         ~outgoing:[ { G.Dispatch.sender = 0; msg = "m" } ]
         ~crashing_events:[ { G.Crash.pid = 0; round = 3; broadcast } ]
         ~eligible:(fun _ -> true)
-        ~receivers:[ 0; 1; 2; 3 ]
+        ~receivers:(fun () -> [ 0; 1; 2; 3 ])
         ~plan:{ G.Adversary.source = None; deliveries = [] }
         ~crash_rng:(Rng.make 1) ~schedule ()
     in
@@ -1802,6 +1903,7 @@ let () =
           Alcotest.test_case "env pp/gst" `Quick test_env_pp_and_gst;
           Alcotest.test_case "trace accessors" `Quick test_trace_accessors;
           Alcotest.test_case "dispatch crash modes" `Quick test_dispatch_crash_modes;
+          qc prop_dispatch_matches_reference;
           Alcotest.test_case "random workload" `Quick test_service_random_workload;
         ] );
       ( "checker",

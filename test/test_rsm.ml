@@ -1,9 +1,9 @@
 (* Tests for the multi-shot consensus service (lib/rsm): workload
-   validation discipline, the W=1/B=1 differential against one-shot
-   Runner executions (the multiplexer adds no semantics), window
-   independence, sharded jobs-equivalence of the load report, log
-   contiguity under crash/churn stalls, and a fuzz-campaign smoke over
-   dynamic-graph + churn load runs. *)
+   validation discipline, the W=1/B=1 and W=8/B=4 (under crash and churn)
+   differentials against one-shot Runner executions (the multiplexer adds
+   no semantics), window independence, sharded jobs-equivalence of the
+   load report, log contiguity under crash/churn stalls, and a
+   fuzz-campaign smoke over dynamic-graph + churn load runs. *)
 
 open Anon_kernel
 module G = Anon_giraf
@@ -63,6 +63,12 @@ let test_workload_validation () =
       workload ~shards:0 ~proposals:10 ~rate:1. ());
   rejects ~what:"empty value range" (fun () ->
       workload ~value_range:0 ~proposals:10 ~rate:1. ());
+  (* Proposal 2 would arrive near round 2e300, past max_int. *)
+  rejects ~what:"last arrival past max_int" (fun () ->
+      workload ~proposals:3 ~rate:1e-300 ());
+  (* A lone proposal arrives at round 1 at any rate. *)
+  check_int "lone proposal at a tiny rate" 1
+    (Workload.arrival (workload ~proposals:1 ~rate:1e-300 ()) 0);
   (* Boundary skews are legal. *)
   ignore (workload ~skew:0. ~proposals:1 ~rate:1. ());
   ignore (workload ~skew:1. ~proposals:1 ~rate:1. ())
@@ -156,6 +162,93 @@ let test_differential_ess () =
     (module C.Ess_consensus)
     ~make_adversary:(fun ~gst -> G.Adversary.ess ~gst ())
     ~gst:4 ()
+
+(* The test's own reading of rsm.mli's local frame: an instance opened at
+   global round [g0] sees global round [g] as [g - g0 + 1]. A crash that
+   already happened is a silent crash at local round 1; an absence that
+   already ended is no event, and one under way leaves at local round 1. *)
+let crash_in_frame ~g0 ~n crash =
+  G.Crash.of_events ~n
+    (List.map
+       (fun (ev : G.Crash.event) ->
+         let round = ev.round - g0 + 1 in
+         if round >= 1 then { ev with round } else { ev with round = 1; broadcast = G.Crash.Silent })
+       (G.Crash.events crash))
+
+let churn_in_frame ~g0 ~n churn =
+  G.Churn.of_events ~n
+    (List.filter_map
+       (fun (ev : G.Churn.event) ->
+         let rejoin = Option.map (fun r -> r - g0 + 1) ev.rejoin in
+         match rejoin with
+         | Some r when r <= 1 -> None
+         | Some _ | None -> Some { ev with leave = max 1 (ev.leave - g0 + 1); rejoin })
+       (G.Churn.events churn))
+
+(* W=8, B=4 at n=4: every instance of the multiplexer, pipelined with up
+   to seven others and batching up to four proposals, is the one-shot
+   [Runner.run] at its seed, inputs [vs.(p mod b)], a fresh adversary and
+   the schedules in its local frame. *)
+let window_batch_differential ~crash ~churn () =
+  let module M = Rsm.Make (C.Es_consensus) in
+  let module R = G.Runner.Make (C.Es_consensus) in
+  let n = 4 and seed = 31 and gst = 4 in
+  let w = workload ~seed ~value_range:9 ~proposals:120 ~rate:8. () in
+  let cfg =
+    { (config ~n ~window:8 ~batch:4 ~horizon:2000 ~seed (es_factory ~gst ())) with crash; churn }
+  in
+  let out = M.run cfg ~proposals:(Workload.shard_proposals w 0) in
+  check_bool "several instances" true (List.length out.Rsm.instances > 8);
+  check_bool "batches fill" true
+    (List.exists (fun (ir : Rsm.instance_result) -> List.length ir.batch_values = 4)
+       out.Rsm.instances);
+  List.iter
+    (fun (ir : Rsm.instance_result) ->
+      let g0 = ir.opened in
+      let vs = Array.of_list ir.batch_values in
+      let one_shot =
+        R.run
+          (G.Runner.default_config ~horizon:2000
+             ~seed:(Rsm.instance_seed ~seed ~instance:ir.instance)
+             ~churn:(churn_in_frame ~g0 ~n churn)
+             ~inputs:(List.init n (fun p -> vs.(p mod Array.length vs)))
+             ~crash:(crash_in_frame ~g0 ~n crash) (G.Adversary.es ~gst ()))
+      in
+      let what = Printf.sprintf "instance %d (opened %d)" ir.instance g0 in
+      Alcotest.(check (list (triple int int int)))
+        (what ^ ": decisions = one-shot runner") one_shot.G.Runner.decisions ir.decisions;
+      Alcotest.(check (option int))
+        (what ^ ": committed value = one-shot decision")
+        (match List.rev one_shot.G.Runner.decisions with
+        | (_, _, v) :: _ -> Some v
+        | [] -> None)
+        ir.value;
+      check_int (what ^ ": local rounds") one_shot.G.Runner.rounds_executed ir.local_rounds)
+    out.Rsm.instances;
+  out
+
+let test_window_batch_faults () =
+  let n = 4 in
+  let crash =
+    G.Crash.of_events ~n [ { pid = 3; round = 6; broadcast = G.Crash.Broadcast_subset } ]
+  in
+  let churn = G.Churn.of_events ~n [ { pid = 2; leave = 4; rejoin = Some 12 } ] in
+  let out = window_batch_differential ~crash ~churn () in
+  let opened_in lo hi =
+    List.exists (fun (ir : Rsm.instance_result) -> ir.opened >= lo && ir.opened <= hi)
+      out.Rsm.instances
+  in
+  check_bool "instances open before, during and after the absence" true
+    (opened_in 1 3 && opened_in 5 11 && opened_in 12 100);
+  check_bool "agreement" true out.Rsm.agreement_ok;
+  check_bool "validity" true out.Rsm.validity_ok
+
+let test_window_batch_no_faults () =
+  let n = 4 in
+  let out =
+    window_batch_differential ~crash:(G.Crash.none ~n) ~churn:(G.Churn.none ~n) ()
+  in
+  check_int "every instance commits" (List.length out.Rsm.instances) out.Rsm.commit
 
 (* At batch 1 every process proposes the proposal's value, so validity pins
    the log to the workload stream itself — and the window size cannot
@@ -379,6 +472,10 @@ let () =
             test_differential_ess;
           Alcotest.test_case "window independence at B=1" `Quick
             test_window_independence_b1;
+          Alcotest.test_case "W=8 B=4 under crash and churn = one-shot runner" `Quick
+            test_window_batch_faults;
+          Alcotest.test_case "W=8 B=4 without faults = one-shot runner" `Quick
+            test_window_batch_no_faults;
         ] );
       ( "sharding",
         [

@@ -11,7 +11,9 @@
    (pid-indexed fate + state key + global facts); the runner side
    reconstructs the same rendering from its [observe] stream and outcome
    records. A node at round [r] is the system after the compute phase of
-   iteration [r], i.e. after the runner computed round [r - 1]. *)
+   iteration [r], i.e. after the runner computed round [r - 1].
+
+   The "allocation" group holds the shared round path to a words budget. *)
 
 module G = Anon_giraf
 module K = Anon_kernel
@@ -441,6 +443,70 @@ let ws_tests =
             seeds))
     ws_cases
 
+(* --- allocation budget of the round path ---------------------------------- *)
+
+(* Words are counted, not time, so the budgets are deterministic. Each
+   count is net of the [Gc.minor_words] probe's own words. *)
+module Es_core = G.Step_core.Consensus (C.Es_consensus)
+
+let words f =
+  let probe =
+    let a = Gc.minor_words () in
+    Gc.minor_words () -. a
+  in
+  let a = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. a -. probe
+
+let es_core ~n ~gst =
+  Es_core.create
+    ~inputs:(Array.init n (fun p -> p mod 2))
+    ~crash:(G.Crash.none ~n) ~churn:(G.Churn.none ~n)
+    ~env:(G.Env.Es { gst })
+
+(* A round without crash or churn events allocates nothing at
+   [begin_round]. *)
+let test_quiet_begin_round () =
+  let core = es_core ~n:3 ~gst:4 in
+  Alcotest.(check (float 0.)) "1000 quiet begin_rounds, minor words" 0.
+    (words (fun () ->
+         for _ = 1 to 1000 do
+           Es_core.begin_round core
+         done))
+
+(* An n=3 ES instance at GST 4 driven to its decision through the three
+   phases, as the multiplexer steps one, stays within its words per
+   round: the figure measured when the budget was set, plus 10%. *)
+let es_round_words = 480.
+
+let test_es_round_budget () =
+  let core = es_core ~n:3 ~gst:4 in
+  let adversary = G.Adversary.es ~gst:4 () in
+  let rng = K.Rng.make 7 in
+  let crash_rng = K.Rng.split rng in
+  let rounds = ref 0 in
+  let total =
+    words (fun () ->
+        while not (G.Intf.all_halted Es_core.fate core (Es_core.correct_stayers core)) do
+          incr rounds;
+          Es_core.begin_round core;
+          ignore (Es_core.compute core : C.Es_consensus.msg G.Dispatch.outbound list);
+          let plan = G.Adversary.plan adversary (Es_core.ctx core) rng in
+          ignore (Es_core.deliver core ~plan ~crash_rng : G.Dispatch.stats)
+        done)
+  in
+  let per_round = total /. float_of_int !rounds in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per round <= %.1f" per_round (1.1 *. es_round_words))
+    true
+    (per_round <= 1.1 *. es_round_words)
+
+let allocation_tests =
+  [
+    Alcotest.test_case "quiet begin_round allocates nothing" `Quick test_quiet_begin_round;
+    Alcotest.test_case "es n=3 words per round within budget" `Quick test_es_round_budget;
+  ]
+
 let () =
   Alcotest.run "step_core"
-    [ ("consensus", consensus_tests); ("weak-set", ws_tests) ]
+    [ ("consensus", consensus_tests); ("weak-set", ws_tests); ("allocation", allocation_tests) ]
