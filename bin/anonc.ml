@@ -29,8 +29,8 @@ let exits =
   [
     Cmd.Exit.info 0 ~doc:"on success.";
     Cmd.Exit.info 1
-      ~doc:"on a safety violation, a fuzz finding, a replay mismatch, a benchmark \
-            regression, or an output file that cannot be written.";
+      ~doc:"on a safety violation, a fuzz finding, a replay mismatch, or an \
+            output file that cannot be written.";
     Cmd.Exit.info 2
       ~doc:"on invalid input: a command-line parse error or an invalid \
             configuration.";
@@ -716,8 +716,8 @@ let mc_cmd =
 
 let load_cmd =
   let run algo n gst env_override rate sweep proposals window batch shards skew
-      value_range hot_value horizon seed failures churn_spec label out bench_out
-      metrics json_trace jobs =
+      value_range hot_value horizon seed failures churn_spec out metrics
+      json_trace jobs =
     set_jobs jobs;
     (* Checked before any shard starts: [Crash.random] rejects a bad count
        too, but only once the first shard builds its crash schedule. *)
@@ -800,21 +800,6 @@ let load_cmd =
         | rs -> O.Json.List (List.map Anon_rsm.Load.to_json rs)
       in
       write_json ~cmd:"load" ~what:"load report" path doc);
-    (match bench_out with
-    | None -> ()
-    | Some path ->
-      let doc =
-        O.Json.Obj
-          [
-            ("schema", O.Json.String "anon-bench/3");
-            ("label", O.Json.String label);
-            ("git_revision", O.Json.String (H.Bench_diff.git_revision ()));
-            ("cores", O.Json.Int (Domain.recommended_domain_count ()));
-            ("jobs", O.Json.Int (Anon_exec.Pool.resolve ~jobs ()));
-            ("load", O.Json.List (List.map Anon_rsm.Load.row_json reports));
-          ]
-      in
-      write_json ~cmd:"load" ~what:"anon-bench/3 baseline" path doc);
     if
       List.exists
         (fun (r : Anon_rsm.Load.report) ->
@@ -832,8 +817,8 @@ let load_cmd =
   let sweep_arg =
     Arg.(value & opt (list float) []
          & info [ "sweep" ] ~docv:"R1,R2,..."
-             ~doc:"Run one report per rate instead of --rate (the saturation \
-                   series --bench-out persists).")
+             ~doc:"Run one report per rate instead of --rate (a saturation \
+                   series).")
   in
   let proposals_arg =
     Arg.(value & opt int 1_000
@@ -866,21 +851,11 @@ let load_cmd =
   let hot_value_arg =
     Arg.(value & opt int 0 & info [ "hot-value" ] ~docv:"V" ~doc:"The skewed value.")
   in
-  let label_arg =
-    Arg.(value & opt string "PR9"
-         & info [ "label" ] ~docv:"LABEL" ~doc:"Baseline label for --bench-out.")
-  in
   let out_arg =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"FILE"
              ~doc:"Write the deterministic anon-load/1 report JSON to $(docv) \
                    (byte-identical at any --jobs; a list when --sweep).")
-  in
-  let bench_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "bench-out" ] ~docv:"FILE"
-             ~doc:"Write the runs as an anon-bench/3 baseline (one load row \
-                   per rate) for $(b,anonc bench diff).")
   in
   Cmd.v
     (Cmd.info "load" ~exits
@@ -892,8 +867,7 @@ let load_cmd =
       $ sweep_arg $ proposals_arg $ window_arg $ batch_arg $ shards_arg
       $ skew_arg $ value_range_arg $ hot_value_arg
       $ horizon_arg ~default:200_000 () $ seed_arg $ failures_arg
-      $ churn_spec_arg $ label_arg $ out_arg $ bench_out_arg $ metrics_arg
-      $ json_trace_arg $ jobs_arg)
+      $ churn_spec_arg $ out_arg $ metrics_arg $ json_trace_arg $ jobs_arg)
 
 (* --- live ------------------------------------------------------------------ *)
 
@@ -1067,7 +1041,7 @@ let live_cmd =
   in
   let run algo n net_spec timeout_init timeout_max growth decay retries miss_grace
       round_budget wall_budget seed failures failures_bound sweep_drop out
-      bench_out label metrics json_trace =
+      metrics json_trace =
     let where = "anonc live" in
     if n < 1 then
       G.Config_error.fail ~where (Printf.sprintf "n must be >= 1 (got %d)" n);
@@ -1136,43 +1110,6 @@ let live_cmd =
         | rs -> O.Json.List rs
       in
       write_json ~cmd:"live" ~what:"live report" path doc);
-    (match bench_out with
-    | None -> ()
-    | Some path ->
-      (* anon-bench/3 micro rows (ns, lower-better) so `anonc bench diff`
-         can gate live-backend latency like any other baseline. *)
-      let micro =
-        List.concat_map
-          (fun (faults, _, (o : Lv.Runner.outcome)) ->
-            if O.Hist.is_empty o.Lv.Runner.decide_latency then []
-            else
-              let tag p =
-                Printf.sprintf "live_%s_n%d_drop%g_decide_p%g"
-                  (live_algo_name algo) n faults.Ch.Netfault.drop p
-              in
-              List.map
-                (fun p ->
-                  O.Json.Obj
-                    [
-                      ("name", O.Json.String (tag p));
-                      ( "ns",
-                        O.Json.Float (pct o.Lv.Runner.decide_latency p *. 1e9) );
-                    ])
-                [ 50.; 99. ])
-          runs
-      in
-      let doc =
-        O.Json.Obj
-          [
-            ("schema", O.Json.String "anon-bench/3");
-            ("label", O.Json.String label);
-            ("git_revision", O.Json.String (H.Bench_diff.git_revision ()));
-            ("cores", O.Json.Int (Domain.recommended_domain_count ()));
-            ("jobs", O.Json.Int 1);
-            ("micro", O.Json.List micro);
-          ]
-      in
-      write_json ~cmd:"live" ~what:"anon-bench/3 baseline" path doc);
     if
       List.exists
         (fun (_, _, (o : Lv.Runner.outcome)) -> o.Lv.Runner.safety <> [])
@@ -1259,16 +1196,6 @@ let live_cmd =
              ~doc:"Write the anon-live/1 report JSON to $(docv) (a list when \
                    sweeping).")
   in
-  let bench_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "bench-out" ] ~docv:"FILE"
-             ~doc:"Write decide-latency percentiles as an anon-bench/3 \
-                   baseline for $(b,anonc bench diff).")
-  in
-  let label_arg =
-    Arg.(value & opt string "PR10"
-         & info [ "label" ] ~docv:"LABEL" ~doc:"Baseline label for --bench-out.")
-  in
   Cmd.v
     (Cmd.info "live" ~exits
        ~doc:"Run consensus on the live async backend: one event loop on the \
@@ -1280,63 +1207,7 @@ let live_cmd =
       const run $ algo_arg $ n_arg $ net_arg $ timeout_init_arg $ timeout_max_arg
       $ growth_arg $ decay_arg $ retries_arg $ miss_grace_arg $ round_budget_arg
       $ wall_budget_arg $ seed_arg $ failures_arg $ failures_bound_arg
-      $ sweep_drop_arg $ out_arg $ bench_out_arg $ label_arg $ metrics_arg
-      $ json_trace_arg)
-
-(* --- bench ----------------------------------------------------------------- *)
-
-let bench_cmd =
-  let diff_run old_path new_path threshold force =
-    let load path =
-      match H.Bench_diff.load ~path with
-      | Ok b -> b
-      | Error e ->
-        Format.eprintf "anonc bench diff: %s@." e;
-        exit 2
-    in
-    let old_b = load old_path in
-    let new_b = load new_path in
-    let report = H.Bench_diff.diff ~threshold ~old_b ~new_b () in
-    if report.H.Bench_diff.cross_cores && not force then begin
-      Format.eprintf
-        "anonc bench diff: %s was measured on %d cores but %s on %d — timings \
-         are not comparable across machines; pass --force to compare anyway@."
-        old_path old_b.H.Bench_diff.cores new_path new_b.H.Bench_diff.cores;
-      exit 2
-    end;
-    Format.fprintf ppf "%a@." H.Bench_diff.render report;
-    if H.Bench_diff.regressions report <> [] then exit 1
-  in
-  let old_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"OLD"
-             ~doc:"Baseline JSON (anon-bench/2 or /3) to compare against.")
-  in
-  let new_arg =
-    Arg.(required & pos 1 (some string) None
-         & info [] ~docv:"NEW" ~doc:"Fresh baseline JSON to check for regressions.")
-  in
-  let threshold_arg =
-    Arg.(value & opt float H.Bench_diff.default_threshold
-         & info [ "threshold" ] ~docv:"PCT"
-             ~doc:"Regression threshold in percent: a row regresses when it \
-                   moves more than $(docv) in the worse direction.")
-  in
-  let force_arg =
-    Arg.(value & flag
-         & info [ "force" ]
-             ~doc:"Compare baselines even when they were measured on different \
-                   core counts.")
-  in
-  let diff_cmd =
-    Cmd.v
-      (Cmd.info "diff" ~exits
-         ~doc:"Compare two persisted bench baselines row by row; exits 1 iff a \
-               row regressed beyond the threshold, 2 on unreadable/incomparable \
-               baselines.")
-      Term.(const diff_run $ old_arg $ new_arg $ threshold_arg $ force_arg)
-  in
-  Cmd.group (Cmd.info "bench" ~exits ~doc:"Benchmark baseline tooling.") [ diff_cmd ]
+      $ sweep_drop_arg $ out_arg $ metrics_arg $ json_trace_arg)
 
 (* --- experiment / list ---------------------------------------------------- *)
 
@@ -1397,8 +1268,7 @@ let () =
   let group =
     Cmd.group info
       [ run_cmd; weakset_cmd; emulate_cmd; skew_cmd; sigma_cmd; metrics_cmd;
-        fuzz_cmd; mc_cmd; load_cmd; live_cmd; bench_cmd; experiment_cmd;
-        list_cmd ]
+        fuzz_cmd; mc_cmd; load_cmd; live_cmd; experiment_cmd; list_cmd ]
   in
   match Cmd.eval ~catch:false group with
   | code when code = Cmd.Exit.cli_error -> exit 2

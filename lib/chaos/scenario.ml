@@ -279,27 +279,37 @@ let json_of_env = function
   | Env.Dynamic { stability; rooted } ->
     Json.Obj [ ("dynamic", Json.Int stability); ("rooted", Json.Bool rooted) ]
 
-let env_of_json = function
+(* Decoded environments pass the runners' own check ([Env.validate]), so
+   a repro with, say, a stability of 0 is refused here instead of
+   crashing the adversary that would be built from it. *)
+let env_of_json ~where j =
+  let valid e =
+    match Env.validate ~where e with
+    | () -> Ok e
+    | exception Anon_giraf.Config_error.Invalid_config err ->
+      Error (Anon_giraf.Config_error.to_string err)
+  in
+  match j with
   | Json.String "sync" -> Ok Env.Sync
   | Json.String "ms" -> Ok Env.Ms
   | Json.String "async" -> Ok Env.Async
-  | Json.Obj _ as j -> (
+  | Json.Obj _ -> (
     match
       ( Json.member "es" j |> Option.map Json.to_int |> Option.join,
         Json.member "ess" j |> Option.map Json.to_int |> Option.join,
         Json.member "dynamic" j |> Option.map Json.to_int |> Option.join )
     with
-    | Some gst, None, None -> Ok (Env.Es { gst })
-    | None, Some gst, None -> Ok (Env.Ess { gst })
+    | Some gst, None, None -> valid (Env.Es { gst })
+    | None, Some gst, None -> valid (Env.Ess { gst })
     | None, None, Some stability ->
       let rooted =
         match Json.member "rooted" j |> Option.map Json.to_bool |> Option.join with
         | Some b -> b
         | None -> true
       in
-      Ok (Env.Dynamic { stability; rooted })
-    | _ -> Error "env: expected {es: gst}, {ess: gst} or {dynamic: stability}")
-  | _ -> Error "env: expected sync/ms/async/{es}/{ess}/{dynamic}"
+      valid (Env.Dynamic { stability; rooted })
+    | _ -> Error (where ^ ": expected {es: gst}, {ess: gst} or {dynamic: stability}"))
+  | _ -> Error (where ^ ": expected sync/ms/async/{es}/{ess}/{dynamic}")
 
 let json_of_plan (p : Adv.plan) =
   Json.Obj
@@ -463,7 +473,7 @@ let plan_of_json j =
 let schedule_of_json j =
   let* sched_env =
     match Json.member "env" j with
-    | Some e -> env_of_json e
+    | Some e -> env_of_json ~where:"schedule.env" e
     | None -> Error "schedule: missing field env"
   in
   let* plans =
@@ -517,7 +527,7 @@ let of_json j =
       match Json.member "env" j with
       | None | Some Json.Null -> Ok None
       | Some e ->
-        let* e = env_of_json e in
+        let* e = env_of_json ~where:"env" e in
         Ok (Some e)
   in
   let* ops_per_client = req_int j "ops_per_client" in

@@ -92,4 +92,6 @@ val to_json : t -> Anon_obs.Json.t
 val of_json : Anon_obs.Json.t -> (t, string) result
 (** Reads v2 documents and, for compatibility with repro files written
     before the version field existed, unversioned v1 documents (decoded
-    with [env = None], [churn = \[\]]). Newer versions are rejected. *)
+    with [env = None], [churn = \[\]]). Newer versions are rejected, and
+    so is an [env] or [schedule.env] that {!Anon_giraf.Env.validate}
+    rejects. *)

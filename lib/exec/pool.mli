@@ -2,9 +2,9 @@
     simulation batches.
 
     Every seeded run of Algorithms 2–5 is a pure function of
-    [(config, seed)], so experiment tables, fuzz campaigns and benchmark
-    macro-runs fan out over independent tasks. {!map} executes those
-    tasks on [jobs] domains and returns results in submission order, and
+    [(config, seed)], so experiment tables, fuzz campaigns and load
+    shards fan out over independent tasks. {!map} executes those tasks
+    on [jobs] domains and returns results in submission order, and
     every task runs inside a fresh kernel interner scope
     ({!Anon_kernel.History.with_fresh_interner}), so the output — runs,
     checker verdicts, and merged metrics snapshots alike — is
@@ -13,9 +13,9 @@
 
 val default_jobs : int ref
 (** Pool-wide default for {!map}'s [?jobs], initially [1] (sequential).
-    The CLI and the bench harness set it from [--jobs] so that fan-out
-    sites deep inside the harness parallelize without threading an
-    argument through every experiment. *)
+    The CLI sets it from [--jobs] so that fan-out sites deep inside the
+    harness parallelize without threading an argument through every
+    experiment. *)
 
 val auto_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1. *)

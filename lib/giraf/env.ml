@@ -35,6 +35,9 @@ let gst = function
 let validate ~where = function
   | (Es { gst } | Ess { gst }) when gst < 1 ->
     Config_error.fail ~where (Printf.sprintf "gst must be >= 1 (got %d)" gst)
+  | Dynamic { stability; _ } when stability < 1 ->
+    Config_error.fail ~where
+      (Printf.sprintf "stability must be >= 1 (got %d)" stability)
   | Sync | Ms | Es _ | Ess _ | Async | Dynamic _ -> ()
 
 let of_string s =

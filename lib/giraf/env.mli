@@ -44,8 +44,8 @@ val gst : t -> int option
 (** The round from which the eventual guarantee holds, if any. *)
 
 val validate : where:string -> t -> unit
-(** Reject an ES/ESS [gst] below 1, which {!of_string} would not parse
-    either.
+(** Reject an ES/ESS [gst] or a [Dynamic] [stability] below 1, which
+    {!of_string} would not parse either.
     @raise Config_error.Invalid_config naming [where]. *)
 
 val of_string : string -> (t, string) result

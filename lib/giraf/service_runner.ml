@@ -80,6 +80,7 @@ module Make (S : Intf.SERVICE) = struct
     let n = config.n in
     let where = "Service_runner.run" in
     Churn.validate ~where ~n ~crash:config.crash ~churn:config.churn ();
+    Env.validate ~where (Adversary.env config.adversary);
     if config.horizon < 1 then
       Config_error.fail ~where
         (Printf.sprintf "horizon must be >= 1 (got %d)" config.horizon);

@@ -57,7 +57,7 @@ type add_record = {
 type outcome = {
   trace : Trace.t;
   ops : Checker.ws_op list;  (** Chronological. *)
-  adds : add_record list;  (** Latency data for the benches. *)
+  adds : add_record list;  (** Add latencies (T5, [anonc weakset]). *)
   rounds_executed : int;
   messages_sent : int;
 }
@@ -78,6 +78,7 @@ module Make (S : Intf.SERVICE) : sig
       metrics; see DESIGN.md §7.
 
       @raise Config_error.Invalid_config on [n < 1], [horizon < 1], a
-      crash or churn schedule sized for a different [n], or a pid that
-      both crashes and churns. *)
+      crash or churn schedule sized for a different [n], a pid that
+      both crashes and churns, or an environment {!Env.validate}
+      rejects. *)
 end

@@ -3,11 +3,25 @@ open Anon_kernel
 type pace_fn = pid:int -> round:int -> Rng.t -> int
 type delay_fn = sender:int -> receiver:int -> round:int -> Rng.t -> int
 
-let uniform_pace ~max ~pid:_ ~round:_ rng = Rng.int_in rng 1 (Stdlib.max 1 max)
-let fixed_pace p ~pid:_ ~round:_ _rng = Stdlib.max 1 p
-let uniform_delay ~max ~sender:_ ~receiver:_ ~round:_ rng =
-  Rng.int_in rng 1 (Stdlib.max 1 max)
-let fixed_delay d ~sender:_ ~receiver:_ ~round:_ _rng = Stdlib.max 1 d
+let positive ~where what ticks =
+  if ticks < 1 then
+    Config_error.fail ~where (Printf.sprintf "%s must be >= 1 (got %d)" what ticks)
+
+let uniform_pace ~max =
+  positive ~where:"Skew_runner.uniform_pace" "max" max;
+  fun ~pid:_ ~round:_ rng -> Rng.int_in rng 1 max
+
+let fixed_pace p =
+  positive ~where:"Skew_runner.fixed_pace" "pace" p;
+  fun ~pid:_ ~round:_ _rng -> p
+
+let uniform_delay ~max =
+  positive ~where:"Skew_runner.uniform_delay" "max" max;
+  fun ~sender:_ ~receiver:_ ~round:_ rng -> Rng.int_in rng 1 max
+
+let fixed_delay d =
+  positive ~where:"Skew_runner.fixed_delay" "delay" d;
+  fun ~sender:_ ~receiver:_ ~round:_ _rng -> d
 
 type config = {
   inputs : Value.t list;

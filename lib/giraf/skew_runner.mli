@@ -21,6 +21,10 @@ type delay_fn =
   sender:int -> receiver:int -> round:int -> Anon_kernel.Rng.t -> int
 (** Broadcast latency in ticks (clamped to [>= 1]). *)
 
+(** The built-in paces and delays: uniform draws from [\[1, max\]], or a
+    fixed tick count. Each raises [Config_error.Invalid_config] when its
+    argument is below 1. *)
+
 val uniform_pace : max:int -> pace_fn
 val fixed_pace : int -> pace_fn
 val uniform_delay : max:int -> delay_fn

@@ -1,134 +1,6 @@
-module Json = Anon_obs.Json
-
-type direction = Lower_better | Higher_better
-
-type baseline = {
-  path : string;
-  label : string;
-  git_revision : string;
-  cores : int;
-  jobs : int;
-  rows : (string * float * direction) list;  (* metric, value, better-direction *)
-}
-
-(* --- loading ---------------------------------------------------------------- *)
-
-let to_float = function
-  | Some (Json.Float f) when Float.is_finite f -> Some f
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | Some _ | None -> None
-
-let to_int j = Option.bind j Json.to_int
-let to_str j = Option.bind j Json.to_str
-
-(* Flatten a baseline document into named metric rows. Rows whose value is
-   missing, null or non-finite are skipped (e.g. experiments run without
-   [--compare] have no [sequential_s]). *)
-let rows_of_json j =
-  let rows = ref [] in
-  let add name v dir =
-    match v with Some v -> rows := (name, v, dir) :: !rows | None -> ()
-  in
-  (match Json.member "experiments" j with
-  | Some (Json.List exps) ->
-    List.iter
-      (fun e ->
-        match to_str (Json.member "id" e) with
-        | Some id ->
-          add
-            (Printf.sprintf "experiment/%s.parallel_s" id)
-            (to_float (Json.member "parallel_s" e))
-            Lower_better
-        | None -> ())
-      exps
-  | Some _ | None -> ());
-  (match Json.member "pool" j with
-  | Some (Json.List pools) ->
-    List.iter
-      (fun p ->
-        match to_int (Json.member "jobs" p) with
-        | Some jobs ->
-          add
-            (Printf.sprintf "pool/jobs=%d.ns_per_run" jobs)
-            (to_float (Json.member "ns_per_run" p))
-            Lower_better
-        | None -> ())
-      pools
-  | Some _ | None -> ());
-  (match Json.member "mc" j with
-  | Some mc ->
-    add "mc.states_per_sec" (to_float (Json.member "states_per_sec" mc)) Higher_better
-  | None -> ());
-  (match Json.member "load" j with
-  | Some (Json.List loads) ->
-    List.iter
-      (fun l ->
-        match to_float (Json.member "rate" l) with
-        | Some rate ->
-          let key metric = Printf.sprintf "load/rate=%g.%s" rate metric in
-          add (key "throughput")
-            (to_float (Json.member "throughput" l))
-            Higher_better;
-          add (key "p99_rounds")
-            (to_float (Json.member "p99_rounds" l))
-            Lower_better
-        | None -> ())
-      loads
-  | Some _ | None -> ());
-  (match Json.member "micro" j with
-  | Some (Json.List micros) ->
-    List.iter
-      (fun m ->
-        match to_str (Json.member "name" m) with
-        | Some name ->
-          add
-            (Printf.sprintf "micro/%s.ns" name)
-            (to_float (Json.member "ns" m))
-            Lower_better
-        | None -> ())
-      micros
-  | Some _ | None -> ());
-  List.rev !rows
-
-let of_json ~path j =
-  match to_str (Json.member "schema" j) with
-  (* anon-bench/3 = /2 plus the [load] saturation rows; older baselines
-     simply have no such section, so one loader covers both. *)
-  | Some ("anon-bench/2" | "anon-bench/3") ->
-    Ok
-      {
-        path;
-        label = Option.value ~default:"?" (to_str (Json.member "label" j));
-        git_revision =
-          Option.value ~default:"unknown" (to_str (Json.member "git_revision" j));
-        cores = Option.value ~default:0 (to_int (Json.member "cores" j));
-        jobs = Option.value ~default:0 (to_int (Json.member "jobs" j));
-        rows = rows_of_json j;
-      }
-  | Some s ->
-    Error
-      (Printf.sprintf "%s: unsupported schema %S (want anon-bench/2 or anon-bench/3)"
-         path s)
-  | None -> Error (Printf.sprintf "%s: missing \"schema\" field" path)
-
-let load ~path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | contents -> (
-    match Json.of_string (String.trim contents) with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok j -> of_json ~path j)
-
-(* --- baseline provenance ----------------------------------------------------- *)
-
 (* The current commit, read straight from .git (no subprocess): HEAD is
    either a detached hash or a "ref: ..." pointer into refs/ or
-   packed-refs. Shared by every baseline writer (bench/main, anonc load). *)
+   packed-refs. *)
 let git_revision () =
   let read_file path =
     try
@@ -164,124 +36,3 @@ let git_revision () =
       (resolve_ref (String.sub head 5 (String.length head - 5)))
   | Some hash -> hash
   | None -> "unknown"
-
-(* --- diffing ---------------------------------------------------------------- *)
-
-type row = {
-  metric : string;
-  old_v : float;
-  new_v : float;
-  delta_pct : float;  (* (new - old) / old * 100 *)
-  direction : direction;
-  regressed : bool;
-  improved : bool;
-}
-
-type report = {
-  old_b : baseline;
-  new_b : baseline;
-  threshold : float;
-  rows : row list;
-  missing : string list;  (* in OLD, absent from NEW — warn only *)
-  added : string list;  (* in NEW, absent from OLD *)
-  cross_cores : bool;
-}
-
-let default_threshold = 20.0
-
-let diff ?(threshold = default_threshold) ~(old_b : baseline)
-    ~(new_b : baseline) () =
-  if threshold < 0.0 then invalid_arg "Bench_diff.diff: threshold must be >= 0";
-  let new_tbl = Hashtbl.create 64 in
-  List.iter (fun (m, v, _) -> Hashtbl.replace new_tbl m v) new_b.rows;
-  let old_names = List.map (fun (m, _, _) -> m) old_b.rows in
-  let rows =
-    List.filter_map
-      (fun (metric, old_v, direction) ->
-        match Hashtbl.find_opt new_tbl metric with
-        | None -> None
-        | Some new_v ->
-          let delta_pct =
-            if old_v = 0.0 then if new_v = 0.0 then 0.0 else infinity
-            else (new_v -. old_v) /. Float.abs old_v *. 100.0
-          in
-          let worse =
-            match direction with
-            | Lower_better -> delta_pct
-            | Higher_better -> -.delta_pct
-          in
-          Some
-            {
-              metric;
-              old_v;
-              new_v;
-              delta_pct;
-              direction;
-              regressed = worse > threshold;
-              improved = worse < -.threshold;
-            })
-      old_b.rows
-  in
-  let missing =
-    List.filter (fun m -> not (Hashtbl.mem new_tbl m)) old_names
-  in
-  let added =
-    let old_tbl = Hashtbl.create 64 in
-    List.iter (fun m -> Hashtbl.replace old_tbl m ()) old_names;
-    List.filter_map
-      (fun (m, _, _) -> if Hashtbl.mem old_tbl m then None else Some m)
-      new_b.rows
-  in
-  {
-    old_b;
-    new_b;
-    threshold;
-    rows;
-    missing;
-    added;
-    cross_cores = old_b.cores <> new_b.cores;
-  }
-
-let regressions r = List.filter (fun row -> row.regressed) r.rows
-let improvements r = List.filter (fun row -> row.improved) r.rows
-
-(* --- rendering -------------------------------------------------------------- *)
-
-let render ppf r =
-  Format.fprintf ppf "@[<v>bench diff: %s (%s, %d cores, jobs=%d)@,"
-    r.old_b.label
-    (String.sub r.old_b.git_revision 0
-       (min 12 (String.length r.old_b.git_revision)))
-    r.old_b.cores r.old_b.jobs;
-  Format.fprintf ppf "        vs  %s (%s, %d cores, jobs=%d)@,"
-    r.new_b.label
-    (String.sub r.new_b.git_revision 0
-       (min 12 (String.length r.new_b.git_revision)))
-    r.new_b.cores r.new_b.jobs;
-  if r.cross_cores then
-    Format.fprintf ppf
-      "warning: baselines were measured on different core counts — timings \
-       are not comparable@,";
-  let w =
-    List.fold_left (fun acc row -> max acc (String.length row.metric)) 0 r.rows
-  in
-  List.iter
-    (fun row ->
-      let flag =
-        if row.regressed then "  REGRESSED"
-        else if row.improved then "  improved"
-        else ""
-      in
-      Format.fprintf ppf "  %s%s  %12.4g -> %12.4g  %+7.1f%%%s@," row.metric
-        (String.make (w - String.length row.metric) ' ')
-        row.old_v row.new_v row.delta_pct flag)
-    r.rows;
-  List.iter
-    (fun m -> Format.fprintf ppf "  %s: missing from %s (skipped)@," m r.new_b.path)
-    r.missing;
-  List.iter
-    (fun m -> Format.fprintf ppf "  %s: new in %s (not compared)@," m r.new_b.path)
-    r.added;
-  let regs = regressions r and imps = improvements r in
-  Format.fprintf ppf "%d rows compared, %d regressed, %d improved (threshold %.1f%%)@]"
-    (List.length r.rows) (List.length regs) (List.length imps) r.threshold

@@ -1,82 +1,9 @@
-(** The bench-regression gate: row-by-row comparison of persisted
-    [anon-bench/2] / [anon-bench/3] baselines (BENCH_PR*.json written by
-    [bench/main.ml], saturation baselines written by [anonc load
-    --bench-out]).
-
-    A baseline is flattened into named metric rows with a
-    better-direction each:
-    - [experiment/<id>.parallel_s] — lower is better
-    - [pool/jobs=<j>.ns_per_run] — lower is better
-    - [mc.states_per_sec] — higher is better
-    - [micro/<name>.ns] — lower is better
-    - [load/rate=<r>.throughput] — higher is better (anon-bench/3)
-    - [load/rate=<r>.p99_rounds] — lower is better (anon-bench/3)
-
-    Rows with missing/null/non-finite values are skipped; rows present in
-    only one baseline are reported but never count as regressions. A row
-    regresses when it moves in the worse direction by more than the
-    threshold (percent, relative to the old value).
-
-    Baselines carry the core count they were measured on; [anonc bench
-    diff] refuses cross-core comparisons unless forced ([cross_cores]
-    here), because single-core timings say nothing about multi-core ones
-    (the BENCH_PR4 caveat in ROADMAP.md). *)
-
-type direction = Lower_better | Higher_better
-
-type baseline = {
-  path : string;
-  label : string;
-  git_revision : string;
-  cores : int;
-  jobs : int;
-  rows : (string * float * direction) list;
-}
-
-val load : path:string -> (baseline, string) result
-(** Parse a baseline file. Errors on unreadable files, invalid JSON, or a
-    schema other than [anon-bench/2] / [anon-bench/3]. Older schemas load
-    as before — /3 only adds the [load] rows. *)
+(** Provenance for benchmark result sets: the spine ([bench/spine])
+    stamps every result set with {!git_revision}. The function is alone
+    here only until the spine's own code next changes and takes it
+    over. *)
 
 val git_revision : unit -> string
 (** The commit hash of [./.git]'s HEAD, read without a subprocess
     (detached head, loose ref, or packed-refs); ["unknown"] when
-    unreadable. Every baseline writer stamps its output with this. *)
-
-val of_json : path:string -> Anon_obs.Json.t -> (baseline, string) result
-(** [load] minus the file read ([path] only labels messages). *)
-
-type row = {
-  metric : string;
-  old_v : float;
-  new_v : float;
-  delta_pct : float;  (** [(new - old) / |old| * 100]. *)
-  direction : direction;
-  regressed : bool;  (** Moved > threshold in the worse direction. *)
-  improved : bool;  (** Moved > threshold in the better direction. *)
-}
-
-type report = {
-  old_b : baseline;
-  new_b : baseline;
-  threshold : float;
-  rows : row list;  (** Old-baseline row order. *)
-  missing : string list;  (** In OLD only — warned, never a regression. *)
-  added : string list;  (** In NEW only. *)
-  cross_cores : bool;  (** Core counts differ — timings not comparable. *)
-}
-
-val default_threshold : float
-(** 20.0 (percent). *)
-
-val diff : ?threshold:float -> old_b:baseline -> new_b:baseline -> unit -> report
-(** Pure row-by-row comparison.
-    @raise Invalid_argument on a negative threshold. *)
-
-val regressions : report -> row list
-val improvements : report -> row list
-
-val render : Format.formatter -> report -> unit
-(** Human-readable table: header (labels/revisions/cores), the cross-core
-    warning when applicable, one line per compared row with delta and
-    REGRESSED/improved flags, then totals. *)
+    unreadable. *)

@@ -10,12 +10,12 @@ module L = Anon_rsm.Load.Make (C.Es_consensus)
    pushes the latency percentiles up. *)
 let gst = 4
 
-let saturation_reports ?(proposals = 2_000) ?(seed = 42) ~rates () =
+let saturation_reports rates =
   List.map
     (fun rate ->
       let w =
         Anon_rsm.Workload.make ~where:"Exp_load.saturation" ~skew:0.2
-          ~value_range:8 ~shards:2 ~proposals ~rate ~seed ()
+          ~value_range:8 ~shards:2 ~proposals:2_000 ~rate ~seed:42 ()
       in
       let r =
         L.run ~env:(Printf.sprintf "es:%d" gst) ~n:3 ~window:8 ~batch:4
@@ -27,7 +27,7 @@ let saturation_reports ?(proposals = 2_000) ?(seed = 42) ~rates () =
     rates
 
 let t16 () =
-  let reports = saturation_reports ~rates:[ 1.; 2.; 4.; 8.; 16.; 32. ] () in
+  let reports = saturation_reports [ 1.; 2.; 4.; 8.; 16.; 32. ] in
   let rows =
     List.map
       (fun (rate, (r : Anon_rsm.Load.report)) ->

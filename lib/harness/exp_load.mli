@@ -3,13 +3,3 @@
     (see EXPERIMENTS.md §T16 and DESIGN.md §14). *)
 
 val t16 : unit -> Table.t
-
-val saturation_reports :
-  ?proposals:int ->
-  ?seed:int ->
-  rates:float list ->
-  unit ->
-  (float * Anon_rsm.Load.report) list
-(** The runs behind the table, one per offered rate (the canonical T16
-    configuration: ES, n=3, window 8, batch 4, 2 shards). Exposed so the
-    bench harness persists the same series as anon-bench/3 [load] rows. *)

@@ -52,10 +52,3 @@ let all =
 
 let find id =
   List.find_opt (fun e -> String.lowercase_ascii e.id = String.lowercase_ascii id) all
-
-let run_all ppf =
-  List.iter
-    (fun e ->
-      let table = e.build () in
-      Table.render ppf table)
-    all

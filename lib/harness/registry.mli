@@ -1,5 +1,6 @@
 (** The experiment registry: every table/figure of EXPERIMENTS.md, keyed by
-    id, in presentation order. *)
+    id, in presentation order. [anonc experiment] builds and renders
+    them. *)
 
 type experiment = {
   id : string;
@@ -9,6 +10,3 @@ type experiment = {
 
 val all : experiment list
 val find : string -> experiment option
-val run_all : Format.formatter -> unit
-(** Build and render every table (the main entry point of the bench
-    harness). *)

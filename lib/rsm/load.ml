@@ -98,17 +98,6 @@ let to_json r =
       ("shards_detail", Json.List (List.map shard_json r.shards));
     ]
 
-let row_json r =
-  Json.Obj
-    [
-      ("rate", Json.Float r.workload.Workload.rate);
-      ("proposals", Json.Int r.workload.Workload.proposals);
-      ("throughput", Json.Float r.throughput);
-      ("p50_rounds", Json.Float r.p50_rounds);
-      ("p99_rounds", Json.Float r.p99_rounds);
-      ("p999_rounds", Json.Float r.p999_rounds);
-    ]
-
 let render ppf r =
   let w = r.workload in
   Format.fprintf ppf

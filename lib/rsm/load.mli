@@ -12,9 +12,8 @@
     Decide latency is measured in {e rounds} per proposal, open-loop
     (queue wait included): [decided_round - arrival + 1]. Round-based
     latency and [decided / rounds] throughput are what the deterministic
-    report and the anon-bench/3 saturation rows carry; wall-clock rates
-    ([wall_s], [rsm.decide_latency_us]) are observability-only and never
-    enter the report JSON. *)
+    report carries; wall-clock rates ([wall_s], [rsm.decide_latency_us])
+    are observability-only and never enter the report JSON. *)
 
 type shard_report = {
   shard : int;
@@ -61,10 +60,6 @@ type report = {
 val to_json : report -> Anon_obs.Json.t
 (** Deterministic report document (schema ["anon-load/1"]): pure function
     of the workload and configuration — byte-identical at any [jobs]. *)
-
-val row_json : report -> Anon_obs.Json.t
-(** One anon-bench/3 [load] row:
-    [{"rate","proposals","throughput","p50_rounds","p99_rounds","p999_rounds"}]. *)
 
 val render : Format.formatter -> report -> unit
 (** Human-readable summary (includes the wall-clock rate). *)

@@ -264,9 +264,39 @@ let test_replay_rejects_garbage () =
   (match Ch.Fuzz.replay ~path:"/nonexistent/repro.json" with
   | Ok _ -> Alcotest.fail "expected error on missing file"
   | Error _ -> ());
-  match Ch.Fuzz.replay_json (Anon_obs.Json.Obj []) with
+  (match Ch.Fuzz.replay_json (Anon_obs.Json.Obj []) with
   | Ok _ -> Alcotest.fail "expected error on empty object"
-  | Error _ -> ()
+  | Error _ -> ());
+  (* An environment the runners would refuse is refused when the case is
+     decoded, before an adversary is built from it. *)
+  let rng = Rng.make 5 in
+  let dynamic stability = Some (G.Env.Dynamic { stability; rooted = true }) in
+  List.iter
+    (fun (algo, env, sched_env, expected) ->
+      let case = Ch.Scenario.sample ~algo rng in
+      let schedule =
+        Option.map (fun sched_env -> { Ch.Scenario.sched_env; plans = [] }) sched_env
+      in
+      let repro =
+        Anon_obs.Json.Obj
+          [
+            ("case", Ch.Scenario.to_json { case with env; schedule });
+            ("violations", Anon_obs.Json.List []);
+          ]
+      in
+      match Ch.Fuzz.replay_json repro with
+      | Ok _ -> Alcotest.failf "expected %S" expected
+      | Error e -> Alcotest.(check string) "decode error" expected e)
+    [
+      (Ch.Scenario.Es, dynamic 0, None, "env: stability must be >= 1 (got 0)");
+      (Ch.Scenario.Weak_set, dynamic 0, None, "env: stability must be >= 1 (got 0)");
+      (Ch.Scenario.Es, dynamic (-3), None, "env: stability must be >= 1 (got -3)");
+      (Ch.Scenario.Weak_set, dynamic (-3), None, "env: stability must be >= 1 (got -3)");
+      ( Ch.Scenario.Weak_set,
+        None,
+        Some (G.Env.Es { gst = 0 }),
+        "schedule.env: gst must be >= 1 (got 0)" );
+    ]
 
 let () =
   Alcotest.run "chaos"

@@ -935,6 +935,11 @@ let test_runner_config_validation () =
        "inputs/crash size mismatch (3 inputs, crash schedule for 2)") (fun () ->
       ignore (G.Runner.default_config ~inputs:[ 1; 2; 3 ] ~crash:(G.Crash.none ~n:2)
                 (G.Adversary.sync ())));
+  Alcotest.check_raises "dynamic stability < 1"
+    (invalid "Runner.default_config" "stability must be >= 1 (got 0)") (fun () ->
+      ignore (G.Runner.default_config ~inputs:[ 1; 2 ] ~crash:(G.Crash.none ~n:2)
+                (G.Adversary.of_schedule
+                   ~env:(G.Env.Dynamic { stability = 0; rooted = true }) [])));
   (* [run] re-validates directly constructed configs. *)
   let bad =
     { (probe_config ()) with G.Runner.horizon = -5 }
@@ -969,6 +974,16 @@ let test_count_validation () =
           ignore
             (G.Runner.default_config ~inputs:[ 1; 2 ] ~crash:(G.Crash.none ~n:2)
                (G.Adversary.es ~gst:(-1) ())) );
+      ( "skew --max-delay 0",
+        "Skew_runner.uniform_delay",
+        fun () ->
+          ignore
+            (G.Skew_runner.uniform_delay ~max:0 ~sender:0 ~receiver:1 ~round:1
+               (Rng.make 1)) );
+      ( "skew --max-pace=-1",
+        "Skew_runner.uniform_pace",
+        fun () ->
+          ignore (G.Skew_runner.uniform_pace ~max:(-1) ~pid:0 ~round:1 (Rng.make 1)) );
       ( "weakset --ops=-1",
         "Service_runner.random_workload",
         fun () ->
@@ -1124,7 +1139,11 @@ let test_service_runner_config_validation () =
   Alcotest.check_raises "crash size mismatch"
     (invalid "Service_runner.run"
        "inputs/crash size mismatch (3 inputs, crash schedule for 2)") (fun () ->
-      ignore (W.run (config 3 (G.Crash.none ~n:2) 10) ~workload:[]))
+      ignore (W.run (config 3 (G.Crash.none ~n:2) 10) ~workload:[]));
+  Alcotest.check_raises "env gst < 1"
+    (invalid "Service_runner.run" "gst must be >= 1 (got 0)") (fun () ->
+      let adversary = G.Adversary.of_schedule ~env:(G.Env.Es { gst = 0 }) [] in
+      ignore (W.run { (config 2 (G.Crash.none ~n:2) 10) with adversary } ~workload:[]))
 
 (* --- Env / Trace / Dispatch ----------------------------------------------------- *)
 

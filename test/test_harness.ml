@@ -157,6 +157,68 @@ let test_t8_no_decisions () =
     (fun v -> check_int "no safety violations" 0 (int_of_string v))
     (column t ~header:"safety-viol")
 
+(* --- Bench_diff.git_revision ------------------------------------------------------- *)
+
+(* Lay out [files] (path, contents) in a fresh temporary directory, read
+   the revision from there, then restore the working directory and remove
+   the tree. *)
+let revision_in files =
+  let root = Filename.temp_dir "anon_git_revision" "" in
+  let rec mkdir_p dir =
+    if not (Sys.file_exists dir) then begin
+      mkdir_p (Filename.dirname dir);
+      Sys.mkdir dir 0o755
+    end
+  in
+  List.iter
+    (fun (path, contents) ->
+      let path = Filename.concat root path in
+      mkdir_p (Filename.dirname path);
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents))
+    files;
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  let cwd = Sys.getcwd () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      rm_rf root)
+    (fun () ->
+      Sys.chdir root;
+      H.Bench_diff.git_revision ())
+
+let test_git_revision () =
+  let cwd = Sys.getcwd () in
+  let hash = "0123456789abcdef0123456789abcdef01234567" in
+  let other = "89abcdef0123456789abcdef0123456789abcdef" in
+  let head_ref = (".git/HEAD", "ref: refs/heads/main\n") in
+  let check label expected files =
+    Alcotest.(check string) label expected (revision_in files)
+  in
+  check "detached HEAD" hash [ (".git/HEAD", hash ^ "\n") ];
+  check "loose ref" hash [ head_ref; (".git/refs/heads/main", hash ^ "\n") ];
+  check "packed ref" hash
+    [
+      head_ref;
+      ( ".git/packed-refs",
+        String.concat "\n"
+          [
+            "# pack-refs with: peeled fully-peeled sorted";
+            other ^ " refs/tags/v1";
+            "^" ^ other;
+            hash ^ " refs/heads/main";
+            "";
+          ] );
+    ];
+  check "unborn ref" "unknown" [ head_ref ];
+  check "no .git" "unknown" [];
+  Alcotest.(check string) "working directory restored" cwd (Sys.getcwd ())
+
 let () =
   Alcotest.run "harness"
     [
@@ -184,4 +246,5 @@ let () =
           Alcotest.test_case "A2 model sensitivity" `Quick test_a2_violations;
           Alcotest.test_case "T8 no decisions" `Quick test_t8_no_decisions;
         ] );
+      ("provenance", [ Alcotest.test_case "git revision" `Quick test_git_revision ]);
     ]
