@@ -319,12 +319,12 @@ let weakset_cmd =
     let rng = Anon_kernel.Rng.make seed in
     let crash = G.Crash.random ~n ~failures ~max_round:(max 1 horizon) rng in
     let workload =
-      G.Service_runner.random_workload ~n ~ops_per_client:ops
+      G.Runner.Ws.random_workload ~n ~ops_per_client:ops
         ~max_start:(horizon / 2) ~value_range:10_000 rng
     in
     let config =
       {
-        G.Service_runner.n;
+        G.Runner.Ws.n;
         crash;
         churn = G.Churn.none ~n;
         adversary = G.Adversary.ms ();
@@ -332,11 +332,11 @@ let weakset_cmd =
         seed;
       }
     in
-    let module W = G.Service_runner.Make (C.Weak_set_ms) in
+    let module W = G.Runner.Ws.Make (C.Weak_set_ms) in
     with_recorder ~trace ~metrics ~json_trace (fun recorder ->
         let out = W.run ~recorder config ~workload in
         List.iter
-          (fun (a : G.Service_runner.add_record) ->
+          (fun (a : G.Runner.Ws.add_record) ->
             Format.fprintf ppf "add p%d v=%d: round %d to %s@." a.client a.value
               a.invoked_round
               (match a.completed_round with None -> "pending" | Some r -> string_of_int r))

@@ -9,7 +9,7 @@
 module K = Anon_kernel
 module G = Anon_giraf
 module C = Anon_consensus
-module Blackboard = G.Service_runner.Make (C.Weak_set_ms)
+module Blackboard = G.Runner.Ws.Make (C.Weak_set_ms)
 
 let () =
   let n = 6 in
@@ -18,16 +18,16 @@ let () =
     List.init n (fun pid ->
         ( pid,
           [
-            (2, G.Service_runner.Do_add (100 + pid));
-            (8, G.Service_runner.Do_add (200 + pid));
-            (15, G.Service_runner.Do_get);
-            (30, G.Service_runner.Do_get);
+            (2, G.Runner.Ws.Do_add (100 + pid));
+            (8, G.Runner.Ws.Do_add (200 + pid));
+            (15, G.Runner.Ws.Do_get);
+            (30, G.Runner.Ws.Do_get);
           ] ))
   in
   let crash = G.Crash.none ~n in
   let config =
     {
-      G.Service_runner.n;
+      G.Runner.Ws.n;
       crash;
       churn = G.Churn.none ~n;
       (* Pure moving source, rotating every round, zero extra links: the
@@ -40,7 +40,7 @@ let () =
   let outcome = Blackboard.run config ~workload in
 
   List.iter
-    (fun (a : G.Service_runner.add_record) ->
+    (fun (a : G.Runner.Ws.add_record) ->
       Format.printf "post %d by client %d: round %d -> completed %s@." a.value a.client
         a.invoked_round
         (match a.completed_round with None -> "never" | Some r -> "round " ^ string_of_int r))

@@ -5,7 +5,7 @@ module Json = Anon_obs.Json
 
 module Es_runner = G.Runner.Make (C.Es_consensus)
 module Ess_runner = G.Runner.Make (C.Ess_consensus)
-module Ws_runner = G.Service_runner.Make (C.Weak_set_ms)
+module Ws_runner = G.Runner.Ws.Make (C.Weak_set_ms)
 
 let violation_strings vs =
   List.map (fun v -> Format.asprintf "%a" G.Checker.pp_violation v) vs
@@ -40,13 +40,13 @@ let run_weak_set ?recorder (case : Scenario.t) =
       Scenario.mc_workload ~n:case.n ~ops_per_client:case.ops_per_client
     | None ->
       let rng = Rng.make case.seed in
-      G.Service_runner.random_workload ~n:case.n ~ops_per_client:case.ops_per_client
+      G.Runner.Ws.random_workload ~n:case.n ~ops_per_client:case.ops_per_client
         ~max_start:(max 1 (case.horizon / 2)) ~value_range:1000 rng
   in
   let churn = Scenario.churn case in
   let config =
     {
-      G.Service_runner.n = case.n;
+      G.Runner.Ws.n = case.n;
       crash;
       churn;
       adversary = Scenario.adversary case;

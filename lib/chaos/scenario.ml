@@ -175,7 +175,7 @@ let inputs t = Rng.shuffle (Rng.make t.seed) (List.init t.n (fun i -> i + 1))
 
 (* The deterministic workload explicit-schedule (model-checker) cases use:
    each client alternates adds of distinct values with gets, one op queued
-   per round from round 1 on (the service runner serializes them, one per
+   per round from round 1 on (the weak-set runner serializes them, one per
    round while no add is pending). *)
 let mc_workload ~n ~ops_per_client =
   List.init n (fun pid ->
@@ -183,8 +183,8 @@ let mc_workload ~n ~ops_per_client =
         List.init ops_per_client (fun i ->
             ( i + 1,
               if i mod 2 = 0 then
-                Anon_giraf.Service_runner.Do_add ((100 * (pid + 1)) + i)
-              else Anon_giraf.Service_runner.Do_get )) ))
+                Anon_giraf.Runner.Ws.Do_add ((100 * (pid + 1)) + i)
+              else Anon_giraf.Runner.Ws.Do_get )) ))
 
 let pp ppf t =
   Format.fprintf ppf "%s n=%d gst=%d noise=%.2f horizon=%d seed=%d crashes=%d%s%s%s"
@@ -542,6 +542,21 @@ let of_json j =
     | Some s ->
       let* s = schedule_of_json s in
       Ok (Some s)
+  in
+  (* A case no sampler could write is refused here, not half-run. *)
+  let refuse_if bad fmt = Printf.ksprintf (fun e -> if bad then Error e else Ok ()) fmt in
+  let* () = refuse_if (n < 1) "n must be >= 1 (got %d)" n in
+  let* () =
+    refuse_if (ops_per_client < 0) "ops_per_client must be >= 0 (got %d)" ops_per_client
+  in
+  let* () =
+    refuse_if (not (noise >= 0. && noise <= 1.)) "noise must be in [0, 1] (got %g)" noise
+  in
+  let* () =
+    match rotation with
+    | Adv.Pinned p ->
+      refuse_if (p < 0 || p >= n) "rotation: pinned pid %d outside [0, %d)" p n
+    | Adv.Round_robin | Adv.Random_source -> Ok ()
   in
   Ok
     {

@@ -78,7 +78,7 @@ val inputs : t -> Anon_kernel.Value.t list
     [seed] — the single derivation shared by the fuzzer and the model
     checker so their runs agree. *)
 
-val mc_workload : n:int -> ops_per_client:int -> Anon_giraf.Service_runner.workload
+val mc_workload : n:int -> ops_per_client:int -> Anon_giraf.Runner.Ws.workload
 (** The deterministic weak-set workload used with explicit schedules: each
     client alternates adds of distinct values ([100*(pid+1) + i]) with
     gets, queued from round 1 on. *)
@@ -93,5 +93,6 @@ val of_json : Anon_obs.Json.t -> (t, string) result
 (** Reads v2 documents and, for compatibility with repro files written
     before the version field existed, unversioned v1 documents (decoded
     with [env = None], [churn = \[\]]). Newer versions are rejected, and
-    so is an [env] or [schedule.env] that {!Anon_giraf.Env.validate}
-    rejects. *)
+    so is a case no sampler could write: an [env] or [schedule.env] that
+    {!Anon_giraf.Env.validate} rejects, [n < 1], [ops_per_client < 0],
+    [noise] outside [[0, 1]], or a pinned rotation outside [[0, n)]. *)

@@ -42,7 +42,7 @@ type outcome = {
   trace : Giraf.Trace.t;
 }
 
-module Ws_runner = Giraf.Service_runner.Make (Weak_set_ms)
+module Ws_runner = Giraf.Runner.Ws.Make (Weak_set_ms)
 
 let to_service_workload workload =
   List.map
@@ -51,10 +51,10 @@ let to_service_workload workload =
         List.map
           (fun (start, op) ->
             match op with
-            | Read -> (start, Giraf.Service_runner.Do_get)
+            | Read -> (start, Giraf.Runner.Ws.Do_get)
             | Write v ->
               ( start,
-                Giraf.Service_runner.Do_add_with
+                Giraf.Runner.Ws.Do_add_with
                   (fun set -> encode ~value:v ~rank:(rank_of_set set)) ))
           script
       in
@@ -109,7 +109,7 @@ let records_of_ops workload ops =
 let run ~crash ~adversary ~horizon ~seed ~workload =
   let config =
     {
-      Giraf.Service_runner.n = Giraf.Crash.n crash;
+      Giraf.Runner.Ws.n = Giraf.Crash.n crash;
       crash;
       churn = Giraf.Churn.none ~n:(Giraf.Crash.n crash);
       adversary;

@@ -3,10 +3,9 @@
     Two kinds of backend execute the same algorithm functors
     ({!Intf.ALGORITHM} / {!Intf.SERVICE}):
 
-    - {b lockstep} — {!Step_core} driven by {!Runner}, {!Service_runner}
-      and the model checker: rounds advance globally, and deliveries
-      follow an adversary plan. This is the Tier-1 and model-checking
-      path.
+    - {b lockstep} — {!Step_core} driven by {!Runner} and the model
+      checker: rounds advance globally, and deliveries follow an
+      adversary plan. This is the Tier-1 and model-checking path.
     - {b live} — [Anon_live]: every process fires its end-of-rounds at
       its own pace, packets cross a faulty transport with their own due
       times, and round advancement is driven by timeouts with adaptive

@@ -94,13 +94,13 @@ module Make (A : Intf.ALGORITHM) = struct
     let module E = Anon_obs.Event in
     let obs_on = R.active recorder in
     let kernel_before = if obs_on then Some (R.kernel_baseline ()) else None in
-    let m_broadcasts = R.counter recorder "skew.broadcasts" in
-    let m_deliveries = R.counter recorder "skew.deliveries" in
-    let m_decisions = R.counter recorder "skew.decisions" in
-    let m_crashes = R.counter recorder "skew.crashes" in
+    let m_broadcasts = R.counter recorder Anon_obs.Name.broadcasts in
+    let m_deliveries = R.counter recorder Anon_obs.Name.deliveries in
+    let m_decisions = R.counter recorder Anon_obs.Name.decisions in
+    let m_crashes = R.counter recorder Anon_obs.Name.crashes in
     let m_ticks = R.gauge recorder "skew.ticks" in
-    let m_msg_size = R.histogram recorder "skew.msg_size" in
-    let t_compute = R.histogram recorder "phase.compute_us" in
+    let m_msg_size = R.histogram recorder Anon_obs.Name.msg_size in
+    let t_compute = R.histogram recorder Anon_obs.Name.compute_us in
     validate ~where:"Skew_runner.run" config;
     let inputs = Array.of_list config.inputs in
     let n = Array.length inputs in

@@ -67,6 +67,6 @@ module Make (A : Intf.ALGORITHM) : sig
       actually provide.
 
       [recorder] (default {!Anon_obs.Recorder.off}) receives the
-      broadcast/decide/crash event stream and [skew.*] / [phase.*] /
-      [kernel.*] metrics; see DESIGN.md §7. *)
+      broadcast/decide/crash event stream and [run.*] / [skew.ticks] /
+      [phase.*] / [kernel.*] metrics; see DESIGN.md §7. *)
 end

@@ -26,7 +26,7 @@
     [compute] clears BLOCK) and [set_state]/[touch] (the operation
     phase).
 
-    {!Runner}, {!Service_runner} and [Anon_rsm] drive a core
+    {!Runner} (both families, one round loop) and [Anon_rsm] drive a core
     round-by-round with observation hooks; the model checker
     ([Anon_mc.System]) cuts the same cycle after the compute phase,
     [copy]s the core to branch, reads states through the accessors, and
@@ -53,7 +53,7 @@
 type fate = Intf.fate = Live | Crashed | Halted | Away
 
 type op_spec = Do_add of Anon_kernel.Value.t | Do_get | Do_add_with of (Anon_kernel.Value.Set.t -> Anon_kernel.Value.t)
-(** One client operation of a weak-set workload (see {!Service_runner},
+(** One client operation of a weak-set workload (see {!Runner.Ws},
     which re-exports this type). *)
 
 type workload = (int * (int * op_spec) list) list

@@ -2,7 +2,7 @@ open Anon_kernel
 module G = Anon_giraf
 module C = Anon_consensus
 module S = Anon_shm
-module Ws = G.Service_runner.Make (C.Weak_set_ms)
+module Ws = G.Runner.Ws.Make (C.Weak_set_ms)
 
 (* --- T5 ------------------------------------------------------------------ *)
 
@@ -12,11 +12,11 @@ let t5_latencies ~n ~noise ~seeds =
   List.concat_map
     (fun seed ->
       let workload =
-        List.init n (fun pid -> (pid, [ (2, G.Service_runner.Do_add (100 + pid)) ]))
+        List.init n (fun pid -> (pid, [ (2, G.Runner.Ws.Do_add (100 + pid)) ]))
       in
       let config =
         {
-          G.Service_runner.n;
+          G.Runner.Ws.n;
           crash = G.Crash.none ~n;
           churn = G.Churn.none ~n;
           adversary = G.Adversary.ms ~rotation:Round_robin ~noise ();
@@ -27,7 +27,7 @@ let t5_latencies ~n ~noise ~seeds =
       let out = Ws.run config ~workload in
       assert (G.Checker.check_weak_set ~correct:(G.Crash.correct config.crash) out.ops = []);
       List.filter_map
-        (fun (a : G.Service_runner.add_record) ->
+        (fun (a : G.Runner.Ws.add_record) ->
           match a.completed_round with
           | Some r -> Some (float_of_int (r - a.invoked_round))
           | None -> None)

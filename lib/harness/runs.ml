@@ -23,9 +23,9 @@ let note_of_snapshot snap =
     let c name =
       Option.value ~default:0 (List.assoc_opt name snap.Anon_obs.Metrics.counters)
     in
-    let broadcasts = c "runner.broadcasts" in
-    let deliveries = c "runner.deliveries" in
-    let timely = c "runner.timely_deliveries" in
+    let broadcasts = c Anon_obs.Name.broadcasts in
+    let deliveries = c Anon_obs.Name.deliveries in
+    let timely = c Anon_obs.Name.timely_deliveries in
     let hits = c "kernel.history.intern_hits" in
     let misses = c "kernel.history.intern_misses" in
     let timely_pct =
@@ -37,7 +37,7 @@ let note_of_snapshot snap =
       else 100. *. float_of_int hits /. float_of_int (hits + misses)
     in
     let compute_us =
-      match List.assoc_opt "phase.compute_us" snap.histograms with
+      match List.assoc_opt Anon_obs.Name.compute_us snap.histograms with
       | Some h when not (Anon_obs.Hist.is_empty h) ->
         Printf.sprintf "; compute %.1fus/round mean" (Anon_obs.Hist.mean h)
       | Some _ | None -> ""

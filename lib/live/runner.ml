@@ -124,8 +124,8 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
     validate ~where:"Live.Runner.run" config;
     let n = Array.length config.inputs in
     R.emit recorder (fun () -> E.Run_start { algo = A.name; n; seed = config.seed });
-    let m_decisions = R.counter recorder "live.decisions" in
-    let m_crashes = R.counter recorder "live.crashes" in
+    let m_decisions = R.counter recorder Anon_obs.Name.decisions in
+    let m_crashes = R.counter recorder Anon_obs.Name.crashes in
     let m_timeouts = R.counter recorder "live.timeouts" in
     let m_rebroadcasts = R.counter recorder "live.rebroadcasts" in
     let m_retrans = R.counter recorder "live.wire_retransmissions" in

@@ -123,5 +123,5 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) : sig
   val run : ?recorder:Anon_obs.Recorder.t -> clock:clock -> config -> outcome
   (** Execute until every process stopped or a budget ran out — never a
       hang. [recorder] receives the run/decide/crash event stream as it
-      happens, and the [live.*] metrics. *)
+      happens, and the [live.*] and [run.*] metrics. *)
 end

@@ -257,6 +257,8 @@ let run ?(recorder = R.off) ?progress ?out config =
     | Es_unguarded -> None
   in
   let witness =
+    (* The replay's counts are not the search's: it shares the sink only. *)
+    let recorder = R.create ~metrics:M.disabled ~sink:(R.sink recorder) () in
     let build ~crashes ~churn ~plans ~mc_violations =
       Option.map
         (fun algo ->

@@ -83,8 +83,8 @@ val run :
   report
 (** Explore schedules in order, stopping at the first violating one.
     When [out] is given and a witness exists, the repro JSON is written
-    there. Emits [mc.*] metrics through [recorder]; the witness replay
-    (when any) also runs under [recorder], so an attached
+    there. Emits [mc.*] metrics through [recorder], and only those: the
+    witness replay (when any) shares [recorder]'s sink, so an attached
     {!Anon_obs.Trace} sink captures the counterexample timeline.
     [progress] (e.g. [Format.err_formatter] under [anonc mc --progress])
     prints one live line per crash schedule and per BFS level — frontier

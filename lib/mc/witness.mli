@@ -3,7 +3,7 @@
     A witness (a plan prefix plus the exploration's crash schedule) is
     packaged as a {!Anon_chaos.Scenario.t} with an explicit [schedule], so
     the ordinary fuzz replay path ([anonc fuzz --replay]) re-executes it
-    through {!Anon_giraf.Runner} / {!Anon_giraf.Service_runner} and the
+    through {!Anon_giraf.Runner.Make} / {!Anon_giraf.Runner.Ws.Make} and the
     independent {!Anon_giraf.Checker}. The scenario is replayed {e at
     emission time} and the violations the replay actually produces are the
     ones stored in the file — replay determinism is therefore validated

@@ -1,11 +1,11 @@
 (** The weak-set service (Alg. 4) as an explorable system: the weak-set
     family of {!System}.
 
-    Mirrors {!Anon_giraf.Service_runner.Make} phase-shifted the same way as
+    Mirrors {!Anon_giraf.Runner.Ws.Make} phase-shifted the same way as
     {!Consensus_sys}: a node is the system after the compute phase of
     iteration [k]; one step delivers the round-[k] messages per the plan,
     marks the crashers, runs the round-[k] client-operation phase (one
-    operation per unblocked client, on the service-runner logical clock:
+    operation per unblocked client, on the weak-set runner's logical clock:
     computes at [2k], operations at [2k + 1]), and computes iteration
     [k+1], detecting [add] completions. Each completed [get] is judged
     online against {!Anon_giraf.Checker.Weak_set}.

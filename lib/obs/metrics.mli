@@ -8,8 +8,10 @@
     aggregation.
 
     Naming convention (see DESIGN.md §7): dot-separated subsystem paths,
-    with a unit suffix on histograms — e.g. [runner.broadcasts],
-    [kernel.history.intern_hits], [phase.compute_us]. *)
+    with a unit suffix on histograms — e.g. [run.broadcasts],
+    [kernel.history.intern_hits], [phase.compute_us]. A fact that more
+    than one backend counts has one name, in {!Name}; a fact of one
+    backend keeps that backend's prefix. *)
 
 type t
 (** A registry. *)

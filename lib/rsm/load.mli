@@ -89,7 +89,7 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) : sig
       {!Anon_obs.Event.Commit} stream, re-emitted after the run in
       global round order (shards return their commit sequences; worker
       domains never touch the coordinator sink), deterministic at any
-      [jobs]. Per-shard [rsm.*] metrics live in fresh worker registries
+      [jobs]. Per-shard [Rsm] metrics live in fresh worker registries
       and are merged into [report.metrics] when [metrics = true]
       (default false). [crash]/[churn] default to fault-free schedules.
       Validates the combined configuration through {!Rsm.validate}

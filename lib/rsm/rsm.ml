@@ -120,13 +120,12 @@ module Make (A : G.Intf.ALGORITHM) = struct
     let obs_on = R.active recorder in
     let m_proposals = R.counter recorder "rsm.proposals" in
     let m_instances = R.counter recorder "rsm.instances" in
-    let m_decides = R.counter recorder "rsm.decides" in
+    let m_decisions = R.counter recorder Anon_obs.Name.decisions in
     let m_commits = R.counter recorder "rsm.commits" in
     let m_stalled = R.counter recorder "rsm.stalled" in
-    let m_broadcasts = R.counter recorder "rsm.broadcasts" in
+    let m_broadcasts = R.counter recorder Anon_obs.Name.broadcasts in
     let m_instance_msgs = R.counter recorder "rsm.instance_msgs" in
-    let g_rounds = R.gauge recorder "rsm.rounds" in
-    let g_inflight = R.gauge recorder "rsm.inflight" in
+    let g_rounds = R.gauge recorder Anon_obs.Name.rounds in
     let h_latency_rounds = R.histogram recorder "rsm.decide_latency_rounds" in
     let h_latency_us = R.histogram recorder "rsm.decide_latency_us" in
     let h_inflight = R.histogram recorder "rsm.inflight" in
@@ -191,7 +190,7 @@ module Make (A : G.Intf.ALGORITHM) = struct
       let decisions = ref [] in
       let on_decide ~pid ~round ~value =
         decisions := (pid, round, value) :: !decisions;
-        M.incr m_decides
+        M.incr m_decisions
       in
       inflight :=
         !inflight
@@ -328,9 +327,7 @@ module Make (A : G.Intf.ALGORITHM) = struct
         open_instance gr
       done;
       if obs_on then begin
-        let depth = float_of_int (List.length !inflight) in
-        M.observe h_inflight depth;
-        M.set_gauge g_inflight depth;
+        M.observe h_inflight (float_of_int (List.length !inflight));
         M.observe h_queue (float_of_int (!arrived - !next))
       end;
       step_all !inflight;

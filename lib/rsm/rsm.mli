@@ -104,6 +104,6 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) : sig
   (** Drive the full proposal queue (ascending arrival) to completion or
       to [config.horizon], whichever is first; instances still open at the
       horizon close as stalled. [on_commit] fires as the commit pointer
-      passes each instance. With an active recorder, emits [rsm.*]
-      metrics (see DESIGN.md §14) and {!Anon_obs.Event.Commit} events. *)
+      passes each instance. With an active recorder, emits [rsm.*] and
+      [run.*] metrics (see DESIGN.md §14) and {!Anon_obs.Event.Commit} events. *)
 end

@@ -44,7 +44,7 @@ let run ?(recorder = Anon_obs.Recorder.off) ~config ~registers
   let m_completions = R.counter recorder "shm.completions" in
   let m_reads = R.counter recorder "shm.reads" in
   let m_writes = R.counter recorder "shm.writes" in
-  let m_crashes = R.counter recorder "shm.crashes" in
+  let m_crashes = R.counter recorder Anon_obs.Name.crashes in
   let m_latency = R.histogram recorder "shm.op_latency_steps" in
   let n = config.n in
   let rng = Rng.make config.seed in

@@ -55,5 +55,5 @@ val run :
     mutated in place and left in its final state.
 
     [recorder] (default {!Anon_obs.Recorder.off}) receives [Shm_step] /
-    [Shm_done] / [Crash] events and the [shm.*] metrics (step/completion
-    counts, read/write counts, op latency in steps); see DESIGN.md §7. *)
+    [Shm_done] / [Crash] events, [run.crashes] and the [shm.*] metrics
+    (step/completion counts, read/write counts, op latency in steps). *)

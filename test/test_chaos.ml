@@ -267,36 +267,43 @@ let test_replay_rejects_garbage () =
   (match Ch.Fuzz.replay_json (Anon_obs.Json.Obj []) with
   | Ok _ -> Alcotest.fail "expected error on empty object"
   | Error _ -> ());
-  (* An environment the runners would refuse is refused when the case is
-     decoded, before an adversary is built from it. *)
+  (* An environment the runners would refuse, or a field no sampler could
+     write, is refused when the case is decoded, before an adversary is
+     built from it. *)
   let rng = Rng.make 5 in
   let dynamic stability = Some (G.Env.Dynamic { stability; rooted = true }) in
   List.iter
-    (fun (algo, env, sched_env, expected) ->
-      let case = Ch.Scenario.sample ~algo rng in
-      let schedule =
-        Option.map (fun sched_env -> { Ch.Scenario.sched_env; plans = [] }) sched_env
-      in
+    (fun (algo, edit, expected) ->
+      let case = edit (Ch.Scenario.sample ~algo rng) in
       let repro =
         Anon_obs.Json.Obj
-          [
-            ("case", Ch.Scenario.to_json { case with env; schedule });
-            ("violations", Anon_obs.Json.List []);
-          ]
+          [ ("case", Ch.Scenario.to_json case); ("violations", Anon_obs.Json.List []) ]
       in
       match Ch.Fuzz.replay_json repro with
       | Ok _ -> Alcotest.failf "expected %S" expected
       | Error e -> Alcotest.(check string) "decode error" expected e)
-    [
-      (Ch.Scenario.Es, dynamic 0, None, "env: stability must be >= 1 (got 0)");
-      (Ch.Scenario.Weak_set, dynamic 0, None, "env: stability must be >= 1 (got 0)");
-      (Ch.Scenario.Es, dynamic (-3), None, "env: stability must be >= 1 (got -3)");
-      (Ch.Scenario.Weak_set, dynamic (-3), None, "env: stability must be >= 1 (got -3)");
-      ( Ch.Scenario.Weak_set,
-        None,
-        Some (G.Env.Es { gst = 0 }),
-        "schedule.env: gst must be >= 1 (got 0)" );
-    ]
+    Ch.Scenario.
+      [
+        (Es, (fun c -> { c with env = dynamic 0 }), "env: stability must be >= 1 (got 0)");
+        ( Weak_set,
+          (fun c -> { c with env = dynamic 0 }),
+          "env: stability must be >= 1 (got 0)" );
+        (Es, (fun c -> { c with env = dynamic (-3) }), "env: stability must be >= 1 (got -3)");
+        ( Weak_set,
+          (fun c -> { c with env = dynamic (-3) }),
+          "env: stability must be >= 1 (got -3)" );
+        ( Weak_set,
+          (fun c ->
+            { c with env = None; schedule = Some { sched_env = G.Env.Es { gst = 0 }; plans = [] } }),
+          "schedule.env: gst must be >= 1 (got 0)" );
+        (Es, (fun c -> { c with n = -2 }), "n must be >= 1 (got -2)");
+        (Register, (fun c -> { c with ops_per_client = -1 }), "ops_per_client must be >= 0 (got -1)");
+        (Es, (fun c -> { c with noise = 2.0 }), "noise must be in [0, 1] (got 2)");
+        (Ess, (fun c -> { c with noise = -1.0 }), "noise must be in [0, 1] (got -1)");
+        ( Es,
+          (fun c -> { c with n = 3; rotation = G.Adversary.Pinned 99 }),
+          "rotation: pinned pid 99 outside [0, 3)" );
+      ]
 
 let () =
   Alcotest.run "chaos"

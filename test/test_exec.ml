@@ -120,8 +120,8 @@ let test_batch_jobs_equivalence () =
        message-size histogram is non-empty and byte-identical whatever
        the chunking. *)
     (match
-       ( List.assoc_opt "runner.msg_size" s1.histograms,
-         List.assoc_opt "runner.msg_size" s4.histograms )
+       ( List.assoc_opt Anon_obs.Name.msg_size s1.histograms,
+         List.assoc_opt Anon_obs.Name.msg_size s4.histograms )
      with
     | Some h1, Some h4 ->
       check_bool "msg_size histogram populated" false (Anon_obs.Hist.is_empty h1);

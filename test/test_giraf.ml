@@ -985,10 +985,10 @@ let test_count_validation () =
         fun () ->
           ignore (G.Skew_runner.uniform_pace ~max:(-1) ~pid:0 ~round:1 (Rng.make 1)) );
       ( "weakset --ops=-1",
-        "Service_runner.random_workload",
+        "Runner.Ws.random_workload",
         fun () ->
           ignore
-            (G.Service_runner.random_workload ~n:3 ~ops_per_client:(-1) ~max_start:5
+            (G.Runner.Ws.random_workload ~n:3 ~ops_per_client:(-1) ~max_start:5
                ~value_range:10 (Rng.make 1)) );
       ( "emulate -n 0",
         "Ms_emulation.default_config",
@@ -1032,13 +1032,13 @@ let test_count_validation () =
   check_bool "--ops 0 stays valid" true
     (List.for_all
        (fun (_, script) -> script = [])
-       (G.Service_runner.random_workload ~n:3 ~ops_per_client:0 ~max_start:5
+       (G.Runner.Ws.random_workload ~n:3 ~ops_per_client:0 ~max_start:5
           ~value_range:10 (Rng.make 1)))
 
 (* The one schedule validator ([Churn.validate]) behind every backend:
    each caller reports under its own [where] with the shared [what]. *)
 let test_schedule_validator_table () =
-  let module W = G.Service_runner.Make (Anon_consensus.Weak_set_ms) in
+  let module W = G.Runner.Ws.Make (Anon_consensus.Weak_set_ms) in
   let module Rsm = Anon_rsm.Rsm in
   let inputs = [ 1; 2; 3 ] in
   let crash2 = G.Crash.none ~n:2 in
@@ -1047,7 +1047,7 @@ let test_schedule_validator_table () =
   let service crash churn =
     W.run
       {
-        G.Service_runner.n = 3;
+        G.Runner.Ws.n = 3;
         crash;
         churn;
         adversary = G.Adversary.ms ();
@@ -1088,8 +1088,8 @@ let test_schedule_validator_table () =
     [
       ("Runner.default_config", mismatch, fun () -> runner crash2 none3);
       ("Runner.default_config", overlap, fun () -> runner crash_p1 churn_p1);
-      ("Service_runner.run", mismatch, fun () -> service crash2 none3);
-      ("Service_runner.run", overlap, fun () -> service crash_p1 churn_p1);
+      ("Runner.Ws.run", mismatch, fun () -> service crash2 none3);
+      ("Runner.Ws.run", overlap, fun () -> service crash_p1 churn_p1);
       ( "Skew_runner.default_config",
         mismatch,
         fun () -> ignore (G.Skew_runner.default_config ~inputs ~crash:crash2 ()) );
@@ -1120,10 +1120,10 @@ let test_schedule_validator_table () =
     ]
 
 let test_service_runner_config_validation () =
-  let module W = G.Service_runner.Make (Anon_consensus.Weak_set_ms) in
+  let module W = G.Runner.Ws.Make (Anon_consensus.Weak_set_ms) in
   let config n crash horizon =
     {
-      G.Service_runner.n;
+      G.Runner.Ws.n;
       crash;
       churn = G.Churn.none ~n;
       adversary = G.Adversary.ms ();
@@ -1131,17 +1131,17 @@ let test_service_runner_config_validation () =
       seed = 1;
     }
   in
-  Alcotest.check_raises "n < 1" (invalid "Service_runner.run" "inputs must be non-empty")
+  Alcotest.check_raises "n < 1" (invalid "Runner.Ws.run" "inputs must be non-empty")
     (fun () -> ignore (W.run (config 0 (G.Crash.none ~n:0) 10) ~workload:[]));
   Alcotest.check_raises "horizon < 1"
-    (invalid "Service_runner.run" "horizon must be >= 1 (got 0)") (fun () ->
+    (invalid "Runner.Ws.run" "horizon must be >= 1 (got 0)") (fun () ->
       ignore (W.run (config 2 (G.Crash.none ~n:2) 0) ~workload:[]));
   Alcotest.check_raises "crash size mismatch"
-    (invalid "Service_runner.run"
+    (invalid "Runner.Ws.run"
        "inputs/crash size mismatch (3 inputs, crash schedule for 2)") (fun () ->
       ignore (W.run (config 3 (G.Crash.none ~n:2) 10) ~workload:[]));
   Alcotest.check_raises "env gst < 1"
-    (invalid "Service_runner.run" "gst must be >= 1 (got 0)") (fun () ->
+    (invalid "Runner.Ws.run" "gst must be >= 1 (got 0)") (fun () ->
       let adversary = G.Adversary.of_schedule ~env:(G.Env.Es { gst = 0 }) [] in
       ignore (W.run { (config 2 (G.Crash.none ~n:2) 10) with adversary } ~workload:[]))
 
@@ -1219,7 +1219,7 @@ let test_dispatch_crash_modes () =
 let test_service_random_workload () =
   let rng = Rng.make 11 in
   let w =
-    G.Service_runner.random_workload ~n:6 ~ops_per_client:5 ~max_start:20
+    G.Runner.Ws.random_workload ~n:6 ~ops_per_client:5 ~max_start:20
       ~value_range:10_000 rng
   in
   check_int "six clients" 6 (List.length w);
@@ -1229,8 +1229,8 @@ let test_service_random_workload () =
         List.filter_map
           (fun (_, op) ->
             match op with
-            | G.Service_runner.Do_add v -> Some v
-            | G.Service_runner.Do_get | G.Service_runner.Do_add_with _ -> None)
+            | G.Runner.Ws.Do_add v -> Some v
+            | G.Runner.Ws.Do_get | G.Runner.Ws.Do_add_with _ -> None)
           ops)
       w
   in

@@ -253,8 +253,26 @@ let prediction_cases =
 let test_es_shallow_bounded_witness_replays () =
   (* Depth 2 is below ES's decision depth: the verdict is Bounded and the
      non-deciding witness must replay through the real runner to the same
-     conclusion (a termination violation at the witness horizon). *)
-  let r = Mc.run (config ~n:2 ~rounds:2 ()) in
+     conclusion (a termination violation at the witness horizon). The
+     recorder's registry holds the search's counts only; the replay
+     shows in its sink. *)
+  let registry = Anon_obs.Metrics.create () in
+  let sink = Anon_obs.Sink.memory ~capacity:10_000 in
+  let r =
+    Mc.run
+      ~recorder:(Anon_obs.Recorder.create ~metrics:registry ~sink ())
+      (config ~n:2 ~rounds:2 ())
+  in
+  let snap = Anon_obs.Metrics.snapshot registry in
+  List.iter
+    (fun name ->
+      if not (String.starts_with ~prefix:"mc." name) then
+        Alcotest.failf "mc snapshot row %s is not the search's" name)
+    (List.map fst snap.counters @ List.map fst snap.gauges @ List.map fst snap.histograms);
+  check_bool "replay events reach the sink" true
+    (List.exists
+       (function Anon_obs.Event.Run_start _ -> true | _ -> false)
+       (Anon_obs.Sink.events sink));
   check_bool "bounded" true (r.Mc.verdict = Mc.Bounded);
   check_bool "no safety violation" true (r.Mc.violation = None);
   match r.Mc.witness with

@@ -526,20 +526,232 @@ let run_es ~recorder =
        ~crash:(G.Crash.none ~n:6)
        (G.Adversary.es_blocking ~gst:8 ()))
 
+(* One metric vocabulary across the backends: a fact that more than one
+   backend counts has one name ([Name]), each backend's rows carry
+   only its documented prefixes (DESIGN.md §7), and the shared counters
+   equal the counts the backend's own outcome reports. *)
+let shared_names =
+  Name.
+    [
+      broadcasts; deliveries; timely_deliveries; decisions; crashes; rounds;
+      msg_size; leader_changes; mailbox_pending; compute_us; deliver_us; ws_adds;
+      ws_gets; ws_add_latency_rounds;
+    ]
+
+let retired_names =
+  [
+    "skew.broadcasts"; "skew.deliveries"; "skew.decisions"; "skew.crashes";
+    "skew.msg_size"; "live.decisions"; "live.crashes"; "rsm.decides";
+    "rsm.broadcasts"; "rsm.rounds"; "shm.crashes";
+  ]
+
+let crashes_in (trace : G.Trace.t) =
+  List.fold_left (fun acc (r : G.Trace.round_info) -> acc + List.length r.crashing) 0
+    trace.rounds
+
+let senders_in (trace : G.Trace.t) =
+  List.fold_left (fun acc (r : G.Trace.round_info) -> acc + List.length r.senders) 0
+    trace.rounds
+
+(* Each backend: its label, the prefixes its rows may carry, the shared
+   facts it counts, and a run returning the outcome's own counts. *)
+let backends =
+  let one_crash n pid round =
+    G.Crash.of_events ~n [ { G.Crash.pid; round; broadcast = G.Crash.Broadcast_subset } ]
+  in
+  let module N = Name in
+  [
+    ( "runner (es)",
+      [ "run."; "churn."; "phase."; "kernel." ],
+      N.[ broadcasts; deliveries; timely_deliveries; decisions; crashes; rounds;
+          msg_size; leader_changes; mailbox_pending; compute_us; deliver_us ],
+      fun recorder ->
+        let module R = G.Runner.Make (C.Es_consensus) in
+        let o =
+          R.run ~recorder
+            (G.Runner.default_config ~horizon:100 ~seed:11
+               ~inputs:(List.init 6 (fun i -> i + 1))
+               ~crash:(one_crash 6 5 3)
+               (G.Adversary.es_blocking ~gst:8 ()))
+        in
+        [
+          (N.broadcasts, o.messages_sent); (N.deliveries, o.deliveries);
+          (N.timely_deliveries, o.timely_deliveries);
+          (N.decisions, List.length o.decisions); (N.crashes, crashes_in o.trace);
+        ] );
+    ( "runner (weak set)",
+      [ "run."; "ws."; "churn."; "phase."; "kernel." ],
+      N.[ broadcasts; deliveries; timely_deliveries; crashes; rounds; msg_size;
+          mailbox_pending; compute_us; deliver_us; ws_adds; ws_gets ],
+      fun recorder ->
+        let module W = G.Runner.Ws.Make (C.Weak_set_ms) in
+        let n = 4 and rng = Anon_kernel.Rng.make 3 in
+        let workload =
+          G.Runner.Ws.random_workload ~n ~ops_per_client:4 ~max_start:20
+            ~value_range:100 rng
+        in
+        let o =
+          W.run ~recorder
+            {
+              G.Runner.Ws.n;
+              crash = one_crash n 3 10;
+              churn = G.Churn.none ~n;
+              adversary = G.Adversary.ms ();
+              horizon = 40;
+              seed = 3;
+            }
+            ~workload
+        in
+        let ops p = List.length (List.filter p o.ops) in
+        [
+          (N.broadcasts, o.messages_sent); (N.crashes, crashes_in o.trace);
+          (N.ws_gets, ops (function G.Checker.Ws_get _ -> true | _ -> false));
+        ] );
+    ( "skew runner",
+      [ "run."; "skew."; "phase."; "kernel." ],
+      N.[ broadcasts; deliveries; decisions; crashes; msg_size; compute_us ],
+      fun recorder ->
+        let module S = G.Skew_runner.Make (C.Es_consensus) in
+        let o =
+          S.run ~recorder
+            (G.Skew_runner.default_config ~seed:3
+               ~pace:(G.Skew_runner.uniform_pace ~max:3)
+               ~delay:(G.Skew_runner.uniform_delay ~max:2)
+               ~inputs:(List.init 5 (fun i -> i + 1))
+               ~crash:(one_crash 5 1 2) ())
+        in
+        [
+          (N.broadcasts, senders_in o.trace); (N.decisions, List.length o.decisions);
+          (N.crashes, crashes_in o.trace);
+        ] );
+    ( "live runner (virtual clock)",
+      [ "run."; "live." ],
+      N.[ decisions; crashes ],
+      fun recorder ->
+        let module L = Anon_live.Runner.Make (C.Es_consensus) in
+        let o =
+          L.run ~recorder ~clock:Anon_live.Runner.Virtual
+            (Anon_live.Runner.default_config ~seed:9
+               ~inputs:(List.init 5 (fun i -> i + 1))
+               ~crash:(one_crash 5 2 2) ())
+        in
+        let crashed =
+          Array.fold_left
+            (fun acc (p : Anon_live.Runner.process_report) ->
+              if p.stop = Anon_live.Runner.Crashed then acc + 1 else acc)
+            0 o.processes
+        in
+        [ (N.decisions, List.length o.decisions); (N.crashes, crashed) ] );
+    ( "rsm",
+      [ "run."; "rsm." ],
+      N.[ broadcasts; decisions; rounds ],
+      fun recorder ->
+        let module M = Anon_rsm.Rsm.Make (C.Es_consensus) in
+        let w =
+          Anon_rsm.Workload.make ~value_range:8 ~proposals:6 ~rate:2. ~seed:1 ()
+        in
+        let o =
+          M.run ~recorder
+            {
+              Anon_rsm.Rsm.n = 3;
+              window = 2;
+              batch = 1;
+              horizon = 400;
+              seed = 42;
+              crash = G.Crash.none ~n:3;
+              churn = G.Churn.none ~n:3;
+              adversary = (fun _ -> G.Adversary.es ~gst:4 ());
+            }
+            ~proposals:(Anon_rsm.Workload.shard_proposals w 0)
+        in
+        let decisions =
+          List.fold_left
+            (fun acc (ir : Anon_rsm.Rsm.instance_result) -> acc + List.length ir.decisions)
+            0 o.instances
+        in
+        [ (N.broadcasts, o.broadcasts); (N.decisions, decisions) ] );
+  ]
+
 let test_runner_metrics_match_outcome () =
-  let registry = Metrics.create () in
-  let recorder = Recorder.create ~metrics:registry () in
-  let outcome = run_es ~recorder in
-  let snap = Metrics.snapshot registry in
-  let c name = Option.value ~default:0 (List.assoc_opt name snap.counters) in
-  (* The counters must agree exactly with the outcome the runner already
-     reports through its return value. *)
-  check_int "broadcasts" outcome.messages_sent (c "runner.broadcasts");
-  check_int "deliveries" outcome.deliveries (c "runner.deliveries");
-  check_int "timely" outcome.timely_deliveries (c "runner.timely_deliveries");
-  check_int "decisions" (List.length outcome.decisions) (c "runner.decisions");
-  check_bool "compute timer sampled" true
-    (List.mem_assoc "phase.compute_us" snap.histograms)
+  List.iter
+    (fun (label, prefixes, shared, run) ->
+      let registry = Metrics.create () in
+      let counts = run (Recorder.create ~metrics:registry ()) in
+      let snap = Metrics.snapshot registry in
+      let names =
+        List.map fst snap.counters @ List.map fst snap.gauges
+        @ List.map fst snap.histograms
+      in
+      let has_prefix name p = String.starts_with ~prefix:p name in
+      List.iter
+        (fun name ->
+          if not (List.exists (has_prefix name) prefixes) then
+            Alcotest.failf "%s: row %s outside %s" label name (String.concat " " prefixes);
+          if List.mem name retired_names then
+            Alcotest.failf "%s: row %s has a retired name" label name;
+          if (has_prefix name "run." || has_prefix name "ws.")
+             && not (List.mem name shared_names)
+          then Alcotest.failf "%s: row %s is not a shared name" label name)
+        names;
+      List.iter
+        (fun name ->
+          if not (List.mem name names) then
+            Alcotest.failf "%s: shared fact %s not recorded" label name)
+        shared;
+      List.iter
+        (fun (name, expected) ->
+          check_int (label ^ " " ^ name) expected
+            (Option.value ~default:(-1) (List.assoc_opt name snap.counters)))
+        counts)
+    backends
+
+(* The weak set runs the consensus round loop: it gains one [round_start]
+   and one [round_end] per round and a [broadcast] per sender, and every
+   other event is the one its own loop emitted before the two were
+   folded, in the same order — pinned by the digest of [anonc weakset -n
+   4]'s JSONL trace without those three events. *)
+let test_weak_set_event_stream () =
+  let n = 4 and horizon = 120 and seed = 42 in
+  let rng = Anon_kernel.Rng.make seed in
+  let crash = G.Crash.random ~n ~failures:0 ~max_round:horizon rng in
+  let workload =
+    G.Runner.Ws.random_workload ~n ~ops_per_client:6 ~max_start:(horizon / 2)
+      ~value_range:10_000 rng
+  in
+  let module W = G.Runner.Ws.Make (C.Weak_set_ms) in
+  let sink = Sink.memory ~capacity:100_000 in
+  let o =
+    W.run
+      ~recorder:(Recorder.create ~sink ())
+      { G.Runner.Ws.n; crash; churn = G.Churn.none ~n; adversary = G.Adversary.ms (); horizon; seed }
+      ~workload
+  in
+  let evs = Sink.events sink in
+  let bounds =
+    List.filter_map
+      (function
+        | Event.Round_start { round } -> Some (round, true)
+        | Event.Round_end { round; _ } -> Some (round, false)
+        | _ -> None)
+      evs
+  in
+  Alcotest.(check (list (pair int bool)))
+    "one round_start then one round_end per round"
+    (List.concat (List.init horizon (fun i -> [ (i + 1, true); (i + 1, false) ])))
+    bounds;
+  check_int "a broadcast per sender" o.messages_sent
+    (List.length (List.filter (function Event.Broadcast _ -> true | _ -> false) evs));
+  let others =
+    List.filter_map
+      (function
+        | Event.Round_start _ | Event.Round_end _ | Event.Broadcast _ -> None
+        | ev -> Some (Json.to_string (Event.to_json ev)))
+      evs
+  in
+  check_int "other events" 1479 (List.length others);
+  Alcotest.(check string)
+    "other events as before" "c184528541b65ff9f9872624bc87d242"
+    (Digest.to_hex (Digest.string (String.concat "\n" others)))
 
 let test_runner_event_stream () =
   let sink = Sink.memory ~capacity:100_000 in
@@ -615,5 +827,6 @@ let () =
           Alcotest.test_case "surfaces ring drops" `Quick test_recorder_surfaces_drops;
           Alcotest.test_case "runner metrics" `Quick test_runner_metrics_match_outcome;
           Alcotest.test_case "runner events" `Quick test_runner_event_stream;
+          Alcotest.test_case "weak-set events" `Quick test_weak_set_event_stream;
         ] );
     ]

@@ -153,9 +153,9 @@ let consensus_diff (module A : Mc_cs.MODEL) ?(armed = false) ~label ~env ~inputs
 let pp_op buf (start, op) =
   Buffer.add_string buf
     (match op with
-    | G.Service_runner.Do_get -> Printf.sprintf "%dG" start
-    | G.Service_runner.Do_add v -> Printf.sprintf "%dA%s" start (K.Value.to_string v)
-    | G.Service_runner.Do_add_with _ -> Printf.sprintf "%dF" start)
+    | G.Runner.Ws.Do_get -> Printf.sprintf "%dG" start
+    | G.Runner.Ws.Do_add v -> Printf.sprintf "%dA%s" start (K.Value.to_string v)
+    | G.Runner.Ws.Do_add_with _ -> Printf.sprintf "%dF" start)
 
 let ws_diff ~label ~env ~n ~crash ~max_delay ~ops_per_client ~depth ~seed () =
   let module Sys =
@@ -166,14 +166,14 @@ let ws_diff ~label ~env ~n ~crash ~max_delay ~ops_per_client ~depth ~seed () =
   let plans, mc_snaps = sample_path (module Sys) ~rng ~depth in
   let m = List.length plans in
   let workload = Ch.Scenario.mc_workload ~n ~ops_per_client in
-  let module Run = G.Service_runner.Make (C.Weak_set_ms) in
+  let module Run = G.Runner.Ws.Make (C.Weak_set_ms) in
   let states = Hashtbl.create 64 in
   let observe ~pid ~round st =
     Hashtbl.replace states (round, pid) (C.Weak_set_ms.state_key st)
   in
   let config =
     {
-      G.Service_runner.n;
+      G.Runner.Ws.n;
       crash;
       churn = G.Churn.none ~n;
       adversary = G.Adversary.of_schedule ~env plans;
@@ -182,7 +182,7 @@ let ws_diff ~label ~env ~n ~crash ~max_delay ~ops_per_client ~depth ~seed () =
     }
   in
   let outcome = Run.run ~observe config ~workload in
-  let adds = outcome.G.Service_runner.adds in
+  let adds = outcome.G.Runner.Ws.adds in
   (* Number of operations client [p] has started during the op phases of
      rounds [<= r] (op_time = 2k + 1). *)
   let ops_started p r =
@@ -193,7 +193,7 @@ let ws_diff ~label ~env ~n ~crash ~max_delay ~ops_per_client ~depth ~seed () =
              add_client = p && add_invoked <= (2 * r) + 1
            | G.Checker.Ws_get { get_client; get_invoked; _ } ->
              get_client = p && get_invoked <= (2 * r) + 1)
-         outcome.G.Service_runner.ops)
+         outcome.G.Runner.Ws.ops)
   in
   let expected r =
     let b = Buffer.create 256 in
@@ -209,7 +209,7 @@ let ws_diff ~label ~env ~n ~crash ~max_delay ~ops_per_client ~depth ~seed () =
         | None -> Buffer.add_string b (Printf.sprintf "p%d ?missing b:" p));
         let blocked =
           List.find_map
-            (fun (a : G.Service_runner.add_record) ->
+            (fun (a : G.Runner.Ws.add_record) ->
               if
                 a.client = p
                 && a.invoked_round <= r - 1
@@ -232,13 +232,13 @@ let ws_diff ~label ~env ~n ~crash ~max_delay ~ops_per_client ~depth ~seed () =
     done;
     let invoked =
       List.fold_left
-        (fun acc (a : G.Service_runner.add_record) ->
+        (fun acc (a : G.Runner.Ws.add_record) ->
           if a.invoked_round <= r - 1 then K.Value.Set.add a.value acc else acc)
         K.Value.Set.empty adds
     in
     let completed =
       List.fold_left
-        (fun acc (a : G.Service_runner.add_record) ->
+        (fun acc (a : G.Runner.Ws.add_record) ->
           match a.completed_round with
           | Some c when c <= r - 1 -> K.Value.Set.add a.value acc
           | Some _ | None -> acc)

@@ -1,10 +1,10 @@
-(* Tests for Algorithm 4 (the weak-set in MS) and the service runner. *)
+(* Tests for Algorithm 4 (the weak-set in MS) and its runner. *)
 
 open Anon_kernel
 module G = Anon_giraf
 module C = Anon_consensus
 module Ws = C.Weak_set_ms
-module Runner = G.Service_runner.Make (Ws)
+module Runner = G.Runner.Ws.Make (Ws)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -62,22 +62,22 @@ let run_workload ?(n = 5) ?(failures = 0) ?(seed = 3) ?(horizon = 150) ?adversar
   let crash = G.Crash.random ~n ~failures ~max_round:(horizon / 2) rng in
   let adversary = Option.value ~default:(G.Adversary.ms ()) adversary in
   let config =
-    { G.Service_runner.n; crash; churn = G.Churn.none ~n; adversary; horizon; seed }
+    { G.Runner.Ws.n; crash; churn = G.Churn.none ~n; adversary; horizon; seed }
   in
   (Runner.run config ~workload, crash)
 
 let test_adds_complete () =
-  let workload = List.init 5 (fun pid -> (pid, [ (2, G.Service_runner.Do_add (100 + pid)) ])) in
+  let workload = List.init 5 (fun pid -> (pid, [ (2, G.Runner.Ws.Do_add (100 + pid)) ])) in
   let out, _ = run_workload workload in
   check_int "five adds" 5 (List.length out.adds);
   List.iter
-    (fun (a : G.Service_runner.add_record) ->
+    (fun (a : G.Runner.Ws.add_record) ->
       check_bool "completed" true (a.completed_round <> None))
     out.adds
 
 let test_get_sees_completed_adds () =
   let workload =
-    [ (0, [ (2, G.Service_runner.Do_add 42) ]); (1, [ (60, G.Service_runner.Do_get) ]) ]
+    [ (0, [ (2, G.Runner.Ws.Do_add 42) ]); (1, [ (60, G.Runner.Ws.Do_get) ]) ]
   in
   let out, _ = run_workload ~n:3 workload in
   let gets =
@@ -97,7 +97,7 @@ let test_semantics_over_seeds () =
       let rng = Rng.make seed in
       let n = 2 + Rng.int rng 6 in
       let workload =
-        G.Service_runner.random_workload ~n ~ops_per_client:6 ~max_start:50
+        G.Runner.Ws.random_workload ~n ~ops_per_client:6 ~max_start:50
           ~value_range:100_000 rng
       in
       let out, crash =
@@ -116,21 +116,21 @@ let test_minimal_ms_still_lively () =
   (* Even with zero extra links, every add by a correct process
      completes. *)
   let n = 6 in
-  let workload = List.init n (fun pid -> (pid, [ (2, G.Service_runner.Do_add (7 * pid)) ])) in
+  let workload = List.init n (fun pid -> (pid, [ (2, G.Runner.Ws.Do_add (7 * pid)) ])) in
   let out, crash =
     run_workload ~n ~horizon:200
       ~adversary:(G.Adversary.ms ~rotation:G.Adversary.Round_robin ~noise:0.0 ())
       workload
   in
   List.iter
-    (fun (a : G.Service_runner.add_record) ->
+    (fun (a : G.Runner.Ws.add_record) ->
       if G.Crash.is_correct crash a.client then
         check_bool "correct client's add completed" true (a.completed_round <> None))
     out.adds
 
 let test_op_clock_ordering () =
   let workload =
-    [ (0, [ (2, G.Service_runner.Do_add 1); (3, G.Service_runner.Do_get) ]) ]
+    [ (0, [ (2, G.Runner.Ws.Do_add 1); (3, G.Runner.Ws.Do_get) ]) ]
   in
   let out, _ = run_workload ~n:3 workload in
   List.iter
@@ -147,7 +147,7 @@ let test_op_clock_ordering () =
 let test_sequential_client () =
   (* The second op of a client starts only after the first completed. *)
   let workload =
-    [ (0, [ (2, G.Service_runner.Do_add 1); (2, G.Service_runner.Do_add 2) ]) ]
+    [ (0, [ (2, G.Runner.Ws.Do_add 1); (2, G.Runner.Ws.Do_add 2) ]) ]
   in
   let out, _ = run_workload ~n:4 workload in
   match out.adds with
