@@ -54,23 +54,6 @@ let horizon_arg ?(default = 300) () =
 let failures_arg =
   Arg.(value & opt int 0 & info [ "failures" ] ~docv:"F" ~doc:"Crashing processes.")
 
-(* One definition for every fan-out subcommand's --jobs. Results are
-   bit-identical for every value (DESIGN.md §9); the flag only buys wall
-   time. *)
-let jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Worker domains for independent runs: 1 sequential, 0 autodetect \
-                 from the machine, N>1 a fixed pool. Output is identical for \
-                 every value.")
-
-let set_jobs jobs =
-  if jobs < 0 then begin
-    Format.eprintf "anonc: --jobs must be >= 0@.";
-    exit 2
-  end;
-  Anon_exec.Pool.default_jobs := jobs
-
 let rounds_trace_arg =
   Arg.(value & flag
        & info [ "rounds" ] ~doc:"Print the full round-by-round textual trace.")
@@ -257,10 +240,7 @@ let report_outcome ~rounds (outcome : G.Runner.outcome) =
 
 let run_cmd =
   let run algo schedule env_override churn_spec n gst seed horizon failures
-      rounds trace metrics json_trace jobs =
-    (* A single simulation is one task; --jobs is accepted for interface
-       uniformity and to set the pool default for anything that fans out. *)
-    set_jobs jobs;
+      rounds trace metrics json_trace =
     let rng = Anon_kernel.Rng.make seed in
     let inputs =
       match schedule with
@@ -310,7 +290,7 @@ let run_cmd =
     Term.(
       const run $ algo_arg $ schedule_arg $ env_override_arg $ churn_spec_arg
       $ n_arg $ gst_arg $ seed_arg $ horizon_arg () $ failures_arg
-      $ rounds_trace_arg $ trace_arg $ metrics_arg $ json_trace_arg $ jobs_arg)
+      $ rounds_trace_arg $ trace_arg $ metrics_arg $ json_trace_arg)
 
 (* --- weakset -------------------------------------------------------------- *)
 
@@ -431,8 +411,7 @@ let sigma_cmd =
 (* --- metrics --------------------------------------------------------------- *)
 
 let metrics_cmd =
-  let run algo schedule n gst seed horizon failures runs json out jobs =
-    set_jobs jobs;
+  let run algo schedule n gst seed horizon failures runs json out =
     let batch =
       let inputs rng =
         match schedule with
@@ -488,13 +467,12 @@ let metrics_cmd =
        ~doc:"Run a batch with instrumentation on; print the merged metrics.")
     Term.(
       const run $ algo_arg $ schedule_arg $ n_arg $ gst_arg $ seed_arg
-      $ horizon_arg () $ failures_arg $ runs_arg $ json_arg $ out_arg $ jobs_arg)
+      $ horizon_arg () $ failures_arg $ runs_arg $ json_arg $ out_arg)
 
 (* --- fuzz ------------------------------------------------------------------ *)
 
 let fuzz_cmd =
-  let run runs seed inadmissible dynamic churn out replay jobs =
-    set_jobs jobs;
+  let run runs seed inadmissible dynamic churn out replay =
     match replay with
     | Some path -> (
       match Ch.Fuzz.replay ~path with
@@ -573,15 +551,14 @@ let fuzz_cmd =
        ~doc:"Fuzz random configurations against the checker; shrink and save \
              counterexamples.")
     Term.(const run $ runs_arg $ seed_arg $ inadmissible_arg $ dynamic_arg
-          $ churn_arg $ out_arg $ replay_arg $ jobs_arg)
+          $ churn_arg $ out_arg $ replay_arg)
 
 (* --- mc -------------------------------------------------------------------- *)
 
 let mc_cmd =
   let module Mc = Anon_mc.Mc in
-  let run algo env gst n rounds crashes churn max_delay search armed jobs seed
+  let run algo env gst n rounds crashes churn max_delay search armed seed
       ops_per_client out progress trace metrics json_trace =
-    set_jobs jobs;
     let env =
       match env with
       | None -> (
@@ -614,7 +591,7 @@ let mc_cmd =
         max_delay;
         search;
         armed;
-        jobs = Some jobs;
+        jobs = None;
         seed;
         ops_per_client;
       }
@@ -708,7 +685,7 @@ let mc_cmd =
              iff a violation is found.")
     Term.(
       const run $ algo_arg $ env_arg $ gst_arg $ n_arg $ rounds_arg $ crashes_arg
-      $ churn_arg $ max_delay_arg $ search_arg $ armed_arg $ jobs_arg $ seed_arg
+      $ churn_arg $ max_delay_arg $ search_arg $ armed_arg $ seed_arg
       $ ops_arg $ out_arg $ progress_arg $ trace_arg $ metrics_arg
       $ json_trace_arg)
 
@@ -717,8 +694,7 @@ let mc_cmd =
 let load_cmd =
   let run algo n gst env_override rate sweep proposals window batch shards skew
       value_range hot_value horizon seed failures churn_spec out metrics
-      json_trace jobs =
-    set_jobs jobs;
+      json_trace =
     (* Checked before any shard starts: [Crash.random] rejects a bad count
        too, but only once the first shard builds its crash schedule. *)
     if failures < 0 || failures > n then
@@ -753,8 +729,8 @@ let load_cmd =
         Printf.sprintf "%s:%d" (match algo with Es -> "es" | Ess -> "ess") gst
     in
     let churn ~shard:_ = churn_of_spec ~n churn_spec in
-    (* Crash schedules are a pure function of (seed, shard), so the report
-       stays byte-identical at any --jobs. *)
+    (* Crash schedules are a pure function of (seed, shard), as the rest
+       of a shard is. *)
     let crash ~shard =
       if failures = 0 then G.Crash.none ~n
       else
@@ -775,12 +751,12 @@ let load_cmd =
                 match algo with
                 | Es ->
                   let module L = Anon_rsm.Load.Make (C.Es_consensus) in
-                  L.run ~jobs ~metrics ~recorder ~env:env_label ~crash ~churn
+                  L.run ~metrics ~recorder ~env:env_label ~crash ~churn
                     ~n ~window ~batch ~horizon ~adversary:make_adversary
                     workload
                 | Ess ->
                   let module L = Anon_rsm.Load.Make (C.Ess_consensus) in
-                  L.run ~jobs ~metrics ~recorder ~env:env_label ~crash ~churn
+                  L.run ~metrics ~recorder ~env:env_label ~crash ~churn
                     ~n ~window ~batch ~horizon ~adversary:make_adversary
                     workload
               in
@@ -836,8 +812,7 @@ let load_cmd =
   let shards_arg =
     Arg.(value & opt int 1
          & info [ "shards" ] ~docv:"S"
-             ~doc:"Independent log partitions (a workload parameter — the \
-                   report is identical at any --jobs).")
+             ~doc:"Independent log partitions (a workload parameter).")
   in
   let skew_arg =
     Arg.(value & opt float 0.
@@ -855,7 +830,7 @@ let load_cmd =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"FILE"
              ~doc:"Write the deterministic anon-load/1 report JSON to $(docv) \
-                   (byte-identical at any --jobs; a list when --sweep).")
+                   (a list when --sweep).")
   in
   Cmd.v
     (Cmd.info "load" ~exits
@@ -867,7 +842,7 @@ let load_cmd =
       $ sweep_arg $ proposals_arg $ window_arg $ batch_arg $ shards_arg
       $ skew_arg $ value_range_arg $ hot_value_arg
       $ horizon_arg ~default:200_000 () $ seed_arg $ failures_arg
-      $ churn_spec_arg $ out_arg $ metrics_arg $ json_trace_arg $ jobs_arg)
+      $ churn_spec_arg $ out_arg $ metrics_arg $ json_trace_arg)
 
 (* --- live ------------------------------------------------------------------ *)
 
@@ -1212,8 +1187,7 @@ let live_cmd =
 (* --- experiment / list ---------------------------------------------------- *)
 
 let experiment_cmd =
-  let run ids csv jobs =
-    set_jobs jobs;
+  let run ids csv =
     let experiments =
       match ids with
       | [] -> H.Registry.all
@@ -1239,7 +1213,7 @@ let experiment_cmd =
   in
   let csv_arg = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of a table.") in
   Cmd.v (Cmd.info "experiment" ~exits ~doc:"Regenerate experiment tables.")
-    Term.(const run $ ids_arg $ csv_arg $ jobs_arg)
+    Term.(const run $ ids_arg $ csv_arg)
 
 let list_cmd =
   let run json =

@@ -13,7 +13,7 @@ let violation_strings vs =
 (* --- one case, end to end -------------------------------------------------- *)
 
 let run_consensus ?recorder (case : Scenario.t) runner =
-  let inputs = Scenario.inputs case in
+  let inputs = Scenario.inputs ~n:case.n ~seed:case.seed in
   let adversary = Scenario.adversary case in
   (* Environments that never promise a deciding schedule get no
      termination check; everything the fuzzer samples today does. *)
@@ -85,11 +85,10 @@ let run_register (case : Scenario.t) =
   @ G.Checker.check_weak_set ~correct:(List.init case.n Fun.id) out.ws_ops
   @ C.Register_of_weak_set.check_regular out.records
 
-(* Every case runs in its own kernel interner scope — the same isolation
-   the pool gives its tasks — so a verdict is a pure function of the
-   case, independent of what the campaign (or the shrinker) ran before
-   it. That is what makes --jobs 1 and --jobs N reports byte-identical
-   and repro files replayable from any process state. *)
+(* Every case runs in its own kernel interner scope, so a verdict is a
+   pure function of the case, independent of what the campaign (or the
+   shrinker) ran before it. That is what makes repro files replayable
+   from any process state. *)
 let run_case ?recorder (case : Scenario.t) =
   Anon_exec.Pool.isolate
     (fun (case : Scenario.t) ->
@@ -213,40 +212,18 @@ type finding = {
 type report = { runs_done : int; finding : finding option }
 
 let campaign ?algo ?(inadmissible = false) ?(dynamic = false) ?(churn = false)
-    ?jobs ~runs ~seed () =
+    ~runs ~seed () =
   if runs < 0 then
     G.Config_error.fail ~where:"Fuzz.campaign"
       (Printf.sprintf "runs must be >= 0 (got %d)" runs);
   let rng = Rng.make seed in
-  (* Sampling consumes the rng stream independently of run outcomes, so
-     drawing all cases up front yields exactly the cases the sequential
-     campaign would have visited. *)
-  let cases =
-    Array.init runs (fun _ -> Scenario.sample ?algo ~inadmissible ~dynamic ~churn rng)
-  in
-  let jobs = Anon_exec.Pool.resolve ?jobs () in
-  (* Evaluate in submission-order chunks and stop at the first chunk
-     holding a violation; the lowest violating index wins, so the report
-     matches the sequential first-failure semantics for any chunk size
-     while only over-running a violation by at most one chunk. *)
-  let chunk_size = max 1 (jobs * 4) in
-  let rec first i = function
-    | [] -> None
-    | [] :: rest -> first (i + 1) rest
-    | vs :: _ -> Some (i, vs)
-  in
-  let rec go start =
-    if start >= runs then { runs_done = runs; finding = None }
+  let rec go i =
+    if i >= runs then { runs_done = runs; finding = None }
     else
-      let stop = min runs (start + chunk_size) in
-      let chunk = Array.to_list (Array.sub cases start (stop - start)) in
-      match first start (Anon_exec.Pool.map ~jobs (fun c -> run_case c) chunk) with
-      | None -> go stop
-      | Some (i, vs) ->
-        let case = cases.(i) in
-        (* Shrinking stays sequential: each candidate's verdict feeds the
-           next step, and determinism of the minimal counterexample
-           matters more than shrink latency. *)
+      let case = Scenario.sample ?algo ~inadmissible ~dynamic ~churn rng in
+      match run_case case with
+      | [] -> go (i + 1)
+      | vs ->
         let shrunk, svs, explored = shrink case vs in
         {
           runs_done = i + 1;

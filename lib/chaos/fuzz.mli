@@ -14,9 +14,9 @@ val run_case :
     checker finds ([] on a clean run). Runs inside its own kernel interner
     scope ({!Anon_exec.Pool.isolate}): the verdict is a pure function of
     the case, whatever ran before in the process. [recorder] (default off)
-    is threaded into the underlying runner — campaign fan-out never sets
-    it; it exists so a single replay (witness emission, [--replay]) can
-    capture events/metrics for the counterexample timeline. *)
+    is threaded into the underlying runner — a campaign never sets it; it
+    exists so a single replay (witness emission, [--replay]) can capture
+    events/metrics for the counterexample timeline. *)
 
 val violation_strings : Anon_giraf.Checker.violation list -> string list
 (** Rendered via {!Anon_giraf.Checker.pp_violation} — the stable form
@@ -43,7 +43,6 @@ val campaign :
   ?inadmissible:bool ->
   ?dynamic:bool ->
   ?churn:bool ->
-  ?jobs:int ->
   runs:int ->
   seed:int ->
   unit ->
@@ -56,13 +55,7 @@ val campaign :
     sample dynamic-graph environment overrides and join/leave schedules —
     see {!Scenario.sample}.
 
-    @raise Anon_giraf.Config_error.Invalid_config when [runs < 0].
-
-    Cases execute through {!Anon_exec.Pool.map} — [jobs] as there. All
-    cases are sampled up front and evaluated in submission-order chunks,
-    and the lowest violating index wins, so the report ([runs_done] and
-    the finding) is byte-identical for every [jobs] value. Shrinking is
-    kept sequential for determinism. *)
+    @raise Anon_giraf.Config_error.Invalid_config when [runs < 0]. *)
 
 val repro_json : finding -> Anon_obs.Json.t
 val write_repro : path:string -> finding -> unit

@@ -171,7 +171,7 @@ let adversary ?recorder t =
 let crash t = Crash.of_events ~n:t.n t.crashes
 let churn t = Churn.of_events ~n:t.n t.churn
 
-let inputs t = Rng.shuffle (Rng.make t.seed) (List.init t.n (fun i -> i + 1))
+let inputs ~n ~seed = Rng.shuffle (Rng.make seed) (List.init n (fun i -> i + 1))
 
 (* The deterministic workload explicit-schedule (model-checker) cases use:
    each client alternates adds of distinct values with gets, one op queued
@@ -546,6 +546,8 @@ let of_json j =
   (* A case no sampler could write is refused here, not half-run. *)
   let refuse_if bad fmt = Printf.ksprintf (fun e -> if bad then Error e else Ok ()) fmt in
   let* () = refuse_if (n < 1) "n must be >= 1 (got %d)" n in
+  let* () = Result.map_error (( ^ ) "crashes: ") (Crash.check_events ~n crashes) in
+  let* () = Result.map_error (( ^ ) "churn: ") (Churn.check_events ~n churn) in
   let* () =
     refuse_if (ops_per_client < 0) "ops_per_client must be >= 0 (got %d)" ops_per_client
   in

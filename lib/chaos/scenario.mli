@@ -73,10 +73,10 @@ val churn : t -> Anon_giraf.Churn.t
 (** The case's churn schedule as a validated {!Anon_giraf.Churn.t}
     ({!Anon_giraf.Churn.none}-equivalent when the [churn] field is empty). *)
 
-val inputs : t -> Anon_kernel.Value.t list
-(** The consensus input assignment of a case: values [1..n], shuffled by
-    [seed] — the single derivation shared by the fuzzer and the model
-    checker so their runs agree. *)
+val inputs : n:int -> seed:int -> Anon_kernel.Value.t list
+(** The consensus input assignment of a case of [n] processes: values
+    [1..n], shuffled by [seed] — the single derivation shared by the
+    fuzzer and the model checker so their runs agree. *)
 
 val mc_workload : n:int -> ops_per_client:int -> Anon_giraf.Runner.Ws.workload
 (** The deterministic weak-set workload used with explicit schedules: each
@@ -94,5 +94,7 @@ val of_json : Anon_obs.Json.t -> (t, string) result
     before the version field existed, unversioned v1 documents (decoded
     with [env = None], [churn = \[\]]). Newer versions are rejected, and
     so is a case no sampler could write: an [env] or [schedule.env] that
-    {!Anon_giraf.Env.validate} rejects, [n < 1], [ops_per_client < 0],
+    {!Anon_giraf.Env.validate} rejects, [n < 1], crash or churn events
+    that {!Anon_giraf.Crash.check_events} or
+    {!Anon_giraf.Churn.check_events} refuses, [ops_per_client < 0],
     [noise] outside [[0, 1]], or a pinned rotation outside [[0, n)]. *)

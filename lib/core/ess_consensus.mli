@@ -39,7 +39,7 @@ val state_key : state -> string
 (** Canonical, run-independent serialization of the full local state:
     histories render as value sequences and counter tables are sorted by
     that rendering, never by intern id — so keys agree across interner
-    scopes and domains (the model checker compares them cross-task). *)
+    scopes and domains. *)
 
 val msg_key : msg -> string
 (** Canonical serialization of a message. *)

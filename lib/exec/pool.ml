@@ -1,13 +1,6 @@
 module O = Anon_obs
 
-let default_jobs = ref 1
-
 let auto_jobs () = max 1 (Domain.recommended_domain_count ())
-
-let resolve ?jobs () =
-  let value = match jobs with Some j -> j | None -> !default_jobs in
-  if value < 0 then invalid_arg "Pool.resolve: jobs must be >= 0";
-  if value = 0 then auto_jobs () else value
 
 let isolate f x = Anon_kernel.History.with_fresh_interner (fun () -> f x)
 
@@ -17,8 +10,8 @@ let in_worker_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 type 'b slot = Pending | Done of 'b | Failed of exn * Printexc.raw_backtrace
 
-let map ?jobs ?(recorder = O.Recorder.off) f items =
-  let jobs = resolve ?jobs () in
+let map ?(jobs = 1) ?(recorder = O.Recorder.off) f items =
+  if jobs < 1 then invalid_arg "Pool.map: jobs must be >= 1";
   let items = Array.of_list items in
   let n = Array.length items in
   let results = Array.make n Pending in

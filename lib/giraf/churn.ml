@@ -12,19 +12,27 @@ type t = {
   rejoining : event By_round.t;
 }
 
+let check_events ~n evs =
+  let seen = Array.make (max n 0) false in
+  let rec go = function
+    | [] -> Ok ()
+    | ev :: rest ->
+      if ev.pid < 0 || ev.pid >= n then Error "pid out of range"
+      else if ev.leave < 1 then Error "leave round must be >= 1"
+      else if (match ev.rejoin with Some r -> r <= ev.leave | None -> false) then
+        Error "rejoin round must be after leave round"
+      else if seen.(ev.pid) then Error "duplicate pid"
+      else begin
+        seen.(ev.pid) <- true;
+        go rest
+      end
+  in
+  go evs
+
 let of_events ~n evs =
+  Result.iter_error (fun e -> invalid_arg ("Churn.of_events: " ^ e)) (check_events ~n evs);
   let by_pid = Array.make n None in
-  List.iter
-    (fun ev ->
-      if ev.pid < 0 || ev.pid >= n then invalid_arg "Churn.of_events: pid out of range";
-      if ev.leave < 1 then invalid_arg "Churn.of_events: leave round must be >= 1";
-      (match ev.rejoin with
-      | Some r when r <= ev.leave ->
-        invalid_arg "Churn.of_events: rejoin round must be after leave round"
-      | Some _ | None -> ());
-      if by_pid.(ev.pid) <> None then invalid_arg "Churn.of_events: duplicate pid";
-      by_pid.(ev.pid) <- Some ev)
-    evs;
+  List.iter (fun ev -> by_pid.(ev.pid) <- Some ev) evs;
   let events =
     Array.to_list by_pid |> List.filter_map Fun.id
     |> List.sort (fun a b -> compare (a.leave, a.pid) (b.leave, b.pid))

@@ -26,7 +26,12 @@ val none : n:int -> t
 val of_events : n:int -> event list -> t
 (** Explicit schedule. At most one event per pid; pids in [\[0, n)];
     [leave >= 1]; [rejoin > leave] when present.
-    @raise Invalid_argument otherwise. *)
+    @raise Invalid_argument otherwise, with {!check_events}'s reason. *)
+
+val check_events : n:int -> event list -> (unit, string) result
+(** The first reason {!of_events} would refuse [events] for, in list
+    order: ["pid out of range"], ["leave round must be >= 1"],
+    ["rejoin round must be after leave round"] or ["duplicate pid"]. *)
 
 val random :
   n:int -> churners:int -> max_round:int -> Anon_kernel.Rng.t -> t

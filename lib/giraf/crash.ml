@@ -11,15 +11,25 @@ type t = {
   by_round : event By_round.t;
 }
 
+let check_events ~n evs =
+  let seen = Array.make (max n 0) false in
+  let rec go = function
+    | [] -> Ok ()
+    | ev :: rest ->
+      if ev.pid < 0 || ev.pid >= n then Error "pid out of range"
+      else if ev.round < 1 then Error "round must be >= 1"
+      else if seen.(ev.pid) then Error "duplicate pid"
+      else begin
+        seen.(ev.pid) <- true;
+        go rest
+      end
+  in
+  go evs
+
 let of_events ~n evs =
+  Result.iter_error (fun e -> invalid_arg ("Crash.of_events: " ^ e)) (check_events ~n evs);
   let by_pid = Array.make n None in
-  List.iter
-    (fun ev ->
-      if ev.pid < 0 || ev.pid >= n then invalid_arg "Crash.of_events: pid out of range";
-      if ev.round < 1 then invalid_arg "Crash.of_events: round must be >= 1";
-      if by_pid.(ev.pid) <> None then invalid_arg "Crash.of_events: duplicate pid";
-      by_pid.(ev.pid) <- Some ev)
-    evs;
+  List.iter (fun ev -> by_pid.(ev.pid) <- Some ev) evs;
   let events =
     Array.to_list by_pid |> List.filter_map Fun.id
     |> List.sort (fun a b -> compare (a.round, a.pid) (b.round, b.pid))

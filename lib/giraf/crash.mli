@@ -21,7 +21,14 @@ val none : n:int -> t
 (** No crashes; all [n] processes are correct. *)
 
 val of_events : n:int -> event list -> t
-(** Explicit schedule. At most one event per pid; pids in [\[0, n)]. *)
+(** Explicit schedule. At most one event per pid; pids in [\[0, n)];
+    [round >= 1].
+    @raise Invalid_argument otherwise, with {!check_events}'s reason. *)
+
+val check_events : n:int -> event list -> (unit, string) result
+(** The first reason {!of_events} would refuse [events] for, in list
+    order: ["pid out of range"], ["round must be >= 1"] or
+    ["duplicate pid"]. *)
 
 val random :
   n:int -> failures:int -> max_round:int -> Anon_kernel.Rng.t -> t

@@ -61,7 +61,7 @@ type memo
     The cache assumes a fixed [spec] apart from its [stable]/[crashing]
     fields and a fixed [ctx.correct] — one exploration's worth. Not
     domain-safe: create it where it is used (the model checker creates one
-    per [init], so at [jobs > 1] each task replays with its own). *)
+    per [init]). *)
 
 val memo : unit -> memo
 

@@ -56,9 +56,8 @@ let seeds ?(base = 1000) n =
 
 let distinct_inputs ~n rng = Rng.shuffle rng (List.init n (fun i -> i + 1))
 
-(* What one seeded run contributes to a batch. Runs execute as pool
-   tasks, so everything here is plain data computed inside the task —
-   no interned state crosses task boundaries. *)
+(* What one seeded run contributes to a batch: plain data computed inside
+   the run's own interner scope — no interned state leaves it. *)
 type run_result = {
   r_decided : bool;
   r_decision_round : int option;
@@ -102,11 +101,12 @@ module Of (A : G.Intf.ALGORITHM) = struct
          else None);
     }
 
-  let batch ?(horizon = 300) ?observe ?(metrics = false) ?jobs ~inputs ~crash
+  let batch ?(horizon = 300) ?observe ?(metrics = false) ~inputs ~crash
       ~adversary ~seeds () =
     let results =
-      Anon_exec.Pool.map ?jobs
-        (one_run ?observe ~horizon ~metrics ~inputs ~crash ~adversary)
+      List.map
+        (Anon_exec.Pool.isolate
+           (one_run ?observe ~horizon ~metrics ~inputs ~crash ~adversary))
         seeds
     in
     let empty =

@@ -33,7 +33,6 @@ module Of (A : Anon_giraf.Intf.ALGORITHM) : sig
     ?horizon:int ->
     ?observe:(pid:int -> round:int -> A.state -> unit) ->
     ?metrics:bool ->
-    ?jobs:int ->
     inputs:(Anon_kernel.Rng.t -> Anon_kernel.Value.t list) ->
     crash:(Anon_kernel.Rng.t -> Anon_giraf.Crash.t) ->
     adversary:(Anon_kernel.Rng.t -> Anon_giraf.Adversary.t) ->
@@ -43,14 +42,9 @@ module Of (A : Anon_giraf.Intf.ALGORITHM) : sig
   (** One run per seed; [inputs]/[crash]/[adversary] are drawn from a
       seed-derived stream so batches are reproducible. [metrics] (default
       false) gives every run a fresh registry and merges the snapshots
-      into {!batch.metrics}.
-
-      Runs execute through {!Anon_exec.Pool.map} — [jobs] as there
-      (default [!Anon_exec.Pool.default_jobs]). Each run is a pool task
-      in its own interner scope, so the batch — merged metrics included —
-      is bit-identical for every [jobs] value. [observe], if given, is
-      called from worker domains when [jobs > 1]; it must be
-      thread-safe in that case. *)
+      into {!batch.metrics}. Each run executes in its own interner scope
+      ({!Anon_exec.Pool.isolate}), so a run's result does not depend on
+      the runs before it. *)
 end
 
 val seeds : ?base:int -> int -> int list

@@ -19,8 +19,6 @@ let int h n =
   done;
   !acc
 
-let hash_string s = string init s
-
 let to_hex h = Printf.sprintf "%016Lx" h
 
 module Fast = struct

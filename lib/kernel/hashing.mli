@@ -19,9 +19,6 @@ val string : t -> string -> t
 val int : t -> int -> t
 (** Feeds the 8 little-endian bytes of the integer. *)
 
-val hash_string : string -> t
-(** [hash_string s = string init s]. *)
-
 val to_hex : t -> string
 (** 16-digit lowercase hex rendering. *)
 

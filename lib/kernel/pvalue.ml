@@ -11,7 +11,6 @@ let compare a b =
   | Val x, Val y -> Value.compare x y
 
 let equal a b = compare a b = 0
-let is_bot = function Bot -> true | Val _ -> false
 
 let pp ppf = function
   | Bot -> Format.pp_print_string ppf "⊥"

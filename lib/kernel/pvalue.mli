@@ -14,7 +14,6 @@ val compare : t -> t -> int
 (** Total order with [Bot] strictly below every [Val _]. *)
 
 val equal : t -> t -> bool
-val is_bot : t -> bool
 val pp : Format.formatter -> t -> unit
 
 val to_value : t -> Value.t option

@@ -18,5 +18,4 @@ let pp_set ppf s =
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ") pp)
     (Set.elements s)
 
-let set_compare = Set.compare
 let set_of_list = Set.of_list

@@ -21,5 +21,4 @@ module Map : Map.S with type key = t
 val pp_set : Format.formatter -> Set.t -> unit
 (** Prints as [{v1, v2, ...}] in increasing order. *)
 
-val set_compare : Set.t -> Set.t -> int
 val set_of_list : t list -> Set.t

@@ -75,28 +75,9 @@ type result = {
   non_deciding : bounded option;
 }
 
-(* Plain-data summary of one successor — the only thing (besides the plan
-   prefix) that crosses a worker-task boundary. *)
-type succ = {
-  s_plan : Anon_giraf.Adversary.plan;
-  s_key : string;
-  s_violations : Anon_giraf.Checker.violation list;
-  s_terminal : bool;
-  s_pending : int list;
-}
-
-let chunk size l =
-  let rec go acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-      if k = size then go (List.rev cur :: acc) [ x ] 1 rest
-      else go acc (x :: cur) (k + 1) rest
-  in
-  go [] [] 0 l
-
 (* Shared accumulator for both search orders; every mutation happens in a
-   deterministic sequential order (BFS: submission-order merge; DFS: branch
-   order), so reports are reproducible and jobs-independent. *)
+   deterministic order (BFS: level by level; DFS: branch order), so
+   reports are reproducible. *)
 type acc = {
   visited : (string, unit) Hashtbl.t;
   mutable raw : int;
@@ -126,13 +107,20 @@ let make_acc () =
     nondec = None;
   }
 
-(* One successor, in deterministic order: its plan, key and violations,
-   and [rest] — whether it is terminal, the pids it leaves pending, and
-   what the search holds to go on from it — called only when [key] is
-   new. Returns [Some (prefix', held)] when the node should be explored
-   further. Violations are reported before the dedup check — a violating
-   transition may well land on a visited state. *)
-let admit acc ~prefix ~level ~depth ~plan ~key ~violations rest =
+(* One successor of [parent], in deterministic order. Returns
+   [Some (prefix', s')] when the node should be explored further.
+   Violations are reported before the dedup check — a violating
+   transition may well land on a visited state. A predicted branch is
+   quiet (it commits no violation) and is built with [apply] only when
+   its key is new: a predicted key already visited is a duplicate, never
+   built. *)
+let admit (type s) (module S : SYSTEM with type sys = s) acc ~prefix ~level ~depth
+    (parent : s) branch =
+  let plan, key, violations, build =
+    match branch with
+    | Stepped { plan; sys; violations } -> (plan, S.key sys, violations, fun () -> sys)
+    | Predicted { plan; key } -> (plan, key, [], fun () -> S.apply parent plan)
+  in
   acc.raw <- acc.raw + 1;
   if violations <> [] then begin
     (if acc.viol = None then
@@ -146,13 +134,14 @@ let admit acc ~prefix ~level ~depth ~plan ~key ~violations rest =
   else begin
     Hashtbl.replace acc.visited key ();
     acc.canonical <- acc.canonical + 1;
-    let terminal, pending, held = rest () in
-    if terminal then begin
+    let s' = build () in
+    if S.terminal s' then begin
       acc.term <- acc.term + 1;
       None
     end
     else if level + 1 >= depth then begin
       acc.bound <- acc.bound + 1;
+      let pending = S.pending s' in
       if pending <> [] then begin
         acc.pend_bound <- acc.pend_bound + 1;
         if acc.nondec = None then
@@ -160,25 +149,8 @@ let admit acc ~prefix ~level ~depth ~plan ~key ~violations rest =
       end;
       None
     end
-    else Some (prefix @ [ plan ], held)
+    else Some (prefix @ [ plan ], s')
   end
-
-(* One branch of [parent] as what [admit] reads, with the successor as
-   what the search holds. A predicted branch is quiet (it commits no
-   violation) and is built with [apply] only when [rest] is called. *)
-let parts (type s) (module S : SYSTEM with type sys = s) (parent : s) branch =
-  let rest s' () = (S.terminal s', S.pending s', s') in
-  match branch with
-  | Stepped { plan; sys; violations } -> (plan, S.key sys, violations, rest sys)
-  | Predicted { plan; key } -> (plan, key, [], fun () -> rest (S.apply parent plan) ())
-
-(* [admit] for the sequential orders, which hold the visited set while
-   they expand: a predicted key already visited is a duplicate, never
-   built. *)
-let admit_branch (type s) (module S : SYSTEM with type sys = s) acc ~prefix ~level
-    ~depth (parent : s) branch =
-  let plan, key, violations, rest = parts (module S) parent branch in
-  admit acc ~prefix ~level ~depth ~plan ~key ~violations rest
 
 let finish acc =
   {
@@ -245,16 +217,14 @@ let seed_root acc ~depth ~key ~terminal ~pending =
   end
   else true
 
-(* Sequential BFS holding the frontier states. Replaying each prefix from
-   [init] is what makes the parallel path safe (workers exchange only
-   plain data), but at [jobs = 1] it is pure overhead — O(depth) [apply]
-   calls per expansion. Holding [(prefix, sys)] pairs removes the replay
-   entirely and lets a system's caches (plan-enumeration memo, key
-   digests) persist across the whole search. Admission order — and
-   therefore every stat, the winning witness and the first non-deciding
-   branch — is byte-identical to the parallel path's submission-order
-   merge. *)
-let bfs_held ~recorder ?progress ~depth (module S : SYSTEM) =
+(* The frontier holds live states, so a system's caches (plan-enumeration
+   memo, key digests) persist across the whole search. The search runs on
+   one domain; [jobs] stays only for the benchmark's callers, which pass
+   1, and goes with the next change to the benchmark. *)
+let bfs ?(jobs = 1) ?(recorder = R.off) ?progress ~depth (module S : SYSTEM) =
+  if jobs <> 1 then
+    Anon_giraf.Config_error.fail ~where:"Explore.bfs"
+      (Printf.sprintf "jobs must be 1 (got %d): the search runs on one domain" jobs);
   let t0 = Anon_obs.Clock.now_ns () in
   let r =
     Anon_exec.Pool.isolate
@@ -281,7 +251,7 @@ let bfs_held ~recorder ?progress ~depth (module S : SYSTEM) =
               List.iter
                 (fun branch ->
                   match
-                    admit_branch (module S) acc ~prefix ~level:!level ~depth sys branch
+                    admit (module S) acc ~prefix ~level:!level ~depth sys branch
                   with
                   | None -> ()
                   | Some held -> next := held :: !next)
@@ -293,80 +263,6 @@ let bfs_held ~recorder ?progress ~depth (module S : SYSTEM) =
         finish acc)
       ()
   in
-  emit_metrics recorder r;
-  r
-
-let bfs ?jobs ?(recorder = R.off) ?progress ~depth (module S : SYSTEM) =
-  let jobs = Anon_exec.Pool.resolve ?jobs () in
-  if jobs = 1 then bfs_held ~recorder ?progress ~depth (module S)
-  else
-  let t0 = Anon_obs.Clock.now_ns () in
-  let acc = make_acc () in
-  (* Workers see no visited set, so they build every predicted branch. *)
-  let successors sys =
-    List.map
-      (fun branch ->
-        let s_plan, s_key, s_violations, rest = parts (module S) sys branch in
-        let s_terminal, s_pending, _ = rest () in
-        { s_plan; s_key; s_violations; s_terminal; s_pending })
-      (S.expand sys)
-  in
-  let root_key, root_term, root_pending =
-    Anon_exec.Pool.isolate
-      (fun () ->
-        let s = S.init () in
-        (S.key s, S.terminal s, S.pending s))
-      ()
-  in
-  let expand_root =
-    seed_root acc ~depth ~key:root_key ~terminal:root_term ~pending:root_pending
-  in
-  let frontier = ref (if expand_root then [ [] ] else []) in
-  let level = ref 0 in
-  while !frontier <> [] && acc.viol = None do
-    let len = List.length !frontier in
-    acc.peak <- max acc.peak len;
-    (match progress with
-    | Some ppf -> report_progress ppf ~t0 ~label:"level" ~depth:!level ~frontier:len acc
-    | None -> ());
-    (* Workers re-simulate each prefix from their task's one [init]
-       (own interner scope, and the system's caches shared by the task's
-       replays only) and return only plain successor records; the merge
-       below is sequential in submission order, so the whole layer's
-       accounting — and the winning witness — is identical for every
-       [jobs] value. *)
-    let chunk_size = max 1 ((len + (4 * jobs) - 1) / (4 * jobs)) in
-    let results =
-      Anon_exec.Pool.map ~jobs
-        (fun prefixes ->
-          let root = S.init () in
-          List.map
-            (fun prefix -> (prefix, successors (List.fold_left S.apply root prefix)))
-            prefixes)
-        (chunk chunk_size !frontier)
-    in
-    let next = ref [] in
-    List.iter
-      (fun per_chunk ->
-        List.iter
-          (fun (prefix, succs) ->
-            acc.n_expanded <- acc.n_expanded + 1;
-            List.iter
-              (fun sc ->
-                match
-                  admit acc ~prefix ~level:!level ~depth ~plan:sc.s_plan ~key:sc.s_key
-                    ~violations:sc.s_violations (fun () ->
-                      (sc.s_terminal, sc.s_pending, ()))
-                with
-                | None -> ()
-                | Some (prefix', ()) -> next := prefix' :: !next)
-              succs)
-          per_chunk)
-      results;
-    frontier := List.rev !next;
-    incr level
-  done;
-  let r = finish acc in
   emit_metrics recorder r;
   r
 
@@ -393,7 +289,7 @@ let dfs ?(recorder = R.off) ?progress ~depth (module S : SYSTEM) =
             List.iter
               (fun branch ->
                 if acc.viol = None then
-                  match admit_branch (module S) acc ~prefix ~level ~depth sys branch with
+                  match admit (module S) acc ~prefix ~level ~depth sys branch with
                   | None -> ()
                   | Some (prefix', s') -> go s' prefix' (level + 1) (stack + 1))
               (S.expand sys)

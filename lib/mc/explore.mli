@@ -6,15 +6,12 @@
     permutation-equivalent branches, which is sound because every checked
     property is permutation-invariant (DESIGN.md §10).
 
-    Two search orders are provided. {!bfs} explores layer by layer, so the
-    first counterexample it reports is at minimal round depth; its frontier
-    is a set of {e plan prefixes}, re-simulated from [init] inside worker
-    tasks on {!Anon_exec.Pool}, which keeps every node construction inside
-    the task's own kernel interner scope — only plain data (plans, keys,
-    violations) crosses task boundaries, and the sequential submission-order
-    merge makes reports independent of [jobs]. {!dfs} is sequential and
-    memory-light: it holds one live branch and shares immutable ancestor
-    nodes, stopping at the first violation in deterministic branch order. *)
+    Two search orders are provided, both on one domain inside one kernel
+    interner scope. {!bfs} explores layer by layer, so the first
+    counterexample it reports is at minimal round depth; its frontier
+    holds live nodes. {!dfs} is memory-light: it holds one live branch and
+    shares immutable ancestor nodes, stopping at the first violation in
+    deterministic branch order. *)
 
 (** One successor of a node under one plan, in {!SYSTEM.expand}'s order. *)
 type 'sys branch =
@@ -33,14 +30,12 @@ module type SYSTEM = sig
   type sys
 
   val init : unit -> sys
-  (** Build the root node. Called once per worker task, {e inside} the
-      task, so hash-consed kernel state never leaks across interner
-      scopes. *)
+  (** Build the root node. Called once per search, inside the search's
+      interner scope, so hash-consed kernel state never leaks out of it. *)
 
   val apply : sys -> Anon_giraf.Adversary.plan -> sys
   (** Deterministically step one plan, leaving the input node as it was:
-      prefix re-simulation (a worker task replays all its prefixes from
-      one root), and building a {!Predicted} successor. *)
+      how the search builds a {!Predicted} successor. *)
 
   val expand : sys -> sys branch list
   (** All successors under the round's admissible (and, when armed,
@@ -122,14 +117,19 @@ val bfs :
   depth:int ->
   (module SYSTEM) ->
   result
-(** Explore every admissible schedule of up to [depth] rounds.
-    [jobs] as in {!Anon_exec.Pool.resolve}. Reports (verdict, stats,
-    witnesses) are byte-identical for every [jobs] value; at [jobs = 1]
-    the frontier holds live states (no prefix re-simulation, and a
-    system's internal caches persist across the search). [progress]
-    (e.g. [Format.err_formatter]) receives one live status line per BFS
-    level — frontier size, canonical states, states/sec, dedup hit-rate;
-    wall clock feeds only these lines, never the result. *)
+(** Explore every admissible schedule of up to [depth] rounds. The
+    frontier holds live nodes, so a system's internal caches persist
+    across the search. [progress] (e.g. [Format.err_formatter]) receives
+    one live status line per BFS level — frontier size, canonical states,
+    states/sec, dedup hit-rate; wall clock feeds only these lines, never
+    the result.
+
+    [jobs] (default 1) must be 1. It stays only because the benchmark's
+    [mc-es] workload passes it, and is removed with the next change to
+    the benchmark.
+
+    @raise Anon_giraf.Config_error.Invalid_config (where ["Explore.bfs"])
+    when [jobs <> 1]. *)
 
 val dfs :
   ?recorder:Anon_obs.Recorder.t ->
@@ -138,5 +138,5 @@ val dfs :
   (module SYSTEM) ->
   result
 (** Depth-first variant: same node ordering per level, first violation in
-    branch order (not necessarily shallowest), single-domain. [progress]
+    branch order (not necessarily shallowest). [progress]
     prints a status line every 10k expansions. *)

@@ -1,9 +1,7 @@
-open Anon_kernel
 module G = Anon_giraf
 module C = Anon_consensus
 module R = Anon_obs.Recorder
 module M = Anon_obs.Metrics
-module Json = Anon_obs.Json
 
 type algo = Es | Ess | Ms_weakset | Es_unguarded
 
@@ -12,13 +10,6 @@ let algo_name = function
   | Ess -> "ess"
   | Ms_weakset -> "ms-weakset"
   | Es_unguarded -> "es-unguarded"
-
-let algo_of_string = function
-  | "es" -> Ok Es
-  | "ess" -> Ok Ess
-  | "ms-weakset" -> Ok Ms_weakset
-  | "es-unguarded" -> Ok Es_unguarded
-  | s -> Error (Printf.sprintf "unknown algorithm %S (es|ess|ms-weakset|es-unguarded)" s)
 
 type search = Bfs | Dfs
 
@@ -173,16 +164,15 @@ let run ?(recorder = R.off) ?progress ?out config =
   if config.ops_per_client < 0 then
     fail
       (Printf.sprintf "ops_per_client must be >= 0 (got %d)" config.ops_per_client);
-  (* The same derivation as Scenario.inputs, so an emitted witness (which
-     carries only the seed) replays against identical proposals. *)
-  let inputs =
-    Rng.shuffle (Rng.make config.seed) (List.init config.n (fun i -> i + 1))
-  in
+  (match config.jobs with
+  | None | Some 1 -> ()
+  | Some j -> fail (Printf.sprintf "jobs must be 1 (got %d): the search runs on one domain" j));
+  (* The fuzzer's derivation, so an emitted witness (which carries only
+     the seed) replays against identical proposals. *)
+  let inputs = Anon_chaos.Scenario.inputs ~n:config.n ~seed:config.seed in
   let explore sysmod =
     match config.search with
-    | Bfs ->
-      Explore.bfs ?jobs:config.jobs ~recorder ?progress ~depth:config.rounds
-        sysmod
+    | Bfs -> Explore.bfs ~recorder ?progress ~depth:config.rounds sysmod
     | Dfs -> Explore.dfs ~recorder ?progress ~depth:config.rounds sysmod
   in
   let stats = ref Explore.zero_stats in
@@ -364,43 +354,3 @@ let pp_report ppf r =
       (if Witness.confirmed w then "confirmed by checker" else "no checker violation (bounded witness)")
   | None -> ());
   Format.fprintf ppf "verdict: %s@]" (verdict_name r.verdict)
-
-let report_json r =
-  let s = r.stats in
-  Json.Obj
-    [
-      ("algo", Json.String (algo_name r.config.algo));
-      ("n", Json.Int r.config.n);
-      ("env", Json.String (G.Env.to_string r.config.env));
-      ("rounds", Json.Int r.config.rounds);
-      ("crashes", Json.Int r.config.crashes);
-      ("churn", Json.Int r.config.churn);
-      ("max_delay", Json.Int r.config.max_delay);
-      ( "search",
-        Json.String (match r.config.search with Bfs -> "bfs" | Dfs -> "dfs") );
-      ("armed", Json.Bool r.config.armed);
-      ("seed", Json.Int r.config.seed);
-      ("schedules", Json.Int r.schedules);
-      ("raw_states", Json.Int s.Explore.raw_states);
-      ("canonical_states", Json.Int s.Explore.canonical_states);
-      ("dedup_hits", Json.Int s.Explore.dedup_hits);
-      ("expanded", Json.Int s.Explore.expanded);
-      ("frontier_peak", Json.Int s.Explore.frontier_peak);
-      ("terminal_branches", Json.Int s.Explore.terminal_branches);
-      ("bound_branches", Json.Int s.Explore.bound_branches);
-      ("pending_at_bound", Json.Int s.Explore.pending_at_bound);
-      ("reduction_factor", Json.Float (reduction_factor r));
-      ("verdict", Json.String (verdict_name r.verdict));
-      ( "violations",
-        Json.List
-          (match r.violation with
-          | None -> []
-          | Some (_, _, w) ->
-            List.map
-              (fun v -> Json.String (Format.asprintf "%a" G.Checker.pp_violation v))
-              w.Explore.w_violations) );
-      ( "witness_confirmed",
-        match r.witness with
-        | None -> Json.Null
-        | Some w -> Json.Bool (Witness.confirmed w) );
-    ]

@@ -122,10 +122,9 @@ module Make (F : FAMILY) = struct
     let hash (c, l, s) = Hashtbl.hash (Hashtbl.hash c, l, s)
   end)
 
-  (* Caches of one exploration, made by [init]. Shared along the whole
-     search at [jobs = 1] (its states repeat enumeration signatures and
-     process transitions constantly); per worker task at [jobs > 1],
-     where tasks must not share tables across domains. *)
+  (* Caches of one exploration, made by [init] and shared along the whole
+     search: its states repeat enumeration signatures and process
+     transitions constantly. *)
   type caches = {
     plans : G.Plan_enum.memo;
     tables : table Tables.t;
@@ -328,7 +327,7 @@ module Make (F : FAMILY) = struct
       }
     in
     let choices = G.Plan_enum.enumerate_memo s.caches.plans pspec c0 in
-    (* A state replayed at [jobs > 1] may never have been keyed. *)
+    (* A state built by [apply] may never have been keyed. *)
     refresh s;
     let k = Core.round core in
     let table = table s.caches core choices in

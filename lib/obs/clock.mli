@@ -12,5 +12,4 @@ val since_ns : int64 -> int64
 (** [since_ns t0] is [now_ns () - t0]. *)
 
 val ns_to_us : int64 -> float
-val ns_to_ms : int64 -> float
 val ns_to_s : int64 -> float

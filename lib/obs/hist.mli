@@ -10,8 +10,8 @@
     {!merge} is associative {e and} commutative in the byte-identical
     sense: it only adds integer counts and takes float min/max, so any
     grouping or ordering of the same snapshots produces structurally
-    equal results. This is what lets {!Anon_exec.Pool} merge per-domain
-    metric snapshots deterministically at any [--jobs].
+    equal results. This is what lets batches and load shards merge their
+    metric snapshots deterministically, in any order.
 
     Values [<= 0] (and non-finite values) land in a dedicated zero
     bucket and contribute [0.0] to reconstructed moments; values beyond

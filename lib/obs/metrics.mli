@@ -72,8 +72,8 @@ val reset : t -> unit
 val merge : snapshot list -> snapshot
 (** Batch aggregation: counters sum, gauges average (a merged gauge is the
     mean of the runs that set it), histograms merge bucket-wise
-    ({!Hist.merge} — associative, commutative, byte-deterministic at any
-    [--jobs]). *)
+    ({!Hist.merge} — associative, commutative, byte-deterministic in any
+    order). *)
 
 val summaries : snapshot -> (string * Anon_kernel.Stats.summary) list
 (** One {!Anon_kernel.Stats} summary per non-empty histogram. *)

@@ -7,7 +7,10 @@
     domains execute the fixed shard list, and {!Pool.map}'s
     submission-order results plus {!Anon_obs.Hist.merge}'s commutativity
     make the report — percentiles included — byte-identical at any
-    [jobs] (DESIGN.md §14 has the argument).
+    [jobs] (DESIGN.md §14 has the argument). No command passes [jobs]:
+    it stays, with the re-emission of commits below, only because the
+    benchmark's [load-rsm] workload runs a sweep on two domains, and goes
+    with the next change to the benchmark (DESIGN.md §9).
 
     Decide latency is measured in {e rounds} per proposal, open-loop
     (queue wait included): [decided_round - arrival + 1]. Round-based

@@ -14,7 +14,7 @@
     contend for the same consensus instance, which is what lets
     [Load] fan them out over [Anon_exec.Pool] without coordination. The
     shard count is a workload parameter (not the job count): reports are
-    a pure function of the workload, byte-identical at any [--jobs]. *)
+    a pure function of the workload, byte-identical at any [jobs]. *)
 
 type t = private {
   proposals : int;  (** Total proposal count, [>= 1]. *)

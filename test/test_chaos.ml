@@ -272,6 +272,8 @@ let test_replay_rejects_garbage () =
      built from it. *)
   let rng = Rng.make 5 in
   let dynamic stability = Some (G.Env.Dynamic { stability; rooted = true }) in
+  let crash_ev pid round = { G.Crash.pid; round; broadcast = G.Crash.Silent } in
+  let churn_ev pid leave rejoin = { G.Churn.pid; leave; rejoin } in
   List.iter
     (fun (algo, edit, expected) ->
       let case = edit (Ch.Scenario.sample ~algo rng) in
@@ -303,6 +305,23 @@ let test_replay_rejects_garbage () =
         ( Es,
           (fun c -> { c with n = 3; rotation = G.Adversary.Pinned 99 }),
           "rotation: pinned pid 99 outside [0, 3)" );
+        (Es, (fun c -> { c with n = 3; crashes = [ crash_ev 3 2 ] }), "crashes: pid out of range");
+        (Ess, (fun c -> { c with crashes = [ crash_ev 0 0 ] }), "crashes: round must be >= 1");
+        ( Es,
+          (fun c -> { c with crashes = [ crash_ev 1 2; crash_ev 1 4 ] }),
+          "crashes: duplicate pid" );
+        ( Weak_set,
+          (fun c -> { c with n = 3; crashes = []; churn = [ churn_ev (-1) 2 None ] }),
+          "churn: pid out of range" );
+        ( Es,
+          (fun c -> { c with crashes = []; churn = [ churn_ev 0 0 None ] }),
+          "churn: leave round must be >= 1" );
+        ( Weak_set,
+          (fun c -> { c with crashes = []; churn = [ churn_ev 0 3 (Some 3) ] }),
+          "churn: rejoin round must be after leave round" );
+        ( Es,
+          (fun c -> { c with crashes = []; churn = [ churn_ev 1 2 None; churn_ev 1 5 None ] }),
+          "churn: duplicate pid" );
       ]
 
 let () =

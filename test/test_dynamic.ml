@@ -713,7 +713,9 @@ let test_churn_rejoin_split_through_core () =
     let case = r.Ch.Fuzz.case in
     let module A = C.Es_consensus in
     let module Core = G.Step_core.Consensus (A) in
-    let inputs = Array.of_list (Ch.Scenario.inputs case) in
+    let inputs =
+      Array.of_list (Ch.Scenario.inputs ~n:case.Ch.Scenario.n ~seed:case.Ch.Scenario.seed)
+    in
     let adv = Ch.Scenario.adversary case in
     let core =
       Core.create ~inputs ~crash:(Ch.Scenario.crash case)

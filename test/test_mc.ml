@@ -1,7 +1,6 @@
 (* Tests for the model checker: verdicts on known-good configurations,
-   symmetry reduction, successor keys predicted without stepping,
-   determinism across worker counts, and the counterexample-to-chaos-replay
-   loop. *)
+   symmetry reduction, successor keys predicted without stepping, and the
+   counterexample-to-chaos-replay loop. *)
 
 module G = Anon_giraf
 module Mc = Anon_mc.Mc
@@ -132,8 +131,7 @@ let test_es_gst6_pinned () =
 
 (* The reference the predicted search must agree with: every predicted
    branch built with [apply], after checking that the prediction named
-   the built successor's key (a plain exception: at [jobs > 1] this runs
-   in worker domains). *)
+   the built successor's key. *)
 module Eager (S : Explore.SYSTEM) : Explore.SYSTEM with type sys = S.sys = struct
   include S
 
@@ -178,7 +176,7 @@ let ws_sys ~n ?(max_delay = 1) env =
       ops_per_client = 1;
     }
 
-type search = Bfs of int | Dfs
+type search = Bfs | Dfs
 
 (* Stats, violation witness and non-deciding witness of the predicted
    search equal the eager reference's. *)
@@ -189,12 +187,10 @@ let prediction_case (label, sys, depth, searches) =
         (fun search ->
           let run (module X : Explore.SYSTEM) =
             match search with
-            | Bfs jobs -> Explore.bfs ~jobs ~depth (module X)
+            | Bfs -> Explore.bfs ~depth (module X)
             | Dfs -> Explore.dfs ~depth (module X)
           in
-          let name =
-            match search with Bfs j -> Printf.sprintf "bfs jobs=%d" j | Dfs -> "dfs"
-          in
+          let name = match search with Bfs -> "bfs" | Dfs -> "dfs" in
           let predicted = run (module S) and eager = run (module Eager (S)) in
           check_bool (name ^ ": same stats") true (predicted.Explore.stats = eager.Explore.stats);
           check_bool (name ^ ": same violation") true
@@ -206,14 +202,14 @@ let prediction_case (label, sys, depth, searches) =
 let prediction_cases =
   let es g = G.Env.Es { gst = g } in
   [
-    ("ES n=3 depth 10 gst 6", consensus_sys (es 6), 10, [ Bfs 1; Bfs 4; Dfs ]);
-    ("ES 1 crash", consensus_sys ~crash:[ (1, 2) ] (es 2), 6, [ Bfs 1; Bfs 4 ]);
-    ("ES 2 crashes", consensus_sys ~crash:[ (0, 1); (2, 3) ] (es 2), 6, [ Bfs 1; Dfs ]);
+    ("ES n=3 depth 10 gst 6", consensus_sys (es 6), 10, [ Bfs; Dfs ]);
+    ("ES 1 crash", consensus_sys ~crash:[ (1, 2) ] (es 2), 6, [ Bfs ]);
+    ("ES 2 crashes", consensus_sys ~crash:[ (0, 1); (2, 3) ] (es 2), 6, [ Bfs; Dfs ]);
     ( "ESS n=3 depth 4",
       consensus_sys ~model:(module Anon_consensus.Ess_consensus) (G.Env.Ess { gst = 2 }),
       4,
-      [ Bfs 1 ] );
-    ("weak set n=3", ws_sys ~n:3 G.Env.Ms, 4, [ Bfs 1; Dfs ]);
+      [ Bfs ] );
+    ("weak set n=3", ws_sys ~n:3 G.Env.Ms, 4, [ Bfs; Dfs ]);
     (* Equal Away views rejoin from different inputs. *)
     ( "churn 2, same rounds",
       consensus_sys
@@ -224,7 +220,7 @@ let prediction_cases =
           ]
         (es 3),
       5,
-      [ Bfs 1; Bfs 4; Dfs ] );
+      [ Bfs; Dfs ] );
     (* ... and leave from converged, equal Live views. *)
     ( "churn 2, converged before leaving",
       consensus_sys
@@ -235,17 +231,17 @@ let prediction_cases =
           ]
         (es 10),
       7,
-      [ Bfs 1; Bfs 4; Dfs ] );
+      [ Bfs; Dfs ] );
     (* A crasher that decides in its crash round shows [H] and becomes
        [X]; another [H] stays [H]. *)
-    ("decision in the crash round", consensus_sys ~crash:[ (1, 5) ] G.Env.Ms, 5, [ Bfs 1 ]);
+    ("decision in the crash round", consensus_sys ~crash:[ (1, 5) ] G.Env.Ms, 5, [ Bfs ]);
     ( "dynamic:2",
       consensus_sys (G.Env.Dynamic { stability = 2; rooted = true }),
       6,
-      [ Bfs 1 ] );
-    ("armed", consensus_sys ~armed:true (es 2), 5, [ Bfs 1; Dfs ]);
-    ("max_delay 2", consensus_sys ~max_delay:2 (es 3), 6, [ Bfs 1 ]);
-    ("weak set max_delay 2", ws_sys ~n:2 ~max_delay:2 G.Env.Ms, 4, [ Bfs 1 ]);
+      [ Bfs ] );
+    ("armed", consensus_sys ~armed:true (es 2), 5, [ Bfs; Dfs ]);
+    ("max_delay 2", consensus_sys ~max_delay:2 (es 3), 6, [ Bfs ]);
+    ("weak set max_delay 2", ws_sys ~n:2 ~max_delay:2 G.Env.Ms, 4, [ Bfs ]);
   ]
 
 (* --- bounded verdicts and their witnesses ------------------------------------- *)
@@ -326,12 +322,13 @@ let test_armed_counterexample_replays () =
 
 (* --- determinism ---------------------------------------------------------------- *)
 
-let test_jobs_deterministic () =
-  (* Identical reports (verdict, counts, witness) at 1 and 4 workers. *)
-  let run jobs = Mc.run (config ~n:3 ~crashes:1 ~rounds:5 ~jobs:(Some jobs) ()) in
-  let j1 = Mc.report_json (run 1) and j4 = Mc.report_json (run 4) in
-  check_bool "byte-identical reports" true
-    (String.equal (Anon_obs.Json.to_string j1) (Anon_obs.Json.to_string j4))
+let test_reproducible () =
+  (* The same configuration twice: byte-identical reports, witness
+     included. *)
+  let report () =
+    Format.asprintf "%a" Mc.pp_report (Mc.run (config ~n:3 ~crashes:1 ~rounds:5 ()))
+  in
+  Alcotest.(check string) "byte-identical reports" (report ()) (report ())
 
 let test_dfs_bfs_same_verdict () =
   let bfs = Mc.run (config ~n:2 ~search:Mc.Bfs ()) in
@@ -376,6 +373,31 @@ let test_invalid_configs_rejected () =
       ("negative ess gst", { ok with algo = Mc.Ess; env = G.Env.Ess { gst = -1 } });
     ]
 
+(* [jobs] stays on [Explore.bfs] and [Mc.config] only because the
+   benchmark passes 1: 1 searches, any other value is refused. *)
+let test_jobs_must_be_one () =
+  let (module S : Explore.SYSTEM) = consensus_sys (G.Env.Es { gst = 2 }) in
+  let bfs jobs () =
+    let r = Explore.bfs ~jobs ~depth:6 (module S) in
+    r.Explore.violation = None && r.Explore.stats.Explore.bound_branches = 0
+  in
+  let mc jobs () = (Mc.run (config ~n:3 ~jobs ())).Mc.verdict = Mc.Verified in
+  List.iter
+    (fun (label, search, accepted) ->
+      match search () with
+      | exception G.Config_error.Invalid_config _ when not accepted -> ()
+      | exception e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+      | verified ->
+        if not accepted then Alcotest.failf "%s: expected Invalid_config" label;
+        check_bool (label ^ ": verified") true verified)
+    [
+      ("Explore.bfs ~jobs:1", bfs 1, true);
+      ("Explore.bfs ~jobs:2", bfs 2, false);
+      ("Mc.run jobs = None", mc None, true);
+      ("Mc.run jobs = Some 1", mc (Some 1), true);
+      ("Mc.run jobs = Some 2", mc (Some 2), false);
+    ]
+
 let () =
   Alcotest.run "mc"
     [
@@ -406,7 +428,7 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "jobs 1 = jobs 4" `Quick test_jobs_deterministic;
+          Alcotest.test_case "same config twice, same report" `Quick test_reproducible;
           Alcotest.test_case "dfs = bfs verdict" `Quick test_dfs_bfs_same_verdict;
         ] );
       ( "ablations",
@@ -418,5 +440,7 @@ let () =
         [
           Alcotest.test_case "invalid configs rejected" `Quick
             test_invalid_configs_rejected;
+          Alcotest.test_case "jobs other than one refused" `Quick
+            test_jobs_must_be_one;
         ] );
     ]
