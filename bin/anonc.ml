@@ -76,51 +76,43 @@ let trace_arg =
                  fixed seed.")
 
 (* Build a recorder from the [--metrics] / [--json-trace FILE] /
-   [--trace FILE] options, run [f] with it, then print the metrics table
-   and write/close the trace files. *)
+   [--trace FILE] options and run [f] with it; then close the trace files
+   and print the metrics table. A trace file that cannot be opened or
+   written ends [anonc] with exit 1. *)
 let with_recorder ?(trace = None) ~metrics ~json_trace f =
   let registry = if metrics then O.Metrics.create () else O.Metrics.disabled in
-  let oc =
-    Option.map
-      (fun path ->
-        try open_out path
+  let open_trace make path =
+    match open_out path with
+    | oc -> (path, make oc)
+    | exception Sys_error msg ->
+      Format.eprintf "anonc: cannot open trace file: %s@." msg;
+      exit 1
+  in
+  let files =
+    List.filter_map
+      (fun (path, make) -> Option.map (open_trace make) path)
+      [ (json_trace, O.Sink.jsonl); (trace, O.Trace.chrome) ]
+  in
+  let close () =
+    List.iter
+      (fun (path, sink) ->
+        try O.Sink.close sink
         with Sys_error msg ->
-          Format.eprintf "anonc: cannot open trace file: %s@." msg;
+          Format.eprintf "anonc: cannot write trace file: %s: %s@." path msg;
           exit 1)
-      json_trace
+      files
   in
-  let tracer = Option.map (fun _ -> O.Trace.create ()) trace in
-  let sink =
-    match
-      (match oc with None -> [] | Some oc -> [ O.Sink.jsonl oc ])
-      @ (match tracer with None -> [] | Some tr -> [ O.Trace.sink tr ])
-    with
-    | [] -> O.Sink.null
-    | [ s ] -> s
-    | sinks -> O.Sink.tee sinks
+  let sink = O.Sink.tee (List.map snd files) in
+  let result =
+    Fun.protect ~finally:close (fun () ->
+        f (O.Recorder.create ~metrics:registry ~sink ()))
   in
-  let recorder = O.Recorder.create ~metrics:registry ~sink () in
-  let finally () =
-    O.Recorder.flush recorder;
-    Option.iter close_out oc
-  in
-  Fun.protect ~finally (fun () ->
-      let result = f recorder in
-      if metrics then O.Metrics.render ppf (O.Metrics.snapshot registry);
-      (match json_trace with
-      | Some path -> Format.fprintf ppf "json trace written to %s@." path
-      | None -> ());
-      (match (trace, tracer) with
-      | Some path, Some tr -> (
-        match O.Trace.write ~path tr with
-        | () ->
-          Format.fprintf ppf
-            "chrome trace written to %s (open in ui.perfetto.dev)@." path
-        | exception Sys_error msg ->
-          Format.eprintf "anonc: cannot write trace file: %s@." msg;
-          exit 1)
-      | _ -> ());
-      result)
+  if metrics then O.Metrics.render ppf (O.Metrics.snapshot registry);
+  Option.iter (Format.fprintf ppf "json trace written to %s@.") json_trace;
+  Option.iter
+    (Format.fprintf ppf "chrome trace written to %s (open in ui.perfetto.dev)@.")
+    trace;
+  result
 
 (* Write [json] and a newline to [path] and say so; a path that cannot be
    written ends [anonc CMD] with exit 1. *)
@@ -596,19 +588,22 @@ let mc_cmd =
         ops_per_client;
       }
     in
-    with_recorder ~trace ~metrics ~json_trace (fun recorder ->
-        let report =
-          Mc.run ~recorder
-            ?progress:(if progress then Some Format.err_formatter else None)
-            ?out config
-        in
-        Format.fprintf ppf "%a@." Mc.pp_report report;
-        (match (out, report.Mc.witness) with
-        | Some path, Some _ ->
-          Format.fprintf ppf "repro written to %s (replay with anonc fuzz --replay)@."
-            path
-        | _ -> ());
-        if report.Mc.verdict = Mc.Violation then exit 1)
+    let verdict =
+      with_recorder ~trace ~metrics ~json_trace (fun recorder ->
+          let report =
+            Mc.run ~recorder
+              ?progress:(if progress then Some Format.err_formatter else None)
+              ?out config
+          in
+          Format.fprintf ppf "%a@." Mc.pp_report report;
+          (match (out, report.Mc.witness) with
+          | Some path, Some _ ->
+            Format.fprintf ppf "repro written to %s (replay with anonc fuzz --replay)@."
+              path
+          | _ -> ());
+          report.Mc.verdict)
+    in
+    if verdict = Mc.Violation then exit 1
   in
   let algo_arg =
     let of_string =
@@ -655,8 +650,7 @@ let mc_cmd =
     let of_string = Arg.enum [ ("bfs", Mc.Bfs); ("dfs", Mc.Dfs) ] in
     Arg.(value & opt of_string Mc.Bfs
          & info [ "search" ] ~docv:"ORDER"
-             ~doc:"bfs (shortest counterexamples, parallel) or dfs (sequential, \
-                   memory-light).")
+             ~doc:"bfs (shortest counterexamples) or dfs (memory-light).")
   in
   let armed_arg =
     Arg.(value & flag

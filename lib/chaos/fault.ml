@@ -246,23 +246,6 @@ let wrap ?(recorder = R.off) spec adv =
     Adv.map_plan ~rename:(fun n -> n ^ "+faults") inject adv
   end
 
-(* The pinned fault/topology stack: fault layers inside, severing
-   outermost. The reverse order is wrong twice over. [Topology.sever]
-   protects the links the environment obligates by reading the plan's
-   source — and the [Unstable_source] injector rewrites it, so severing
-   must see the final plan to protect the right links. And the admissible
-   fault layers promise never to touch a timely arrival; severing demotes
-   timely arrivals to late ones, so faults applied after severing would
-   let [extra_delay] compound a severed link's lateness. With severing
-   outermost a severed link arrives exactly one round late no matter what
-   the fault layers drew: severed-then-delayed equals
-   delayed-then-severed. *)
-let compose ?recorder ?topology spec adv =
-  let faulted = wrap ?recorder spec adv in
-  match topology with
-  | None -> faulted
-  | Some top -> Anon_giraf.Topology.sever ?recorder top faulted
-
 (* --- crash-schedule shapes ------------------------------------------------- *)
 
 let distinct_pids ~n ~count rng =

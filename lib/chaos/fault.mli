@@ -81,20 +81,6 @@ val wrap :
     @raise Anon_giraf.Config_error.Invalid_config on a malformed [spec]
     (see {!validate}). *)
 
-val compose :
-  ?recorder:Anon_obs.Recorder.t -> ?topology:Anon_giraf.Topology.t ->
-  spec -> Anon_giraf.Adversary.t -> Anon_giraf.Adversary.t
-(** The one blessed way to stack message faults with topology severing:
-    {!wrap}'s fault layers innermost, {!Anon_giraf.Topology.sever}
-    outermost (adversary name [base+faults+graph]). Severing must see the
-    final plan — the {!Unstable_source} injector rewrites the source whose
-    obligated links severing protects — and the admissible fault layers
-    only touch arrivals that were already late, so under this order a
-    severed link arrives exactly one round late regardless of the fault
-    draws: severed-then-delayed equals delayed-then-severed. Stacking the
-    two by hand in the other order double-delays severed links;
-    [test_dynamic] pins this one. Omitting [topology] is just {!wrap}. *)
-
 (* --- crash-schedule shapes ------------------------------------------------- *)
 
 val burst_crashes :

@@ -164,9 +164,7 @@ let adversary ?recorder t =
         | Ess -> Adv.ess ~gst:t.gst ~rotation:t.rotation ~noise:t.noise ()
         | Weak_set | Register -> Adv.ms ~rotation:t.rotation ~noise:t.noise ()))
   in
-  (* Through the canonical composition point, so a future topology field
-     cannot pick its own fault/sever order. *)
-  Fault.compose ?recorder t.faults base
+  Fault.wrap ?recorder t.faults base
 
 let crash t = Crash.of_events ~n:t.n t.crashes
 let churn t = Churn.of_events ~n:t.n t.churn
@@ -548,6 +546,10 @@ let of_json j =
   let* () = refuse_if (n < 1) "n must be >= 1 (got %d)" n in
   let* () = Result.map_error (( ^ ) "crashes: ") (Crash.check_events ~n crashes) in
   let* () = Result.map_error (( ^ ) "churn: ") (Churn.check_events ~n churn) in
+  let* () =
+    refuse_if (algo = Register && churn <> [])
+      "churn: register cases take no churn schedule"
+  in
   let* () =
     refuse_if (ops_per_client < 0) "ops_per_client must be >= 0 (got %d)" ops_per_client
   in

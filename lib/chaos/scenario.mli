@@ -96,5 +96,7 @@ val of_json : Anon_obs.Json.t -> (t, string) result
     so is a case no sampler could write: an [env] or [schedule.env] that
     {!Anon_giraf.Env.validate} rejects, [n < 1], crash or churn events
     that {!Anon_giraf.Crash.check_events} or
-    {!Anon_giraf.Churn.check_events} refuses, [ops_per_client < 0],
-    [noise] outside [[0, 1]], or a pinned rotation outside [[0, n)]. *)
+    {!Anon_giraf.Churn.check_events} refuses, churn events on a
+    [Register] case (its runner takes no churn schedule),
+    [ops_per_client < 0], [noise] outside [[0, 1]], or a pinned rotation
+    outside [[0, n)]. *)

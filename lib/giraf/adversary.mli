@@ -80,8 +80,7 @@ val dynamic :
     round rewires the graph to a minimal covering star around a rotating
     root (no root at all when [rooted = false], default [true]); the
     remaining [stability - 1] rounds of each window are fully timely.
-    Compose with {!Topology.sever} to restrict the non-obligated links to a
-    generated graph. Requires [stability >= 1]. *)
+    Requires [stability >= 1]. *)
 
 val async : ?max_delay:int -> ?timely_chance:float -> unit -> t
 (** No obligations: each link is timely with probability [timely_chance]

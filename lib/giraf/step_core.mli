@@ -37,18 +37,7 @@
     Per-process [version] counters increment whenever that process's
     observable view changes: state, broadcast, mailbox, fate, stable
     flag, or (through [touch]) a client script or BLOCK flag. The checker
-    uses them to rehash only the views that changed.
-
-    {b Pinned adversary stack order.} The plan fed to [deliver] may pass
-    through wrapper layers before it arrives here; their order is fixed,
-    not a caller choice: base adversary, then the chaos fault layers
-    ([Anon_chaos.Fault.wrap]), then topology severing
-    ({!Topology.sever}) outermost. Severing must see the final plan (the
-    unstable-source injector rewrites the source whose obligated links
-    severing protects), and the admissible fault layers only touch
-    already-late arrivals — so a severed link reaches [deliver] exactly
-    one round late regardless of fault draws. [Anon_chaos.Fault.compose]
-    is the canonical constructor for the full stack. *)
+    uses them to rehash only the views that changed. *)
 
 type fate = Intf.fate = Live | Crashed | Halted | Away
 

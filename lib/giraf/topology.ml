@@ -1,21 +1,15 @@
-module R = Anon_obs.Recorder
-module M = Anon_obs.Metrics
-module E = Anon_obs.Event
 module Hashing = Anon_kernel.Hashing
 
 type t = { name : string; edge : n:int -> round:int -> src:int -> dst:int -> bool }
 
 let name t = t.name
 let edge t = t.edge
-let make ~name edge = { name; edge }
 
 (* Deterministic per-(salt, ints) hash — topology must be a pure function
    of the round so repro replays rebuild the identical graph sequence. *)
 let det ~salt xs =
   let acc = List.fold_left Hashing.int (Hashing.string Hashing.init salt) xs in
   Int64.to_int (Int64.logand acc 0x3FFF_FFFF_FFFF_FFFFL)
-
-let complete = { name = "complete"; edge = (fun ~n:_ ~round:_ ~src:_ ~dst:_ -> true) }
 
 let rotating_root ?(period = 1) () =
   if period < 1 then invalid_arg "Topology.rotating_root: period must be >= 1";
@@ -59,62 +53,3 @@ let random_graph ?(seed = 0) ~density () =
     det ~salt:"random" [ seed; round; src; dst ] mod 1_000_000 < threshold
   in
   { name = Printf.sprintf "random(seed=%d,density=%.2f)" seed density; edge }
-
-let builtins =
-  [
-    complete;
-    rotating_root ();
-    rotating_root ~period:3 ();
-    spanning_star ();
-    t_interval ~t:2 ();
-    partition_pulse ~period:3 ();
-    random_graph ~density:0.5 ();
-  ]
-
-(* Rounds in which the environment obliges {e every} correct sender to be
-   timely to every obligated receiver — severing any such link would break
-   the declared environment, so [sever] must protect all of them. *)
-let full_sync env ~round =
-  match (env : Env.t) with
-  | Env.Sync -> true
-  | Env.Es { gst } -> round >= gst
-  | Env.Dynamic { stability; _ } -> not (Env.pulse ~stability ~round)
-  | Env.Ms | Env.Ess _ | Env.Async -> false
-
-let sever ?(recorder = R.off) top adv =
-  let env = Adversary.env adv in
-  let c_severed = R.counter recorder "graph.severed_links" in
-  let apply (ctx : Adversary.ctx) _rng (plan : Adversary.plan) =
-    let k = ctx.round in
-    let n =
-      1 + List.fold_left max (-1) (ctx.correct @ ctx.alive @ ctx.senders)
-    in
-    let sync_round = full_sync env ~round:k in
-    let protected src dst =
-      List.mem dst ctx.obligated
-      && ((Env.requires_source env ~round:k && plan.Adversary.source = Some src)
-         || (sync_round && List.mem src ctx.correct))
-    in
-    let deliveries =
-      List.map
-        (fun (src, ds) ->
-          ( src,
-            List.map
-              (fun (d : Adversary.delivery) ->
-                if
-                  d.arrival = k
-                  && (not (top.edge ~n ~round:k ~src ~dst:d.receiver))
-                  && not (protected src d.receiver)
-                then begin
-                  M.incr c_severed;
-                  R.emit recorder (fun () ->
-                      E.Fault { kind = "sever"; round = k; sender = src; receiver = d.receiver });
-                  { d with arrival = k + 1 }
-                end
-                else d)
-              ds ))
-        plan.Adversary.deliveries
-    in
-    { plan with Adversary.deliveries }
-  in
-  Adversary.map_plan ~rename:(fun name -> name ^ "+" ^ top.name) apply adv

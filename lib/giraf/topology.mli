@@ -1,26 +1,16 @@
 (** Per-round communication graphs.
 
-    A topology is a deterministic per-round directed-graph predicate; links
-    absent from the graph carry no timely messages. {!sever} plugs a
-    topology under any adversary: every timely delivery over a non-edge is
-    demoted to one round late — {e except} links the declared environment
-    obligates (the round's source to obligated receivers; every correct
-    sender in fully synchronous rounds), which are protected so an
-    admissible adversary stays admissible. Late deliveries are left alone:
-    the model's reliable channels mean a severed link's message still
-    crosses once the graph changes.
+    A topology is a deterministic per-round directed-graph predicate. The
+    live wire's [sever:NAME] fault ([Anon_chaos.Netfault]) holds back the
+    copies sent over a link absent from the graph at their send round.
 
     Generators are pure functions of the round (hash-based, no RNG) so a
-    replayed repro rebuilds the identical graph sequence. *)
+    replayed run rebuilds the identical graph sequence. *)
 
 type t
 
 val name : t -> string
 val edge : t -> n:int -> round:int -> src:int -> dst:int -> bool
-val make : name:string -> (n:int -> round:int -> src:int -> dst:int -> bool) -> t
-
-val complete : t
-(** The static fully connected graph ([sever] with it is the identity). *)
 
 val rotating_root : ?period:int -> unit -> t
 (** A star around a root that advances every [period] rounds (default 1):
@@ -42,13 +32,3 @@ val random_graph : ?seed:int -> density:float -> unit -> t
 (** Each directed link exists independently per round with probability
     [density], drawn from a deterministic hash. Requires
     [density] in [\[0,1\]]. *)
-
-val builtins : t list
-(** The generator zoo the fuzzer samples from. *)
-
-val sever : ?recorder:Anon_obs.Recorder.t -> t -> Adversary.t -> Adversary.t
-(** [sever top adv] post-processes every plan of [adv]: timely arrivals
-    over non-edges of [top] become late (arrival + 1) unless the link is
-    environment-obligated. Severed links are counted as
-    [graph.severed_links] and emitted as [Fault] events with kind
-    ["sever"]. The adversary name gains a ["+<topology>"] suffix. *)

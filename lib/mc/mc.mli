@@ -86,8 +86,8 @@ val run :
 (** Explore schedules in order, stopping at the first violating one.
     When [out] is given and a witness exists, the repro JSON is written
     there. Emits [mc.*] metrics through [recorder], and only those: the
-    witness replay (when any) shares [recorder]'s sink, so an attached
-    {!Anon_obs.Trace} sink captures the counterexample timeline.
+    witness replay (when any) shares [recorder]'s sink, so a
+    {!Anon_obs.Trace.chrome} sink captures the counterexample timeline.
     [progress] (e.g. [Format.err_formatter] under [anonc mc --progress])
     prints one live line per crash schedule and per BFS level — frontier
     depth, canonical states/sec, dedup hit-rate.

@@ -38,8 +38,9 @@ val build :
     recorded plans drive rounds [1..k] and the round past the prefix falls
     back to fully-timely, which is enough for the runner to perform the
     compute phase in which the violation (or the blocked progress)
-    manifests. [recorder] observes the replay — attach a {!Anon_obs.Trace}
-    sink to capture the counterexample's causal timeline. *)
+    manifests. [recorder] observes the replay — give it a
+    {!Anon_obs.Trace.chrome} sink to capture the counterexample's causal
+    timeline. *)
 
 val confirmed : t -> bool
 (** The replay exhibits at least one checker violation. *)

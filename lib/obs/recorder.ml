@@ -4,36 +4,21 @@ type t = {
   metrics : Metrics.t;
   sink : Sink.t;
   events_live : bool;  (* cached [not (Sink.is_null sink)] *)
-  mutable drops_seen : int;  (* sink drops already surfaced as a counter *)
 }
 
-let off =
-  { metrics = Metrics.disabled; sink = Sink.null; events_live = false; drops_seen = 0 }
+let off = { metrics = Metrics.disabled; sink = Sink.null; events_live = false }
 
 let create ?metrics ?(sink = Sink.null) () =
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
-  { metrics; sink; events_live = not (Sink.is_null sink); drops_seen = 0 }
+  { metrics; sink; events_live = not (Sink.is_null sink) }
 
 let active t = t.events_live || Metrics.is_enabled t.metrics
 let metrics t = t.metrics
 let sink t = t.sink
 let emit t mk = if t.events_live then Sink.emit t.sink (mk ())
-
-let surface_drops t =
-  if t.events_live && Metrics.is_enabled t.metrics then begin
-    let now = Sink.dropped t.sink in
-    if now > t.drops_seen then begin
-      Metrics.incr ~by:(now - t.drops_seen)
-        (Metrics.counter t.metrics "obs.events_dropped");
-      t.drops_seen <- now
-    end
-  end
-
-let flush t =
-  surface_drops t;
-  Sink.flush t.sink
+let flush t = Sink.flush t.sink
 
 let counter t name = Metrics.counter t.metrics name
 let histogram t name = Metrics.histogram t.metrics name

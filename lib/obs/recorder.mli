@@ -28,14 +28,7 @@ val emit : t -> (unit -> Event.t) -> unit
     sink is null — keep event construction inside the thunk. *)
 
 val flush : t -> unit
-(** Flushes the sink, first surfacing any new ring-buffer drops (see
-    {!surface_drops}). *)
-
-val surface_drops : t -> unit
-(** Fold the sink's {!Sink.dropped} count into the metrics registry as
-    the [obs.events_dropped] counter. Delta-based and idempotent: calling
-    it twice without new drops adds nothing. Called automatically by
-    {!flush}. *)
+(** {!Sink.flush} on the recorder's sink. *)
 
 (* --- hot-path handle helpers ---------------------------------------------- *)
 

@@ -1,113 +1,81 @@
-type ring = {
-  slots : Event.t option array;
-  mutable next : int;  (* write cursor *)
-  mutable stored : int;  (* <= capacity *)
-  mutable overwritten : int;
+type stream = {
+  oc : out_channel;
+  write : Event.t -> unit;
+  finish : unit -> unit;
+  mutable unflushed : int;
+  mutable closed : bool;
 }
 
-type stream = { oc : out_channel; mutable unflushed : int; mutable closed : bool }
+type t = Null | Stream of stream | Handler of (Event.t -> unit) | Tee of t list
 
-(* Every open JSONL stream is registered here so that an abnormal exit
-   (uncaught exception, [exit] from a CLI error path, a live run cut
-   short) still flushes complete buffered lines to disk: events are
-   written line-atomically, so a flush at any instant leaves a valid
-   JSONL prefix — never a truncated, unparseable trace file. [close]
-   (and the caller closing the channel after an explicit flush)
-   unregisters; the hook tolerates channels closed behind its back. *)
+(* Every open stream is registered here so that an abnormal exit
+   (uncaught exception, [exit] from a CLI error path) still finishes and
+   closes it: the file left behind is always a whole document. *)
 let open_streams : stream list ref = ref []
-let at_exit_installed = ref false
 
-let flush_open_streams () =
-  List.iter
-    (fun s ->
-      if not s.closed then try Stdlib.flush s.oc with Sys_error _ -> ())
-    !open_streams
+let close_stream s =
+  if not s.closed then begin
+    s.closed <- true;
+    open_streams := List.filter (fun s' -> s' != s) !open_streams;
+    match
+      s.finish ();
+      Stdlib.flush s.oc
+    with
+    | () -> close_out s.oc
+    | exception (Sys_error _ as e) ->
+      close_out_noerr s.oc;
+      raise e
+  end
 
-let register_stream s =
-  if not !at_exit_installed then begin
-    at_exit_installed := true;
-    Stdlib.at_exit flush_open_streams
-  end;
-  open_streams := s :: !open_streams
+(* Closes every stream of [ss], then re-raises the first write error. *)
+let close_all ss =
+  List.fold_left
+    (fun err s ->
+      match close_stream s with
+      | () -> err
+      | exception (Sys_error _ as e) -> Some (Option.value err ~default:e))
+    None ss
+  |> Option.iter raise
 
-let unregister_stream s =
-  open_streams := List.filter (fun s' -> s' != s) !open_streams
-
-type t =
-  | Null
-  | Memory of ring
-  | Jsonl of stream
-  | Handler of (Event.t -> unit)
-  | Tee of t list
+let () = at_exit (fun () -> try close_all !open_streams with Sys_error _ -> ())
 
 let null = Null
 
-let memory ~capacity =
-  if capacity <= 0 then invalid_arg "Sink.memory: capacity must be positive";
-  Memory { slots = Array.make capacity None; next = 0; stored = 0; overwritten = 0 }
+let stream oc ~write ~finish =
+  let s = { oc; write; finish; unflushed = 0; closed = false } in
+  open_streams := s :: !open_streams;
+  Stream s
 
 let jsonl oc =
-  let s = { oc; unflushed = 0; closed = false } in
-  register_stream s;
-  Jsonl s
+  stream oc ~finish:ignore ~write:(fun ev ->
+      output_string oc (Json.to_string (Event.to_json ev));
+      output_char oc '\n')
+
 let handler f = Handler f
 let tee ts = Tee ts
 
 let rec is_null = function
   | Null -> true
-  | Memory _ | Jsonl _ | Handler _ -> false
+  | Stream _ | Handler _ -> false
   | Tee ts -> List.for_all is_null ts
 
 let rec emit t ev =
   match t with
   | Null -> ()
-  | Memory r ->
-    let cap = Array.length r.slots in
-    if r.stored = cap then r.overwritten <- r.overwritten + 1
-    else r.stored <- r.stored + 1;
-    r.slots.(r.next) <- Some ev;
-    r.next <- (r.next + 1) mod cap
-  | Jsonl s ->
-    output_string s.oc (Json.to_string (Event.to_json ev));
-    output_char s.oc '\n';
+  | Stream s ->
+    s.write ev;
     s.unflushed <- s.unflushed + 1;
     if s.unflushed >= 256 then begin
-      flush_channel s;
+      Stdlib.flush s.oc;
       s.unflushed <- 0
     end
   | Handler f -> f ev
   | Tee ts -> List.iter (fun t -> emit t ev) ts
 
-and flush_channel s = Stdlib.flush s.oc
+let rec streams = function
+  | Null | Handler _ -> []
+  | Stream s -> [ s ]
+  | Tee ts -> List.concat_map streams ts
 
-let rec events = function
-  | Null | Jsonl _ | Handler _ -> []
-  | Memory r ->
-    let cap = Array.length r.slots in
-    let start = (r.next - r.stored + cap) mod cap in
-    List.init r.stored (fun i ->
-        match r.slots.((start + i) mod cap) with
-        | Some ev -> ev
-        | None -> assert false)
-  | Tee ts -> List.concat_map events ts
-
-let rec dropped = function
-  | Null | Jsonl _ | Handler _ -> 0
-  | Memory r -> r.overwritten
-  | Tee ts -> List.fold_left (fun acc t -> acc + dropped t) 0 ts
-
-let rec flush = function
-  | Null | Memory _ | Handler _ -> ()
-  | Jsonl s -> if not s.closed then flush_channel s
-  | Tee ts -> List.iter flush ts
-
-let rec close = function
-  | Null | Memory _ | Handler _ -> ()
-  | Jsonl s ->
-    if not s.closed then begin
-      s.closed <- true;
-      unregister_stream s;
-      (try flush_channel s with Sys_error _ -> ());
-      try close_out s.oc with Sys_error _ -> ()
-    end
-  | Tee ts -> List.iter close ts
+let flush t = List.iter (fun s -> if not s.closed then Stdlib.flush s.oc) (streams t)
+let close t = close_all (streams t)

@@ -1,10 +1,11 @@
 (** Pluggable event sinks.
 
-    A sink consumes {!Event.t}s as a run executes. Three built-ins:
-    [null] discards, [memory] keeps the last [capacity] events in a ring
-    buffer (for tests and interactive inspection), and [jsonl] streams one
-    JSON object per line to a channel (the machine-readable trace export).
-    [tee] fans one stream out to several sinks. *)
+    A sink consumes {!Event.t}s as a run executes. Built-ins: [null]
+    discards, [handler] calls a function on each event (what tests
+    capture events with), [jsonl] streams one JSON object per line to a
+    channel (the machine-readable trace export), and [tee] fans one
+    stream out to several sinks. Every file sink is a {!stream}:
+    {!Trace.chrome} is the other one. No sink holds a run in memory. *)
 
 type t
 
@@ -12,21 +13,22 @@ val null : t
 (** Discards everything. [is_null null = true]; recorders skip event
     construction entirely for a null sink. *)
 
-val memory : capacity:int -> t
-(** Ring buffer of the most recent [capacity] events. Older events are
-    overwritten; {!dropped} counts the overwrites. *)
+val stream :
+  out_channel -> write:(Event.t -> unit) -> finish:(unit -> unit) -> t
+(** The one file sink. [write] appends one event's bytes to the channel;
+    [finish] appends whatever closes the document, once, at {!close}.
+    The channel is flushed on every 256th event and by {!flush}; an
+    [at_exit] hook closes every stream still open, so a run that ends in
+    [exit] or an uncaught exception still leaves a whole document on
+    disk. *)
 
 val jsonl : out_channel -> t
-(** Streams [Json.to_string (Event.to_json ev)] plus a newline per event.
-    The channel is flushed by {!flush} (and on every 256th event), and —
-    because events are written line-atomically — also by an [at_exit]
-    hook, so an abnormal exit mid-run still leaves a valid JSONL prefix
-    on disk rather than a truncated line. {!close} flushes, closes the
-    channel and detaches the hook. *)
+(** A {!stream} writing [Json.to_string (Event.to_json ev)] plus a
+    newline per event, with nothing to finish: a flush at any instant
+    leaves whole lines on disk. *)
 
 val handler : (Event.t -> unit) -> t
-(** Calls the function on every event — the hook used to feed live
-    consumers such as {!Trace.sink}. Never null, buffers nothing. *)
+(** Calls the function on every event. Never null, buffers nothing. *)
 
 val tee : t list -> t
 
@@ -34,19 +36,13 @@ val is_null : t -> bool
 
 val emit : t -> Event.t -> unit
 
-val events : t -> Event.t list
-(** Buffered events, oldest first. Memory sinks only; [[]] otherwise
-    ([tee] concatenates its children's buffers). *)
-
-val dropped : t -> int
-(** Ring-buffer overwrites so far (0 for non-memory sinks). *)
-
 val flush : t -> unit
-(** Flushes buffered output of any JSONL sinks in [t] (no-op for the
-    rest, and for already-closed streams). Safe at any instant: the file
-    left behind is always whole lines. *)
+(** Flushes the channels of the open streams in [t] (no-op for the
+    rest).
+    @raise Sys_error when a channel cannot be written. *)
 
 val close : t -> unit
-(** Flushes and closes the underlying channels of any JSONL sinks in [t]
-    and unregisters them from the exit-time flush hook. Idempotent; no-op
-    for non-stream sinks. *)
+(** Finishes, flushes and closes every stream in [t] and detaches it
+    from the exit hook. Idempotent; no-op for non-stream sinks.
+    @raise Sys_error with the first stream that could not be written;
+    every stream is closed all the same. *)

@@ -1,5 +1,5 @@
-(* Causal trace collector: turns the flat {!Event.t} stream of a run into
-   a Chrome trace-event JSON document (Perfetto / chrome://tracing).
+(* Causal trace export: writes the flat {!Event.t} stream of a run as a
+   Chrome trace-event JSON document (Perfetto / chrome://tracing).
 
    Time is logical, not wall-clock: round [k] occupies the tick interval
    [[(k-1)*1000, k*1000)] and every event is pinned at a fixed integer
@@ -23,13 +23,6 @@
      +160  fault instant (on the sender's track)
      +960  churn leave/rejoin instant
      +200/+800/+250 weak-set add / add-done / get instants *)
-
-type t = { mutable rev_events : Event.t list }
-
-let create () = { rev_events = [] }
-let feed t ev = t.rev_events <- ev :: t.rev_events
-let sink t = Sink.handler (feed t)
-let events t = List.rev t.rev_events
 
 (* --- logical clock -------------------------------------------------------- *)
 
@@ -77,175 +70,169 @@ let flow ~phase ~id ~tid ~ts =
 
 (* --- export ---------------------------------------------------------------- *)
 
-let to_json t =
-  let evs = events t in
-  (* Pass 1: run shape — population, horizon, per-process crash rounds. *)
+let chrome oc =
+  (* The run's shape: population, horizon, per-process crash rounds — all
+     the document's tail needs. *)
   let algo = ref "" and n_opt = ref None and seed = ref 0 in
   let rounds_end = ref None and max_round = ref 0 and max_pid = ref (-1) in
   let crash_round : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let see_round k = if k > !max_round then max_round := k in
   let see_pid p = if p > !max_pid then max_pid := p in
-  List.iter
-    (fun ev ->
-      match (ev : Event.t) with
-      | Run_start { algo = a; n; seed = s } ->
-        algo := a;
-        n_opt := Some n;
-        seed := s
-      | Run_end { rounds; _ } -> rounds_end := Some rounds
-      | Round_start { round } | Round_end { round; _ } | Commit { round; _ } ->
-        see_round round
-      | Broadcast { pid; round; _ }
-      | Decide { pid; round; _ }
-      | Churn { pid; round; _ }
-      | Leader { pid; round; _ }
-      | Ws_add { pid; round; _ }
-      | Ws_add_done { pid; round; _ }
-      | Ws_get { pid; round; _ } ->
-        see_pid pid;
-        see_round round
-      | Deliver { sender; receiver; round; arrival } ->
-        see_pid sender;
-        see_pid receiver;
-        see_round round;
-        see_round arrival
-      | Crash { pid; round } ->
-        see_pid pid;
-        see_round round;
-        if not (Hashtbl.mem crash_round pid) then Hashtbl.add crash_round pid round
-      | Fault { sender; receiver; round; _ } ->
-        see_pid sender;
-        see_pid receiver;
-        see_round round
-      | Shm_step { pid; _ } | Shm_done { pid; _ } -> see_pid pid)
-    evs;
-  let n = match !n_opt with Some n -> n | None -> !max_pid + 1 in
-  let horizon =
-    match !rounds_end with Some r -> max r !max_round | None -> !max_round
+  let see (ev : Event.t) =
+    match ev with
+    | Run_start { algo = a; n; seed = s } ->
+      algo := a;
+      n_opt := Some n;
+      seed := s
+    | Run_end { rounds; _ } -> rounds_end := Some rounds
+    | Round_start { round } | Round_end { round; _ } | Commit { round; _ } ->
+      see_round round
+    | Broadcast { pid; round; _ }
+    | Decide { pid; round; _ }
+    | Churn { pid; round; _ }
+    | Leader { pid; round; _ }
+    | Ws_add { pid; round; _ }
+    | Ws_add_done { pid; round; _ }
+    | Ws_get { pid; round; _ } ->
+      see_pid pid;
+      see_round round
+    | Deliver { sender; receiver; round; arrival } ->
+      see_pid sender;
+      see_pid receiver;
+      see_round round;
+      see_round arrival
+    | Crash { pid; round } ->
+      see_pid pid;
+      see_round round;
+      if not (Hashtbl.mem crash_round pid) then Hashtbl.add crash_round pid round
+    | Fault { sender; receiver; round; _ } ->
+      see_pid sender;
+      see_pid receiver;
+      see_round round
+    | Shm_step { pid; _ } | Shm_done { pid; _ } -> see_pid pid
   in
-  let out = ref [] in
-  let push j = out := j :: !out in
-  (* Track names. *)
-  push
-    (meta ~name:"process_name" ~tid:0
-       ~value:
-         (if !algo = "" then "anonc run"
-          else Printf.sprintf "anonc run %s n=%d seed=%d" !algo n !seed));
-  push (meta ~name:"thread_name" ~tid:0 ~value:"rounds");
-  for p = 0 to n - 1 do
-    push (meta ~name:"thread_name" ~tid:(p + 1) ~value:(Printf.sprintf "p%d" p))
-  done;
-  (* Per-process lifetime spans: one per round while alive. A process that
-     crashes in round k keeps its round-k span (the crash instant sits
-     inside it) and disappears afterwards. *)
-  for p = 0 to n - 1 do
-    let limit =
-      match Hashtbl.find_opt crash_round p with
-      | Some k -> min k horizon
-      | None -> horizon
-    in
-    for k = 1 to limit do
+  let first = ref true in
+  let push j =
+    if !first then first := false else output_char oc ',';
+    output_string oc (Json.to_string j)
+  in
+  (* Each event's own records, as it arrives. *)
+  let flow_id = ref 0 in
+  let records (ev : Event.t) =
+    match ev with
+    | Run_start _ -> ()
+    | Run_end { rounds; decided } ->
+      push
+        (instant ~name:"run_end" ~cat:"run" ~tid:0
+           ~ts:(tick rounds round_ticks)
+           ~args:[ ("rounds", int rounds); ("decided", Json.Bool decided) ]
+           ())
+    | Round_start _ -> ()
+    | Round_end { round; senders; delivered; timely } ->
       push
         (span
-           ~name:(Printf.sprintf "round %d" k)
-           ~cat:"round" ~tid:(p + 1) ~ts:(tick k 0) ~dur:round_ticks ())
-    done
-  done;
-  (* Pass 2: the event stream itself, in emission order. *)
-  let flow_id = ref 0 in
-  List.iter
-    (fun ev ->
-      match (ev : Event.t) with
-      | Run_start _ -> ()
-      | Run_end { rounds; decided } ->
-        push
-          (instant ~name:"run_end" ~cat:"run" ~tid:0
-             ~ts:(tick rounds round_ticks)
-             ~args:[ ("rounds", int rounds); ("decided", Json.Bool decided) ]
-             ())
-      | Round_start _ -> ()
-      | Round_end { round; senders; delivered; timely } ->
+           ~name:(Printf.sprintf "round %d" round)
+           ~cat:"round" ~tid:0 ~ts:(tick round 0) ~dur:round_ticks
+           ~args:
+             [
+               ("senders", int senders); ("delivered", int delivered);
+               ("timely", int timely);
+             ]
+           ())
+    | Broadcast { pid; round; size } ->
+      push
+        (instant ~name:"broadcast" ~cat:"net" ~tid:(pid + 1)
+           ~ts:(tick round 100) ~args:[ ("size", int size) ] ())
+    | Deliver { sender; receiver; round; arrival } ->
+      incr flow_id;
+      push (flow ~phase:"s" ~id:!flow_id ~tid:(sender + 1) ~ts:(tick round 150));
+      push
+        (flow ~phase:"f" ~id:!flow_id ~tid:(receiver + 1) ~ts:(tick arrival 500))
+    | Decide { pid; round; value } ->
+      push
+        (instant ~name:"decide" ~cat:"consensus" ~tid:(pid + 1)
+           ~ts:(tick round 900) ~args:[ ("value", int value) ] ())
+    | Commit { instance; round; value } ->
+      push
+        (instant ~name:"commit" ~cat:"rsm" ~tid:0 ~ts:(tick round 920)
+           ~args:[ ("instance", int instance); ("value", int value) ]
+           ())
+    | Crash { pid; round } ->
+      push
+        (instant ~name:"crash" ~cat:"fault" ~tid:(pid + 1) ~ts:(tick round 950)
+           ())
+    | Churn { pid; round; rejoin } ->
+      push
+        (instant
+           ~name:(if rejoin then "churn:rejoin" else "churn:leave")
+           ~cat:"churn" ~tid:(pid + 1) ~ts:(tick round 960) ())
+    | Leader { pid; round; leader } ->
+      push
+        (instant ~name:"leader" ~cat:"consensus" ~tid:(pid + 1)
+           ~ts:(tick round 120) ~args:[ ("leader", Json.Bool leader) ] ())
+    | Ws_add { pid; round; value } ->
+      push
+        (instant ~name:"ws_add" ~cat:"service" ~tid:(pid + 1)
+           ~ts:(tick round 200) ~args:[ ("value", int value) ] ())
+    | Ws_add_done { pid; round; value } ->
+      push
+        (instant ~name:"ws_add_done" ~cat:"service" ~tid:(pid + 1)
+           ~ts:(tick round 800) ~args:[ ("value", int value) ] ())
+    | Ws_get { pid; round; size } ->
+      push
+        (instant ~name:"ws_get" ~cat:"service" ~tid:(pid + 1)
+           ~ts:(tick round 250) ~args:[ ("size", int size) ] ())
+    | Shm_step { step; pid } ->
+      push
+        (instant ~name:"shm_step" ~cat:"shm" ~tid:(pid + 1) ~ts:(step * 10) ())
+    | Shm_done { pid; op_index; invoked; completed } ->
+      push
+        (instant ~name:"shm_done" ~cat:"shm" ~tid:(pid + 1)
+           ~ts:((op_index * 10) + 5)
+           ~args:[ ("invoked", int invoked); ("completed", int completed) ]
+           ())
+    | Fault { kind; round; sender; receiver } ->
+      push
+        (instant ~name:("fault:" ^ kind) ~cat:"fault" ~tid:(sender + 1)
+           ~ts:(tick round 160)
+           ~args:[ ("receiver", int receiver) ] ())
+  in
+  (* The records that need the whole run's shape, and the document's
+     closing fields. *)
+  let finish () =
+    let n = match !n_opt with Some n -> n | None -> !max_pid + 1 in
+    let horizon =
+      match !rounds_end with Some r -> max r !max_round | None -> !max_round
+    in
+    push
+      (meta ~name:"process_name" ~tid:0
+         ~value:
+           (if !algo = "" then "anonc run"
+            else Printf.sprintf "anonc run %s n=%d seed=%d" !algo n !seed));
+    push (meta ~name:"thread_name" ~tid:0 ~value:"rounds");
+    for p = 0 to n - 1 do
+      push (meta ~name:"thread_name" ~tid:(p + 1) ~value:(Printf.sprintf "p%d" p))
+    done;
+    (* Per-process lifetime spans: one per round while alive. A process
+       that crashes in round k keeps its round-k span (the crash instant
+       sits inside it) and disappears afterwards. *)
+    for p = 0 to n - 1 do
+      let limit =
+        match Hashtbl.find_opt crash_round p with
+        | Some k -> min k horizon
+        | None -> horizon
+      in
+      for k = 1 to limit do
         push
           (span
-             ~name:(Printf.sprintf "round %d" round)
-             ~cat:"round" ~tid:0 ~ts:(tick round 0) ~dur:round_ticks
-             ~args:
-               [
-                 ("senders", int senders); ("delivered", int delivered);
-                 ("timely", int timely);
-               ]
-             ())
-      | Broadcast { pid; round; size } ->
-        push
-          (instant ~name:"broadcast" ~cat:"net" ~tid:(pid + 1)
-             ~ts:(tick round 100) ~args:[ ("size", int size) ] ())
-      | Deliver { sender; receiver; round; arrival } ->
-        incr flow_id;
-        push (flow ~phase:"s" ~id:!flow_id ~tid:(sender + 1) ~ts:(tick round 150));
-        push
-          (flow ~phase:"f" ~id:!flow_id ~tid:(receiver + 1) ~ts:(tick arrival 500))
-      | Decide { pid; round; value } ->
-        push
-          (instant ~name:"decide" ~cat:"consensus" ~tid:(pid + 1)
-             ~ts:(tick round 900) ~args:[ ("value", int value) ] ())
-      | Commit { instance; round; value } ->
-        push
-          (instant ~name:"commit" ~cat:"rsm" ~tid:0 ~ts:(tick round 920)
-             ~args:[ ("instance", int instance); ("value", int value) ]
-             ())
-      | Crash { pid; round } ->
-        push
-          (instant ~name:"crash" ~cat:"fault" ~tid:(pid + 1) ~ts:(tick round 950)
-             ())
-      | Churn { pid; round; rejoin } ->
-        push
-          (instant
-             ~name:(if rejoin then "churn:rejoin" else "churn:leave")
-             ~cat:"churn" ~tid:(pid + 1) ~ts:(tick round 960) ())
-      | Leader { pid; round; leader } ->
-        push
-          (instant ~name:"leader" ~cat:"consensus" ~tid:(pid + 1)
-             ~ts:(tick round 120) ~args:[ ("leader", Json.Bool leader) ] ())
-      | Ws_add { pid; round; value } ->
-        push
-          (instant ~name:"ws_add" ~cat:"service" ~tid:(pid + 1)
-             ~ts:(tick round 200) ~args:[ ("value", int value) ] ())
-      | Ws_add_done { pid; round; value } ->
-        push
-          (instant ~name:"ws_add_done" ~cat:"service" ~tid:(pid + 1)
-             ~ts:(tick round 800) ~args:[ ("value", int value) ] ())
-      | Ws_get { pid; round; size } ->
-        push
-          (instant ~name:"ws_get" ~cat:"service" ~tid:(pid + 1)
-             ~ts:(tick round 250) ~args:[ ("size", int size) ] ())
-      | Shm_step { step; pid } ->
-        push
-          (instant ~name:"shm_step" ~cat:"shm" ~tid:(pid + 1) ~ts:(step * 10) ())
-      | Shm_done { pid; op_index; invoked; completed } ->
-        push
-          (instant ~name:"shm_done" ~cat:"shm" ~tid:(pid + 1)
-             ~ts:((op_index * 10) + 5)
-             ~args:[ ("invoked", int invoked); ("completed", int completed) ]
-             ())
-      | Fault { kind; round; sender; receiver } ->
-        push
-          (instant ~name:("fault:" ^ kind) ~cat:"fault" ~tid:(sender + 1)
-             ~ts:(tick round 160)
-             ~args:[ ("receiver", int receiver) ] ()))
-    evs;
-  Json.Obj
-    [
-      ("traceEvents", Json.List (List.rev !out));
-      ("displayTimeUnit", str "ms");
-      ( "otherData",
-        Json.Obj
-          [ ("clockDomain", str "logical:1000-ticks-per-round") ] );
-    ]
-
-let write ~path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string (to_json t));
-      output_char oc '\n')
+             ~name:(Printf.sprintf "round %d" k)
+             ~cat:"round" ~tid:(p + 1) ~ts:(tick k 0) ~dur:round_ticks ())
+      done
+    done;
+    output_string oc
+      "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clockDomain\":\"logical:1000-ticks-per-round\"}}\n"
+  in
+  output_string oc "{\"traceEvents\":[";
+  Sink.stream oc ~finish ~write:(fun ev ->
+      see ev;
+      records ev)

@@ -1,8 +1,7 @@
-(** Causal trace collector: Chrome trace-event export of a run.
+(** Causal trace export: the Chrome trace-event document of a run.
 
-    A tracer accumulates the {!Event.t} stream of a single run (feed it
-    through the {!Recorder} seam via {!sink}) and renders it as a Chrome
-    trace-event JSON document that Perfetto ([ui.perfetto.dev]) or
+    {!chrome} is a {!Sink.stream} that writes a run's {!Event.t}s as a
+    Chrome trace-event JSON document that Perfetto ([ui.perfetto.dev]) or
     [chrome://tracing] can open: per-process round spans, message
     send→deliver flow arrows, decide/crash instants, plus a global round
     timeline carrying the per-round senders/delivered/timely counts.
@@ -12,23 +11,10 @@
     its round, so a fixed-seed run exports a byte-identical trace every
     time (DESIGN.md §11). *)
 
-type t
-
-val create : unit -> t
-
-val feed : t -> Event.t -> unit
-(** Append one event (O(1)). *)
-
-val sink : t -> Sink.t
-(** A {!Sink.handler} feeding this tracer — tee it with other sinks and
-    pass the result to [Recorder.create]. *)
-
-val events : t -> Event.t list
-(** Everything fed so far, oldest first. *)
-
-val to_json : t -> Json.t
-(** Render the Chrome trace-event document
-    [{"traceEvents": [...], ...}]. Pure: does not consume the tracer. *)
-
-val write : path:string -> t -> unit
-(** [to_json] serialized to [path] (plus a trailing newline). *)
+val chrome : out_channel -> Sink.t
+(** Each event's [traceEvents] records are written as the event arrives,
+    in emission order. The sink keeps only the run's shape (its algorithm,
+    population, seed and round count, the largest round and pid seen,
+    each process's first crash round), so its memory is O(processes)
+    however long the run; {!Sink.close} then writes the track names and
+    the per-process round spans, and closes the document. *)

@@ -322,6 +322,9 @@ let test_replay_rejects_garbage () =
         ( Es,
           (fun c -> { c with crashes = []; churn = [ churn_ev 1 2 None; churn_ev 1 5 None ] }),
           "churn: duplicate pid" );
+        ( Register,
+          (fun c -> { c with n = 3; crashes = [ crash_ev 1 2 ]; churn = [ churn_ev 1 3 None ] }),
+          "churn: register cases take no churn schedule" );
       ]
 
 let () =

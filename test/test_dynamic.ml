@@ -1,5 +1,5 @@
 (* Tests for the dynamic-graph and churn layer: environment parsing and
-   pulse arithmetic, churn schedules, topology generators and severing,
+   pulse arithmetic, churn schedules, topology generators,
    the pinned checker diagnostics, fault-spec validation, scenario schema
    v2 round-trips, admissible property coverage across all algorithms,
    the armed inadmissible modes, and the model checker's dynamic/churn
@@ -108,7 +108,7 @@ let test_churn_random_bounds () =
       (G.Churn.events churn)
   done
 
-(* --- Topology generators and severing ----------------------------------------- *)
+(* --- Topology generators ---------------------------------------------------- *)
 
 let test_topology_rotating_root () =
   let top = G.Topology.rotating_root () in
@@ -136,148 +136,6 @@ let test_topology_t_interval_static () =
   in
   check_bool "rounds 1-3 identical" true
     (snapshot 1 = snapshot 2 && snapshot 2 = snapshot 3)
-
-let test_sever_complete_is_identity () =
-  (* Severing with the complete graph changes nothing: same decisions,
-     clean checker. *)
-  let run adv =
-    let inputs = [ 3; 1; 2 ] in
-    let config =
-      G.Runner.default_config ~horizon:30 ~seed:5 ~inputs
-        ~crash:(G.Crash.none ~n:3) ~churn:(G.Churn.none ~n:3) adv
-    in
-    let module R = G.Runner.Make (C.Es_consensus) in
-    (R.run config).G.Runner.decisions
-  in
-  let base = run (G.Adversary.es ~gst:3 ()) in
-  let severed = run (G.Topology.sever G.Topology.complete (G.Adversary.es ~gst:3 ())) in
-  check_bool "identical decisions" true (base = severed)
-
-let test_sever_admissible_stays_clean () =
-  (* Aggressive generated graphs under every admissible adversary: the
-     environment-obligated links are protected, so the checker must stay
-     clean and ES must still decide. *)
-  List.iter
-    (fun top ->
-      let adv = G.Topology.sever top (G.Adversary.es ~gst:4 ~noise:0.3 ()) in
-      let inputs = [ 2; 4; 1; 3 ] in
-      let config =
-        G.Runner.default_config ~horizon:60 ~seed:11 ~inputs
-          ~crash:(G.Crash.none ~n:4) ~churn:(G.Churn.none ~n:4) adv
-      in
-      let module R = G.Runner.Make (C.Es_consensus) in
-      let outcome = R.run config in
-      (match G.Checker.check_env outcome.G.Runner.trace with
-      | [] -> ()
-      | vs ->
-        Alcotest.failf "%s: %s" (G.Topology.name top)
-          (String.concat "; "
-             (List.map (Format.asprintf "%a" G.Checker.pp_violation) vs)));
-      check_bool
-        (G.Topology.name top ^ " decides")
-        true outcome.G.Runner.all_correct_decided)
-    G.Topology.builtins
-
-(* --- pinned fault/topology composition order ---------------------------------- *)
-
-let test_sever_fault_order_pinned () =
-  (* [Fault.compose] stacks the fault layers inside and severing outermost,
-     so a link the topology cuts arrives exactly one round late no matter
-     what the delay layer drew: severed-then-delayed equals
-     delayed-then-severed. With the orders flipped, the delay layer (firing
-     with probability 1 here) would see the demoted arrival and push the
-     severed link two or more rounds out. *)
-  let n = 3 in
-  let all = List.init n Fun.id in
-  (* Fixed schedule: senders 0 and 1 timely to everyone, sender 2 one
-     round late to everyone; the declared source is 0. *)
-  let fixed_plan k =
-    {
-      G.Adversary.source = Some 0;
-      deliveries =
-        List.map
-          (fun s ->
-            ( s,
-              List.filter_map
-                (fun r ->
-                  if r = s then None
-                  else
-                    Some
-                      {
-                        G.Adversary.receiver = r;
-                        arrival = (if s = 2 then k + 1 else k);
-                      })
-                all ))
-          all;
-    }
-  in
-  let base () =
-    G.Adversary.of_schedule ~name:"fixed" ~env:G.Env.Ms
-      (List.init 8 (fun i -> fixed_plan (i + 1)))
-  in
-  (* Cut every link into 2 except self-delivery: 1->2 is severable, while
-     0->2 is an obligated source link the severing must protect. *)
-  let top =
-    G.Topology.make ~name:"cut2" (fun ~n:_ ~round:_ ~src ~dst ->
-        not (dst = 2 && src <> 2))
-  in
-  let spec = { Ch.Fault.none with extra_delay = 1.0; max_extra = 2 } in
-  let composed = Ch.Fault.compose ~topology:top spec (base ()) in
-  check_str "name pins the stack order" "fixed+faults+cut2"
-    (G.Adversary.name composed);
-  let manual = G.Topology.sever top (Ch.Fault.wrap spec (base ())) in
-  let ctx k =
-    { G.Adversary.round = k; senders = all; obligated = all; correct = all; alive = all }
-  in
-  let arrival_of (plan : G.Adversary.plan) ~src ~dst =
-    let ds = List.assoc src plan.G.Adversary.deliveries in
-    (List.find (fun (d : G.Adversary.delivery) -> d.receiver = dst) ds)
-      .G.Adversary.arrival
-  in
-  for k = 1 to 8 do
-    let p = G.Adversary.plan composed (ctx k) (Rng.make (100 + k)) in
-    let p' = G.Adversary.plan manual (ctx k) (Rng.make (100 + k)) in
-    check_bool "compose = sever outside wrap" true (p = p');
-    (* Timely in the base plan, cut by the graph: late by exactly one
-       round, not compounded by the always-firing delay layer. *)
-    check_int "severed link one round late" (k + 1) (arrival_of p ~src:1 ~dst:2);
-    (* Already late in the base plan: the delay layer does push it
-       further — fault lateness and severing lateness stay distinct. *)
-    check_bool "base-late link delayed further" true
-      (arrival_of p ~src:2 ~dst:0 >= k + 2);
-    (* The source's obligated link crosses a cut edge but is protected. *)
-    check_int "source stays timely" k (arrival_of p ~src:0 ~dst:2)
-  done
-
-let test_compose_full_stack_admissible () =
-  (* The whole pinned stack — base adversary, admissible fault layers,
-     topology severing — keeps every environment obligation: the checker
-     stays clean and ES still decides, over every built-in graph. *)
-  let spec =
-    { Ch.Fault.none with duplicate = 0.3; extra_delay = 0.5; max_extra = 2; reorder = 0.3 }
-  in
-  List.iter
-    (fun top ->
-      let adv =
-        Ch.Fault.compose ~topology:top spec (G.Adversary.es ~gst:4 ~noise:0.3 ())
-      in
-      let inputs = [ 2; 4; 1; 3 ] in
-      let config =
-        G.Runner.default_config ~horizon:60 ~seed:7 ~inputs
-          ~crash:(G.Crash.none ~n:4) ~churn:(G.Churn.none ~n:4) adv
-      in
-      let module R = G.Runner.Make (C.Es_consensus) in
-      let outcome = R.run config in
-      (match G.Checker.check_env outcome.G.Runner.trace with
-      | [] -> ()
-      | vs ->
-        Alcotest.failf "%s: %s" (G.Topology.name top)
-          (String.concat "; "
-             (List.map (Format.asprintf "%a" G.Checker.pp_violation) vs)));
-      check_bool
-        (G.Topology.name top ^ " decides under the full stack")
-        true outcome.G.Runner.all_correct_decided)
-    G.Topology.builtins
 
 (* --- pinned checker diagnostics ------------------------------------------------ *)
 
@@ -798,14 +656,6 @@ let () =
         [
           Alcotest.test_case "rotating root" `Quick test_topology_rotating_root;
           Alcotest.test_case "t-interval static" `Quick test_topology_t_interval_static;
-          Alcotest.test_case "fault/sever order pinned" `Quick
-            test_sever_fault_order_pinned;
-          Alcotest.test_case "full stack admissible" `Quick
-            test_compose_full_stack_admissible;
-          Alcotest.test_case "sever complete = identity" `Quick
-            test_sever_complete_is_identity;
-          Alcotest.test_case "sever admissible stays clean" `Quick
-            test_sever_admissible_stays_clean;
         ] );
       ( "diagnostics",
         [

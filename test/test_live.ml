@@ -285,7 +285,8 @@ let test_live_replay () =
       ~seed:5 ~inputs:(List.init n (fun i -> (i mod 4) + 1)) ~crash ()
   in
   let run () =
-    let sink = Anon_obs.Sink.memory ~capacity:100_000 in
+    let events = ref [] in
+    let sink = Anon_obs.Sink.handler (fun ev -> events := ev :: !events) in
     let recorder = Anon_obs.Recorder.create ~sink () in
     let o = LiveR.run ~recorder ~clock:L.Runner.Virtual config in
     ( ( o.L.Runner.decisions,
@@ -294,7 +295,7 @@ let test_live_replay () =
         o.L.Runner.wall_s,
         o.L.Runner.transport,
         o.L.Runner.timeout_curve ),
-      Anon_obs.Sink.events sink,
+      List.rev !events,
       o )
   in
   let first, events1, o = run () in

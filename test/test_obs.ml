@@ -323,28 +323,20 @@ let test_event_roundtrip () =
 
 (* --- Sinks ------------------------------------------------------------------ *)
 
-let test_sink_ring () =
-  let s = Sink.memory ~capacity:3 in
-  check_bool "not null" false (Sink.is_null s);
-  List.iteri (fun i _ -> Sink.emit s (Event.Round_start { round = i })) (List.init 5 Fun.id);
-  (* Capacity 3, 5 emits: the two oldest are overwritten. *)
-  Alcotest.(check (list event)) "last three, oldest first"
-    [
-      Event.Round_start { round = 2 };
-      Event.Round_start { round = 3 };
-      Event.Round_start { round = 4 };
-    ]
-    (Sink.events s);
-  check_int "dropped" 2 (Sink.dropped s)
+(* A handler sink that keeps what it receives, and its reader (oldest
+   first). *)
+let capture () =
+  let got = ref [] in
+  (Sink.handler (fun ev -> got := ev :: !got), fun () -> List.rev !got)
 
 let test_sink_null_and_tee () =
   check_bool "null" true (Sink.is_null Sink.null);
   check_bool "tee of nulls" true (Sink.is_null (Sink.tee [ Sink.null; Sink.null ]));
-  let a = Sink.memory ~capacity:8 and b = Sink.memory ~capacity:8 in
+  let a, got_a = capture () and b, got_b = capture () in
   let t = Sink.tee [ a; b ] in
   check_bool "tee live" false (Sink.is_null t);
   Sink.emit t (Event.Crash { pid = 0; round = 1 });
-  check_int "both children" 2 (List.length (Sink.events a) + List.length (Sink.events b))
+  check_int "both children" 2 (List.length (got_a ()) + List.length (got_b ()))
 
 let test_sink_jsonl_roundtrip () =
   let path = Filename.temp_file "anonc_trace" ".jsonl" in
@@ -418,28 +410,43 @@ let test_sink_handler () =
   check_bool "handler is live" false (Sink.is_null s);
   List.iter (Sink.emit s) all_events;
   Alcotest.(check (list event)) "handler saw every event" all_events (List.rev !got);
-  (* Handlers stream: they retain nothing and never drop. *)
-  Alcotest.(check (list event)) "no retained events" [] (Sink.events s);
-  check_int "no drops" 0 (Sink.dropped s);
   Sink.flush s
 
 (* --- Trace ------------------------------------------------------------------- *)
 
-(* Count trace events with a given "ph" in a rendered document. *)
-let phase_count doc ph =
+let trace_events doc =
   match Json.member "traceEvents" doc with
-  | Some (Json.List evs) ->
-    List.length
-      (List.filter (fun e -> Json.member "ph" e = Some (Json.String ph)) evs)
+  | Some (Json.List evs) -> evs
   | _ -> Alcotest.fail "traceEvents missing or not a list"
 
+(* Count trace events with a given "ph" in a rendered document. *)
+let phase_count doc ph =
+  List.length
+    (List.filter (fun e -> Json.member "ph" e = Some (Json.String ph)) (trace_events doc))
+
+(* Runs [f] on a Chrome sink streaming into a temp file (passed too),
+   closes the sink, and returns [f]'s result, the file's text and the
+   document parsed back. *)
+let chrome_file f =
+  let path = Filename.temp_file "anonc_trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let sink = Trace.chrome (open_out path) in
+      let r = f path sink in
+      Sink.close sink;
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      match Json.of_string text with
+      | Ok doc -> (r, text, doc)
+      | Error e -> Alcotest.failf "trace document does not parse: %s" e)
+
 let test_trace_structure () =
-  let tr = Trace.create () in
-  let sink = Sink.tee [ Trace.sink tr; Sink.null ] in
-  List.iter (Sink.emit sink) all_events;
-  Alcotest.(check (list event)) "tracer accumulates in order" all_events
-    (Trace.events tr);
-  let doc = Trace.to_json tr in
+  let seen, got = capture () in
+  let (), _, doc =
+    chrome_file (fun _ chrome ->
+        List.iter (Sink.emit (Sink.tee [ chrome; seen ])) all_events)
+  in
+  Alcotest.(check (list event)) "tee passes every event in order" all_events (got ());
   check_bool "displayTimeUnit present" true
     (Json.member "displayTimeUnit" doc = Some (Json.String "ms"));
   (* Flow arrows come in send/finish pairs sharing an id. *)
@@ -448,43 +455,69 @@ let test_trace_structure () =
   check_bool "has round spans" true (phase_count doc "X" > 0);
   check_bool "has instants" true (phase_count doc "i" > 0)
 
+(* The sink streams: after a mid-run flush the file already holds the
+   records of every event emitted so far, and they open the finished
+   document's [traceEvents]. *)
+let test_trace_midrun_flush () =
+  let early =
+    [
+      Event.Run_start { algo = "es"; n = 2; seed = 1 };
+      Event.Round_start { round = 1 };
+      Event.Broadcast { pid = 0; round = 1; size = 1 };
+      Event.Deliver { sender = 0; receiver = 1; round = 1; arrival = 1 };
+    ]
+  in
+  let prefix, _, doc =
+    chrome_file (fun path sink ->
+        List.iter (Sink.emit sink) early;
+        Sink.flush sink;
+        let prefix = In_channel.with_open_bin path In_channel.input_all in
+        List.iter (Sink.emit sink) all_events;
+        prefix)
+  in
+  let so_far =
+    match Json.of_string (prefix ^ "]}") with
+    | Ok j -> trace_events j
+    | Error e -> Alcotest.failf "flushed prefix %S is not a document head: %s" prefix e
+  in
+  check_int "broadcast instant and one flow pair" 3 (List.length so_far);
+  Alcotest.(check (list json)) "flushed records open the document" so_far
+    (List.filteri (fun i _ -> i < 3) (trace_events doc))
+
+let test_trace_empty () =
+  let (), _, doc = chrome_file (fun _ _ -> ()) in
+  check_bool "displayTimeUnit present" true
+    (Json.member "displayTimeUnit" doc = Some (Json.String "ms"));
+  check_int "only the two track names" 2 (List.length (trace_events doc));
+  check_int "both metadata" 2 (phase_count doc "M")
+
 let run_es_traced () =
   let module R = G.Runner.Make (C.Es_consensus) in
-  let tr = Trace.create () in
-  let recorder = Recorder.create ~sink:(Trace.sink tr) () in
-  let outcome =
-    R.run ~recorder
-      (G.Runner.default_config ~horizon:100 ~seed:11
-         ~inputs:(List.init 6 (fun i -> i + 1))
-         ~crash:(G.Crash.none ~n:6)
-         (G.Adversary.es_blocking ~gst:8 ()))
-  in
-  (outcome, Trace.to_json tr)
+  chrome_file (fun _ sink ->
+      R.run
+        ~recorder:(Recorder.create ~sink ())
+        (G.Runner.default_config ~horizon:100 ~seed:11
+           ~inputs:(List.init 6 (fun i -> i + 1))
+           ~crash:(G.Crash.none ~n:6)
+           (G.Adversary.es_blocking ~gst:8 ())))
 
 let test_trace_runner_deterministic () =
-  let outcome, doc1 = run_es_traced () in
-  let _, doc2 = run_es_traced () in
+  (* [chrome_file] has parsed the document back through the codec. *)
+  let outcome, text1, doc1 = run_es_traced () in
+  let _, text2, _ = run_es_traced () in
   (* Logical timestamps only: a fixed-seed run exports byte-identical
      trace JSON every time. *)
-  Alcotest.(check string) "byte-identical across runs" (Json.to_string doc1)
-    (Json.to_string doc2);
+  Alcotest.(check string) "byte-identical across runs" text1 text2;
   (* One decide instant per decision; every delivery is one flow pair. *)
   let instants =
-    match Json.member "traceEvents" doc1 with
-    | Some (Json.List evs) ->
-      List.filter
-        (fun e ->
-          Json.member "ph" e = Some (Json.String "i")
-          && Json.member "name" e = Some (Json.String "decide"))
-        evs
-    | _ -> Alcotest.fail "traceEvents missing"
+    List.filter
+      (fun e ->
+        Json.member "ph" e = Some (Json.String "i")
+        && Json.member "name" e = Some (Json.String "decide"))
+      (trace_events doc1)
   in
   check_int "decide instants" (List.length outcome.decisions) (List.length instants);
-  check_int "flow pairs" outcome.deliveries (phase_count doc1 "s");
-  (* The document itself must be valid JSON through the codec. *)
-  match Json.of_string (Json.to_string doc1) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "trace document does not reparse: %s" e
+  check_int "flow pairs" outcome.deliveries (phase_count doc1 "s")
 
 (* --- Recorder + runner integration ------------------------------------------ *)
 
@@ -492,31 +525,6 @@ let test_recorder_off () =
   check_bool "off is inactive" false (Recorder.active Recorder.off);
   (* Event thunks must not run against the null sink. *)
   Recorder.emit Recorder.off (fun () -> Alcotest.fail "thunk forced on null sink")
-
-let test_recorder_surfaces_drops () =
-  (* A full ring sink drops oldest events; flushing the recorder surfaces
-     the drop count as a metric so lossy captures are visible in
-     [anonc metrics] reports. *)
-  let registry = Metrics.create () in
-  let sink = Sink.memory ~capacity:2 in
-  let recorder = Recorder.create ~metrics:registry ~sink () in
-  for i = 1 to 5 do
-    Recorder.emit recorder (fun () -> Event.Round_start { round = i })
-  done;
-  Recorder.flush recorder;
-  let dropped snap =
-    Option.value ~default:0
-      (List.assoc_opt "obs.events_dropped" snap.Metrics.counters)
-  in
-  check_int "3 drops surfaced" 3 (dropped (Metrics.snapshot registry));
-  (* Surfacing is incremental: only new drops are added on later flushes. *)
-  Recorder.emit recorder (fun () -> Event.Round_start { round = 6 });
-  Recorder.emit recorder (fun () -> Event.Round_start { round = 7 });
-  Recorder.flush recorder;
-  check_int "incremental surfacing" 5 (dropped (Metrics.snapshot registry));
-  (* No double counting when nothing new dropped. *)
-  Recorder.flush recorder;
-  check_int "idempotent when no new drops" 5 (dropped (Metrics.snapshot registry))
 
 let run_es ~recorder =
   let module R = G.Runner.Make (C.Es_consensus) in
@@ -719,14 +727,14 @@ let test_weak_set_event_stream () =
       ~value_range:10_000 rng
   in
   let module W = G.Runner.Ws.Make (C.Weak_set_ms) in
-  let sink = Sink.memory ~capacity:100_000 in
+  let sink, got = capture () in
   let o =
     W.run
       ~recorder:(Recorder.create ~sink ())
       { G.Runner.Ws.n; crash; churn = G.Churn.none ~n; adversary = G.Adversary.ms (); horizon; seed }
       ~workload
   in
-  let evs = Sink.events sink in
+  let evs = got () in
   let bounds =
     List.filter_map
       (function
@@ -754,10 +762,10 @@ let test_weak_set_event_stream () =
     (Digest.to_hex (Digest.string (String.concat "\n" others)))
 
 let test_runner_event_stream () =
-  let sink = Sink.memory ~capacity:100_000 in
+  let sink, got = capture () in
   let recorder = Recorder.create ~sink () in
   let outcome = run_es ~recorder in
-  let evs = Sink.events sink in
+  let evs = got () in
   let count p = List.length (List.filter p evs) in
   check_int "one run_start" 1
     (count (function Event.Run_start _ -> true | _ -> false));
@@ -808,7 +816,6 @@ let () =
         [ Alcotest.test_case "json roundtrip" `Quick test_event_roundtrip ] );
       ( "sinks",
         [
-          Alcotest.test_case "ring buffer" `Quick test_sink_ring;
           Alcotest.test_case "null and tee" `Quick test_sink_null_and_tee;
           Alcotest.test_case "jsonl roundtrip" `Quick test_sink_jsonl_roundtrip;
           Alcotest.test_case "jsonl mid-run flush" `Quick
@@ -820,11 +827,12 @@ let () =
           Alcotest.test_case "structure" `Quick test_trace_structure;
           Alcotest.test_case "runner deterministic" `Quick
             test_trace_runner_deterministic;
+          Alcotest.test_case "mid-run flush" `Quick test_trace_midrun_flush;
+          Alcotest.test_case "empty run" `Quick test_trace_empty;
         ] );
       ( "recorder",
         [
           Alcotest.test_case "off" `Quick test_recorder_off;
-          Alcotest.test_case "surfaces ring drops" `Quick test_recorder_surfaces_drops;
           Alcotest.test_case "runner metrics" `Quick test_runner_metrics_match_outcome;
           Alcotest.test_case "runner events" `Quick test_runner_event_stream;
           Alcotest.test_case "weak-set events" `Quick test_weak_set_event_stream;
