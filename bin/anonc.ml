@@ -114,21 +114,23 @@ let with_recorder ?(trace = None) ~metrics ~json_trace f =
     trace;
   result
 
-(* Write [json] and a newline to [path] and say so; a path that cannot be
-   written ends [anonc CMD] with exit 1. *)
-let write_json ~cmd ~what path json =
-  match
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc (O.Json.to_string json);
-        output_char oc '\n')
-  with
-  | () -> Format.fprintf ppf "%s written to %s@." what path
-  | exception Sys_error msg ->
+(* The one file writer: [json] and a newline to [path]. A path that
+   cannot be opened, written or closed ends [anonc CMD] with exit 1. *)
+let write_json ~cmd path json =
+  let fail msg =
     Format.eprintf "anonc %s: cannot write %s: %s@." cmd path msg;
     exit 1
+  in
+  match open_out path with
+  | exception Sys_error msg -> fail msg
+  | oc -> (
+    try
+      output_string oc (O.Json.to_string json);
+      output_char oc '\n';
+      close_out oc
+    with Sys_error msg ->
+      close_out_noerr oc;
+      fail msg)
 
 (* --- run ------------------------------------------------------------------ *)
 
@@ -428,8 +430,8 @@ let metrics_cmd =
     | Some snap ->
       Option.iter
         (fun path ->
-          write_json ~cmd:"metrics" ~what:"metrics snapshot" path
-            (O.Metrics.to_json snap))
+          write_json ~cmd:"metrics" path (O.Metrics.to_json snap);
+          Format.fprintf ppf "metrics snapshot written to %s@." path)
         out;
       if json then print_endline (O.Json.to_string (O.Metrics.to_json snap))
       else begin
@@ -503,7 +505,7 @@ let fuzz_cmd =
           (fun s -> Format.fprintf ppf "violation: %s@." s)
           (Ch.Fuzz.violation_strings f.violations);
         let path = Option.value out ~default:"fuzz-repro.json" in
-        Ch.Fuzz.write_repro ~path f;
+        write_json ~cmd:"fuzz" path (Ch.Fuzz.repro_json f);
         Format.fprintf ppf "repro written to %s (replay with --replay)@." path;
         exit 1)
   in
@@ -593,11 +595,12 @@ let mc_cmd =
           let report =
             Mc.run ~recorder
               ?progress:(if progress then Some Format.err_formatter else None)
-              ?out config
+              config
           in
           Format.fprintf ppf "%a@." Mc.pp_report report;
           (match (out, report.Mc.witness) with
-          | Some path, Some _ ->
+          | Some path, Some w ->
+            write_json ~cmd:"mc" path (Anon_mc.Witness.to_json w);
             Format.fprintf ppf "repro written to %s (replay with anonc fuzz --replay)@."
               path
           | _ -> ());
@@ -769,7 +772,8 @@ let load_cmd =
         | [ r ] -> Anon_rsm.Load.to_json r
         | rs -> O.Json.List (List.map Anon_rsm.Load.to_json rs)
       in
-      write_json ~cmd:"load" ~what:"load report" path doc);
+      write_json ~cmd:"load" path doc;
+      Format.fprintf ppf "load report written to %s@." path);
     if
       List.exists
         (fun (r : Anon_rsm.Load.report) ->
@@ -855,10 +859,8 @@ let live_cmd =
       (o : Lv.Runner.outcome) =
     Format.fprintf ppf "live run: algo=%s n=%d net=%s seed=%d@." algo n
       (Ch.Netfault.to_string faults) config.Lv.Runner.seed;
-    Format.fprintf ppf
-      "  backend=live clock=wall timeout=%gs..%gs growth=%g decay=%g retries=%d@."
-      config.Lv.Runner.timeout_init_s config.Lv.Runner.timeout_max_s
-      config.Lv.Runner.growth config.Lv.Runner.decay config.Lv.Runner.retries;
+    Format.fprintf ppf "  backend=live clock=wall timeout=%gs..%gs@."
+      config.Lv.Runner.timeout_init_s config.Lv.Runner.timeout_max_s;
     let decided = List.length o.Lv.Runner.decisions in
     let correct = List.length (G.Crash.correct config.Lv.Runner.crash) in
     if o.Lv.Runner.all_correct_decided then begin
@@ -1008,9 +1010,8 @@ let live_cmd =
                  vs) );
       ]
   in
-  let run algo n net_spec timeout_init timeout_max growth decay retries miss_grace
-      round_budget wall_budget seed failures failures_bound sweep_drop out
-      metrics json_trace =
+  let run algo n net_spec timeout_init timeout_max round_budget wall_budget seed
+      failures sweep_drop out metrics json_trace =
     let where = "anonc live" in
     if n < 1 then
       G.Config_error.fail ~where (Printf.sprintf "n must be >= 1 (got %d)" n);
@@ -1026,10 +1027,6 @@ let live_cmd =
           ~max_round:(max 1 (min round_budget 6))
           (Anon_kernel.Rng.make (seed + 7919))
     in
-    let fb = match failures_bound with Some f -> f | None -> max failures 1 in
-    if fb < 0 then
-      G.Config_error.fail ~where
-        (Printf.sprintf "failures-bound must be >= 0 (got %d)" fb);
     let algo_mod : (module G.Intf.ALGORITHM) =
       match algo with
       | L_es -> (module C.Es_consensus)
@@ -1037,15 +1034,15 @@ let live_cmd =
       | L_es_unguarded -> (module C.Es_consensus.No_written_old_guard)
       | L_floodset ->
         (module Anon_baselines.Floodset.Make (struct
-          let failures_bound = fb
+          let failures_bound = max failures 1
         end))
     in
     let module A = (val algo_mod : G.Intf.ALGORITHM) in
     let module LR = Lv.Runner.Make (A) in
     let config_for faults =
       Lv.Runner.default_config ~timeout_init_s:timeout_init
-        ~timeout_max_s:timeout_max ~growth ~decay ~retries ~miss_grace
-        ~round_budget ~wall_budget_s:wall_budget ~seed ~faults ~inputs ~crash ()
+        ~timeout_max_s:timeout_max ~round_budget ~wall_budget_s:wall_budget ~seed
+        ~faults ~inputs ~crash ()
     in
     let drops = match sweep_drop with [] -> [ None ] | ds -> List.map Option.some ds in
     let runs =
@@ -1078,7 +1075,8 @@ let live_cmd =
         | [ r ] -> r
         | rs -> O.Json.List rs
       in
-      write_json ~cmd:"live" ~what:"live report" path doc);
+      write_json ~cmd:"live" path doc;
+      Format.fprintf ppf "live report written to %s@." path);
     if
       List.exists
         (fun (_, _, (o : Lv.Runner.outcome)) -> o.Lv.Runner.safety <> [])
@@ -1117,26 +1115,6 @@ let live_cmd =
          & info [ "timeout-max" ] ~docv:"S"
              ~doc:"Timeout backoff cap, seconds (must be >= timeout-init).")
   in
-  let growth_arg =
-    Arg.(value & opt float 2.0
-         & info [ "growth" ] ~docv:"X" ~doc:"Timeout growth per expiry (>= 1).")
-  in
-  let decay_arg =
-    Arg.(value & opt float 0.9
-         & info [ "decay" ] ~docv:"X" ~doc:"Timeout decay per quiet round ((0,1]).")
-  in
-  let retries_arg =
-    Arg.(value & opt int 3
-         & info [ "retries" ] ~docv:"K"
-             ~doc:"Timeout expiries (with rebroadcast) before a round proceeds \
-                   short.")
-  in
-  let miss_grace_arg =
-    Arg.(value & opt int 2
-         & info [ "miss-grace" ] ~docv:"K"
-             ~doc:"Consecutive short rounds before a silent peer stops being \
-                   expected.")
-  in
   let round_budget_arg =
     Arg.(value & opt int 200
          & info [ "round-budget" ] ~docv:"ROUNDS" ~doc:"Max rounds per process.")
@@ -1146,12 +1124,6 @@ let live_cmd =
          & info [ "wall-budget" ] ~docv:"S"
              ~doc:"Wall-clock ceiling; an over-budget run reports undecided \
                    with diagnostics instead of hanging.")
-  in
-  let failures_bound_arg =
-    Arg.(value & opt (some int) None
-         & info [ "failures-bound" ] ~docv:"F"
-             ~doc:"floodset's a-priori failure bound (default: --failures, \
-                   at least 1).")
   in
   let sweep_drop_arg =
     Arg.(value & opt (list float) []
@@ -1174,8 +1146,7 @@ let live_cmd =
              run reports undecided and exits 0.")
     Term.(
       const run $ algo_arg $ n_arg $ net_arg $ timeout_init_arg $ timeout_max_arg
-      $ growth_arg $ decay_arg $ retries_arg $ miss_grace_arg $ round_budget_arg
-      $ wall_budget_arg $ seed_arg $ failures_arg $ failures_bound_arg
+      $ round_budget_arg $ wall_budget_arg $ seed_arg $ failures_arg
       $ sweep_drop_arg $ out_arg $ metrics_arg $ json_trace_arg)
 
 (* --- experiment / list ---------------------------------------------------- *)

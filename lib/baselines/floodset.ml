@@ -12,7 +12,6 @@ struct
 
   let msg_compare = Value.Set.compare
   let msg_size = Value.Set.cardinal
-  let pp_msg = Value.pp_set
   let leader _ = None
 
   let initialize v =

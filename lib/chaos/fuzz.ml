@@ -255,14 +255,6 @@ let repro_json f =
       ("explored", Json.Int f.explored);
     ]
 
-let write_repro ~path f =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string (repro_json f));
-      output_char oc '\n')
-
 type replay = {
   case : Scenario.t;
   expected : string list;

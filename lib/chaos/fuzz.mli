@@ -58,7 +58,8 @@ val campaign :
     @raise Anon_giraf.Config_error.Invalid_config when [runs < 0]. *)
 
 val repro_json : finding -> Anon_obs.Json.t
-val write_repro : path:string -> finding -> unit
+(** The repro file's JSON: the shrunk [case] with its violations, the
+    original, and the shrink count. {!replay} reads it back. *)
 
 type replay = {
   case : Scenario.t;

@@ -61,10 +61,6 @@ module Impl (P : PARAMS) = struct
     + History.length m.m_history
     + Counter_table.cardinal m.m_counters
 
-  let pp_msg ppf m =
-    Format.fprintf ppf "⟨%a,%a,%a⟩" Pvalue.pp_set m.m_proposed History.pp m.m_history
-      Counter_table.pp m.m_counters
-
   let leader st = Some st.leader_flag
 
   let message_of st =

@@ -31,30 +31,28 @@ type config = {
   inputs : Anon_kernel.Value.t list;
   crash : Anon_giraf.Crash.t;  (** Crash at emulated round [r]: the process
                                     stops before adding its round-[r] pair. *)
-  horizon_rounds : int;
-  max_steps : int;
+  horizon_rounds : int;  (** End-of-rounds per process; bounds the run. *)
   seed : int;
   latency : latency_fn;
-  stop_on_decision : bool;
 }
 
 val default_config :
-  ?horizon_rounds:int -> ?max_steps:int -> ?seed:int ->
-  ?latency:latency_fn -> ?stop_on_decision:bool ->
+  ?horizon_rounds:int -> ?seed:int -> ?latency:latency_fn ->
   inputs:Anon_kernel.Value.t list -> crash:Anon_giraf.Crash.t -> unit -> config
 (** @raise Anon_giraf.Config_error.Invalid_config on empty [inputs], a
-    [crash] schedule sized for another [n] ({!Anon_giraf.Churn.validate}),
-    [horizon_rounds < 1] or [max_steps < 1]. *)
+    [crash] schedule sized for another [n] ({!Anon_giraf.Churn.validate})
+    or [horizon_rounds < 1]. *)
 
 type outcome = {
   trace : Anon_giraf.Trace.t;
-      (** Emulated rounds, with [env = Ms]; feed to [Checker.check_env]. *)
+      (** Emulated rounds ({!Anon_giraf.Trace.of_log} over the set each
+          [compute] read), with [env = Ms]; feed to [Checker.check_env]. *)
   decisions : (int * int * Anon_kernel.Value.t) list;
   all_correct_decided : bool;
   steps : int;
       (** One past the last step run: the step at which every correct
-          process had decided (with [stop_on_decision]), the last add's
-          completion once no add is pending, or [max_steps]. *)
+          process had decided, or the last add's completion once no add
+          is pending. *)
   rounds_completed : int array;  (** Per pid, last end-of-round performed. *)
 }
 

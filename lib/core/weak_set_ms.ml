@@ -13,7 +13,6 @@ type state = {
 
 let msg_compare = Value.Set.compare
 let msg_size = Value.Set.cardinal
-let pp_msg = Value.pp_set
 
 let initialize () =
   let st =

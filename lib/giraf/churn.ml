@@ -83,7 +83,7 @@ let validate ~where ~n ~crash ?churn () =
         fail "inputs/churn size mismatch (%d inputs, churn schedule for %d)" n churn.n;
       List.iter
         (fun ev ->
-          if Crash.crash_round crash ev.pid <> None then
+          if Crash.event crash ev.pid <> None then
             fail "p%d both crashes and churns — pick one" ev.pid)
         (events churn))
     churn

@@ -65,8 +65,7 @@ let is_correct t pid = t.by_pid.(pid) = None
 let correct t =
   List.filter (is_correct t) (List.init t.n Fun.id)
 
-let crash_round t pid =
-  match t.by_pid.(pid) with None -> None | Some ev -> Some ev.round
+let event t pid = t.by_pid.(pid)
 
 let crashing_at t ~round = By_round.find t.by_round round
 let failures t = List.length (events t)

@@ -43,8 +43,8 @@ val correct : t -> int list
 (** Processes that never crash, increasing. *)
 
 val is_correct : t -> int -> bool
-val crash_round : t -> int -> int option
-(** [Some r] if the pid crashes at round [r]. *)
+val event : t -> int -> event option
+(** The pid's crash event; [None] if it is correct. *)
 
 val crashing_at : t -> round:int -> event list
 val failures : t -> int

@@ -43,8 +43,6 @@ module type ALGORITHM = sig
   (** Abstract payload size (number of values / history entries / counter
       entries carried), for message-growth metrics. *)
 
-  val pp_msg : Format.formatter -> msg -> unit
-
   val leader : state -> bool option
   (** Pseudo-leader introspection for instrumented runners: [Some flag]
       when the algorithm maintains a self-leader estimate (Alg. 3 line 15),
@@ -74,7 +72,6 @@ module type SERVICE = sig
 
   val msg_compare : msg -> msg -> int
   val msg_size : msg -> int
-  val pp_msg : Format.formatter -> msg -> unit
 
   val initialize : unit -> state * msg
 

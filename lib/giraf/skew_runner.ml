@@ -31,7 +31,6 @@ type config = {
   seed : int;
   pace : pace_fn;
   delay : delay_fn;
-  stop_on_decision : bool;
 }
 
 let validate ~where config =
@@ -44,11 +43,8 @@ let validate ~where config =
       (Printf.sprintf "max_rounds must be >= 1 (got %d)" config.max_rounds)
 
 let default_config ?(horizon_ticks = 2_000) ?(max_rounds = 400) ?(seed = 42)
-    ?(pace = fixed_pace 1) ?(delay = fixed_delay 1) ?(stop_on_decision = true)
-    ~inputs ~crash () =
-  let config =
-    { inputs; crash; horizon_ticks; max_rounds; seed; pace; delay; stop_on_decision }
-  in
+    ?(pace = fixed_pace 1) ?(delay = fixed_delay 1) ~inputs ~crash () =
+  let config = { inputs; crash; horizon_ticks; max_rounds; seed; pace; delay } in
   validate ~where:"Skew_runner.default_config" config;
   config
 
@@ -69,7 +65,6 @@ module Make (A : Intf.ALGORITHM) = struct
     mutable halted : bool;  (* decided *)
     rounds_msgs : (int, A.msg list) Hashtbl.t;  (* M_i[k], deduped+sorted *)
     mutable fresh : (int * A.msg) list;  (* arrivals since last compute, reversed *)
-    compute_log : (int, A.msg list) Hashtbl.t;  (* round -> current at compute *)
   }
 
   (* A relayed round set reaching a receiver, or a process's next
@@ -88,7 +83,7 @@ module Make (A : Intf.ALGORITHM) = struct
       true
     end
 
-  let run ?(env = Env.Async) ?(recorder = Anon_obs.Recorder.off) config =
+  let run ?(recorder = Anon_obs.Recorder.off) config =
     let module R = Anon_obs.Recorder in
     let module M = Anon_obs.Metrics in
     let module E = Anon_obs.Event in
@@ -119,27 +114,24 @@ module Make (A : Intf.ALGORITHM) = struct
             halted = false;
             rounds_msgs = Hashtbl.create 64;
             fresh = [];
-            compute_log = Hashtbl.create 64;
           })
     in
     (* A tick's deliveries run in the order they were scheduled, filed
        under pid -1 ahead of its end-of-rounds, which run in pid order. *)
     let calendar = Calendar.create () in
     let decisions = ref [] in
-    let sent_msgs : (int * int, A.msg) Hashtbl.t = Hashtbl.create 256 in
-    let crashed_at : (int, int list) Hashtbl.t = Hashtbl.create 16 in
-    let decided_at : (int, (int * Value.t) list) Hashtbl.t = Hashtbl.create 16 in
-    let messages_broadcast = ref 0 in
-    let push tbl k x =
-      Hashtbl.replace tbl k (x :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
-    in
+    let log = Trace.Log.create () in
     let all_correct_decided () =
       List.for_all (fun p -> procs.(p).halted) correct
     in
     (* One end-of-round of [proc] at tick [t] (Alg. 1 lines 5-12). *)
     let fire proc t =
       let next = proc.round + 1 in
-      let crashing_now = Crash.crash_round config.crash proc.pid = Some next in
+      let crashing =
+        match Crash.event config.crash proc.pid with
+        | Some ev when ev.round = next -> Some ev.broadcast
+        | Some _ | None -> None
+      in
       if next > config.max_rounds then proc.stopped <- true
       else begin
           let result =
@@ -151,7 +143,7 @@ module Make (A : Intf.ALGORITHM) = struct
                 end
                 else begin
                   let current = current_of proc (next - 1) in
-                  Hashtbl.replace proc.compute_log (next - 1) current;
+                  Trace.Log.read log ~pid:proc.pid ~round:(next - 1) current;
                   let arrived = proc.fresh in
                   let fresh = lazy (List.rev arrived) in
                   proc.fresh <- [];
@@ -163,7 +155,7 @@ module Make (A : Intf.ALGORITHM) = struct
                   match dec with
                   | Some v ->
                     decisions := (proc.pid, next - 1, v) :: !decisions;
-                    push decided_at (next - 1) (proc.pid, v);
+                    Trace.Log.decide log ~pid:proc.pid ~round:(next - 1) v;
                     proc.halted <- true;
                     proc.stopped <- true;
                     M.incr m_decisions;
@@ -179,13 +171,12 @@ module Make (A : Intf.ALGORITHM) = struct
             proc.round <- next;
             ignore (insert proc ~k:next m);
             proc.fresh <- (next, m) :: proc.fresh;
-            Hashtbl.replace sent_msgs (proc.pid, next) m;
-            incr messages_broadcast;
+            let size = A.msg_size m in
+            Trace.Log.broadcast log ~pid:proc.pid ~round:next ~size m;
             if obs_on then begin
               M.incr m_broadcasts;
-              M.observe m_msg_size (float_of_int (A.msg_size m));
-              R.emit recorder (fun () ->
-                  E.Broadcast { pid = proc.pid; round = next; size = A.msg_size m })
+              M.observe m_msg_size (float_of_int size);
+              R.emit recorder (fun () -> E.Broadcast { pid = proc.pid; round = next; size })
             end;
             (* Broadcast the whole round set: the relay that lets a
                receiver obtain a message through a third party. *)
@@ -196,17 +187,10 @@ module Make (A : Intf.ALGORITHM) = struct
                   (fun q -> q <> proc.pid && not procs.(q).stopped)
                   (List.init n Fun.id)
               in
-              if crashing_now then
-                match
-                  List.find_opt
-                    (fun (e : Crash.event) -> e.pid = proc.pid)
-                    (Crash.crashing_at config.crash ~round:next)
-                with
-                | Some { broadcast = Crash.Silent; _ } -> []
-                | Some { broadcast = Crash.Broadcast_all; _ } -> others
-                | Some { broadcast = Crash.Broadcast_subset; _ } | None ->
-                  Rng.subset crash_rng ~p:0.5 others
-              else others
+              match crashing with
+              | None | Some Crash.Broadcast_all -> others
+              | Some Crash.Silent -> []
+              | Some Crash.Broadcast_subset -> Rng.subset crash_rng ~p:0.5 others
             in
             List.iter
               (fun q ->
@@ -217,9 +201,9 @@ module Make (A : Intf.ALGORITHM) = struct
                 Calendar.add calendar ~time:(t + d) ~pid:(-1)
                   (Delivery (proc.pid, q, next, snapshot)))
               receivers;
-            if crashing_now then begin
+            if crashing <> None then begin
               proc.stopped <- true;
-              push crashed_at next proc.pid;
+              Trace.Log.crash log ~pid:proc.pid ~round:next;
               M.incr m_crashes;
               R.emit recorder (fun () -> E.Crash { pid = proc.pid; round = next })
             end
@@ -263,68 +247,16 @@ module Make (A : Intf.ALGORITHM) = struct
           | _, _, Delivery (s, q, k, msgs) -> deliver s q k msgs
           | _, pid, End_of_round -> if not procs.(pid).stopped then fire procs.(pid) t
         done;
-        if
-          (config.stop_on_decision && all_correct_decided ())
-          || Array.for_all (fun proc -> proc.stopped) procs
+        if all_correct_decided () || Array.for_all (fun proc -> proc.stopped) procs
         then t + 1
         else loop ()
       | Some _ | None -> config.horizon_ticks + 1
     in
     let t = loop () in
-    (* Post-hoc, content-based trace: sender s's round-k message is timely
-       to q iff (a copy of) it sat in q's round-k set when q computed
-       round k. *)
     let max_round = Array.fold_left (fun acc p -> Stdlib.max acc p.round) 0 procs in
-    let round_info k =
-      let senders =
-        List.filter (fun p -> Hashtbl.mem sent_msgs (p, k)) (List.init n Fun.id)
-      in
-      let computed =
-        List.filter (fun q -> Hashtbl.mem procs.(q).compute_log k) (List.init n Fun.id)
-      in
-      let timely =
-        List.filter_map
-          (fun s ->
-            match Hashtbl.find_opt sent_msgs (s, k) with
-            | None -> None
-            | Some m ->
-              let receivers =
-                List.filter
-                  (fun q ->
-                    q <> s
-                    && List.exists
-                         (fun m' -> A.msg_compare m m' = 0)
-                         (Option.value ~default:[]
-                            (Hashtbl.find_opt procs.(q).compute_log k)))
-                  computed
-              in
-              if receivers = [] then None else Some (s, receivers))
-          senders
-      in
-      {
-        Trace.round = k;
-        senders;
-        crashing = Option.value ~default:[] (Hashtbl.find_opt crashed_at k);
-        source = None;
-        timely;
-        obligated = computed;
-        decided = Option.value ~default:[] (Hashtbl.find_opt decided_at k);
-        msg_sizes =
-          List.filter_map
-            (fun s ->
-              Option.map (fun m -> (s, A.msg_size m)) (Hashtbl.find_opt sent_msgs (s, k)))
-            senders;
-      }
-    in
     let trace =
-      {
-        Trace.n;
-        inputs;
-        crash = config.crash;
-        churn = Churn.none ~n;
-        env;
-        rounds = List.init max_round (fun i -> round_info (i + 1));
-      }
+      Trace.of_log ~msg_compare:A.msg_compare ~inputs ~crash:config.crash ~env:Env.Async
+        log
     in
     let decided = all_correct_decided () in
     let ticks = Stdlib.min t config.horizon_ticks in

@@ -38,21 +38,20 @@ type config = {
   seed : int;
   pace : pace_fn;
   delay : delay_fn;
-  stop_on_decision : bool;
 }
 
 val default_config :
   ?horizon_ticks:int -> ?max_rounds:int -> ?seed:int -> ?pace:pace_fn ->
-  ?delay:delay_fn -> ?stop_on_decision:bool ->
-  inputs:Anon_kernel.Value.t list -> crash:Crash.t -> unit -> config
+  ?delay:delay_fn -> inputs:Anon_kernel.Value.t list -> crash:Crash.t -> unit ->
+  config
 (** @raise Config_error.Invalid_config on empty [inputs],
     [horizon_ticks < 1], [max_rounds < 1], or an inputs/crash size
     mismatch. [run] re-validates directly constructed configs. *)
 
 type outcome = {
   trace : Trace.t;
-      (** Round-indexed trace with content-based timeliness (relayed
-          copies count); [env = Ms] is claimed only by [run_ms]. *)
+      (** Round-indexed trace ({!Trace.of_log}) with content-based
+          timeliness (relayed copies count) and [env = Async]. *)
   decisions : (int * int * Anon_kernel.Value.t) list;
   all_correct_decided : bool;
   ticks : int;
@@ -60,11 +59,12 @@ type outcome = {
 }
 
 module Make (A : Intf.ALGORITHM) : sig
-  val run : ?env:Env.t -> ?recorder:Anon_obs.Recorder.t -> config -> outcome
-  (** Simulate; [env] (default [Async]) is recorded in the trace for the
-      checker — this runner's pace/delay adversaries make no environment
-      promise by themselves, so check against the guarantee your functions
-      actually provide.
+  val run : ?recorder:Anon_obs.Recorder.t -> config -> outcome
+  (** Simulate until every correct process decided, every process stopped
+      or the tick horizon passed. The trace claims [Async]: this runner's
+      pace/delay adversaries make no environment promise by themselves, so
+      to check a guarantee your functions do provide, set the trace's
+      [env] before calling the checker.
 
       [recorder] (default {!Anon_obs.Recorder.off}) receives the
       broadcast/decide/crash event stream and [run.*] / [skew.ticks] /

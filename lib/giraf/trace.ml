@@ -20,6 +20,88 @@ type t = {
   rounds : round_info list;
 }
 
+module Log = struct
+  (* One round's records, each list latest first. *)
+  type 'm round = {
+    mutable sent : (int * int * 'm) list;  (* (pid, size, message) *)
+    mutable read : (int * 'm list) list;  (* (pid, set its compute read) *)
+    mutable crashing : int list;
+    mutable decided : (int * Value.t) list;
+  }
+
+  type 'm t = { by_round : (int, 'm round) Hashtbl.t; mutable reached : int }
+
+  let create () = { by_round = Hashtbl.create 64; reached = 0 }
+
+  let at t k =
+    match Hashtbl.find_opt t.by_round k with
+    | Some r -> r
+    | None ->
+      let r = { sent = []; read = []; crashing = []; decided = [] } in
+      Hashtbl.replace t.by_round k r;
+      r
+
+  let broadcast t ~pid ~round ~size m =
+    let r = at t round in
+    r.sent <- (pid, size, m) :: r.sent;
+    t.reached <- max t.reached round
+
+  let read t ~pid ~round set =
+    let r = at t round in
+    r.read <- (pid, set) :: r.read
+
+  let crash t ~pid ~round =
+    let r = at t round in
+    r.crashing <- pid :: r.crashing
+
+  let decide t ~pid ~round v =
+    let r = at t round in
+    r.decided <- (pid, v) :: r.decided
+end
+
+(* Timeliness on content (Alg. 1, footnote 2): sender [s] is timely to
+   [q] iff a message equal to [s]'s is in the set [q] computed round [k]
+   on, whoever carried it there. *)
+let of_log ~msg_compare ~inputs ~crash ~env (log : _ Log.t) =
+  let n = Array.length inputs in
+  let round_info k =
+    let r = Log.at log k in
+    let sent = List.sort (fun (p, _, _) (q, _, _) -> Int.compare p q) r.sent in
+    let read = List.sort (fun (p, _) (q, _) -> Int.compare p q) r.read in
+    let timely =
+      List.filter_map
+        (fun (s, _, m) ->
+          match
+            List.filter_map
+              (fun (q, set) ->
+                if q <> s && List.exists (fun m' -> msg_compare m m' = 0) set then Some q
+                else None)
+              read
+          with
+          | [] -> None
+          | receivers -> Some (s, receivers))
+        sent
+    in
+    {
+      round = k;
+      senders = List.map (fun (s, _, _) -> s) sent;
+      crashing = r.crashing;
+      source = None;
+      timely;
+      obligated = List.map fst read;
+      decided = r.decided;
+      msg_sizes = List.map (fun (s, size, _) -> (s, size)) sent;
+    }
+  in
+  {
+    n;
+    inputs;
+    crash;
+    churn = Churn.none ~n;
+    env;
+    rounds = List.init log.reached (fun i -> round_info (i + 1));
+  }
+
 let timely_to info sender =
   match List.assoc_opt sender info.timely with None -> [] | Some rs -> rs
 

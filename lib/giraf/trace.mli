@@ -35,6 +35,37 @@ type t = {
   rounds : round_info list;  (** Chronological. *)
 }
 
+(** What an unsynchronized run records, round by round, for {!of_log}. *)
+module Log : sig
+  type 'm t
+
+  val create : unit -> 'm t
+
+  val broadcast : 'm t -> pid:int -> round:int -> size:int -> 'm -> unit
+  (** [pid] broadcast its round-[round] message, of abstract size [size]. *)
+
+  val read : 'm t -> pid:int -> round:int -> 'm list -> unit
+  (** [pid] computed round [round] on this message set. *)
+
+  val crash : 'm t -> pid:int -> round:int -> unit
+  val decide : 'm t -> pid:int -> round:int -> Anon_kernel.Value.t -> unit
+end
+
+val of_log :
+  msg_compare:('m -> 'm -> int) ->
+  inputs:Anon_kernel.Value.t array ->
+  crash:Crash.t ->
+  env:Env.t ->
+  'm Log.t ->
+  t
+(** The trace of rounds [1] up to the highest round broadcast, with
+    {!Churn.none} and no declared source. Per round: the senders and
+    [obligated] (the processes that computed the round) in pid order;
+    sender [s] timely to [q <> s] iff a message equal to [s]'s under
+    [msg_compare] is in the set [q] computed the round on — timeliness on
+    content, so a relayed or merged copy counts (Alg. 1, footnote 2);
+    [crashing] and [decided] latest first. *)
+
 val timely_to : round_info -> int -> int list
 (** Receivers (other than itself) that got [sender]'s message timely. *)
 

@@ -36,16 +36,10 @@ let note_of_snapshot snap =
       if hits + misses = 0 then 0.
       else 100. *. float_of_int hits /. float_of_int (hits + misses)
     in
-    let compute_us =
-      match List.assoc_opt Anon_obs.Name.compute_us snap.histograms with
-      | Some h when not (Anon_obs.Hist.is_empty h) ->
-        Printf.sprintf "; compute %.1fus/round mean" (Anon_obs.Hist.mean h)
-      | Some _ | None -> ""
-    in
     Printf.sprintf
       "metrics: %d broadcasts, %d deliveries (%.1f%% timely), history \
-       interning %.1f%% hits (%d/%d)%s"
-      broadcasts deliveries timely_pct hit_pct hits (hits + misses) compute_us
+       interning %.1f%% hits (%d/%d)"
+      broadcasts deliveries timely_pct hit_pct hits (hits + misses)
 
 let metrics_note b = Option.map note_of_snapshot b.metrics
 

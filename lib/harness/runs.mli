@@ -21,8 +21,8 @@ val safety_violations : batch -> int
 
 val note_of_snapshot : Anon_obs.Metrics.snapshot -> string
 (** One-line instrumentation summary (broadcast/delivery/timeliness
-    totals, history-interning hit rate, mean compute time) for table
-    footnotes. *)
+    totals, history-interning hit rate) for table footnotes. Counts
+    only, so the line is the same on every run at a seed. *)
 
 val metrics_note : batch -> string option
 (** [note_of_snapshot] over {!batch.metrics}; [None] when the batch

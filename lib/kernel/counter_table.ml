@@ -489,9 +489,3 @@ let compare a b =
     c
 
 let equal a b = compare a b = 0
-
-let pp ppf t =
-  let pp_binding ppf (h, c) = Format.fprintf ppf "%a↦%d" History.pp h c in
-  Format.fprintf ppf "{@[%a@]}"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ") pp_binding)
-    (bindings t)

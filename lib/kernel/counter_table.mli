@@ -108,4 +108,3 @@ val compare : t -> t -> int
     content and O(T) at worst. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -12,10 +12,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let pp ppf = function
-  | Bot -> Format.pp_print_string ppf "⊥"
-  | Val x -> Value.pp ppf x
-
 let to_value = function Bot -> None | Val x -> Some x
 
 module Set = Set.Make (struct
@@ -24,10 +20,6 @@ module Set = Set.Make (struct
   let compare = compare
 end)
 
-let pp_set ppf s =
-  Format.fprintf ppf "{@[%a@]}"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ") pp)
-    (Set.elements s)
 
 let values_of_set s =
   Set.fold (fun x acc -> match x with Bot -> acc | Val v -> v :: acc) s []

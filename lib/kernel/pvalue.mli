@@ -14,14 +14,11 @@ val compare : t -> t -> int
 (** Total order with [Bot] strictly below every [Val _]. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val to_value : t -> Value.t option
 (** [Some v] for [Val v], [None] for [Bot]. *)
 
 module Set : Set.S with type elt = t
-
-val pp_set : Format.formatter -> Set.t -> unit
 
 val values_of_set : Set.t -> Value.t list
 (** All non-[⊥] members, increasing. *)

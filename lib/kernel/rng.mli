@@ -41,9 +41,6 @@ val float : t -> float -> float
 val pick : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. @raise Invalid_argument on []. *)
 
-val pick_array : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val shuffle : t -> 'a list -> 'a list
 (** Uniform random permutation. *)
 

@@ -2,17 +2,19 @@
 
 module Config_error = Anon_giraf.Config_error
 
+(* Growth per expiry and decay per quiet round. *)
+let growth = 2.0
+let decay = 0.9
+
 type t = {
   init_s : float;
   max_s : float;
-  growth : float;
-  decay : float;
   mutable current : float;
   mutable expiries : int;
   mutable trajectory : float list;  (* reversed *)
 }
 
-let create ?(growth = 2.0) ?(decay = 0.9) ~init_s ~max_s () =
+let create ~init_s ~max_s () =
   let where = "Live.Pacer.create" in
   if not (Float.is_finite init_s && init_s > 0.) then
     Config_error.fail ~where
@@ -21,21 +23,15 @@ let create ?(growth = 2.0) ?(decay = 0.9) ~init_s ~max_s () =
     Config_error.fail ~where
       (Printf.sprintf "timeout_max must be finite and >= timeout_init (got max %g, init %g)"
          max_s init_s);
-  if not (Float.is_finite growth && growth >= 1.) then
-    Config_error.fail ~where
-      (Printf.sprintf "growth must be finite and >= 1 (got %g)" growth);
-  if not (Float.is_finite decay && decay > 0. && decay <= 1.) then
-    Config_error.fail ~where
-      (Printf.sprintf "decay must be in (0,1] (got %g)" decay);
-  { init_s; max_s; growth; decay; current = init_s; expiries = 0; trajectory = [] }
+  { init_s; max_s; current = init_s; expiries = 0; trajectory = [] }
 
 let current t = t.current
 let note_wait t = t.trajectory <- t.current :: t.trajectory
 
 let on_expiry t =
   t.expiries <- t.expiries + 1;
-  t.current <- Float.min t.max_s (t.current *. t.growth)
+  t.current <- Float.min t.max_s (t.current *. growth)
 
-let on_quorum t = t.current <- Float.max t.init_s (t.current *. t.decay)
+let on_quorum t = t.current <- Float.max t.init_s (t.current *. decay)
 let expiries t = t.expiries
 let trajectory t = List.rev t.trajectory

@@ -3,11 +3,11 @@
     The lockstep adversary {e declares} when rounds become timely; the
     live backend has to find out. Each process paces its rounds with this
     estimator: wait [current] seconds for the round's messages; every
-    expiry grows the timeout geometrically (bounded by [max_s]) — the
-    classic partial-synchrony move of probing for the unknown
-    post-GST message bound — while a round that fills within its first
-    deadline decays the timeout back toward [init_s], so a transient
-    disruption doesn't tax the steady state forever.
+    expiry doubles the timeout (bounded by [max_s]) — the classic
+    partial-synchrony move of probing for the unknown post-GST message
+    bound — while a round that fills within its first deadline decays
+    the timeout by 0.9 back toward [init_s], so a transient disruption
+    doesn't tax the steady state forever.
 
     The per-wait-round [trajectory] is the experiment artifact: under a
     faulty wire it traces exactly how the process discovered a workable
@@ -15,11 +15,9 @@
 
 type t
 
-val create : ?growth:float -> ?decay:float -> init_s:float -> max_s:float -> unit -> t
-(** [growth] defaults to 2.0, [decay] to 0.9.
-    @raise Anon_giraf.Config_error.Invalid_config unless
-    [0 < init_s <= max_s] (both finite), [growth >= 1] and
-    [0 < decay <= 1]. *)
+val create : init_s:float -> max_s:float -> unit -> t
+(** @raise Anon_giraf.Config_error.Invalid_config unless
+    [0 < init_s <= max_s], both finite. *)
 
 val current : t -> float
 (** The timeout (seconds) to use for the next wait. *)
@@ -29,10 +27,11 @@ val note_wait : t -> unit
     start of each wait round. *)
 
 val on_expiry : t -> unit
-(** A deadline passed with messages missing: grow, capped at [max_s]. *)
+(** A deadline passed with messages missing: double, capped at [max_s]. *)
 
 val on_quorum : t -> unit
-(** The round filled within its first deadline: decay toward [init_s]. *)
+(** The round filled within its first deadline: scale by 0.9, floored
+    at [init_s]. *)
 
 val expiries : t -> int
 (** Total {!on_expiry} calls. *)

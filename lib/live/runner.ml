@@ -13,10 +13,6 @@ type config = {
   faults : Netfault.spec;
   timeout_init_s : float;
   timeout_max_s : float;
-  growth : float;
-  decay : float;
-  retries : int;
-  miss_grace : int;
   round_budget : int;
   wall_budget_s : float;
   seed : int;
@@ -27,15 +23,7 @@ let validate ~where config =
   ignore (Netfault.validate ~where config.faults);
   (* Pacer.create re-checks at run time; validating here too gives config
      construction the same fail-fast contract as the lockstep runner. *)
-  ignore
-    (Pacer.create ~growth:config.growth ~decay:config.decay
-       ~init_s:config.timeout_init_s ~max_s:config.timeout_max_s ());
-  if config.retries < 0 then
-    Config_error.fail ~where
-      (Printf.sprintf "retries must be >= 0 (got %d)" config.retries);
-  if config.miss_grace < 1 then
-    Config_error.fail ~where
-      (Printf.sprintf "miss_grace must be >= 1 (got %d)" config.miss_grace);
+  ignore (Pacer.create ~init_s:config.timeout_init_s ~max_s:config.timeout_max_s ());
   if config.round_budget < 1 then
     Config_error.fail ~where
       (Printf.sprintf "round_budget must be >= 1 (got %d)" config.round_budget);
@@ -44,8 +32,7 @@ let validate ~where config =
       (Printf.sprintf "wall_budget must be finite and > 0 (got %g)"
          config.wall_budget_s)
 
-let default_config ?(timeout_init_s = 0.02) ?(timeout_max_s = 1.0) ?(growth = 2.0)
-    ?(decay = 0.9) ?(retries = 3) ?(miss_grace = 2) ?(round_budget = 200)
+let default_config ?(timeout_init_s = 0.02) ?(timeout_max_s = 1.0) ?(round_budget = 200)
     ?(wall_budget_s = 30.0) ?(seed = 42) ?(faults = Netfault.none) ~inputs ~crash () =
   let config =
     {
@@ -54,10 +41,6 @@ let default_config ?(timeout_init_s = 0.02) ?(timeout_max_s = 1.0) ?(growth = 2.
       faults;
       timeout_init_s;
       timeout_max_s;
-      growth;
-      decay;
-      retries;
-      miss_grace;
       round_budget;
       wall_budget_s;
       seed;
@@ -92,6 +75,12 @@ type outcome = {
 }
 
 type clock = Virtual | Wall
+
+(* Timeout expiries (each with a rebroadcast) before a round proceeds
+   short, and consecutive short rounds before a silent peer stops being
+   expected. *)
+let retries = 3
+let miss_grace = 2
 
 module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
   type event =
@@ -162,9 +151,7 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
           expected.(pid) <- false;
           {
             pid;
-            pacer =
-              Pacer.create ~growth:config.growth ~decay:config.decay
-                ~init_s:config.timeout_init_s ~max_s:config.timeout_max_s ();
+            pacer = Pacer.create ~init_s:config.timeout_init_s ~max_s:config.timeout_max_s ();
             rng = Rng.split root_rng;
             expected;
             heard = Array.make n 0;
@@ -244,14 +231,9 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
              does the same for the lockstep backend). *)
           let m = p.msg in
           Backend.insert inboxes p.pid ~arrival:k ~sent:k m;
-          match Crash.crash_round config.crash p.pid with
-          | Some r when r = k ->
-            (match
-               (List.find
-                  (fun (ev : Crash.event) -> ev.pid = p.pid)
-                  (Crash.crashing_at config.crash ~round:k))
-                 .broadcast
-             with
+          match Crash.event config.crash p.pid with
+          | Some ev when ev.round = k ->
+            (match ev.broadcast with
             | Crash.Silent -> ()
             | Crash.Broadcast_all -> broadcast p ~round:k m
             | Crash.Broadcast_subset ->
@@ -301,7 +283,7 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
       Pacer.on_expiry p.pacer;
       M.incr m_timeouts;
       p.expiries <- p.expiries + 1;
-      if p.expiries > config.retries then begin
+      if p.expiries > retries then begin
         (* Proceed short. Peers silent this round accumulate a miss;
            [miss_grace] in a row and they stop being expected — that is
            how halted deciders and crashers are discovered without any
@@ -310,7 +292,7 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
           if p.expected.(q) then
             if p.heard.(q) < p.round then begin
               p.miss.(q) <- p.miss.(q) + 1;
-              if p.miss.(q) >= config.miss_grace then p.expected.(q) <- false
+              if p.miss.(q) >= miss_grace then p.expected.(q) <- false
             end
             else p.miss.(q) <- 0
         done;

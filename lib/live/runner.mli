@@ -22,11 +22,11 @@
     crash at the scheduled round with the scheduled last-broadcast
     behaviour; otherwise broadcast the round-[k] message and wait for
     round-[k] messages from every still-expected peer. A wait expires
-    after the pacer's timeout: up to [retries] expiries rebroadcast the
-    round message (harmless under anonymity — duplicates merge) and grow
-    the timeout; then the round proceeds short, and peers silent for
-    [miss_grace] consecutive short rounds stop being expected (halted and
-    crashed peers are discovered, not announced). An arrival is filed
+    after the pacer's timeout: up to 3 expiries rebroadcast the round
+    message (harmless under anonymity — duplicates merge) and grow the
+    timeout; then the round proceeds short, and peers silent for 2
+    consecutive short rounds stop being expected (halted and crashed
+    peers are discovered, not announced). An arrival is filed
     with [arrival = max sent k]: a packet for a round the receiver has
     passed is late by exactly the lockstep clamp, and a faster peer's
     future round stays timely for when the receiver gets there.
@@ -43,10 +43,6 @@ type config = {
   faults : Anon_chaos.Netfault.spec;  (** The wire. *)
   timeout_init_s : float;  (** First-round pacer timeout. *)
   timeout_max_s : float;  (** Backoff cap. *)
-  growth : float;  (** Pacer growth per expiry (>= 1). *)
-  decay : float;  (** Pacer decay per quiet round ((0,1]). *)
-  retries : int;  (** Timeout expiries (with rebroadcast) before a round proceeds short. *)
-  miss_grace : int;  (** Consecutive short rounds before a silent peer is unexpected. *)
   round_budget : int;  (** Max end-of-rounds per process. *)
   wall_budget_s : float;  (** Ceiling for the whole run, seconds on its clock. *)
   seed : int;  (** Transport faults, subset crashes. *)
@@ -55,10 +51,6 @@ type config = {
 val default_config :
   ?timeout_init_s:float ->
   ?timeout_max_s:float ->
-  ?growth:float ->
-  ?decay:float ->
-  ?retries:int ->
-  ?miss_grace:int ->
   ?round_budget:int ->
   ?wall_budget_s:float ->
   ?seed:int ->
@@ -67,13 +59,12 @@ val default_config :
   crash:Anon_giraf.Crash.t ->
   unit ->
   config
-(** Defaults: 20ms initial timeout, 1s cap, growth 2.0, decay 0.9,
-    3 retries, miss grace 2, 200-round budget, 30s wall budget, seed 42,
-    faultless wire.
+(** Defaults: 20ms initial timeout, 1s cap, 200-round budget, 30s wall
+    budget, seed 42, faultless wire.
 
     @raise Anon_giraf.Config_error.Invalid_config on empty inputs, an
     inputs/crash size mismatch, a non-positive or inverted timeout pair,
-    non-finite probabilities, or negative retry/budget knobs. [run]
+    non-finite probabilities, or a non-positive budget. [run]
     re-validates direct constructions. *)
 
 (** Why a process stopped. *)

@@ -140,7 +140,7 @@ let system config ~inputs ~crash ~churn =
 
 (* --- the run ------------------------------------------------------------------ *)
 
-let run ?(recorder = R.off) ?progress ?out config =
+let run ?(recorder = R.off) ?progress config =
   let fail what = G.Config_error.fail ~where:"Mc.run" what in
   if config.n < 1 then fail (Printf.sprintf "n must be >= 1 (got %d)" config.n);
   if config.rounds < 1 then
@@ -266,9 +266,6 @@ let run ?(recorder = R.off) ?progress ?out config =
         ~mc_violations:[]
     | None, None -> None
   in
-  (match (out, witness) with
-  | Some path, Some w -> Witness.write ~path w
-  | _ -> ());
   let verdict =
     if !violation <> None then Violation
     else if !stats.Explore.bound_branches > 0 then Bounded

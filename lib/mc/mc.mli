@@ -80,12 +80,11 @@ val reduction_factor : report -> float
 val run :
   ?recorder:Anon_obs.Recorder.t ->
   ?progress:Format.formatter ->
-  ?out:string ->
   config ->
   report
 (** Explore schedules in order, stopping at the first violating one.
-    When [out] is given and a witness exists, the repro JSON is written
-    there. Emits [mc.*] metrics through [recorder], and only those: the
+    {!Witness.to_json} renders the report's witness as a repro file.
+    Emits [mc.*] metrics through [recorder], and only those: the
     witness replay (when any) shares [recorder]'s sink, so a
     {!Anon_obs.Trace.chrome} sink captures the counterexample timeline.
     [progress] (e.g. [Format.err_formatter] under [anonc mc --progress])

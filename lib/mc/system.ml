@@ -34,20 +34,14 @@ module Make (F : FAMILY) = struct
      differ. Both are fixed per exploration — render once. *)
   let fate_str =
     Array.init n (fun p ->
-        match G.Crash.crash_round F.crash p with
+        match G.Crash.event F.crash p with
         | None -> ""
-        | Some r ->
-          let kind =
-            match
-              List.find_opt
-                (fun (e : G.Crash.event) -> e.pid = p)
-                (G.Crash.events F.crash)
-            with
-            | Some { broadcast = G.Crash.Silent; _ } -> 's'
-            | Some { broadcast = G.Crash.Broadcast_all; _ } -> 'a'
-            | Some { broadcast = G.Crash.Broadcast_subset; _ } | None -> 'b'
-          in
-          Printf.sprintf "c%d%c" r kind)
+        | Some { round; broadcast; _ } ->
+          Printf.sprintf "c%d%c" round
+            (match broadcast with
+            | G.Crash.Silent -> 's'
+            | G.Crash.Broadcast_all -> 'a'
+            | G.Crash.Broadcast_subset -> 'b'))
 
   let churn_fate_str =
     Array.init n (fun p ->

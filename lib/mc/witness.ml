@@ -33,8 +33,8 @@ let build ?recorder ~algo ~env ~n ~seed ~ops_per_client ~crashes ?(churn = [])
 
 let confirmed t = t.replay_violations <> []
 
-let write ~path t =
-  Fuzz.write_repro ~path
+let to_json t =
+  Fuzz.repro_json
     {
       Fuzz.original = t.case;
       original_violations = t.replay_violations;

@@ -45,5 +45,6 @@ val build :
 val confirmed : t -> bool
 (** The replay exhibits at least one checker violation. *)
 
-val write : path:string -> t -> unit
-(** Write the repro JSON ({!Anon_chaos.Fuzz.repro_json} format). *)
+val to_json : t -> Anon_obs.Json.t
+(** The repro JSON ({!Anon_chaos.Fuzz.repro_json} format) that
+    [anonc fuzz --replay] reads. *)

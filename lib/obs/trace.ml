@@ -75,7 +75,7 @@ let chrome oc =
      the document's tail needs. *)
   let algo = ref "" and n_opt = ref None and seed = ref 0 in
   let rounds_end = ref None and max_round = ref 0 and max_pid = ref (-1) in
-  let crash_round : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let crashed_in : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let see_round k = if k > !max_round then max_round := k in
   let see_pid p = if p > !max_pid then max_pid := p in
   let see (ev : Event.t) =
@@ -104,7 +104,7 @@ let chrome oc =
     | Crash { pid; round } ->
       see_pid pid;
       see_round round;
-      if not (Hashtbl.mem crash_round pid) then Hashtbl.add crash_round pid round
+      if not (Hashtbl.mem crashed_in pid) then Hashtbl.add crashed_in pid round
     | Fault { sender; receiver; round; _ } ->
       see_pid sender;
       see_pid receiver;
@@ -218,7 +218,7 @@ let chrome oc =
        sits inside it) and disappears afterwards. *)
     for p = 0 to n - 1 do
       let limit =
-        match Hashtbl.find_opt crash_round p with
+        match Hashtbl.find_opt crashed_in p with
         | Some k -> min k horizon
         | None -> horizon
       in

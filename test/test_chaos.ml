@@ -249,7 +249,8 @@ let test_campaign_inadmissible_repro_replay () =
     Fun.protect
       ~finally:(fun () -> Sys.remove path)
       (fun () ->
-        Ch.Fuzz.write_repro ~path f;
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Anon_obs.Json.to_string (Ch.Fuzz.repro_json f)));
         match Ch.Fuzz.replay ~path with
         | Error e -> Alcotest.failf "replay failed: %s" e
         | Ok r ->

@@ -70,8 +70,7 @@ let test_emulation_trace_shape () =
 
 let test_emulation_idle_stop () =
   (* `anonc emulate --rounds 3`: every process stops at the round horizon
-     undecided, and the run ends one step past the last add completing,
-     not at [max_steps]. *)
+     undecided, and the run ends one step past the last add completing. *)
   let n = 5 in
   let config =
     C.Ms_emulation.default_config
@@ -84,6 +83,56 @@ let test_emulation_idle_stop () =
     out.rounds_completed;
   check_int "steps" 9 out.steps
 
+(* A hosted algorithm whose round message is its proposal: processes that
+   propose equal values send equal messages in every round. *)
+module Echo = struct
+  let name = "echo"
+
+  type state = Anon_kernel.Value.t
+  type msg = Anon_kernel.Value.t
+
+  let msg_compare = Int.compare
+  let msg_size _ = 1
+  let leader _ = None
+  let initialize v = (v, v)
+  let compute v ~round:_ ~inbox:_ = (v, v, None)
+end
+
+module Emu_echo = C.Ms_emulation.Make (Echo)
+
+(* Identical messages merge into one weak-set element (footnote 2): a
+   receiver that holds one copy holds both senders' messages. So p0 and
+   p1, which propose 7, reach the same receivers in every round, and each
+   is timely to the other whenever the other computed the round. *)
+let test_emulation_equal_messages () =
+  let shared = ref 0 in
+  List.iter
+    (fun seed ->
+      let config =
+        C.Ms_emulation.default_config ~inputs:[ 7; 7; 3; 5; 9 ]
+          ~crash:(G.Crash.none ~n:5) ~horizon_rounds:30 ~seed
+          ~latency:(C.Ms_emulation.uniform_latency ~max:4) ()
+      in
+      let out = Emu_echo.run config in
+      check_int "MS property" 0 (List.length (G.Checker.check_env out.trace));
+      List.iter
+        (fun (info : G.Trace.round_info) ->
+          if List.mem 0 info.senders && List.mem 1 info.senders then begin
+            let others s =
+              List.filter (fun q -> q > 1) (G.Trace.timely_to info s)
+            in
+            let label what = Printf.sprintf "seed %d round %d: %s" seed info.round what in
+            Alcotest.(check (list int)) (label "same receivers") (others 0) (others 1);
+            if others 0 <> [] then incr shared;
+            check_bool (label "p1 got p0's message") (List.mem 1 info.obligated)
+              (List.mem 1 (G.Trace.timely_to info 0));
+            check_bool (label "p0 got p1's message") (List.mem 0 info.obligated)
+              (List.mem 0 (G.Trace.timely_to info 1))
+          end)
+        out.trace.rounds)
+    (List.init 12 (fun i -> 200 + i));
+  check_bool "some round reached a third process" true (!shared > 0)
+
 let () =
   Alcotest.run "ms-emulation"
     [
@@ -95,5 +144,7 @@ let () =
           Alcotest.test_case "alternating latency" `Quick test_emulation_alternating_latency;
           Alcotest.test_case "trace shape" `Quick test_emulation_trace_shape;
           Alcotest.test_case "idle stop" `Quick test_emulation_idle_stop;
+          Alcotest.test_case "equal messages, equal receivers" `Quick
+            test_emulation_equal_messages;
         ] );
     ]

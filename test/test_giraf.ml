@@ -21,8 +21,8 @@ let test_crash_of_events () =
   let c = G.Crash.of_events ~n:4 [ ev 1 3 G.Crash.Silent; ev 3 1 G.Crash.Broadcast_all ] in
   pids "correct" [ 0; 2 ] (G.Crash.correct c);
   check_bool "p1 faulty" false (G.Crash.is_correct c 1);
-  Alcotest.(check (option int)) "crash round" (Some 3) (G.Crash.crash_round c 1);
-  Alcotest.(check (option int)) "no crash" None (G.Crash.crash_round c 0);
+  check_bool "p1's event" true (G.Crash.event c 1 = Some (ev 1 3 G.Crash.Silent));
+  check_bool "no crash" true (G.Crash.event c 0 = None);
   check_int "crashing at 3" 1 (List.length (G.Crash.crashing_at c ~round:3))
 
 let test_crash_validation () =
@@ -786,7 +786,6 @@ module Probe = struct
 
   let msg_compare = Int.compare
   let msg_size _ = 1
-  let pp_msg = Format.pp_print_int
   let leader _ = None
   let initialize v = ({ me = v; log = [] }, v)
 
@@ -1008,12 +1007,6 @@ let test_count_validation () =
           ignore
             (Anon_consensus.Ms_emulation.default_config ~horizon_rounds:(-1)
                ~inputs:[ 1; 2 ] ~crash:(G.Crash.none ~n:2) ()) );
-      ( "emulation max_steps 0",
-        "Ms_emulation.default_config",
-        fun () ->
-          ignore
-            (Anon_consensus.Ms_emulation.default_config ~max_steps:0 ~inputs:[ 1; 2 ]
-               ~crash:(G.Crash.none ~n:2) ()) );
       ( "sigma --horizon 0",
         "Sigma.two_run_attack",
         fun () ->
@@ -1187,6 +1180,52 @@ let test_trace_accessors () =
   let s = Format.asprintf "%a" G.Trace.pp t in
   check_bool "pp mentions decisions" true
     (String.length s > 0 && String.contains s '9')
+
+(* [Trace.of_log] on hand-written records: p0 and p1 send the same
+   message, p2 computes on a set holding one copy of it, and p3 sends but
+   never computes round 1. *)
+let test_trace_of_log () =
+  let log = G.Trace.Log.create () in
+  let crash = G.Crash.of_events ~n:4 [ ev 3 1 G.Crash.Silent ] in
+  (* Records arrive out of pid order, as an unsynchronized run files them. *)
+  G.Trace.Log.broadcast log ~pid:3 ~round:1 ~size:3 "z";
+  G.Trace.Log.broadcast log ~pid:1 ~round:1 ~size:1 "a";
+  G.Trace.Log.broadcast log ~pid:2 ~round:1 ~size:2 "b";
+  G.Trace.Log.broadcast log ~pid:0 ~round:1 ~size:1 "a";
+  G.Trace.Log.crash log ~pid:3 ~round:1;
+  G.Trace.Log.read log ~pid:2 ~round:1 [ "a"; "b" ];
+  G.Trace.Log.read log ~pid:0 ~round:1 [ "a"; "b" ];
+  G.Trace.Log.read log ~pid:1 ~round:1 [ "a"; "z" ];
+  G.Trace.Log.decide log ~pid:0 ~round:1 5;
+  G.Trace.Log.decide log ~pid:2 ~round:1 5;
+  G.Trace.Log.broadcast log ~pid:1 ~round:2 ~size:1 "a";
+  let t =
+    G.Trace.of_log ~msg_compare:String.compare ~inputs:[| 5; 5; 6; 7 |] ~crash
+      ~env:G.Env.Async log
+  in
+  check_int "rounds up to the highest broadcast" 2 (List.length t.rounds);
+  check_bool "env as given" true (t.env = G.Env.Async);
+  check_bool "no churn" true (G.Churn.events t.churn = []);
+  let r1 = List.hd t.rounds in
+  pids "senders in pid order" [ 0; 1; 2; 3 ] r1.senders;
+  pids "obligated: who computed, in pid order" [ 0; 1; 2 ] r1.obligated;
+  pids "p0: p1 holds its own equal copy, p2 the one copy" [ 1; 2 ]
+    (G.Trace.timely_to r1 0);
+  pids "p1: timely wherever p0 is" [ 0; 2 ] (G.Trace.timely_to r1 1);
+  pids "p2" [ 0 ] (G.Trace.timely_to r1 2);
+  pids "p3 reached only p1" [ 1 ] (G.Trace.timely_to r1 3);
+  check_bool "p3 is no receiver" true
+    (List.for_all (fun (_, rs) -> not (List.mem 3 rs)) r1.timely);
+  pids "crashing" [ 3 ] r1.crashing;
+  Alcotest.(check (list (pair int int))) "decided, latest first" [ (2, 5); (0, 5) ]
+    r1.decided;
+  Alcotest.(check (list (pair int int))) "msg_sizes in pid order"
+    [ (0, 1); (1, 1); (2, 2); (3, 3) ] r1.msg_sizes;
+  check_bool "no declared source" true (r1.source = None);
+  let r2 = List.nth t.rounds 1 in
+  pids "round 2 senders" [ 1 ] r2.senders;
+  pids "nobody computed round 2" [] r2.obligated;
+  check_bool "no timely pairs" true (r2.timely = [])
 
 let test_dispatch_crash_modes () =
   let deliveries = ref [] in
@@ -1810,9 +1849,9 @@ let test_adversaries_satisfy_own_env () =
             let live =
               List.filter
                 (fun p ->
-                  match G.Crash.crash_round crash p with
+                  match G.Crash.event crash p with
                   | None -> true
-                  | Some r -> r > round)
+                  | Some ev -> ev.round > round)
                 (List.init n Fun.id)
             in
             let c = ctx ~round ~senders:live ~obligated:live ~correct ~alive:live in
@@ -1921,6 +1960,7 @@ let () =
         [
           Alcotest.test_case "env pp/gst" `Quick test_env_pp_and_gst;
           Alcotest.test_case "trace accessors" `Quick test_trace_accessors;
+          Alcotest.test_case "trace of log" `Quick test_trace_of_log;
           Alcotest.test_case "dispatch crash modes" `Quick test_dispatch_crash_modes;
           qc prop_dispatch_matches_reference;
           Alcotest.test_case "random workload" `Quick test_service_random_workload;

@@ -117,9 +117,7 @@ let test_pacer_invalid () =
   invalid (fun () -> L.Pacer.create ~init_s:0.0 ~max_s:1.0 ());
   invalid (fun () -> L.Pacer.create ~init_s:Float.nan ~max_s:1.0 ());
   (* timeout_max < timeout_init *)
-  invalid (fun () -> L.Pacer.create ~init_s:0.5 ~max_s:0.1 ());
-  invalid (fun () -> L.Pacer.create ~growth:0.5 ~init_s:0.1 ~max_s:1.0 ());
-  invalid (fun () -> L.Pacer.create ~decay:0.0 ~init_s:0.1 ~max_s:1.0 ())
+  invalid (fun () -> L.Pacer.create ~init_s:0.5 ~max_s:0.1 ())
 
 (* --- Live config validation -------------------------------------------------- *)
 
@@ -133,7 +131,6 @@ let test_live_config_invalid () =
       L.Runner.default_config ~timeout_init_s:0.5 ~timeout_max_s:0.1 ~inputs ~crash ());
   invalid (fun () ->
       L.Runner.default_config ~timeout_init_s:Float.nan ~inputs ~crash ());
-  invalid (fun () -> L.Runner.default_config ~retries:(-1) ~inputs ~crash ());
   invalid (fun () -> L.Runner.default_config ~round_budget:0 ~inputs ~crash ());
   invalid (fun () -> L.Runner.default_config ~wall_budget_s:0.0 ~inputs ~crash ());
   invalid (fun () ->
@@ -201,7 +198,7 @@ let run_differential (algo_name, (module A : G.Intf.ALGORITHM)) =
       let live =
         LiveR.run ~clock:L.Runner.Virtual
           (L.Runner.default_config ~timeout_init_s:0.08 ~timeout_max_s:0.4
-             ~retries:2 ~miss_grace:1 ~wall_budget_s:60.0 ~seed:42 ~inputs ~crash ())
+             ~wall_budget_s:60.0 ~seed:42 ~inputs ~crash ())
       in
       assert_safe label live.L.Runner.safety;
       check_bool

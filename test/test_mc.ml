@@ -311,7 +311,8 @@ let test_armed_counterexample_replays () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Witness.write ~path w;
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Anon_obs.Json.to_string (Witness.to_json w)));
       match Ch.Fuzz.replay ~path with
       | Error e -> Alcotest.failf "replay failed: %s" e
       | Ok replayed ->

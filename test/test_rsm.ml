@@ -380,7 +380,6 @@ module Plus_one = struct
 
   let msg_compare = compare
   let msg_size () = 0
-  let pp_msg ppf () = Format.pp_print_string ppf "()"
   let leader _ = None
   let initialize v = (v, ())
   let compute v ~round:_ ~inbox:_ = (v, (), Some (v + 1))

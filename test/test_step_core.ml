@@ -114,8 +114,8 @@ let consensus_diff (module A : Mc_cs.MODEL) ?(armed = false) ~label ~env ~inputs
     for p = 0 to n - 1 do
       let halted = match dec_round p with Some d -> d <= r - 1 | None -> false in
       let crashed =
-        match G.Crash.crash_round crash p with
-        | Some c when c < r -> (
+        match G.Crash.event crash p with
+        | Some { round = c; _ } when c < r -> (
           match dec_round p with Some d -> d > c - 2 | None -> true)
         | Some _ | None -> false
       in
@@ -200,7 +200,7 @@ let ws_diff ~label ~env ~n ~crash ~max_delay ~ops_per_client ~depth ~seed () =
     Buffer.add_string b (Printf.sprintf "r%d\n" r);
     for p = 0 to n - 1 do
       let crashed =
-        match G.Crash.crash_round crash p with Some c -> c < r | None -> false
+        match G.Crash.event crash p with Some ev -> ev.round < r | None -> false
       in
       if crashed then Buffer.add_string b (Printf.sprintf "p%d X\n" p)
       else begin
