@@ -118,6 +118,13 @@ let with_recorder ?(trace = None) ~metrics ~json_trace f =
    cannot be opened, written or closed ends [anonc CMD] with exit 1. *)
 let write_json ~cmd path json =
   let fail msg =
+    (* [Sys_error]'s text starts with the path when it names one. *)
+    let named = path ^ ": " in
+    let msg =
+      if String.starts_with ~prefix:named msg then
+        String.sub msg (String.length named) (String.length msg - String.length named)
+      else msg
+    in
     Format.eprintf "anonc %s: cannot write %s: %s@." cmd path msg;
     exit 1
   in

@@ -36,145 +36,78 @@ type outcome = {
 }
 
 module Make (A : Giraf.Intf.ALGORITHM) = struct
-  (* Shared weak-set elements are ⟨message, round⟩ pairs — identical
-     messages from different processes merge, exactly as anonymity
-     dictates (footnote 2 of the paper: receiving an identical message
-     from another process is as good). *)
-  module Elt = struct
-    type t = int * A.msg (* round, message *)
+  module Sh = Giraf.Shell.Make (A)
 
-    let compare (k1, m1) (k2, m2) =
-      let c = Int.compare k1 k2 in
-      if c <> 0 then c else A.msg_compare m1 m2
-  end
-
-  type proc = {
-    pid : int;
-    mutable st : A.state option;
-    mutable round : int;  (* end-of-rounds performed *)
-    mutable delivered : Elt.t list;
-  }
-
-  (* An add of [elt], visible to reads from step [complete_at] on. *)
-  type add_op = { elt : Elt.t; complete_at : int }
+  (* A weak-set add of [adder]'s round-[round] message, visible to reads
+     from step [complete_at] on. Equal messages are one element of the
+     set (footnote 2): filing a copy per add merges in the mailbox. *)
+  type add = { adder : int; round : int; msg : A.msg; complete_at : int }
 
   let run config =
     let inputs = Array.of_list config.inputs in
     let n = Array.length inputs in
     let rng = Rng.make config.seed in
-    let correct = Giraf.Crash.correct config.crash in
-    let procs =
-      Array.init n (fun pid -> { pid; st = None; round = 0; delivered = [] })
+    let sh =
+      Sh.create ~recorder:Anon_obs.Recorder.off ~inputs ~crash:config.crash
+        ~max_rounds:config.horizon_rounds ~seed:config.seed
     in
-    let mailboxes = Giraf.Backend.create ~n in
     (* A process's only event is its next end-of-round: at step 0, then
        when its own add completes. Events at one step run in pid order. *)
     let calendar = Giraf.Calendar.create () in
-    let ops : add_op list ref = ref [] in
-    (* An element is visible once the earliest add of it completed. *)
-    let visible_elements now =
-      List.filter_map (fun op -> if op.complete_at <= now then Some op.elt else None) !ops
-      |> List.sort_uniq Elt.compare
+    let adds = ref [] in
+    (* Every add that completed by a process's last read is filed in its
+       mailbox: adds complete at step 1 or later. *)
+    let last_read = Array.make n 0 in
+    (* One end-of-round of [p] at step [t]: compute the previous round
+       (or initialize), then begin adding the next round's pair. A
+       crasher's last add has no receivers to choose among, so only a
+       [Silent] crash withholds it. *)
+    let end_of_round p t =
+      match Sh.end_of_round sh p with
+      | Giraf.Shell.Capped | Giraf.Shell.Decided | Giraf.Shell.Sent Giraf.Crash.Silent -> ()
+      | Giraf.Shell.Sent (Giraf.Crash.Broadcast_all | Giraf.Crash.Broadcast_subset) ->
+        let round = Sh.round sh p in
+        let lat = Stdlib.max 1 (config.latency ~pid:p ~round rng) in
+        adds := { adder = p; round; msg = Sh.message sh p; complete_at = t + lat } :: !adds;
+        Giraf.Calendar.add calendar ~time:(t + lat) ~pid:p ()
     in
-    let decisions = ref [] in
-    let halted = Array.make n false in
-    let log = Giraf.Trace.Log.create () in
-    let all_correct_decided () =
-      List.for_all (fun p -> halted.(p)) correct
-    in
-    (* One end-of-round for process p at time t: compute the previous round
-       (or initialize), then begin adding the next round's pair. *)
-    let end_of_round proc t =
-      let next = proc.round + 1 in
-      match Giraf.Crash.event config.crash proc.pid with
-      | Some ev when ev.round <= next -> Giraf.Trace.Log.crash log ~pid:proc.pid ~round:next
-      | Some _ | None ->
-        if next <= config.horizon_rounds then begin
-          let outcome =
-            if next = 1 then begin
-              let st, m = A.initialize inputs.(proc.pid) in
-              proc.st <- Some st;
-              Some m
-            end
-            else begin
-              let current, fresh =
-                Giraf.Backend.take ~compare:A.msg_compare mailboxes proc.pid ~round:(next - 1)
-              in
-              let st = match proc.st with Some st -> st | None -> assert false in
-              let st', m, dec =
-                A.compute st ~round:(next - 1) ~inbox:{ Giraf.Intf.current; fresh }
-              in
-              proc.st <- Some st';
-              Giraf.Trace.Log.read log ~pid:proc.pid ~round:(next - 1) current;
-              match dec with
-              | Some v ->
-                decisions := (proc.pid, next - 1, v) :: !decisions;
-                Giraf.Trace.Log.decide log ~pid:proc.pid ~round:(next - 1) v;
-                halted.(proc.pid) <- true;
-                None
-              | None -> Some m
-            end
-          in
-          match outcome with
-          | None -> ()
-          | Some m ->
-            proc.round <- next;
-            Giraf.Trace.Log.broadcast log ~pid:proc.pid ~round:next ~size:(A.msg_size m) m;
-            let lat = config.latency ~pid:proc.pid ~round:next rng in
-            let lat = Stdlib.max 1 lat in
-            ops := { elt = (next, m); complete_at = t + lat } :: !ops;
-            (* Own message is delivered to itself immediately (Alg. 1
-               line 10 keeps the process's own message in its mailbox). *)
-            Giraf.Backend.insert mailboxes proc.pid ~arrival:next ~sent:next m;
-            proc.delivered <- (next, m) :: proc.delivered;
-            Giraf.Calendar.add calendar ~time:(t + lat) ~pid:proc.pid ()
-        end
-    in
-    (* Our own add completed at step [t]: read the set, deliver
-       everything new, then trigger the next end-of-round (Alg. 5 lines
-       5–9). *)
-    let add_completed proc t =
-      let fresh =
-        List.filter
-          (fun elt -> not (List.exists (fun d -> Elt.compare d elt = 0) proc.delivered))
-          (visible_elements t)
-      in
+    (* [p]'s own add completed at step [t]: read the set, receive every
+       other process's add completed since the last read, then trigger
+       the next end-of-round (Alg. 5 lines 5-9). *)
+    let add_completed p t =
       List.iter
-        (fun ((k, m) as elt) ->
-          proc.delivered <- elt :: proc.delivered;
-          (* Receive ⟨m, k⟩: lands in M[k]; it is timely for round k iff
-             the process is still in a round <= k, i.e. will consume it at
-             its compute(k). *)
-          let arrival = Stdlib.max proc.round k in
-          Giraf.Backend.insert mailboxes proc.pid ~arrival ~sent:k m)
-        fresh;
-      end_of_round proc t
+        (fun a ->
+          if a.adder <> p && a.complete_at > last_read.(p) && a.complete_at <= t then
+            Sh.file sh ~sender:a.adder ~receiver:p ~sent:a.round [ a.msg ])
+        !adds;
+      last_read.(p) <- t;
+      end_of_round p t
     in
     (* Step [t] has run. [steps] ends one past the step the run stopped
        after: on a decision, or once no add is pending. Every process
        stops after [horizon_rounds] end-of-rounds, so the calendar
        drains. *)
     let rec loop t =
-      if all_correct_decided () then t + 1
+      if Sh.all_correct_decided sh then t + 1
       else
         match Giraf.Calendar.next_time calendar with
         | None -> t + 1
         | Some t ->
           while Giraf.Calendar.next_time calendar = Some t do
-            let _, pid, () = Option.get (Giraf.Calendar.pop calendar) in
-            add_completed procs.(pid) t
+            let _, p, () = Option.get (Giraf.Calendar.pop calendar) in
+            if not (Sh.stopped sh p) then add_completed p t
           done;
           loop t
     in
-    Array.iter (fun proc -> end_of_round proc 0) procs;
+    for p = 0 to n - 1 do
+      end_of_round p 0
+    done;
     let steps = loop 0 in
     {
-      trace =
-        Giraf.Trace.of_log ~msg_compare:A.msg_compare ~inputs ~crash:config.crash
-          ~env:Giraf.Env.Ms log;
-      decisions = List.rev !decisions;
-      all_correct_decided = all_correct_decided ();
+      trace = Lazy.force (Sh.finish sh ~env:Giraf.Env.Ms);
+      decisions = Sh.decisions sh;
+      all_correct_decided = Sh.all_correct_decided sh;
       steps;
-      rounds_completed = Array.map (fun proc -> proc.round) procs;
+      rounds_completed = Array.init n (Sh.round sh);
     }
 end

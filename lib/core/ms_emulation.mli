@@ -3,10 +3,11 @@
     Each process executes its GIRAF rounds against a shared weak-set: to
     send its round-[k] message it adds [⟨m, k⟩] to the set (blocking), then
     reads the set, delivers every not-yet-delivered pair, and triggers its
-    next end-of-round. Theorem 4: the first process to complete its
-    round-[k] add is a source for round [k] — everybody who finishes round
-    [k] reads the set after its own add completed, hence after the
-    source's, and must see the source's pair.
+    next end-of-round ({!Anon_giraf.Shell}'s: the add log is this
+    backend's trigger and network). Theorem 4: the first process to
+    complete its round-[k] add is a source for round [k] — everybody who
+    finishes round [k] reads the set after its own add completed, hence
+    after the source's, and must see the source's pair.
 
     Since weak-sets are implementable from registers alone (Props. 2–3),
     consensus over this emulated environment would contradict FLP — which
@@ -29,8 +30,9 @@ val alternating_latency : fast:int -> slow:int -> latency_fn
 
 type config = {
   inputs : Anon_kernel.Value.t list;
-  crash : Anon_giraf.Crash.t;  (** Crash at emulated round [r]: the process
-                                    stops before adding its round-[r] pair. *)
+  crash : Anon_giraf.Crash.t;
+      (** The shell's crash rule; a [Broadcast_subset] crasher adds like
+          [Broadcast_all], as an add has no receivers to choose among. *)
   horizon_rounds : int;  (** End-of-rounds per process; bounds the run. *)
   seed : int;
   latency : latency_fn;

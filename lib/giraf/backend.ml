@@ -8,7 +8,9 @@
    that made a bucket (its [generation]) conses onto it in place; every
    other change builds a new bucket, so copies can share buckets.
    Generation 0 marks a bucket {!insert} filled: its entries are newest
-   first and unsorted until a reader sorts them. *)
+   first and unsorted until a reader sorts them. [peek] keeps the sorted
+   entries as generation -1, and [insert] files into such a bucket in
+   order. *)
 type 'msg bucket = { arrival : int; generation : int; mutable entries : (int * 'msg) list }
 
 (* A process's buckets in descending arrival order. A lockstep round
@@ -57,9 +59,21 @@ let rec set_bucket b = function
   | b' :: tl when b'.arrival = b.arrival -> b :: tl
   | bs -> b :: bs
 
-let insert t p ~arrival ~sent msg =
-  let entries = match find_bucket arrival t.(p) with Some b -> b.entries | None -> [] in
-  t.(p) <- set_bucket { arrival; generation = 0; entries = (sent, msg) :: entries } t.(p)
+(* Sorted [entries] with [(sent, msg)] after its equal entries, which
+   are older. *)
+let rec place ~compare sent msg = function
+  | (s, m) :: tl when s > sent || (s = sent && compare_msg compare m msg >= 0) ->
+    (s, m) :: place ~compare sent msg tl
+  | entries -> (sent, msg) :: entries
+
+let insert ~compare t p ~arrival ~sent msg =
+  let b =
+    match find_bucket arrival t.(p) with
+    | Some ({ generation = -1; _ } as b) -> { b with entries = place ~compare sent msg b.entries }
+    | Some b -> { arrival; generation = 0; entries = (sent, msg) :: b.entries }
+    | None -> { arrival; generation = 0; entries = [ (sent, msg) ] }
+  in
+  t.(p) <- set_bucket b t.(p)
 
 (* Round [round]'s message set from a bucket's front run of [sent =
    round] entries. The run is in reverse [fresh] order, so keeping the
@@ -103,6 +117,15 @@ let take ~compare t p ~round =
         (List.fold_left
            (fun fresh b -> List.rev_append (entries ~compare b) fresh)
            (List.rev latest) older) )
+
+let peek ~compare t p ~arrival ~sent =
+  let rec from_sent = function (s, _) :: tl when s > sent -> from_sent tl | es -> es in
+  match find_bucket arrival t.(p) with
+  | Some b ->
+    let entries = entries ~compare b in
+    if b.generation = 0 then t.(p) <- set_bucket { b with generation = -1; entries } t.(p);
+    current_of ~compare ~round:sent (from_sent entries)
+  | None -> []
 
 module Round = struct
   (* Deliveries are recorded in dispatch order — sender by sender — as

@@ -6,11 +6,11 @@
     - {b lockstep} — {!Step_core} driven by {!Runner} and the model
       checker: rounds advance globally, and deliveries follow an
       adversary plan. This is the Tier-1 and model-checking path.
-    - {b live} — [Anon_live]: every process fires its end-of-rounds at
-      its own pace, packets cross a faulty transport with their own due
-      times, and round advancement is driven by timeouts with adaptive
-      backoff (synchrony is discovered, not scripted). Both are
-      deterministic: the live loop takes its events from a {!Calendar}.
+    - {b unsynchronized} — {!Shell} under {!Skew_runner}, [Ms_emulation]
+      and [Anon_live]: every process fires its end-of-rounds at its own
+      pace, each copy arrives on its own (a relay, an add log, a faulty
+      transport), and [Anon_live] discovers synchrony by timeouts. All
+      are deterministic: each loop takes its events from a {!Calendar}.
 
     What the backends must agree on {e exactly} — and what this module
     therefore owns — is the mailbox semantics of Alg. 1: how a process's
@@ -27,8 +27,9 @@
     puts the newest first. Entries are bucketed by arrival round. A
     lockstep bucket is kept in canonical order and never sorted on
     read: in lockstep every live process takes all arrivals [<= k-1] at
-    round [k], and reads exactly one bucket. A live bucket is filed in
-    arrival order and sorted once, when it is read. *)
+    round [k], and reads exactly one bucket. An {!insert}ed bucket is
+    filed in arrival order and sorted once, when it is first read; after
+    a {!peek}, {!insert} files into it in order. *)
 
 type 'msg t
 (** The mailboxes of processes [0 .. n-1]: each process's undrained
@@ -52,10 +53,17 @@ val to_list : compare:('msg -> 'msg -> int) -> 'msg t -> int -> (int * int * 'ms
 (** Every undrained [(arrival, sent, msg)] of a process, in canonical
     order. *)
 
-val insert : 'msg t -> int -> arrival:int -> sent:int -> 'msg -> unit
-(** The live backend's filing of one packet into a process's mailbox,
-    [arrival >= sent]: one cons onto its arrival bucket. Among equal
-    entries the newest reads first. *)
+val insert :
+  compare:('msg -> 'msg -> int) -> 'msg t -> int -> arrival:int -> sent:int -> 'msg -> unit
+(** The unsynchronized backends' ({!Shell}'s) filing of one copy into a
+    process's mailbox, [arrival >= sent]: one cons onto its arrival
+    bucket, or an ordered insertion once {!peek} has read it. Among
+    equal entries the newest reads first. *)
+
+val peek :
+  compare:('msg -> 'msg -> int) -> 'msg t -> int -> arrival:int -> sent:int -> 'msg list
+(** The round-[sent] messages filed with [arrival], deduplicated and
+    ascending as {!take}'s [current]; nothing is removed. *)
 
 val take :
   compare:('msg -> 'msg -> int) ->
@@ -86,7 +94,7 @@ val take :
     the number of buckets kept, and its only message comparisons are the
     adjacent checks on round [round]'s entries; [fresh], when forced,
     costs the number of entries taken. Each bucket {!insert} filled is
-    stable-sorted once, when it is read. *)
+    stable-sorted once, when it is first read. *)
 
 (** One lockstep round's deliveries, filed into the receivers' mailboxes
     in one ordering. The dispatch records each delivery as it happens;

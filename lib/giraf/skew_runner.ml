@@ -57,186 +57,59 @@ type outcome = {
 }
 
 module Make (A : Intf.ALGORITHM) = struct
-  type proc = {
-    pid : int;
-    mutable st : A.state option;
-    mutable round : int;  (* end-of-rounds performed (k_i) *)
-    mutable stopped : bool;  (* halted, crashed, or past max_rounds *)
-    mutable halted : bool;  (* decided *)
-    rounds_msgs : (int, A.msg list) Hashtbl.t;  (* M_i[k], deduped+sorted *)
-    mutable fresh : (int * A.msg) list;  (* arrivals since last compute, reversed *)
-  }
+  module Sh = Shell.Make (A)
 
   (* A relayed round set reaching a receiver, or a process's next
      end-of-round. *)
   type event = Delivery of int * int * int * A.msg list | End_of_round
 
-  let current_of proc k =
-    Option.value ~default:[] (Hashtbl.find_opt proc.rounds_msgs k)
-
-  (* Merge a message into M_i[k]; returns whether it was new. *)
-  let insert proc ~k msg =
-    let existing = current_of proc k in
-    if List.exists (fun m -> A.msg_compare m msg = 0) existing then false
-    else begin
-      Hashtbl.replace proc.rounds_msgs k (List.sort A.msg_compare (msg :: existing));
-      true
-    end
+  (* The messages of ascending [msgs] not in ascending [held]: a receiver
+     merges a relayed set into its own round set. *)
+  let rec unheld held msgs =
+    match (held, msgs) with
+    | h :: hs, m :: ms ->
+      let c = A.msg_compare h m in
+      if c < 0 then unheld hs msgs else if c = 0 then unheld hs ms else m :: unheld held ms
+    | [], _ | _, [] -> msgs
 
   let run ?(recorder = Anon_obs.Recorder.off) config =
-    let module R = Anon_obs.Recorder in
-    let module M = Anon_obs.Metrics in
-    let module E = Anon_obs.Event in
-    let obs_on = R.active recorder in
-    let kernel_before = if obs_on then Some (R.kernel_baseline ()) else None in
-    let m_broadcasts = R.counter recorder Anon_obs.Name.broadcasts in
-    let m_deliveries = R.counter recorder Anon_obs.Name.deliveries in
-    let m_decisions = R.counter recorder Anon_obs.Name.decisions in
-    let m_crashes = R.counter recorder Anon_obs.Name.crashes in
-    let m_ticks = R.gauge recorder "skew.ticks" in
-    let m_msg_size = R.histogram recorder Anon_obs.Name.msg_size in
-    let t_compute = R.histogram recorder Anon_obs.Name.compute_us in
     validate ~where:"Skew_runner.run" config;
     let inputs = Array.of_list config.inputs in
     let n = Array.length inputs in
-    R.emit recorder (fun () ->
-        E.Run_start { algo = A.name; n; seed = config.seed });
+    let sh =
+      Sh.create ~recorder ~inputs ~crash:config.crash ~max_rounds:config.max_rounds
+        ~seed:config.seed
+    in
     let rng = Rng.make config.seed in
     let crash_rng = Rng.split rng in
-    let correct = Crash.correct config.crash in
-    let procs =
-      Array.init n (fun pid ->
-          {
-            pid;
-            st = None;
-            round = 0;
-            stopped = false;
-            halted = false;
-            rounds_msgs = Hashtbl.create 64;
-            fresh = [];
-          })
-    in
     (* A tick's deliveries run in the order they were scheduled, filed
        under pid -1 ahead of its end-of-rounds, which run in pid order. *)
     let calendar = Calendar.create () in
-    let decisions = ref [] in
-    let log = Trace.Log.create () in
-    let all_correct_decided () =
-      List.for_all (fun p -> procs.(p).halted) correct
-    in
-    (* One end-of-round of [proc] at tick [t] (Alg. 1 lines 5-12). *)
-    let fire proc t =
-      let next = proc.round + 1 in
-      let crashing =
-        match Crash.event config.crash proc.pid with
-        | Some ev when ev.round = next -> Some ev.broadcast
-        | Some _ | None -> None
-      in
-      if next > config.max_rounds then proc.stopped <- true
-      else begin
-          let result =
-            M.time t_compute (fun () ->
-                if next = 1 then begin
-                  let st, m = A.initialize inputs.(proc.pid) in
-                  proc.st <- Some st;
-                  Some m
-                end
-                else begin
-                  let current = current_of proc (next - 1) in
-                  Trace.Log.read log ~pid:proc.pid ~round:(next - 1) current;
-                  let arrived = proc.fresh in
-                  let fresh = lazy (List.rev arrived) in
-                  proc.fresh <- [];
-                  let st = match proc.st with Some st -> st | None -> assert false in
-                  let st', m, dec =
-                    A.compute st ~round:(next - 1) ~inbox:{ Intf.current; fresh }
-                  in
-                  proc.st <- Some st';
-                  match dec with
-                  | Some v ->
-                    decisions := (proc.pid, next - 1, v) :: !decisions;
-                    Trace.Log.decide log ~pid:proc.pid ~round:(next - 1) v;
-                    proc.halted <- true;
-                    proc.stopped <- true;
-                    M.incr m_decisions;
-                    R.emit recorder (fun () ->
-                        E.Decide { pid = proc.pid; round = next - 1; value = v });
-                    None
-                  | None -> Some m
-                end)
-          in
-          match result with
-          | None -> ()
-          | Some m ->
-            proc.round <- next;
-            ignore (insert proc ~k:next m);
-            proc.fresh <- (next, m) :: proc.fresh;
-            let size = A.msg_size m in
-            Trace.Log.broadcast log ~pid:proc.pid ~round:next ~size m;
-            if obs_on then begin
-              M.incr m_broadcasts;
-              M.observe m_msg_size (float_of_int size);
-              R.emit recorder (fun () -> E.Broadcast { pid = proc.pid; round = next; size })
-            end;
-            (* Broadcast the whole round set: the relay that lets a
-               receiver obtain a message through a third party. *)
-            let snapshot = current_of proc next in
-            let receivers =
-              let others =
-                List.filter
-                  (fun q -> q <> proc.pid && not procs.(q).stopped)
-                  (List.init n Fun.id)
-              in
-              match crashing with
-              | None | Some Crash.Broadcast_all -> others
-              | Some Crash.Silent -> []
-              | Some Crash.Broadcast_subset -> Rng.subset crash_rng ~p:0.5 others
-            in
-            List.iter
-              (fun q ->
-                let d =
-                  Stdlib.max 1
-                    (config.delay ~sender:proc.pid ~receiver:q ~round:next rng)
-                in
-                Calendar.add calendar ~time:(t + d) ~pid:(-1)
-                  (Delivery (proc.pid, q, next, snapshot)))
-              receivers;
-            if crashing <> None then begin
-              proc.stopped <- true;
-              Trace.Log.crash log ~pid:proc.pid ~round:next;
-              M.incr m_crashes;
-              R.emit recorder (fun () -> E.Crash { pid = proc.pid; round = next })
-            end
-            else
-              Calendar.add calendar
-                ~time:(t + Stdlib.max 1 (config.pace ~pid:proc.pid ~round:next rng))
-                ~pid:proc.pid End_of_round
-        end
-    in
-    let deliver s q k msgs =
-      let proc = procs.(q) in
-      if not proc.stopped then
+    (* One end-of-round of [p] at tick [t]; a broadcast carries the whole
+       round set, the relay that lets a receiver obtain a message through
+       a third party (Alg. 1 line 12). *)
+    let fire p t =
+      match Sh.end_of_round sh p with
+      | Shell.Capped | Shell.Decided -> ()
+      | Shell.Sent kind ->
+        let k = Sh.round sh p in
+        let held = Sh.held sh p ~round:k in
+        let others =
+          List.filter (fun q -> q <> p && not (Sh.stopped sh q)) (List.init n Fun.id)
+        in
         List.iter
-          (fun m ->
-            if insert proc ~k m then begin
-              proc.fresh <- (k, m) :: proc.fresh;
-              M.incr m_deliveries;
-              (* Arrival round: the first round whose compute sees this
-                 message as fresh (the relay carries round-k sets, so [s]
-                 may not be the original sender of every copy — it is the
-                 flow edge's source). *)
-              R.emit recorder (fun () ->
-                  E.Deliver
-                    {
-                      sender = s;
-                      receiver = q;
-                      round = k;
-                      arrival = Stdlib.max k (proc.round + 1);
-                    })
-            end)
-          msgs
+          (fun q ->
+            let d = Stdlib.max 1 (config.delay ~sender:p ~receiver:q ~round:k rng) in
+            Calendar.add calendar ~time:(t + d) ~pid:(-1) (Delivery (p, q, k, held)))
+          (Shell.reach kind crash_rng others);
+        if not (Sh.stopped sh p) then
+          Calendar.add calendar
+            ~time:(t + Stdlib.max 1 (config.pace ~pid:p ~round:k rng))
+            ~pid:p End_of_round
     in
-    Array.iter (fun proc -> Calendar.add calendar ~time:0 ~pid:proc.pid End_of_round) procs;
+    for p = 0 to n - 1 do
+      Calendar.add calendar ~time:0 ~pid:p End_of_round
+    done;
     (* One tick per iteration; ticks without events are skipped. [ticks]
        ends one past the tick the run stopped after, or at the horizon. *)
     let rec loop () =
@@ -244,35 +117,21 @@ module Make (A : Intf.ALGORITHM) = struct
       | Some t when t <= config.horizon_ticks ->
         while Calendar.next_time calendar = Some t do
           match Option.get (Calendar.pop calendar) with
-          | _, _, Delivery (s, q, k, msgs) -> deliver s q k msgs
-          | _, pid, End_of_round -> if not procs.(pid).stopped then fire procs.(pid) t
+          | _, _, Delivery (s, q, k, msgs) ->
+            Sh.file sh ~sender:s ~receiver:q ~sent:k (unheld (Sh.held sh q ~round:k) msgs)
+          | _, p, End_of_round -> if not (Sh.stopped sh p) then fire p t
         done;
-        if all_correct_decided () || Array.for_all (fun proc -> proc.stopped) procs
-        then t + 1
-        else loop ()
+        if Sh.all_correct_decided sh || Sh.running sh = 0 then t + 1 else loop ()
       | Some _ | None -> config.horizon_ticks + 1
     in
-    let t = loop () in
-    let max_round = Array.fold_left (fun acc p -> Stdlib.max acc p.round) 0 procs in
-    let trace =
-      Trace.of_log ~msg_compare:A.msg_compare ~inputs ~crash:config.crash ~env:Env.Async
-        log
-    in
-    let decided = all_correct_decided () in
-    let ticks = Stdlib.min t config.horizon_ticks in
-    if obs_on then begin
-      M.set_gauge m_ticks (float_of_int ticks);
-      (match kernel_before with
-      | Some b -> R.record_kernel recorder b
-      | None -> ());
-      R.emit recorder (fun () -> E.Run_end { rounds = max_round; decided });
-      R.flush recorder
-    end;
+    let ticks = Stdlib.min (loop ()) config.horizon_ticks in
+    Anon_obs.Metrics.set_gauge (Anon_obs.Recorder.gauge recorder "skew.ticks")
+      (float_of_int ticks);
     {
-      trace;
-      decisions = List.rev !decisions;
-      all_correct_decided = decided;
+      trace = Lazy.force (Sh.finish sh ~env:Env.Async);
+      decisions = Sh.decisions sh;
+      all_correct_decided = Sh.all_correct_decided sh;
       ticks;
-      rounds_completed = Array.map (fun p -> p.round) procs;
+      rounds_completed = Array.init n (Sh.round sh);
     }
 end

@@ -1,17 +1,15 @@
 (** Unsynchronized-round execution of GIRAF algorithms.
 
     The lockstep [Runner] advances every process's end-of-round together;
-    this runner implements Alg. 1's full generality: each process fires
-    its end-of-rounds at its own adversary-chosen pace, and — crucially —
-    a broadcast carries the {e whole round message set} [⟨M_i[k], k⟩]
-    (Alg. 1 line 12), so processes relay each other's messages. A receiver
-    can thereby obtain a sender's round-[k] message through a third party
-    (footnote 2 of the paper): timeliness is judged on message {e content}
-    present in the receiver's round-[k] set when it computes round [k],
-    not on direct links.
-
-    Time is measured in global ticks; paces and delays are tick-valued
-    functions supplied by the adversary. *)
+    here each process fires {!Shell}'s end-of-round at its own
+    adversary-chosen pace, and a broadcast carries the {e whole round
+    message set} [⟨M_i[k], k⟩] (Alg. 1 line 12), which the receiver merges
+    into its own. A receiver can thereby obtain a sender's round-[k]
+    message through a third party (footnote 2 of the paper): timeliness
+    is judged on message {e content} in the receiver's round-[k] set when
+    it computes round [k], not on direct links. Time is measured in
+    global ticks; paces and delays are tick-valued functions supplied by
+    the adversary. *)
 
 type pace_fn = pid:int -> round:int -> Anon_kernel.Rng.t -> int
 (** Ticks between a process's consecutive end-of-rounds (clamped to
@@ -66,7 +64,7 @@ module Make (A : Intf.ALGORITHM) : sig
       to check a guarantee your functions do provide, set the trace's
       [env] before calling the checker.
 
-      [recorder] (default {!Anon_obs.Recorder.off}) receives the
-      broadcast/decide/crash event stream and [run.*] / [skew.ticks] /
-      [phase.*] / [kernel.*] metrics; see DESIGN.md §7. *)
+      [recorder] (default {!Anon_obs.Recorder.off}) receives the shell's
+      events and metrics (one [deliver] per relayed round set) and
+      [skew.ticks]; see DESIGN.md §7. *)
 end

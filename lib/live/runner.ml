@@ -1,9 +1,9 @@
 (* The live execution backend. See runner.mli. *)
 
 open Anon_kernel
-module Backend = Anon_giraf.Backend
 module Calendar = Anon_giraf.Calendar
 module Crash = Anon_giraf.Crash
+module Shell = Anon_giraf.Shell
 module Config_error = Anon_giraf.Config_error
 module Netfault = Anon_chaos.Netfault
 
@@ -53,15 +53,14 @@ type stop_reason = Decided | Crashed | Round_budget_exhausted | Wall_budget_exha
 
 type process_report = {
   pid : int;
-  decision : (int * Value.t) option;
   stop : stop_reason;
   rounds_executed : int;
   timeouts_expired : int;
   rebroadcasts : int;
-  decide_latency_s : float option;
 }
 
 type outcome = {
+  trace : Anon_giraf.Trace.t Lazy.t;
   decisions : (int * int * Value.t) list;
   all_correct_decided : bool;
   undecided : int list;
@@ -83,6 +82,8 @@ let retries = 3
 let miss_grace = 2
 
 module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
+  module Sh = Shell.Make (A)
+
   type event =
     | Arrival of { src : int; sent : int; payload : A.msg }
     | Deadline of int  (* the epoch it was armed in *)
@@ -94,34 +95,27 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
     expected : bool array;
     heard : int array;  (* highest sent round seen per peer *)
     miss : int array;  (* consecutive short rounds each peer was silent *)
-    mutable state : A.state;
-    mutable msg : A.msg;  (* the round message, for rebroadcasts *)
-    mutable round : int;  (* end-of-rounds begun: the round waited on *)
-    mutable missing : int;  (* expected peers not yet heard at [round] *)
+    mutable missing : int;  (* expected peers not yet heard at k_i *)
     mutable expiries : int;  (* of the current wait *)
     mutable epoch : int;  (* of the armed deadline *)
-    mutable stop : stop_reason option;
-    mutable decision : (int * Value.t) option;
-    mutable decide_at : float;  (* clock seconds; decisions only *)
     mutable rebroadcasts : int;
   }
 
   let run ?(recorder = Anon_obs.Recorder.off) ~clock config =
     let module R = Anon_obs.Recorder in
     let module M = Anon_obs.Metrics in
-    let module E = Anon_obs.Event in
     validate ~where:"Live.Runner.run" config;
     let n = Array.length config.inputs in
-    R.emit recorder (fun () -> E.Run_start { algo = A.name; n; seed = config.seed });
-    let m_decisions = R.counter recorder Anon_obs.Name.decisions in
-    let m_crashes = R.counter recorder Anon_obs.Name.crashes in
+    let sh =
+      Sh.create ~recorder ~inputs:config.inputs ~crash:config.crash
+        ~max_rounds:config.round_budget ~seed:config.seed
+    in
     let m_timeouts = R.counter recorder "live.timeouts" in
     let m_rebroadcasts = R.counter recorder "live.rebroadcasts" in
     let m_retrans = R.counter recorder "live.wire_retransmissions" in
     let h_latency = R.histogram recorder "live.decide_latency_s" in
     let h_timeout = R.histogram recorder "live.timeout_s" in
     let transport = Transport.create ~n ~faults:config.faults ~seed:config.seed () in
-    let inboxes = Backend.create ~n in
     let calendar = Calendar.create () in
     (* Times are nanoseconds since the run started, on [clock]. *)
     let ns_of_s s = int_of_float (s *. 1e9) in
@@ -146,7 +140,6 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
     let root_rng = Rng.make (config.seed lxor 0x5f3759df) in
     let procs =
       Array.init n (fun pid ->
-          let state, msg = A.initialize config.inputs.(pid) in
           let expected = Array.make n true in
           expected.(pid) <- false;
           {
@@ -156,25 +149,13 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
             expected;
             heard = Array.make n 0;
             miss = Array.make n 0;
-            state;
-            msg;
-            round = 0;
             missing = 0;
             expiries = 0;
             epoch = 0;
-            stop = None;
-            decision = None;
-            decide_at = 0.;
             rebroadcasts = 0;
           })
     in
-    let running = ref n in
-    let decisions = ref [] in
     let decide_latency = Anon_obs.Hist.create () in
-    let stop p reason =
-      p.stop <- Some reason;
-      decr running
-    in
     (* One copy per packet on the wire: the event is shared, the
        calendar files each copy under its receiver. *)
     let deliver ev ~dst ~due = Calendar.add calendar ~time:due ~pid:dst ev in
@@ -188,67 +169,26 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
         ~time:(now () + ns_of_s (Pacer.current p.pacer))
         ~pid:p.pid (Deadline p.epoch)
     in
-    (* End-of-round [p.round + 1]: initialize (round 1, done when [p] was
-       made) or compute round [p.round]'s mailbox, then halt, crash, or
-       broadcast. Returns whether [p] now waits on its new round. *)
+    (* [p]'s next end-of-round, and its send. Returns whether [p] now
+       waits on its new round. *)
     let end_of_round p =
-      let k = p.round + 1 in
-      if k > config.round_budget then begin
-        stop p Round_budget_exhausted;
+      match Sh.end_of_round sh p.pid with
+      | Shell.Capped -> false
+      | Shell.Decided ->
+        let at = s_of_ns (now ()) in
+        Anon_obs.Hist.observe decide_latency at;
+        M.observe h_latency at;
         false
-      end
-      else begin
-        p.round <- k;
-        let decision =
-          if k = 1 then None
-          else begin
-            let current, fresh =
-              Backend.take ~compare:A.msg_compare inboxes p.pid ~round:(k - 1)
-            in
-            let state, m, dec =
-              A.compute p.state ~round:(k - 1) ~inbox:{ Anon_giraf.Intf.current; fresh }
-            in
-            p.state <- state;
-            p.msg <- m;
-            dec
-          end
-        in
-        match decision with
-        | Some v ->
-          (* Decide and halt: the round-[k] message is not sent. *)
-          let at = s_of_ns (now ()) in
-          p.decision <- Some (k - 1, v);
-          p.decide_at <- at;
-          decisions := (p.pid, k - 1, v) :: !decisions;
-          stop p Decided;
-          Anon_obs.Hist.observe decide_latency at;
-          M.incr m_decisions;
-          M.observe h_latency at;
-          R.emit recorder (fun () -> E.Decide { pid = p.pid; round = k - 1; value = v });
-          false
-        | None -> (
-          (* Self-delivery is implicit and always timely (dispatch.ml
-             does the same for the lockstep backend). *)
-          let m = p.msg in
-          Backend.insert inboxes p.pid ~arrival:k ~sent:k m;
-          match Crash.event config.crash p.pid with
-          | Some ev when ev.round = k ->
-            (match ev.broadcast with
-            | Crash.Silent -> ()
-            | Crash.Broadcast_all -> broadcast p ~round:k m
-            | Crash.Broadcast_subset ->
-              let others = List.filter (fun q -> q <> p.pid) (List.init n Fun.id) in
-              Transport.send_to transport ~now:(now ()) ~src:p.pid ~round:k
-                ~dsts:(Rng.subset p.rng ~p:0.5 others)
-                (deliver (Arrival { src = p.pid; sent = k; payload = m })));
-            stop p Crashed;
-            M.incr m_crashes;
-            R.emit recorder (fun () -> E.Crash { pid = p.pid; round = k });
-            false
-          | Some _ | None ->
-            broadcast p ~round:k m;
-            true)
-      end
+      | Shell.Sent kind ->
+        let k = Sh.round sh p.pid and m = Sh.message sh p.pid in
+        (match kind with
+        | Crash.Broadcast_all -> broadcast p ~round:k m
+        | Crash.Silent | Crash.Broadcast_subset ->
+          let others = List.filter (fun q -> q <> p.pid) (List.init n Fun.id) in
+          Transport.send_to transport ~now:(now ()) ~src:p.pid ~round:k
+            ~dsts:(Shell.reach kind p.rng others)
+            (deliver (Arrival { src = p.pid; sent = k; payload = m })));
+        not (Sh.stopped sh p.pid)
     in
     (* Run end-of-rounds until [p] stops or waits on a round some
        expected peer has not yet sent. *)
@@ -257,8 +197,9 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
         Pacer.note_wait p.pacer;
         p.expiries <- 0;
         p.missing <- 0;
+        let k = Sh.round sh p.pid in
         for q = 0 to n - 1 do
-          if p.expected.(q) && p.heard.(q) < p.round then p.missing <- p.missing + 1
+          if p.expected.(q) && p.heard.(q) < k then p.missing <- p.missing + 1
         done;
         if p.missing = 0 then quorum p else arm p
       end
@@ -268,8 +209,8 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
       advance p
     in
     let on_arrival p ~src ~sent payload =
-      let k = p.round in
-      Backend.insert inboxes p.pid ~arrival:(max sent k) ~sent payload;
+      let k = Sh.round sh p.pid in
+      Sh.file sh ~sender:src ~receiver:p.pid ~sent [ payload ];
       if sent > p.heard.(src) then begin
         let was_missing = p.expected.(src) && p.heard.(src) < k in
         p.heard.(src) <- sent;
@@ -283,6 +224,7 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
       Pacer.on_expiry p.pacer;
       M.incr m_timeouts;
       p.expiries <- p.expiries + 1;
+      let k = Sh.round sh p.pid in
       if p.expiries > retries then begin
         (* Proceed short. Peers silent this round accumulate a miss;
            [miss_grace] in a row and they stop being expected — that is
@@ -290,7 +232,7 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
            announcement. *)
         for q = 0 to n - 1 do
           if p.expected.(q) then
-            if p.heard.(q) < p.round then begin
+            if p.heard.(q) < k then begin
               p.miss.(q) <- p.miss.(q) + 1;
               if p.miss.(q) >= miss_grace then p.expected.(q) <- false
             end
@@ -301,7 +243,7 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
       else begin
         (* Retransmit: our broadcast may be what a slow peer is waiting
            on; duplicates merge under anonymity. *)
-        broadcast p ~round:p.round p.msg;
+        broadcast p ~round:k (Sh.message sh p.pid);
         p.rebroadcasts <- p.rebroadcasts + 1;
         M.incr m_rebroadcasts;
         arm p
@@ -310,11 +252,11 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
     Array.iter advance procs;
     let rec loop () =
       match Calendar.next_time calendar with
-      | Some t when !running > 0 && max t (now ()) < budget ->
+      | Some t when Sh.running sh > 0 && max t (now ()) < budget ->
         reach t;
         let _, pid, ev = Option.get (Calendar.pop calendar) in
         let p = procs.(pid) in
-        (if p.stop = None then
+        (if not (Sh.stopped sh pid) then
            match ev with
            | Arrival { src; sent; payload } -> on_arrival p ~src ~sent payload
            | Deadline epoch -> if epoch = p.epoch then on_deadline p);
@@ -322,30 +264,30 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
       | Some _ | None -> ()
     in
     loop ();
-    if !running > 0 then begin
-      reach budget;
-      Array.iter (fun p -> if p.stop = None then stop p Wall_budget_exhausted) procs
-    end;
+    if Sh.running sh > 0 then reach budget;
     let wall_s = s_of_ns (now ()) in
     let processes =
       Array.map
         (fun p ->
           {
             pid = p.pid;
-            decision = p.decision;
-            stop = Option.get p.stop;
-            rounds_executed = p.round;
+            stop =
+              (match Sh.stop sh p.pid with
+              | None -> Wall_budget_exhausted
+              | Some Shell.Capped -> Round_budget_exhausted
+              | Some Shell.Decided -> Decided
+              | Some (Shell.Sent _) -> Crashed);
+            rounds_executed = Sh.round sh p.pid;
             timeouts_expired = Pacer.expiries p.pacer;
             rebroadcasts = p.rebroadcasts;
-            decide_latency_s = Option.map (fun _ -> p.decide_at) p.decision;
           })
         procs
     in
-    let decisions = List.rev !decisions in
+    let decisions = Sh.decisions sh in
     let undecided =
-      List.filter (fun pid -> procs.(pid).decision = None) (Crash.correct config.crash)
+      List.filter (fun pid -> not (Sh.decided sh pid)) (Crash.correct config.crash)
     in
-    let rounds_max = Array.fold_left (fun acc p -> max acc p.round) 0 procs in
+    let rounds_max = Array.fold_left (fun acc p -> max acc p.rounds_executed) 0 processes in
     (* Elementwise max across the per-process pacer trajectories: the
        run's worst-case discovered timeout at each wait-round index. *)
     let timeout_curve =
@@ -362,9 +304,8 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
     in
     List.iter (M.observe h_timeout) timeout_curve;
     M.incr ~by:transport.Transport.retransmissions m_retrans;
-    R.emit recorder (fun () -> E.Run_end { rounds = rounds_max; decided = undecided = [] });
-    R.flush recorder;
     {
+      trace = Sh.finish sh ~env:Anon_giraf.Env.Async;
       decisions;
       all_correct_decided = undecided = [];
       undecided;

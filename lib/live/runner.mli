@@ -17,19 +17,20 @@
     and its clock's readings: on the [Virtual] clock it is
     deterministic.
 
-    Per-process protocol, mirroring Alg. 1 end-of-round [k]:
-    initialize (k = 1) or compute round [k-1]'s mailbox; halt on decision;
-    crash at the scheduled round with the scheduled last-broadcast
-    behaviour; otherwise broadcast the round-[k] message and wait for
-    round-[k] messages from every still-expected peer. A wait expires
-    after the pacer's timeout: up to 3 expiries rebroadcast the round
-    message (harmless under anonymity — duplicates merge) and grow the
-    timeout; then the round proceeds short, and peers silent for 2
-    consecutive short rounds stop being expected (halted and crashed
-    peers are discovered, not announced). An arrival is filed
-    with [arrival = max sent k]: a packet for a round the receiver has
-    passed is late by exactly the lockstep clamp, and a faster peer's
-    future round stays timely for when the receiver gets there.
+    Each process runs Alg. 1's end-of-round through the shared
+    {!Anon_giraf.Shell} (initialize or compute, halt on a decision, the
+    crash rule, the mailbox, the trace log, the events and the [run.*]
+    metrics); this runner is its trigger and its network. After
+    broadcasting round [k] a process waits for round-[k] messages from
+    every still-expected peer. A wait expires after the pacer's timeout:
+    up to 3 expiries rebroadcast the round message (harmless under
+    anonymity — duplicates merge) and grow the timeout; then the round
+    proceeds short, and peers silent for 2 consecutive short rounds stop
+    being expected (halted and crashed peers are discovered, not
+    announced). An arrival is filed with [arrival = max sent k]: a
+    packet for a round the receiver has passed is late by exactly the
+    lockstep clamp, and a faster peer's future round stays timely for
+    when the receiver gets there.
 
     Every run is bounded twice — [round_budget] rounds and
     [wall_budget_s] seconds on the run's clock — so an undecidable
@@ -76,21 +77,22 @@ type stop_reason =
 
 type process_report = {
   pid : int;
-  decision : (int * Anon_kernel.Value.t) option;  (** [(round, value)]. *)
   stop : stop_reason;
-  rounds_executed : int;  (** End-of-rounds performed. *)
+  rounds_executed : int;  (** Rounds broadcast ([k_i]); a decider at round [r] ran [r]. *)
   timeouts_expired : int;
   rebroadcasts : int;  (** Application-level retransmissions on expiry. *)
-  decide_latency_s : float option;  (** Run start to decision, clock seconds. *)
 }
 
 type outcome = {
+  trace : Anon_giraf.Trace.t Lazy.t;
+      (** {!Anon_giraf.Trace.of_log}'s, [env = Async]; built when forced,
+          as its per-link lists grow as [n²] per round. *)
   decisions : (int * int * Anon_kernel.Value.t) list;
       (** [(pid, round, value)] in decide order. *)
   all_correct_decided : bool;
   undecided : int list;  (** Correct pids that did not decide, increasing. *)
   processes : process_report array;
-  rounds_max : int;  (** Highest end-of-round any process reached. *)
+  rounds_max : int;  (** Highest [rounds_executed]. *)
   wall_s : float;  (** Run duration on its clock, seconds. *)
   transport : Transport.stats;
   timeout_curve : float list;
@@ -113,6 +115,7 @@ type clock = Virtual | Wall
 module Make (A : Anon_giraf.Intf.ALGORITHM) : sig
   val run : ?recorder:Anon_obs.Recorder.t -> clock:clock -> config -> outcome
   (** Execute until every process stopped or a budget ran out — never a
-      hang. [recorder] receives the run/decide/crash event stream as it
-      happens, and the [live.*] and [run.*] metrics. *)
+      hang. [recorder] receives the run/broadcast/deliver/decide/crash
+      event stream as it happens, and the [live.*], [run.*], [phase.*]
+      and [kernel.*] metrics. *)
 end

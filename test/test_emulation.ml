@@ -34,15 +34,38 @@ let test_emulation_rounds_progress () =
   check_bool "hosted algorithm decided under fast adds" true out.all_correct_decided
 
 let test_emulation_with_crash () =
+  (* The shell's crash rule: a crasher at round r computes round r-1 (it
+     may decide instead), adds its round-r pair unless it is [Silent],
+     and stops. Every kind at rounds 1, 3 and 5 keeps MS and safety. *)
   let n = 4 in
-  let crash =
-    G.Crash.of_events ~n [ { G.Crash.pid = 2; round = 5; broadcast = G.Crash.Silent } ]
-  in
-  let out = Emu.run (emu_config ~n ~crash ()) in
-  check_bool "crashed process stops" true (out.rounds_completed.(2) <= 5);
-  check_int "MS property still holds" 0 (List.length (G.Checker.check_env out.trace));
-  check_int "safety still holds" 0
-    (List.length (G.Checker.check_consensus ~expect_termination:false out.trace))
+  List.iter
+    (fun broadcast ->
+      List.iter
+        (fun round ->
+          List.iter
+            (fun seed ->
+              let crash = G.Crash.of_events ~n [ { G.Crash.pid = 2; round; broadcast } ] in
+              let out = Emu.run (emu_config ~n ~seed ~crash ()) in
+              let label what = Printf.sprintf "crash at %d, seed %d: %s" round seed what in
+              check_bool (label "crasher stops") true (out.rounds_completed.(2) <= round);
+              if not (List.exists (fun (p, _, _) -> p = 2) out.decisions) then
+                check_bool (label "crash recorded at its round") true
+                  (List.exists
+                     (fun (info : G.Trace.round_info) ->
+                       info.round = round && List.mem 2 info.crashing)
+                     out.trace.rounds);
+              check_int (label "MS property") 0 (List.length (G.Checker.check_env out.trace));
+              check_int (label "safety") 0
+                (List.length (G.Checker.check_consensus ~expect_termination:false out.trace));
+              List.iter
+                (fun (info : G.Trace.round_info) ->
+                  if info.round > round then
+                    check_bool (label "no broadcast past the crash") false
+                      (List.mem 2 info.senders))
+                out.trace.rounds)
+            [ 11; 12; 13; 14 ])
+        [ 1; 3; 5 ])
+    G.Crash.[ Silent; Broadcast_all; Broadcast_subset ]
 
 let test_emulation_alternating_latency () =
   (* The 2-process alternating schedule: the source alternates by parity.

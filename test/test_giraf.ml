@@ -117,16 +117,16 @@ let take_string mb ~round =
 
 let test_mailbox_current_dedup () =
   let mb = G.Backend.create ~n:1 in
-  G.Backend.insert mb 0 ~arrival:1 ~sent:1 "a";
-  G.Backend.insert mb 0 ~arrival:1 ~sent:1 "a";
-  G.Backend.insert mb 0 ~arrival:1 ~sent:1 "b";
+  G.Backend.insert ~compare:String.compare mb 0 ~arrival:1 ~sent:1 "a";
+  G.Backend.insert ~compare:String.compare mb 0 ~arrival:1 ~sent:1 "a";
+  G.Backend.insert ~compare:String.compare mb 0 ~arrival:1 ~sent:1 "b";
   let current, fresh = take_string mb ~round:1 in
   check_int "all arrivals reported fresh" 3 (List.length fresh);
   Alcotest.(check (list string)) "current deduped and sorted" [ "a"; "b" ] current
 
 let test_mailbox_late_messages () =
   let mb = G.Backend.create ~n:1 in
-  G.Backend.insert mb 0 ~arrival:3 ~sent:1 "late";
+  G.Backend.insert ~compare:String.compare mb 0 ~arrival:3 ~sent:1 "late";
   let _, fresh1 = take_string mb ~round:2 in
   check_int "not arrived yet" 0 (List.length fresh1);
   let current, fresh2 = take_string mb ~round:3 in
@@ -136,7 +136,7 @@ let test_mailbox_late_messages () =
 
 let test_mailbox_drain_once () =
   let mb = G.Backend.create ~n:1 in
-  G.Backend.insert mb 0 ~arrival:1 ~sent:1 "x";
+  G.Backend.insert ~compare:String.compare mb 0 ~arrival:1 ~sent:1 "x";
   ignore (take_string mb ~round:1);
   check_int "second drain empty" 0 (List.length (snd (take_string mb ~round:1)))
 
@@ -210,6 +210,18 @@ let same_entries l1 l2 =
   List.length l1 = List.length l2
   && List.for_all2 (fun (a1, s1, m1) (a2, s2, m2) -> a1 = a2 && s1 = s2 && m1 == m2) l1 l2
 
+(* What [peek] lists: the model's round-[sent] entries filed with
+   [arrival], ascending, keeping of equal messages the oldest copy. *)
+let model_peek ~compare ~arrival ~sent inflight =
+  let rec uniq = function
+    | m :: (m' :: _ as tl) when compare m m' = 0 -> uniq tl
+    | m :: tl -> m :: uniq tl
+    | [] -> []
+  in
+  uniq
+    (List.stable_sort compare
+       (List.filter_map (fun (a, s, m) -> if a = arrival && s = sent then Some m else None) inflight))
+
 (* The model's remainder in the order a later read lists it. *)
 let model_order rest =
   List.stable_sort
@@ -219,11 +231,11 @@ let model_order rest =
 (* Both filing paths against the model, drain by drain: the lockstep
    path records each sent round as the dispatch would (senders in pid
    order) and files it with one ordering; the live path inserts the same
-   entries one at a time in a random order. The model sees each path's
-   entries newest first, in the order that path scheduled them. Every
-   drain's lazy [fresh] is forced only at the end, after later rounds
-   (and a repeat of the last round) were filed into the same mailboxes
-   and into the snapshot copy. *)
+   entries one at a time in a random order, peeking now and then. The
+   model sees each path's entries newest first, in the order that path
+   scheduled them. Every drain's lazy [fresh] is forced only at the end,
+   after later rounds (and a repeat of the last round) were filed into
+   the same mailboxes and into the snapshot copy. *)
 let prop_mailbox_matches_model =
   QCheck.Test.make ~name:"bucketed mailbox = sort-per-read model" ~count:500
     QCheck.(int_bound 1_000_000)
@@ -267,8 +279,17 @@ let prop_mailbox_matches_model =
             snapshot := Some (G.Backend.copy lock, Array.copy lock_model);
           List.iter
             (fun (q, arrival, msg) ->
-              G.Backend.insert live q ~arrival ~sent msg;
-              live_model.(q) <- (arrival, sent, msg) :: live_model.(q))
+              G.Backend.insert ~compare live q ~arrival ~sent msg;
+              live_model.(q) <- (arrival, sent, msg) :: live_model.(q);
+              (* A peek sorts its bucket, and later inserts keep it sorted. *)
+              if Rng.chance rng 0.3 then begin
+                let sent = 1 + Rng.int rng sent in
+                ok :=
+                  !ok
+                  && same_msgs
+                       (G.Backend.peek ~compare live q ~arrival ~sent)
+                       (model_peek ~compare ~arrival ~sent live_model.(q))
+              end)
             (Rng.shuffle rng !entries);
           List.iter
             (fun (q, round) ->
@@ -296,7 +317,7 @@ let prop_mailbox_matches_model =
       for q = 0 to mailbox_receivers - 1 do
         let arrival = last + Rng.int rng 4 in
         G.Backend.Round.deliver filing ~sender:0 ~receiver:q ~arrival "z";
-        G.Backend.insert live q ~arrival ~sent:last "z"
+        G.Backend.insert ~compare live q ~arrival ~sent:last "z"
       done;
       G.Backend.Round.file ~compare filing lock;
       Option.iter (fun (boxes, _) -> G.Backend.Round.file ~compare filing boxes) !snapshot;
@@ -377,6 +398,84 @@ let prop_calendar_matches_model =
         pop_both ()
       done;
       !ok && G.Calendar.pop cal = None)
+
+(* --- Shell ---------------------------------------------------------------------- *)
+
+(* Sends the largest value of the round's set; decides 9 or more. *)
+module Maxer = struct
+  let name = "maxer"
+
+  type state = unit
+  type msg = int
+
+  let msg_compare = Int.compare
+  let msg_size _ = 1
+  let leader () = None
+  let initialize v = ((), v)
+
+  let compute () ~round:_ ~(inbox : msg G.Intf.inbox) =
+    let m = List.fold_left max 0 inbox.current in
+    ((), m, if m >= 9 then Some m else None)
+end
+
+module Sh = G.Shell.Make (Maxer)
+
+(* The shell driven by hand: p1 crashes at round 2 with a subset
+   broadcast, p2 (input 9) decides on round 1, and the cap is 3. *)
+let test_shell_by_hand () =
+  let metrics = Anon_obs.Metrics.create () in
+  let sh =
+    Sh.create ~recorder:(Anon_obs.Recorder.create ~metrics ()) ~inputs:[| 1; 2; 9 |]
+      ~crash:(G.Crash.of_events ~n:3 [ ev 1 2 G.Crash.Broadcast_subset ])
+      ~max_rounds:3 ~seed:0
+  in
+  let sent kind step = check_bool "sent" true (step = G.Shell.Sent kind) in
+  for p = 0 to 2 do
+    sent G.Crash.Broadcast_all (Sh.end_of_round sh p);
+    check_int "round 1 initializes" 1 (Sh.round sh p);
+    check_int "with the input" [| 1; 2; 9 |].(p) (Sh.message sh p)
+  done;
+  (* p1's copy reaches p0 before p0 computes round 1, p2's after. *)
+  Sh.file sh ~sender:1 ~receiver:0 ~sent:1 [ 2 ];
+  sent G.Crash.Broadcast_all (Sh.end_of_round sh 0);
+  check_int "p0 computed on {1, 2}" 2 (Sh.message sh 0);
+  Sh.file sh ~sender:2 ~receiver:0 ~sent:1 [ 9 ];
+  Sh.file sh ~sender:0 ~receiver:2 ~sent:1 [ 1 ];
+  check_bool "p2 decides" true (Sh.end_of_round sh 2 = G.Shell.Decided);
+  check_bool "and stops" true (Sh.stopped sh 2 && Sh.decided sh 2);
+  check_int "at its round counter" 1 (Sh.round sh 2);
+  Sh.file sh ~sender:0 ~receiver:2 ~sent:2 [ 2 ];
+  sent G.Crash.Broadcast_subset (Sh.end_of_round sh 1);
+  check_bool "the crasher stops" true (Sh.stopped sh 1 && not (Sh.decided sh 1));
+  sent G.Crash.Broadcast_all (Sh.end_of_round sh 0);
+  check_bool "past the cap" true (Sh.end_of_round sh 0 = G.Shell.Capped);
+  check_int "nobody runs" 0 (Sh.running sh);
+  check_bool "p0 undecided" false (Sh.all_correct_decided sh);
+  Alcotest.(check (list (triple int int int))) "decisions" [ (2, 1, 9) ] (Sh.decisions sh);
+  let trace = Lazy.force (Sh.finish sh ~env:G.Env.Async) in
+  let info k = List.find (fun (i : G.Trace.round_info) -> i.round = k) trace.rounds in
+  pids "timely copy" [ 0 ] (G.Trace.timely_to (info 1) 1);
+  pids "late copy" [] (G.Trace.timely_to (info 1) 2);
+  pids "obligated at 1" [ 0; 1; 2 ] (info 1).obligated;
+  pids "the decider sends nothing" [ 0; 1 ] (info 2).senders;
+  pids "the crasher crashes at its round" [ 1 ] (info 2).crashing;
+  pids "round 3" [ 0 ] (info 3).senders;
+  check_int "rounds" 3 (G.Trace.last_round trace);
+  let counter name =
+    List.assoc name (Anon_obs.Metrics.snapshot metrics).Anon_obs.Metrics.counters
+  in
+  check_int "broadcasts" 6 (counter Anon_obs.Name.broadcasts);
+  check_int "copies filed, none to a stopped process" 3 (counter Anon_obs.Name.deliveries);
+  check_int "decisions" 1 (counter Anon_obs.Name.decisions);
+  check_int "crashes" 1 (counter Anon_obs.Name.crashes)
+
+let test_shell_reach () =
+  let candidates = List.init 12 Fun.id in
+  pids "all" candidates (G.Shell.reach G.Crash.Broadcast_all (Rng.make 3) candidates);
+  pids "silent" [] (G.Shell.reach G.Crash.Silent (Rng.make 3) candidates);
+  let subset = G.Shell.reach G.Crash.Broadcast_subset (Rng.make 3) candidates in
+  pids "subset" (Rng.subset (Rng.make 3) ~p:0.5 candidates) subset;
+  check_bool "a proper subset" true (subset <> [] && subset <> candidates)
 
 (* --- Adversary ----------------------------------------------------------------- *)
 
@@ -1931,6 +2030,11 @@ let () =
         [
           qc prop_mailbox_matches_model;
           Alcotest.test_case "tie order" `Quick test_mailbox_tie_order;
+        ] );
+      ( "shell",
+        [
+          Alcotest.test_case "end-of-round by hand" `Quick test_shell_by_hand;
+          Alcotest.test_case "reach" `Quick test_shell_reach;
         ] );
       ( "adversary",
         [

@@ -201,6 +201,12 @@ let run_differential (algo_name, (module A : G.Intf.ALGORITHM)) =
              ~wall_budget_s:60.0 ~seed:42 ~inputs ~crash ())
       in
       assert_safe label live.L.Runner.safety;
+      (* A clean wire with generous timeouts delivers every round: the
+         live trace is synchronous, and safe and terminating. *)
+      let trace = Lazy.force live.L.Runner.trace in
+      assert_safe (label ^ ": trace under Sync")
+        (G.Checker.check_env { trace with G.Trace.env = G.Env.Sync });
+      assert_safe (label ^ ": trace") (G.Checker.check_consensus trace);
       check_bool
         (label ^ ": live decided all correct")
         lockstep.G.Runner.all_correct_decided live.L.Runner.all_correct_decided;
@@ -298,6 +304,9 @@ let test_live_replay () =
   let first, events1, o = run () in
   let second, events2, _ = run () in
   assert_safe "replay" o.L.Runner.safety;
+  check_bool "trace safety = outcome safety" true
+    (G.Checker.check_consensus ~expect_termination:false (Lazy.force o.L.Runner.trace)
+     = o.L.Runner.safety);
   check_bool "decided" true o.L.Runner.all_correct_decided;
   check_bool "wire faults injected" true
     (o.L.Runner.transport.L.Transport.retransmissions > 0

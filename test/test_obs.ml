@@ -633,8 +633,8 @@ let backends =
           (N.crashes, crashes_in o.trace);
         ] );
     ( "live runner (virtual clock)",
-      [ "run."; "live." ],
-      N.[ decisions; crashes ],
+      [ "run."; "live."; "phase."; "kernel." ],
+      N.[ broadcasts; deliveries; decisions; crashes; msg_size; compute_us ],
       fun recorder ->
         let module L = Anon_live.Runner.Make (C.Es_consensus) in
         let o =
@@ -649,7 +649,10 @@ let backends =
               if p.stop = Anon_live.Runner.Crashed then acc + 1 else acc)
             0 o.processes
         in
-        [ (N.decisions, List.length o.decisions); (N.crashes, crashed) ] );
+        [
+          (N.broadcasts, senders_in (Lazy.force o.trace));
+          (N.decisions, List.length o.decisions); (N.crashes, crashed);
+        ] );
     ( "rsm",
       [ "run."; "rsm." ],
       N.[ broadcasts; decisions; rounds ],

@@ -32,6 +32,81 @@ let test_uniform_pace_is_synchronous () =
     (List.length
        (G.Checker.check_env { out.trace with G.Trace.env = G.Env.Sync }))
 
+let test_deliver_events_report_timeliness () =
+  (* pace 1 + delay 1: every relayed set reaches its receiver before it
+     computes the round, so each deliver event (one per relayed set) is
+     timely (arrival = round), and their (relayer, receiver, round)
+     triples are the trace's timely links. *)
+  let events = ref [] in
+  let sink = Anon_obs.Sink.handler (fun ev -> events := ev :: !events) in
+  let out = Skew.run ~recorder:(Anon_obs.Recorder.create ~sink ()) (base ()) in
+  let delivered =
+    List.filter_map
+      (function
+        | Anon_obs.Event.Deliver { sender; receiver; round; arrival } ->
+          check_int "timely: arrival = round" round arrival;
+          Some (sender, receiver, round)
+        | _ -> None)
+      !events
+  in
+  let links =
+    List.concat_map
+      (fun (info : G.Trace.round_info) ->
+        List.concat_map
+          (fun (s, receivers) -> List.map (fun q -> (s, q, info.round)) receivers)
+          info.timely)
+      out.trace.rounds
+  in
+  check_int "one event per relayed set" 72 (List.length delivered);
+  Alcotest.(check (list (triple int int int)))
+    "deliver events = timely links" (List.sort compare links) (List.sort compare delivered)
+
+(* ES that records the most copies one compute saw twice: entries of
+   [fresh] with the same sent round and equal messages. *)
+module Dup_probe = struct
+  include C.Es_consensus
+
+  let dups = ref 0
+
+  let compute st ~round ~(inbox : msg G.Intf.inbox) =
+    let fresh =
+      List.sort
+        (fun (s1, m1) (s2, m2) ->
+          match Int.compare s1 s2 with 0 -> msg_compare m1 m2 | c -> c)
+        (Lazy.force inbox.fresh)
+    in
+    let rec count acc = function
+      | (s1, m1) :: ((s2, m2) :: _ as tl) ->
+        count (if s1 = s2 && msg_compare m1 m2 = 0 then acc + 1 else acc) tl
+      | _ -> acc
+    in
+    dups := max !dups (count 0 fresh);
+    compute st ~round ~inbox
+end
+
+module Skew_dups = G.Skew_runner.Make (Dup_probe)
+
+let test_relayed_copies_merge () =
+  (* Uneven paces and delays: most relayed sets overlap what their
+     receiver holds. A receiver files a relayed message it holds for the
+     round only once, so a compute reads at most one copy twice: its own
+     message, filed without a look at what arrived early. *)
+  Dup_probe.dups := 0;
+  let relays = ref 0 in
+  let sink =
+    Anon_obs.Sink.handler (function Anon_obs.Event.Deliver _ -> incr relays | _ -> ())
+  in
+  let out =
+    Skew_dups.run ~recorder:(Anon_obs.Recorder.create ~sink ())
+      (base ~n:6 ~pace:(G.Skew_runner.uniform_pace ~max:3)
+         ~delay:(G.Skew_runner.uniform_delay ~max:3) ())
+  in
+  check_bool "decided" true out.all_correct_decided;
+  check_bool "relays delivered" true (!relays > 0);
+  check_bool "at most the own message read twice" true (!Dup_probe.dups <= 1);
+  check_int "safety" 0
+    (List.length (G.Checker.check_consensus ~expect_termination:false out.trace))
+
 let test_fast_process_runs_ahead () =
   (* p0 fires every tick, everyone else every 5 ticks: p0's round counter
      races ahead; everything stays safe. *)
@@ -198,6 +273,9 @@ let () =
         [
           Alcotest.test_case "uniform pace = synchronous" `Quick
             test_uniform_pace_is_synchronous;
+          Alcotest.test_case "deliver events report timeliness" `Quick
+            test_deliver_events_report_timeliness;
+          Alcotest.test_case "relayed copies merge" `Quick test_relayed_copies_merge;
           Alcotest.test_case "fast process runs ahead" `Quick test_fast_process_runs_ahead;
           Alcotest.test_case "relay provides timeliness" `Quick
             test_relay_provides_timeliness;
