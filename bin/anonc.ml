@@ -260,11 +260,11 @@ let run_cmd =
         | Ok (G.Env.Dynamic { stability; rooted }) ->
           let noise = match schedule with Noisy -> 0.25 | _ -> 0. in
           G.Adversary.dynamic ~stability ~rooted ~noise ()
-        | Ok env ->
+        | Ok _ ->
           Format.eprintf
             "anonc run: --env %s not supported here (only dynamic:...; use \
              --schedule for the static environments)@."
-            (G.Env.to_string env);
+            spec;
           exit 2
         | Error e ->
           Format.eprintf "anonc run: %s@." e;
@@ -716,11 +716,11 @@ let load_cmd =
         match G.Env.of_string spec with
         | Ok (G.Env.Dynamic { stability; rooted }) ->
           fun ~shard:_ ~instance:_ -> G.Adversary.dynamic ~stability ~rooted ()
-        | Ok env ->
+        | Ok _ ->
           Format.eprintf
             "anonc load: --env %s not supported here (only dynamic:...; use \
              --algo/--gst for the static environments)@."
-            (G.Env.to_string env);
+            spec;
           exit 2
         | Error e ->
           Format.eprintf "anonc load: %s@." e;

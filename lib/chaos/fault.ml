@@ -1,10 +1,6 @@
 open Anon_kernel
 module Adv = Anon_giraf.Adversary
 module Crash = Anon_giraf.Crash
-module R = Anon_obs.Recorder
-module M = Anon_obs.Metrics
-module E = Anon_obs.Event
-
 module Env = Anon_giraf.Env
 
 type inadmissible =
@@ -65,14 +61,25 @@ let degrade ~obligated ~round sender ds =
   match List.filter (fun q -> q <> sender) obligated with
   | [] -> None
   | q :: _ ->
-    let ds =
-      List.map
-        (fun (d : Adv.delivery) ->
-          if d.receiver = q && d.arrival = round then { d with arrival = round + 1 }
-          else d)
-        ds
-    in
-    Some (q, ds)
+    Some
+      (List.map
+         (fun (d : Adv.delivery) ->
+           if d.receiver = q && d.arrival = round then { d with arrival = round + 1 }
+           else d)
+         ds)
+
+(* Degrade every sender that covers the obligated receivers, so no source
+   remains. *)
+let demote_covering ~obligated ~round (plan : Adv.plan) =
+  let deliveries =
+    List.map
+      (fun (s, ds) ->
+        if covers ~obligated ~round s ds then
+          (s, Option.value ~default:ds (degrade ~obligated ~round s ds))
+        else (s, ds))
+      plan.deliveries
+  in
+  { plan with deliveries }
 
 (* Force [sender] timely to every obligated receiver. *)
 let promote ~obligated ~round ds =
@@ -81,39 +88,26 @@ let promote ~obligated ~round ds =
       if List.mem d.receiver obligated then { d with arrival = round } else d)
     ds
 
-let wrap ?(recorder = R.off) spec adv =
+let wrap spec adv =
   validate spec;
   if is_noop spec then adv
   else begin
     let env = Adv.env adv in
-    let c_dup = R.counter recorder "fault.duplicates" in
-    let c_delay = R.counter recorder "fault.extra_delays" in
-    let c_reorder = R.counter recorder "fault.reorders" in
-    let c_drop = R.counter recorder "fault.drops" in
-    let c_swap = R.counter recorder "fault.source_swaps" in
-    let c_starve = R.counter recorder "fault.root_starvations" in
-    let c_break = R.counter recorder "fault.stability_breaks" in
-    let emit kind ~round ~sender ~receiver =
-      R.emit recorder (fun () -> E.Fault { kind; round; sender; receiver })
-    in
     let inject (ctx : Adv.ctx) rng (plan : Adv.plan) =
       let k = ctx.round in
       (* Admissible layers: never touch a timely arrival, so every
          obligation of the inner schedule survives. *)
-      let delay_late sender ds =
+      let delay_late ds =
         if spec.extra_delay <= 0. then ds
         else
           List.map
             (fun (d : Adv.delivery) ->
-              if d.arrival > k && Rng.chance rng spec.extra_delay then begin
-                M.incr c_delay;
-                emit "extra_delay" ~round:k ~sender ~receiver:d.receiver;
+              if d.arrival > k && Rng.chance rng spec.extra_delay then
                 { d with arrival = d.arrival + Rng.int_in rng 1 (max 1 spec.max_extra) }
-              end
               else d)
             ds
       in
-      let reorder_late sender ds =
+      let reorder_late ds =
         if spec.reorder <= 0. || not (Rng.chance rng spec.reorder) then ds
         else
           let late, timely =
@@ -122,31 +116,26 @@ let wrap ?(recorder = R.off) spec adv =
           match late with
           | [] | [ _ ] -> ds
           | _ ->
-            M.incr c_reorder;
-            emit "reorder" ~round:k ~sender ~receiver:(-1);
             let arrivals =
               Rng.shuffle rng (List.map (fun (d : Adv.delivery) -> d.arrival) late)
             in
             timely
             @ List.map2 (fun (d : Adv.delivery) arrival -> { d with arrival }) late arrivals
       in
-      let duplicate_some sender ds =
+      let duplicate_some ds =
         if spec.duplicate <= 0. then ds
         else
           List.concat_map
             (fun (d : Adv.delivery) ->
-              if Rng.chance rng spec.duplicate then begin
-                M.incr c_dup;
-                emit "duplicate" ~round:k ~sender ~receiver:d.receiver;
+              if Rng.chance rng spec.duplicate then
                 let echo = max d.arrival k + Rng.int_in rng 1 (max 1 spec.max_extra) in
                 [ d; { d with arrival = echo } ]
-              end
               else [ d ])
             ds
       in
       let deliveries =
         List.map
-          (fun (s, ds) -> (s, duplicate_some s (reorder_late s (delay_late s ds))))
+          (fun (s, ds) -> (s, duplicate_some (reorder_late (delay_late ds))))
           plan.Adv.deliveries
       in
       let plan = { plan with Adv.deliveries } in
@@ -154,29 +143,12 @@ let wrap ?(recorder = R.off) spec adv =
          timeliness we just took away (echoes are always late anyway). *)
       match spec.inadmissible with
       | Some (Drop_obligated { from_round }) when k >= from_round ->
-        let deliveries =
-          List.map
-            (fun (s, ds) ->
-              if covers ~obligated:ctx.obligated ~round:k s ds then
-                match degrade ~obligated:ctx.obligated ~round:k s ds with
-                | Some (q, ds') ->
-                  M.incr c_drop;
-                  emit "drop_obligated" ~round:k ~sender:s ~receiver:q;
-                  (s, ds')
-                | None -> (s, ds)
-              else (s, ds))
-            plan.Adv.deliveries
-        in
-        { plan with Adv.deliveries }
+        demote_covering ~obligated:ctx.obligated ~round:k plan
       | Some (Unstable_source { from_round }) when k >= from_round -> (
         match List.filter (fun s -> List.mem s ctx.correct) ctx.senders with
         | [] | [ _ ] -> plan (* cannot alternate without two correct senders *)
         | s0 :: s1 :: _ ->
           let keep = if k mod 2 = 0 then s0 else s1 in
-          if plan.Adv.source <> Some keep then begin
-            M.incr c_swap;
-            emit "source_swap" ~round:k ~sender:keep ~receiver:(-1)
-          end;
           (* Blocking shape (cf. [Adversary.ess_blocking]): only [keep] is
              timely, every other link one round late. Each round has a
              covering source (MS holds) but the alternation keeps the
@@ -203,20 +175,7 @@ let wrap ?(recorder = R.off) spec adv =
         match env with
         | Env.Dynamic { stability; rooted = true }
           when Env.pulse ~stability ~round:k ->
-          let deliveries =
-            List.map
-              (fun (s, ds) ->
-                if covers ~obligated:ctx.obligated ~round:k s ds then
-                  match degrade ~obligated:ctx.obligated ~round:k s ds with
-                  | Some (q, ds') ->
-                    M.incr c_starve;
-                    emit "root_starvation" ~round:k ~sender:s ~receiver:q;
-                    (s, ds')
-                  | None -> (s, ds)
-                else (s, ds))
-              plan.Adv.deliveries
-          in
-          { plan with Adv.deliveries }
+          demote_covering ~obligated:ctx.obligated ~round:k plan
         | _ -> plan)
       | Some (Stability_break { from_round }) when k >= from_round -> (
         (* Healed rounds of a dynamic environment only: make one correct
@@ -230,10 +189,8 @@ let wrap ?(recorder = R.off) spec adv =
               (fun (s, ds) ->
                 if (not !broken) && List.mem s ctx.correct then
                   match degrade ~obligated:ctx.obligated ~round:k s ds with
-                  | Some (q, ds') ->
+                  | Some ds' ->
                     broken := true;
-                    M.incr c_break;
-                    emit "stability_break" ~round:k ~sender:s ~receiver:q;
                     (s, ds')
                   | None -> (s, ds)
                 else (s, ds))

@@ -10,10 +10,7 @@
     source's timely delivery, rotate the ESS stable source) while keeping
     the declared environment, so the independent {!Checker} must flag the
     trace; they exist to prove the checker actually detects model
-    violations.
-
-    Every injected fault is recorded through the optional recorder as a
-    [Fault] event and a [fault.*] counter. *)
+    violations. *)
 
 type inadmissible =
   | Drop_obligated of { from_round : int }
@@ -67,16 +64,10 @@ val sample : ?inadmissible:inadmissible option -> Anon_kernel.Rng.t -> spec
 (** Random admissible fault intensities; [inadmissible] (default [None])
     is threaded through. *)
 
-val wrap :
-  ?recorder:Anon_obs.Recorder.t -> spec -> Anon_giraf.Adversary.t ->
-  Anon_giraf.Adversary.t
+val wrap : spec -> Anon_giraf.Adversary.t -> Anon_giraf.Adversary.t
 (** Wrap an adversary with the injectors of [spec] (via
     {!Anon_giraf.Adversary.map_plan}; the name gains a ["+faults"]
-    suffix). Fault events/metrics flow into [recorder] (default
-    {!Anon_obs.Recorder.off}): counters [fault.duplicates],
-    [fault.extra_delays], [fault.reorders], [fault.drops],
-    [fault.source_swaps], [fault.root_starvations],
-    [fault.stability_breaks].
+    suffix).
 
     @raise Anon_giraf.Config_error.Invalid_config on a malformed [spec]
     (see {!validate}). *)

@@ -149,7 +149,7 @@ let sample ?algo ?(inadmissible = false) ?(dynamic = false) ?(churn = false) rng
     schedule = None;
   }
 
-let adversary ?recorder t =
+let adversary t =
   let base =
     match t.schedule with
     | Some { sched_env; plans } ->
@@ -164,7 +164,7 @@ let adversary ?recorder t =
         | Ess -> Adv.ess ~gst:t.gst ~rotation:t.rotation ~noise:t.noise ()
         | Weak_set | Register -> Adv.ms ~rotation:t.rotation ~noise:t.noise ()))
   in
-  Fault.wrap ?recorder t.faults base
+  Fault.wrap t.faults base
 
 let crash t = Crash.of_events ~n:t.n t.crashes
 let churn t = Churn.of_events ~n:t.n t.churn

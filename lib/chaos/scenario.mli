@@ -63,7 +63,7 @@ val sample :
     counterexample and DESIGN.md section 12. Neither flag applies to
     [Register] cases (whose checker assumes stable crash-free clients). *)
 
-val adversary : ?recorder:Anon_obs.Recorder.t -> t -> Anon_giraf.Adversary.t
+val adversary : t -> Anon_giraf.Adversary.t
 (** The case's base adversary ([es]/[ess]/[ms] per [algo]) wrapped with its
     fault plan via {!Fault.wrap}. *)
 

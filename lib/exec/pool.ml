@@ -16,13 +16,9 @@ let map ?(jobs = 1) ?(recorder = O.Recorder.off) f items =
   let n = Array.length items in
   let results = Array.make n Pending in
   let task_us = Array.make n 0.0 in
-  let wait_us = Array.make n 0.0 in
   let wall0 = O.Clock.now_ns () in
   let run_task i =
     let t0 = O.Clock.now_ns () in
-    (* Queue wait: how long the task sat between submission (all tasks
-       are submitted when [map] starts) and a worker picking it up. *)
-    wait_us.(i) <- O.Clock.ns_to_us (Int64.sub t0 wall0);
     results.(i) <-
       (match isolate f items.(i) with
       | v -> Done v
@@ -53,31 +49,14 @@ let map ?(jobs = 1) ?(recorder = O.Recorder.off) f items =
     let domains = List.init (min jobs n) (fun _ -> Domain.spawn worker) in
     List.iter Domain.join domains
   end;
-  (* exec.* metrics, coordinator-side only: the registry is not
-     thread-safe and worker tasks may create recorders of their own. *)
+  (* Coordinator-side only: the registry is not thread-safe and worker
+     tasks may create recorders of their own. *)
   if O.Recorder.active recorder then begin
-    let wall = O.Clock.ns_to_us (O.Clock.since_ns wall0) in
-    let busy = Array.fold_left ( +. ) 0.0 task_us in
-    let module M = O.Metrics in
-    M.incr ~by:n (O.Recorder.counter recorder "exec.tasks");
-    M.incr ~by:(int_of_float wall) (O.Recorder.counter recorder "exec.wall_us");
-    M.incr ~by:(int_of_float busy) (O.Recorder.counter recorder "exec.busy_us");
-    M.incr
-      ~by:(int_of_float (Float.max 0.0 ((float_of_int jobs *. wall) -. busy)))
-      (O.Recorder.counter recorder "exec.idle_us");
-    M.set_gauge (O.Recorder.gauge recorder "exec.jobs") (float_of_int jobs);
-    if wall > 0.0 then begin
-      M.set_gauge (O.Recorder.gauge recorder "exec.speedup") (busy /. wall);
-      (* Fraction of the pool's total capacity (jobs × wall) spent inside
-         tasks: 1.0 means every domain was busy the whole call. *)
-      M.set_gauge
-        (O.Recorder.gauge recorder "exec.utilization")
-        (busy /. (float_of_int jobs *. wall))
-    end;
-    let h = O.Recorder.histogram recorder "exec.task_us" in
-    Array.iter (fun us -> M.observe h us) task_us;
-    let hw = O.Recorder.histogram recorder "exec.queue_wait_us" in
-    Array.iter (fun us -> M.observe hw us) wait_us
+    let us name v =
+      O.Metrics.incr ~by:(int_of_float v) (O.Recorder.counter recorder name)
+    in
+    us "exec.busy_us" (Array.fold_left ( +. ) 0.0 task_us);
+    us "exec.wall_us" (O.Clock.ns_to_us (O.Clock.since_ns wall0))
   end;
   for i = 0 to n - 1 do
     match results.(i) with

@@ -7,11 +7,11 @@
     ({!Anon_kernel.History.with_fresh_interner}), so its intern ids, and
     with them ESS's inbox order, do not depend on what ran before.
 
-    {!map}'s domain path, {!auto_jobs} and the [exec.*] metrics stay
-    only because the benchmark's [load-rsm] workload runs [Anon_rsm.Load]
-    on two domains and reads [exec.busy_us]/[exec.wall_us]. No command
-    runs on more than one domain (DESIGN.md §9 has the measurements);
-    they go with the next change to the benchmark. *)
+    {!map}'s domain path, {!auto_jobs} and its two [exec.*] counters
+    stay only because the benchmark's [load-rsm] workload runs
+    [Anon_rsm.Load] on two domains and reads [exec.busy_us]/[exec.wall_us].
+    No command runs on more than one domain (DESIGN.md §9 has the
+    measurements); they go with the next change to the benchmark. *)
 
 val auto_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1. *)
@@ -34,15 +34,11 @@ val map : ?jobs:int -> ?recorder:Anon_obs.Recorder.t -> ('a -> 'b) -> 'a list ->
       is re-raised in the caller (with its backtrace) once all tasks have
       settled — deterministic regardless of [jobs]. Remaining tasks are
       not cancelled.
-    - [recorder] (default off) receives [exec.*] metrics, recorded by
-      the coordinating domain only: counters [exec.tasks] and
-      [exec.busy_us]/[exec.wall_us]/[exec.idle_us] totals (µs, rounded),
-      histograms [exec.task_us] (per-task latency) and
-      [exec.queue_wait_us] (submission-to-start wait), gauges
-      [exec.jobs], [exec.speedup] (busy/wall — the cpu-vs-wall parallel
-      speedup) and [exec.utilization] (busy / (jobs × wall), 1.0 = all
-      domains busy throughout). Worker domains never touch the recorder,
-      so [f] may freely create its own.
+    - [recorder] (default off) receives two counters, recorded by the
+      coordinating domain only: [exec.busy_us], the summed task times,
+      and [exec.wall_us], the call's wall time (µs, rounded). Worker
+      domains never touch the recorder, so [f] may freely create its
+      own.
 
     Tasks must not let interned histories escape into shared state: each
     task's interner scope is private (see {!Anon_kernel.History}).

@@ -125,8 +125,6 @@ module Make (A : Intf.ALGORITHM) = struct
       | Some _ | None -> config.horizon_ticks + 1
     in
     let ticks = Stdlib.min (loop ()) config.horizon_ticks in
-    Anon_obs.Metrics.set_gauge (Anon_obs.Recorder.gauge recorder "skew.ticks")
-      (float_of_int ticks);
     {
       trace = Lazy.force (Sh.finish sh ~env:Env.Async);
       decisions = Sh.decisions sh;

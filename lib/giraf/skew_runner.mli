@@ -65,6 +65,6 @@ module Make (A : Intf.ALGORITHM) : sig
       [env] before calling the checker.
 
       [recorder] (default {!Anon_obs.Recorder.off}) receives the shell's
-      events and metrics (one [deliver] per relayed round set) and
-      [skew.ticks]; see DESIGN.md §7. *)
+      events and metrics (one [deliver] per relayed round set); see
+      DESIGN.md §7. *)
 end

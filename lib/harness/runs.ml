@@ -65,7 +65,7 @@ type run_result = {
 module Of (A : G.Intf.ALGORITHM) = struct
   module R = G.Runner.Make (A)
 
-  let one_run ?observe ~horizon ~metrics ~inputs ~crash ~adversary seed =
+  let one_run ~horizon ~metrics ~inputs ~crash ~adversary seed =
     let rng = Rng.make seed in
     let inputs = inputs (Rng.split rng) in
     let crash = crash (Rng.split rng) in
@@ -76,7 +76,7 @@ module Of (A : G.Intf.ALGORITHM) = struct
         Anon_obs.Recorder.create ~metrics:(Anon_obs.Metrics.create ()) ()
       else Anon_obs.Recorder.off
     in
-    let outcome = R.run ?observe ~recorder config in
+    let outcome = R.run ~recorder config in
     let env = G.Checker.check_env outcome.trace in
     let cons = G.Checker.check_consensus ~expect_termination:false outcome.trace in
     let count p l = List.length (List.filter p l) in
@@ -95,15 +95,33 @@ module Of (A : G.Intf.ALGORITHM) = struct
          else None);
     }
 
-  let batch ?(horizon = 300) ?observe ?(metrics = false) ~inputs ~crash
-      ~adversary ~seeds () =
+  let batch ?(horizon = 300) ?(metrics = false) ~inputs ~crash ~adversary
+      ~seeds () =
     let results =
       List.map
-        (Anon_exec.Pool.isolate
-           (one_run ?observe ~horizon ~metrics ~inputs ~crash ~adversary))
+        (Anon_exec.Pool.isolate (one_run ~horizon ~metrics ~inputs ~crash ~adversary))
         seeds
     in
-    let empty =
+    let merged =
+      if metrics then
+        Some (Anon_obs.Metrics.merge (List.filter_map (fun r -> r.r_snapshot) results))
+      else None
+    in
+    List.fold_left
+      (fun acc r ->
+        {
+          runs = acc.runs + 1;
+          decided = (acc.decided + if r.r_decided then 1 else 0);
+          decision_rounds =
+            (match r.r_decision_round with
+            | Some round -> round :: acc.decision_rounds
+            | None -> acc.decision_rounds);
+          env_violations = acc.env_violations + r.r_env;
+          agreement_violations = acc.agreement_violations + r.r_agreement;
+          validity_violations = acc.validity_violations + r.r_validity;
+          messages = r.r_messages :: acc.messages;
+          metrics = acc.metrics;
+        })
       {
         runs = 0;
         decided = 0;
@@ -112,32 +130,7 @@ module Of (A : G.Intf.ALGORITHM) = struct
         agreement_violations = 0;
         validity_violations = 0;
         messages = [];
-        metrics = None;
+        metrics = merged;
       }
-    in
-    let result =
-      List.fold_left
-        (fun acc r ->
-          {
-            runs = acc.runs + 1;
-            decided = (acc.decided + if r.r_decided then 1 else 0);
-            decision_rounds =
-              (match r.r_decision_round with
-              | Some round -> round :: acc.decision_rounds
-              | None -> acc.decision_rounds);
-            env_violations = acc.env_violations + r.r_env;
-            agreement_violations = acc.agreement_violations + r.r_agreement;
-            validity_violations = acc.validity_violations + r.r_validity;
-            messages = r.r_messages :: acc.messages;
-            metrics = acc.metrics;
-          })
-        empty results
-    in
-    {
-      result with
-      metrics =
-        (match List.filter_map (fun r -> r.r_snapshot) results with
-        | [] -> None
-        | snaps -> Some (Anon_obs.Metrics.merge snaps));
-    }
+      results
 end

@@ -12,8 +12,8 @@ type batch = {
   messages : int list;  (** Broadcasts per run. *)
   metrics : Anon_obs.Metrics.snapshot option;
       (** Merged per-run snapshots; [Some] iff the batch ran with
-          [~metrics:true]. Counters are batch totals, histogram samples
-          pool across runs. *)
+          [~metrics:true] (an empty snapshot over no runs). Counters are
+          batch totals, histogram samples pool across runs. *)
 }
 
 val mean_decision : batch -> float option
@@ -31,7 +31,6 @@ val metrics_note : batch -> string option
 module Of (A : Anon_giraf.Intf.ALGORITHM) : sig
   val batch :
     ?horizon:int ->
-    ?observe:(pid:int -> round:int -> A.state -> unit) ->
     ?metrics:bool ->
     inputs:(Anon_kernel.Rng.t -> Anon_kernel.Value.t list) ->
     crash:(Anon_kernel.Rng.t -> Anon_giraf.Crash.t) ->

@@ -138,6 +138,20 @@ let system config ~inputs ~crash ~churn =
         ops_per_client = config.ops_per_client;
       }
 
+(* A crash or churn schedule: [pN@rK] items separated by ", ", or "none". *)
+let pp_schedule pp_event ppf = function
+  | [] -> Format.fprintf ppf "none"
+  | evs ->
+    Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") pp_event ppf evs
+
+let pp_events =
+  pp_schedule (fun ppf (ev : G.Crash.event) -> Format.fprintf ppf "p%d@r%d" ev.pid ev.round)
+
+let pp_churn_events =
+  pp_schedule (fun ppf (ev : G.Churn.event) ->
+      Format.fprintf ppf "p%d@r%d%s" ev.pid ev.leave
+        (match ev.rejoin with Some r -> Printf.sprintf "-r%d" r | None -> ""))
+
 (* --- the run ------------------------------------------------------------------ *)
 
 let run ?(recorder = R.off) ?progress config =
@@ -203,29 +217,11 @@ let run ?(recorder = R.off) ?progress config =
     (fun (events, churn_events) ->
       if !violation = None then begin
         incr schedules;
-        (match progress with
-        | Some ppf ->
-          Format.fprintf ppf "mc: schedule %d (crashes: %s; churn: %s)@." !schedules
-            (match events with
-            | [] -> "none"
-            | evs ->
-              String.concat ","
-                (List.map
-                   (fun (ev : G.Crash.event) ->
-                     Printf.sprintf "p%d@r%d" ev.pid ev.round)
-                   evs))
-            (match churn_events with
-            | [] -> "none"
-            | evs ->
-              String.concat ","
-                (List.map
-                   (fun (ev : G.Churn.event) ->
-                     Printf.sprintf "p%d@r%d%s" ev.pid ev.leave
-                       (match ev.rejoin with
-                       | Some r -> Printf.sprintf "-r%d" r
-                       | None -> ""))
-                   evs))
-        | None -> ());
+        Option.iter
+          (fun ppf ->
+            Format.fprintf ppf "mc: schedule %d (crashes: %a; churn: %a)@." !schedules
+              pp_events events pp_churn_events churn_events)
+          progress;
         let crash = G.Crash.of_events ~n:config.n events in
         let churn = G.Churn.of_events ~n:config.n churn_events in
         let r = explore (system config ~inputs ~crash ~churn) in
@@ -290,28 +286,6 @@ let run ?(recorder = R.off) ?progress config =
   report
 
 (* --- rendering ---------------------------------------------------------------- *)
-
-let pp_events ppf events =
-  match events with
-  | [] -> Format.fprintf ppf "none"
-  | evs ->
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-      (fun ppf (ev : G.Crash.event) -> Format.fprintf ppf "p%d@r%d" ev.pid ev.round)
-      ppf evs
-
-let pp_churn_events ppf events =
-  match events with
-  | [] -> Format.fprintf ppf "none"
-  | evs ->
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-      (fun ppf (ev : G.Churn.event) ->
-        Format.fprintf ppf "p%d@r%d%s" ev.pid ev.leave
-          (match ev.rejoin with
-          | Some r -> Printf.sprintf "-r%d" r
-          | None -> ""))
-      ppf evs
 
 let pp_report ppf r =
   let s = r.stats in

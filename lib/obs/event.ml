@@ -13,9 +13,6 @@ type t =
   | Ws_add of { pid : int; round : int; value : int }
   | Ws_add_done of { pid : int; round : int; value : int }
   | Ws_get of { pid : int; round : int; size : int }
-  | Shm_step of { step : int; pid : int }
-  | Shm_done of { pid : int; op_index : int; invoked : int; completed : int }
-  | Fault of { kind : string; round : int; sender : int; receiver : int }
 
 let to_json ev =
   let obj tag fields = Json.Obj (("ev", Json.String tag) :: fields) in
@@ -51,15 +48,6 @@ let to_json ev =
     obj "ws_add_done" [ int "pid" pid; int "round" round; int "value" value ]
   | Ws_get { pid; round; size } ->
     obj "ws_get" [ int "pid" pid; int "round" round; int "size" size ]
-  | Shm_step { step; pid } -> obj "shm_step" [ int "step" step; int "pid" pid ]
-  | Shm_done { pid; op_index; invoked; completed } ->
-    obj "shm_done"
-      [ int "pid" pid; int "op_index" op_index; int "invoked" invoked;
-        int "completed" completed ]
-  | Fault { kind; round; sender; receiver } ->
-    obj "fault"
-      [ ("kind", Json.String kind); int "round" round; int "sender" sender;
-        int "receiver" receiver ]
 
 let of_json j =
   let ( let* ) o f = match o with Some x -> f x | None -> Error "missing field" in
@@ -138,22 +126,6 @@ let of_json j =
       let* round = int "round" in
       let* size = int "size" in
       Ok (Ws_get { pid; round; size })
-    | "shm_step" ->
-      let* step = int "step" in
-      let* pid = int "pid" in
-      Ok (Shm_step { step; pid })
-    | "shm_done" ->
-      let* pid = int "pid" in
-      let* op_index = int "op_index" in
-      let* invoked = int "invoked" in
-      let* completed = int "completed" in
-      Ok (Shm_done { pid; op_index; invoked; completed })
-    | "fault" ->
-      let* kind = str "kind" in
-      let* round = int "round" in
-      let* sender = int "sender" in
-      let* receiver = int "receiver" in
-      Ok (Fault { kind; round; sender; receiver })
     | tag -> Error ("unknown event tag: " ^ tag))
 
 let equal a b = a = b

@@ -11,9 +11,7 @@
     - messaging: [broadcast], [deliver]
     - protocol: [decide], [crash], [churn], [leader]
     - rsm layer: [commit]
-    - weak-set service: [ws_add], [ws_add_done], [ws_get]
-    - shared-memory scheduler: [shm_step], [shm_done]
-    - chaos layer: [fault] *)
+    - weak-set service: [ws_add], [ws_add_done], [ws_get] *)
 
 type t =
   | Run_start of { algo : string; n : int; seed : int }
@@ -38,12 +36,6 @@ type t =
   | Ws_add of { pid : int; round : int; value : int }
   | Ws_add_done of { pid : int; round : int; value : int }
   | Ws_get of { pid : int; round : int; size : int }
-  | Shm_step of { step : int; pid : int }
-  | Shm_done of { pid : int; op_index : int; invoked : int; completed : int }
-  | Fault of { kind : string; round : int; sender : int; receiver : int }
-      (** An injected fault from the chaos layer ([kind] names the
-          injector, e.g. ["duplicate"], ["drop_obligated"]); [sender] /
-          [receiver] are [-1] when the fault is not link-scoped. *)
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result

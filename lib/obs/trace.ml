@@ -20,7 +20,6 @@
                                    +920  rsm commit instant (rounds track)
      +120  leader instant          +950  crash instant
      +150  message send (flow)
-     +160  fault instant (on the sender's track)
      +960  churn leave/rejoin instant
      +200/+800/+250 weak-set add / add-done / get instants *)
 
@@ -105,11 +104,6 @@ let chrome oc =
       see_pid pid;
       see_round round;
       if not (Hashtbl.mem crashed_in pid) then Hashtbl.add crashed_in pid round
-    | Fault { sender; receiver; round; _ } ->
-      see_pid sender;
-      see_pid receiver;
-      see_round round
-    | Shm_step { pid; _ } | Shm_done { pid; _ } -> see_pid pid
   in
   let first = ref true in
   let push j =
@@ -182,20 +176,6 @@ let chrome oc =
       push
         (instant ~name:"ws_get" ~cat:"service" ~tid:(pid + 1)
            ~ts:(tick round 250) ~args:[ ("size", int size) ] ())
-    | Shm_step { step; pid } ->
-      push
-        (instant ~name:"shm_step" ~cat:"shm" ~tid:(pid + 1) ~ts:(step * 10) ())
-    | Shm_done { pid; op_index; invoked; completed } ->
-      push
-        (instant ~name:"shm_done" ~cat:"shm" ~tid:(pid + 1)
-           ~ts:((op_index * 10) + 5)
-           ~args:[ ("invoked", int invoked); ("completed", int completed) ]
-           ())
-    | Fault { kind; round; sender; receiver } ->
-      push
-        (instant ~name:("fault:" ^ kind) ~cat:"fault" ~tid:(sender + 1)
-           ~ts:(tick round 160)
-           ~args:[ ("receiver", int receiver) ] ())
   in
   (* The records that need the whole run's shape, and the document's
      closing fields. *)

@@ -34,18 +34,7 @@ type ('v, 'r) client_state =
   | Finished
   | Crashed
 
-let run ?(recorder = Anon_obs.Recorder.off) ~config ~registers
-    ?(oracle = fun ~pid:_ ~step:_ -> 0) ~clients () =
-  let module R = Anon_obs.Recorder in
-  let module M = Anon_obs.Metrics in
-  let module E = Anon_obs.Event in
-  let obs_on = R.active recorder in
-  let m_steps = R.gauge recorder "shm.steps" in
-  let m_completions = R.counter recorder "shm.completions" in
-  let m_reads = R.counter recorder "shm.reads" in
-  let m_writes = R.counter recorder "shm.writes" in
-  let m_crashes = R.counter recorder Anon_obs.Name.crashes in
-  let m_latency = R.histogram recorder "shm.op_latency_steps" in
+let run ~config ~registers ?(oracle = fun ~pid:_ ~step:_ -> 0) ~clients () =
   let n = config.n in
   let rng = Rng.make config.seed in
   let states = Array.make n (Idle 0) in
@@ -56,57 +45,36 @@ let run ?(recorder = Anon_obs.Recorder.off) ~config ~registers
   in
   let progress pid prog =
     match prog with
-    | Program.Read (r, k) ->
-      M.incr m_reads;
-      `Continue (k registers.(r))
+    | Program.Read (r, k) -> `Continue (k registers.(r))
     | Program.Write (r, v, k) ->
-      M.incr m_writes;
       registers.(r) <- v;
       `Continue (k ())
     | Program.Query k -> `Continue (k (oracle ~pid ~step:!step))
     | Program.Done r -> `Done r
   in
-  (* One atomic step of client [pid]; returns false if it can no longer
-     take steps. *)
+  (* One atomic step of client [pid]. *)
   let interrupted = ref [] in
   let step_client pid =
     if crashed_now pid then begin
       (match states.(pid) with
       | Running _ -> interrupted := pid :: !interrupted
       | Idle _ | Finished | Crashed -> ());
-      (match states.(pid) with
-      | Crashed -> ()
-      | Idle _ | Running _ | Finished ->
-        M.incr m_crashes;
-        R.emit recorder (fun () -> E.Crash { pid; round = !step }));
-      states.(pid) <- Crashed;
-      false
+      states.(pid) <- Crashed
     end
     else
       match states.(pid) with
-      | Finished | Crashed -> false
+      | Finished | Crashed -> ()
       | Idle op_index -> (
         match clients ~pid ~op_index with
-        | None ->
-          states.(pid) <- Finished;
-          false
-        | Some prog ->
-          states.(pid) <- Running { op_index; invoked = !step; prog };
-          true)
-      | Running { op_index; invoked; prog } ->
-        (match progress pid prog with
+        | None -> states.(pid) <- Finished
+        | Some prog -> states.(pid) <- Running { op_index; invoked = !step; prog })
+      | Running { op_index; invoked; prog } -> (
+        match progress pid prog with
         | `Continue prog' -> states.(pid) <- Running { op_index; invoked; prog = prog' }
         | `Done result ->
           completions :=
             { pid; op_index; result; invoked; completed = !step } :: !completions;
-          if obs_on then begin
-            M.incr m_completions;
-            M.observe m_latency (float_of_int (!step - invoked));
-            R.emit recorder (fun () ->
-                E.Shm_done { pid; op_index; invoked; completed = !step })
-          end;
-          states.(pid) <- Idle (op_index + 1));
-        true
+          states.(pid) <- Idle (op_index + 1))
   in
   let runnable () =
     List.filter
@@ -137,16 +105,9 @@ let run ?(recorder = Anon_obs.Recorder.off) ~config ~registers
   while !continue && !step < config.max_steps do
     (match pick () with
     | None -> continue := false
-    | Some pid ->
-      R.emit recorder (fun () -> E.Shm_step { step = !step; pid });
-      let (_ : bool) = step_client pid in
-      ());
+    | Some pid -> step_client pid);
     incr step
   done;
-  if obs_on then begin
-    M.set_gauge m_steps (float_of_int !step);
-    R.flush recorder
-  end;
   let pending =
     List.filter
       (fun pid ->

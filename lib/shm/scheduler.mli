@@ -42,7 +42,6 @@ type 'r outcome = {
 }
 
 val run :
-  ?recorder:Anon_obs.Recorder.t ->
   config:config ->
   registers:'v array ->
   ?oracle:(pid:int -> step:int -> int) ->
@@ -52,8 +51,4 @@ val run :
 (** Execute until every client's [clients] generator returns [None] (and
     all operations finished), or [max_steps] elapse. [oracle] answers
     [Program.Query] steps (default: constantly 0). The [registers] array is
-    mutated in place and left in its final state.
-
-    [recorder] (default {!Anon_obs.Recorder.off}) receives [Shm_step] /
-    [Shm_done] / [Crash] events, [run.crashes] and the [shm.*] metrics
-    (step/completion counts, read/write counts, op latency in steps). *)
+    mutated in place and left in its final state. *)

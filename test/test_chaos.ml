@@ -91,22 +91,42 @@ let test_wrap_noop_identity () =
   let wrapped = Ch.Fault.wrap Ch.Fault.none adv in
   Alcotest.(check string) "same name" (G.Adversary.name adv) (G.Adversary.name wrapped)
 
-let test_wrap_records_faults () =
-  let recorder = Anon_obs.Recorder.create ~metrics:(Anon_obs.Metrics.create ()) () in
-  let case = base_case Ch.Scenario.Es in
-  let rng = Rng.make case.seed in
-  let inputs = Rng.shuffle rng (List.init case.n (fun i -> i + 1)) in
-  let config =
-    G.Runner.default_config ~horizon:case.horizon ~seed:case.seed ~inputs
-      ~crash:(Ch.Scenario.crash case)
-      (Ch.Scenario.adversary ~recorder case)
+(* The admissible injectors change the inner plans as they promise. Each
+   round, the inner adversary and its wrapper plan from copies of one RNG
+   (the wrapper draws after the inner adversary), so the two plans differ
+   only by what was injected. *)
+let test_wrap_injects_faults () =
+  let all = List.init 4 Fun.id in
+  let inner = G.Adversary.ms () in
+  let plans spec =
+    let wrapped = Ch.Fault.wrap spec inner in
+    List.init 20 (fun i ->
+        let ctx =
+          { G.Adversary.round = i + 1; senders = all; obligated = all; correct = all;
+            alive = all }
+        in
+        let rng = Rng.make (100 + i) in
+        let copy = Rng.copy rng in
+        (ctx.round, G.Adversary.plan inner ctx rng, G.Adversary.plan wrapped ctx copy))
   in
-  let module R = G.Runner.Make (Anon_consensus.Es_consensus) in
-  ignore (R.run ~recorder config);
-  let snap = Anon_obs.Metrics.snapshot (Anon_obs.Recorder.metrics recorder) in
-  let counter name = Option.value ~default:0 (List.assoc_opt name snap.counters) in
-  check_bool "duplicates recorded" true (counter "fault.duplicates" > 0);
-  check_bool "extra delays recorded" true (counter "fault.extra_delays" > 0)
+  let links (p : G.Adversary.plan) =
+    List.fold_left (fun acc (_, ds) -> acc + List.length ds) 0 p.deliveries
+  in
+  let past k (p : G.Adversary.plan) =
+    List.exists
+      (fun (_, ds) -> List.exists (fun (d : G.Adversary.delivery) -> d.arrival > k + 3) ds)
+      p.deliveries
+  in
+  let duplicated = plans { Ch.Fault.none with duplicate = 0.5 } in
+  check_bool "duplicates add links" true
+    (List.exists (fun (_, a, b) -> links b > links a) duplicated);
+  let delayed = plans { Ch.Fault.none with extra_delay = 0.6 } in
+  check_bool "extra delays keep every link" true
+    (List.for_all (fun (_, a, b) -> links b = links a) delayed);
+  check_bool "inner arrivals within round + 3" false
+    (List.exists (fun (k, a, _) -> past k a) delayed);
+  check_bool "an extra delay lands past round + 3" true
+    (List.exists (fun (k, _, b) -> past k b) delayed)
 
 (* --- inadmissible modes are caught ------------------------------------------ *)
 
@@ -338,7 +358,7 @@ let () =
           Alcotest.test_case "wrap keeps admissibility" `Quick
             test_wrap_admissible_all_algos;
           Alcotest.test_case "noop wrap is identity" `Quick test_wrap_noop_identity;
-          Alcotest.test_case "faults recorded" `Quick test_wrap_records_faults;
+          Alcotest.test_case "faults injected" `Quick test_wrap_injects_faults;
           Alcotest.test_case "drop-obligated caught" `Quick test_drop_obligated_detected;
           Alcotest.test_case "unstable-source caught" `Quick
             test_unstable_source_detected;

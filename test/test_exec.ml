@@ -80,6 +80,25 @@ let test_isolation () =
   Alcotest.(check (list int)) "each task starts fresh" [ 6; 6; 6 ] counts;
   check_int "caller scope untouched" before (K.History.interned_count ())
 
+(* The pool records only the two counters the benchmark's load sweep
+   reads, on either path. *)
+let test_map_exec_rows () =
+  List.iter
+    (fun jobs ->
+      let registry = Anon_obs.Metrics.create () in
+      let recorder = Anon_obs.Recorder.create ~metrics:registry () in
+      ignore (X.Pool.map ~jobs ~recorder (fun x -> x + 1) [ 1; 2; 3 ]);
+      let snap = Anon_obs.Metrics.snapshot registry in
+      let rows =
+        List.map fst snap.counters @ List.map fst snap.gauges
+        @ List.map fst snap.histograms
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "exec rows at jobs=%d" jobs)
+        [ "exec.busy_us"; "exec.wall_us" ]
+        (List.filter (String.starts_with ~prefix:"exec.") rows))
+    [ 1; 2 ]
+
 (* --- Runs.batch and Fuzz.campaign: reproducible runs ------------------------ *)
 
 module Es_runs = H.Runs.Of (Anon_consensus.Es_consensus)
@@ -170,6 +189,7 @@ let () =
           Alcotest.test_case "nested map" `Quick test_nested_map;
           Alcotest.test_case "crash propagation" `Quick test_crash_propagation;
           Alcotest.test_case "task isolation" `Quick test_isolation;
+          Alcotest.test_case "exec rows" `Quick test_map_exec_rows;
         ] );
       ( "batch",
         [

@@ -112,6 +112,19 @@ let test_batch_counts () =
   check_int "no violations" 0 (H.Runs.safety_violations b);
   check_bool "mean present" true (H.Runs.mean_decision b <> None)
 
+(* A metrics batch over no seeds still carries a snapshot, empty, so
+   [anonc metrics --runs 0] prints its header and an empty table. *)
+let test_batch_no_seeds () =
+  let b =
+    Es_runs.batch ~metrics:true
+      ~inputs:(H.Runs.distinct_inputs ~n:4)
+      ~crash:(fun _ -> G.Crash.none ~n:4)
+      ~adversary:(fun _ -> G.Adversary.sync ())
+      ~seeds:[] ()
+  in
+  check_int "runs" 0 b.runs;
+  check_bool "empty snapshot" true (b.metrics = Some (Anon_obs.Metrics.merge []))
+
 (* --- Registry ---------------------------------------------------------------------- *)
 
 let test_registry_ids_unique () =
@@ -234,6 +247,7 @@ let () =
         [
           Alcotest.test_case "seeds distinct" `Quick test_seeds_distinct;
           Alcotest.test_case "batch counts" `Quick test_batch_counts;
+          Alcotest.test_case "metrics batch over no seeds" `Quick test_batch_no_seeds;
         ] );
       ( "registry",
         [

@@ -302,15 +302,13 @@ let all_events =
     Event.Broadcast { pid = 1; round = 3; size = 5 };
     Event.Deliver { sender = 0; receiver = 2; round = 3; arrival = 4 };
     Event.Decide { pid = 2; round = 5; value = 41 };
+    Event.Commit { instance = 4; round = 9; value = 41 };
     Event.Crash { pid = 3; round = 2 };
+    Event.Churn { pid = 1; round = 4; rejoin = true };
     Event.Leader { pid = 0; round = 6; leader = false };
     Event.Ws_add { pid = 1; round = 2; value = 10 };
     Event.Ws_add_done { pid = 1; round = 4; value = 10 };
     Event.Ws_get { pid = 2; round = 4; size = 3 };
-    Event.Shm_step { step = 17; pid = 1 };
-    Event.Shm_done { pid = 1; op_index = 2; invoked = 10; completed = 17 };
-    Event.Fault { kind = "duplicate"; round = 3; sender = 1; receiver = 2 };
-    Event.Fault { kind = "drop_obligated"; round = 5; sender = 0; receiver = -1 };
   ]
 
 let test_event_roundtrip () =
@@ -616,7 +614,7 @@ let backends =
           (N.ws_gets, ops (function G.Checker.Ws_get _ -> true | _ -> false));
         ] );
     ( "skew runner",
-      [ "run."; "skew."; "phase."; "kernel." ],
+      [ "run."; "phase."; "kernel." ],
       N.[ broadcasts; deliveries; decisions; crashes; msg_size; compute_us ],
       fun recorder ->
         let module S = G.Skew_runner.Make (C.Es_consensus) in
