@@ -214,6 +214,21 @@ let env_override_arg =
               (per-round communication graphs, healed for S-round windows). \
               Replaces --schedule's adversary.")
 
+(* [--env SPEC] of [run] and [load]: the [dynamic:S] window and rootedness,
+   or exit 2 naming [static], how the command picks a static environment. *)
+let dynamic_of_spec ~cmd ~static spec =
+  match G.Env.of_string spec with
+  | Ok (G.Env.Dynamic { stability; rooted }) -> (stability, rooted)
+  | Ok _ ->
+    Format.eprintf
+      "anonc %s: --env %s not supported here (only dynamic:...; use %s for the \
+       static environments)@."
+      cmd spec static;
+    exit 2
+  | Error e ->
+    Format.eprintf "anonc %s: %s@." cmd e;
+    exit 2
+
 let churn_spec_arg =
   Cmdliner.Arg.(
     value & opt string ""
@@ -255,20 +270,10 @@ let run_cmd =
     let adversary =
       match env_override with
       | None -> adversary_of ~algo ~schedule ~gst
-      | Some spec -> (
-        match G.Env.of_string spec with
-        | Ok (G.Env.Dynamic { stability; rooted }) ->
-          let noise = match schedule with Noisy -> 0.25 | _ -> 0. in
-          G.Adversary.dynamic ~stability ~rooted ~noise ()
-        | Ok _ ->
-          Format.eprintf
-            "anonc run: --env %s not supported here (only dynamic:...; use \
-             --schedule for the static environments)@."
-            spec;
-          exit 2
-        | Error e ->
-          Format.eprintf "anonc run: %s@." e;
-          exit 2)
+      | Some spec ->
+        let stability, rooted = dynamic_of_spec ~cmd:"run" ~static:"--schedule" spec in
+        let noise = match schedule with Noisy -> 0.25 | _ -> 0. in
+        G.Adversary.dynamic ~stability ~rooted ~noise ()
     in
     let config =
       G.Runner.default_config ~horizon ~seed ~inputs ~crash ~churn adversary
@@ -712,19 +717,9 @@ let load_cmd =
           match algo with
           | Es -> G.Adversary.es ~gst ()
           | Ess -> G.Adversary.ess ~gst ())
-      | Some spec -> (
-        match G.Env.of_string spec with
-        | Ok (G.Env.Dynamic { stability; rooted }) ->
-          fun ~shard:_ ~instance:_ -> G.Adversary.dynamic ~stability ~rooted ()
-        | Ok _ ->
-          Format.eprintf
-            "anonc load: --env %s not supported here (only dynamic:...; use \
-             --algo/--gst for the static environments)@."
-            spec;
-          exit 2
-        | Error e ->
-          Format.eprintf "anonc load: %s@." e;
-          exit 2)
+      | Some spec ->
+        let stability, rooted = dynamic_of_spec ~cmd:"load" ~static:"--algo/--gst" spec in
+        fun ~shard:_ ~instance:_ -> G.Adversary.dynamic ~stability ~rooted ()
     in
     let env_label =
       match env_override with

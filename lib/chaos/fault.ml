@@ -93,6 +93,7 @@ let wrap spec adv =
   if is_noop spec then adv
   else begin
     let env = Adv.env adv in
+    let dynamic = match env with Env.Dynamic _ -> true | _ -> false in
     let inject (ctx : Adv.ctx) rng (plan : Adv.plan) =
       let k = ctx.round in
       (* Admissible layers: never touch a timely arrival, so every
@@ -167,37 +168,32 @@ let wrap spec adv =
               plan.Adv.deliveries
           in
           { source = Some keep; deliveries })
-      | Some (Root_starvation { from_round }) when k >= from_round -> (
-        (* Pulse rounds of a rooted dynamic environment only: demote every
-           covering sender, so no root reaches all obligated receivers.
-           Healed rounds are left intact — the resulting trace violates
-           exactly the root-reachability obligation. *)
-        match env with
-        | Env.Dynamic { stability; rooted = true }
-          when Env.pulse ~stability ~round:k ->
-          demote_covering ~obligated:ctx.obligated ~round:k plan
-        | _ -> plan)
-      | Some (Stability_break { from_round }) when k >= from_round -> (
-        (* Healed rounds of a dynamic environment only: make one correct
-           sender late to one obligated receiver, breaking the
+      | Some (Root_starvation { from_round })
+        when k >= from_round && dynamic && Env.owes env ~round:k = Env.A_source ->
+        (* Dynamic rounds that owe a source (rooted pulses) only: demote
+           every covering sender, so no root reaches all obligated
+           receivers. Healed rounds are left intact — the resulting trace
+           violates exactly the root-reachability obligation. *)
+        demote_covering ~obligated:ctx.obligated ~round:k plan
+      | Some (Stability_break { from_round })
+        when k >= from_round && dynamic && Env.owes env ~round:k = Env.Every_sender ->
+        (* Dynamic rounds that owe every sender (healed rounds) only: make
+           one correct sender late to one obligated receiver, breaking the
            stability-window promise while leaving pulse rounds intact. *)
-        match env with
-        | Env.Dynamic { stability; _ } when not (Env.pulse ~stability ~round:k) ->
-          let broken = ref false in
-          let deliveries =
-            List.map
-              (fun (s, ds) ->
-                if (not !broken) && List.mem s ctx.correct then
-                  match degrade ~obligated:ctx.obligated ~round:k s ds with
-                  | Some ds' ->
-                    broken := true;
-                    (s, ds')
-                  | None -> (s, ds)
-                else (s, ds))
-              plan.Adv.deliveries
-          in
-          { plan with Adv.deliveries }
-        | _ -> plan)
+        let broken = ref false in
+        let deliveries =
+          List.map
+            (fun (s, ds) ->
+              if (not !broken) && List.mem s ctx.correct then
+                match degrade ~obligated:ctx.obligated ~round:k s ds with
+                | Some ds' ->
+                  broken := true;
+                  (s, ds')
+                | None -> (s, ds)
+              else (s, ds))
+            plan.Adv.deliveries
+        in
+        { plan with Adv.deliveries }
       | Some _ | None -> plan
     in
     Adv.map_plan ~rename:(fun n -> n ^ "+faults") inject adv

@@ -117,37 +117,6 @@ let[@tail_mod_cons] rec noisy_rows ~source ~noise ~max_delay ctx rng = function
 let noisy_round ~source ~noise ~max_delay ctx rng =
   { source; deliveries = noisy_rows ~source ~noise ~max_delay ctx rng ctx.senders }
 
-let sync () = { name = "sync"; env = Env.Sync; plan = (fun ctx _rng -> timely_all ctx) }
-
-let ms ?(rotation = Round_robin) ?(noise = 0.0) ?(max_delay = 3) () =
-  let plan ctx rng =
-    let source = pick_source ~rotation ctx rng in
-    noisy_round ~source ~noise ~max_delay ctx rng
-  in
-  { name = "ms"; env = Env.Ms; plan }
-
-let es ~gst ?(noise = 0.0) ?(max_delay = 3) () =
-  let plan ctx rng =
-    if ctx.round >= gst then timely_all ctx
-    else
-      let source = pick_source ~rotation:Round_robin ctx rng in
-      noisy_round ~source ~noise ~max_delay ctx rng
-  in
-  { name = "es"; env = Env.Es { gst }; plan }
-
-let ess ~gst ?source ?(rotation = Round_robin) ?(noise = 0.0) ?(max_delay = 3) () =
-  let plan ctx rng =
-    let stable =
-      match source with
-      | Some p -> Pinned p
-      | None -> (match ctx.correct with [] -> Round_robin | p :: _ -> Pinned p)
-    in
-    let rotation = if ctx.round >= gst then stable else rotation in
-    let source = pick_source ~rotation ctx rng in
-    noisy_round ~source ~noise ~max_delay ctx rng
-  in
-  { name = "ess"; env = Env.Ess { gst }; plan }
-
 (* The blocking source's row: timely to every obligated receiver, one
    round late to the others. *)
 let[@tail_mod_cons] rec source_row ctx (s : int) = function
@@ -183,49 +152,60 @@ let blocking_round ctx =
   let late = to_alive ctx ~arrival:(ctx.round + 1) in
   { source; deliveries = blocking_rows ctx source late ctx.senders }
 
-let es_blocking ~gst () =
-  let plan ctx _rng =
-    if ctx.round >= gst then timely_all ctx else blocking_round ctx
-  in
-  { name = "es-blocking"; env = Env.Es { gst }; plan }
+(* The stable source's rotation: the pinned [source], else the smallest
+   correct pid. *)
+let stable_rotation source ctx =
+  match source with
+  | Some p -> Pinned p
+  | None -> ( match ctx.correct with [] -> Round_robin | p :: _ -> Pinned p)
 
-let ess_blocking ~gst ?source () =
-  let plan ctx rng =
-    if ctx.round >= gst then
-      let rotation =
-        match source with
-        | Some p -> Pinned p
-        | None -> (match ctx.correct with [] -> Round_robin | p :: _ -> Pinned p)
-      in
-      let source = pick_source ~rotation ctx rng in
-      noisy_round ~source ~noise:0.0 ~max_delay:1 ctx rng
-    else blocking_round ctx
-  in
-  { name = "ess-blocking"; env = Env.Ess { gst }; plan }
-
-let dynamic ~stability ?(rooted = true) ?(rotation = Round_robin) ?(noise = 0.0)
+(* Every built-in adversary: what [env] owes the round picks full
+   synchrony, or a round around a moving source from [rotation] (noisy, or
+   the [blocking] round), around the stable [source], or with no source. *)
+let owed ~name ~env ?(blocking = false) ?source ?(rotation = Round_robin) ?(noise = 0.0)
     ?(max_delay = 3) () =
-  if stability < 1 then invalid_arg "Adversary.dynamic: stability must be >= 1";
   let plan ctx rng =
-    if not (Env.pulse ~stability ~round:ctx.round) then
-      (* Healed remainder of the window: full synchrony. *)
-      timely_all ctx
-    else if rooted then
-      (* Reconfiguration pulse: rewire to a minimal covering star around a
-         rotating root, plus noise. *)
+    match Env.owes env ~round:ctx.round with
+    | Env.Every_sender -> timely_all ctx
+    | Env.A_source when blocking -> blocking_round ctx
+    | Env.A_source ->
       let source = pick_source ~rotation ctx rng in
       noisy_round ~source ~noise ~max_delay ctx rng
-    else noisy_round ~source:None ~noise ~max_delay ctx rng
+    | Env.Stable_source ->
+      let source = pick_source ~rotation:(stable_rotation source ctx) ctx rng in
+      noisy_round ~source ~noise ~max_delay ctx rng
+    | Env.Nothing -> noisy_round ~source:None ~noise ~max_delay ctx rng
   in
-  {
-    name = Printf.sprintf "dynamic(s=%d%s)" stability (if rooted then "" else ",unrooted");
-    env = Env.Dynamic { stability; rooted };
-    plan;
-  }
+  { name; env; plan }
+
+let sync () = owed ~name:"sync" ~env:Env.Sync ()
+
+let ms ?rotation ?noise ?max_delay () =
+  owed ~name:"ms" ~env:Env.Ms ?rotation ?noise ?max_delay ()
+
+let es ~gst ?noise ?max_delay () = owed ~name:"es" ~env:(Env.Es { gst }) ?noise ?max_delay ()
+
+let ess ~gst ?source ?rotation ?noise ?max_delay () =
+  owed ~name:"ess" ~env:(Env.Ess { gst }) ?source ?rotation ?noise ?max_delay ()
+
+(* Before [gst], the blocking round; from [gst] on, full synchrony under
+   ES, and the stable source with every other link one round late under
+   ESS. *)
+let es_blocking ~gst () =
+  owed ~name:"es-blocking" ~env:(Env.Es { gst }) ~blocking:true ~max_delay:1 ()
+
+let ess_blocking ~gst ?source () =
+  owed ~name:"ess-blocking" ~env:(Env.Ess { gst }) ~blocking:true ?source ~max_delay:1 ()
+
+let dynamic ~stability ?(rooted = true) ?rotation ?noise ?max_delay () =
+  if stability < 1 then invalid_arg "Adversary.dynamic: stability must be >= 1";
+  owed
+    ~name:(Printf.sprintf "dynamic(s=%d%s)" stability (if rooted then "" else ",unrooted"))
+    ~env:(Env.Dynamic { stability; rooted })
+    ?rotation ?noise ?max_delay ()
 
 let async ?(max_delay = 5) ?(timely_chance = 0.3) () =
-  let plan ctx rng = noisy_round ~source:None ~noise:timely_chance ~max_delay ctx rng in
-  { name = "async"; env = Env.Async; plan }
+  owed ~name:"async" ~env:Env.Async ~noise:timely_chance ~max_delay ()
 
 let scripted ~name ~env plan = { name; env; plan }
 

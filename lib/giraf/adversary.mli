@@ -5,7 +5,11 @@
     message {e timely} (in their own round [k]) and at which later round
     everyone else receives it. Constructors produce the hardest schedules
     admissible in each environment of §2.3, optionally softened by [noise]
-    (probability that a non-obligated link happens to be timely). *)
+    (probability that a non-obligated link happens to be timely). Every
+    built-in constructor reads what its environment owes the round from
+    {!Env.owes}: full synchrony where every sender is owed, a round
+    around a moving source where a source is owed, around the stable
+    source where one is owed, and no source where nothing is. *)
 
 type ctx = {
   round : int;

@@ -67,6 +67,12 @@ let correct t =
 
 let event t pid = t.by_pid.(pid)
 
+let reach kind rng candidates =
+  match kind with
+  | Broadcast_all -> candidates
+  | Silent -> []
+  | Broadcast_subset -> Rng.subset rng ~p:0.5 candidates
+
 let crashing_at t ~round = By_round.find t.by_round round
 let failures t = List.length (events t)
 

@@ -3,7 +3,7 @@
     Any number of processes may crash (no majority assumption anywhere in
     the paper). A process crashing at round [r] performs its end-of-round
     for rounds [< r] normally; at round [r] its broadcast reaches only an
-    adversary-chosen subset of processes ([Broadcast_to]) — the hardest
+    adversary-chosen subset of processes ([Broadcast_subset]) — the hardest
     admissible behaviour of a crashing sender — and it takes no further
     steps. *)
 
@@ -45,6 +45,11 @@ val correct : t -> int list
 val is_correct : t -> int -> bool
 val event : t -> int -> event option
 (** The pid's crash event; [None] if it is correct. *)
+
+val reach : last_broadcast -> Anon_kernel.Rng.t -> int list -> int list
+(** [reach kind rng candidates]: whom a crasher's last broadcast reaches
+    when no plan pins it — all, none ([Silent]) or an [Rng.subset ~p:0.5]
+    draw ([Broadcast_subset]); the only such draw on every backend. *)
 
 val crashing_at : t -> round:int -> event list
 val failures : t -> int

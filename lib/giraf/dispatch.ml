@@ -129,17 +129,16 @@ let crash_broadcast r ~sender msg (ev : Crash.event) =
        exact subset); without one the RNG picks as before. *)
     deliver_plan r ~sender msg ds
   | [] -> (
+    let others = List.filter (fun q -> q <> sender) (r.receivers ()) in
+    let reached = Crash.reach ev.broadcast r.crash_rng others in
     match ev.broadcast with
-    | Crash.Silent -> ()
     | Crash.Broadcast_all ->
       (* Clean stop: the final broadcast reaches everyone timely
          (crash.mli). Drawing arrivals from [crash_rng] here used to let
          the last message slip past its own round, diverging from the
          model checker's reading. *)
-      deliver_timely r ~sender msg (r.receivers ())
-    | Crash.Broadcast_subset ->
-      let others = List.filter (fun q -> q <> sender) (r.receivers ()) in
-      deliver_drawn r ~sender msg (Rng.subset r.crash_rng ~p:0.5 others))
+      deliver_timely r ~sender msg reached
+    | Crash.Silent | Crash.Broadcast_subset -> deliver_drawn r ~sender msg reached)
 
 let rec send r = function
   | [] -> ()

@@ -28,11 +28,11 @@ val dispatch :
     crashing senders reach only the subset dictated by their crash event
     — for [Broadcast_subset] a plan entry for the crashing sender, when
     present, pins the subset (and arrivals) deterministically, otherwise
-    the subset is chosen with [crash_rng]; all other senders follow
+    {!Crash.reach} draws it with [crash_rng]; all other senders follow
     [plan], a sender's first entry winning. [eligible] says whether a pid
     may still receive (alive, not halted); [receivers ()] lists the pids
     a crashing sender may target, and is called only for a crashing
-    sender that broadcasts without a scripted subset. Arrivals are
+    sender without a scripted subset. Arrivals are
     clamped to [>= round]. [schedule] sees every delivery,
     self-deliveries included, sender by sender in [outgoing] order, each
     sender's self-delivery first. [on_deliver] observes every

@@ -21,11 +21,19 @@ let to_string t = Format.asprintf "%a" pp t
    reconfiguration pulse and then holds still for the remaining rounds. *)
 let pulse ~stability ~round = (round - 1) mod stability = 0
 
-let requires_source t ~round =
+type owed = Nothing | A_source | Every_sender | Stable_source
+
+let owes t ~round =
   match t with
-  | Sync | Ms | Es _ | Ess _ -> true
-  | Async -> false
-  | Dynamic { stability; rooted } -> rooted || not (pulse ~stability ~round)
+  | Sync -> Every_sender
+  | Ms -> A_source
+  | Es { gst } -> if round >= gst then Every_sender else A_source
+  | Ess { gst } -> if round >= gst then Stable_source else A_source
+  | Async -> Nothing
+  | Dynamic { stability; rooted } ->
+    if not (pulse ~stability ~round) then Every_sender
+    else if rooted then A_source
+    else Nothing
 
 let gst = function
   | Sync -> Some 1

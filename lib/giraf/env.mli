@@ -36,9 +36,27 @@ val pulse : stability:int -> round:int -> bool
 (** Whether [round] opens a stability window (rounds [1], [1 + stability],
     [1 + 2*stability], ...). Requires [stability >= 1]. *)
 
-val requires_source : t -> round:int -> bool
-(** Whether the environment obliges a source to exist in [round] (true for
-    all except [Async], and for [Dynamic] pulse rounds when unrooted). *)
+(** What one round owes its obligated receivers (§2.3): nothing, a
+    source (some sender timely to all of them), every correct sender
+    timely to all of them, or a stable source (one correct process that is
+    the source of every round from here on, until it halts).
+
+    {v
+                        before gst / pulse    from gst on / healed
+    Sync                Every_sender          Every_sender
+    Ms                  A_source              A_source
+    Es gst              A_source              Every_sender
+    Ess gst             A_source              Stable_source
+    Dynamic (rooted)    A_source              Every_sender
+    Dynamic (unrooted)  Nothing               Every_sender
+    Async               Nothing               Nothing
+    v} *)
+type owed = Nothing | A_source | Every_sender | Stable_source
+
+val owes : t -> round:int -> owed
+(** The one statement of the table above that the adversaries, the model
+    checker's plan enumeration and the fault gates read;
+    {!Checker.check_env} judges traces on its own. *)
 
 val gst : t -> int option
 (** The round from which the eventual guarantee holds, if any. *)

@@ -8,9 +8,6 @@ type spec = {
 
 type choice = { plan : Adversary.plan; admissible : bool }
 
-let default ~env =
-  { env; stable = None; max_delay = 1; crashing = []; include_inadmissible = false }
-
 (* Cartesian product, first axis varying slowest (deterministic order). *)
 let rec product = function
   | [] -> [ [] ]
@@ -53,54 +50,32 @@ let enumerate spec (ctx : Adversary.ctx) =
     ctx.senders @ List.filter (fun c -> not (List.mem c ctx.senders)) spec.crashing
   in
   let correct_senders = List.filter (fun s -> List.mem s ctx.correct) ctx.senders in
-  let demanding = ctx.obligated <> [] && correct_senders <> [] in
-  (* Senders whose links to every obligated receiver are forced timely
-     regardless of the source choice. *)
-  let forced_senders =
-    if not demanding then []
-    else
-      match spec.env with
-      | Env.Sync -> correct_senders
-      | Env.Es { gst } when round >= gst -> correct_senders
-      | Env.Dynamic { stability; _ } when not (Env.pulse ~stability ~round) ->
-        (* Healed round of a stability window: full synchrony. *)
-        correct_senders
-      | Env.Es _ | Env.Ess _ | Env.Ms | Env.Async | Env.Dynamic _ -> []
+  (* A round owes something only while a correct process sends and some
+     process listens. *)
+  let owed =
+    if ctx.obligated = [] || correct_senders = [] then Env.Nothing
+    else Env.owes spec.env ~round
   in
   let source_choices =
-    if not demanding then [ None ]
-    else
-      match spec.env with
-      | Env.Async -> [ None ]
-      | Env.Sync -> [ Some (List.hd correct_senders) ]
-      | Env.Es { gst } when round >= gst -> [ Some (List.hd correct_senders) ]
-      | Env.Ess { gst } when round >= gst -> (
-        match spec.stable with
-        | Some s when List.mem s ctx.senders -> [ Some s ]
-        | Some _ | None -> List.map (fun s -> Some s) correct_senders)
-      | Env.Dynamic { stability; rooted } ->
-        if not (Env.pulse ~stability ~round) then
-          (* Healed: everyone is forced timely anyway; one source suffices. *)
-          [ Some (List.hd correct_senders) ]
-        else if rooted then
-          (* Pulse: any sender (even a crasher) may be the covering root. *)
-          List.map (fun s -> Some s) all_senders
-        else [ None ]
-      | Env.Ms | Env.Es _ | Env.Ess _ -> List.map (fun s -> Some s) all_senders
-  in
-  let restrict_cover ~source s =
-    match spec.env with
-    | Env.Ess { gst } ->
-      round >= gst && demanding && Some s <> source
-      && not (List.mem s spec.crashing)
-    | Env.Sync | Env.Ms | Env.Es _ | Env.Async | Env.Dynamic _ -> false
+    match owed with
+    | Env.Nothing -> [ None ]
+    (* Every correct sender is forced timely anyway; one source suffices. *)
+    | Env.Every_sender -> [ Some (List.hd correct_senders) ]
+    | Env.Stable_source -> (
+      match spec.stable with
+      | Some s when List.mem s ctx.senders -> [ Some s ]
+      | Some _ | None -> List.map (fun s -> Some s) correct_senders)
+    (* Any sender, even a crasher, may be the source. *)
+    | Env.A_source -> List.map (fun s -> Some s) all_senders
   in
   let assignments ~source s =
     let receivers = List.filter (fun q -> q <> s) ctx.alive in
     let crashing = List.mem s spec.crashing in
+    (* Links to the obligated receivers are forced timely from the source,
+       and from every correct sender where every sender is owed. *)
     let forced q =
       List.mem q ctx.obligated
-      && (List.mem s forced_senders || source = Some s)
+      && (source = Some s || (owed = Env.Every_sender && List.mem s correct_senders))
     in
     let fates =
       Timely
@@ -118,7 +93,7 @@ let enumerate spec (ctx : Adversary.ctx) =
       List.for_all (fun q -> q = s || List.assoc_opt q fs = Some Timely) ctx.obligated
     in
     let tagged =
-      if restrict_cover ~source s then
+      if owed = Env.Stable_source && Some s <> source && not crashing then
         match List.filter (fun fs -> not (covers fs)) tagged with
         | [] -> tagged (* defensive: never empty a sender's choice set *)
         | restricted -> restricted
@@ -152,21 +127,9 @@ let enumerate spec (ctx : Adversary.ctx) =
         (fun s -> List.for_all (fun q -> q = s) ctx.obligated)
         all_senders
     in
-    (* Rounds where the environment owes nothing: an all-late plan there
-       is admissible, not armed. *)
-    let unobligated =
-      match spec.env with
-      | Env.Async -> true
-      | Env.Dynamic { stability; rooted } ->
-        (not rooted) && Env.pulse ~stability ~round
-      | Env.Sync | Env.Ms | Env.Es _ | Env.Ess _ -> false
-    in
-    if
-      (not spec.include_inadmissible)
-      || (not demanding)
-      || trivially_covered
-      || unobligated
-    then []
+    (* Where the environment owes nothing, an all-late plan is
+       admissible, not armed. *)
+    if (not spec.include_inadmissible) || owed = Env.Nothing || trivially_covered then []
     else
       let deliveries =
         List.map

@@ -4,11 +4,12 @@
     environment admits: a choice of source (where the environment demands
     one), a timely/late fate for every non-obligated link, and a
     delivered/late/dropped fate for every link out of a sender crashing
-    this round. The enumeration mirrors {!Checker.check_env} exactly — a
-    plan marked [admissible] here is never flagged by the checker when the
-    resulting trace is replayed, and (up to the documented restrictions
-    below) every checker-admissible delivery pattern over arrivals within
-    [max_delay] is generated.
+    this round. What the round owes is read from {!Env.owes}; a property
+    test pins agreement with {!Checker.check_env}: a plan marked
+    [admissible] here is never flagged by the checker when the resulting
+    trace is replayed, an armed one always is, and (up to the documented
+    restrictions below) every checker-admissible delivery pattern over
+    arrivals within [max_delay] is generated.
 
     Restrictions, argued in DESIGN.md §10:
     - Late arrivals range over [round + 1 .. round + max_delay]. For the
@@ -43,16 +44,10 @@ type spec = {
 
 type choice = { plan : Adversary.plan; admissible : bool }
 
-val default : env:Env.t -> spec
-(** [max_delay = 1], no stable source, no crashers, not armed. *)
-
 val enumerate : spec -> Adversary.ctx -> choice list
-(** All distinct delivery patterns for this round, deterministically
-    ordered, deduplicated by {!plan_key}. *)
-
-val plan_key : Adversary.plan -> string
-(** Canonical rendering of a plan's delivery pattern (sender and receiver
-    order normalised, declared source ignored) — the deduplication key. *)
+(** All distinct delivery patterns for this round (sender and receiver
+    order normalised, declared source ignored), deterministically
+    ordered. *)
 
 type memo
 (** A cache over [enumerate] results. Many states of one exploration share

@@ -4,12 +4,6 @@ open Anon_kernel
 
 type step = Capped | Decided | Sent of Crash.last_broadcast
 
-let reach kind rng candidates =
-  match kind with
-  | Crash.Broadcast_all -> candidates
-  | Crash.Silent -> []
-  | Crash.Broadcast_subset -> Rng.subset rng ~p:0.5 candidates
-
 module Make (A : Intf.ALGORITHM) = struct
   module R = Anon_obs.Recorder
   module M = Anon_obs.Metrics

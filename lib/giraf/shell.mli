@@ -22,12 +22,6 @@ type step =
           timely, and the kind is [Broadcast_all], or the crash event's
           if the process crashed at [k] and stopped. *)
 
-val reach : Crash.last_broadcast -> Anon_kernel.Rng.t -> int list -> int list
-(** [reach kind rng candidates]: all of them, none ([Silent]), or an
-    [Rng.subset ~p:0.5] draw ([Broadcast_subset]); outside the lockstep
-    {!Dispatch}, the only draw of a crasher's receivers. [Ms_emulation]'s
-    add has no receivers: only [Silent] withholds it. *)
-
 module Make (A : Intf.ALGORITHM) : sig
   type t
 

@@ -101,7 +101,7 @@ module Make (A : Intf.ALGORITHM) = struct
           (fun q ->
             let d = Stdlib.max 1 (config.delay ~sender:p ~receiver:q ~round:k rng) in
             Calendar.add calendar ~time:(t + d) ~pid:(-1) (Delivery (p, q, k, held)))
-          (Shell.reach kind crash_rng others);
+          (Crash.reach kind crash_rng others);
         if not (Sh.stopped sh p) then
           Calendar.add calendar
             ~time:(t + Stdlib.max 1 (config.pace ~pid:p ~round:k rng))

@@ -229,12 +229,12 @@ module Consensus (A : Intf.ALGORITHM) = struct
       ~eligible:(fun q -> q >= 0 && q < t.n && t.fate.(q) = Live)
       ~receivers:(fun () -> alive t) ~plan ~crash_rng ?on_deliver ~schedule ()
 
-  (* ESS from GST on: the plan's source becomes the stable source. *)
+  (* Where a stable source is owed, the plan's source becomes it. *)
   let latched_stable t (plan : Adversary.plan) =
-    match t.env with
-    | Env.Ess { gst } when t.round >= gst -> (
+    match Env.owes t.env ~round:t.round with
+    | Env.Stable_source -> (
       match plan.source with Some _ as src -> src | None -> t.stable)
-    | Env.Sync | Env.Ms | Env.Es _ | Env.Ess _ | Env.Async | Env.Dynamic _ -> t.stable
+    | Env.Nothing | Env.A_source | Env.Every_sender -> t.stable
 
   (* The latched crashers stop: state, broadcast and mailbox go. *)
   let rec crash t on_crash = function

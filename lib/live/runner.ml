@@ -186,7 +186,7 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
         | Crash.Silent | Crash.Broadcast_subset ->
           let others = List.filter (fun q -> q <> p.pid) (List.init n Fun.id) in
           Transport.send_to transport ~now:(now ()) ~src:p.pid ~round:k
-            ~dsts:(Shell.reach kind p.rng others)
+            ~dsts:(Crash.reach kind p.rng others)
             (deliver (Arrival { src = p.pid; sent = k; payload = m })));
         not (Sh.stopped sh p.pid)
     in

@@ -245,21 +245,19 @@ let run ?(recorder = R.off) ?progress config =
   let witness =
     (* The replay's counts are not the search's: it shares the sink only. *)
     let recorder = R.create ~metrics:M.disabled ~sink:(R.sink recorder) () in
-    let build ~crashes ~churn ~plans ~mc_violations =
+    let build ~crashes ~churn ~plans =
       Option.map
         (fun algo ->
           Witness.build ~recorder ~algo ~env:config.env ~n:config.n
             ~seed:config.seed ~ops_per_client:config.ops_per_client ~crashes
-            ~churn ~plans ~mc_violations ())
+            ~churn ~plans ())
         scen_algo
     in
     match (!violation, !non_deciding) with
     | Some (events, churn_events, w), _ ->
       build ~crashes:events ~churn:churn_events ~plans:w.Explore.w_plans
-        ~mc_violations:w.Explore.w_violations
     | None, Some (events, churn_events, b) ->
       build ~crashes:events ~churn:churn_events ~plans:b.Explore.b_plans
-        ~mc_violations:[]
     | None, None -> None
   in
   let verdict =

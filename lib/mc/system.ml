@@ -153,40 +153,37 @@ module Make (F : FAMILY) = struct
     let s', _, _ = step s plan in
     s'
 
-  (* The marker attached to an armed (inadmissible) plan names the
-     obligation the all-late plan breaks in this environment — exactly
-     what the offline checker will report for the replayed trace. *)
-  let armed_violations (c : G.Adversary.ctx) =
-    let round = c.round in
-    match F.env with
-    | G.Env.Dynamic { stability; _ } ->
-      let window = ((round - 1) / stability) + 1 in
-      let correct_senders = List.filter (fun p -> List.mem p c.correct) c.senders in
-      if G.Env.pulse ~stability ~round then
-        [
-          G.Checker.No_root
-            {
-              round;
-              window;
-              senders =
-                List.map
-                  (fun p -> (p, List.filter (fun q -> q <> p) c.obligated))
-                  correct_senders;
-            };
-        ]
-      else
-        List.map
-          (fun p ->
-            G.Checker.Stability_violation
-              {
-                round;
-                window;
-                sender = p;
-                missing = List.filter (fun q -> q <> p) c.obligated;
-              })
-          correct_senders
-    | G.Env.Sync | G.Env.Ms | G.Env.Es _ | G.Env.Ess _ | G.Env.Async ->
-      [ G.Checker.No_source { round } ]
+  (* An armed (inadmissible) plan's marker: the checker's findings on the
+     one-round trace of a dry run of its dispatch — what the replayed trace
+     reports for that round. *)
+  let armed_violations core (c : G.Adversary.ctx) (plan : G.Adversary.plan) =
+    let sent, _ = Core.preview core ~plan ~crash_rng:(Anon_kernel.Rng.make 0) in
+    let senders = List.filter_map (fun (s, q, _) -> if s = q then Some s else None) sent in
+    let timely s =
+      let reached (s', q, a) = if s' = s && q <> s && a = c.round then Some q else None in
+      (s, List.filter_map reached sent)
+    in
+    let info =
+      {
+        G.Trace.round = c.round;
+        senders;
+        crashing = Core.crashing_pids core;
+        source = plan.source;
+        timely = List.map timely senders;
+        obligated = c.obligated;
+        decided = [];
+        msg_sizes = [];
+      }
+    in
+    G.Checker.check_env
+      {
+        n;
+        inputs = Array.init n (Core.input core);
+        crash = F.crash;
+        churn = F.churn;
+        env = F.env;
+        rounds = [ info ];
+      }
 
   (* The one process-view writer: fed into the digest streams behind
      [key], and into text for the reference [key_full]. *)
@@ -403,7 +400,9 @@ module Make (F : FAMILY) = struct
         | None ->
           let s', vs, loud = step s c.plan in
           learn row s' loud;
-          let violations = if c.admissible then vs else armed_violations c0 @ vs in
+          let violations =
+            if c.admissible then vs else armed_violations core c0 c.plan @ vs
+          in
           Explore.Stepped { plan = c.plan; sys = s'; violations })
       choices
 

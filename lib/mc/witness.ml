@@ -4,12 +4,11 @@ module Fuzz = Anon_chaos.Fuzz
 
 type t = {
   case : Scenario.t;
-  mc_violations : G.Checker.violation list;
   replay_violations : G.Checker.violation list;
 }
 
 let build ?recorder ~algo ~env ~n ~seed ~ops_per_client ~crashes ?(churn = [])
-    ~plans ~mc_violations () =
+    ~plans () =
   let case =
     {
       Scenario.algo;
@@ -29,7 +28,7 @@ let build ?recorder ~algo ~env ~n ~seed ~ops_per_client ~crashes ?(churn = [])
       schedule = Some { Scenario.sched_env = env; plans };
     }
   in
-  { case; mc_violations; replay_violations = Fuzz.run_case ?recorder case }
+  { case; replay_violations = Fuzz.run_case ?recorder case }
 
 let confirmed t = t.replay_violations <> []
 

@@ -11,9 +11,6 @@
 
 type t = {
   case : Anon_chaos.Scenario.t;
-  mc_violations : Anon_giraf.Checker.violation list;
-      (** What the explorer reported at the violating transition ([] for a
-          bounded non-deciding witness). *)
   replay_violations : Anon_giraf.Checker.violation list;
       (** What {!Anon_chaos.Fuzz.run_case} reports for [case] — the
           end-to-end confirmation (may include a trailing termination
@@ -31,7 +28,6 @@ val build :
   crashes:Anon_giraf.Crash.event list ->
   ?churn:Anon_giraf.Churn.event list ->
   plans:Anon_giraf.Adversary.plan list ->
-  mc_violations:Anon_giraf.Checker.violation list ->
   unit ->
   t
 (** Package and immediately re-execute. [horizon = length plans + 1]: the

@@ -42,14 +42,44 @@ let test_env_of_string_dynamic () =
       | Error _ -> ())
     [ "dynamic"; "dynamic:0"; "dynamic:x"; "dynamic:2:rootless" ]
 
-let test_env_requires_source () =
-  let rooted = G.Env.Dynamic { stability = 2; rooted = true } in
-  let unrooted = G.Env.Dynamic { stability = 2; rooted = false } in
-  (* Rooted: obligations everywhere. Unrooted: pulse rounds are free. *)
-  check_bool "rooted pulse" true (G.Env.requires_source rooted ~round:1);
-  check_bool "rooted healed" true (G.Env.requires_source rooted ~round:2);
-  check_bool "unrooted pulse" false (G.Env.requires_source unrooted ~round:1);
-  check_bool "unrooted healed" true (G.Env.requires_source unrooted ~round:2)
+(* What each environment owes a round: before, at and after GST, and on
+   pulse and healed rounds. *)
+let test_env_owes () =
+  let name = function
+    | G.Env.Nothing -> "nothing"
+    | G.Env.A_source -> "a source"
+    | G.Env.Every_sender -> "every sender"
+    | G.Env.Stable_source -> "stable source"
+  in
+  let owed = Alcotest.testable (fun ppf o -> Format.pp_print_string ppf (name o)) ( = ) in
+  let dyn stability rooted = G.Env.Dynamic { stability; rooted } in
+  List.iter
+    (fun (env, cells) ->
+      List.iter
+        (fun (round, want) ->
+          Alcotest.check owed
+            (Printf.sprintf "%s round %d" (G.Env.to_string env) round)
+            want (G.Env.owes env ~round))
+        cells)
+    G.Env.
+      [
+        (Sync, [ (1, Every_sender); (2, Every_sender); (9, Every_sender) ]);
+        (Ms, [ (1, A_source); (3, A_source); (9, A_source) ]);
+        ( Es { gst = 3 },
+          [ (1, A_source); (2, A_source); (3, Every_sender); (4, Every_sender) ] );
+        (Es { gst = 1 }, [ (1, Every_sender); (2, Every_sender) ]);
+        ( Ess { gst = 3 },
+          [ (1, A_source); (2, A_source); (3, Stable_source); (4, Stable_source) ] );
+        (Async, [ (1, Nothing); (3, Nothing); (9, Nothing) ]);
+        (* Rooted: obligations everywhere. Unrooted: pulse rounds are free. *)
+        (dyn 1 true, [ (1, A_source); (2, A_source); (3, A_source) ]);
+        (dyn 1 false, [ (1, Nothing); (2, Nothing) ]);
+        ( dyn 2 true,
+          [ (1, A_source); (2, Every_sender); (3, A_source); (4, Every_sender) ] );
+        (dyn 2 false, [ (1, Nothing); (2, Every_sender); (3, Nothing); (4, Every_sender) ]);
+        ( dyn 3 false,
+          [ (1, Nothing); (2, Every_sender); (3, Every_sender); (4, Nothing); (7, Nothing) ] );
+      ]
 
 (* --- Churn schedules ---------------------------------------------------------- *)
 
@@ -644,7 +674,7 @@ let () =
         [
           Alcotest.test_case "pulse arithmetic" `Quick test_env_pulse;
           Alcotest.test_case "of_string dynamic" `Quick test_env_of_string_dynamic;
-          Alcotest.test_case "requires_source" `Quick test_env_requires_source;
+          Alcotest.test_case "owes table" `Quick test_env_owes;
         ] );
       ( "churn",
         [

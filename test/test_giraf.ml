@@ -25,6 +25,14 @@ let test_crash_of_events () =
   check_bool "no crash" true (G.Crash.event c 0 = None);
   check_int "crashing at 3" 1 (List.length (G.Crash.crashing_at c ~round:3))
 
+let test_crash_reach () =
+  let candidates = List.init 12 Fun.id in
+  pids "all" candidates (G.Crash.reach G.Crash.Broadcast_all (Rng.make 3) candidates);
+  pids "silent" [] (G.Crash.reach G.Crash.Silent (Rng.make 3) candidates);
+  let subset = G.Crash.reach G.Crash.Broadcast_subset (Rng.make 3) candidates in
+  pids "subset" (Rng.subset (Rng.make 3) ~p:0.5 candidates) subset;
+  check_bool "a proper subset" true (subset <> [] && subset <> candidates)
+
 let test_crash_validation () =
   Alcotest.check_raises "dup pid" (Invalid_argument "Crash.of_events: duplicate pid")
     (fun () ->
@@ -468,14 +476,6 @@ let test_shell_by_hand () =
   check_int "copies filed, none to a stopped process" 3 (counter Anon_obs.Name.deliveries);
   check_int "decisions" 1 (counter Anon_obs.Name.decisions);
   check_int "crashes" 1 (counter Anon_obs.Name.crashes)
-
-let test_shell_reach () =
-  let candidates = List.init 12 Fun.id in
-  pids "all" candidates (G.Shell.reach G.Crash.Broadcast_all (Rng.make 3) candidates);
-  pids "silent" [] (G.Shell.reach G.Crash.Silent (Rng.make 3) candidates);
-  let subset = G.Shell.reach G.Crash.Broadcast_subset (Rng.make 3) candidates in
-  pids "subset" (Rng.subset (Rng.make 3) ~p:0.5 candidates) subset;
-  check_bool "a proper subset" true (subset <> [] && subset <> candidates)
 
 (* --- Adversary ----------------------------------------------------------------- *)
 
@@ -1243,9 +1243,7 @@ let test_env_pp_and_gst () =
   Alcotest.(check string) "es" "ES(gst=7)" (G.Env.to_string (G.Env.Es { gst = 7 }));
   Alcotest.(check string) "ms" "MS" (G.Env.to_string G.Env.Ms);
   Alcotest.(check (option int)) "sync gst" (Some 1) (G.Env.gst G.Env.Sync);
-  Alcotest.(check (option int)) "ms gst" None (G.Env.gst G.Env.Ms);
-  check_bool "async needs no source" false (G.Env.requires_source G.Env.Async ~round:3);
-  check_bool "ms needs a source" true (G.Env.requires_source G.Env.Ms ~round:3)
+  Alcotest.(check (option int)) "ms gst" None (G.Env.gst G.Env.Ms)
 
 let test_trace_accessors () =
   let info =
@@ -1927,6 +1925,19 @@ let test_adversaries_satisfy_own_env () =
                    G.Adversary.ess ~gst ~rotation ~noise () ])
                rotations)
         noises
+    @ List.concat_map
+        (fun stability ->
+          List.concat_map
+            (fun rooted ->
+              List.concat_map
+                (fun rotation ->
+                  List.map
+                    (fun noise -> G.Adversary.dynamic ~stability ~rooted ~rotation ~noise ())
+                    noises)
+                rotations)
+            [ true; false ])
+        [ 1; 2; 3 ]
+    @ List.map (fun timely_chance -> G.Adversary.async ~timely_chance ()) noises
   in
   List.iteri
     (fun i adv ->
@@ -2003,6 +2014,112 @@ let test_adversaries_satisfy_own_env () =
           (Format.asprintf "%a" G.Checker.pp_violation v))
     adversaries
 
+(* Random small rounds as the model checker meets them: n <= 4, every
+   environment, rounds around GST, an ESS stable source latched or not
+   (and then still sending or halted), and senders crashing with
+   [Broadcast_subset]. Every choice [Plan_enum.enumerate] makes is
+   dispatched and replayed as a one-round trace: [Checker.check_env]
+   passes each admissible one and flags each armed one. *)
+let prop_plan_enum_agrees_with_checker =
+  QCheck.Test.make ~name:"plan_enum choices = checker on one round" ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.make seed in
+      let n = Rng.int_in rng 1 4 in
+      let gst = Rng.int_in rng 1 4 in
+      let round = Rng.int_in rng (max 1 (gst - 1)) (gst + 1) in
+      let env =
+        match Rng.int rng 6 with
+        | 0 -> G.Env.Sync
+        | 1 -> G.Env.Ms
+        | 2 -> G.Env.Es { gst }
+        | 3 -> G.Env.Ess { gst }
+        | 4 -> G.Env.Async
+        | _ -> G.Env.Dynamic { stability = Rng.int_in rng 1 3; rooted = Rng.bool rng }
+      in
+      (* Each pid is live and correct, live and crashing later, crashing
+         now, halted, or (past round 1) crashed earlier. *)
+      let fates = List.init n (fun p -> (p, Rng.int rng (if round > 1 then 5 else 4))) in
+      let with_fate fs =
+        List.filter_map (fun (p, f) -> if List.mem f fs then Some p else None) fates
+      in
+      let live = with_fate [ 0; 1 ] and crashing = with_fate [ 2 ] in
+      let correct = with_fate [ 0; 3 ] in
+      let crash =
+        G.Crash.of_events ~n
+          (List.filter_map
+             (fun (pid, f) ->
+               let at r =
+                 Some { G.Crash.pid; round = r; broadcast = G.Crash.Broadcast_subset }
+               in
+               match f with
+               | 1 -> at (round + 1)
+               | 2 -> at round
+               | 4 -> at (round - 1)
+               | _ -> None)
+             fates)
+      in
+      let stable =
+        match env with
+        | G.Env.Ess _ when correct <> [] && Rng.bool rng -> Some (Rng.pick rng correct)
+        | _ -> None
+      in
+      let spec =
+        {
+          G.Plan_enum.env;
+          stable;
+          max_delay = (if n <= 3 then Rng.int_in rng 1 2 else 1);
+          crashing;
+          include_inadmissible = true;
+        }
+      in
+      let c = ctx ~round ~senders:live ~obligated:live ~correct ~alive:live in
+      let senders = List.sort compare (live @ crashing) in
+      let outgoing = List.map (fun sender -> { G.Dispatch.sender; msg = () }) senders in
+      let crashing_events = G.Crash.crashing_at crash ~round in
+      let findings (plan : G.Adversary.plan) =
+        let stats =
+          G.Dispatch.dispatch ~round ~outgoing ~crashing_events
+            ~eligible:(fun q -> List.mem q live)
+            ~receivers:(fun () -> live)
+            ~plan ~crash_rng:(Rng.make 0)
+            ~schedule:(fun ~sender:_ ~receiver:_ ~arrival:_ ~sent:_ () -> ())
+            ()
+        in
+        G.Checker.check_env
+          {
+            G.Trace.n;
+            inputs = Array.make n 1;
+            crash;
+            churn = G.Churn.none ~n;
+            env;
+            rounds =
+              [
+                {
+                  G.Trace.round;
+                  senders;
+                  crashing;
+                  source = plan.source;
+                  timely = stats.timely;
+                  obligated = live;
+                  decided = [];
+                  msg_sizes = [];
+                };
+              ];
+          }
+      in
+      List.for_all
+        (fun (choice : G.Plan_enum.choice) ->
+          match (choice.admissible, findings choice.plan) with
+          | true, [] | false, _ :: _ -> true
+          | true, v :: _ ->
+            QCheck.Test.fail_reportf "%s round %d: admissible plan flagged: %a"
+              (G.Env.to_string env) round G.Checker.pp_violation v
+          | false, [] ->
+            QCheck.Test.fail_reportf "%s round %d: armed plan not flagged"
+              (G.Env.to_string env) round)
+        (G.Plan_enum.enumerate spec c))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "giraf"
@@ -2012,6 +2129,7 @@ let () =
           Alcotest.test_case "none" `Quick test_crash_none;
           Alcotest.test_case "of_events" `Quick test_crash_of_events;
           Alcotest.test_case "validation" `Quick test_crash_validation;
+          Alcotest.test_case "reach" `Quick test_crash_reach;
           qc prop_crash_random;
           qc prop_schedule_lookups;
         ] );
@@ -2034,7 +2152,6 @@ let () =
       ( "shell",
         [
           Alcotest.test_case "end-of-round by hand" `Quick test_shell_by_hand;
-          Alcotest.test_case "reach" `Quick test_shell_reach;
         ] );
       ( "adversary",
         [
@@ -2100,5 +2217,6 @@ let () =
         [
           Alcotest.test_case "adversaries satisfy own env" `Quick
             test_adversaries_satisfy_own_env;
+          qc prop_plan_enum_agrees_with_checker;
         ] );
     ]

@@ -322,6 +322,35 @@ let test_armed_counterexample_replays () =
              (function G.Checker.No_source _ -> true | _ -> false)
              replayed.Ch.Fuzz.actual))
 
+(* An armed marker is the checker's own finding: the witness's
+   violations are the environment findings of its replay, under every
+   environment that owes something at round 1. *)
+let test_armed_markers_are_replay_findings () =
+  let env_finding = function
+    | G.Checker.No_source _ | G.Checker.Source_not_timely _ | G.Checker.Unstable_source _
+    | G.Checker.No_root _ | G.Checker.Stability_violation _ ->
+      true
+    | G.Checker.Agreement_violation _ | G.Checker.Validity_violation _
+    | G.Checker.Termination_violation _ | G.Checker.Weak_set_lost_add _
+    | G.Checker.Weak_set_phantom_value _ | G.Checker.Register_stale_read _ ->
+      false
+  in
+  let render = List.map (Format.asprintf "%a" G.Checker.pp_violation) in
+  List.iter
+    (fun env ->
+      let label = G.Env.to_string env in
+      let r = Mc.run (config ~n:3 ~rounds:3 ~env ~armed:true ()) in
+      match (r.Mc.violation, r.Mc.witness) with
+      | Some (_, _, v), Some w ->
+        check_bool (label ^ ": a marker") true (v.Explore.w_violations <> []);
+        Alcotest.(check (list string))
+          label
+          (render (List.filter env_finding w.Witness.replay_violations))
+          (render v.Explore.w_violations)
+      | _ -> Alcotest.failf "%s: expected an armed violation and its witness" label)
+    G.Env.
+      [ Sync; Es { gst = 1 }; Ess { gst = 1 }; Ms; Dynamic { stability = 2; rooted = true } ]
+
 (* --- determinism ---------------------------------------------------------------- *)
 
 let test_reproducible () =
@@ -427,6 +456,8 @@ let () =
             test_ws_bounded_witness_blocked_add;
           Alcotest.test_case "armed counterexample replays" `Quick
             test_armed_counterexample_replays;
+          Alcotest.test_case "armed markers = replay's env findings" `Quick
+            test_armed_markers_are_replay_findings;
         ] );
       ( "determinism",
         [
