@@ -612,7 +612,7 @@ let mc_cmd =
           Format.fprintf ppf "%a@." Mc.pp_report report;
           (match (out, report.Mc.witness) with
           | Some path, Some w ->
-            write_json ~cmd:"mc" path (Anon_mc.Witness.to_json w);
+            write_json ~cmd:"mc" path (Ch.Fuzz.repro_json w);
             Format.fprintf ppf "repro written to %s (replay with anonc fuzz --replay)@."
               path
           | _ -> ());

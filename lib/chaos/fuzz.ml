@@ -63,18 +63,9 @@ let run_weak_set ?recorder (case : Scenario.t) =
   G.Checker.check_env out.trace @ G.Checker.check_weak_set ~correct out.ops
 
 let run_register (case : Scenario.t) =
-  let rng = Rng.make case.seed in
   let workload =
-    List.init case.n (fun pid ->
-        let ops =
-          List.init case.ops_per_client (fun i ->
-              let start = Rng.int_in rng 1 60 in
-              if (i + pid) mod 2 = 0 then
-                (start, C.Register_of_weak_set.Write ((100 * pid) + i))
-              else (start, C.Register_of_weak_set.Read))
-          |> List.sort compare
-        in
-        (pid, ops))
+    C.Register_of_weak_set.workload ~n:case.n ~ops_per_client:case.ops_per_client
+      (Rng.make case.seed)
   in
   let out =
     C.Register_of_weak_set.run ~crash:(Scenario.crash case)

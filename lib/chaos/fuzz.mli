@@ -29,6 +29,8 @@ type finding = {
   violations : Anon_giraf.Checker.violation list;
   explored : int;  (** Shrink candidates executed. *)
 }
+(** A model-checker witness is a finding too: never shrunk, so
+    [original = case] and [explored = 0]. *)
 
 val shrink :
   Scenario.t -> Anon_giraf.Checker.violation list -> Scenario.t * Anon_giraf.Checker.violation list * int

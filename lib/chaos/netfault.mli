@@ -47,13 +47,14 @@ val of_string : string -> spec
     or [delay:P:MAX_S], [sever:NAME] clauses in any order, each at most
     once; [""] and ["none"] give {!none}. [NAME] is one of [rotating-root],
     [spanning-star], [t-interval:<t>], [partition-pulse:<p>],
-    [random:<density>]. Raises
+    [random:<density>] ({!Anon_giraf.Topology.name}). Raises
     {!Anon_giraf.Config_error.Invalid_config} on unknown or malformed
-    clauses, and validates the result. *)
+    clauses, on a sever argument the topology refuses ([t] or [p] below
+    1, a density outside [[0,1]]), and validates the result. *)
 
 val to_string : spec -> string
 (** Canonical CLI syntax for the spec (["none"] for a no-op), suitable
-    for reports and round-tripping through {!of_string} (severed
-    topologies render by name only). *)
+    for reports and round-tripping through {!of_string} (a severed
+    topology renders as its [sever:NAME] clause). *)
 
 val pp : Format.formatter -> spec -> unit

@@ -84,11 +84,6 @@ end)
 include (
   Default : module type of Default with type msg := msg and type state := state)
 
-module No_written_old_guard = Impl (struct
-  let name = "es-consensus/no-written-old"
-  let use_written_old_guard = false
-end)
-
 let proposed st = st.proposed
 let written st = st.written
 let current_val st = st.value
@@ -121,3 +116,13 @@ let state_key st =
   Buffer.add_string b " o";
   add_set b st.written_old;
   Buffer.contents b
+
+module No_written_old_guard = struct
+  include Impl (struct
+    let name = "es-consensus/no-written-old"
+    let use_written_old_guard = false
+  end)
+
+  let state_key = state_key
+  let msg_key = msg_key
+end

@@ -32,10 +32,16 @@ val state_key : state -> string
 val msg_key : msg -> string
 (** Canonical serialization of a message ([PROPOSED] set). *)
 
-module No_written_old_guard :
-  Anon_giraf.Intf.ALGORITHM
-    with type msg = Anon_kernel.Value.Set.t
-     and type state = state
 (** Ablation A2: decides as soon as [PROPOSED = {VAL}] with a non-empty
     [WRITTEN], skipping the [WRITTENOLD] guard of line 9. Violates
-    agreement under adversarial ES schedules — the guard is load-bearing. *)
+    agreement under adversarial ES schedules — the guard is load-bearing.
+    Its states and messages are ES's, and so are their keys. *)
+module No_written_old_guard : sig
+  include
+    Anon_giraf.Intf.ALGORITHM
+      with type msg = Anon_kernel.Value.Set.t
+       and type state = state
+
+  val state_key : state -> string
+  val msg_key : msg -> string
+end

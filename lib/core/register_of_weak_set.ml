@@ -42,6 +42,16 @@ type outcome = {
   trace : Giraf.Trace.t;
 }
 
+let workload ~n ~ops_per_client rng =
+  List.init n (fun pid ->
+      let ops =
+        List.init ops_per_client (fun i ->
+            let start = Rng.int_in rng 1 60 in
+            if (i + pid) mod 2 = 0 then (start, Write ((100 * pid) + i)) else (start, Read))
+        |> List.sort compare
+      in
+      (pid, ops))
+
 module Ws_runner = Giraf.Runner.Ws.Make (Weak_set_ms)
 
 let to_service_workload workload =

@@ -43,6 +43,12 @@ type outcome = {
   trace : Anon_giraf.Trace.t;
 }
 
+val workload :
+  n:int -> ops_per_client:int -> Anon_kernel.Rng.t -> (int * (int * op) list) list
+(** T6's and the fuzzer's workload: per client, [ops_per_client]
+    operations at uniform rounds in [\[1, 60\]], writes of [100 * pid + i]
+    where [i + pid] is even and reads elsewhere, in start order. *)
+
 val run :
   crash:Anon_giraf.Crash.t ->
   adversary:Anon_giraf.Adversary.t ->

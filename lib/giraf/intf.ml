@@ -94,15 +94,6 @@ end
     processes are churners between their leave and rejoin rounds. *)
 type fate = Live | Crashed | Halted | Away
 
-(** [all_halted fate c pids]: every pid of [pids] is [Halted] in [c],
-    read through [fate]. [all_halted C.fate c (C.correct_stayers c)] is
-    the test [C.undecided_correct_stayers c = \[\]] without building the
-    list, for the per-round stop checks. *)
-let rec all_halted fate c = function
-  | [] -> true
-  | p :: tl -> (
-    match fate c p with Halted -> all_halted fate c tl | Live | Crashed | Away -> false)
-
 (** The per-round stepping core of {!Step_core}: one iteration of Alg. 1
     over every process, as three phases ([begin_round], [compute],
     [deliver]), for processes that may decide. *)
@@ -190,15 +181,18 @@ module type CORE = sig
       every rejoin. *)
 
   val version : t -> int -> int
-  val crashing_now : t -> Crash.event list
   val crashing_pids : t -> int list
+
   val stable : t -> int option
-  val correct : t -> int list
-  val correct_stayers : t -> int list
+  (** The stable source {!deliver} latched where {!Env.owes} one. *)
 
   val undecided_correct_stayers : t -> int list
   (** Liveness is owed to correct stayers only: a churner may rejoin after
       everyone halted and run alone forever. *)
+
+  val all_decided : t -> bool
+  (** [undecided_correct_stayers t = \[\]], allocating nothing: the stop
+      rule of the runner, the multiplexer and the model checker. *)
 
   val mailbox_pending : t -> int -> int
 end

@@ -44,6 +44,9 @@ type spec = {
 
 type choice = { plan : Adversary.plan; admissible : bool }
 
+val product : 'a list list -> 'a list list
+(** Cartesian product, the first axis varying slowest. *)
+
 val enumerate : spec -> Adversary.ctx -> choice list
 (** All distinct delivery patterns for this round (sender and receiver
     order normalised, declared source ignored), deterministically

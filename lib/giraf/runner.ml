@@ -216,8 +216,6 @@ module Make (A : Intf.ALGORITHM) = struct
   module Core = Step_core.Consensus (A)
   module L = Loop (Core)
 
-  let decided core = Intf.all_halted Core.fate core (Core.correct_stayers core)
-
   let run ?observe ?(recorder = R.off) config =
     let obs_on = R.active recorder in
     let m_decisions = R.counter recorder Name.decisions in
@@ -268,7 +266,7 @@ module Make (A : Intf.ALGORITHM) = struct
           compute;
           decided_now = (fun () -> List.rev !decided_now);
           operate = (fun ~round:_ -> ());
-          all_decided = (fun () -> decided core);
+          all_decided = (fun () -> Core.all_decided core);
         }
     in
     { outcome with decisions = List.rev !decisions }
@@ -349,8 +347,8 @@ module Ws = struct
             {
               add_client = client;
               add_value = value;
-              add_invoked = (2 * invoked_round) + 1;
-              add_completed = Option.map (fun r -> 2 * (r + 1)) completed_round;
+              add_invoked = Svc.op_time invoked_round;
+              add_completed = Option.map (fun r -> Svc.compute_time (r + 1)) completed_round;
             }
           :: !ops;
         adds := { client; value; invoked_round; completed_round } :: !adds
@@ -377,7 +375,7 @@ module Ws = struct
       (* Client operations while in round k. One operation at a time per
          client; adds block until their value is written. *)
       let operate ~round:k =
-        let op_time = (2 * k) + 1 in
+        let op_time = Svc.op_time k in
         Svc.ops svc
           ~on_get:(fun ~pid ~result ->
             M.incr m_gets;

@@ -86,9 +86,6 @@ module Consensus (A : Intf.ALGORITHM) = struct
   let inflight t p = Backend.to_list ~compare:A.msg_compare t.inflight p
   let version t p = t.version.(p)
   let stable t = t.stable
-  let correct t = t.correct
-  let correct_stayers t = t.correct_stayers
-  let crashing_now t = t.crashing_now
   let crashing_pids t = List.map (fun (ev : Crash.event) -> ev.pid) t.crashing_now
   let mailbox_pending t p = Backend.length t.inflight p
   let touch t p = t.version.(p) <- t.version.(p) + 1
@@ -280,6 +277,12 @@ module Consensus (A : Intf.ALGORITHM) = struct
 
   let undecided_correct_stayers t =
     List.filter (fun p -> t.fate.(p) <> Halted) t.correct_stayers
+
+  let rec all_halted fate = function
+    | [] -> true
+    | p :: tl -> fate.(p) = Halted && all_halted fate tl
+
+  let all_decided t = all_halted t.fate t.correct_stayers
 end
 
 module Service (S : Intf.SERVICE) = struct
@@ -320,6 +323,8 @@ module Service (S : Intf.SERVICE) = struct
   let core t = t.core
   let script t p = t.script.(p)
   let blocked t p = t.blocked.(p)
+  let compute_time k = 2 * k
+  let op_time k = (2 * k) + 1
 
   (* A leaver's pending add is surfaced to the shell (recorded
      incomplete — the value may or may not have propagated; the weak-set

@@ -32,7 +32,8 @@
     [copy]s the core to branch, reads states through the accessors, and
     asks [preview] what a plan would deliver without delivering it.
     The hooks default to no-ops so the checker pays nothing for the
-    runner's observability.
+    runner's observability. A search and its replay read the stable
+    source ([stable]) and the stop rule ([all_decided]) from the core.
 
     Per-process [version] counters increment whenever that process's
     observable view changes: state, broadcast, mailbox, fate, stable
@@ -97,4 +98,10 @@ module Service (S : Intf.SERVICE) : sig
 
   val script : t -> int -> (int * op_spec) list
   val blocked : t -> int -> (Anon_kernel.Value.t * int) option
+
+  val compute_time : int -> int
+  val op_time : int -> int
+  (** The weak-set judge's clock ({!Checker.ws_op}): iteration [k]'s
+      compute, where adds complete, is at [compute_time k = 2k]; round
+      [k]'s operations, after it, at [op_time k = 2k + 1]. *)
 end

@@ -11,45 +11,48 @@ let det ~salt xs =
   let acc = List.fold_left Hashing.int (Hashing.string Hashing.init salt) xs in
   Int64.to_int (Int64.logand acc 0x3FFF_FFFF_FFFF_FFFFL)
 
-let rotating_root ?(period = 1) () =
-  if period < 1 then invalid_arg "Topology.rotating_root: period must be >= 1";
+let at_least_one ~where name v =
+  if v < 1 then Config_error.fail ~where (Printf.sprintf "%s must be >= 1 (got %d)" name v)
+
+let rotating_root () =
   let edge ~n ~round ~src ~dst =
-    let root = (round - 1) / period mod max 1 n in
+    let root = (round - 1) mod max 1 n in
     src = root || dst = root
   in
-  { name = Printf.sprintf "rotating-root(p=%d)" period; edge }
+  { name = "rotating-root"; edge }
 
-let spanning_star ?(seed = 0) () =
+let spanning_star () =
   let edge ~n ~round ~src ~dst =
-    let center = det ~salt:"star" [ seed; round ] mod max 1 n in
+    let center = det ~salt:"star" [ 0; round ] mod max 1 n in
     src = center || dst = center
   in
-  { name = Printf.sprintf "spanning-star(seed=%d)" seed; edge }
+  { name = "spanning-star"; edge }
 
 let t_interval ~t () =
-  if t < 1 then invalid_arg "Topology.t_interval: t must be >= 1";
+  at_least_one ~where:"Topology.t_interval" "t" t;
   let edge ~n ~round ~src ~dst =
     let interval = (round - 1) / t in
     let center = det ~salt:"interval" [ t; interval ] mod max 1 n in
     src = center || dst = center
   in
-  { name = Printf.sprintf "t-interval(t=%d)" t; edge }
+  { name = Printf.sprintf "t-interval:%d" t; edge }
 
 let partition_pulse ~period () =
-  if period < 1 then invalid_arg "Topology.partition_pulse: period must be >= 1";
+  at_least_one ~where:"Topology.partition_pulse" "period" period;
   let edge ~n:_ ~round ~src ~dst =
     if (round - 1) mod period = 0 then
       (* Pulse round: split by pid parity, no cross-partition links. *)
       src mod 2 = dst mod 2
     else true
   in
-  { name = Printf.sprintf "partition-pulse(p=%d)" period; edge }
+  { name = Printf.sprintf "partition-pulse:%d" period; edge }
 
-let random_graph ?(seed = 0) ~density () =
+let random_graph ~density () =
   if not (density >= 0. && density <= 1.) then
-    invalid_arg "Topology.random_graph: density must be in [0,1]";
+    Config_error.fail ~where:"Topology.random_graph"
+      (Printf.sprintf "density must be in [0,1] (got %g)" density);
   let threshold = int_of_float (density *. 1_000_000.) in
   let edge ~n:_ ~round ~src ~dst =
-    det ~salt:"random" [ seed; round; src; dst ] mod 1_000_000 < threshold
+    det ~salt:"random" [ 0; round; src; dst ] mod 1_000_000 < threshold
   in
-  { name = Printf.sprintf "random(seed=%d,density=%.2f)" seed density; edge }
+  { name = Printf.sprintf "random:%g" density; edge }

@@ -54,18 +54,8 @@ let t5 () =
 (* --- T6 ------------------------------------------------------------------ *)
 
 let t6_run ~n ~seed =
-  let rng = Rng.make (seed * 31) in
   let workload =
-    List.init n (fun pid ->
-        let ops =
-          List.init 6 (fun i ->
-              let start = Rng.int_in rng 1 60 in
-              if (i + pid) mod 2 = 0 then
-                (start, C.Register_of_weak_set.Write ((100 * pid) + i))
-              else (start, C.Register_of_weak_set.Read))
-          |> List.sort compare
-        in
-        (pid, ops))
+    C.Register_of_weak_set.workload ~n ~ops_per_client:6 (Rng.make (seed * 31))
   in
   C.Register_of_weak_set.run ~crash:(G.Crash.none ~n)
     ~adversary:(G.Adversary.ms ~rotation:Round_robin ~noise:0.2 ())

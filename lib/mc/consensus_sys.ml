@@ -44,7 +44,6 @@ struct
   type node = { core : Core.t; inv : Judge.t }
 
   let core nd = nd.core
-  let stable nd = Core.stable nd.core
 
   let init () =
     let core = Core.create ~inputs ~crash ~churn ~env in
@@ -90,9 +89,7 @@ struct
     in
     String.concat "," (List.map Value.to_string decided)
 
-  (* Liveness is owed to correct stayers only (cf. Runner/Checker): a
-     churner may rejoin after everyone halted and run alone forever. *)
-  let terminal nd = G.Intf.all_halted Core.fate nd.core (Core.correct_stayers nd.core)
+  let terminal nd = Core.all_decided nd.core
   let pending nd = Core.undecided_correct_stayers nd.core
 
   (* Pid-indexed rendering for the differential test: fate and state key

@@ -1,5 +1,6 @@
 module G = Anon_giraf
 module C = Anon_consensus
+module Ch = Anon_chaos
 module R = Anon_obs.Recorder
 module M = Anon_obs.Metrics
 
@@ -41,7 +42,7 @@ type report = {
   stats : Explore.stats;
   violation : (G.Crash.event list * G.Churn.event list * Explore.witness) option;
   non_deciding : (G.Crash.event list * G.Churn.event list * Explore.bounded) option;
-  witness : Witness.t option;
+  witness : Ch.Fuzz.finding option;
   verdict : verdict;
 }
 
@@ -51,12 +52,6 @@ let reduction_factor r =
 
 (* --- crash-schedule enumeration --------------------------------------------- *)
 
-let rec cartesian = function
-  | [] -> [ [] ]
-  | xs :: rest ->
-    let tails = cartesian rest in
-    List.concat_map (fun x -> List.map (fun t -> x :: t) tails) xs
-
 (* k-subsets of [0..n), lexicographic. *)
 let rec combos k lo n =
   if k = 0 then [ [] ]
@@ -64,52 +59,37 @@ let rec combos k lo n =
   else
     List.map (fun rest -> lo :: rest) (combos (k - 1) (lo + 1) n) @ combos k (lo + 1) n
 
-(* Churn schedules: every subset of at most [budget] processes, each with a
-   leave round in [1..rounds] and either a rejoin round in (leave, rounds]
-   or none (within the explored depth, "rejoins past the bound" and "never
-   rejoins" coincide). Crossed with the crash schedules under a
-   pid-disjointness filter (a crasher cannot churn, and vice versa). *)
-let churn_schedules ~n ~budget ~rounds =
-  let event_options pid =
-    List.concat_map
-      (fun leave ->
-        { G.Churn.pid; leave; rejoin = None }
-        :: List.filter_map
-             (fun r ->
-               if r > leave then Some { G.Churn.pid; leave; rejoin = Some r }
-               else None)
-             (List.init rounds (fun i -> i + 1)))
-      (List.init rounds (fun i -> i + 1))
-  in
+(* Every subset of at most [budget] of the [n] processes, smallest first,
+   each process taking one of its [options]. *)
+let schedules ~n ~budget options =
   List.concat_map
     (fun k ->
-      List.concat_map
-        (fun pids -> cartesian (List.map event_options pids))
-        (combos k 0 n))
+      List.concat_map (fun pids -> G.Plan_enum.product (List.map options pids)) (combos k 0 n))
     (List.init (budget + 1) Fun.id)
+
+(* Churn schedules: each churner leaves at a round in [1..rounds] and
+   either rejoins in (leave, rounds] or not at all (within the explored
+   depth, "rejoins past the bound" and "never rejoins" coincide). Crossed
+   with the crash schedules under a pid-disjointness filter (a crasher
+   cannot churn, and vice versa). *)
+let churn_schedules ~n ~budget ~rounds =
+  let upto = List.init rounds (fun i -> i + 1) in
+  schedules ~n ~budget (fun pid ->
+      List.concat_map
+        (fun leave ->
+          { G.Churn.pid; leave; rejoin = None }
+          :: List.filter_map
+               (fun r ->
+                 if r > leave then Some { G.Churn.pid; leave; rejoin = Some r } else None)
+               upto)
+        upto)
 
 let crash_schedules ~n ~budget ~rounds =
-  List.concat_map
-    (fun k ->
-      List.concat_map
-        (fun pids ->
-          List.map
-            (List.map2
-               (fun pid round ->
-                 { G.Crash.pid; round; broadcast = G.Crash.Broadcast_subset })
-               pids)
-            (cartesian (List.map (fun _ -> List.init rounds (fun r -> r + 1)) pids)))
-        (combos k 0 n))
-    (List.init (budget + 1) Fun.id)
+  schedules ~n ~budget (fun pid ->
+      List.init rounds (fun r ->
+          { G.Crash.pid; round = r + 1; broadcast = G.Crash.Broadcast_subset }))
 
 (* --- per-schedule system ----------------------------------------------------- *)
-
-module Es_unguarded_model = struct
-  include C.Es_consensus.No_written_old_guard
-
-  let state_key = C.Es_consensus.state_key
-  let msg_key = C.Es_consensus.msg_key
-end
 
 let system config ~inputs ~crash ~churn =
   let cspec model =
@@ -125,7 +105,7 @@ let system config ~inputs ~crash ~churn =
   in
   match config.algo with
   | Es -> cspec (module C.Es_consensus)
-  | Es_unguarded -> cspec (module Es_unguarded_model)
+  | Es_unguarded -> cspec (module C.Es_consensus.No_written_old_guard)
   | Ess -> cspec (module C.Ess_consensus)
   | Ms_weakset ->
     Ws_sys.make
@@ -183,7 +163,7 @@ let run ?(recorder = R.off) ?progress config =
   | Some j -> fail (Printf.sprintf "jobs must be 1 (got %d): the search runs on one domain" j));
   (* The fuzzer's derivation, so an emitted witness (which carries only
      the seed) replays against identical proposals. *)
-  let inputs = Anon_chaos.Scenario.inputs ~n:config.n ~seed:config.seed in
+  let inputs = Ch.Scenario.inputs ~n:config.n ~seed:config.seed in
   let explore sysmod =
     match config.search with
     | Bfs -> Explore.bfs ~recorder ?progress ~depth:config.rounds sysmod
@@ -237,27 +217,45 @@ let run ?(recorder = R.off) ?progress config =
     combined_schedules;
   let scen_algo =
     match config.algo with
-    | Es -> Some Anon_chaos.Scenario.Es
-    | Ess -> Some Anon_chaos.Scenario.Ess
-    | Ms_weakset -> Some Anon_chaos.Scenario.Weak_set
+    | Es -> Some Ch.Scenario.Es
+    | Ess -> Some Ch.Scenario.Ess
+    | Ms_weakset -> Some Ch.Scenario.Weak_set
     | Es_unguarded -> None
   in
+  (* A witness is replayed as it is found, so [fuzz --replay] matches it
+     by construction. The round past the prefix falls back to fully
+     timely: enough for the compute in which the violation (or the
+     blocked progress) shows. The replay shares the sink only. *)
   let witness =
-    (* The replay's counts are not the search's: it shares the sink only. *)
     let recorder = R.create ~metrics:M.disabled ~sink:(R.sink recorder) () in
-    let build ~crashes ~churn ~plans =
+    let build crashes churn plans =
       Option.map
         (fun algo ->
-          Witness.build ~recorder ~algo ~env:config.env ~n:config.n
-            ~seed:config.seed ~ops_per_client:config.ops_per_client ~crashes
-            ~churn ~plans ())
+          let case =
+            {
+              Ch.Scenario.algo;
+              n = config.n;
+              gst = Option.value ~default:0 (G.Env.gst config.env);
+              rotation = G.Adversary.Round_robin;
+              noise = 0.;
+              horizon = List.length plans + 1;
+              seed = config.seed;
+              crashes;
+              churn;
+              env = None;
+              ops_per_client = config.ops_per_client;
+              faults = Ch.Fault.none;
+              schedule = Some { Ch.Scenario.sched_env = config.env; plans };
+            }
+          in
+          let violations = Ch.Fuzz.run_case ~recorder case in
+          { Ch.Fuzz.original = case; original_violations = violations; case; violations;
+            explored = 0 })
         scen_algo
     in
     match (!violation, !non_deciding) with
-    | Some (events, churn_events, w), _ ->
-      build ~crashes:events ~churn:churn_events ~plans:w.Explore.w_plans
-    | None, Some (events, churn_events, b) ->
-      build ~crashes:events ~churn:churn_events ~plans:b.Explore.b_plans
+    | Some (events, churn_events, w), _ -> build events churn_events w.Explore.w_plans
+    | None, Some (events, churn_events, b) -> build events churn_events b.Explore.b_plans
     | None, None -> None
   in
   let verdict =
@@ -320,6 +318,7 @@ let pp_report ppf r =
   (match r.witness with
   | Some w ->
     Format.fprintf ppf "witness replay: %s@,"
-      (if Witness.confirmed w then "confirmed by checker" else "no checker violation (bounded witness)")
+      (if w.Ch.Fuzz.violations <> [] then "confirmed by checker"
+       else "no checker violation (bounded witness)")
   | None -> ());
   Format.fprintf ppf "verdict: %s@]" (verdict_name r.verdict)

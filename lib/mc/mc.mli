@@ -68,9 +68,12 @@ type report = {
   non_deciding :
     (Anon_giraf.Crash.event list * Anon_giraf.Churn.event list * Explore.bounded)
     option;
-  witness : Witness.t option;
-      (** Replay-validated packaging of [violation] (or, failing that, of
-          [non_deciding]); [None] for {!Es_unguarded}. *)
+  witness : Anon_chaos.Fuzz.finding option;
+      (** [violation] (or, failing that, [non_deciding]) as a finding
+          whose [case] (= [original]) replays its plans as an explicit
+          schedule, with what that replay reports (a trailing termination
+          violation included) and [explored = 0]; [None] for
+          {!Es_unguarded}. *)
   verdict : verdict;
 }
 
@@ -83,8 +86,8 @@ val run :
   config ->
   report
 (** Explore schedules in order, stopping at the first violating one.
-    {!Witness.to_json} renders the report's witness as a repro file.
-    Emits [mc.*] metrics through [recorder], and only those: the
+    {!Anon_chaos.Fuzz.repro_json} renders the report's witness as a repro
+    file. Emits [mc.*] metrics through [recorder], and only those: the
     witness replay (when any) shares [recorder]'s sink, so a
     {!Anon_obs.Trace.chrome} sink captures the counterexample timeline.
     [progress] (e.g. [Format.err_formatter] under [anonc mc --progress])

@@ -13,7 +13,6 @@ module type FAMILY = sig
   val state_key : Core.state -> string
   val msg_key : Core.msg -> string
   val core : node -> Core.t
-  val stable : node -> int option
   val init : unit -> node
   val step : node -> G.Adversary.plan -> node * G.Checker.violation list * int list
   val view_extra : Canon.Digest.stream -> node -> int -> unit
@@ -218,7 +217,7 @@ module Make (F : FAMILY) = struct
       D.feed_char st '|';
       D.feed_string st fate_str.(p);
       D.feed_string st churn_fate_str.(p);
-      if F.stable node = Some p then D.feed_string st "|S";
+      if Core.stable core = Some p then D.feed_string st "|S";
       F.view_extra st node p;
       List.iter
         (fun (a, sent, mk) ->
@@ -311,7 +310,7 @@ module Make (F : FAMILY) = struct
     let pspec =
       {
         G.Plan_enum.env = F.env;
-        stable = F.stable s.node;
+        stable = Core.stable core;
         max_delay = F.max_delay;
         crashing = Core.crashing_pids core;
         include_inadmissible = F.armed;

@@ -37,11 +37,11 @@ module type FAMILY = sig
   val armed : bool
   val state_key : Core.state -> string
   val msg_key : Core.msg -> string
-  val core : node -> Core.t
 
-  val stable : node -> int option
-  (** The ESS stable source that constrains plan enumeration and marks a
-      view with [|S]. *)
+  val core : node -> Core.t
+  (** Its {!Anon_giraf.Intf.CORE.stable} source, the one the replay's
+      dispatch latches, is the one plan enumeration keeps and a view
+      marks with [|S]. *)
 
   val init : unit -> node
 
@@ -61,6 +61,8 @@ module type FAMILY = sig
   (** Permutation-invariant global facts of the key. *)
 
   val terminal : node -> bool
+  (** Consensus: the core's stop rule {!Anon_giraf.Intf.CORE.all_decided}. *)
+
   val pending : node -> int list
   val snapshot : node -> string
 end

@@ -40,11 +40,6 @@ struct
 
   let core nd = Svc.core nd.svc
 
-  (* The weak-set explorations never latch an ESS stable source into
-     their plans or views (the service scenarios run the simpler
-     environments); the enumeration stays unconstrained. *)
-  let stable _ = None
-
   let init () =
     let svc = Svc.create ~n ~crash ~churn ~env ~workload in
     Svc.begin_round svc;
@@ -53,11 +48,11 @@ struct
 
   (* One transition: round-[k] deliveries per plan and crasher marking
      (shared Step_core/Dispatch semantics), the round-[k] operation phase
-     (op_time = 2k + 1; adds invoked as the phase runs, gets judged after
-     every invocation of the phase is recorded), then round [k+1]'s
-     compute, completing adds whose BLOCK flag cleared at
-     compute_time = 2(k+1). Every client that ran a get, invoked an add
-     or completed one is a loud pid of the transition. *)
+     (adds invoked as the phase runs, gets judged after every invocation
+     of the phase is recorded), then iteration [k+1]'s compute,
+     completing adds whose BLOCK flag cleared; the times are the
+     service's clock. Every client that ran a get, invoked an add or
+     completed one is a loud pid of the transition. *)
   let step nd (plan : G.Adversary.plan) =
     let svc = Svc.copy nd.svc in
     ignore
@@ -71,7 +66,7 @@ struct
       ~on_add:(fun ~pid ~value ->
         inv := Judge.invoke_add !inv value;
         loud := pid :: !loud);
-    let op_time = (2 * k) + 1 in
+    let op_time = Svc.op_time k in
     let viols =
       List.concat_map
         (fun (p, result) ->
@@ -83,7 +78,7 @@ struct
     Svc.begin_round svc;
     ignore
       (Svc.compute svc ~on_add_complete:(fun ~pid ~value ~invoked_round:_ ->
-           inv := Judge.complete_add !inv value ~time:(2 * (k + 1));
+           inv := Judge.complete_add !inv value ~time:(Svc.compute_time (k + 1));
            loud := pid :: !loud)
         : S.msg G.Dispatch.outbound list);
     ({ svc; inv = !inv }, viols, List.map fst !gets @ !loud)

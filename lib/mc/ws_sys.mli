@@ -5,10 +5,10 @@
     {!Consensus_sys}: a node is the system after the compute phase of
     iteration [k]; one step delivers the round-[k] messages per the plan,
     marks the crashers, runs the round-[k] client-operation phase (one
-    operation per unblocked client, on the weak-set runner's logical clock:
-    computes at [2k], operations at [2k + 1]), and computes iteration
-    [k+1], detecting [add] completions. Each completed [get] is judged
-    online against {!Anon_giraf.Checker.Weak_set}.
+    operation per unblocked client), and computes iteration [k+1],
+    detecting [add] completions. Each completed [get] is judged online
+    against {!Anon_giraf.Checker.Weak_set}, on the service's clock
+    ({!Anon_giraf.Step_core.Service.op_time}) as the runner records it.
 
     The workload is {!Anon_chaos.Scenario.mc_workload} — deterministic and
     pid-pinned, so emitted witnesses replay through the chaos path

@@ -109,9 +109,6 @@ module Make (A : G.Intf.ALGORITHM) = struct
     mutable local_rounds : int;
   }
 
-  (* Every correct stayer decided: liveness is owed to them only. *)
-  let decided core = G.Intf.all_halted Core.fate core (Core.correct_stayers core)
-
   let run ?(recorder = Anon_obs.Recorder.off) ?on_commit config ~proposals =
     let module R = Anon_obs.Recorder in
     let module M = Anon_obs.Metrics in
@@ -302,7 +299,7 @@ module Make (A : G.Intf.ALGORITHM) = struct
     let rec sweep gr = function
       | [] -> []
       | inst :: tl as insts ->
-        if decided inst.core then begin
+        if Core.all_decided inst.core then begin
           close ~gr ~done_:true inst;
           sweep gr tl
         end

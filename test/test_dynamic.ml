@@ -10,7 +10,6 @@ module G = Anon_giraf
 module C = Anon_consensus
 module Ch = Anon_chaos
 module Mc = Anon_mc.Mc
-module Witness = Anon_mc.Witness
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -489,7 +488,7 @@ let test_mc_ess_rotating_root_stalls () =
     check_bool "both blocked" true (b.Anon_mc.Explore.b_blocked = [ 0; 1 ])
   | None -> Alcotest.fail "expected a non-deciding witness");
   match r.Mc.witness with
-  | Some w -> check_bool "replay confirms" true (Witness.confirmed w)
+  | Some w -> check_bool "replay confirms" true (w.Ch.Fuzz.violations <> [])
   | None -> Alcotest.fail "expected a witness"
 
 let test_mc_churn_budget_verified () =
@@ -528,7 +527,7 @@ let test_mc_armed_dynamic_violation algo () =
     check_bool "No_root reported" true (has_no_root w.Anon_mc.Explore.w_violations)
   | None -> Alcotest.fail "expected a violation");
   match r.Mc.witness with
-  | Some w -> check_bool "replay confirms" true (Witness.confirmed w)
+  | Some w -> check_bool "replay confirms" true (w.Ch.Fuzz.violations <> [])
   | None -> Alcotest.fail "expected a witness"
 
 (* --- the rejoin finding: committed counterexamples --------------------------- *)
@@ -574,7 +573,7 @@ let test_finding_mc_rediscovers_split () =
          w.Anon_mc.Explore.w_violations)
   | None -> Alcotest.fail "expected a violation");
   match r.Mc.witness with
-  | Some w -> check_bool "replay confirms" true (Witness.confirmed w)
+  | Some w -> check_bool "replay confirms" true (w.Ch.Fuzz.violations <> [])
   | None -> Alcotest.fail "expected a witness"
 
 let replay_committed name pred what =

@@ -49,6 +49,39 @@ let test_netfault_invalid () =
       "gibberish";
       "sever:no-such-topology";
       "drop:";
+      "sever:t-interval:0";  (* a topology's own argument check *)
+      "sever:partition-pulse:0";
+      "sever:random:1.5";
+    ]
+
+(* A severed spec renders as its own clause and parses back to the same
+   graphs: a live report's "net" field is a valid --net. *)
+let test_netfault_sever_roundtrip () =
+  List.iter
+    (fun raw ->
+      let s = Chaos.Netfault.of_string raw in
+      Alcotest.(check string) "rendered as given" raw (Chaos.Netfault.to_string s);
+      let s' = Chaos.Netfault.of_string (Chaos.Netfault.to_string s) in
+      match (s.Chaos.Netfault.sever, s'.Chaos.Netfault.sever) with
+      | Some a, Some b ->
+        for round = 1 to 12 do
+          for src = 0 to 4 do
+            for dst = 0 to 4 do
+              check_bool
+                (Printf.sprintf "%s: edge %d->%d at round %d" raw src dst round)
+                (G.Topology.edge a ~n:5 ~round ~src ~dst)
+                (G.Topology.edge b ~n:5 ~round ~src ~dst)
+            done
+          done
+        done
+      | _ -> Alcotest.failf "%s: sever lost in the round trip" raw)
+    [
+      "sever:rotating-root";
+      "sever:spanning-star";
+      "sever:t-interval:3";
+      "sever:partition-pulse:2";
+      "sever:random:0.5";
+      "drop:0.1,sever:t-interval:2";
     ]
 
 (* --- Transport ------------------------------------------------------------------ *)
@@ -342,6 +375,7 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_netfault_parse;
           Alcotest.test_case "invalid specs rejected" `Quick test_netfault_invalid;
+          Alcotest.test_case "sever specs round-trip" `Quick test_netfault_sever_roundtrip;
         ] );
       ( "wire",
         [

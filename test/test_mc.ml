@@ -5,7 +5,6 @@
 module G = Anon_giraf
 module Mc = Anon_mc.Mc
 module Explore = Anon_mc.Explore
-module Witness = Anon_mc.Witness
 module Ch = Anon_chaos
 
 let check_int = Alcotest.(check int)
@@ -62,6 +61,27 @@ let test_ws_n3_reduction_pinned () =
   check_bool "factor stays 31x" true
     (let f = Mc.reduction_factor r in
      f > 31.0 && f < 32.0)
+
+(* The weak set at n=3, depth 4, GST 2 with two operations per client,
+   under three environments. Under ESS the enumeration keeps the core's
+   stable source from GST on, as the replay's environment check does. *)
+let test_ws_n3_env_pinned () =
+  List.iter
+    (fun (env, raw, canonical, verdict) ->
+      let label = G.Env.to_string env in
+      let r =
+        Mc.run { (config ~algo:Mc.Ms_weakset ~env ~n:3 ~rounds:4 ()) with ops_per_client = 2 }
+      in
+      check_int (label ^ ": raw states") raw r.Mc.stats.Explore.raw_states;
+      check_int (label ^ ": canonical states") canonical r.Mc.stats.Explore.canonical_states;
+      Alcotest.(check string) (label ^ ": verdict") (Mc.verdict_name verdict)
+        (Mc.verdict_name r.Mc.verdict))
+    G.Env.
+      [
+        (Ess { gst = 2 }, 2981, 384, Mc.Bounded);
+        (Ms, 39850, 1217, Mc.Bounded);
+        (Es { gst = 2 }, 60, 24, Mc.Verified);
+      ]
 
 let test_es_crash_budget_verified () =
   (* Crash schedules are enumerated outside the exploration: budget 1 at
@@ -242,6 +262,7 @@ let prediction_cases =
     ("armed", consensus_sys ~armed:true (es 2), 5, [ Bfs; Dfs ]);
     ("max_delay 2", consensus_sys ~max_delay:2 (es 3), 6, [ Bfs ]);
     ("weak set max_delay 2", ws_sys ~n:2 ~max_delay:2 G.Env.Ms, 4, [ Bfs ]);
+    ("weak set ESS", ws_sys ~n:3 (G.Env.Ess { gst = 2 }), 4, [ Bfs ]);
   ]
 
 (* --- bounded verdicts and their witnesses ------------------------------------- *)
@@ -275,11 +296,11 @@ let test_es_shallow_bounded_witness_replays () =
   match r.Mc.witness with
   | None -> Alcotest.fail "expected a non-deciding witness"
   | Some w ->
-    check_bool "replay reproduces non-decision" true (Witness.confirmed w);
+    check_bool "replay reproduces non-decision" true (w.Ch.Fuzz.violations <> []);
     check_bool "replay reports a termination violation" true
       (List.exists
          (function G.Checker.Termination_violation _ -> true | _ -> false)
-         w.Witness.replay_violations)
+         w.Ch.Fuzz.violations)
 
 let test_ws_bounded_witness_blocked_add () =
   (* Depth 2 cuts the weak-set run before pending adds complete: bounded,
@@ -293,7 +314,7 @@ let test_ws_bounded_witness_blocked_add () =
     | None -> false);
   match r.Mc.witness with
   | None -> Alcotest.fail "expected a bounded witness"
-  | Some w -> check_bool "no safety violation on replay" true (not (Witness.confirmed w))
+  | Some w -> check_bool "no safety violation on replay" true (w.Ch.Fuzz.violations = [])
 
 (* --- armed mode: the counterexample loop --------------------------------------- *)
 
@@ -305,14 +326,14 @@ let test_armed_counterexample_replays () =
     | Some w -> w
     | None -> Alcotest.fail "expected a witness"
   in
-  check_bool "replay confirms" true (Witness.confirmed w);
+  check_bool "replay confirms" true (w.Ch.Fuzz.violations <> []);
   (* The witness goes through the PR-2 chaos repro format verbatim. *)
   let path = Filename.temp_file "anon_mc_repro" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Out_channel.with_open_text path (fun oc ->
-          output_string oc (Anon_obs.Json.to_string (Witness.to_json w)));
+          output_string oc (Anon_obs.Json.to_string (Ch.Fuzz.repro_json w)));
       match Ch.Fuzz.replay ~path with
       | Error e -> Alcotest.failf "replay failed: %s" e
       | Ok replayed ->
@@ -345,7 +366,7 @@ let test_armed_markers_are_replay_findings () =
         check_bool (label ^ ": a marker") true (v.Explore.w_violations <> []);
         Alcotest.(check (list string))
           label
-          (render (List.filter env_finding w.Witness.replay_violations))
+          (render (List.filter env_finding w.Ch.Fuzz.violations))
           (render v.Explore.w_violations)
       | _ -> Alcotest.failf "%s: expected an armed violation and its witness" label)
     G.Env.
@@ -446,6 +467,7 @@ let () =
           Alcotest.test_case "digest: incremental = full rehash" `Quick
             test_digest_incremental_matches_full;
           Alcotest.test_case "ES n=3 gst 6 depth 10 pinned" `Quick test_es_gst6_pinned;
+          Alcotest.test_case "weak-set n=3 ess/ms/es pinned" `Quick test_ws_n3_env_pinned;
         ] );
       ("prediction", List.map prediction_case prediction_cases);
       ( "witnesses",

@@ -24,12 +24,13 @@ module Ch = Anon_chaos
 
 let check_string = Alcotest.(check string)
 
-module Es_unguarded_model = struct
-  include C.Es_consensus.No_written_old_guard
-
-  let state_key = C.Es_consensus.state_key
-  let msg_key = C.Es_consensus.msg_key
-end
+(* The replay of an admissible path meets the environment its plans were
+   enumerated for: the search and the runner read one stable source. *)
+let check_replay_env ~label ~seed (trace : G.Trace.t) =
+  Alcotest.(check (list string))
+    (Printf.sprintf "%s seed=%d: replay meets %s" label seed (G.Env.to_string trace.env))
+    []
+    (List.map (Format.asprintf "%a" G.Checker.pp_violation) (G.Checker.check_env trace))
 
 (* Sample one plan path through a system: at every node pick a uniformly
    random successor until [depth] steps or a terminal node. Returns the
@@ -98,6 +99,7 @@ let consensus_diff (module A : Mc_cs.MODEL) ?(armed = false) ~label ~env ~inputs
     }
   in
   let outcome = Run.run ~observe config in
+  if not armed then check_replay_env ~label ~seed outcome.G.Runner.trace;
   let n = List.length inputs in
   let dec_round p =
     List.find_map
@@ -182,6 +184,7 @@ let ws_diff ~label ~env ~n ~crash ~max_delay ~ops_per_client ~depth ~seed () =
     }
   in
   let outcome = Run.run ~observe config ~workload in
+  check_replay_env ~label ~seed outcome.G.Runner.Ws.trace;
   let adds = outcome.G.Runner.Ws.adds in
   (* Number of operations client [p] has started during the op phases of
      rounds [<= r] (op_time = 2k + 1). *)
@@ -271,7 +274,7 @@ let churn1 pid leave rejoin = G.Churn.of_events ~n:3 [ { G.Churn.pid; leave; rej
 
 let es = (module C.Es_consensus : Mc_cs.MODEL)
 let ess = (module C.Ess_consensus : Mc_cs.MODEL)
-let esu = (module Es_unguarded_model : Mc_cs.MODEL)
+let esu = (module C.Es_consensus.No_written_old_guard : Mc_cs.MODEL)
 
 let consensus_cases =
   [
@@ -365,6 +368,7 @@ let ws_cases =
       5,
       [ 24 ] );
     ("ws ms delay2", G.Env.Ms, 2, G.Crash.none ~n:2, 2, 1, 4, [ 25 ]);
+    ("ws ess", G.Env.Ess { gst = 1 }, 3, G.Crash.none ~n:3, 1, 1, 5, [ 26; 43; 44 ]);
   ]
 
 (* Walks where a predicted key is easy to get wrong: two churners whose
@@ -487,7 +491,7 @@ let test_es_round_budget () =
   let rounds = ref 0 in
   let total =
     words (fun () ->
-        while not (G.Intf.all_halted Es_core.fate core (Es_core.correct_stayers core)) do
+        while not (Es_core.all_decided core) do
           incr rounds;
           Es_core.begin_round core;
           ignore (Es_core.compute core : C.Es_consensus.msg G.Dispatch.outbound list);
@@ -501,10 +505,51 @@ let test_es_round_budget () =
     true
     (per_round <= 1.1 *. es_round_words)
 
+(* The stop rule is [undecided_correct_stayers = []] at every round of
+   random ES cores with crashes and churn, and costs no words. *)
+let test_all_decided () =
+  let rng = K.Rng.make 5 in
+  for _ = 1 to 40 do
+    let n = 2 + K.Rng.int rng 4 in
+    let crash = G.Crash.random ~n ~failures:(K.Rng.int rng n) ~max_round:8 rng in
+    let churn =
+      match G.Crash.correct crash with
+      | pid :: _ when K.Rng.bool rng ->
+        let leave = 1 + K.Rng.int rng 8 in
+        let rejoin = if K.Rng.bool rng then Some (leave + 1 + K.Rng.int rng 3) else None in
+        G.Churn.of_events ~n [ { G.Churn.pid; leave; rejoin } ]
+      | _ -> G.Churn.none ~n
+    in
+    let gst = 1 + K.Rng.int rng 6 in
+    let core =
+      Es_core.create ~inputs:(Array.init n (fun p -> p mod 3)) ~crash ~churn
+        ~env:(G.Env.Es { gst })
+    in
+    let adversary = G.Adversary.es ~gst () in
+    let crash_rng = K.Rng.split rng in
+    for _ = 1 to 16 do
+      Alcotest.(check bool)
+        "all_decided = (undecided_correct_stayers = [])"
+        (Es_core.undecided_correct_stayers core = [])
+        (Es_core.all_decided core);
+      Alcotest.(check (float 0.)) "100 all_decided calls, minor words" 0.
+        (words (fun () ->
+             for _ = 1 to 100 do
+               ignore (Es_core.all_decided core : bool)
+             done));
+      Es_core.begin_round core;
+      ignore (Es_core.compute core : C.Es_consensus.msg G.Dispatch.outbound list);
+      let plan = G.Adversary.plan adversary (Es_core.ctx core) rng in
+      ignore (Es_core.deliver core ~plan ~crash_rng : G.Dispatch.stats)
+    done
+  done
+
 let allocation_tests =
   [
     Alcotest.test_case "quiet begin_round allocates nothing" `Quick test_quiet_begin_round;
     Alcotest.test_case "es n=3 words per round within budget" `Quick test_es_round_budget;
+    Alcotest.test_case "all_decided is the stop rule, allocates nothing" `Quick
+      test_all_decided;
   ]
 
 let () =
