@@ -45,6 +45,10 @@ let sample ?(inadmissible = None) rng =
     inadmissible;
   }
 
+(* Every injector draws, and rewrites, link by link, in each sender's
+   link order ({!Adv.links}): ascending receiver. *)
+type links = { source : int option; deliveries : (int * Adv.delivery list) list }
+
 (* [reached info] of a sender: itself plus its timely receivers this round. *)
 let covers ~obligated ~round sender ds =
   let timely =
@@ -70,7 +74,7 @@ let degrade ~obligated ~round sender ds =
 
 (* Degrade every sender that covers the obligated receivers, so no source
    remains. *)
-let demote_covering ~obligated ~round (plan : Adv.plan) =
+let demote_covering ~obligated ~round (plan : links) =
   let deliveries =
     List.map
       (fun (s, ds) ->
@@ -88,116 +92,121 @@ let promote ~obligated ~round ds =
       if List.mem d.receiver obligated then { d with arrival = round } else d)
     ds
 
+let rewrite spec ~env (ctx : Adv.ctx) rng (plan : Adv.plan) =
+  let dynamic = match env with Env.Dynamic _ -> true | _ -> false in
+  let k = ctx.round in
+  let plan = { source = plan.source; deliveries = Adv.links plan } in
+  (* Admissible layers: never touch a timely arrival, so every
+     obligation of the inner schedule survives. *)
+  let delay_late ds =
+    if spec.extra_delay <= 0. then ds
+    else
+      List.map
+        (fun (d : Adv.delivery) ->
+          if d.arrival > k && Rng.chance rng spec.extra_delay then
+            { d with arrival = d.arrival + Rng.int_in rng 1 (max 1 spec.max_extra) }
+          else d)
+        ds
+  in
+  let reorder_late ds =
+    if spec.reorder <= 0. || not (Rng.chance rng spec.reorder) then ds
+    else
+      let late, timely =
+        List.partition (fun (d : Adv.delivery) -> d.arrival > k) ds
+      in
+      match late with
+      | [] | [ _ ] -> ds
+      | _ ->
+        let arrivals =
+          Rng.shuffle rng (List.map (fun (d : Adv.delivery) -> d.arrival) late)
+        in
+        timely
+        @ List.map2 (fun (d : Adv.delivery) arrival -> { d with arrival }) late arrivals
+  in
+  let duplicate_some ds =
+    if spec.duplicate <= 0. then ds
+    else
+      List.concat_map
+        (fun (d : Adv.delivery) ->
+          if Rng.chance rng spec.duplicate then
+            let echo = max d.arrival k + Rng.int_in rng 1 (max 1 spec.max_extra) in
+            [ d; { d with arrival = echo } ]
+          else [ d ])
+        ds
+  in
+  let deliveries =
+    List.map
+      (fun (s, ds) -> (s, duplicate_some (reorder_late (delay_late ds))))
+      plan.deliveries
+  in
+  let plan = { plan with deliveries } in
+  (* Inadmissible layer last, so no admissible echo can restore a
+     timeliness we just took away (echoes are always late anyway). *)
+  match spec.inadmissible with
+  | Some (Drop_obligated { from_round }) when k >= from_round ->
+    demote_covering ~obligated:ctx.obligated ~round:k plan
+  | Some (Unstable_source { from_round }) when k >= from_round -> (
+    match List.filter (fun s -> List.mem s ctx.correct) ctx.senders with
+    | [] | [ _ ] -> plan (* cannot alternate without two correct senders *)
+    | s0 :: s1 :: _ ->
+      let keep = if k mod 2 = 0 then s0 else s1 in
+      (* Blocking shape (cf. [Adversary.ess_blocking]): only [keep] is
+         timely, every other link one round late. Each round has a
+         covering source (MS holds) but the alternation keeps the
+         algorithm from deciding, so enough demanding rounds survive
+         past [gst] for the stability check to see both parities. *)
+      let deliveries =
+        List.map
+          (fun (s, ds) ->
+            if s = keep then (s, promote ~obligated:ctx.obligated ~round:k ds)
+            else
+              ( s,
+                List.map
+                  (fun (d : Adv.delivery) ->
+                    if d.arrival = k then { d with arrival = k + 1 } else d)
+                  ds ))
+          plan.deliveries
+      in
+      { source = Some keep; deliveries })
+  | Some (Root_starvation { from_round })
+    when k >= from_round && dynamic && Env.owes env ~round:k = Env.A_source ->
+    (* Dynamic rounds that owe a source (rooted pulses) only: demote
+       every covering sender, so no root reaches all obligated
+       receivers. Healed rounds are left intact — the resulting trace
+       violates exactly the root-reachability obligation. *)
+    demote_covering ~obligated:ctx.obligated ~round:k plan
+  | Some (Stability_break { from_round })
+    when k >= from_round && dynamic && Env.owes env ~round:k = Env.Every_sender ->
+    (* Dynamic rounds that owe every sender (healed rounds) only: make
+       one correct sender late to one obligated receiver, breaking the
+       stability-window promise while leaving pulse rounds intact. *)
+    let broken = ref false in
+    let deliveries =
+      List.map
+        (fun (s, ds) ->
+          if (not !broken) && List.mem s ctx.correct then
+            match degrade ~obligated:ctx.obligated ~round:k s ds with
+            | Some ds' ->
+              broken := true;
+              (s, ds')
+            | None -> (s, ds)
+          else (s, ds))
+        plan.deliveries
+    in
+    { plan with deliveries }
+  | Some _ | None -> plan
+
 let wrap spec adv =
   validate spec;
   if is_noop spec then adv
-  else begin
+  else
     let env = Adv.env adv in
-    let dynamic = match env with Env.Dynamic _ -> true | _ -> false in
-    let inject (ctx : Adv.ctx) rng (plan : Adv.plan) =
-      let k = ctx.round in
-      (* Admissible layers: never touch a timely arrival, so every
-         obligation of the inner schedule survives. *)
-      let delay_late ds =
-        if spec.extra_delay <= 0. then ds
-        else
-          List.map
-            (fun (d : Adv.delivery) ->
-              if d.arrival > k && Rng.chance rng spec.extra_delay then
-                { d with arrival = d.arrival + Rng.int_in rng 1 (max 1 spec.max_extra) }
-              else d)
-            ds
-      in
-      let reorder_late ds =
-        if spec.reorder <= 0. || not (Rng.chance rng spec.reorder) then ds
-        else
-          let late, timely =
-            List.partition (fun (d : Adv.delivery) -> d.arrival > k) ds
-          in
-          match late with
-          | [] | [ _ ] -> ds
-          | _ ->
-            let arrivals =
-              Rng.shuffle rng (List.map (fun (d : Adv.delivery) -> d.arrival) late)
-            in
-            timely
-            @ List.map2 (fun (d : Adv.delivery) arrival -> { d with arrival }) late arrivals
-      in
-      let duplicate_some ds =
-        if spec.duplicate <= 0. then ds
-        else
-          List.concat_map
-            (fun (d : Adv.delivery) ->
-              if Rng.chance rng spec.duplicate then
-                let echo = max d.arrival k + Rng.int_in rng 1 (max 1 spec.max_extra) in
-                [ d; { d with arrival = echo } ]
-              else [ d ])
-            ds
-      in
-      let deliveries =
-        List.map
-          (fun (s, ds) -> (s, duplicate_some (reorder_late (delay_late ds))))
-          plan.Adv.deliveries
-      in
-      let plan = { plan with Adv.deliveries } in
-      (* Inadmissible layer last, so no admissible echo can restore a
-         timeliness we just took away (echoes are always late anyway). *)
-      match spec.inadmissible with
-      | Some (Drop_obligated { from_round }) when k >= from_round ->
-        demote_covering ~obligated:ctx.obligated ~round:k plan
-      | Some (Unstable_source { from_round }) when k >= from_round -> (
-        match List.filter (fun s -> List.mem s ctx.correct) ctx.senders with
-        | [] | [ _ ] -> plan (* cannot alternate without two correct senders *)
-        | s0 :: s1 :: _ ->
-          let keep = if k mod 2 = 0 then s0 else s1 in
-          (* Blocking shape (cf. [Adversary.ess_blocking]): only [keep] is
-             timely, every other link one round late. Each round has a
-             covering source (MS holds) but the alternation keeps the
-             algorithm from deciding, so enough demanding rounds survive
-             past [gst] for the stability check to see both parities. *)
-          let deliveries =
-            List.map
-              (fun (s, ds) ->
-                if s = keep then (s, promote ~obligated:ctx.obligated ~round:k ds)
-                else
-                  ( s,
-                    List.map
-                      (fun (d : Adv.delivery) ->
-                        if d.arrival = k then { d with arrival = k + 1 } else d)
-                      ds ))
-              plan.Adv.deliveries
-          in
-          { source = Some keep; deliveries })
-      | Some (Root_starvation { from_round })
-        when k >= from_round && dynamic && Env.owes env ~round:k = Env.A_source ->
-        (* Dynamic rounds that owe a source (rooted pulses) only: demote
-           every covering sender, so no root reaches all obligated
-           receivers. Healed rounds are left intact — the resulting trace
-           violates exactly the root-reachability obligation. *)
-        demote_covering ~obligated:ctx.obligated ~round:k plan
-      | Some (Stability_break { from_round })
-        when k >= from_round && dynamic && Env.owes env ~round:k = Env.Every_sender ->
-        (* Dynamic rounds that owe every sender (healed rounds) only: make
-           one correct sender late to one obligated receiver, breaking the
-           stability-window promise while leaving pulse rounds intact. *)
-        let broken = ref false in
-        let deliveries =
-          List.map
-            (fun (s, ds) ->
-              if (not !broken) && List.mem s ctx.correct then
-                match degrade ~obligated:ctx.obligated ~round:k s ds with
-                | Some ds' ->
-                  broken := true;
-                  (s, ds')
-                | None -> (s, ds)
-              else (s, ds))
-            plan.Adv.deliveries
-        in
-        { plan with Adv.deliveries }
-      | Some _ | None -> plan
-    in
-    Adv.map_plan ~rename:(fun n -> n ^ "+faults") inject adv
-  end
+    Adv.map_plan
+      ~rename:(fun n -> n ^ "+faults")
+      (fun ctx rng plan ->
+        let { source; deliveries } = rewrite spec ~env ctx rng plan in
+        Adv.of_links ~source deliveries)
+      adv
 
 (* --- crash-schedule shapes ------------------------------------------------- *)
 

@@ -64,10 +64,31 @@ val sample : ?inadmissible:inadmissible option -> Anon_kernel.Rng.t -> spec
 (** Random admissible fault intensities; [inadmissible] (default [None])
     is threaded through. *)
 
+type links = {
+  source : int option;
+  deliveries : (int * Anon_giraf.Adversary.delivery list) list;
+}
+(** A plan as per-sender links, the form every injector draws and
+    rewrites in. *)
+
+val rewrite :
+  spec ->
+  env:Anon_giraf.Env.t ->
+  Anon_giraf.Adversary.ctx ->
+  Anon_kernel.Rng.t ->
+  Anon_giraf.Adversary.plan ->
+  links
+(** One round of the injectors of [spec] over an inner [plan] under
+    [env], drawing from the RNG link by link in each sender's link order
+    ({!Anon_giraf.Adversary.links}): every echo and every moved arrival
+    is a link of its own, two copies of one (receiver, arrival) link
+    included. *)
+
 val wrap : spec -> Anon_giraf.Adversary.t -> Anon_giraf.Adversary.t
 (** Wrap an adversary with the injectors of [spec] (via
     {!Anon_giraf.Adversary.map_plan}; the name gains a ["+faults"]
-    suffix).
+    suffix): its plan is {!Anon_giraf.Adversary.of_links} of
+    {!rewrite}, every copy delivered.
 
     @raise Anon_giraf.Config_error.Invalid_config on a malformed [spec]
     (see {!validate}). *)

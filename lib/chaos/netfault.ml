@@ -110,17 +110,17 @@ let of_string raw =
     validate ~where spec
   end
 
+let rate = Topology.float_clause
+
 let to_string s =
   if is_noop s then "none"
   else
     let parts =
       List.filter_map Fun.id
         [
-          (if s.drop > 0. then Some (Printf.sprintf "drop:%g" s.drop) else None);
-          (if s.duplicate > 0. then Some (Printf.sprintf "dup:%g" s.duplicate)
-           else None);
-          (if s.delay > 0. then
-             Some (Printf.sprintf "delay:%g:%g" s.delay s.max_delay_s)
+          (if s.drop > 0. then Some ("drop:" ^ rate s.drop) else None);
+          (if s.duplicate > 0. then Some ("dup:" ^ rate s.duplicate) else None);
+          (if s.delay > 0. then Some ("delay:" ^ rate s.delay ^ ":" ^ rate s.max_delay_s)
            else None);
           Option.map (fun t -> "sever:" ^ Topology.name t) s.sever;
         ]

@@ -331,7 +331,7 @@ let json_of_plan (p : Adv.plan) =
                               ])
                           ds) );
                  ])
-             p.deliveries) );
+             (Adv.links p)) );
     ]
 
 let json_of_schedule s =
@@ -454,7 +454,9 @@ let sender_deliveries_of_json j =
   in
   Ok (sender, ds)
 
-let plan_of_json j =
+(* A link to a pid outside [\[0, n)] reaches no process, so it is not
+   kept: a plan's receiver sets are sized by their largest member. *)
+let plan_of_json ~n j =
   let* source =
     match Json.member "source" j with
     | None | Some Json.Null -> Ok None
@@ -466,9 +468,10 @@ let plan_of_json j =
     | Some (Json.List l) -> map_result sender_deliveries_of_json l
     | _ -> Error "plan: missing list field deliveries"
   in
-  Ok { Adv.source; deliveries }
+  let in_range = List.filter (fun (d : Adv.delivery) -> d.receiver >= 0 && d.receiver < n) in
+  Ok (Adv.of_links ~source (List.map (fun (s, ds) -> (s, in_range ds)) deliveries))
 
-let schedule_of_json j =
+let schedule_of_json ~n j =
   let* sched_env =
     match Json.member "env" j with
     | Some e -> env_of_json ~where:"schedule.env" e
@@ -476,7 +479,7 @@ let schedule_of_json j =
   in
   let* plans =
     match Json.member "plans" j with
-    | Some (Json.List l) -> map_result plan_of_json l
+    | Some (Json.List l) -> map_result (plan_of_json ~n) l
     | _ -> Error "schedule: missing list field plans"
   in
   Ok { sched_env; plans }
@@ -538,7 +541,7 @@ let of_json j =
     match Json.member "schedule" j with
     | None | Some Json.Null -> Ok None
     | Some s ->
-      let* s = schedule_of_json s in
+      let* s = schedule_of_json ~n s in
       Ok (Some s)
   in
   (* A case no sampler could write is refused here, not half-run. *)

@@ -8,8 +8,9 @@ type ctx = {
   alive : int list;
 }
 
+type group = { arrival : int; receivers : Pidset.t }
+type plan = { source : int option; groups : (int * group list) list }
 type delivery = { receiver : int; arrival : int }
-type plan = { source : int option; deliveries : (int * delivery list) list }
 
 type t = {
   name : string;
@@ -26,41 +27,43 @@ type rotation = Round_robin | Random_source | Pinned of int
 (* [List.mem] on pids, without its polymorphic comparison. *)
 let rec mem (p : int) = function [] -> false | q :: tl -> q = p || mem p tl
 
-(* Every alive process as a receiver at [arrival]: a round's deliveries
-   are built once, not once per sender. *)
-let[@tail_mod_cons] rec at_arrival arrival = function
-  | [] -> []
-  | q :: tl -> { receiver = q; arrival } :: at_arrival arrival tl
+(* A sender's links: one per (group, member but the sender), ascending
+   receiver, a receiver's links in group order. *)
+let sender_links s gs =
+  let tagged =
+    List.concat_map
+      (fun (g : group) ->
+        List.filter_map
+          (fun q -> if q = s then None else Some { receiver = q; arrival = g.arrival })
+          (Pidset.to_list g.receivers))
+      gs
+  in
+  List.stable_sort (fun d1 d2 -> Int.compare d1.receiver d2.receiver) tagged
 
-let to_alive ctx ~arrival = at_arrival arrival ctx.alive
+let links p = List.map (fun (s, gs) -> (s, sender_links s gs)) p.groups
 
-(* [ds] without its deliveries to [p]: the entries before [p]'s last one
-   are copied, less [p]'s, and the suffix after it is shared, so each
-   sender's row of a round costs O(1) words per link and equals mapping
-   [ctx.alive] less [p]. One scan finds that entry; the copy is a loop
-   (tail-mod-cons), not a recursion as deep as the prefix. *)
-let rec last_to (p : int) i last = function
-  | [] -> last
-  | d :: tl -> last_to p (i + 1) (if d.receiver = p then i else last) tl
+(* A sender's links grouped by arrival, in first-appearance order: each
+   link joins the first group of its arrival that lacks its receiver,
+   so a repeated link starts a further group. *)
+let groups_of_links ds =
+  let rec place (d : delivery) = function
+    | [] -> [ { arrival = d.arrival; receivers = Pidset.of_list [ d.receiver ] } ]
+    | (g : group) :: tl when g.arrival = d.arrival && not (Pidset.mem d.receiver g.receivers) ->
+      { g with receivers = Pidset.union g.receivers (Pidset.of_list [ d.receiver ]) } :: tl
+    | g :: tl -> g :: place d tl
+  in
+  List.fold_left (fun gs d -> if d.receiver < 0 then gs else place d gs) [] ds
 
-let[@tail_mod_cons] rec copy_without (p : int) k = function
-  | [] -> []
-  | d :: tl ->
-    if k = 0 then tl
-    else if d.receiver = p then copy_without p (k - 1) tl
-    else d :: copy_without p (k - 1) tl
+let of_links ~source ls = { source; groups = List.map (fun (s, ds) -> (s, groups_of_links ds)) ls }
 
-let without p ds = match last_to p 0 (-1) ds with -1 -> ds | k -> copy_without p k ds
-
-(* Each sender's row: [ds] without its own entries. *)
-let[@tail_mod_cons] rec rows_without ds = function
-  | [] -> []
-  | p :: tl -> (p, without p ds) :: rows_without ds tl
+(* Every sender with the same groups: a round's groups are built once,
+   not once per sender. *)
+let[@tail_mod_cons] rec each gs = function [] -> [] | p :: tl -> (p, gs) :: each gs tl
 
 let timely_all ctx =
-  let deliveries = rows_without (to_alive ctx ~arrival:ctx.round) ctx.senders in
+  let groups = each [ { arrival = ctx.round; receivers = Pidset.of_list ctx.alive } ] ctx.senders in
   let source = match ctx.senders with [] -> None | s :: _ -> Some s in
-  { source; deliveries }
+  { source; groups }
 
 let late_arrival ctx rng max_delay = ctx.round + Rng.int_in rng 1 (Int.max 1 max_delay)
 
@@ -90,58 +93,77 @@ let pick_source ~rotation ctx rng =
     | Round_robin -> Some (nth_candidate ctx (ctx.round mod count) ctx.senders)
     | Random_source -> Some (nth_candidate ctx (Rng.int rng count) ctx.senders))
 
-(* Sender [p]'s row of a noisy round: every alive receiver but [p], in
-   [ctx.alive] order, each drawn in turn. *)
-let[@tail_mod_cons] rec noisy_row ~is_source ~noise ~max_delay ctx rng (p : int) = function
-  | [] -> []
-  | q :: tl ->
-    if q = p then noisy_row ~is_source ~noise ~max_delay ctx rng p tl
-    else
-      let must_be_timely = is_source && mem q ctx.obligated in
-      let arrival =
-        if must_be_timely || Rng.chance rng noise then ctx.round
-        else late_arrival ctx rng max_delay
-      in
-      { receiver = q; arrival } :: noisy_row ~is_source ~noise ~max_delay ctx rng p tl
+(* One noisy round: its context and draws, and the scratch where row [d]
+   of [late] collects a sender's receivers arriving at [round + d];
+   [owed] is [ctx.obligated]. *)
+type draws = {
+  ctx : ctx;
+  rng : Rng.t;
+  noise : float;
+  max_delay : int;
+  late : Pidset.Rows.t;
+  rows : int;
+  owed : Pidset.t;
+}
 
-let[@tail_mod_cons] rec noisy_rows ~source ~noise ~max_delay ctx rng = function
+(* Sender [p]'s draws: every alive receiver but [p] drawn in turn, in
+   [ctx.alive] order, into the row of its arrival. *)
+let rec draw d ~is_source (p : int) = function
+  | [] -> ()
+  | q :: tl ->
+    if q = p then draw d ~is_source p tl
+    else
+      let must_be_timely = is_source && Pidset.mem q d.owed in
+      (* [Rng.chance] draws nothing for a [noise] of 0. *)
+      let row =
+        if must_be_timely || (d.noise > 0. && Rng.chance d.rng d.noise) then 0
+        else late_arrival d.ctx d.rng d.max_delay - d.ctx.round
+      in
+      Pidset.Rows.add d.late ~row q;
+      draw d ~is_source p tl
+
+(* The drawn rows from [row] on as groups, ascending arrival. *)
+let[@tail_mod_cons] rec drawn_groups d row =
+  if row >= d.rows then []
+  else if Pidset.Rows.is_empty d.late ~row then drawn_groups d (row + 1)
+  else
+    let receivers = Pidset.Rows.take d.late ~row in
+    { arrival = d.ctx.round + row; receivers } :: drawn_groups d (row + 1)
+
+let[@tail_mod_cons] rec noisy_rows d source = function
   | [] -> []
   | p :: tl ->
     let is_source = match source with Some s -> s = p | None -> false in
-    let row = noisy_row ~is_source ~noise ~max_delay ctx rng p ctx.alive in
-    (p, row) :: noisy_rows ~source ~noise ~max_delay ctx rng tl
+    draw d ~is_source p d.ctx.alive;
+    let row = drawn_groups d 0 in
+    (p, row) :: noisy_rows d source tl
 
 (* One round of "minimal + noise" schedule: [source] (if any) is timely to
    all obligated receivers; every other (sender, receiver) link is timely
    with probability [noise], late otherwise. *)
 let noisy_round ~source ~noise ~max_delay ctx rng =
-  { source; deliveries = noisy_rows ~source ~noise ~max_delay ctx rng ctx.senders }
-
-(* The blocking source's row: timely to every obligated receiver, one
-   round late to the others. *)
-let[@tail_mod_cons] rec source_row ctx (s : int) = function
-  | [] -> []
-  | q :: tl ->
-    if q = s then source_row ctx s tl
-    else
-      let arrival = if mem q ctx.obligated then ctx.round else ctx.round + 1 in
-      { receiver = q; arrival } :: source_row ctx s tl
-
-let[@tail_mod_cons] rec blocking_rows ctx source late = function
-  | [] -> []
-  | p :: tl ->
-    let row =
-      match source with
-      | Some s when s = p -> source_row ctx p ctx.alive
-      | Some _ | None -> without p late
-    in
-    (p, row) :: blocking_rows ctx source late tl
+  let rows = 1 + Int.max 1 max_delay in
+  let size = 1 + List.fold_left Int.max (-1) ctx.alive in
+  let d =
+    {
+      ctx;
+      rng;
+      noise;
+      max_delay;
+      late = Pidset.Rows.create ~rows ~size;
+      rows;
+      owed = Pidset.of_list ctx.obligated;
+    }
+  in
+  { source; groups = noisy_rows d source ctx.senders }
 
 (* Pre-GST schedule that provably stalls Alg. 2: two camps, the source
    alternating between the two smallest correct senders by round parity,
    all other links exactly one round late. Each camp's champion keeps
    seeing its own value written while the other value stays in PROPOSED, so
-   the decide guard never fires. *)
+   the decide guard never fires. The source is timely to every obligated
+   receiver and one round late to the others; every other sender shares
+   one group. *)
 let blocking_round ctx =
   let source =
     match count_candidates ctx 0 ctx.senders with
@@ -149,8 +171,23 @@ let blocking_round ctx =
     | 1 -> Some (nth_candidate ctx 0 ctx.senders)
     | _ -> Some (nth_candidate ctx (if ctx.round mod 2 = 1 then 0 else 1) ctx.senders)
   in
-  let late = to_alive ctx ~arrival:(ctx.round + 1) in
-  { source; deliveries = blocking_rows ctx source late ctx.senders }
+  let alive = Pidset.of_list ctx.alive in
+  let late = [ { arrival = ctx.round + 1; receivers = alive } ] in
+  let source_groups () =
+    let obligated = Pidset.of_list ctx.obligated in
+    let timely = { arrival = ctx.round; receivers = Pidset.inter alive obligated } in
+    match Pidset.diff alive obligated with
+    | rest when Pidset.is_empty rest -> [ timely ]
+    | rest -> [ timely; { arrival = ctx.round + 1; receivers = rest } ]
+  in
+  let[@tail_mod_cons] rec rows = function
+    | [] -> []
+    | p :: tl -> (
+      match source with
+      | Some s when s = p -> (p, source_groups ()) :: rows tl
+      | Some _ | None -> (p, late) :: rows tl)
+  in
+  { source; groups = rows ctx.senders }
 
 (* The stable source's rotation: the pinned [source], else the smallest
    correct pid. *)

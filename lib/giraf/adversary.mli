@@ -21,17 +21,40 @@ type ctx = {
   alive : int list;  (** All processes still taking steps (receivers). *)
 }
 
-type delivery = { receiver : int; arrival : int }
-(** [arrival = ctx.round] means timely; otherwise [arrival > ctx.round]. *)
+type group = { arrival : int; receivers : Anon_kernel.Pidset.t }
+(** One share of a sender's broadcast: every member of [receivers] but
+    the sender itself gets the message at [arrival]. [arrival =
+    ctx.round] means timely; otherwise [arrival > ctx.round] (dispatch
+    clamps an earlier one to the round). *)
 
 type plan = {
   source : int option;
       (** The sender the adversary designates as this round's source
           (recorded in the trace; the checker re-verifies coverage). *)
-  deliveries : (int * delivery list) list;
-      (** Per sender, the delivery schedule to every receiver except
-          itself (self-delivery is implicit and always timely). *)
+  groups : (int * group list) list;
+      (** Per sender, its groups: a short list of (arrival, receiver
+          set), a receiver in two groups receiving two copies.
+          Self-delivery is implicit and always timely; a sender's first
+          entry wins. *)
 }
+
+type delivery = { receiver : int; arrival : int }
+(** One link of a plan: the form of scripted plans and of the repro
+    JSON. *)
+
+val links : plan -> (int * delivery list) list
+(** Each sender's groups as links: one per (group, member other than
+    the sender), ascending receiver, a receiver's links in group order. *)
+
+val of_links : source:int option -> (int * delivery list) list -> plan
+(** The plan of per-sender links: each sender's links grouped by
+    arrival, each link joining the first group of its arrival that lacks
+    its receiver, or else starting a group, groups in the order they
+    start. The [j]-th repeat of a (receiver, arrival) link thus sits in
+    a [j]-th group of that arrival, and every copy is delivered; a
+    negative receiver is dropped (no process receives it). [links
+    (of_links ~source ls)] is [ls] up to that and the order of each
+    sender's links. *)
 
 type t
 
@@ -113,4 +136,4 @@ val map_plan :
 
 val timely_all : ctx -> plan
 (** Helper: the fully synchronous plan for [ctx] (every sender timely to
-    every alive receiver). *)
+    every alive receiver): one group, shared by every sender. *)

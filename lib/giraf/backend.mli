@@ -24,12 +24,18 @@
     [sent], then ascending message. Equal messages keep the order they
     were filed in: {!Round.file} lists them by descending sender (the
     order the lockstep dispatch schedules them, newest first), {!insert}
-    puts the newest first. Entries are bucketed by arrival round. A
-    lockstep bucket is kept in canonical order and never sorted on
-    read: in lockstep every live process takes all arrivals [<= k-1] at
-    round [k], and reads exactly one bucket. An {!insert}ed bucket is
-    filed in arrival order and sorted once, when it is first read; after
-    a {!peek}, {!insert} files into it in order. *)
+    puts the newest first.
+
+    {b Two filings.} {!Round.file} files a lockstep round once for all
+    its receivers: one shared filing holds each (sender, arrival) group
+    of the round as one entry with its receiver set, and each receiver's
+    mailbox references the filing once; a reader selects the entries
+    that name it. A lockstep filing is in canonical order and never
+    sorted on read: in lockstep every live process takes all arrivals
+    [<= k-1] at round [k]. {!insert} files one copy into one mailbox,
+    bucketed by arrival round; an {!insert}ed bucket is filed in arrival
+    order and sorted once, when it is first read; after a {!peek},
+    {!insert} files into it in order. *)
 
 type 'msg t
 (** The mailboxes of processes [0 .. n-1]: each process's undrained
@@ -40,8 +46,7 @@ val create : n:int -> 'msg t
 
 val copy : 'msg t -> 'msg t
 (** O(n): the copies share their entries, and a change to either never
-    shows in the other, provided every {!Round.file} into either uses
-    one {!Round.t}. *)
+    shows in the other. *)
 
 val clear : 'msg t -> int -> unit
 (** [clear mb p] empties process [p]'s mailbox. *)
@@ -62,8 +67,9 @@ val insert :
 
 val peek :
   compare:('msg -> 'msg -> int) -> 'msg t -> int -> arrival:int -> sent:int -> 'msg list
-(** The round-[sent] messages filed with [arrival], deduplicated and
-    ascending as {!take}'s [current]; nothing is removed. *)
+(** The round-[sent] messages {!insert} filed with [arrival],
+    deduplicated and ascending as {!take}'s [current]; nothing is
+    removed. *)
 
 val take :
   compare:('msg -> 'msg -> int) ->
@@ -82,43 +88,53 @@ val take :
 
     [fresh] is built only when forced ([Lazy.from_val \[\]] when nothing
     arrived). Forcing it later, after further {!Round.file}s or
-    {!insert}s into [mb] or its copies, yields the same list: the taken
-    buckets have left [p]'s mailbox, and a filing conses in place only
-    onto buckets it made itself (every {!Round.reset} starts a new
-    generation), so a taken bucket never changes, even one a {!copy}
-    still holds. A lazy value must not be forced from two domains at
-    once; the backends hand each one to a single [compute], which
-    forces it at most once.
+    {!insert}s into [mb] or its copies, yields the same list: it reads
+    only what [p] held up to round [round] then, and neither buckets nor
+    filings change once built, even while a {!copy} still holds them. A lazy value must not be
+    forced from two domains at once; the backends hand each one to a
+    single [compute], which forces it at most once.
 
-    On lockstep buckets [take] costs the number of entries taken plus
-    the number of buckets kept, and its only message comparisons are the
-    adjacent checks on round [round]'s entries; [fresh], when forced,
-    costs the number of entries taken. Each bucket {!insert} filled is
+    On a lockstep mailbox [current] costs the round's timely entries
+    that name a receiver plus one, and its only message comparisons are
+    the adjacent checks on the round-[round] messages [p] holds;
+    [fresh], when forced, costs the entries of the filings taken that
+    name a receiver. Each bucket {!insert} filled is
     stable-sorted once, when it is first read. *)
 
-(** One lockstep round's deliveries, filed into the receivers' mailboxes
-    in one ordering. The dispatch records each delivery as it happens;
-    {!file} then orders the round's broadcasts once and files every
-    delivery with one cons. A [Round.t] is scratch: every {!reset}
-    forgets the previous round, so copies of a core may share one. *)
+(** One lockstep round's broadcasts, filed into the receivers' mailboxes
+    in one ordering. The dispatch records each broadcast and its groups
+    as it schedules them; {!file} then orders the round's broadcasts
+    once and files one entry per (sender, arrival) group into one
+    filing, which every receiver it names references. A
+    [Round.t] is scratch: every {!reset} forgets the previous round, so
+    copies of a core may share one. *)
 module Round : sig
   type 'msg boxes := 'msg t
   type 'msg t
 
   val create : n:int -> 'msg t
-  (** Room for [4 * n] deliveries; more grows it. *)
+  (** For processes [0 .. n-1]. *)
 
   val reset : 'msg t -> sent:int -> unit
-  (** Start recording round [sent]'s deliveries. *)
+  (** Start recording round [sent]'s broadcasts. *)
 
-  val deliver : 'msg t -> sender:int -> receiver:int -> arrival:int -> 'msg -> unit
-  (** Record one delivery of [sender]'s round broadcast, [arrival >= sent].
-      A sender's deliveries must be recorded contiguously, all carrying
-      its one message; senders recorded later read first among equal
-      messages. *)
+  val send : 'msg t -> sender:int -> 'msg -> unit
+  (** Record [sender]'s round broadcast and its self-delivery, timely.
+      The groups recorded next are its; senders recorded later read
+      first among equal messages. *)
+
+  val deliver : 'msg t -> arrival:int -> Anon_kernel.Pidset.t -> unit
+  (** Record that every member of the set but the current sender
+      receives its broadcast at [arrival >= sent]. The members must be
+      in [\[0, n)] and still receiving. *)
 
   val file : compare:('msg -> 'msg -> int) -> 'msg t -> 'msg boxes -> unit
   (** Order the recorded broadcasts by message and file every recorded
-      delivery into its receiver's mailbox. The receivers must hold no
-      entry sent after round [sent]. *)
+      group and self-delivery. As in lockstep, no receiver may hold an
+      entry sent after round [sent], nor have taken round [sent] or a
+      later one.
+
+      @raise Invalid_argument when a receiver has taken round [sent] or
+      a later one, or holds an {!insert}ed entry; receivers filed before
+      it keep their share. *)
 end

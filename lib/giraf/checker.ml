@@ -64,45 +64,29 @@ let pp_violation ppf = function
 
 (* --- Environment checking ----------------------------------------------- *)
 
-(* One round's timely links as an n×n byte table: whether [s] reached
-   [q] timely is one lookup. Each sender's row comes from its first entry
-   in [info.timely], the one [Trace.timely_to] reads. Loading a round
-   refills the table, so a round costs O(n²) plus O(n) per sender
-   checked. Pids outside [0, n) are never timely (runner traces hold
-   none). *)
-module Links = struct
-  type t = { n : int; cells : Bytes.t; loaded : Bytes.t (* per sender: its row is set *) }
+(* A demanding round as the checks read it: its obligated receivers as
+   a set. Timeliness is a set per sender (Alg. 1 delivers one broadcast
+   to a set of processes), so sender [s] covers the round when
+   [obligated ⊆ timely(s) ∪ {s}], with [timely(s)] its first entry in
+   [info.timely] ({!Trace.timely_to}): a count of the intersection, no
+   table and no allocation. *)
+type round = { info : Trace.round_info; obligated : Pidset.t; size : int }
 
-  let create ~n = { n; cells = Bytes.make (n * n) '\000'; loaded = Bytes.make n '\000' }
-  let in_range t p = p >= 0 && p < t.n
+let round_of (info : Trace.round_info) =
+  let obligated = Pidset.of_list info.obligated in
+  { info; obligated; size = Pidset.cardinal obligated }
 
-  let load t (info : Trace.round_info) =
-    Bytes.fill t.cells 0 (t.n * t.n) '\000';
-    Bytes.fill t.loaded 0 t.n '\000';
-    List.iter
-      (fun (s, rs) ->
-        if in_range t s && Bytes.get t.loaded s = '\000' then begin
-          Bytes.set t.loaded s '\001';
-          List.iter
-            (fun q -> if in_range t q then Bytes.set t.cells ((s * t.n) + q) '\001')
-            rs
-        end)
-      info.timely
-
-  let timely t s q =
-    in_range t s && in_range t q && Bytes.get t.cells ((s * t.n) + q) <> '\000'
-end
+let covers r s =
+  let timely = Trace.timely_to r.info s in
+  let self = if Pidset.mem s r.obligated && not (Pidset.mem s timely) then 1 else 0 in
+  Pidset.inter_cardinal r.obligated timely + self = r.size
 
 (* The obligated processes that sender [s]'s timely receivers, plus
    itself, fail to include — the diagnostic payload when [covers] says
-   no. *)
-let missing_receivers links (info : Trace.round_info) s =
-  List.filter (fun q -> q <> s && not (Links.timely links s q)) info.obligated
-
-(* [covers links info s] without materializing the missing list — the
-   common "is there a source?" probe in the per-round checks. *)
-let covers links (info : Trace.round_info) s =
-  List.for_all (fun q -> q = s || Links.timely links s q) info.obligated
+   no, in [info.obligated] order. *)
+let missing_receivers r s =
+  let timely = Trace.timely_to r.info s in
+  List.filter (fun q -> q <> s && not (Pidset.mem q timely)) r.info.obligated
 
 let correct_senders (t : Trace.t) (info : Trace.round_info) =
   List.filter (Crash.is_correct t.crash) info.senders
@@ -118,21 +102,21 @@ let demanding_rounds (t : Trace.t) =
 (* A per-round MS source need not be correct — it only needs its
    end-of-round to occur in this round and its message to reach every
    obligated process timely. *)
-let check_ms_round links (info : Trace.round_info) =
-  let has_source = List.exists (covers links info) info.senders in
-  if has_source then [] else [ No_source { round = info.round } ]
+let check_ms_round r =
+  let has_source = List.exists (covers r) r.info.senders in
+  if has_source then [] else [ No_source { round = r.info.round } ]
 
-let check_all_timely t links (info : Trace.round_info) =
+let check_all_timely t r =
   List.concat_map
     (fun s ->
-      if covers links info s then []
+      if covers r s then []
       else
         [ Source_not_timely
-            { round = info.round; sender = s; missing = missing_receivers links info s } ])
-    (correct_senders t info)
+            { round = r.info.round; sender = s; missing = missing_receivers r s } ])
+    (correct_senders t r.info)
 
 (* The correct senders covering a round: its stable-source candidates. *)
-let candidates t links info = List.filter (covers links info) (correct_senders t info)
+let candidates t r = List.filter (covers r) (correct_senders t r.info)
 
 (* From [gst] on the same process must be a source every round — except
    that a source which decides and halts stops executing rounds, so the
@@ -159,70 +143,57 @@ let check_stable_source ~gst late =
 (* Pulse round of a rooted dynamic environment: some sender must cover
    every obligated receiver (a root of the round's graph). The diagnostic
    carries every sender's missing receivers — the offending links. *)
-let check_root t links ~stability (info : Trace.round_info) =
-  let window = ((info.round - 1) / stability) + 1 in
-  let has_root = List.exists (covers links info) info.senders in
+let check_root t ~stability r =
+  let window = ((r.info.round - 1) / stability) + 1 in
+  let has_root = List.exists (covers r) r.info.senders in
   if has_root then []
   else
     [
       No_root
         {
-          round = info.round;
+          round = r.info.round;
           window;
-          senders =
-            List.map
-              (fun s -> (s, missing_receivers links info s))
-              (correct_senders t info);
+          senders = List.map (fun s -> (s, missing_receivers r s)) (correct_senders t r.info);
         };
     ]
 
 (* Healed round of a stability window: every correct sender timely to every
    obligated receiver. *)
-let check_stability t links ~stability (info : Trace.round_info) =
-  let window = ((info.round - 1) / stability) + 1 in
+let check_stability t ~stability r =
+  let window = ((r.info.round - 1) / stability) + 1 in
   List.concat_map
     (fun s ->
-      match missing_receivers links info s with
+      match missing_receivers r s with
       | [] -> []
-      | missing -> [ Stability_violation { round = info.round; window; sender = s; missing } ])
-    (correct_senders t info)
+      | missing -> [ Stability_violation { round = r.info.round; window; sender = s; missing } ])
+    (correct_senders t r.info)
 
-(* Every demanding round is loaded into one link table once and judged
-   by every check it owes; the findings keep the order of one pass per
-   check. *)
+(* Every demanding round is read once and judged by every check it
+   owes; the findings keep the order of one pass per check. *)
 let check_env (t : Trace.t) =
-  let judge f =
-    let links = Links.create ~n:t.n in
-    List.map
-      (fun info ->
-        Links.load links info;
-        f links info)
-      (demanding_rounds t)
-  in
+  let judge f = List.map (fun info -> f (round_of info)) (demanding_rounds t) in
   match t.env with
   | Env.Async -> []
   | Env.Ms -> List.concat (judge check_ms_round)
   | Env.Sync -> List.concat (judge (check_all_timely t))
   | Env.Es { gst } ->
     let found =
-      judge (fun links info ->
-          ( check_ms_round links info,
-            if info.round >= gst then check_all_timely t links info else [] ))
+      judge (fun r ->
+          (check_ms_round r, if r.info.round >= gst then check_all_timely t r else []))
     in
     List.concat_map fst found @ List.concat_map snd found
   | Env.Ess { gst } ->
     let found =
-      judge (fun links info ->
-          ( check_ms_round links info,
-            if info.round >= gst then Some (info, candidates t links info) else None ))
+      judge (fun r ->
+          (check_ms_round r, if r.info.round >= gst then Some (r.info, candidates t r) else None))
     in
     List.concat_map fst found @ check_stable_source ~gst (List.filter_map snd found)
   | Env.Dynamic { stability; rooted } ->
     List.concat
-      (judge (fun links info ->
-           if Env.pulse ~stability ~round:info.round then
-             if rooted then check_root t links ~stability info else []
-           else check_stability t links ~stability info))
+      (judge (fun r ->
+           if Env.pulse ~stability ~round:r.info.round then
+             if rooted then check_root t ~stability r else []
+           else check_stability t ~stability r))
 
 (* --- Consensus judge -------------------------------------------------------- *)
 

@@ -3,97 +3,56 @@ open Anon_kernel
 type 'msg outbound = { sender : int; msg : 'msg }
 
 type stats = {
-  timely : (int * int list) list;
+  timely : (int * Pidset.t) list;
   delivered : int;
   timely_count : int;
 }
 
-type entries = (int * Adversary.delivery list) list
+type entries = (int * Adversary.group list) list
 
 (* One call's arguments and accumulators in one record, which the
-   top-level helpers below take as their context: a call allocates this
-   record and its [stats], and no ref or closure. [cur] collects the
-   current sender's timely receivers (each sender's deliveries are
-   contiguous, one outbound per sender), which join [timely] as a single
-   entry once the sender is done. [cursor] and [index] find each
-   sender's plan entry (see [entry]). *)
+   top-level helpers below take as their context. [cur] collects the
+   current sender's timely receivers, which join [timely] as a single
+   entry once the sender is done. *)
 type 'msg run = {
   round : int;
-  outgoing : 'msg outbound list;
   crashing_events : Crash.event list;
-  eligible : int -> bool;
+  eligible : Pidset.t;
   receivers : unit -> int list;
-  deliveries : entries;
   crash_rng : Rng.t;
   on_deliver : (sender:int -> receiver:int -> arrival:int -> unit) option;
-  schedule : sender:int -> receiver:int -> arrival:int -> sent:int -> 'msg -> unit;
-  mutable cursor : entries;
-  mutable index : entries array option;
-  mutable timely : (int * int list) list;
-  mutable cur : int list;
+  schedule : sender:int -> arrival:int -> Pidset.t -> unit;
+  mutable timely : (int * Pidset.t) list;
+  mutable cur : Pidset.t;
   mutable delivered : int;
   mutable timely_count : int;
 }
 
-let deliver r ~(sender : int) msg ~(receiver : int) ~arrival =
-  if receiver <> sender && r.eligible receiver then begin
-    let arrival = Int.max arrival r.round in
-    r.schedule ~sender ~receiver ~arrival ~sent:r.round msg;
-    (match r.on_deliver with Some f -> f ~sender ~receiver ~arrival | None -> ());
-    r.delivered <- r.delivered + 1;
+(* One group of [sender]'s broadcast: its arrival clamped to the round,
+   its receivers those of the group that may receive, less the sender. *)
+let deliver r ~(sender : int) (g : Adversary.group) =
+  let arrival = Int.max g.arrival r.round in
+  let reached = Pidset.inter g.receivers r.eligible in
+  let self = Pidset.mem sender reached in
+  let count = Pidset.cardinal reached - if self then 1 else 0 in
+  if count > 0 then begin
+    r.schedule ~sender ~arrival reached;
+    (match r.on_deliver with
+    | Some f -> Pidset.iter (fun q -> if q <> sender then f ~sender ~receiver:q ~arrival) reached
+    | None -> ());
+    r.delivered <- r.delivered + count;
     if arrival = r.round then begin
-      r.timely_count <- r.timely_count + 1;
-      r.cur <- receiver :: r.cur
+      r.timely_count <- r.timely_count + count;
+      let reached = if self then Pidset.remove sender reached else reached in
+      r.cur <- Pidset.union r.cur reached
     end
   end
 
-let rec deliver_plan r ~sender msg = function
+let rec deliver_groups r ~sender = function
   | [] -> ()
-  | (d : Adversary.delivery) :: tl ->
-    deliver r ~sender msg ~receiver:d.receiver ~arrival:d.arrival;
-    deliver_plan r ~sender msg tl
-
-(* [deliveries] from each sender's first entry on, indexed by pid. Only
-   outgoing senders are looked up, so the largest of them sizes the
-   index. *)
-let index_of outgoing deliveries =
-  let rec largest m = function
-    | [] -> m
-    | { sender; _ } :: tl -> largest (Int.max m sender) tl
-  in
-  let a = Array.make (largest (-1) outgoing + 1) [] in
-  let rec fill = function
-    | [] -> ()
-    | ((s, _) :: tl) as at ->
-      if s >= 0 && s < Array.length a && a.(s) == [] then a.(s) <- at;
-      fill tl
-  in
-  fill deliveries;
-  a
-
-(* The plan's entries from sender [s]'s first one on, [] when it has
-   none; the first entry of a sender wins, as with [List.assoc_opt].
-   Every built-in adversary lists its senders in the order of
-   [outgoing], ascending pid, so the cursor walks the plan: while every
-   lookup has found its entry at the cursor, the entries passed belong
-   to earlier senders (one outbound each), and an entry of [s] at the
-   cursor is its first. The first lookup that misses the cursor indexes
-   the plan once, and the rest of the call reads the index. *)
-let entry r (s : int) =
-  match (r.index, r.cursor) with
-  | None, ((p, _) :: tl as at) when p = s ->
-    r.cursor <- tl;
-    at
-  | _ ->
-    let index =
-      match r.index with
-      | Some index -> index
-      | None ->
-        let index = index_of r.outgoing r.deliveries in
-        r.index <- Some index;
-        index
-    in
-    if s >= 0 && s < Array.length index then index.(s) else []
+  | g :: tl ->
+    deliver r ~sender g;
+    deliver_groups r ~sender tl
 
 (* The crash event of [pid] and those after it, [] when it does not
    crash this round. *)
@@ -101,34 +60,30 @@ let rec crash_of (pid : int) = function
   | [] -> []
   | (ev : Crash.event) :: tl as evs -> if ev.pid = pid then evs else crash_of pid tl
 
-let rec deliver_timely r ~sender msg = function
-  | [] -> ()
-  | q :: tl ->
-    deliver r ~sender msg ~receiver:q ~arrival:r.round;
-    deliver_timely r ~sender msg tl
-
-let rec deliver_drawn r ~sender msg = function
-  | [] -> ()
-  | q :: tl ->
-    let arrival =
-      if Rng.bool r.crash_rng then r.round else r.round + Rng.int_in r.crash_rng 1 3
-    in
-    deliver r ~sender msg ~receiver:q ~arrival;
-    deliver_drawn r ~sender msg tl
-
-let crash_broadcast r ~sender msg (ev : Crash.event) =
-  let scripted =
-    match ev.broadcast with
-    | Crash.Broadcast_subset -> entry r sender
-    | Crash.Silent | Crash.Broadcast_all -> []
+(* An unscripted partial broadcast: each reached receiver's arrival
+   drawn in turn, timely on a fair coin and 1 to 3 rounds late
+   otherwise, then one group per arrival. *)
+let drawn r reached =
+  let arrivals =
+    List.map
+      (fun q -> (q, if Rng.bool r.crash_rng then 0 else Rng.int_in r.crash_rng 1 3))
+      reached
   in
-  match scripted with
-  | (_, ds) :: _ ->
+  List.filter_map
+    (fun d ->
+      match List.filter_map (fun (q, d') -> if d' = d then Some q else None) arrivals with
+      | [] -> None
+      | qs -> Some { Adversary.arrival = r.round + d; receivers = Pidset.of_list qs })
+    [ 0; 1; 2; 3 ]
+
+let crash_broadcast r ~sender (ev : Crash.event) ~scripted gs =
+  match ev.broadcast with
+  | Crash.Broadcast_subset when scripted ->
     (* A plan entry for a [Broadcast_subset] crasher pins the partial
        broadcast deterministically (model-checker witnesses replay the
        exact subset); without one the RNG picks as before. *)
-    deliver_plan r ~sender msg ds
-  | [] -> (
+    deliver_groups r ~sender gs
+  | Crash.Silent | Crash.Broadcast_all | Crash.Broadcast_subset -> (
     let others = List.filter (fun q -> q <> sender) (r.receivers ()) in
     let reached = Crash.reach ev.broadcast r.crash_rng others in
     match ev.broadcast with
@@ -137,44 +92,60 @@ let crash_broadcast r ~sender msg (ev : Crash.event) =
          (crash.mli). Drawing arrivals from [crash_rng] here used to let
          the last message slip past its own round, diverging from the
          model checker's reading. *)
-      deliver_timely r ~sender msg reached
-    | Crash.Silent | Crash.Broadcast_subset -> deliver_drawn r ~sender msg reached)
+      deliver r ~sender { arrival = r.round; receivers = Pidset.of_list reached }
+    | Crash.Silent | Crash.Broadcast_subset -> deliver_groups r ~sender (drawn r reached))
 
-let rec send r = function
+(* The plan's entries in ascending sender order, a sender's first entry
+   ahead of its later ones. Every built-in adversary lists its senders
+   in that order already, and then nothing is copied. *)
+let rec ascending = function
+  | ((p : int), _) :: ((q, _) :: _ as tl) -> p < q && ascending tl
+  | [ _ ] | [] -> true
+
+let in_sender_order (entries : entries) =
+  if ascending entries then entries
+  else List.stable_sort (fun (p, _) (q, _) -> Int.compare p q) entries
+
+let rec skip_to (s : int) = function (p, _) :: tl when p < s -> skip_to s tl | es -> es
+let rec skip_past (s : int) = function (p, _) :: tl when p = s -> skip_past s tl | es -> es
+
+(* Walk the ascending [outgoing] and the plan in sender order together:
+   the entries of senders that broadcast nothing are passed over, and a
+   sender's entries after its first. *)
+let rec send r ~send_self outgoing (plan : entries) =
+  match outgoing with
   | [] -> ()
   | { sender; msg } :: tl ->
-    r.schedule ~sender ~receiver:sender ~arrival:r.round ~sent:r.round msg;
+    send_self ~sender msg;
+    let plan = skip_to sender plan in
+    let scripted, gs =
+      match plan with (p, gs) :: _ when p = sender -> (true, gs) | _ -> (false, [])
+    in
     (match crash_of sender r.crashing_events with
-    | ev :: _ -> crash_broadcast r ~sender msg ev
-    | [] -> (
-      match entry r sender with (_, ds) :: _ -> deliver_plan r ~sender msg ds | [] -> ()));
-    (match r.cur with
-    | [] -> ()
-    | cur ->
-      r.timely <- (sender, cur) :: r.timely;
-      r.cur <- []);
-    send r tl
+    | ev :: _ -> crash_broadcast r ~sender ev ~scripted gs
+    | [] -> deliver_groups r ~sender gs);
+    if not (Pidset.is_empty r.cur) then begin
+      r.timely <- (sender, r.cur) :: r.timely;
+      r.cur <- Pidset.empty
+    end;
+    send r ~send_self tl (skip_past sender plan)
 
 let dispatch ~round ~outgoing ~crashing_events ~eligible ~receivers ~plan ~crash_rng
-    ?on_deliver ~schedule () =
+    ?on_deliver ~send:send_self ~schedule () =
   let r =
     {
       round;
-      outgoing;
       crashing_events;
       eligible;
       receivers;
-      deliveries = plan.Adversary.deliveries;
       crash_rng;
       on_deliver;
       schedule;
-      cursor = plan.Adversary.deliveries;
-      index = None;
       timely = [];
-      cur = [];
+      cur = Pidset.empty;
       delivered = 0;
       timely_count = 0;
     }
   in
-  send r outgoing;
+  send r ~send_self outgoing (in_sender_order plan.Adversary.groups);
   { timely = r.timely; delivered = r.delivered; timely_count = r.timely_count }

@@ -150,9 +150,9 @@ module type CORE = sig
   val preview :
     t -> plan:Adversary.plan -> crash_rng:Anon_kernel.Rng.t -> (int * int * int) list * int option
   (** What {!deliver} would do under [plan], without doing it: every
-      [(sender, receiver, arrival)] delivery it would schedule, in
-      dispatch order, self-deliveries included, and the stable source it
-      would leave latched. Mutates nothing but [crash_rng], which it
+      [(sender, receiver, arrival)] delivery it would schedule, sender by
+      sender in dispatch order, self-deliveries included, and the stable
+      source it would leave latched. Mutates nothing but [crash_rng], which it
       consumes exactly as {!deliver} would. *)
 
   val set_state : t -> int -> state -> unit

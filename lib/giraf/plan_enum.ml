@@ -24,7 +24,7 @@ let plan_key (p : Adversary.plan) =
              List.sort compare
                (List.map (fun (d : Adversary.delivery) -> (d.receiver, d.arrival)) ds)
            ))
-         p.deliveries)
+         (Adversary.links p))
   in
   let buf = Buffer.create 64 in
   List.iter
@@ -99,16 +99,19 @@ let enumerate spec (ctx : Adversary.ctx) =
         | restricted -> restricted
       else tagged
     in
-    List.map
-      (fun fs ->
-        List.filter_map
-          (fun (q, f) ->
-            match f with
-            | Timely -> Some { Adversary.receiver = q; arrival = round }
-            | Late d -> Some { Adversary.receiver = q; arrival = round + d }
-            | Absent -> None)
-          fs)
-      tagged
+    (* A fate assignment as groups: the timely receivers, then one
+       group per delay, absent receivers in none. *)
+    let groups fs =
+      List.filter_map
+        (fun fate ->
+          match List.filter_map (fun (q, f) -> if f = fate then Some q else None) fs with
+          | [] -> None
+          | qs ->
+            let arrival = match fate with Late d -> round + d | Timely | Absent -> round in
+            Some { Adversary.arrival; receivers = Anon_kernel.Pidset.of_list qs })
+        (Timely :: List.init spec.max_delay (fun i -> Late (i + 1)))
+    in
+    List.map groups tagged
   in
   let plans_for source =
     let per_sender =
@@ -116,9 +119,7 @@ let enumerate spec (ctx : Adversary.ctx) =
         (fun s -> List.map (fun ds -> (s, ds)) (assignments ~source s))
         all_senders
     in
-    List.map
-      (fun deliveries -> { Adversary.source; deliveries })
-      (product per_sender)
+    List.map (fun groups -> { Adversary.source; groups }) (product per_sender)
   in
   let admissible = List.concat_map plans_for source_choices in
   let armed =
@@ -131,19 +132,15 @@ let enumerate spec (ctx : Adversary.ctx) =
        admissible, not armed. *)
     if (not spec.include_inadmissible) || owed = Env.Nothing || trivially_covered then []
     else
-      let deliveries =
+      let late = Anon_kernel.Pidset.of_list ctx.alive in
+      let groups =
         List.map
           (fun s ->
-            let receivers = List.filter (fun q -> q <> s) ctx.alive in
             if List.mem s spec.crashing then (s, [])
-            else
-              ( s,
-                List.map
-                  (fun q -> { Adversary.receiver = q; arrival = round + 1 })
-                  receivers ))
+            else (s, [ { Adversary.arrival = round + 1; receivers = late } ]))
           all_senders
       in
-      [ { Adversary.source = None; deliveries } ]
+      [ { Adversary.source = None; groups } ]
   in
   let seen = Hashtbl.create 64 in
   let dedup admissible plans =

@@ -40,11 +40,14 @@ module Consensus (A : Intf.ALGORITHM) = struct
     correct : int list;
     correct_stayers : int list;
     filing : A.msg Backend.Round.t;  (* deliver's scratch, shared by copies *)
+    record_send : sender:int -> A.msg -> unit;  (* into [filing] *)
+    record_group : sender:int -> arrival:int -> Pidset.t -> unit;
   }
 
   let create ~inputs ~crash ~churn ~env =
     let n = Array.length inputs in
     let correct = Crash.correct crash in
+    let filing = Backend.Round.create ~n in
     {
       n;
       inputs;
@@ -63,7 +66,10 @@ module Consensus (A : Intf.ALGORITHM) = struct
       stable = None;
       correct;
       correct_stayers = List.filter (Churn.is_stayer churn) correct;
-      filing = Backend.Round.create ~n;
+      filing;
+      record_send = (fun ~sender msg -> Backend.Round.send filing ~sender msg);
+      record_group =
+        (fun ~sender:_ ~arrival receivers -> Backend.Round.deliver filing ~arrival receivers);
     }
 
   let copy t =
@@ -218,13 +224,13 @@ module Consensus (A : Intf.ALGORITHM) = struct
     }
 
   (* The round's dispatch, shared by [deliver] and its dry run
-     [preview]: eligibility, crash broadcast kinds and clamping stay in
-     Dispatch. *)
-  let dispatch ?on_deliver t ~plan ~crash_rng ~schedule =
+     [preview]: the live processes may receive; eligibility, crash
+     broadcast kinds and clamping stay in Dispatch. *)
+  let dispatch ?on_deliver t ~plan ~crash_rng ~send ~schedule =
     Dispatch.dispatch ~round:t.round ~outgoing:t.outgoing
       ~crashing_events:t.crashing_now
-      ~eligible:(fun q -> q >= 0 && q < t.n && t.fate.(q) = Live)
-      ~receivers:(fun () -> alive t) ~plan ~crash_rng ?on_deliver ~schedule ()
+      ~eligible:(Pidset.init t.n (fun q -> t.fate.(q) = Live))
+      ~receivers:(fun () -> alive t) ~plan ~crash_rng ?on_deliver ~send ~schedule ()
 
   (* Where a stable source is owed, the plan's source becomes it. *)
   let latched_stable t (plan : Adversary.plan) =
@@ -248,23 +254,29 @@ module Consensus (A : Intf.ALGORITHM) = struct
   let preview t ~plan ~crash_rng =
     let rev = ref [] in
     ignore
-      (dispatch t ~plan ~crash_rng ~schedule:(fun ~sender ~receiver ~arrival ~sent:_ _ ->
-           rev := (sender, receiver, arrival) :: !rev)
+      (dispatch t ~plan ~crash_rng
+         ~send:(fun ~sender _ -> rev := (sender, sender, t.round) :: !rev)
+         ~schedule:(fun ~sender ~arrival receivers ->
+           rev :=
+             Pidset.fold
+               (fun q acc -> if q = sender then acc else (sender, q, arrival) :: acc)
+               receivers !rev)
         : Dispatch.stats);
     (List.rev !rev, latched_stable t plan)
 
   (* Dispatch schedules sender by sender, in pid order (the crash RNG
-     draws and [on_deliver] events follow it); the deliveries are recorded
-     in that order and filed afterwards, one ordering of the round's
-     broadcasts for every receiver. *)
+     draws and [on_deliver] events follow it); the broadcasts and their
+     groups are recorded in that order and filed afterwards, one ordering
+     of the round's broadcasts for every receiver. Every process that may
+     receive is touched. *)
   let deliver ?on_deliver ?on_crash t ~plan ~crash_rng =
     Backend.Round.reset t.filing ~sent:t.round;
     let stats =
-      dispatch ?on_deliver t ~plan ~crash_rng
-        ~schedule:(fun ~sender ~receiver ~arrival ~sent:_ msg ->
-          Backend.Round.deliver t.filing ~sender ~receiver ~arrival msg;
-          touch t receiver)
+      dispatch ?on_deliver t ~plan ~crash_rng ~send:t.record_send ~schedule:t.record_group
     in
+    for q = 0 to t.n - 1 do
+      if t.fate.(q) = Live then touch t q
+    done;
     Backend.Round.file ~compare:A.msg_compare t.filing t.inflight;
     crash t on_crash t.crashing_now;
     let stable = latched_stable t plan in

@@ -3,6 +3,15 @@ module Hashing = Anon_kernel.Hashing
 type t = { name : string; edge : n:int -> round:int -> src:int -> dst:int -> bool }
 
 let name t = t.name
+
+(* The shortest of 15, 16 and 17 significant digits that reads back as
+   [x]: short rates print as they were typed, and every rate survives
+   the round trip through its clause. *)
+let float_clause x =
+  let at digits = Printf.sprintf "%.*g" digits x in
+  match List.find_opt (fun s -> float_of_string s = x) [ at 15; at 16 ] with
+  | Some s -> s
+  | None -> at 17
 let edge t = t.edge
 
 (* Deterministic per-(salt, ints) hash — topology must be a pure function
@@ -55,4 +64,4 @@ let random_graph ~density () =
   let edge ~n:_ ~round ~src ~dst =
     det ~salt:"random" [ 0; round; src; dst ] mod 1_000_000 < threshold
   in
-  { name = Printf.sprintf "random:%g" density; edge }
+  { name = "random:" ^ float_clause density; edge }

@@ -15,6 +15,10 @@ val name : t -> string
 
 val edge : t -> n:int -> round:int -> src:int -> dst:int -> bool
 
+val float_clause : float -> string
+(** A rate as a clause argument: the shortest of [%.15g], [%.16g] and
+    [%.17g] that [float_of_string] reads back exactly. *)
+
 val rotating_root : unit -> t
 (** A star around a root that advances every round: round [r]'s root is
     [(r-1) mod n]. *)

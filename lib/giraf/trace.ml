@@ -5,7 +5,7 @@ type round_info = {
   senders : int list;
   crashing : int list;
   source : int option;
-  timely : (int * int list) list;
+  timely : (int * Pidset.t) list;
   obligated : int list;
   decided : (int * Value.t) list;
   msg_sizes : (int * int) list;
@@ -79,7 +79,7 @@ let of_log ~msg_compare ~inputs ~crash ~env (log : _ Log.t) =
               read
           with
           | [] -> None
-          | receivers -> Some (s, receivers))
+          | receivers -> Some (s, Pidset.of_list receivers))
         sent
     in
     {
@@ -102,8 +102,12 @@ let of_log ~msg_compare ~inputs ~crash ~env (log : _ Log.t) =
     rounds = List.init log.reached (fun i -> round_info (i + 1));
   }
 
-let timely_to info sender =
-  match List.assoc_opt sender info.timely with None -> [] | Some rs -> rs
+let timely_to info (sender : int) =
+  let rec first = function
+    | [] -> Pidset.empty
+    | (s, rs) :: tl -> if s = sender then rs else first tl
+  in
+  first info.timely
 
 let decisions t =
   List.concat_map

@@ -11,9 +11,11 @@ type round_info = {
   senders : int list;  (** Broadcast a round-[round] message. *)
   crashing : int list;  (** Crashed at this round (possibly partial broadcast). *)
   source : int option;  (** The adversary's declared source (advisory). *)
-  timely : (int * int list) list;
-      (** [(sender, receivers)] pairs actually delivered timely; the
-          implicit self-delivery is {e not} listed. *)
+  timely : (int * Anon_kernel.Pidset.t) list;
+      (** Each sender's timely receivers: the processes that got its
+          round-[round] message in their own round [round]. The implicit
+          self-delivery is {e not} listed, nor is a sender timely to
+          nobody; a sender's first entry is the one read. *)
   obligated : int list;
       (** Alive, non-halted processes at sending time (everyone who will
           compute this round) — whom a source was required to reach. This
@@ -66,7 +68,7 @@ val of_log :
     content, so a relayed or merged copy counts (Alg. 1, footnote 2);
     [crashing] and [decided] latest first. *)
 
-val timely_to : round_info -> int -> int list
+val timely_to : round_info -> int -> Anon_kernel.Pidset.t
 (** Receivers (other than itself) that got [sender]'s message timely. *)
 
 val decisions : t -> (int * int * Anon_kernel.Value.t) list

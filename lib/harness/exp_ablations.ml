@@ -78,7 +78,7 @@ let a2_adversary () =
           (p, List.map plan_receiver (List.filter (fun q -> q <> p) ctx.alive)))
         ctx.senders
     in
-    { G.Adversary.source; deliveries }
+    G.Adversary.of_links ~source deliveries
   in
   G.Adversary.scripted ~name:"a2-literal-ms" ~env:(G.Env.Es { gst = 1_000_000 }) plan
 

@@ -86,7 +86,7 @@ type process_report = {
 type outcome = {
   trace : Anon_giraf.Trace.t Lazy.t;
       (** {!Anon_giraf.Trace.of_log}'s, [env = Async]; built when forced,
-          as its per-link lists grow as [n²] per round. *)
+          as building it looks up [n²] (sender, reader) pairs per round. *)
   decisions : (int * int * Anon_kernel.Value.t) list;
       (** [(pid, round, value)] in decide order. *)
   all_correct_decided : bool;

@@ -160,7 +160,7 @@ module Make (F : FAMILY) = struct
     let senders = List.filter_map (fun (s, q, _) -> if s = q then Some s else None) sent in
     let timely s =
       let reached (s', q, a) = if s' = s && q <> s && a = c.round then Some q else None in
-      (s, List.filter_map reached sent)
+      (s, Anon_kernel.Pidset.of_list (List.filter_map reached sent))
     in
     let info =
       {
@@ -168,7 +168,10 @@ module Make (F : FAMILY) = struct
         senders;
         crashing = Core.crashing_pids core;
         source = plan.source;
-        timely = List.map timely senders;
+        timely =
+          List.filter
+            (fun (_, rs) -> not (Anon_kernel.Pidset.is_empty rs))
+            (List.map timely senders);
         obligated = c.obligated;
         decided = [];
         msg_sizes = [];

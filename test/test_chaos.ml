@@ -110,12 +110,12 @@ let test_wrap_injects_faults () =
         (ctx.round, G.Adversary.plan inner ctx rng, G.Adversary.plan wrapped ctx copy))
   in
   let links (p : G.Adversary.plan) =
-    List.fold_left (fun acc (_, ds) -> acc + List.length ds) 0 p.deliveries
+    List.fold_left (fun acc (_, ds) -> acc + List.length ds) 0 (G.Adversary.links p)
   in
   let past k (p : G.Adversary.plan) =
     List.exists
       (fun (_, ds) -> List.exists (fun (d : G.Adversary.delivery) -> d.arrival > k + 3) ds)
-      p.deliveries
+      (G.Adversary.links p)
   in
   let duplicated = plans { Ch.Fault.none with duplicate = 0.5 } in
   check_bool "duplicates add links" true
@@ -202,18 +202,14 @@ let test_map_plan_scripted_inadmissible () =
   let sabotage (ctx : G.Adversary.ctx) _rng (p : G.Adversary.plan) =
     if ctx.round < 2 then p
     else
-      {
-        G.Adversary.source = None;
-        deliveries =
-          List.map
-            (fun (sender, ds) ->
-              ( sender,
-                List.map
-                  (fun (d : G.Adversary.delivery) ->
-                    { d with G.Adversary.arrival = ctx.round + 1 })
-                  ds ))
-            p.G.Adversary.deliveries;
-      }
+      G.Adversary.of_links ~source:None
+        (List.map
+           (fun (sender, ds) ->
+             ( sender,
+               List.map
+                 (fun (d : G.Adversary.delivery) -> { d with G.Adversary.arrival = ctx.round + 1 })
+                 ds ))
+           (G.Adversary.links p))
   in
   let wrapped = G.Adversary.map_plan ~rename:(fun n -> n ^ "+late") sabotage base in
   check_bool "declared env unchanged by sabotage" true

@@ -142,15 +142,15 @@ let test_emulation_equal_messages () =
         (fun (info : G.Trace.round_info) ->
           if List.mem 0 info.senders && List.mem 1 info.senders then begin
             let others s =
-              List.filter (fun q -> q > 1) (G.Trace.timely_to info s)
+              List.filter (fun q -> q > 1) (Anon_kernel.Pidset.to_list (G.Trace.timely_to info s))
             in
             let label what = Printf.sprintf "seed %d round %d: %s" seed info.round what in
             Alcotest.(check (list int)) (label "same receivers") (others 0) (others 1);
             if others 0 <> [] then incr shared;
             check_bool (label "p1 got p0's message") (List.mem 1 info.obligated)
-              (List.mem 1 (G.Trace.timely_to info 0));
+              (Anon_kernel.Pidset.mem 1 (G.Trace.timely_to info 0));
             check_bool (label "p0 got p1's message") (List.mem 0 info.obligated)
-              (List.mem 0 (G.Trace.timely_to info 1))
+              (Anon_kernel.Pidset.mem 0 (G.Trace.timely_to info 1))
           end)
         out.trace.rounds)
     (List.init 12 (fun i -> 200 + i));

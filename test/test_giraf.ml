@@ -236,14 +236,29 @@ let model_order rest =
     (fun (a1, s1, m1) (a2, s2, m2) -> compare (a1, s1, m1) (a2, s2, m2))
     rest
 
+(* A broadcast's generated [(receiver, arrival)] deliveries as the
+   groups a plan holds. *)
+let groups_of pid deliveries =
+  List.concat_map snd
+    (G.Adversary.of_links ~source:None
+       [
+         ( pid,
+           List.map (fun (receiver, arrival) -> { G.Adversary.receiver; arrival }) deliveries );
+       ])
+      .groups
+
 (* Both filing paths against the model, drain by drain: the lockstep
    path records each sent round as the dispatch would (senders in pid
-   order) and files it with one ordering; the live path inserts the same
-   entries one at a time in a random order, peeking now and then. The
-   model sees each path's entries newest first, in the order that path
-   scheduled them. Every drain's lazy [fresh] is forced only at the end,
-   after later rounds (and a repeat of the last round) were filed into
-   the same mailboxes and into the snapshot copy. *)
+   order, each with its self-delivery and its groups) and files it with
+   one ordering; the live path inserts the same entries one at a time in
+   a random order, peeking now and then. The model sees each path's
+   entries newest first, in the order that path scheduled them. A
+   lockstep mailbox drains at most the round just filed: a copy that
+   drained a later round refuses the filing when it names a receiver
+   that took that round or a later one. Every drain's lazy [fresh] is
+   forced only at the end, after later rounds (and a repeat of the last
+   round) were filed into the same mailboxes and into the snapshot copy,
+   or refused there. *)
 let prop_mailbox_matches_model =
   QCheck.Test.make ~name:"bucketed mailbox = sort-per-read model" ~count:500
     QCheck.(int_bound 1_000_000)
@@ -254,11 +269,15 @@ let prop_mailbox_matches_model =
       let lock = G.Backend.create ~n:mailbox_receivers in
       let live = G.Backend.create ~n:mailbox_receivers in
       let lock_model = Array.make mailbox_receivers [] in
+      let lock_taken = Array.make mailbox_receivers min_int in
       let live_model = Array.make mailbox_receivers [] in
-      let filing = G.Backend.Round.create ~n:2 in
+      let filing = G.Backend.Round.create ~n:mailbox_receivers in
       let snapshot = ref None in
       let ok = ref true in
       let unforced = ref [] in
+      let refuses file =
+        match file () with () -> false | exception Invalid_argument _ -> true
+      in
       let drain boxes model q round =
         let current, fresh = G.Backend.take ~compare boxes q ~round in
         let current', fresh', rest' = model_ready_inbox ~compare ~round model.(q) in
@@ -273,14 +292,19 @@ let prop_mailbox_matches_model =
         (fun (sent, broadcasts, drains) ->
           G.Backend.Round.reset filing ~sent;
           let entries = ref [] in
+          let schedule q arrival msg =
+            lock_model.(q) <- (arrival, sent, msg) :: lock_model.(q);
+            entries := (q, arrival, msg) :: !entries
+          in
           List.iter
             (fun (pid, msg, deliveries) ->
+              G.Backend.Round.send filing ~sender:pid msg;
+              if pid < mailbox_receivers then schedule pid sent msg;
               List.iter
-                (fun (q, arrival) ->
-                  G.Backend.Round.deliver filing ~sender:pid ~receiver:q ~arrival msg;
-                  lock_model.(q) <- (arrival, sent, msg) :: lock_model.(q);
-                  entries := (q, arrival, msg) :: !entries)
-                deliveries)
+                (fun (g : G.Adversary.group) ->
+                  G.Backend.Round.deliver filing ~arrival:g.arrival g.receivers;
+                  Pidset.iter (fun q -> if q <> pid then schedule q g.arrival msg) g.receivers)
+                (groups_of pid deliveries))
             broadcasts;
           G.Backend.Round.file ~compare filing lock;
           if !snapshot = None && Rng.chance rng 0.3 then
@@ -301,7 +325,18 @@ let prop_mailbox_matches_model =
             (Rng.shuffle rng !entries);
           List.iter
             (fun (q, round) ->
-              drain lock lock_model q round;
+              if round <= sent then begin
+                drain lock lock_model q round;
+                lock_taken.(q) <- Int.max lock_taken.(q) round
+              end
+              else begin
+                let ahead = G.Backend.copy lock in
+                ignore (G.Backend.take ~compare ahead q ~round);
+                let taken q' = if q' = q then round else lock_taken.(q') in
+                let refused = List.exists (fun (q', _, _) -> taken q' >= sent) !entries in
+                ok :=
+                  !ok && refuses (fun () -> G.Backend.Round.file ~compare filing ahead) = refused
+              end;
               drain live live_model q round)
             drains)
         scenario;
@@ -318,16 +353,18 @@ let prop_mailbox_matches_model =
             !ok && same_entries (G.Backend.to_list ~compare boxes q) (model_order model.(q))
         done
       | None -> ());
-      (* The last round again, landing in the buckets the snapshot still
-         shares with drained inboxes. *)
+      (* The last round again, filed into the slices the snapshot still
+         shares with drained inboxes, and refused by the drained
+         lockstep mailboxes. *)
       let last = List.length scenario in
       G.Backend.Round.reset filing ~sent:last;
+      G.Backend.Round.send filing ~sender:mailbox_receivers "z";
       for q = 0 to mailbox_receivers - 1 do
         let arrival = last + Rng.int rng 4 in
-        G.Backend.Round.deliver filing ~sender:0 ~receiver:q ~arrival "z";
+        G.Backend.Round.deliver filing ~arrival (Pidset.of_list [ q ]);
         G.Backend.insert ~compare live q ~arrival ~sent:last "z"
       done;
-      G.Backend.Round.file ~compare filing lock;
+      ok := !ok && refuses (fun () -> G.Backend.Round.file ~compare filing lock);
       Option.iter (fun (boxes, _) -> G.Backend.Round.file ~compare filing boxes) !snapshot;
       !ok
       && List.for_all
@@ -339,10 +376,12 @@ let prop_mailbox_matches_model =
 let test_mailbox_tie_order () =
   let a0 = String.make 1 'a' and a1 = String.make 1 'a' and a2 = String.make 1 'a' in
   let box = G.Backend.create ~n:1 in
-  let filing = G.Backend.Round.create ~n:3 in
+  let filing = G.Backend.Round.create ~n:1 in
   G.Backend.Round.reset filing ~sent:1;
   List.iter
-    (fun (pid, m) -> G.Backend.Round.deliver filing ~sender:pid ~receiver:0 ~arrival:1 m)
+    (fun (pid, m) ->
+      G.Backend.Round.send filing ~sender:pid m;
+      if pid <> 0 then G.Backend.Round.deliver filing ~arrival:1 (Pidset.of_list [ 0 ]))
     [ (0, a0); (1, "b"); (2, a1); (3, a2) ];
   G.Backend.Round.file ~compare:String.compare filing box;
   let current, fresh = G.Backend.take ~compare:String.compare box 0 ~round:1 in
@@ -462,8 +501,8 @@ let test_shell_by_hand () =
   Alcotest.(check (list (triple int int int))) "decisions" [ (2, 1, 9) ] (Sh.decisions sh);
   let trace = Lazy.force (Sh.finish sh ~env:G.Env.Async) in
   let info k = List.find (fun (i : G.Trace.round_info) -> i.round = k) trace.rounds in
-  pids "timely copy" [ 0 ] (G.Trace.timely_to (info 1) 1);
-  pids "late copy" [] (G.Trace.timely_to (info 1) 2);
+  pids "timely copy" [ 0 ] (Pidset.to_list @@ G.Trace.timely_to (info 1) 1);
+  pids "late copy" [] (Pidset.to_list @@ G.Trace.timely_to (info 1) 2);
   pids "obligated at 1" [ 0; 1; 2 ] (info 1).obligated;
   pids "the decider sends nothing" [ 0; 1 ] (info 2).senders;
   pids "the crasher crashes at its round" [ 1 ] (info 2).crashing;
@@ -491,7 +530,7 @@ let test_adversary_sync () =
          ~alive:all_pids)
       (Rng.make 1)
   in
-  check_int "every sender planned" 4 (List.length plan.deliveries);
+  check_int "every sender planned" 4 (List.length (G.Adversary.links plan));
   List.iter
     (fun (s, ds) ->
       check_int "covers others" 3 (List.length ds);
@@ -500,13 +539,13 @@ let test_adversary_sync () =
           check_bool "timely" true (d.arrival = 5);
           check_bool "not self" true (d.receiver <> s))
         ds)
-    plan.deliveries
+    (G.Adversary.links plan)
 
 let source_covers (plan : G.Adversary.plan) obligated =
   match plan.source with
   | None -> false
   | Some s ->
-    let ds = Option.value ~default:[] (List.assoc_opt s plan.deliveries) in
+    let ds = Option.value ~default:[] (List.assoc_opt s (G.Adversary.links plan)) in
     List.for_all
       (fun q ->
         q = s
@@ -564,7 +603,7 @@ let test_adversary_es_post_gst () =
       List.iter
         (fun (d : G.Adversary.delivery) -> check_int "all timely post-gst" 10 d.arrival)
         ds)
-    plan.deliveries
+    (G.Adversary.links plan)
 
 let test_adversary_blocking_alternates () =
   let adv = G.Adversary.es_blocking ~gst:100 () in
@@ -580,12 +619,14 @@ let test_adversary_blocking_alternates () =
 
 (* --- Property: plans = the per-sender reference construction ------------------ *)
 
-(* The adversaries as they built plans before sharing delivery lists
-   within a round: every sender's list is mapped afresh from its own
-   filtered copy of [alive]. Kept as the reference the shared
-   construction must equal. *)
+(* The adversaries as they built plans link by link, before plans held
+   receiver sets: every sender's links are mapped afresh from its own
+   filtered copy of [alive]. Kept as the reference the set construction
+   must equal, link for link. *)
 module Ref_adversary = struct
   open G.Adversary
+
+  type link_plan = { source : int option; deliveries : (int * delivery list) list }
 
   type spec =
     | Sync
@@ -724,8 +765,8 @@ end
 (* Random contexts over n <= 12: random alive (sometimes shuffled, now and
    then naming a pid twice), sender, obligated and correct subsets, rounds
    on both sides of GST, and every built-in adversary with random
-   parameters. Each plan must equal the reference's, and both must leave
-   the RNG in the same state. *)
+   parameters. Each plan must hold the reference's links, and both must
+   leave the RNG in the same state. *)
 let prop_plans_match_reference =
   QCheck.Test.make ~name:"plans = per-sender reference construction" ~count:1000
     QCheck.(int_bound 1_000_000)
@@ -772,10 +813,27 @@ let prop_plans_match_reference =
       let rng1 = Rng.make plan_seed and rng2 = Rng.make plan_seed in
       let got = G.Adversary.plan (Ref_adversary.build spec) c rng1 in
       let expected = Ref_adversary.plan spec c rng2 in
-      got = expected && rng1 = rng2)
+      (* Each sender's links sorted, [alive]'s order being no set's
+         order; as a set when [alive] names a pid twice, which a set
+         holds once. *)
+      let sort =
+        if List.length (List.sort_uniq Int.compare alive) < List.length alive then
+          List.sort_uniq compare
+        else List.sort compare
+      in
+      let canonical deliveries =
+        List.map
+          (fun (s, ds) ->
+            (s, sort (List.map (fun (d : G.Adversary.delivery) -> (d.receiver, d.arrival)) ds)))
+          deliveries
+      in
+      got.source = expected.source
+      && canonical (G.Adversary.links got) = canonical expected.deliveries
+      && rng1 = rng2)
 
-(* The dispatch with each sender's entry found by [List.assoc_opt]: every
-   [schedule] call as [(sender, receiver, arrival)], and the stats. *)
+(* The dispatch link by link, each sender's links found by
+   [List.assoc_opt] in the plan's link form: every delivery as [(sender,
+   receiver, arrival)], self-deliveries included, and the stats. *)
 let ref_dispatch ~round ~outgoing ~crashing ~eligible ~receivers
     ~(plan : G.Adversary.plan) ~crash_rng =
   let log = ref [] and timely = ref [] and delivered = ref 0 and count = ref 0 in
@@ -795,7 +853,7 @@ let ref_dispatch ~round ~outgoing ~crashing ~eligible ~receivers
         end
       in
       let others () = List.filter (fun q -> q <> sender) receivers in
-      let entry = List.assoc_opt sender plan.deliveries in
+      let entry = List.assoc_opt sender (G.Adversary.links plan) in
       (match List.find_opt (fun (ev : G.Crash.event) -> ev.pid = sender) crashing with
       | None -> Option.iter (List.iter deliver) entry
       | Some ev -> (
@@ -812,16 +870,34 @@ let ref_dispatch ~round ~outgoing ~crashing ~eligible ~receivers
               in
               deliver { receiver = q; arrival })
             (Rng.subset crash_rng ~p:0.5 (others ()))));
-      if !cur <> [] then timely := (sender, !cur) :: !timely)
+      if !cur <> [] then timely := (sender, Pidset.of_list !cur) :: !timely)
     outgoing;
   ( List.rev !log,
     { G.Dispatch.timely = !timely; delivered = !delivered; timely_count = !count } )
 
+(* A dispatch log as its runs of one sender each: the run's first
+   delivery, then the others sorted. Dispatch orders a sender's
+   deliveries by group, the reference by link. *)
+let sender_runs log =
+  let rec runs = function
+    | [] -> []
+    | ((s, _, _) as first) :: tl ->
+      let rec split acc = function
+        | ((s', _, _) as d) :: tl when s' = s -> split (d :: acc) tl
+        | rest -> (acc, rest)
+      in
+      let run, rest = split [] tl in
+      (first, List.sort compare run) :: runs rest
+  in
+  runs log
+
 (* Random rounds over n <= 10: outgoing senders ascending (as a core
    lists them), plan entries in that order or shuffled, with senders
    missing or listed twice, crashing senders of every kind, and receivers
-   not all eligible. Dispatch must make the reference's [schedule] calls,
-   return its stats and leave the crash RNG in the same state. *)
+   not all eligible. Dispatch's [send] and [schedule] calls must make the
+   reference's deliveries in its sender order, each sender's
+   self-delivery first and the rest in any order; return its stats; and
+   leave the crash RNG in the same state. *)
 let prop_dispatch_matches_reference =
   QCheck.Test.make ~name:"dispatch = assoc-list reference" ~count:1000
     QCheck.(int_bound 1_000_000)
@@ -858,22 +934,25 @@ let prop_dispatch_matches_reference =
       in
       let live = subset () and receivers = subset () in
       let eligible q = List.mem q live in
-      let plan = { G.Adversary.source = None; deliveries = entries } in
+      let plan = G.Adversary.of_links ~source:None entries in
       let crash_seed = Rng.int rng 1_000_000 in
       let rng1 = Rng.make crash_seed and rng2 = Rng.make crash_seed in
       let log = ref [] in
       let stats =
-        G.Dispatch.dispatch ~round ~outgoing ~crashing_events:crashing ~eligible
+        G.Dispatch.dispatch ~round ~outgoing ~crashing_events:crashing
+          ~eligible:(Pidset.of_list live)
           ~receivers:(fun () -> receivers)
           ~plan ~crash_rng:rng1
-          ~schedule:(fun ~sender ~receiver ~arrival ~sent:_ () ->
-            log := (sender, receiver, arrival) :: !log)
+          ~send:(fun ~sender () -> log := (sender, sender, round) :: !log)
+          ~schedule:(fun ~sender ~arrival rs ->
+            Pidset.iter (fun q -> if q <> sender then log := (sender, q, arrival) :: !log) rs)
           ()
       in
       let expected_log, expected_stats =
         ref_dispatch ~round ~outgoing ~crashing ~eligible ~receivers ~plan ~crash_rng:rng2
       in
-      List.rev !log = expected_log && stats = expected_stats && rng1 = rng2)
+      sender_runs (List.rev !log) = sender_runs expected_log
+      && stats = expected_stats && rng1 = rng2)
 
 (* --- Runner: a probe algorithm that records its inboxes --------------------- *)
 
@@ -930,7 +1009,7 @@ let test_runner_inbox_contents () =
 let silent_adversary () =
   G.Adversary.scripted ~name:"silent" ~env:G.Env.Async (fun ctx _ ->
       { G.Adversary.source = None;
-        deliveries = List.map (fun p -> (p, [])) ctx.senders })
+        groups = List.map (fun p -> (p, [])) ctx.senders })
 
 let test_runner_own_message_always_present () =
   (* Even under a fully silent adversary (no deliveries at all), each
@@ -1252,14 +1331,14 @@ let test_trace_accessors () =
       senders = [ 0; 1 ];
       crashing = [];
       source = Some 0;
-      timely = [ (0, [ 1 ]) ];
+      timely = [ (0, Pidset.of_list [ 1 ]) ];
       obligated = [ 0; 1 ];
       decided = [ (1, 9) ];
       msg_sizes = [ (0, 3) ];
     }
   in
-  pids "timely_to" [ 1 ] (G.Trace.timely_to info 0);
-  pids "timely_to absent" [] (G.Trace.timely_to info 1);
+  pids "timely_to" [ 1 ] (Pidset.to_list @@ G.Trace.timely_to info 0);
+  pids "timely_to absent" [] (Pidset.to_list @@ G.Trace.timely_to info 1);
   let t =
     {
       G.Trace.n = 2;
@@ -1307,12 +1386,12 @@ let test_trace_of_log () =
   pids "senders in pid order" [ 0; 1; 2; 3 ] r1.senders;
   pids "obligated: who computed, in pid order" [ 0; 1; 2 ] r1.obligated;
   pids "p0: p1 holds its own equal copy, p2 the one copy" [ 1; 2 ]
-    (G.Trace.timely_to r1 0);
-  pids "p1: timely wherever p0 is" [ 0; 2 ] (G.Trace.timely_to r1 1);
-  pids "p2" [ 0 ] (G.Trace.timely_to r1 2);
-  pids "p3 reached only p1" [ 1 ] (G.Trace.timely_to r1 3);
+    (Pidset.to_list @@ G.Trace.timely_to r1 0);
+  pids "p1: timely wherever p0 is" [ 0; 2 ] (Pidset.to_list @@ G.Trace.timely_to r1 1);
+  pids "p2" [ 0 ] (Pidset.to_list @@ G.Trace.timely_to r1 2);
+  pids "p3 reached only p1" [ 1 ] (Pidset.to_list @@ G.Trace.timely_to r1 3);
   check_bool "p3 is no receiver" true
-    (List.for_all (fun (_, rs) -> not (List.mem 3 rs)) r1.timely);
+    (List.for_all (fun (_, rs) -> not (Pidset.mem 3 rs)) r1.timely);
   pids "crashing" [ 3 ] r1.crashing;
   Alcotest.(check (list (pair int int))) "decided, latest first" [ (2, 5); (0, 5) ]
     r1.decided;
@@ -1326,8 +1405,11 @@ let test_trace_of_log () =
 
 let test_dispatch_crash_modes () =
   let deliveries = ref [] in
-  let schedule ~sender:_ ~receiver ~arrival ~sent:_ _msg =
-    deliveries := (receiver, arrival) :: !deliveries
+  let send ~sender _msg = deliveries := (sender, 3) :: !deliveries in
+  let schedule ~sender ~arrival receivers =
+    Pidset.iter
+      (fun q -> if q <> sender then deliveries := (q, arrival) :: !deliveries)
+      receivers
   in
   let run broadcast =
     deliveries := [];
@@ -1335,10 +1417,10 @@ let test_dispatch_crash_modes () =
       G.Dispatch.dispatch ~round:3
         ~outgoing:[ { G.Dispatch.sender = 0; msg = "m" } ]
         ~crashing_events:[ { G.Crash.pid = 0; round = 3; broadcast } ]
-        ~eligible:(fun _ -> true)
+        ~eligible:(Pidset.of_list [ 0; 1; 2; 3 ])
         ~receivers:(fun () -> [ 0; 1; 2; 3 ])
-        ~plan:{ G.Adversary.source = None; deliveries = [] }
-        ~crash_rng:(Rng.make 1) ~schedule ()
+        ~plan:{ G.Adversary.source = None; groups = [] }
+        ~crash_rng:(Rng.make 1) ~send ~schedule ()
     in
     (stats, List.filter (fun (r, _) -> r <> 0) !deliveries)
   in
@@ -1387,7 +1469,7 @@ let base_round ~round ~senders ~obligated ~timely =
     senders;
     crashing = [];
     source = None;
-    timely;
+    timely = List.map (fun (s, rs) -> (s, Pidset.of_list rs)) timely;
     obligated;
     decided = [];
     msg_sizes = [];
@@ -1664,11 +1746,11 @@ module Ref_env = struct
   open G.Checker
 
   let missing_receivers (info : G.Trace.round_info) s =
-    let reached = s :: G.Trace.timely_to info s in
+    let reached = s :: Pidset.to_list (G.Trace.timely_to info s) in
     List.filter (fun q -> not (List.mem q reached)) info.obligated
 
   let covers (info : G.Trace.round_info) s =
-    let reached = G.Trace.timely_to info s in
+    let reached = Pidset.to_list (G.Trace.timely_to info s) in
     List.for_all (fun q -> q = s || List.mem q reached) info.obligated
 
   let correct_senders (t : G.Trace.t) (info : G.Trace.round_info) =
@@ -1974,16 +2056,17 @@ let test_adversaries_satisfy_own_env () =
                       Alcotest.failf "%s: arrival %d before round %d"
                         (G.Adversary.name adv) d.arrival round)
                   ds)
-              plan.deliveries;
+              (G.Adversary.links plan);
             let timely =
               List.map
                 (fun (s, ds) ->
                   ( s,
-                    List.filter_map
-                      (fun (d : G.Adversary.delivery) ->
-                        if d.arrival = round then Some d.receiver else None)
-                      ds ))
-                plan.deliveries
+                    Pidset.of_list
+                      (List.filter_map
+                         (fun (d : G.Adversary.delivery) ->
+                           if d.arrival = round then Some d.receiver else None)
+                         ds) ))
+                (G.Adversary.links plan)
             in
             {
               G.Trace.round;
@@ -2080,10 +2163,11 @@ let prop_plan_enum_agrees_with_checker =
       let findings (plan : G.Adversary.plan) =
         let stats =
           G.Dispatch.dispatch ~round ~outgoing ~crashing_events
-            ~eligible:(fun q -> List.mem q live)
+            ~eligible:(Pidset.of_list live)
             ~receivers:(fun () -> live)
             ~plan ~crash_rng:(Rng.make 0)
-            ~schedule:(fun ~sender:_ ~receiver:_ ~arrival:_ ~sent:_ () -> ())
+            ~send:(fun ~sender:_ () -> ())
+            ~schedule:(fun ~sender:_ ~arrival:_ _ -> ())
             ()
         in
         G.Checker.check_env

@@ -89,6 +89,105 @@ let prop_float_bounds =
       let x = Rng.float rng 10.0 in
       x >= 0.0 && x < 10.0)
 
+(* The first outputs of three seeds and of a child split from each, as
+   every earlier version of the generator drew them: runs replay only if
+   the stream never changes. *)
+let test_rng_pinned_streams () =
+  List.iter
+    (fun (seed, bits, int, chance, child_bits, child_int) ->
+      let t = Rng.make seed in
+      let label what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check int64) (label "bits64") bits (Rng.bits64 t);
+      check_int (label "int") int (Rng.int t 1000);
+      check_bool (label "chance") chance (Rng.chance t 0.5);
+      let c = Rng.split t in
+      Alcotest.(check int64) (label "child bits64") child_bits (Rng.bits64 c);
+      check_int (label "child int") child_int (Rng.int c 1000))
+    [
+      (0, -2152535657050944081L, 925, true, 1273976351773621849L, 521);
+      (42, -4767286540954276203L, 72, true, -3524509440982052747L, 221);
+      (7, 7191089600892374487L, 951, false, 2386491329132065434L, 630);
+    ]
+
+(* Minor words of [f ()], net of the probe's own. *)
+let words f =
+  let probe =
+    let a = Gc.minor_words () in
+    Gc.minor_words () -. a
+  in
+  let a = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. a -. probe
+
+(* The state is unboxed: a draw allocates nothing, and [float] only the
+   float it returns. *)
+let test_rng_draws_allocate_nothing () =
+  let rng = Rng.make 9 in
+  let draws name draw =
+    Alcotest.(check (float 0.)) (name ^ ": 1000 draws, minor words") 0.
+      (words (fun () ->
+           for _ = 1 to 1000 do
+             draw ()
+           done))
+  in
+  draws "int" (fun () -> ignore (Rng.int rng 10 : int));
+  draws "int_in" (fun () -> ignore (Rng.int_in rng 1 3 : int));
+  draws "bool" (fun () -> ignore (Rng.bool rng : bool));
+  draws "chance" (fun () -> ignore (Rng.chance rng 0.3 : bool));
+  let w = words (fun () -> for _ = 1 to 1000 do ignore (Rng.float rng 1.0 : float) done) in
+  check_bool
+    (Printf.sprintf "float: %.0f words in 1000 draws, its results only" w)
+    true (w <= 2000.)
+
+(* --- Pidset ---------------------------------------------------------------- *)
+
+let gen_pids rng =
+  List.filter (fun _ -> Rng.chance rng 0.3) (List.init (Rng.int_in rng 0 200) Fun.id)
+
+(* Every operation against sorted, deduplicated pid lists, over sets that
+   cross word boundaries. *)
+let prop_pidset_matches_lists =
+  QCheck.Test.make ~name:"pidset = sorted pid lists" ~count:500 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.make seed in
+      let la = gen_pids rng and lb = gen_pids rng in
+      let a = Pidset.of_list la and b = Pidset.of_list lb in
+      let p = Rng.int rng 220 in
+      let inter = List.filter (fun x -> List.mem x lb) la in
+      let rows =
+        let bl = Pidset.Rows.create ~rows:2 ~size:220 in
+        List.iter (Pidset.Rows.add bl ~row:1) (List.rev la);
+        let empty0 = Pidset.Rows.is_empty bl ~row:0 in
+        let got = Pidset.Rows.take bl ~row:1 in
+        empty0 && got = a && Pidset.Rows.is_empty bl ~row:1
+      in
+      Pidset.to_list a = la
+      && Pidset.mem p a = List.mem p la
+      && Pidset.to_list (Pidset.union a b) = List.sort_uniq compare (la @ lb)
+      && Pidset.to_list (Pidset.inter a b) = inter
+      && Pidset.to_list (Pidset.diff a b) = List.filter (fun x -> not (List.mem x lb)) la
+      && Pidset.cardinal a = List.length la
+      && Pidset.inter_cardinal a b = List.length inter
+      && Pidset.to_list (Pidset.remove p a) = List.filter (fun x -> x <> p) la
+      && Pidset.init 220 (fun q -> List.mem q la) = a
+      (* canonical: equal sets are equal values *)
+      && Pidset.union a b = Pidset.of_list (la @ lb)
+      && (Pidset.inter a b = Pidset.empty) = (inter = [])
+      && rows)
+
+let test_pidset_reads_allocate_nothing () =
+  let a = Pidset.of_list [ 0; 5; 31; 32; 200; 511 ] and b = Pidset.of_list (List.init 512 Fun.id) in
+  Alcotest.(check (float 0.)) "mem, cardinal, inter_cardinal, inter of a subset" 0.
+    (words (fun () ->
+         for p = 0 to 999 do
+           ignore (Pidset.mem (p land 511) a : bool);
+           ignore (Pidset.cardinal a : int);
+           ignore (Pidset.inter_cardinal a b : int);
+           ignore (Pidset.inter a b : Pidset.t)
+         done));
+  Alcotest.check_raises "negative pid" (Invalid_argument "Pidset: negative pid") (fun () ->
+      ignore (Pidset.of_list [ -1 ]))
+
 (* --- Value / Pvalue -------------------------------------------------------- *)
 
 let test_value_max_of () =
@@ -657,6 +756,13 @@ let () =
           Alcotest.test_case "subset" `Quick test_rng_subset;
           qc prop_shuffle_permutation;
           qc prop_float_bounds;
+          Alcotest.test_case "pinned streams" `Quick test_rng_pinned_streams;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
+        ] );
+      ( "pidset",
+        [
+          qc prop_pidset_matches_lists;
+          Alcotest.test_case "reads allocate nothing" `Quick test_pidset_reads_allocate_nothing;
         ] );
       ( "value",
         [

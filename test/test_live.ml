@@ -368,6 +368,40 @@ let test_live_scale () =
   check_int "no timeouts" 0
     (Array.fold_left (fun acc p -> acc + p.L.Runner.timeouts_expired) 0 o.L.Runner.processes)
 
+(* Any rates render as a spec that reads back as the same rates, and
+   renders again as the same text: [to_string] keeps every digit. *)
+let prop_netfault_rates_roundtrip =
+  QCheck.Test.make ~name:"rates round-trip through to_string" ~count:500
+    QCheck.(
+      quad (float_bound_inclusive 1.0) (float_bound_inclusive 1.0)
+        (float_bound_inclusive 1.0)
+        (pair (float_bound_exclusive 1.0) (option (float_bound_inclusive 1.0))))
+    (fun (drop, duplicate, delay, (bound, density)) ->
+      let s =
+        Chaos.Netfault.validate ~where:"test"
+          {
+            Chaos.Netfault.drop;
+            duplicate;
+            delay;
+            max_delay_s = (if delay > 0. then bound +. 1e-3 else bound);
+            sever = Option.map (fun density -> G.Topology.random_graph ~density ()) density;
+          }
+      in
+      let text = Chaos.Netfault.to_string s in
+      let s' = Chaos.Netfault.of_string text in
+      let density_of (t : Chaos.Netfault.spec) =
+        Option.map
+          (fun g ->
+            let name = G.Topology.name g in
+            float_of_string (String.sub name 7 (String.length name - 7)))
+          t.sever
+      in
+      Chaos.Netfault.to_string s' = text
+      && s'.drop = s.drop && s'.duplicate = s.duplicate && s'.delay = s.delay
+      && (s.delay = 0. || s'.max_delay_s = s.max_delay_s)
+      && density_of s' = density
+      && density_of s = density)
+
 let () =
   Alcotest.run "live"
     [
@@ -376,6 +410,7 @@ let () =
           Alcotest.test_case "parse" `Quick test_netfault_parse;
           Alcotest.test_case "invalid specs rejected" `Quick test_netfault_invalid;
           Alcotest.test_case "sever specs round-trip" `Quick test_netfault_sever_roundtrip;
+          QCheck_alcotest.to_alcotest prop_netfault_rates_roundtrip;
         ] );
       ( "wire",
         [

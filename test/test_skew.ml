@@ -53,7 +53,8 @@ let test_deliver_events_report_timeliness () =
     List.concat_map
       (fun (info : G.Trace.round_info) ->
         List.concat_map
-          (fun (s, receivers) -> List.map (fun q -> (s, q, info.round)) receivers)
+          (fun (s, receivers) ->
+            List.map (fun q -> (s, q, info.round)) (Pidset.to_list receivers))
           info.timely)
       out.trace.rounds
   in
@@ -136,7 +137,7 @@ let test_relay_provides_timeliness () =
   let relayed =
     List.exists
       (fun (info : G.Trace.round_info) ->
-        List.mem 2 (G.Trace.timely_to info 0) && info.round > 1)
+        Pidset.mem 2 (G.Trace.timely_to info 0) && info.round > 1)
       out.trace.rounds
   in
   check_bool "p2 got p0's content through the relay" true relayed;
@@ -156,7 +157,7 @@ let test_identical_messages_merge_across_senders () =
   let out = Skew.run config in
   let p1_timely_to_p2 =
     List.exists
-      (fun (info : G.Trace.round_info) -> List.mem 2 (G.Trace.timely_to info 1))
+      (fun (info : G.Trace.round_info) -> Pidset.mem 2 (G.Trace.timely_to info 1))
       out.trace.rounds
   in
   check_bool "p1's content reaches p2 via p0's identical message" true p1_timely_to_p2

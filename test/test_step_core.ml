@@ -13,7 +13,9 @@
    records. A node at round [r] is the system after the compute phase of
    iteration [r], i.e. after the runner computed round [r - 1].
 
-   The "allocation" group holds the shared round path to a words budget. *)
+   The "round" group holds one lockstep round of the set-shaped schedule
+   against a link-by-link reference, and the "allocation" group the
+   shared round path to a words budget. *)
 
 module G = Anon_giraf
 module K = Anon_kernel
@@ -447,6 +449,236 @@ let ws_tests =
             seeds))
     ws_cases
 
+(* --- one round against a link-by-link reference ---------------------------- *)
+
+(* A probe algorithm: process [p] broadcasts a fresh one-letter string
+   that depends on [p] and the round, so equal messages from different
+   senders are distinct copies; it never decides, keeps the last inbox
+   it computed on, and forces [fresh] on every other compute. *)
+module Probe = struct
+  let name = "round-probe"
+
+  type msg = string
+
+  type state = { me : int; seen : int * msg list * (int * msg) list option }
+
+  let msg_compare = String.compare
+  let msg_size _ = 1
+  let leader _ = None
+  let msg me round = String.make 1 (Char.chr (97 + ((me + round) mod 3)))
+  let initialize v = ({ me = v; seen = (0, [], None) }, msg v 1)
+
+  let compute st ~round ~inbox:{ G.Intf.current; fresh } =
+    let fresh = if (st.me + round) mod 2 = 0 then Some (Lazy.force fresh) else None in
+    ({ st with seen = (round, current, fresh) }, msg st.me (round + 1), None)
+end
+
+module Probe_core = G.Step_core.Consensus (Probe)
+
+(* The round's deliveries link by link: each sender's links found with
+   [List.assoc_opt] in [links], crashers as {!G.Dispatch} documents
+   them. Returns every delivery as [(sender, receiver, arrival)],
+   self-deliveries included, and the stats. *)
+let reference_round ~round ~outgoing ~crashing ~eligible ~receivers ~links ~crash_rng =
+  let log = ref [] and timely = ref [] and delivered = ref 0 and count = ref 0 in
+  List.iter
+    (fun { G.Dispatch.sender; msg = _ } ->
+      log := (sender, sender, round) :: !log;
+      let cur = ref [] in
+      let deliver (d : G.Adversary.delivery) =
+        if d.receiver <> sender && eligible d.receiver then begin
+          let arrival = max d.arrival round in
+          log := (sender, d.receiver, arrival) :: !log;
+          incr delivered;
+          if arrival = round then begin
+            incr count;
+            cur := d.receiver :: !cur
+          end
+        end
+      in
+      let others () = List.filter (fun q -> q <> sender) receivers in
+      let entry = List.assoc_opt sender links in
+      (match List.find_opt (fun (ev : G.Crash.event) -> ev.pid = sender) crashing with
+      | None -> Option.iter (List.iter deliver) entry
+      | Some ev -> (
+        match (ev.broadcast, entry) with
+        | G.Crash.Silent, _ -> ()
+        | G.Crash.Broadcast_subset, Some ds -> List.iter deliver ds
+        | G.Crash.Broadcast_all, _ ->
+          List.iter (fun q -> deliver { receiver = q; arrival = round }) (others ())
+        | G.Crash.Broadcast_subset, None ->
+          List.iter
+            (fun q ->
+              let arrival =
+                if K.Rng.bool crash_rng then round else round + K.Rng.int_in crash_rng 1 3
+              in
+              deliver { receiver = q; arrival })
+            (K.Rng.subset crash_rng ~p:0.5 (others ()))));
+      if !cur <> [] then timely := (sender, K.Pidset.of_list !cur) :: !timely)
+    outgoing;
+  (List.sort compare !log, (!timely, !delivered, !count))
+
+(* What a receiver's mailbox [(arrival, sent, sender, msg)] yields when it
+   takes round [round]: [fresh] in canonical order (ascending arrival,
+   sent round and message, equal messages by descending sender), and
+   [current] keeping of each equal run the copy [fresh] lists last. *)
+let reference_take ~round mailbox =
+  let ready, rest = List.partition (fun (a, _, _, _) -> a <= round) mailbox in
+  let ready =
+    List.sort
+      (fun (a1, s1, p1, m1) (a2, s2, p2, m2) ->
+        compare (a1, s1, m1, -p1) (a2, s2, m2, -p2))
+      ready
+  in
+  let rec current = function
+    | (_, s, _, m) :: ((_, s', _, m') :: _ as tl) when s = round && s' = round && m = m' ->
+      current tl
+    | (_, s, _, m) :: tl when s = round -> m :: current tl
+    | _ :: tl -> current tl
+    | [] -> []
+  in
+  (current ready, List.map (fun (_, s, _, m) -> (s, m)) ready, rest)
+
+let same_copies l1 l2 = List.length l1 = List.length l2 && List.for_all2 ( == ) l1 l2
+
+(* One random run: every built-in adversary (noise, [dynamic:S] rooted or
+   not), sometimes wrapped with duplicates, extra delay and reorder and
+   now and then an inadmissible injector, crashers of all three
+   broadcast kinds, n up to 130 so that sets cross word boundaries. The
+   reference reads a plan's links ({!G.Adversary.links}), or for a
+   wrapped adversary the injectors' own links ({!Ch.Fault.rewrite}),
+   where an echo can repeat a link the injector moved. Each round, what
+   [preview] schedules and the stats [deliver] returns equal the
+   reference's, and at the next round every receiver's [current] (and
+   [fresh], when its compute forces it) equals what the reference
+   mailbox yields. *)
+let prop_round_matches_links =
+  QCheck.Test.make ~name:"round = link-by-link reference" ~count:60
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = K.Rng.make seed in
+      let n = if K.Rng.chance rng 0.2 then K.Rng.int_in rng 60 130 else K.Rng.int_in rng 1 12 in
+      let gst = K.Rng.int_in rng 1 6 in
+      let noise = K.Rng.pick rng [ 0.0; 0.3 ] and max_delay = K.Rng.int_in rng 1 3 in
+      let adversary =
+        K.Rng.pick rng
+          [
+            G.Adversary.sync ();
+            G.Adversary.ms ~noise ~max_delay ();
+            G.Adversary.es ~gst ~noise ~max_delay ();
+            G.Adversary.ess ~gst ~noise ~max_delay ();
+            G.Adversary.es_blocking ~gst ();
+            G.Adversary.ess_blocking ~gst ();
+            G.Adversary.dynamic ~stability:(K.Rng.int_in rng 1 3) ~rooted:(K.Rng.bool rng) ~noise
+              ~max_delay ();
+            G.Adversary.async ~max_delay ();
+          ]
+      in
+      let fault =
+        if K.Rng.bool rng then
+          Some
+            {
+              Ch.Fault.duplicate = 0.3;
+              extra_delay = 0.3;
+              max_extra = K.Rng.int_in rng 1 2;
+              reorder = 0.5;
+              inadmissible =
+                K.Rng.pick rng
+                  Ch.Fault.
+                    [
+                      None;
+                      None;
+                      Some (Drop_obligated { from_round = 1 });
+                      Some (Unstable_source { from_round = 1 });
+                      Some (Root_starvation { from_round = 1 });
+                      Some (Stability_break { from_round = 1 });
+                    ];
+            }
+        else None
+      in
+      let wrapped =
+        match fault with Some spec -> Ch.Fault.wrap spec adversary | None -> adversary
+      in
+      let horizon = 8 in
+      let crash =
+        G.Crash.of_events ~n
+          (List.filter_map
+             (fun pid ->
+               if K.Rng.chance rng (if n > 12 then 0.05 else 0.25) then
+                 Some
+                   {
+                     G.Crash.pid;
+                     round = K.Rng.int_in rng 1 horizon;
+                     broadcast = K.Rng.pick rng G.Crash.[ Silent; Broadcast_all; Broadcast_subset ];
+                   }
+               else None)
+             (List.init n Fun.id))
+      in
+      let core =
+        Probe_core.create ~inputs:(Array.init n Fun.id) ~crash ~churn:(G.Churn.none ~n)
+          ~env:(G.Adversary.env wrapped)
+      in
+      let mailbox = Array.make n [] in
+      let crash_rng = K.Rng.split rng in
+      let ok = ref true in
+      let fail what = if !ok then begin ok := false; Printf.printf "seed %d: %s\n" seed what end in
+      for round = 1 to horizon do
+        Probe_core.begin_round core;
+        let outgoing = Probe_core.compute core in
+        (* Every receiver that took round [round - 1] saw what the
+           reference mailbox yields. *)
+        for p = 0 to n - 1 do
+          match (Probe_core.fate core p, Probe_core.state core p) with
+          | G.Step_core.Live, Some { seen = k, current, fresh; _ } when k = round - 1 && k > 0 ->
+            let current', fresh', rest = reference_take ~round:k mailbox.(p) in
+            mailbox.(p) <- rest;
+            if not (same_copies current current') then
+              fail (Printf.sprintf "p%d current at %d" p k);
+            (match fresh with
+            | Some fresh ->
+              if
+                not
+                  (List.length fresh = List.length fresh'
+                  && List.for_all2 (fun (s, m) (s', m') -> s = s' && m == m') fresh fresh')
+              then fail (Printf.sprintf "p%d fresh at %d" p k)
+            | None -> ())
+          | _ -> ()
+        done;
+        let ctx = Probe_core.ctx core in
+        let raw =
+          match fault with
+          | Some spec ->
+            let rng = K.Rng.copy rng in
+            let inner = G.Adversary.plan adversary ctx rng in
+            Some (Ch.Fault.rewrite spec ~env:(G.Adversary.env adversary) ctx rng inner).deliveries
+          | None -> None
+        in
+        let plan = G.Adversary.plan wrapped ctx rng in
+        let links = match raw with Some links -> links | None -> G.Adversary.links plan in
+        let eligible q = Probe_core.fate core q = G.Step_core.Live in
+        let crashing =
+          List.filter_map (G.Crash.event crash) (Probe_core.crashing_pids core)
+        in
+        let scheduled, _ = Probe_core.preview core ~plan ~crash_rng:(K.Rng.copy crash_rng) in
+        let expected, (timely, delivered, timely_count) =
+          reference_round ~round ~outgoing ~crashing ~eligible ~receivers:ctx.alive ~links
+            ~crash_rng:(K.Rng.copy crash_rng)
+        in
+        if List.sort compare scheduled <> expected then
+          fail (Printf.sprintf "schedule at %d" round);
+        let stats = Probe_core.deliver core ~plan ~crash_rng in
+        if stats.delivered <> delivered || stats.timely_count <> timely_count then
+          fail (Printf.sprintf "counts at %d" round);
+        if stats.timely <> timely then fail (Printf.sprintf "timely sets at %d" round);
+        let msg_of = Array.make n "" in
+        List.iter (fun { G.Dispatch.sender; msg } -> msg_of.(sender) <- msg) outgoing;
+        List.iter
+          (fun (s, q, a) -> mailbox.(q) <- (a, round, s, msg_of.(s)) :: mailbox.(q))
+          expected;
+        List.iter (fun p -> mailbox.(p) <- []) (Probe_core.crashing_pids core)
+      done;
+      !ok)
+
 (* --- allocation budget of the round path ---------------------------------- *)
 
 (* Words are counted, not time, so the budgets are deterministic. Each
@@ -544,14 +776,42 @@ let test_all_decided () =
     done
   done
 
+(* One pre-GST [es_blocking] round, plan plus deliver, costs words in
+   proportion to the broadcasts, not to the links: doubling n from 64 to
+   128 may at most multiply them by 2.5 (4 would be quadratic). *)
+let test_blocking_round_linear () =
+  let round_words n =
+    let core = es_core ~n ~gst:40 in
+    let adversary = G.Adversary.es_blocking ~gst:40 () in
+    let rng = K.Rng.make 3 in
+    let crash_rng = K.Rng.split rng in
+    Es_core.begin_round core;
+    ignore (Es_core.compute core : C.Es_consensus.msg G.Dispatch.outbound list);
+    let ctx = Es_core.ctx core in
+    words (fun () ->
+        let plan = G.Adversary.plan adversary ctx rng in
+        ignore (Es_core.deliver core ~plan ~crash_rng : G.Dispatch.stats))
+  in
+  let w64 = round_words 64 and w128 = round_words 128 in
+  Alcotest.(check bool)
+    (Printf.sprintf "n=128 %.0f words <= 2.5 x n=64 %.0f" w128 w64)
+    true
+    (w128 <= 2.5 *. w64)
+
 let allocation_tests =
   [
     Alcotest.test_case "quiet begin_round allocates nothing" `Quick test_quiet_begin_round;
     Alcotest.test_case "es n=3 words per round within budget" `Quick test_es_round_budget;
     Alcotest.test_case "all_decided is the stop rule, allocates nothing" `Quick
       test_all_decided;
+    Alcotest.test_case "blocking round words linear in n" `Quick test_blocking_round_linear;
   ]
 
 let () =
   Alcotest.run "step_core"
-    [ ("consensus", consensus_tests); ("weak-set", ws_tests); ("allocation", allocation_tests) ]
+    [
+      ("consensus", consensus_tests);
+      ("weak-set", ws_tests);
+      ("round", [ QCheck_alcotest.to_alcotest prop_round_matches_links ]);
+      ("allocation", allocation_tests);
+    ]
