@@ -236,6 +236,8 @@ let churn_spec_arg =
         ~doc:"Join/leave schedule, e.g. p0@3,p2@1-4 (p2 leaves at round 1, \
               rejoins at 4 with a fresh state). Churners may not also crash.")
 
+(* Prints the outcome and its checks; [true] when the consensus check
+   found a safety violation. *)
 let report_outcome ~rounds (outcome : G.Runner.outcome) =
   if rounds then Format.fprintf ppf "%a@." G.Trace.pp outcome.trace;
   List.iter
@@ -251,8 +253,9 @@ let report_outcome ~rounds (outcome : G.Runner.outcome) =
       List.iter (fun v -> Format.fprintf ppf "%s: %a@." label G.Checker.pp_violation v) vs
   in
   report "environment" (G.Checker.check_env outcome.trace);
-  report "consensus"
-    (G.Checker.check_consensus ~expect_termination:false outcome.trace)
+  let unsafe = G.Checker.check_consensus ~expect_termination:false outcome.trace in
+  report "consensus" unsafe;
+  unsafe <> []
 
 let run_cmd =
   let run algo schedule env_override churn_spec n gst seed horizon failures
@@ -283,14 +286,17 @@ let run_cmd =
       G.Env.pp (G.Adversary.env adversary)
       (String.concat ";" (List.map string_of_int inputs))
       G.Crash.pp crash G.Churn.pp churn;
-    with_recorder ~trace ~metrics ~json_trace (fun recorder ->
-        match algo with
-        | Es ->
-          let module R = G.Runner.Make (C.Es_consensus) in
-          report_outcome ~rounds (R.run ~recorder config)
-        | Ess ->
-          let module R = G.Runner.Make (C.Ess_consensus) in
-          report_outcome ~rounds (R.run ~recorder config))
+    let unsafe =
+      with_recorder ~trace ~metrics ~json_trace (fun recorder ->
+          match algo with
+          | Es ->
+            let module R = G.Runner.Make (C.Es_consensus) in
+            report_outcome ~rounds (R.run ~recorder config)
+          | Ess ->
+            let module R = G.Runner.Make (C.Ess_consensus) in
+            report_outcome ~rounds (R.run ~recorder config))
+    in
+    if unsafe then exit 1
   in
   Cmd.v (Cmd.info "run" ~exits ~doc:"Run one consensus simulation.")
     Term.(
@@ -389,7 +395,8 @@ let skew_cmd =
     else begin
       Format.fprintf ppf
         "consensus violations (no environment obligation was promised!):@.";
-      List.iter (fun v -> Format.fprintf ppf "  %a@." G.Checker.pp_violation v) cons
+      List.iter (fun v -> Format.fprintf ppf "  %a@." G.Checker.pp_violation v) cons;
+      exit 1
     end
   in
   Cmd.v

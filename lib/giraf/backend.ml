@@ -10,7 +10,7 @@ open Anon_kernel
    builds a new bucket, so copies can share buckets. *)
 type 'msg bucket = { arrival : int; sorted : bool; entries : (int * 'msg) list }
 
-(* {!Round.file}'s filing of one lockstep round, sent in round [sent].
+(* {!file}'s filing of one lockstep round, sent in round [sent].
    Entry [index], in filing order (ascending message, equal messages by
    the later-dispatched sender first), is [sender]'s message, which every
    member of [receivers] but the sender holds from round [at]. A sender's
@@ -19,7 +19,7 @@ type 'msg bucket = { arrival : int; sorted : bool; entries : (int * 'msg) list }
    entries, by descending index: [timely] those arriving in round
    [sent], [late] the rest. [timely], [late], [next] (the index the next
    entry takes) and [last] (the latest arrival) change only while
-   {!Round.file} fills it. *)
+   {!file} fills it. *)
 type 'msg entry = { index : int; at : int; sender : int; msg : 'msg; receivers : Pidset.t }
 
 type 'msg filing = {
@@ -36,7 +36,7 @@ type 'msg filing = {
 type 'msg share = { filing : 'msg filing; self : 'msg entry }
 
 (* Process [p]'s mailbox is [buckets.(p)], filled by {!insert} (in
-   descending arrival order), or [shares.(p)], filled by {!Round.file}
+   descending arrival order), or [shares.(p)], filled by {!file}
    (latest round first), of which [p] holds the entries arriving after
    round [taken.(p)], the latest round it took; the other one is empty.
    The ready buckets are a suffix, already in the order [take] folds
@@ -148,7 +148,7 @@ let rec place ~compare sent msg = function
 let insert ~compare t p ~arrival ~sent msg =
   (match t.shares.(p) with
   | [] -> ()
-  | _ :: _ -> invalid_arg "Backend.insert: a mailbox Round.file filled");
+  | _ :: _ -> invalid_arg "Backend.insert: a mailbox file filled");
   let bs = t.buckets.(p) in
   let b =
     match find_bucket arrival bs with
@@ -269,152 +269,71 @@ let peek ~compare t p ~arrival ~sent =
       if not b.sorted then t.buckets.(p) <- set_bucket { b with sorted = true; entries } bs;
       current_of ~compare ~round:sent (from_sent entries)
     | None -> [])
-  | _ :: _ -> invalid_arg "Backend.peek: a mailbox Round.file filled"
+  | _ :: _ -> invalid_arg "Backend.peek: a mailbox file filled"
 
-module Round = struct
-  type 'msg boxes = 'msg t
+(* The round's broadcasts, each with its groups. *)
+let[@tail_mod_cons] rec with_groups (outgoing : _ Dispatch.outbound list) groups =
+  match (outgoing, groups) with
+  | [], [] -> []
+  | o :: os, (s, gs) :: tl when o.sender = s -> (o, gs) :: with_groups os tl
+  | _ -> invalid_arg "Backend.file: groups must list the senders of outgoing"
 
-  (* The round's broadcasts in dispatch order: sender [i] is [pids.(i)]
-     with message [msgs.(i)] and groups [\[firsts.(i), firsts.(i + 1))]
-     (the last one's end at [ngroups]); group [g] reaches [sets.(g)] at
-     [arrivals.(g)]. [mark.(q) = filing] while filing says [q] sent this
-     round. The arrays are scratch, kept across rounds. *)
-  type 'msg t = {
-    n : int;
-    mutable sent : int;
-    mutable msgs : 'msg array;
-    mutable pids : int array;
-    mutable firsts : int array;
-    mutable nsenders : int;
-    mutable arrivals : int array;
-    mutable sets : Pidset.t array;
-    mutable ngroups : int;
-    mark : int array;
-    mutable filing : int;
-  }
+let add_share t q (s : _ share) =
+  (match t.buckets.(q) with
+  | [] -> ()
+  | _ :: _ -> invalid_arg "Backend.file: a mailbox insert filled");
+  if t.taken.(q) >= s.filing.sent then invalid_arg "Backend.file: round already taken";
+  t.shares.(q) <- s :: t.shares.(q)
 
-  let create ~n =
-    {
-      n;
-      sent = 0;
-      msgs = [||];
-      pids = Array.make n 0;
-      firsts = Array.make n 0;
-      nsenders = 0;
-      arrivals = Array.make (2 * n) 0;
-      sets = Array.make (2 * n) Pidset.empty;
-      ngroups = 0;
-      mark = Array.make n 0;
-      filing = 0;
-    }
-
-  let reset r ~sent =
-    r.sent <- sent;
-    r.nsenders <- 0;
-    r.ngroups <- 0
-
-  (* [a] with room for [i], grown with [fill]. *)
-  let room a i fill =
-    if i < Array.length a then a
-    else
-      let b = Array.make ((2 * i) + 1) fill in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-
-  let send r ~sender msg =
-    let i = r.nsenders in
-    if i = Array.length r.pids || i = Array.length r.msgs then begin
-      r.msgs <- room r.msgs i msg;
-      r.pids <- room r.pids i 0;
-      r.firsts <- room r.firsts i 0
-    end;
-    r.msgs.(i) <- msg;
-    r.pids.(i) <- sender;
-    r.firsts.(i) <- r.ngroups;
-    r.nsenders <- i + 1
-
-  let deliver r ~arrival receivers =
-    if r.nsenders = 0 then invalid_arg "Backend.Round.deliver: no broadcast recorded";
-    let g = r.ngroups in
-    if g = Array.length r.arrivals then begin
-      r.arrivals <- room r.arrivals g 0;
-      r.sets <- room r.sets g Pidset.empty
-    end;
-    r.arrivals.(g) <- arrival;
-    r.sets.(g) <- receivers;
-    r.ngroups <- g + 1
-
-  let rec indices i acc = if i < 0 then acc else indices (i - 1) (i :: acc)
-
-  (* The broadcasts in filing order: ascending message, equal messages
-     latest sender first (descending pid in lockstep) — the order
-     [fresh] reads them. *)
-  let ordered ~compare r =
-    let msgs = r.msgs in
-    List.sort
-      (fun i j -> match compare_msg compare msgs.(i) msgs.(j) with 0 -> Int.compare j i | c -> c)
-      (indices (r.nsenders - 1) [])
-
-  let add_share (boxes : 'msg boxes) q (s : _ share) =
-    (match boxes.buckets.(q) with
-    | [] -> ()
-    | _ :: _ -> invalid_arg "Backend.Round.file: a mailbox insert filled");
-    if boxes.taken.(q) >= s.filing.sent then
-      invalid_arg "Backend.Round.file: round already taken";
-    boxes.shares.(q) <- s :: boxes.shares.(q)
-
-  let add_entry f ~at ~sender msg receivers =
-    let e = { index = f.next; at; sender; msg; receivers } in
-    if at = f.sent then f.timely <- e :: f.timely
+let rec add_groups f ~sender msg = function
+  | [] -> ()
+  | (g : Adversary.group) :: tl ->
+    let e = { index = f.next; at = g.arrival; sender; msg; receivers = g.receivers } in
+    if g.arrival = f.sent then f.timely <- e :: f.timely
     else begin
       f.late <- e :: f.late;
-      if at > f.last then f.last <- at
+      if g.arrival > f.last then f.last <- g.arrival
     end;
-    f.next <- f.next + 1
+    f.next <- f.next + 1;
+    add_groups f ~sender msg tl
 
-  (* Sender [s]'s groups [\[g, last)], each an entry of the filing. *)
-  let rec fill_groups r f (s : int) g last =
-    if g < last then begin
-      add_entry f ~at:r.arrivals.(g) ~sender:r.pids.(s) r.msgs.(s) r.sets.(g);
-      fill_groups r f s (g + 1) last
-    end
+(* Every broadcast in filing order: its self-delivery, which the
+   sender's share references, then its groups. *)
+let rec fill t f = function
+  | [] -> ()
+  | ({ Dispatch.sender; msg }, gs) :: tl ->
+    let self = { index = f.next; at = f.sent; sender; msg; receivers = Pidset.empty } in
+    f.next <- f.next + 1;
+    if sender < Array.length t.shares then add_share t sender { filing = f; self };
+    add_groups f ~sender msg gs;
+    fill t f tl
 
-  (* Every sender in filing order: its self-delivery, which its share
-     references, then its groups. *)
-  let rec fill r boxes f = function
-    | [] -> ()
-    | s :: tl ->
-      let pid = r.pids.(s) in
-      let self =
-        { index = f.next; at = r.sent; sender = pid; msg = r.msgs.(s); receivers = Pidset.empty }
-      in
-      f.next <- f.next + 1;
-      if pid < r.n then begin
-        r.mark.(pid) <- r.filing;
-        add_share boxes pid { filing = f; self }
-      end;
-      fill_groups r f s r.firsts.(s) (if s + 1 < r.nsenders then r.firsts.(s + 1) else r.ngroups);
-      fill r boxes f tl
+let rec union u = function [] -> u | e :: tl -> union (Pidset.union u e.receivers) tl
 
-  let rec union u = function [] -> u | e :: tl -> union (Pidset.union u e.receivers) tl
+(* Every receiver the filing names that holds no share of it (every
+   receiver but the senders) gets one, one record for all. *)
+let share t f =
+  match (f.timely, f.late) with
+  | [], [] -> ()
+  | (e :: _, _ | [], e :: _) ->
+    let named = union (union Pidset.empty f.timely) f.late in
+    let s = { filing = f; self = { e with index = -1 } } in
+    for q = 0 to Array.length t.shares - 1 do
+      if Pidset.mem q named then
+        match t.shares.(q) with
+        | s' :: _ when s'.filing == f -> ()
+        | _ -> add_share t q s
+    done
 
-  (* Every receiver the filing names that did not send gets a share of
-     it, one record for all. *)
-  let share r (boxes : 'msg boxes) f =
-    match (f.timely, f.late) with
-    | [], [] -> ()
-    | (e :: _, _ | [], e :: _) ->
-      let named = union (union Pidset.empty f.timely) f.late in
-      let s = { filing = f; self = { e with index = -1 } } in
-      for q = 0 to r.n - 1 do
-        if r.mark.(q) <> r.filing && Pidset.mem q named then add_share boxes q s
-      done
-
-  let file ~compare r (boxes : 'msg boxes) =
-    if r.nsenders > 0 then begin
-      r.filing <- r.filing + 1;
-      let f = { sent = r.sent; timely = []; late = []; next = 0; last = r.sent } in
-      fill r boxes f (ordered ~compare r);
-      share r boxes f
-    end
-end
+(* Filing order is ascending message, equal messages by descending
+   sender: the order [fresh] reads them. *)
+let file ~compare t ~sent outgoing groups =
+  match with_groups outgoing groups with
+  | [] -> ()
+  | broadcasts ->
+    let f = { sent; timely = []; late = []; next = 0; last = sent } in
+    let order ((o1 : _ Dispatch.outbound), _) ((o2 : _ Dispatch.outbound), _) =
+      match compare_msg compare o1.msg o2.msg with 0 -> Int.compare o2.sender o1.sender | c -> c
+    in
+    fill t f (List.sort order broadcasts);
+    share t f

@@ -22,25 +22,26 @@
     {b Canonical order.} A mailbox holds [(arrival, sent, msg)] entries,
     and a reader sees them in ascending [arrival], then ascending
     [sent], then ascending message. Equal messages keep the order they
-    were filed in: {!Round.file} lists them by descending sender (the
-    order the lockstep dispatch schedules them, newest first), {!insert}
-    puts the newest first.
+    were filed in: {!file} lists them by descending sender (the order
+    the lockstep dispatch sends them, newest first), {!insert} puts the
+    newest first.
 
-    {b Two filings.} {!Round.file} files a lockstep round once for all
-    its receivers: one shared filing holds each (sender, arrival) group
-    of the round as one entry with its receiver set, and each receiver's
-    mailbox references the filing once; a reader selects the entries
-    that name it. A lockstep filing is in canonical order and never
-    sorted on read: in lockstep every live process takes all arrivals
-    [<= k-1] at round [k]. {!insert} files one copy into one mailbox,
-    bucketed by arrival round; an {!insert}ed bucket is filed in arrival
-    order and sorted once, when it is first read; after a {!peek},
-    {!insert} files into it in order. *)
+    {b Two filings.} {!file} files a dispatched lockstep round
+    ({!Dispatch.stats.groups}) once for all its receivers: one shared
+    filing holds each (sender, group) of the round as one entry with its
+    receiver set, and each receiver's mailbox references the filing
+    once; a reader selects the entries that name it. A lockstep filing
+    is in canonical order and never sorted on read: in lockstep every
+    live process takes all arrivals [<= k-1] at round [k]. {!insert}
+    files one copy into one mailbox, bucketed by arrival round; an
+    {!insert}ed bucket is filed in arrival order and sorted once, when
+    it is first read; after a {!peek}, {!insert} files into it in
+    order. *)
 
 type 'msg t
 (** The mailboxes of processes [0 .. n-1]: each process's undrained
     arrivals. Mutable: {!copy} before branching. A mailbox is filled
-    either by {!Round.file} or by {!insert}, never by both. *)
+    either by {!file} or by {!insert}, never by both. *)
 
 val create : n:int -> 'msg t
 
@@ -87,7 +88,7 @@ val take :
     is among the arrivals (self-delivery is implicit and always timely).
 
     [fresh] is built only when forced ([Lazy.from_val \[\]] when nothing
-    arrived). Forcing it later, after further {!Round.file}s or
+    arrived). Forcing it later, after further {!file}s or
     {!insert}s into [mb] or its copies, yields the same list: it reads
     only what [p] held up to round [round] then, and neither buckets nor
     filings change once built, even while a {!copy} still holds them. A lazy value must not be
@@ -101,40 +102,24 @@ val take :
     name a receiver. Each bucket {!insert} filled is
     stable-sorted once, when it is first read. *)
 
-(** One lockstep round's broadcasts, filed into the receivers' mailboxes
-    in one ordering. The dispatch records each broadcast and its groups
-    as it schedules them; {!file} then orders the round's broadcasts
-    once and files one entry per (sender, arrival) group into one
-    filing, which every receiver it names references. A
-    [Round.t] is scratch: every {!reset} forgets the previous round, so
-    copies of a core may share one. *)
-module Round : sig
-  type 'msg boxes := 'msg t
-  type 'msg t
+val file :
+  compare:('msg -> 'msg -> int) ->
+  'msg t ->
+  sent:int ->
+  'msg Dispatch.outbound list ->
+  (int * Adversary.group list) list ->
+  unit
+(** [file ~compare mb ~sent outgoing groups] files round [sent]'s
+    broadcasts: each sender of [outgoing] (ascending pids) receives its
+    own message, timely, and every member of one of its [groups] but the
+    sender receives it at the group's arrival ([>= sent]); [groups]
+    lists the senders of [outgoing] in its order, as
+    {!Dispatch.stats.groups} does. The broadcasts are ordered once, by
+    message and equal messages by descending sender. As in lockstep, no
+    receiver may hold an entry sent after round [sent], nor have taken
+    round [sent] or a later one.
 
-  val create : n:int -> 'msg t
-  (** For processes [0 .. n-1]. *)
-
-  val reset : 'msg t -> sent:int -> unit
-  (** Start recording round [sent]'s broadcasts. *)
-
-  val send : 'msg t -> sender:int -> 'msg -> unit
-  (** Record [sender]'s round broadcast and its self-delivery, timely.
-      The groups recorded next are its; senders recorded later read
-      first among equal messages. *)
-
-  val deliver : 'msg t -> arrival:int -> Anon_kernel.Pidset.t -> unit
-  (** Record that every member of the set but the current sender
-      receives its broadcast at [arrival >= sent]. The members must be
-      in [\[0, n)] and still receiving. *)
-
-  val file : compare:('msg -> 'msg -> int) -> 'msg t -> 'msg boxes -> unit
-  (** Order the recorded broadcasts by message and file every recorded
-      group and self-delivery. As in lockstep, no receiver may hold an
-      entry sent after round [sent], nor have taken round [sent] or a
-      later one.
-
-      @raise Invalid_argument when a receiver has taken round [sent] or
-      a later one, or holds an {!insert}ed entry; receivers filed before
-      it keep their share. *)
-end
+    @raise Invalid_argument when [groups] does not list the senders of
+    [outgoing], or when a receiver has taken round [sent] or a later
+    one, or holds an {!insert}ed entry; receivers filed before it keep
+    their share. *)

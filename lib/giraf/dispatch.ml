@@ -2,57 +2,61 @@ open Anon_kernel
 
 type 'msg outbound = { sender : int; msg : 'msg }
 
+type entries = (int * Adversary.group list) list
+
 type stats = {
+  groups : entries;
   timely : (int * Pidset.t) list;
   delivered : int;
   timely_count : int;
 }
 
-type entries = (int * Adversary.group list) list
-
 (* One call's arguments and accumulators in one record, which the
    top-level helpers below take as their context. [cur] collects the
    current sender's timely receivers, which join [timely] as a single
    entry once the sender is done. *)
-type 'msg run = {
+type run = {
   round : int;
   crashing_events : Crash.event list;
   eligible : Pidset.t;
   receivers : unit -> int list;
   crash_rng : Rng.t;
-  on_deliver : (sender:int -> receiver:int -> arrival:int -> unit) option;
-  schedule : sender:int -> arrival:int -> Pidset.t -> unit;
   mutable timely : (int * Pidset.t) list;
   mutable cur : Pidset.t;
   mutable delivered : int;
   mutable timely_count : int;
 }
 
-(* One group of [sender]'s broadcast: its arrival clamped to the round,
-   its receivers those of the group that may receive, less the sender. *)
+(* What a group that reaches nobody but its sender becomes. *)
+let nobody = { Adversary.arrival = -1; receivers = Pidset.empty }
+
+(* One group of [sender]'s broadcast as delivered: its arrival clamped
+   to the round, its receivers those of the group that may receive (the
+   sender stays a member if it was one), counted; [g] itself when
+   neither changes. *)
 let deliver r ~(sender : int) (g : Adversary.group) =
   let arrival = Int.max g.arrival r.round in
   let reached = Pidset.inter g.receivers r.eligible in
   let self = Pidset.mem sender reached in
   let count = Pidset.cardinal reached - if self then 1 else 0 in
-  if count > 0 then begin
-    r.schedule ~sender ~arrival reached;
-    (match r.on_deliver with
-    | Some f -> Pidset.iter (fun q -> if q <> sender then f ~sender ~receiver:q ~arrival) reached
-    | None -> ());
+  if count = 0 then nobody
+  else begin
     r.delivered <- r.delivered + count;
     if arrival = r.round then begin
       r.timely_count <- r.timely_count + count;
-      let reached = if self then Pidset.remove sender reached else reached in
-      r.cur <- Pidset.union r.cur reached
-    end
+      r.cur <- Pidset.union r.cur (if self then Pidset.remove sender reached else reached)
+    end;
+    if arrival = g.arrival && reached == g.receivers then g else { arrival; receivers = reached }
   end
 
+(* A sender's groups as delivered, in order, those that reach nobody
+   dropped; [gs] itself when nothing changed. *)
 let rec deliver_groups r ~sender = function
-  | [] -> ()
-  | g :: tl ->
-    deliver r ~sender g;
-    deliver_groups r ~sender tl
+  | [] -> []
+  | g :: tl as gs ->
+    let g' = deliver r ~sender g in
+    let tl' = deliver_groups r ~sender tl in
+    if g' == nobody then tl' else if g' == g && tl' == tl then gs else g' :: tl'
 
 (* The crash event of [pid] and those after it, [] when it does not
    crash this round. *)
@@ -92,7 +96,7 @@ let crash_broadcast r ~sender (ev : Crash.event) ~scripted gs =
          (crash.mli). Drawing arrivals from [crash_rng] here used to let
          the last message slip past its own round, diverging from the
          model checker's reading. *)
-      deliver r ~sender { arrival = r.round; receivers = Pidset.of_list reached }
+      deliver_groups r ~sender [ { arrival = r.round; receivers = Pidset.of_list reached } ]
     | Crash.Silent | Crash.Broadcast_subset -> deliver_groups r ~sender (drawn r reached))
 
 (* The plan's entries in ascending sender order, a sender's first entry
@@ -109,29 +113,35 @@ let in_sender_order (entries : entries) =
 let rec skip_to (s : int) = function (p, _) :: tl when p < s -> skip_to s tl | es -> es
 let rec skip_past (s : int) = function (p, _) :: tl when p = s -> skip_past s tl | es -> es
 
-(* Walk the ascending [outgoing] and the plan in sender order together:
-   the entries of senders that broadcast nothing are passed over, and a
-   sender's entries after its first. *)
-let rec send r ~send_self outgoing (plan : entries) =
+(* Walk the ascending [outgoing] and the plan in sender order together,
+   listing each sender with the groups it reached (its plan entry itself
+   when nothing changed): the entries of senders that broadcast nothing
+   are passed over, and a sender's entries after its first. *)
+let[@tail_mod_cons] rec send r outgoing (plan : entries) =
   match outgoing with
-  | [] -> ()
-  | { sender; msg } :: tl ->
-    send_self ~sender msg;
+  | [] -> []
+  | { sender; _ } :: tl ->
     let plan = skip_to sender plan in
     let scripted, gs =
       match plan with (p, gs) :: _ when p = sender -> (true, gs) | _ -> (false, [])
     in
-    (match crash_of sender r.crashing_events with
-    | ev :: _ -> crash_broadcast r ~sender ev ~scripted gs
-    | [] -> deliver_groups r ~sender gs);
+    let reached =
+      match crash_of sender r.crashing_events with
+      | ev :: _ -> crash_broadcast r ~sender ev ~scripted gs
+      | [] -> deliver_groups r ~sender gs
+    in
     if not (Pidset.is_empty r.cur) then begin
       r.timely <- (sender, r.cur) :: r.timely;
       r.cur <- Pidset.empty
     end;
-    send r ~send_self tl (skip_past sender plan)
+    let entry =
+      match plan with
+      | ((p, gs) as e) :: _ when p = sender && reached == gs -> e
+      | _ -> (sender, reached)
+    in
+    entry :: send r tl (skip_past sender plan)
 
-let dispatch ~round ~outgoing ~crashing_events ~eligible ~receivers ~plan ~crash_rng
-    ?on_deliver ~send:send_self ~schedule () =
+let dispatch ~round ~outgoing ~crashing_events ~eligible ~receivers ~plan ~crash_rng =
   let r =
     {
       round;
@@ -139,13 +149,11 @@ let dispatch ~round ~outgoing ~crashing_events ~eligible ~receivers ~plan ~crash
       eligible;
       receivers;
       crash_rng;
-      on_deliver;
-      schedule;
       timely = [];
       cur = Pidset.empty;
       delivered = 0;
       timely_count = 0;
     }
   in
-  send r ~send_self outgoing (in_sender_order plan.Adversary.groups);
-  { timely = r.timely; delivered = r.delivered; timely_count = r.timely_count }
+  let groups = send r outgoing (in_sender_order plan.Adversary.groups) in
+  { groups; timely = r.timely; delivered = r.delivered; timely_count = r.timely_count }

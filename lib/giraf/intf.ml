@@ -134,26 +134,21 @@ module type CORE = sig
       receivers all coincide — the live processes not crashing this
       round. *)
 
-  val deliver :
-    ?on_deliver:(sender:int -> receiver:int -> arrival:int -> unit) ->
-    ?on_crash:(pid:int -> unit) ->
-    t ->
-    plan:Adversary.plan ->
-    crash_rng:Anon_kernel.Rng.t ->
-    Dispatch.stats
-  (** Dispatch the round's broadcasts under [plan], mark the latched
-      crashers, and (ESS, past GST) latch the plan's source as the stable
-      source. [crash_rng] is consumed only for an {e unscripted}
-      [Broadcast_subset] crasher — the model checker's plans always script
-      those, so it may pass any generator. *)
+  val deliver : t -> plan:Adversary.plan -> crash_rng:Anon_kernel.Rng.t -> Dispatch.stats
+  (** Dispatch the round's broadcasts under [plan] and file them into the
+      mailboxes, mark the latched crashers ({!crashing_pids}), and (ESS,
+      past GST) latch the plan's source as the stable source. Returns the
+      dispatched round: each sender's reached groups, from which a caller
+      reads every delivery. [crash_rng] is consumed only for an
+      {e unscripted} [Broadcast_subset] crasher — the model checker's
+      plans always script those, so it may pass any generator. *)
 
   val preview :
-    t -> plan:Adversary.plan -> crash_rng:Anon_kernel.Rng.t -> (int * int * int) list * int option
-  (** What {!deliver} would do under [plan], without doing it: every
-      [(sender, receiver, arrival)] delivery it would schedule, sender by
-      sender in dispatch order, self-deliveries included, and the stable
-      source it would leave latched. Mutates nothing but [crash_rng], which it
-      consumes exactly as {!deliver} would. *)
+    t -> plan:Adversary.plan -> crash_rng:Anon_kernel.Rng.t -> Dispatch.stats * int option
+  (** What {!deliver} would do under [plan], without doing it: the
+      dispatched round it would return and the stable source it would
+      leave latched. Mutates nothing but [crash_rng], which it consumes
+      exactly as {!deliver} would. *)
 
   val set_state : t -> int -> state -> unit
   (** Replace a process's state between rounds; bumps its version. *)

@@ -56,10 +56,11 @@ let decision_round outcome =
     | r :: rs -> Some (List.fold_left max r rs)
 
 (* The one lockstep round loop (Alg. 1), for both families: begin_round
-   with churn events, compute, plan, deliver with deliver/crash events,
-   the round's trace entry, then the end-of-run trace and [Run_end]. A
-   family adds its compute hooks, the phase between deliver and the next
-   round (the weak set's client operations) and its decision test. *)
+   with churn events, compute, plan, deliver, the dispatched round's
+   deliver and crash events, the round's trace entry, then the
+   end-of-run trace and [Run_end]. A family adds its compute hooks, the
+   phase between deliver and the next round (the weak set's client
+   operations) and its decision test. *)
 module Loop (Core : Intf.CORE) = struct
   type family = {
     algo : string;
@@ -122,23 +123,32 @@ module Loop (Core : Intf.CORE) = struct
       let ctx = Core.ctx core in
       let plan = Adversary.plan adversary ctx rng in
       let stats =
-        (* The hooks only feed observability; skipping them when the
-           recorder is off saves a per-delivery closure invocation. *)
-        if obs_on then
-          M.time t_deliver (fun () ->
-              Core.deliver core ~plan ~crash_rng
-                ~on_deliver:(fun ~sender ~receiver ~arrival ->
-                  R.emit recorder (fun () ->
-                      E.Deliver { sender; receiver; round = k; arrival }))
-                ~on_crash:(fun ~pid ->
-                  M.incr m_crashes;
-                  R.emit recorder (fun () -> E.Crash { pid; round = k })))
+        if obs_on then M.time t_deliver (fun () -> Core.deliver core ~plan ~crash_rng)
         else Core.deliver core ~plan ~crash_rng
       in
       messages_sent := !messages_sent + List.length outgoing;
       deliveries := !deliveries + stats.delivered;
       timely_deliveries := !timely_deliveries + stats.timely_count;
       if obs_on then begin
+        (* The round's deliveries, sender by sender and group by group,
+           then its crashes. *)
+        List.iter
+          (fun (sender, gs) ->
+            List.iter
+              (fun (g : Adversary.group) ->
+                Pidset.iter
+                  (fun receiver ->
+                    if receiver <> sender then
+                      R.emit recorder (fun () ->
+                          E.Deliver { sender; receiver; round = k; arrival = g.arrival }))
+                  g.receivers)
+              gs)
+          stats.groups;
+        List.iter
+          (fun pid ->
+            M.incr m_crashes;
+            R.emit recorder (fun () -> E.Crash { pid; round = k }))
+          (Core.crashing_pids core);
         M.incr ~by:(List.length outgoing) m_broadcasts;
         M.incr ~by:stats.delivered m_deliveries;
         M.incr ~by:stats.timely_count m_timely

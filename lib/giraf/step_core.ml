@@ -39,15 +39,11 @@ module Consensus (A : Intf.ALGORITHM) = struct
     mutable stable : int option;  (* ESS: the current segment's stable source *)
     correct : int list;
     correct_stayers : int list;
-    filing : A.msg Backend.Round.t;  (* deliver's scratch, shared by copies *)
-    record_send : sender:int -> A.msg -> unit;  (* into [filing] *)
-    record_group : sender:int -> arrival:int -> Pidset.t -> unit;
   }
 
   let create ~inputs ~crash ~churn ~env =
     let n = Array.length inputs in
     let correct = Crash.correct crash in
-    let filing = Backend.Round.create ~n in
     {
       n;
       inputs;
@@ -66,10 +62,6 @@ module Consensus (A : Intf.ALGORITHM) = struct
       stable = None;
       correct;
       correct_stayers = List.filter (Churn.is_stayer churn) correct;
-      filing;
-      record_send = (fun ~sender msg -> Backend.Round.send filing ~sender msg);
-      record_group =
-        (fun ~sender:_ ~arrival receivers -> Backend.Round.deliver filing ~arrival receivers);
     }
 
   let copy t =
@@ -226,11 +218,11 @@ module Consensus (A : Intf.ALGORITHM) = struct
   (* The round's dispatch, shared by [deliver] and its dry run
      [preview]: the live processes may receive; eligibility, crash
      broadcast kinds and clamping stay in Dispatch. *)
-  let dispatch ?on_deliver t ~plan ~crash_rng ~send ~schedule =
+  let dispatch t ~plan ~crash_rng =
     Dispatch.dispatch ~round:t.round ~outgoing:t.outgoing
       ~crashing_events:t.crashing_now
       ~eligible:(Pidset.init t.n (fun q -> t.fate.(q) = Live))
-      ~receivers:(fun () -> alive t) ~plan ~crash_rng ?on_deliver ~send ~schedule ()
+      ~receivers:(fun () -> alive t) ~plan ~crash_rng
 
   (* Where a stable source is owed, the plan's source becomes it. *)
   let latched_stable t (plan : Adversary.plan) =
@@ -240,7 +232,7 @@ module Consensus (A : Intf.ALGORITHM) = struct
     | Env.Nothing | Env.A_source | Env.Every_sender -> t.stable
 
   (* The latched crashers stop: state, broadcast and mailbox go. *)
-  let rec crash t on_crash = function
+  let rec crash t = function
     | [] -> ()
     | (ev : Crash.event) :: tl ->
       t.fate.(ev.pid) <- Crashed;
@@ -248,37 +240,19 @@ module Consensus (A : Intf.ALGORITHM) = struct
       t.out.(ev.pid) <- None;
       Backend.clear t.inflight ev.pid;
       touch t ev.pid;
-      (match on_crash with Some f -> f ~pid:ev.pid | None -> ());
-      crash t on_crash tl
+      crash t tl
 
-  let preview t ~plan ~crash_rng =
-    let rev = ref [] in
-    ignore
-      (dispatch t ~plan ~crash_rng
-         ~send:(fun ~sender _ -> rev := (sender, sender, t.round) :: !rev)
-         ~schedule:(fun ~sender ~arrival receivers ->
-           rev :=
-             Pidset.fold
-               (fun q acc -> if q = sender then acc else (sender, q, arrival) :: acc)
-               receivers !rev)
-        : Dispatch.stats);
-    (List.rev !rev, latched_stable t plan)
+  let preview t ~plan ~crash_rng = (dispatch t ~plan ~crash_rng, latched_stable t plan)
 
-  (* Dispatch schedules sender by sender, in pid order (the crash RNG
-     draws and [on_deliver] events follow it); the broadcasts and their
-     groups are recorded in that order and filed afterwards, one ordering
-     of the round's broadcasts for every receiver. Every process that may
-     receive is touched. *)
-  let deliver ?on_deliver ?on_crash t ~plan ~crash_rng =
-    Backend.Round.reset t.filing ~sent:t.round;
-    let stats =
-      dispatch ?on_deliver t ~plan ~crash_rng ~send:t.record_send ~schedule:t.record_group
-    in
+  (* The dispatched round is filed once, one ordering of its broadcasts
+     for every receiver. Every process that may receive is touched. *)
+  let deliver t ~plan ~crash_rng =
+    let stats = dispatch t ~plan ~crash_rng in
     for q = 0 to t.n - 1 do
       if t.fate.(q) = Live then touch t q
     done;
-    Backend.Round.file ~compare:A.msg_compare t.filing t.inflight;
-    crash t on_crash t.crashing_now;
+    Backend.file ~compare:A.msg_compare t.inflight ~sent:t.round t.outgoing stats.groups;
+    crash t t.crashing_now;
     let stable = latched_stable t plan in
     if not (Option.equal Int.equal stable t.stable) then begin
       (match t.stable with Some p -> touch t p | None -> ());

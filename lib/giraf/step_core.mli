@@ -15,8 +15,9 @@
       adversary plan ({!Dispatch} semantics: arrivals clamped to [>= k],
       receivers must be live, a plan entry pins a [Broadcast_subset]
       crasher's partial broadcast, a [Broadcast_all] crasher reaches every
-      live non-crashing process timely), the crashers are marked, and the
-      ESS stable-source bookkeeping advances.
+      live non-crashing process timely) and filed into the mailboxes
+      ({!Backend.file}), the crashers are marked, and the ESS
+      stable-source bookkeeping advances.
 
     One core ({!Consensus}) owns the three phases for processes that may
     decide. The weak-set {!Service} is a thin layer over that core: its
@@ -27,13 +28,16 @@
     phase).
 
     {!Runner} (both families, one round loop) and [Anon_rsm] drive a core
-    round-by-round with observation hooks; the model checker
-    ([Anon_mc.System]) cuts the same cycle after the compute phase,
-    [copy]s the core to branch, reads states through the accessors, and
-    asks [preview] what a plan would deliver without delivering it.
-    The hooks default to no-ops so the checker pays nothing for the
-    runner's observability. A search and its replay read the stable
-    source ([stable]) and the stop rule ([all_decided]) from the core.
+    round-by-round; the model checker ([Anon_mc.System]) cuts the same
+    cycle after the compute phase, [copy]s the core to branch, reads
+    states through the accessors, and asks [preview] what a plan would
+    deliver without delivering it. [begin_round] and [compute] take
+    observation hooks that default to no-ops; [deliver] and [preview]
+    take none and return the dispatched round ({!Dispatch.stats}), from
+    which the runner emits its deliver events, so the checker pays
+    nothing for the runner's observability. A search and its replay read
+    the stable source ([stable]) and the stop rule ([all_decided]) from
+    the core.
 
     Per-process [version] counters increment whenever that process's
     observable view changes: state, broadcast, mailbox, fate, stable

@@ -156,22 +156,14 @@ module Make (F : FAMILY) = struct
      one-round trace of a dry run of its dispatch — what the replayed trace
      reports for that round. *)
   let armed_violations core (c : G.Adversary.ctx) (plan : G.Adversary.plan) =
-    let sent, _ = Core.preview core ~plan ~crash_rng:(Anon_kernel.Rng.make 0) in
-    let senders = List.filter_map (fun (s, q, _) -> if s = q then Some s else None) sent in
-    let timely s =
-      let reached (s', q, a) = if s' = s && q <> s && a = c.round then Some q else None in
-      (s, Anon_kernel.Pidset.of_list (List.filter_map reached sent))
-    in
+    let stats, _ = Core.preview core ~plan ~crash_rng:(Anon_kernel.Rng.make 0) in
     let info =
       {
         G.Trace.round = c.round;
-        senders;
+        senders = List.map fst stats.groups;
         crashing = Core.crashing_pids core;
         source = plan.source;
-        timely =
-          List.filter
-            (fun (_, rs) -> not (Anon_kernel.Pidset.is_empty rs))
-            (List.map timely senders);
+        timely = stats.timely;
         obligated = c.obligated;
         decided = [];
         msg_sizes = [];
@@ -268,17 +260,23 @@ module Make (F : FAMILY) = struct
       in
       let row (c : G.Plan_enum.choice) =
         (* The crash RNG [F.step] hands to [deliver]. *)
-        let deliveries, stable =
+        let stats, stable =
           Core.preview core ~plan:c.plan ~crash_rng:(Anon_kernel.Rng.make 0)
         in
-        Array.init n (fun p ->
-            let recv =
-              List.filter_map
-                (fun (sender, receiver, arrival) ->
-                  if receiver = p then Some (sender, arrival - k) else None)
-                deliveries
-            in
-            intern p (List.sort compare_pairs recv, stable = Some p))
+        (* Each sender's groups scattered to their receivers, its
+           self-delivery timely. *)
+        let recv = Array.make n [] in
+        List.iter
+          (fun (sender, gs) ->
+            recv.(sender) <- (sender, 0) :: recv.(sender);
+            List.iter
+              (fun (g : G.Adversary.group) ->
+                Anon_kernel.Pidset.iter
+                  (fun q -> if q <> sender then recv.(q) <- (sender, g.arrival - k) :: recv.(q))
+                  g.receivers)
+              gs)
+          stats.groups;
+        Array.init n (fun p -> intern p (List.sort compare_pairs recv.(p), stable = Some p))
       in
       let by_plan = Array.of_list (List.map row choices) in
       let t =

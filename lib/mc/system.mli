@@ -15,11 +15,13 @@
     {b Predicted successors.} A process's next view is a function of its
     view, the round, the multiset of messages it receives, whether it is
     the ESS stable source after the plan, whether it crashes at the end
-    of the round, and, if it will rejoin, its input. [expand] keeps a per-exploration memo from that
-    transition to the post-view digest, or to {e loud} when the process
-    fed the judge; deliveries come from {!Anon_giraf.Intf.CORE.preview},
-    a dry run of the real dispatch. When all [n] transitions of a plan
-    are known and quiet, the successor's key is the parent's global facts
+    of the round, and, if it will rejoin, its input. [expand] keeps a
+    per-exploration memo from that transition to the post-view digest,
+    or to {e loud} when the process fed the judge. A plan's deliveries
+    are the reached groups of {!Anon_giraf.Intf.CORE.preview}, a dry run
+    of the real dispatch, scattered into each receiver's pattern of
+    [(sender, arrival)] pairs. When all [n] transitions of a plan are
+    known and quiet, the successor's key is the parent's global facts
     with the post-view digests summed, and the branch is
     {!Explore.Predicted}; otherwise it is stepped, and teaches its [n]
     transitions (DESIGN.md §10). *)

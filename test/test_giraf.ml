@@ -248,12 +248,12 @@ let groups_of pid deliveries =
       .groups
 
 (* Both filing paths against the model, drain by drain: the lockstep
-   path records each sent round as the dispatch would (senders in pid
-   order, each with its self-delivery and its groups) and files it with
-   one ordering; the live path inserts the same entries one at a time in
-   a random order, peeking now and then. The model sees each path's
-   entries newest first, in the order that path scheduled them. A
-   lockstep mailbox drains at most the round just filed: a copy that
+   path files each sent round as the dispatch returns it (senders in pid
+   order, each with its self-delivery and its groups) with one ordering;
+   the live path inserts the same entries one at a time in a random
+   order, peeking now and then. The model sees each path's entries
+   newest first, in the order that path scheduled them. A lockstep
+   mailbox drains at most the round just filed: a copy that
    drained a later round refuses the filing when it names a receiver
    that took that round or a later one. Every drain's lazy [fresh] is
    forced only at the end, after later rounds (and a repeat of the last
@@ -271,7 +271,6 @@ let prop_mailbox_matches_model =
       let lock_model = Array.make mailbox_receivers [] in
       let lock_taken = Array.make mailbox_receivers min_int in
       let live_model = Array.make mailbox_receivers [] in
-      let filing = G.Backend.Round.create ~n:mailbox_receivers in
       let snapshot = ref None in
       let ok = ref true in
       let unforced = ref [] in
@@ -290,23 +289,27 @@ let prop_mailbox_matches_model =
       in
       List.iter
         (fun (sent, broadcasts, drains) ->
-          G.Backend.Round.reset filing ~sent;
           let entries = ref [] in
           let schedule q arrival msg =
             lock_model.(q) <- (arrival, sent, msg) :: lock_model.(q);
             entries := (q, arrival, msg) :: !entries
           in
-          List.iter
-            (fun (pid, msg, deliveries) ->
-              G.Backend.Round.send filing ~sender:pid msg;
+          let groups =
+            List.map (fun (pid, _, deliveries) -> (pid, groups_of pid deliveries)) broadcasts
+          in
+          List.iter2
+            (fun (pid, msg, _) (_, gs) ->
               if pid < mailbox_receivers then schedule pid sent msg;
               List.iter
                 (fun (g : G.Adversary.group) ->
-                  G.Backend.Round.deliver filing ~arrival:g.arrival g.receivers;
                   Pidset.iter (fun q -> if q <> pid then schedule q g.arrival msg) g.receivers)
-                (groups_of pid deliveries))
-            broadcasts;
-          G.Backend.Round.file ~compare filing lock;
+                gs)
+            broadcasts groups;
+          let outgoing =
+            List.map (fun (sender, msg, _) -> { G.Dispatch.sender; msg }) broadcasts
+          in
+          let file boxes = G.Backend.file ~compare boxes ~sent outgoing groups in
+          file lock;
           if !snapshot = None && Rng.chance rng 0.3 then
             snapshot := Some (G.Backend.copy lock, Array.copy lock_model);
           List.iter
@@ -334,8 +337,7 @@ let prop_mailbox_matches_model =
                 ignore (G.Backend.take ~compare ahead q ~round);
                 let taken q' = if q' = q then round else lock_taken.(q') in
                 let refused = List.exists (fun (q', _, _) -> taken q' >= sent) !entries in
-                ok :=
-                  !ok && refuses (fun () -> G.Backend.Round.file ~compare filing ahead) = refused
+                ok := !ok && refuses (fun () -> file ahead) = refused
               end;
               drain live live_model q round)
             drains)
@@ -357,15 +359,19 @@ let prop_mailbox_matches_model =
          shares with drained inboxes, and refused by the drained
          lockstep mailboxes. *)
       let last = List.length scenario in
-      G.Backend.Round.reset filing ~sent:last;
-      G.Backend.Round.send filing ~sender:mailbox_receivers "z";
+      let rev_groups = ref [] in
       for q = 0 to mailbox_receivers - 1 do
         let arrival = last + Rng.int rng 4 in
-        G.Backend.Round.deliver filing ~arrival (Pidset.of_list [ q ]);
+        rev_groups := { G.Adversary.arrival; receivers = Pidset.of_list [ q ] } :: !rev_groups;
         G.Backend.insert ~compare live q ~arrival ~sent:last "z"
       done;
-      ok := !ok && refuses (fun () -> G.Backend.Round.file ~compare filing lock);
-      Option.iter (fun (boxes, _) -> G.Backend.Round.file ~compare filing boxes) !snapshot;
+      let file boxes =
+        G.Backend.file ~compare boxes ~sent:last
+          [ { G.Dispatch.sender = mailbox_receivers; msg = "z" } ]
+          [ (mailbox_receivers, List.rev !rev_groups) ]
+      in
+      ok := !ok && refuses (fun () -> file lock);
+      Option.iter (fun (boxes, _) -> file boxes) !snapshot;
       !ok
       && List.for_all
            (fun (fresh, fresh') -> same_fresh (Lazy.force fresh) fresh')
@@ -376,14 +382,11 @@ let prop_mailbox_matches_model =
 let test_mailbox_tie_order () =
   let a0 = String.make 1 'a' and a1 = String.make 1 'a' and a2 = String.make 1 'a' in
   let box = G.Backend.create ~n:1 in
-  let filing = G.Backend.Round.create ~n:1 in
-  G.Backend.Round.reset filing ~sent:1;
-  List.iter
-    (fun (pid, m) ->
-      G.Backend.Round.send filing ~sender:pid m;
-      if pid <> 0 then G.Backend.Round.deliver filing ~arrival:1 (Pidset.of_list [ 0 ]))
-    [ (0, a0); (1, "b"); (2, a1); (3, a2) ];
-  G.Backend.Round.file ~compare:String.compare filing box;
+  let broadcasts = [ (0, a0); (1, "b"); (2, a1); (3, a2) ] in
+  let to_p0 = { G.Adversary.arrival = 1; receivers = Pidset.of_list [ 0 ] } in
+  G.Backend.file ~compare:String.compare box ~sent:1
+    (List.map (fun (sender, msg) -> { G.Dispatch.sender; msg }) broadcasts)
+    (List.map (fun (pid, _) -> (pid, if pid <> 0 then [ to_p0 ] else [])) broadcasts);
   let current, fresh = G.Backend.take ~compare:String.compare box 0 ~round:1 in
   check_bool "fresh: a by descending pid, then b" true
     (same_fresh (Lazy.force fresh) [ (1, a2); (1, a1); (1, a0); (1, "b") ]);
@@ -873,7 +876,22 @@ let ref_dispatch ~round ~outgoing ~crashing ~eligible ~receivers
       if !cur <> [] then timely := (sender, Pidset.of_list !cur) :: !timely)
     outgoing;
   ( List.rev !log,
-    { G.Dispatch.timely = !timely; delivered = !delivered; timely_count = !count } )
+    { G.Dispatch.groups = []; timely = !timely; delivered = !delivered; timely_count = !count } )
+
+(* A dispatched round's delivery log, rebuilt from its groups: each
+   sender's self-delivery, then every other member of each of its
+   groups, ascending. *)
+let log_of_groups ~round (stats : G.Dispatch.stats) =
+  List.concat_map
+    (fun (s, gs) ->
+      (s, s, round)
+      :: List.concat_map
+           (fun (g : G.Adversary.group) ->
+             List.filter_map
+               (fun q -> if q = s then None else Some (s, q, g.arrival))
+               (Pidset.to_list g.receivers))
+           gs)
+    stats.groups
 
 (* A dispatch log as its runs of one sender each: the run's first
    delivery, then the others sorted. Dispatch orders a sender's
@@ -894,10 +912,11 @@ let sender_runs log =
 (* Random rounds over n <= 10: outgoing senders ascending (as a core
    lists them), plan entries in that order or shuffled, with senders
    missing or listed twice, crashing senders of every kind, and receivers
-   not all eligible. Dispatch's [send] and [schedule] calls must make the
+   not all eligible. The dispatched round's groups must hold the
    reference's deliveries in its sender order, each sender's
-   self-delivery first and the rest in any order; return its stats; and
-   leave the crash RNG in the same state. *)
+   self-delivery first and the rest in any order; its counts and timely
+   sets must be the reference's; and the crash RNG must be left in the
+   same state. *)
 let prop_dispatch_matches_reference =
   QCheck.Test.make ~name:"dispatch = assoc-list reference" ~count:1000
     QCheck.(int_bound 1_000_000)
@@ -937,22 +956,17 @@ let prop_dispatch_matches_reference =
       let plan = G.Adversary.of_links ~source:None entries in
       let crash_seed = Rng.int rng 1_000_000 in
       let rng1 = Rng.make crash_seed and rng2 = Rng.make crash_seed in
-      let log = ref [] in
       let stats =
         G.Dispatch.dispatch ~round ~outgoing ~crashing_events:crashing
           ~eligible:(Pidset.of_list live)
           ~receivers:(fun () -> receivers)
           ~plan ~crash_rng:rng1
-          ~send:(fun ~sender () -> log := (sender, sender, round) :: !log)
-          ~schedule:(fun ~sender ~arrival rs ->
-            Pidset.iter (fun q -> if q <> sender then log := (sender, q, arrival) :: !log) rs)
-          ()
       in
       let expected_log, expected_stats =
         ref_dispatch ~round ~outgoing ~crashing ~eligible ~receivers ~plan ~crash_rng:rng2
       in
-      sender_runs (List.rev !log) = sender_runs expected_log
-      && stats = expected_stats && rng1 = rng2)
+      sender_runs (log_of_groups ~round stats) = sender_runs expected_log
+      && { stats with groups = [] } = expected_stats && rng1 = rng2)
 
 (* --- Runner: a probe algorithm that records its inboxes --------------------- *)
 
@@ -1405,14 +1419,7 @@ let test_trace_of_log () =
 
 let test_dispatch_crash_modes () =
   let deliveries = ref [] in
-  let send ~sender _msg = deliveries := (sender, 3) :: !deliveries in
-  let schedule ~sender ~arrival receivers =
-    Pidset.iter
-      (fun q -> if q <> sender then deliveries := (q, arrival) :: !deliveries)
-      receivers
-  in
   let run broadcast =
-    deliveries := [];
     let stats =
       G.Dispatch.dispatch ~round:3
         ~outgoing:[ { G.Dispatch.sender = 0; msg = "m" } ]
@@ -1420,8 +1427,9 @@ let test_dispatch_crash_modes () =
         ~eligible:(Pidset.of_list [ 0; 1; 2; 3 ])
         ~receivers:(fun () -> [ 0; 1; 2; 3 ])
         ~plan:{ G.Adversary.source = None; groups = [] }
-        ~crash_rng:(Rng.make 1) ~send ~schedule ()
+        ~crash_rng:(Rng.make 1)
     in
+    deliveries := List.map (fun (_, q, a) -> (q, a)) (log_of_groups ~round:3 stats);
     (stats, List.filter (fun (r, _) -> r <> 0) !deliveries)
   in
   let _, silent = run G.Crash.Silent in
@@ -2166,9 +2174,6 @@ let prop_plan_enum_agrees_with_checker =
             ~eligible:(Pidset.of_list live)
             ~receivers:(fun () -> live)
             ~plan ~crash_rng:(Rng.make 0)
-            ~send:(fun ~sender:_ () -> ())
-            ~schedule:(fun ~sender:_ ~arrival:_ _ -> ())
-            ()
         in
         G.Checker.check_env
           {

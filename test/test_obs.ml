@@ -780,6 +780,102 @@ let test_weak_set_event_stream () =
     "other events as before" "c184528541b65ff9f9872624bc87d242"
     (Digest.to_hex (Digest.string (String.concat "\n" others)))
 
+(* An ES run with one crasher of each broadcast kind, under noise: each
+   round's events are its [round_start], its [decide]s, its [deliver]s
+   (sender by sender in dispatch order, group by group, each group's
+   receivers ascending), its [crash]es, its [broadcast]s and its
+   [round_end]. The stream, as JSONL lines, is pinned by its digest. *)
+let test_runner_crash_event_order () =
+  let n = 6 in
+  let crashes =
+    [
+      { G.Crash.pid = 1; round = 2; broadcast = G.Crash.Silent };
+      { pid = 3; round = 3; broadcast = G.Crash.Broadcast_all };
+      { pid = 4; round = 4; broadcast = G.Crash.Broadcast_subset };
+    ]
+  in
+  let module R = G.Runner.Make (C.Es_consensus) in
+  let sink, got = capture () in
+  let outcome =
+    R.run
+      ~recorder:(Recorder.create ~sink ())
+      (G.Runner.default_config ~horizon:100 ~seed:5
+         ~inputs:(List.init n (fun i -> i + 1))
+         ~crash:(G.Crash.of_events ~n crashes)
+         (G.Adversary.es ~gst:8 ~noise:0.3 ()))
+  in
+  let evs = got () in
+  let rank = function
+    | Event.Round_start _ -> 0
+    | Event.Decide _ -> 1
+    | Event.Deliver _ -> 2
+    | Event.Crash _ -> 3
+    | Event.Broadcast _ -> 4
+    | Event.Round_end _ -> 5
+    | ev -> Alcotest.failf "unexpected event %a" Event.pp ev
+  in
+  (* Each sender's deliveries in one run, after those of lower senders;
+     each arrival (a built-in plan's group) in one stretch of it, its
+     receivers ascending. *)
+  let rec check_delivers prev = function
+    | Event.Deliver d :: tl ->
+      (match prev with
+      | Some (Event.Deliver p) ->
+        check_bool "senders in dispatch order" true (p.sender <= d.sender);
+        if p.sender = d.sender && p.arrival = d.arrival then
+          check_bool "a group's receivers ascending" true (p.receiver < d.receiver)
+        else if p.sender = d.sender then
+          check_bool "one stretch per group" false
+            (List.exists
+               (function
+                 | Event.Deliver e -> e.sender = d.sender && e.arrival = p.arrival
+                 | _ -> false)
+               tl)
+      | _ -> ());
+      check_delivers (Some (Event.Deliver d)) tl
+    | _ :: tl -> check_delivers prev tl
+    | [] -> ()
+  in
+  let rec rounds k = function
+    | [ Event.Run_end _ ] -> check_int "rounds" outcome.rounds_executed (k - 1)
+    | (Event.Round_start { round } :: _) as evs ->
+      check_int "round_start" k round;
+      let rec split acc = function
+        | (Event.Round_end _ as ev) :: tl -> (List.rev (ev :: acc), tl)
+        | ev :: tl -> split (ev :: acc) tl
+        | [] -> Alcotest.fail "round without round_end"
+      in
+      let this, rest = split [] evs in
+      let ranks = List.map rank this in
+      check_bool "round's events in order" true (List.sort compare ranks = ranks);
+      check_int "one round_end" 1 (List.length (List.filter (( = ) 5) ranks));
+      List.iter
+        (function
+          | Event.Decide { round; _ } -> check_int "decide round" (k - 1) round
+          | Event.Deliver { round; _ } | Event.Crash { round; _ } | Event.Broadcast { round; _ }
+          | Event.Round_end { round; _ } ->
+            check_int "event round" k round
+          | _ -> ())
+        this;
+      check_delivers None this;
+      rounds (k + 1) rest
+    | _ -> Alcotest.fail "round_start or run_end expected"
+  in
+  (match evs with
+  | Event.Run_start _ :: tl -> rounds 1 tl
+  | _ -> Alcotest.fail "run_start expected");
+  check_int "deliver events" outcome.deliveries
+    (List.length (List.filter (function Event.Deliver _ -> true | _ -> false) evs));
+  Alcotest.(check (list (pair int int)))
+    "crash events"
+    (List.map (fun (ev : G.Crash.event) -> (ev.pid, ev.round)) crashes)
+    (List.filter_map (function Event.Crash { pid; round } -> Some (pid, round) | _ -> None) evs);
+  let lines = List.map (fun ev -> Json.to_string (Event.to_json ev)) evs in
+  check_int "events" 156 (List.length lines);
+  Alcotest.(check string)
+    "stream" "4c6b765607c4241b15f51ede42094e88"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
 let test_runner_event_stream () =
   let sink, got = capture () in
   let recorder = Recorder.create ~sink () in
@@ -855,5 +951,7 @@ let () =
           Alcotest.test_case "runner metrics" `Quick test_runner_metrics_match_outcome;
           Alcotest.test_case "runner events" `Quick test_runner_event_stream;
           Alcotest.test_case "weak-set events" `Quick test_weak_set_event_stream;
+          Alcotest.test_case "runner events with crashers" `Quick
+            test_runner_crash_event_order;
         ] );
     ]

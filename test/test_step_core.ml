@@ -547,11 +547,11 @@ let same_copies l1 l2 = List.length l1 = List.length l2 && List.for_all2 ( == ) 
    broadcast kinds, n up to 130 so that sets cross word boundaries. The
    reference reads a plan's links ({!G.Adversary.links}), or for a
    wrapped adversary the injectors' own links ({!Ch.Fault.rewrite}),
-   where an echo can repeat a link the injector moved. Each round, what
-   [preview] schedules and the stats [deliver] returns equal the
-   reference's, and at the next round every receiver's [current] (and
-   [fresh], when its compute forces it) equals what the reference
-   mailbox yields. *)
+   where an echo can repeat a link the injector moved. Each round, the
+   deliveries of [preview]'s groups and the stats [deliver] returns
+   equal the reference's, and at the next round every receiver's
+   [current] (and [fresh], when its compute forces it) equals what the
+   reference mailbox yields. *)
 let prop_round_matches_links =
   QCheck.Test.make ~name:"round = link-by-link reference" ~count:60
     QCheck.(int_bound 1_000_000)
@@ -659,7 +659,19 @@ let prop_round_matches_links =
         let crashing =
           List.filter_map (G.Crash.event crash) (Probe_core.crashing_pids core)
         in
-        let scheduled, _ = Probe_core.preview core ~plan ~crash_rng:(K.Rng.copy crash_rng) in
+        let previewed, _ = Probe_core.preview core ~plan ~crash_rng:(K.Rng.copy crash_rng) in
+        let scheduled =
+          List.concat_map
+            (fun (s, gs) ->
+              (s, s, round)
+              :: List.concat_map
+                   (fun (g : G.Adversary.group) ->
+                     List.filter_map
+                       (fun q -> if q = s then None else Some (s, q, g.arrival))
+                       (K.Pidset.to_list g.receivers))
+                   gs)
+            previewed.groups
+        in
         let expected, (timely, delivered, timely_count) =
           reference_round ~round ~outgoing ~crashing ~eligible ~receivers:ctx.alive ~links
             ~crash_rng:(K.Rng.copy crash_rng)
