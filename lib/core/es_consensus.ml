@@ -88,19 +88,9 @@ let proposed st = st.proposed
 let written st = st.written
 let current_val st = st.value
 
-let add_set b s =
-  Buffer.add_char b '{';
-  let first = ref true in
-  Value.Set.iter
-    (fun v ->
-      if !first then first := false else Buffer.add_char b ',';
-      Buffer.add_string b (Value.to_string v))
-    s;
-  Buffer.add_char b '}'
-
 let set_key s =
   let b = Buffer.create 32 in
-  add_set b s;
+  Value.add_set b s;
   Buffer.contents b
 
 let msg_key = set_key
@@ -110,11 +100,11 @@ let state_key st =
   Buffer.add_char b 'v';
   Buffer.add_string b (Value.to_string st.value);
   Buffer.add_string b " p";
-  add_set b st.proposed;
+  Value.add_set b st.proposed;
   Buffer.add_string b " w";
-  add_set b st.written;
+  Value.add_set b st.written;
   Buffer.add_string b " o";
-  add_set b st.written_old;
+  Value.add_set b st.written_old;
   Buffer.contents b
 
 module No_written_old_guard = struct

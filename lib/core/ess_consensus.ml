@@ -157,41 +157,69 @@ module Impl (P : PARAMS) = struct
   let counters st = st.counters
   let proposed st = st.proposed
 
-  (* Canonical, run-independent serializations: histories render as their
-     value sequences and counter tables sort bindings by that rendering, so
-     keys never depend on intern ids (which vary across interner scopes). *)
-  let pset_key s =
-    "{"
-    ^ String.concat ","
-        (List.map
-           (function Pvalue.Bot -> "_" | Pvalue.Val v -> Value.to_string v)
-           (Pvalue.Set.elements s))
-    ^ "}"
+  let written st = st.written
+  let written_old st = st.written_old
 
-  let history_key h =
-    "<" ^ String.concat "." (List.map Value.to_string (History.to_list h)) ^ ">"
+  (* Canonical, run-independent serializations. A history and a counter
+     table render as their structural digests ({!History.digest},
+     {!Counter_table.digest}), which depend on values and counts only,
+     never on intern ids (which vary across interner scopes). *)
+  let add_pset b s =
+    Buffer.add_char b '{';
+    ignore
+      (Pvalue.Set.fold
+         (fun v first ->
+           if not first then Buffer.add_char b ',';
+           (match v with
+           | Pvalue.Bot -> Buffer.add_char b '_'
+           | Pvalue.Val v -> Buffer.add_string b (Value.to_string v));
+           false)
+         s true
+        : bool);
+    Buffer.add_char b '}'
 
-  let counters_key c =
-    let bindings =
-      List.sort compare
-        (List.map (fun (h, cnt) -> (History.to_list h, cnt)) (Counter_table.bindings c))
-    in
-    "["
-    ^ String.concat ";"
-        (List.map
-           (fun (vs, cnt) ->
-             String.concat "." (List.map Value.to_string vs) ^ "=" ^ string_of_int cnt)
-           bindings)
-    ^ "]"
+  (* Sixteen hex digits per int, most significant first. *)
+  let add_hex b d =
+    for i = 15 downto 0 do
+      Buffer.add_char b (String.unsafe_get "0123456789abcdef" ((d lsr (4 * i)) land 15))
+    done
+
+  let add_digest b opening (d1, d2) closing =
+    Buffer.add_char b opening;
+    add_hex b d1;
+    Buffer.add_char b '.';
+    add_hex b d2;
+    Buffer.add_char b closing
+
+  let add_history b h = add_digest b '<' (History.digest h) '>'
+  let add_counters b c = add_digest b '[' (Counter_table.digest c) ']'
 
   let msg_key m =
-    Printf.sprintf "p%s h%s c%s" (pset_key m.m_proposed) (history_key m.m_history)
-      (counters_key m.m_counters)
+    let b = Buffer.create 96 in
+    Buffer.add_char b 'p';
+    add_pset b m.m_proposed;
+    Buffer.add_string b " h";
+    add_history b m.m_history;
+    Buffer.add_string b " c";
+    add_counters b m.m_counters;
+    Buffer.contents b
 
   let state_key st =
-    Printf.sprintf "v%s c%s h%s p%s w%s o%s l%b" (Value.to_string st.value)
-      (counters_key st.counters) (history_key st.history) (pset_key st.proposed)
-      (pset_key st.written) (pset_key st.written_old) st.leader_flag
+    let b = Buffer.create 128 in
+    Buffer.add_char b 'v';
+    Buffer.add_string b (Value.to_string st.value);
+    Buffer.add_string b " c";
+    add_counters b st.counters;
+    Buffer.add_string b " h";
+    add_history b st.history;
+    Buffer.add_string b " p";
+    add_pset b st.proposed;
+    Buffer.add_string b " w";
+    add_pset b st.written;
+    Buffer.add_string b " o";
+    add_pset b st.written_old;
+    Buffer.add_string b (if st.leader_flag then " ltrue" else " lfalse");
+    Buffer.contents b
 end
 
 module Default = Impl (struct

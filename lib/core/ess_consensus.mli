@@ -34,15 +34,19 @@ val current_val : state -> Anon_kernel.Value.t
 val history : state -> Anon_kernel.History.t
 val counters : state -> Anon_kernel.Counter_table.t
 val proposed : state -> Anon_kernel.Pvalue.Set.t
+val written : state -> Anon_kernel.Pvalue.Set.t
+val written_old : state -> Anon_kernel.Pvalue.Set.t
 
 val state_key : state -> string
 (** Canonical, run-independent serialization of the full local state:
-    histories render as value sequences and counter tables are sorted by
-    that rendering, never by intern id — so keys agree across interner
-    scopes and domains. *)
+    the history and the counter table render as their structural
+    digests ({!Anon_kernel.History.digest},
+    {!Anon_kernel.Counter_table.digest}), never by intern id, so keys
+    agree across interner scopes and domains. Equal states give equal
+    keys; distinct ones collide only where a 128-bit digest does. *)
 
 val msg_key : msg -> string
-(** Canonical serialization of a message. *)
+(** Canonical serialization of a message, digests as in {!state_key}. *)
 
 (** Merge rule for the counter tables (line 8): the paper uses pointwise
     minimum; [`Max] is the deliberately broken ablation A3. *)

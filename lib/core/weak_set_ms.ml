@@ -47,12 +47,18 @@ let get st = st.proposed
 let written st = st.written
 let pending_value st = if st.block then st.value else None
 
-let set_key s =
-  "{" ^ String.concat "," (List.map Value.to_string (Value.Set.elements s)) ^ "}"
-
-let msg_key = set_key
+let msg_key s =
+  let b = Buffer.create 32 in
+  Value.add_set b s;
+  Buffer.contents b
 
 let state_key st =
-  Printf.sprintf "v%s p%s w%s b%b"
-    (match st.value with None -> "_" | Some v -> Value.to_string v)
-    (set_key st.proposed) (set_key st.written) st.block
+  let b = Buffer.create 64 in
+  Buffer.add_char b 'v';
+  Buffer.add_string b (match st.value with None -> "_" | Some v -> Value.to_string v);
+  Buffer.add_string b " p";
+  Value.add_set b st.proposed;
+  Buffer.add_string b " w";
+  Value.add_set b st.written;
+  Buffer.add_string b (if st.block then " btrue" else " bfalse");
+  Buffer.contents b

@@ -15,32 +15,31 @@ let rec product = function
     let tails = product rest in
     List.concat_map (fun c -> List.map (fun t -> c :: t) tails) choices
 
+(* Int sequences as hashtable keys: the plan dedup's and the memo's
+   structural keys, each a flat list with negative separators between
+   its lists of pids, rounds and arrivals. *)
+module Ints = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash = List.fold_left (fun h x -> (h * 65599) + x) 0
+end)
+
+(* A plan's links in normal form: senders ascending, each sender's
+   (receiver, arrival) pairs ascending, a sender closed by -1. *)
 let plan_key (p : Adversary.plan) =
-  let deliveries =
+  let links =
     List.sort compare
       (List.map
          (fun (s, ds) ->
            ( s,
              List.sort compare
-               (List.map (fun (d : Adversary.delivery) -> (d.receiver, d.arrival)) ds)
-           ))
+               (List.map (fun (d : Adversary.delivery) -> (d.receiver, d.arrival)) ds) ))
          (Adversary.links p))
   in
-  let buf = Buffer.create 64 in
-  List.iter
-    (fun (s, ds) ->
-      Buffer.add_string buf (string_of_int s);
-      Buffer.add_char buf ':';
-      List.iter
-        (fun (r, a) ->
-          Buffer.add_string buf (string_of_int r);
-          Buffer.add_char buf '@';
-          Buffer.add_string buf (string_of_int a);
-          Buffer.add_char buf ';')
-        ds;
-      Buffer.add_char buf '|')
-    deliveries;
-  Buffer.contents buf
+  List.fold_right
+    (fun (s, ds) acc -> s :: List.fold_right (fun (r, a) acc -> r :: a :: acc) ds (-1 :: acc))
+    links []
 
 type fate = Timely | Late of int | Absent
 
@@ -142,54 +141,39 @@ let enumerate spec (ctx : Adversary.ctx) =
       in
       [ { Adversary.source = None; groups } ]
   in
-  let seen = Hashtbl.create 64 in
+  let seen = Ints.create 64 in
   let dedup admissible plans =
     List.filter_map
       (fun plan ->
         let key = plan_key plan in
-        if Hashtbl.mem seen key then None
+        if Ints.mem seen key then None
         else begin
-          Hashtbl.add seen key ();
+          Ints.add seen key ();
           Some { plan; admissible }
         end)
       plans
   in
   dedup true admissible @ dedup false armed
 
-type memo = (string, choice list) Hashtbl.t
+type memo = (int * choice list) Ints.t
 
-let memo () : memo = Hashtbl.create 128
+let memo () : memo = Ints.create 128
 
 (* Everything [enumerate] reads besides the constant parts of the spec:
-   the round, the ESS stable source, the crashers, and the ctx process
-   lists ([correct] is fixed by the crash schedule the memo's exploration
-   runs under). *)
+   the round, the ESS stable source (-1 for none), the crashers, and the
+   ctx process lists ([correct] is fixed by the crash schedule the memo's
+   exploration runs under). *)
 let memo_key spec (ctx : Adversary.ctx) =
-  let buf = Buffer.create 64 in
-  let ints label xs =
-    Buffer.add_char buf label;
-    List.iter
-      (fun x ->
-        Buffer.add_string buf (string_of_int x);
-        Buffer.add_char buf ',')
-      xs
-  in
-  Buffer.add_string buf (string_of_int ctx.round);
-  Buffer.add_char buf '|';
-  (match spec.stable with
-  | None -> ()
-  | Some s -> Buffer.add_string buf (string_of_int s));
-  ints '|' spec.crashing;
-  ints 's' ctx.senders;
-  ints 'o' ctx.obligated;
-  ints 'a' ctx.alive;
-  Buffer.contents buf
+  (ctx.round :: Option.value spec.stable ~default:(-1) :: spec.crashing)
+  @ (-2 :: ctx.senders)
+  @ (-3 :: ctx.obligated)
+  @ (-4 :: ctx.alive)
 
 let enumerate_memo memo spec ctx =
   let key = memo_key spec ctx in
-  match Hashtbl.find_opt memo key with
-  | Some choices -> choices
+  match Ints.find_opt memo key with
+  | Some entry -> entry
   | None ->
-    let choices = enumerate spec ctx in
-    Hashtbl.add memo key choices;
-    choices
+    let entry = (Ints.length memo, enumerate spec ctx) in
+    Ints.add memo key entry;
+    entry

@@ -63,6 +63,8 @@ type memo
 
 val memo : unit -> memo
 
-val enumerate_memo : memo -> spec -> Adversary.ctx -> choice list
-(** [enumerate] through the cache; the returned list is shared, treat it
-    as immutable. *)
+val enumerate_memo : memo -> spec -> Adversary.ctx -> int * choice list
+(** [enumerate] through the cache, keyed by a structural int key of the
+    signature: the entry's index in the memo (equal indices, equal
+    signatures) and its choices. The list is shared, treat it as
+    immutable. *)

@@ -21,13 +21,11 @@ module Seg = struct
   let empty = { root = Leaf [||]; height = 0; body = 0; tail = [||] }
   let length s = s.body + Array.length s.tail
 
-  let get s i =
-    if i >= s.body then s.tail.(i - s.body)
-    else
-      let rec go n sh =
-        match n with Leaf a -> a.(i land mask) | Node cs -> go cs.((i lsr sh) land mask) (sh - bits)
-      in
-      go s.root (s.height * bits)
+  (* A top-level walk, so a read allocates no closure. *)
+  let rec get_in n i sh =
+    match n with Leaf a -> a.(i land mask) | Node cs -> get_in cs.((i lsr sh) land mask) i (sh - bits)
+
+  let get s i = if i >= s.body then s.tail.(i - s.body) else get_in s.root i (s.height * bits)
 
   (* The tree node of height [h] whose first slot is [base]; it must exist. *)
   let node_at s h base =
@@ -468,6 +466,18 @@ let max_binding t =
       | Some (h', _) when c < t.peak || History.compare_lexicographic h' h <= 0 -> best
       | Some _ | None -> if c = t.peak then Some (h, c) else best)
     None (bindings t)
+
+(* Each entry hashes its history's digest with its count, and the sums
+   of the entry hashes do not depend on the order they are added in. *)
+let digest t =
+  let mix = Hashing.Fast.mix in
+  let s1 = ref 0 and s2 = ref 0 in
+  for i = 0 to cardinal t - 1 do
+    let a, b = History.digest (Seg.get t.hists i) and c = Seg.get t.counts i in
+    s1 := !s1 + mix (a + (c * 0x5851f42d4c957f2d));
+    s2 := !s2 + mix (b lxor (c * 0x14057b7ef767814f))
+  done;
+  (!s1, !s2)
 
 let compare a b =
   let na = cardinal a and nb = cardinal b in

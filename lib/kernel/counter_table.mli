@@ -102,6 +102,15 @@ val bindings : t -> (History.t * int) list
 val cardinal : t -> int
 (** O(1). *)
 
+val digest : t -> int * int
+(** A structural digest of the table's content: each entry's
+    {!History.digest} hashed with its count, the entry hashes summed, so
+    it depends on the set of (history, count) entries and not on their
+    order or on intern ids. Equal tables have equal digests in every
+    interner scope. Computed on demand in O(T), allocating only the
+    result pair: no column is kept per edit, so Alg. 3's rounds do not
+    pay for it. *)
+
 val compare : t -> t -> int
 (** The order contract above. Skips the leading segments both tables
     share, hash-consed ones included, so O(tail) on tables with equal

@@ -34,4 +34,12 @@ module Fast = struct
       acc := (!acc lxor Char.code (String.unsafe_get s i)) * prime
     done;
     !acc
+
+  (* SplitMix64's finalizer with its multipliers cut to 62 bits: each
+     step (xor with a right shift, product with an odd constant) is a
+     bijection on the 63-bit ints, so the whole is one too. *)
+  let mix z =
+    let z = (z lxor (z lsr 30)) * 0x3f58476d1ce4e5b9 in
+    let z = (z lxor (z lsr 27)) * 0x14d049bb133111eb in
+    z lxor (z lsr 31)
 end

@@ -1,7 +1,7 @@
 (** Run-independent structural hashing (64-bit FNV-1a).
 
-    The model checker keys canonical states by strings and hashes them for
-    compact reporting. [Hashtbl.hash] is unsuitable because it truncates
+    The model checker hashes the text of each process view into its
+    canonical state keys. [Hashtbl.hash] is unsuitable because it truncates
     deep structures, and [Marshal] digests are unsuitable because
     hash-consed values ([History.t]) and balanced-set internals have
     run-dependent physical layout. FNV-1a over an explicit serialization is
@@ -41,4 +41,9 @@ module Fast : sig
   (** [(h lxor byte) * prime], wrapping mod 2{^63}. *)
 
   val string : h -> string -> h
+
+  val mix : h -> h
+  (** A bijective finalizer (SplitMix64's, on 63-bit ints): nearby
+      inputs map to unrelated outputs. The structural digests of
+      {!History} and {!Counter_table} chain and combine through it. *)
 end

@@ -1,6 +1,7 @@
 (* [run] is the id of the history's run head; [Snoc]'s last field is the
-   parent of that head (the root's run has none; see [run_parent]). *)
-type t = { id : int; len : int; run : int; node : node }
+   parent of that head (the root's run has none; see [run_parent]).
+   [digest] is a function of the value sequence alone. *)
+type t = { id : int; len : int; run : int; node : node; digest : int * int }
 
 and node = Root | Snoc of t * Value.t * t
 
@@ -37,7 +38,16 @@ let fresh_interner () =
 
 let interner_key : interner Domain.DLS.key = Domain.DLS.new_key fresh_interner
 
-let empty = { id = 0; len = 0; run = 0; node = Root }
+(* Two chains of [Hashing.Fast.mix] over the values, from two bases and
+   with two multipliers: a child's pair depends on its parent's pair and
+   its value only, never on an intern id. *)
+let root_digest = (0x1cf29ce484222325, 0x2545f4914f6cdd1d)
+
+let child_digest (a, b) v =
+  let mix = Hashing.Fast.mix in
+  (mix ((a * 0x100000001b3) + v), mix ((b * 0x1f3d5b79) lxor v))
+
+let empty = { id = 0; len = 0; run = 0; node = Root; digest = root_digest }
 let run_parent h = match h.node with Root -> h | Snoc (_, _, up) -> up
 
 (* Marks [id] as a parent; [true] iff it had no child before. *)
@@ -63,7 +73,9 @@ let snoc h v =
     st.misses <- st.misses + 1;
     let id = st.next_id in
     let run, up = if first_child st h.id then (h.run, run_parent h) else (id, h) in
-    let h' = { id; len = h.len + 1; run; node = Snoc (h, v, up) } in
+    let h' =
+      { id; len = h.len + 1; run; node = Snoc (h, v, up); digest = child_digest h.digest v }
+    in
     st.next_id <- id + 1;
     Table.add st.table key h';
     h'
@@ -83,6 +95,7 @@ let to_list h =
 
 let length h = h.len
 let id h = h.id
+let digest h = h.digest
 let run h = h.run
 let parent h = match h.node with Root -> h | Snoc (p, _, _) -> p
 let last h = match h.node with Root -> None | Snoc (_, v, _) -> Some v

@@ -45,6 +45,14 @@ val parent : t -> t
 (** The history without its last value; [parent empty] is [empty].
     Walking [parent] links visits every prefix without allocating. *)
 
+val digest : t -> int * int
+(** A structural digest of the value sequence: set when the history is
+    interned, from its parent's digest and its last value, never from an
+    intern id. Equal histories have equal digests in every interner
+    scope; distinct ones collide with negligible probability (two
+    independent 63-bit chains). Allocates nothing. The model checker's
+    ESS keys print it instead of the sequence. *)
+
 val run : t -> int
 (** The id of the head of [h]'s run: [h]'s highest ancestor-or-self that
     shares its run. [empty] heads run 0. Like ids, runs are per interner

@@ -39,23 +39,27 @@ module Digest = struct
       done
     | Text b -> Buffer.add_string b s
 
-  (* Decimal digits, matching [string_of_int] byte for byte. *)
-  let rec feed_nat st n =
-    if n >= 10 then feed_nat st (n / 10);
-    feed_char st (Char.unsafe_chr (48 + (n mod 10)))
+  let feed_int st n = Anon_kernel.Value.iter_decimal feed_char st n
 
-  let feed_int st n =
-    if n < 0 then begin
-      feed_char st '-';
-      feed_nat st (-n)
-    end
-    else feed_nat st n
-
-  (* One pass over the view feeding both streams. *)
-  let view_hashes v =
+  let hashes write x =
     let h = sums () in
-    feed_string (Hash h) v;
+    write (Hash h) x;
     (h.a, h.b)
+
+  type key = { round : int; global1 : int; global2 : int; sum1 : int; sum2 : int }
+
+  let equal_key k1 k2 =
+    k1.sum1 = k2.sum1 && k1.sum2 = k2.sum2 && k1.round = k2.round
+    && k1.global1 = k2.global1 && k1.global2 = k2.global2
+
+  (* A stream's low bits depend only on the low bits of the bytes fed,
+     so the high bits of its partner are folded in; the round and the
+     global facts separate keys whose views agree. *)
+  let hash_key k =
+    (k.sum1 lxor (k.sum2 lsr 31)) + (k.global1 lxor (k.global2 lsr 31)) + k.round
+
+  let pp_key ppf k =
+    Format.fprintf ppf "r%d g%x.%x v%x.%x" k.round k.global1 k.global2 k.sum1 k.sum2
 
   type t = {
     versions : int array;  (* last refreshed Step_core version; -1 = never *)
@@ -99,15 +103,8 @@ module Digest = struct
       assign t ~slot ~version h.a h.b
     end
 
-  let key_of_sums ~round ~global sum1 sum2 =
-    let b = Buffer.create (String.length global + 24) in
-    Buffer.add_string b (string_of_int round);
-    Buffer.add_char b '#';
-    Buffer.add_string b global;
-    Buffer.add_char b '\x01';
-    Buffer.add_int64_be b (Int64.of_int sum1);
-    Buffer.add_int64_be b (Int64.of_int sum2);
-    Buffer.contents b
+  let key_of_sums ~round ~global:(global1, global2) sum1 sum2 =
+    { round; global1; global2; sum1; sum2 }
 
   let key t ~round ~global = key_of_sums ~round ~global t.sum1 t.sum2
 
@@ -115,9 +112,9 @@ module Digest = struct
     let sum1 = ref 0 and sum2 = ref 0 in
     List.iter
       (fun v ->
-        let a, b = view_hashes v in
+        let a, b = hashes feed_string v in
         sum1 := !sum1 + a;
         sum2 := !sum2 + b)
       views;
-    key_of_sums ~round ~global !sum1 !sum2
+    key_of_sums ~round ~global:(hashes feed_string global) !sum1 !sum2
 end

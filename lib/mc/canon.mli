@@ -16,8 +16,9 @@
     under the (fixed, per-exploration) schedules, the input an away
     process rejoins from, and any per-process environment marker (the
     ESS stable source). Views are built from the run-independent
-    [state_key]/[msg_key] serializations of lib/core, so keys agree
-    across domains and interner scopes. *)
+    [state_key]/[msg_key] serializations of lib/core (ESS's print
+    structural digests of its histories and counter tables), so keys
+    agree across domains and interner scopes. *)
 
 (** Incremental multiset digests — the state keys of the explorer.
 
@@ -28,10 +29,14 @@
     the processes whose views changed since the parent state are
     re-hashed.
 
-    The digest key is 128 bits, not injective like a sorted string of
-    views; two salted streams push accidental collisions far below the
-    state counts any exploration reaches (test_step_core checks digests
-    against full recomputation on every sampled node). *)
+    A key is a fixed-size record of ints: the round, the two stream
+    hashes of the global facts, and the two view sums. It is 128 bits
+    over the views and 128 over the global facts, not injective like a
+    sorted string of views; two salted streams push accidental
+    collisions far below the state counts any exploration reaches
+    (test_step_core checks digests against full recomputation on every
+    sampled node, and that keys partition the sampled states as the
+    text keys they replace do). *)
 module Digest : sig
   type t
 
@@ -42,12 +47,13 @@ module Digest : sig
   val copy : t -> t
   (** Independent snapshot — branch the digest alongside the system. *)
 
-  (** Where a view is written: a dual-stream hash accumulator fed
-      piecewise, so hot callers hash a view without building the
+  (** Where a view or the global facts are written: a dual-stream hash
+      accumulator fed piecewise, so hot callers hash without building the
       intermediate string, or a text buffer for the reference path.
-      [feed_int] matches [string_of_int], so one writer produces the
-      same bytes for both; test_step_core pins [key = full_key] to keep
-      the two paths honest. *)
+      [feed_int] writes [string_of_int]'s bytes through
+      {!Anon_kernel.Value.iter_decimal}, so one writer produces the same
+      bytes for both; test_step_core pins [key = full_key] to keep the
+      two paths honest. *)
   type stream
 
   val text : Buffer.t -> stream
@@ -55,7 +61,22 @@ module Digest : sig
 
   val feed_char : stream -> char -> unit
   val feed_string : stream -> string -> unit
+
   val feed_int : stream -> int -> unit
+  (** The bytes of [string_of_int n], for every int. *)
+
+  val hashes : (stream -> 'a -> unit) -> 'a -> int * int
+  (** [hashes write x] is the hash pair of the bytes [write] feeds for
+      [x] — a view's slot contribution, or the global facts' pair. *)
+
+  type key = { round : int; global1 : int; global2 : int; sum1 : int; sum2 : int }
+  (** A canonical state key: the round, the hash pair of the global
+      facts, and the wrapping sums of the views' hash pairs. Compare and
+      hash it with {!equal_key} and {!hash_key}, as ints. *)
+
+  val equal_key : key -> key -> bool
+  val hash_key : key -> int
+  val pp_key : Format.formatter -> key -> unit
 
   val refresh_stream : t -> slot:int -> version:int -> (stream -> unit) -> unit
   (** [refresh_stream t ~slot ~version fill] replaces [slot]'s
@@ -63,8 +84,9 @@ module Digest : sig
       stream — skipped entirely when the cached version already matches,
       so [fill] must be a pure function of the versioned view. *)
 
-  val key : t -> round:int -> global:string -> string
-  (** The digest key over the current slot contributions. *)
+  val key : t -> round:int -> global:int * int -> key
+  (** The key over the current slot contributions, [global] the global
+      facts' {!hashes}. *)
 
   val slot : t -> int -> int * int
   (** A slot's contribution, the hash pair of its view — current once
@@ -75,13 +97,13 @@ module Digest : sig
       pair [(a, b)], known to be the hash pair of its view at [version]
       — what {!refresh_stream} would compute for it. *)
 
-  val key_of_sums : round:int -> global:string -> int -> int -> string
+  val key_of_sums : round:int -> global:int * int -> int -> int -> key
   (** The key whose slot contributions sum (wrapping) to the given pair:
       [key t] is [key_of_sums] of [t]'s slot sums. *)
 
-  val full_key : round:int -> global:string -> views:string list -> string
+  val full_key : round:int -> global:string -> views:string list -> key
   (** Reference implementation: the same key computed from scratch over
-      explicit views. [key] after refreshing every slot must equal
-      [full_key] on the slots' rendered views — the property
-      test_step_core pins. *)
+      the rendered global facts and explicit views. [key] after
+      refreshing every slot must equal [full_key] on the slots' rendered
+      views — the property test_step_core pins. *)
 end

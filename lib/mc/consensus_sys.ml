@@ -33,6 +33,7 @@ struct
   let armed = spec.armed
   let state_key = A.state_key
   let msg_key = A.msg_key
+  let msg_compare = A.msg_compare
   let n = G.Crash.n crash
 
   let () =
@@ -83,11 +84,13 @@ struct
 
   let view_extra _ _ _ = ()
 
-  let global nd =
-    let decided =
-      List.sort_uniq Value.compare (List.map snd (Judge.decided nd.inv))
-    in
-    String.concat "," (List.map Value.to_string decided)
+  (* The decided values, ascending and comma-separated. *)
+  let global st nd =
+    List.iteri
+      (fun i v ->
+        if i > 0 then Canon.Digest.feed_char st ',';
+        Canon.Digest.feed_int st v)
+      (List.sort_uniq Value.compare (List.map snd (Judge.decided nd.inv)))
 
   let terminal nd = Core.all_decided nd.core
   let pending nd = Core.undecided_correct_stayers nd.core

@@ -20,9 +20,13 @@ module type MODEL = sig
   include Anon_giraf.Intf.ALGORITHM
 
   val state_key : state -> string
-  (** Run-independent canonical serialization (equal iff states equal). *)
+  (** Run-independent canonical serialization: equal for equal states,
+      different for different ones (up to the 128-bit digests ESS's
+      keys print). *)
 
   val msg_key : msg -> string
+  (** The same for messages. The search renders each distinct message
+      once: it interns messages by [msg_compare]. *)
 end
 
 type spec = {

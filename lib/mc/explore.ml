@@ -7,7 +7,7 @@ type 'sys branch =
       sys : 'sys;
       violations : Anon_giraf.Checker.violation list;
     }
-  | Predicted of { plan : Anon_giraf.Adversary.plan; key : string }
+  | Predicted of { plan : Anon_giraf.Adversary.plan; key : Canon.Digest.key }
 
 module type SYSTEM = sig
   type sys
@@ -15,7 +15,7 @@ module type SYSTEM = sig
   val init : unit -> sys
   val apply : sys -> Anon_giraf.Adversary.plan -> sys
   val expand : sys -> sys branch list
-  val key : sys -> string
+  val key : sys -> Canon.Digest.key
   val terminal : sys -> bool
   val pending : sys -> int list
 end
@@ -24,7 +24,8 @@ module type SYSTEM_DEBUG = sig
   include SYSTEM
 
   val snapshot : sys -> string
-  val key_full : sys -> string
+  val rendered : sys -> int * string * string list
+  val key_full : sys -> Canon.Digest.key
 end
 
 type stats = {
@@ -75,11 +76,18 @@ type result = {
   non_deciding : bounded option;
 }
 
+module Visited = Hashtbl.Make (struct
+  type t = Canon.Digest.key
+
+  let equal = Canon.Digest.equal_key
+  let hash = Canon.Digest.hash_key
+end)
+
 (* Shared accumulator for both search orders; every mutation happens in a
    deterministic order (BFS: level by level; DFS: branch order), so
    reports are reproducible. *)
 type acc = {
-  visited : (string, unit) Hashtbl.t;
+  visited : unit Visited.t;
   mutable raw : int;
   mutable canonical : int;
   mutable dedup : int;
@@ -94,7 +102,7 @@ type acc = {
 
 let make_acc () =
   {
-    visited = Hashtbl.create 4096;
+    visited = Visited.create 4096;
     raw = 0;
     canonical = 0;
     dedup = 0;
@@ -127,12 +135,12 @@ let admit (type s) (module S : SYSTEM with type sys = s) acc ~prefix ~level ~dep
        acc.viol <- Some { w_plans = prefix @ [ plan ]; w_violations = violations });
     None
   end
-  else if Hashtbl.mem acc.visited key then begin
+  else if Visited.mem acc.visited key then begin
     acc.dedup <- acc.dedup + 1;
     None
   end
   else begin
-    Hashtbl.replace acc.visited key ();
+    Visited.replace acc.visited key ();
     acc.canonical <- acc.canonical + 1;
     let s' = build () in
     if S.terminal s' then begin
@@ -200,7 +208,7 @@ let report_progress ppf ~t0 ~label ~depth ~frontier acc =
 (* Root bookkeeping shared by both orders: returns [true] when the root
    itself still needs expansion. *)
 let seed_root acc ~depth ~key ~terminal ~pending =
-  Hashtbl.replace acc.visited key ();
+  Visited.replace acc.visited key ();
   acc.raw <- 1;
   acc.canonical <- 1;
   if terminal then begin

@@ -21,7 +21,7 @@ type 'sys branch =
       violations : Anon_giraf.Checker.violation list;
           (** The safety violations the transition commits. *)
     }  (** The successor, built. *)
-  | Predicted of { plan : Anon_giraf.Adversary.plan; key : string }
+  | Predicted of { plan : Anon_giraf.Adversary.plan; key : Canon.Digest.key }
       (** Only the successor's {!SYSTEM.key}, known without stepping it.
           Such a successor commits no violation and is admissible; the
           search builds it with {!SYSTEM.apply} only when [key] is new. *)
@@ -47,8 +47,9 @@ module type SYSTEM = sig
       the others with [apply], so every report is the one a fully
       stepped expansion gives. *)
 
-  val key : sys -> string
-  (** Canonical key modulo process permutation. *)
+  val key : sys -> Canon.Digest.key
+  (** Canonical key modulo process permutation: a fixed-size record of
+      ints, which the search's visited set hashes and compares as ints. *)
 
   val terminal : sys -> bool
   (** No further transition can affect any checked property (consensus:
@@ -70,10 +71,15 @@ module type SYSTEM_DEBUG = sig
 
   val snapshot : sys -> string
 
-  val key_full : sys -> string
-  (** {!SYSTEM.key} recomputed from scratch, bypassing the incremental
-      per-process digest cache ({!Canon.Digest}). Must equal [key] on
-      every reachable node — the property the differential test pins. *)
+  val rendered : sys -> int * string * string list
+  (** The node's round, its global facts and each process's view in pid
+      order, written as text by the writers the key hashes. *)
+
+  val key_full : sys -> Canon.Digest.key
+  (** {!SYSTEM.key} recomputed from scratch over {!rendered}, bypassing
+      the incremental per-process digest cache ({!Canon.Digest}). Must
+      equal [key] on every reachable node — the property the
+      differential test pins. *)
 end
 
 type stats = {

@@ -12,11 +12,12 @@ module type FAMILY = sig
   val armed : bool
   val state_key : Core.state -> string
   val msg_key : Core.msg -> string
+  val msg_compare : Core.msg -> Core.msg -> int
   val core : node -> Core.t
   val init : unit -> node
   val step : node -> G.Adversary.plan -> node * G.Checker.violation list * int list
   val view_extra : Canon.Digest.stream -> node -> int -> unit
-  val global : node -> string
+  val global : Canon.Digest.stream -> node -> unit
   val terminal : node -> bool
   val pending : node -> int list
   val snapshot : node -> string
@@ -74,7 +75,8 @@ module Make (F : FAMILY) = struct
     input : int option;  (** The input of a process that will rejoin. *)
     recv : (int * int) list;
         (** Sorted [(arrival - round, message id)], self-delivery
-            included; ids intern [msg_key] per exploration. *)
+            included; ids intern messages by [msg_compare] per
+            exploration. *)
   }
 
   module Transitions = Hashtbl.Make (struct
@@ -107,27 +109,46 @@ module Make (F : FAMILY) = struct
 
   (* A table is exact for every node that shares the choice list and the
      two other inputs of the dispatch: the live processes (the senders
-     and eligible receivers) and the stable source before the plan. *)
+     and eligible receivers) and the stable source before the plan. Its
+     signature is the choice list's memo entry, the stable source (-1
+     for none) and the live processes. *)
   module Tables = Hashtbl.Make (struct
-    type t = G.Plan_enum.choice list * int list * int option
+    type t = int * int * int list
 
-    let equal (c1, l1, s1) (c2, l2, s2) = c1 == c2 && l1 = l2 && s1 = s2
-    let hash (c, l, s) = Hashtbl.hash (Hashtbl.hash c, l, s)
+    let equal (c1, s1, l1) (c2, s2, l2) = c1 = c2 && s1 = s2 && List.equal Int.equal l1 l2
+    let hash (c, s, l) = List.fold_left (fun h p -> (h * 31) + p) ((c * 31) + s) l
   end)
 
+  (* Messages interned by the algorithm's order, each id with its one
+     rendering. *)
+  module Msgs = Map.Make (struct
+    type t = Core.msg
+
+    let compare = F.msg_compare
+  end)
+
+  type messages = { mutable index : int Msgs.t; mutable texts : string array; mutable count : int }
+
+  (* The id of a process whose view's digest came from the transition
+     memo, so its broadcast was not looked at; -1 is no broadcast. *)
+  let unknown = -2
+
   (* Caches of one exploration, made by [init] and shared along the whole
-     search: its states repeat enumeration signatures and process
-     transitions constantly. *)
+     search: its states repeat enumeration signatures, messages and
+     process transitions constantly. *)
   type caches = {
     plans : G.Plan_enum.memo;
     tables : table Tables.t;
-    msg_ids : (string, int) Hashtbl.t;
+    msgs : messages;
     transitions : outcome Transitions.t;
   }
 
   type sys = {
     node : F.node;  (** The system after the compute phase of iteration [round]. *)
     digest : D.t;
+    ids : int array;
+        (** Per process, the message id of its broadcast as its view last
+            wrote it: -1 for none, [unknown] until [expand] looks. *)
     caches : caches;
   }
 
@@ -135,22 +156,30 @@ module Make (F : FAMILY) = struct
     {
       node = F.init ();
       digest = D.create ~n;
+      ids = Array.make n unknown;
       caches =
         {
           plans = G.Plan_enum.memo ();
           tables = Tables.create 16;
-          msg_ids = Hashtbl.create 16;
+          msgs = { index = Msgs.empty; texts = [||]; count = 0 };
           transitions = Transitions.create 64;
         };
     }
 
-  let step s plan =
-    let node, vs, loud = F.step s.node plan in
-    ({ s with node; digest = D.copy s.digest }, vs, loud)
-
-  let apply s plan =
-    let s', _, _ = step s plan in
-    s'
+  let msg_id msgs m =
+    match Msgs.find_opt m msgs.index with
+    | Some i -> i
+    | None ->
+      let i = msgs.count in
+      msgs.index <- Msgs.add m i msgs.index;
+      msgs.count <- i + 1;
+      if i = Array.length msgs.texts then begin
+        let grown = Array.make (max 16 (2 * i)) "" in
+        Array.blit msgs.texts 0 grown 0 i;
+        msgs.texts <- grown
+      end;
+      msgs.texts.(i) <- F.msg_key m;
+      i
 
   (* An armed (inadmissible) plan's marker: the checker's findings on the
      one-round trace of a dry run of its dispatch — what the replayed trace
@@ -180,8 +209,9 @@ module Make (F : FAMILY) = struct
       }
 
   (* The one process-view writer: fed into the digest streams behind
-     [key], and into text for the reference [key_full]. *)
-  let write_view st node p =
+     [key], and into text for the reference [key_full]; [out] renders
+     the process's broadcast and [held] a message in flight to it. *)
+  let write_view ~out ~held st node p =
     let core = F.core node in
     match Core.fate core p with
     | G.Step_core.Crashed -> D.feed_char st 'X'
@@ -200,14 +230,14 @@ module Make (F : FAMILY) = struct
             match Int.compare a1 a2 with
             | 0 -> ( match Int.compare s1 s2 with 0 -> String.compare k1 k2 | c -> c)
             | c -> c)
-          (List.map (fun (a, sent, m) -> (a, sent, F.msg_key m)) (Core.inflight core p))
+          (List.map (fun (a, sent, m) -> (a, sent, held m)) (Core.inflight core p))
       in
       (match Core.state core p with
       | Some stv -> D.feed_string st (F.state_key stv)
       | None -> ());
       D.feed_string st "|m:";
       (match Core.out core p with
-      | Some out -> D.feed_string st (F.msg_key out)
+      | Some m -> D.feed_string st (out m)
       | None -> ());
       D.feed_char st '|';
       D.feed_string st fate_str.(p);
@@ -224,25 +254,68 @@ module Make (F : FAMILY) = struct
           D.feed_string st mk)
         fl
 
-  let refresh s =
+  (* Writing a view records its broadcast's id. [late] holds broadcasts
+     with their ids, found by physical equality: a stepped successor's
+     in-flight mail is mostly its parent's broadcasts. *)
+  let refresh ~late s =
     let core = F.core s.node in
+    let msgs = s.caches.msgs in
+    let held m =
+      let rec find = function
+        | (m', i) :: _ when m' == m -> i
+        | _ :: rest -> find rest
+        | [] -> msg_id msgs m
+      in
+      msgs.texts.(find late)
+    in
     for p = 0 to n - 1 do
-      D.refresh_stream s.digest ~slot:p ~version:(Core.version core p)
-        (fun st -> write_view st s.node p)
+      D.refresh_stream s.digest ~slot:p ~version:(Core.version core p) (fun st ->
+          s.ids.(p) <- -1;
+          let out m =
+            let i = msg_id msgs m in
+            s.ids.(p) <- i;
+            msgs.texts.(i)
+          in
+          write_view ~out ~held st s.node p)
     done
 
+  (* The node's broadcasts with their ids, every id known: the [late] of
+     its successors. A state built by [apply] may never have been keyed:
+     refreshing it leaves each id current or [unknown]. *)
+  let outs s =
+    refresh ~late:[] s;
+    let core = F.core s.node in
+    let rec go p acc =
+      if p < 0 then acc
+      else
+        match Core.out core p with
+        | None -> go (p - 1) acc
+        | Some m ->
+          if s.ids.(p) = unknown then s.ids.(p) <- msg_id s.caches.msgs m;
+          go (p - 1) ((m, s.ids.(p)) :: acc)
+    in
+    go (n - 1) []
+
+  let step s plan =
+    let node, vs, loud = F.step s.node plan in
+    ({ s with node; digest = D.copy s.digest; ids = Array.copy s.ids }, vs, loud)
+
+  let apply s plan =
+    let s', _, _ = step s plan in
+    s'
+
   let key s =
-    refresh s;
-    D.key s.digest ~round:(Core.round (F.core s.node)) ~global:(F.global s.node)
+    refresh ~late:[] s;
+    D.key s.digest ~round:(Core.round (F.core s.node)) ~global:(D.hashes F.global s.node)
 
   let compare_pairs (a1, b1) (a2, b2) =
     match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c
 
-  let table caches core choices =
+  let table caches core (entry, choices) =
     let live =
       List.filter (fun p -> Core.fate core p = G.Step_core.Live) (List.init n Fun.id)
     in
-    let signature = (choices, live, Core.stable core) in
+    let signature = (entry, Option.value (Core.stable core) ~default:(-1), live) in
     match Tables.find_opt caches.tables signature with
     | Some t -> t
     | None ->
@@ -285,15 +358,6 @@ module Make (F : FAMILY) = struct
       Tables.add caches.tables signature t;
       t
 
-  let msg_id caches m =
-    let mk = F.msg_key m in
-    match Hashtbl.find_opt caches.msg_ids mk with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length caches.msg_ids in
-      Hashtbl.add caches.msg_ids mk i;
-      i
-
   (* One process's transition under one delivery pattern, within one
      expansion: not looked at yet, or looked up and unknown (the key kept
      to learn it), or known. *)
@@ -317,15 +381,11 @@ module Make (F : FAMILY) = struct
         include_inadmissible = F.armed;
       }
     in
-    let choices = G.Plan_enum.enumerate_memo s.caches.plans pspec c0 in
-    (* A state built by [apply] may never have been keyed. *)
-    refresh s;
+    let ((_, choices) as entry) = G.Plan_enum.enumerate_memo s.caches.plans pspec c0 in
+    let late = outs s in
+    let ids = s.ids in
     let k = Core.round core in
-    let table = table s.caches core choices in
-    let ids =
-      Array.init n (fun p ->
-          match Core.out core p with Some m -> msg_id s.caches m | None -> -1)
-    in
+    let table = table s.caches core entry in
     let transition p i =
       let recv, stable = table.patterns.(p).(i) in
       let h1, h2 = D.slot s.digest p in
@@ -355,7 +415,7 @@ module Make (F : FAMILY) = struct
         cells.(p).(i) <- c;
         c
     in
-    let global = F.global s.node in
+    let global = D.hashes F.global s.node in
     let predict row =
       let rec go p sum1 sum2 =
         if p = n then Some (D.key_of_sums ~round:(k + 1) ~global sum1 sum2)
@@ -374,10 +434,11 @@ module Make (F : FAMILY) = struct
       for p = 0 to n - 1 do
         match resolve p row.(p) with
         | Known (Quiet (h1, h2)) ->
-          D.assign s'.digest ~slot:p ~version:(Core.version core' p) h1 h2
+          D.assign s'.digest ~slot:p ~version:(Core.version core' p) h1 h2;
+          s'.ids.(p) <- unknown
         | Known Loud | Unknown _ | Unseen -> ()
       done;
-      refresh s';
+      refresh ~late s';
       for p = 0 to n - 1 do
         match cells.(p).(row.(p)) with
         | Unknown t ->
@@ -406,17 +467,23 @@ module Make (F : FAMILY) = struct
           Explore.Stepped { plan = c.plan; sys = s'; violations })
       choices
 
-  (* Reference key, bypassing the per-slot version cache — the
-     differential test pins [key = key_full] along sampled walks. *)
-  let key_full s =
-    let render p =
+  (* Reference rendering and key, bypassing the per-slot version cache
+     and the message renderings — the differential test pins [key =
+     key_full] along sampled walks. *)
+  let rendered s =
+    let render write =
       let b = Buffer.create 64 in
-      write_view (D.text b) s.node p;
+      write (D.text b);
       Buffer.contents b
     in
-    D.full_key
-      ~round:(Core.round (F.core s.node))
-      ~global:(F.global s.node) ~views:(List.init n render)
+    ( Core.round (F.core s.node),
+      render (fun st -> F.global st s.node),
+      List.init n (fun p ->
+          render (fun st -> write_view ~out:F.msg_key ~held:F.msg_key st s.node p)) )
+
+  let key_full s =
+    let round, global, views = rendered s in
+    D.full_key ~round ~global ~views
 
   let terminal s = F.terminal s.node
   let pending s = F.pending s.node

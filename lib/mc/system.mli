@@ -24,7 +24,15 @@
     known and quiet, the successor's key is the parent's global facts
     with the post-view digests summed, and the branch is
     {!Explore.Predicted}; otherwise it is stepped, and teaches its [n]
-    transitions (DESIGN.md §10). *)
+    transitions (DESIGN.md §10).
+
+    {b Keys without strings.} Nothing on the search path builds a
+    string to look something up: a key is a record of ints
+    ({!Canon.Digest.key}), the plan memo and the dispatch tables are
+    keyed by structural int keys, and messages are interned with the
+    algorithm's [msg_compare], each id keeping the one [msg_key]
+    rendering a view writes. The text a view hashes is the same as when
+    it was rendered anew. *)
 
 module type FAMILY = sig
   module Core : Anon_giraf.Intf.CORE
@@ -39,6 +47,10 @@ module type FAMILY = sig
   val armed : bool
   val state_key : Core.state -> string
   val msg_key : Core.msg -> string
+
+  val msg_compare : Core.msg -> Core.msg -> int
+  (** The algorithm's message order: the search interns messages by it,
+      with one [msg_key] rendering per distinct message. *)
 
   val core : node -> Core.t
   (** Its {!Anon_giraf.Intf.CORE.stable} source, the one the replay's
@@ -59,8 +71,9 @@ module type FAMILY = sig
   val view_extra : Canon.Digest.stream -> node -> int -> unit
   (** Family fields of a live process's view, written after its fates. *)
 
-  val global : node -> string
-  (** Permutation-invariant global facts of the key. *)
+  val global : Canon.Digest.stream -> node -> unit
+  (** Writes the permutation-invariant global facts of the key, as
+      [view_extra] writes a view: the key takes their hash pair. *)
 
   val terminal : node -> bool
   (** Consensus: the core's stop rule {!Anon_giraf.Intf.CORE.all_decided}. *)
@@ -72,5 +85,6 @@ end
 val make : (module FAMILY) -> (module Explore.SYSTEM)
 
 val make_probe : (module FAMILY) -> (module Explore.SYSTEM_DEBUG)
-(** Same system with {!Explore.SYSTEM_DEBUG.snapshot} and the reference
-    [key_full], for the runner-vs-checker differential test. *)
+(** Same system with {!Explore.SYSTEM_DEBUG.snapshot}, the rendered
+    views and the reference [key_full], for the runner-vs-checker
+    differential test. *)

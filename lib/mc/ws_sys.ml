@@ -32,6 +32,7 @@ struct
   let armed = spec.armed
   let state_key = S.state_key
   let msg_key = S.msg_key
+  let msg_compare = S.msg_compare
 
   let workload =
     Anon_chaos.Scenario.mc_workload ~n ~ops_per_client:spec.ops_per_client
@@ -89,7 +90,7 @@ struct
     | G.Step_core.Do_get -> D.feed_char st 'G'
     | G.Step_core.Do_add v ->
       D.feed_char st 'A';
-      D.feed_string st (Value.to_string v)
+      D.feed_int st v
     | G.Step_core.Do_add_with _ -> D.feed_char st 'F'
 
   let write_script st nd p = List.iter (write_op st) (Svc.script nd.svc p)
@@ -98,18 +99,27 @@ struct
     (match Svc.blocked nd.svc p with
     | Some (v, _) ->
       D.feed_string st "|b:";
-      D.feed_string st (Value.to_string v)
+      D.feed_int st v
     | None -> ());
     D.feed_string st "|w:";
     write_script st nd p
 
-  let set_str set =
-    String.concat "," (List.map Value.to_string (Value.Set.elements set))
+  let write_set st set =
+    ignore
+      (Value.Set.fold
+         (fun v first ->
+           if not first then D.feed_char st ',';
+           D.feed_int st v;
+           false)
+         set true
+        : bool)
 
-  let global nd =
-    Printf.sprintf "inv:%s/comp:%s"
-      (set_str (Judge.invoked nd.inv))
-      (set_str (Judge.completed_values nd.inv))
+  (* The invoked and the completed add values. *)
+  let global st nd =
+    D.feed_string st "inv:";
+    write_set st (Judge.invoked nd.inv);
+    D.feed_string st "/comp:";
+    write_set st (Judge.completed_values nd.inv)
 
   (* The explored workload is finite: once every live client's script is
      drained and no add is blocked, no transition can complete another
@@ -154,7 +164,7 @@ struct
         write_script (D.text b) nd p;
         Buffer.add_char b '\n'
     done;
-    Buffer.add_string b (global nd);
+    global (D.text b) nd;
     Buffer.contents b
 end
 

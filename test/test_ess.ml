@@ -311,6 +311,43 @@ let test_state_invariants () =
         [] (observe_invariants ~seed))
     (List.init 25 (fun i -> 840 + i))
 
+(* --- model-checker keys ----------------------------------------------------------- *)
+
+(* Keys print structural digests: a run's keys are the same in a fresh
+   interner scope whose ids are shifted by unrelated histories. *)
+let test_keys_across_scopes () =
+  let keys () =
+    let acc = ref [] in
+    let observe ~pid ~round st = acc := (round, pid, Ess.state_key st) :: !acc in
+    let config =
+      G.Runner.default_config ~horizon:40 ~seed:5 ~inputs:[ 3; 1; 4; 2 ]
+        ~crash:(G.Crash.none ~n:4) (G.Adversary.ess ~gst:12 ~noise:0.3 ())
+    in
+    let out = R.run ~observe config in
+    check_bool "decided" true out.all_correct_decided;
+    List.rev !acc
+  in
+  let first = History.with_fresh_interner keys in
+  let shifted =
+    History.with_fresh_interner (fun () ->
+        List.iter (fun v -> ignore (History.of_list [ v; v; 9 ] : History.t)) [ 4; 3; 2; 1 ];
+        keys ())
+  in
+  Alcotest.(check (list (triple int int string))) "same state keys" first shifted
+
+(* Two tables with one history each, differing only in its count, and
+   the same content built in another scope and order. *)
+let test_keys_tell_counts_apart () =
+  let m counters = Ess.msg_key (msg ~proposed:[ Pvalue.v 1 ] ~history:[ 1; 2 ] ~counters ()) in
+  let a = m [ ([ 1 ], 1); ([ 1; 2 ], 2) ] and b = m [ ([ 1 ], 1); ([ 1; 2 ], 1) ] in
+  check_bool "counts differ, keys differ" true (a <> b);
+  let a' =
+    History.with_fresh_interner (fun () ->
+        ignore (History.of_list [ 1; 2 ] : History.t);
+        m [ ([ 1; 2 ], 2); ([ 1 ], 1) ])
+  in
+  Alcotest.(check string) "same content, same key" a a'
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "ess-consensus"
@@ -340,4 +377,9 @@ let () =
           qc prop_ess_safety;
         ] );
       ( "ablations", [ Alcotest.test_case "leaders-only stalls" `Quick test_leaders_only_stalls ] );
+      ( "keys",
+        [
+          Alcotest.test_case "equal across interner scopes" `Quick test_keys_across_scopes;
+          Alcotest.test_case "tables differing in a count" `Quick test_keys_tell_counts_apart;
+        ] );
     ]

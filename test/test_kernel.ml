@@ -199,6 +199,52 @@ let test_value_pp_set () =
   let s = Value.set_of_list [ 3; 1; 2 ] in
   Alcotest.(check string) "sorted render" "{1, 2, 3}" (Format.asprintf "%a" Value.pp_set s)
 
+(* The one decimal routine against [string_of_int]: [Value.to_string],
+   [Value.iter_decimal] into a buffer, and the model checker's text
+   stream, which feeds [Canon.Digest.feed_int]'s bytes. *)
+let decimal_matches n =
+  let through_stream =
+    let b = Buffer.create 20 in
+    Anon_mc.Canon.Digest.feed_int (Anon_mc.Canon.Digest.text b) n;
+    Buffer.contents b
+  in
+  let through_iter =
+    let b = Buffer.create 20 in
+    Value.iter_decimal Buffer.add_char b n;
+    Buffer.contents b
+  in
+  let expected = string_of_int n in
+  Value.to_string n = expected && through_iter = expected && through_stream = expected
+
+let decimal_edges =
+  [ 0; 9; -9; 10; -10; 99; -99; 100; -100; 1023; 1024; -1; min_int; max_int; min_int + 1 ]
+
+let test_value_decimal_edges () =
+  List.iter
+    (fun n -> check_bool (Printf.sprintf "%d renders as string_of_int" n) true (decimal_matches n))
+    decimal_edges
+
+let prop_value_decimal =
+  QCheck.Test.make ~name:"decimal = string_of_int over the int range" ~count:1000
+    QCheck.(oneof [ int; small_signed_int ])
+    decimal_matches
+
+let test_value_decimal_allocates_nothing () =
+  let digits = ref 0 in
+  let count r _ = incr r in
+  Alcotest.(check (float 0.)) "iter_decimal over 1000 ints, minor words" 0.
+    (words (fun () ->
+         for i = 1 to 1000 do
+           Value.iter_decimal count digits (i * 7919 * 7919 * 7919)
+         done));
+  let small () =
+    for i = 0 to 1023 do
+      ignore (Value.to_string i : string)
+    done
+  in
+  small ();
+  Alcotest.(check (float 0.)) "to_string of 0 to 1023 again, minor words" 0. (words small)
+
 let test_pvalue_order () =
   check_bool "bot below" true (Pvalue.compare Pvalue.bot (Pvalue.v min_int) < 0);
   check_bool "values ordered" true (Pvalue.compare (Pvalue.v 1) (Pvalue.v 2) < 0);
@@ -283,6 +329,25 @@ let prop_history_lexicographic =
         History.compare_lexicographic (History.of_list a) (History.of_list b)
       in
       compare c 0 = compare (List.compare Int.compare a b) 0)
+
+(* Digests depend on the values alone: the same lists interned in another
+   scope, in another order, get the same digests, and distinct lists
+   distinct ones. *)
+let prop_history_digest_structural =
+  QCheck.Test.make ~name:"digest is structural across interner scopes" ~count:200
+    QCheck.(small_list (small_list (int_bound 3)))
+    (fun lists ->
+      let digests order =
+        History.with_fresh_interner (fun () ->
+            List.iter (fun vs -> ignore (History.of_list vs : History.t)) (order lists);
+            List.map (fun vs -> History.digest (History.of_list vs)) lists)
+      in
+      let fwd = digests Fun.id and bwd = digests List.rev in
+      let pairs = List.combine lists fwd in
+      fwd = bwd
+      && List.for_all
+           (fun (a, da) -> List.for_all (fun (b, db) -> (a = b) = (da = db)) pairs)
+           pairs)
 
 (* --- Counter_table ---------------------------------------------------------- *)
 
@@ -602,6 +667,46 @@ let prop_ct_differential_deep =
         ]
     ct_deep_universe
 
+(* The digest is a function of the content: equal in another interner
+   scope whose ids differ and whose entries went in another order, and
+   different for different content. [b] is [a] with a few entries set
+   again, so it often differs from [a] in counts only. *)
+let prop_ct_digest_structural =
+  let entry = QCheck.Gen.(pair (list_size (int_range 1 3) (int_bound 2)) (int_range 1 3)) in
+  QCheck.Test.make ~name:"digest = content, across scopes and orders" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_bound 6) entry >>= fun a ->
+         let reset = if a = [] then entry else pair (map fst (oneofl a)) (int_range 1 3) in
+         list_size (int_range 1 2) (oneof [ entry; reset ]) >|= fun edits -> (a, a @ edits)))
+    (fun (a, b) ->
+      let content kvs =
+        List.sort compare
+          (List.fold_left (fun m (k, c) -> (k, c) :: List.remove_assoc k m) [] kvs)
+      in
+      let build kvs =
+        List.fold_left
+          (fun t (vs, c) -> Counter_table.set t (History.of_list vs) c)
+          Counter_table.empty kvs
+      in
+      let digest kvs = History.with_fresh_interner (fun () -> Counter_table.digest (build kvs)) in
+      let reordered kvs =
+        History.with_fresh_interner (fun () ->
+            List.iter (fun (vs, _) -> ignore (History.of_list (3 :: vs) : History.t)) kvs;
+            Counter_table.digest (build (List.rev (content kvs))))
+      in
+      digest a = reordered a && (content a = content b) = (digest a = digest b))
+
+let test_ct_digest_allocation () =
+  let t =
+    List.fold_left
+      (fun t i -> Counter_table.set t (History.of_list [ i mod 7; i ]) (1 + (i mod 5)))
+      Counter_table.empty (List.init 100 Fun.id)
+  in
+  let w = words (fun () -> ignore (Counter_table.digest t : int * int)) in
+  check_bool (Printf.sprintf "digest of 100 entries: %.0f minor words, its pair only" w) true
+    (w <= 3.)
+
 let prop_ct_max_merge_laws =
   (* Ablation A3's merge: the model's pointwise-max union, commutative and
      idempotent, and pointwise at least min_merge. *)
@@ -768,6 +873,10 @@ let () =
         [
           Alcotest.test_case "max_of" `Quick test_value_max_of;
           Alcotest.test_case "pp_set" `Quick test_value_pp_set;
+          Alcotest.test_case "decimal edges" `Quick test_value_decimal_edges;
+          qc prop_value_decimal;
+          Alcotest.test_case "decimal allocates nothing" `Quick
+            test_value_decimal_allocates_nothing;
           Alcotest.test_case "pvalue order" `Quick test_pvalue_order;
           Alcotest.test_case "pvalue max_value" `Quick test_pvalue_max_value;
           Alcotest.test_case "subset_of_val_bot" `Quick test_pvalue_subset_of_val_bot;
@@ -782,6 +891,7 @@ let () =
           qc prop_history_roundtrip;
           qc prop_history_prefix_model;
           qc prop_history_lexicographic;
+          qc prop_history_digest_structural;
         ] );
       ( "counter-table",
         [
@@ -795,6 +905,8 @@ let () =
           qc prop_ct_differential;
           qc prop_ct_differential_deep;
           qc prop_ct_max_merge_laws;
+          qc prop_ct_digest_structural;
+          Alcotest.test_case "digest allocates its pair only" `Quick test_ct_digest_allocation;
         ] );
       ( "stats",
         [

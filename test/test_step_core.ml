@@ -26,6 +26,10 @@ module Ch = Anon_chaos
 
 let check_string = Alcotest.(check string)
 
+let check_key =
+  Alcotest.check
+    (Alcotest.testable Anon_mc.Canon.Digest.pp_key Anon_mc.Canon.Digest.equal_key)
+
 (* The replay of an admissible path meets the environment its plans were
    enumerated for: the search and the runner read one stable source. *)
 let check_replay_env ~label ~seed (trace : G.Trace.t) =
@@ -34,15 +38,110 @@ let check_replay_env ~label ~seed (trace : G.Trace.t) =
     []
     (List.map (Format.asprintf "%a" G.Checker.pp_violation) (G.Checker.check_env trace))
 
+(* --- keys partition states as the text keys did --------------------------- *)
+
+(* The text key the record keys replaced: the round, the family's global
+   facts as text and the wrapping sums of two FNV-1a streams over each
+   rendered view. *)
+let text_key (type s) (module R : Anon_mc.Explore.SYSTEM_DEBUG with type sys = s) (r : s) =
+  let round, global, views = R.rendered r in
+  let module H = K.Hashing.Fast in
+  let fnv basis v =
+    let h = ref basis in
+    String.iter (fun c -> h := (!h lxor Char.code c) * H.prime) v;
+    !h
+  in
+  let sum basis = List.fold_left (fun acc v -> acc + fnv basis v) 0 views in
+  let b = Buffer.create 64 in
+  Buffer.add_string b (string_of_int round);
+  Buffer.add_char b '#';
+  Buffer.add_string b global;
+  Buffer.add_char b '\x01';
+  Buffer.add_int64_be b (Int64.of_int (sum H.init));
+  Buffer.add_int64_be b (Int64.of_int (sum (H.byte H.init '\xa5')));
+  Buffer.contents b
+
+(* ESS with the full-text renderers the digests replaced: each history as
+   its value sequence, each counter table as its bindings sorted by that
+   rendering. *)
+module Ess_text = struct
+  include C.Ess_consensus
+
+  let pset_key s =
+    "{"
+    ^ String.concat ","
+        (List.map
+           (function K.Pvalue.Bot -> "_" | K.Pvalue.Val v -> string_of_int v)
+           (K.Pvalue.Set.elements s))
+    ^ "}"
+
+  let history_key h = "<" ^ String.concat "." (List.map string_of_int (K.History.to_list h)) ^ ">"
+
+  let counters_key c =
+    let bindings =
+      List.sort compare
+        (List.map (fun (h, cnt) -> (K.History.to_list h, cnt)) (K.Counter_table.bindings c))
+    in
+    "["
+    ^ String.concat ";"
+        (List.map
+           (fun (vs, cnt) ->
+             String.concat "." (List.map string_of_int vs) ^ "=" ^ string_of_int cnt)
+           bindings)
+    ^ "]"
+
+  let msg_key (m : msg) =
+    Printf.sprintf "p%s h%s c%s" (pset_key m.m_proposed) (history_key m.m_history)
+      (counters_key m.m_counters)
+
+  let state_key st =
+    Printf.sprintf "v%d c%s h%s p%s w%s o%s l%b" (current_val st)
+      (counters_key (counters st))
+      (history_key (history st))
+      (pset_key (proposed st))
+      (pset_key (written st))
+      (pset_key (written_old st))
+      (is_leader st)
+end
+
+(* Over the nodes and successors of a case's walks, two keys are equal
+   exactly when their text keys are, and two process views exactly when
+   their reference renderings are. *)
+let check_partition ~label pairs =
+  let check what eq pp pairs =
+    let by_key = Hashtbl.create 64 and by_text = Hashtbl.create 64 in
+    List.iter
+      (fun (key, text) ->
+        (match Hashtbl.find_opt by_key key with
+        | Some text' ->
+          check_string (Printf.sprintf "%s: equal %s, equal reference texts" label what) text' text
+        | None -> Hashtbl.add by_key key text);
+        match Hashtbl.find_opt by_text text with
+        | Some key' ->
+          Alcotest.check (Alcotest.testable pp eq)
+            (Printf.sprintf "%s: equal reference texts, equal %s" label what)
+            key' key
+        | None -> Hashtbl.add by_text text key)
+      pairs
+  in
+  check "keys" Anon_mc.Canon.Digest.equal_key Anon_mc.Canon.Digest.pp_key
+    (List.map (fun (key, text, _) -> (key, text)) pairs);
+  check "views" String.equal Format.pp_print_string (List.concat_map (fun (_, _, views) -> views) pairs)
+
 (* Sample one plan path through a system: at every node pick a uniformly
    random successor until [depth] steps or a terminal node. Returns the
-   plans and the snapshots of every node along the path (root included). *)
-let sample_path (module Sys : Anon_mc.Explore.SYSTEM_DEBUG) ~rng ~depth =
+   plans, the snapshots of every node along the path (root included),
+   and, for every node and successor met, its key and [reference]'s
+   text key, with each process's view as both render it. [reference] is
+   the same system, its views perhaps rendered by other writers, stepped
+   along the same plans. *)
+let sample_path (module Sys : Anon_mc.Explore.SYSTEM_DEBUG)
+    ~reference:(module Ref : Anon_mc.Explore.SYSTEM_DEBUG) ~rng ~depth =
   (* Every node doubles as a digest property check: the incrementally
      maintained canonical key (per-slot version cache, piecewise-fed hash
      streams) must equal the from-scratch rehash of the rendered views. *)
   let check_digest s =
-    check_string "incremental key = full rehash" (Sys.key_full s) (Sys.key s)
+    check_key "incremental key = full rehash" (Sys.key_full s) (Sys.key s)
   in
   (* ... and a prediction check: every branch whose key [expand] predicted
      without stepping must name the key of the successor [apply] builds. *)
@@ -50,39 +149,59 @@ let sample_path (module Sys : Anon_mc.Explore.SYSTEM_DEBUG) ~rng ~depth =
     List.iter
       (function
         | Anon_mc.Explore.Predicted { plan; key } ->
-          check_string "predicted key = key (apply s plan)" (Sys.key (Sys.apply s plan)) key
+          check_key "predicted key = key (apply s plan)" (Sys.key (Sys.apply s plan)) key
         | Anon_mc.Explore.Stepped _ -> ())
       branches
   in
-  let rec go s plans snaps steps =
-    if steps = 0 || Sys.terminal s then (List.rev plans, List.rev snaps)
+  let text = text_key (module Ref : Anon_mc.Explore.SYSTEM_DEBUG with type sys = Ref.sys) in
+  let pair key s r =
+    let _, _, views = Sys.rendered s and _, _, ref_views = Ref.rendered r in
+    (key, text r, List.combine views ref_views)
+  in
+  let rec go s r plans snaps pairs steps =
+    if steps = 0 || Sys.terminal s then (List.rev plans, List.rev snaps, pairs)
     else
       match Sys.expand s with
-      | [] -> (List.rev plans, List.rev snaps)
+      | [] -> (List.rev plans, List.rev snaps, pairs)
       | branches ->
         check_predictions s branches;
+        let pairs =
+          List.fold_left
+            (fun pairs branch ->
+              match branch with
+              | Anon_mc.Explore.Stepped { plan; sys; _ } ->
+                pair (Sys.key sys) sys (Ref.apply r plan) :: pairs
+              | Anon_mc.Explore.Predicted { plan; key } ->
+                pair key (Sys.apply s plan) (Ref.apply r plan) :: pairs)
+            pairs branches
+        in
         let plan, s' =
           match List.nth branches (K.Rng.int rng (List.length branches)) with
           | Anon_mc.Explore.Stepped { plan; sys; _ } -> (plan, sys)
           | Anon_mc.Explore.Predicted { plan; _ } -> (plan, Sys.apply s plan)
         in
         check_digest s';
-        go s' (plan :: plans) (Sys.snapshot s' :: snaps) (steps - 1)
+        go s' (Ref.apply r plan) (plan :: plans) (Sys.snapshot s' :: snaps) pairs (steps - 1)
   in
-  let s0 = Sys.init () in
+  let s0 = Sys.init () and r0 = Ref.init () in
   check_digest s0;
-  let plans, snaps = go s0 [] [] depth in
-  (plans, Sys.snapshot s0 :: snaps)
+  let plans, snaps, pairs = go s0 r0 [] [] [ pair (Sys.key s0) s0 r0 ] depth in
+  (plans, Sys.snapshot s0 :: snaps, pairs)
 
 (* --- consensus ---------------------------------------------------------- *)
 
 let consensus_diff (module A : Mc_cs.MODEL) ?(armed = false) ~label ~env ~inputs
     ~crash ~churn ~max_delay ~depth ~seed () =
-  let module Sys =
-    (val Mc_cs.make_probe (module A) { Mc_cs.inputs; crash; churn; env; max_delay; armed })
+  let spec = { Mc_cs.inputs; crash; churn; env; max_delay; armed } in
+  let module Sys = (val Mc_cs.make_probe (module A) spec) in
+  (* ESS's keys print digests; its reference renders the full text. The
+     other models render the same text as before. *)
+  let reference =
+    if A.name = C.Ess_consensus.name then Mc_cs.make_probe (module Ess_text) spec
+    else Mc_cs.make_probe (module A) spec
   in
   let rng = K.Rng.make seed in
-  let plans, mc_snaps = sample_path (module Sys) ~rng ~depth in
+  let plans, mc_snaps, pairs = sample_path (module Sys) ~reference ~rng ~depth in
   let m = List.length plans in
   let module Run = G.Runner.Make (A) in
   let states = Hashtbl.create 64 in
@@ -150,7 +269,8 @@ let consensus_diff (module A : Mc_cs.MODEL) ?(armed = false) ~label ~env ~inputs
       check_string
         (Printf.sprintf "%s seed=%d node %d" label seed (i + 1))
         mc_snap (expected (i + 1)))
-    mc_snaps
+    mc_snaps;
+  pairs
 
 (* --- weak set ------------------------------------------------------------ *)
 
@@ -162,12 +282,12 @@ let pp_op buf (start, op) =
     | G.Runner.Ws.Do_add_with _ -> Printf.sprintf "%dF" start)
 
 let ws_diff ~label ~env ~n ~crash ~max_delay ~ops_per_client ~depth ~seed () =
-  let module Sys =
-    (val Mc_ws.make_probe
-           { Mc_ws.n; crash; env; max_delay; armed = false; ops_per_client })
-  in
+  let spec = { Mc_ws.n; crash; env; max_delay; armed = false; ops_per_client } in
+  let module Sys = (val Mc_ws.make_probe spec) in
   let rng = K.Rng.make seed in
-  let plans, mc_snaps = sample_path (module Sys) ~rng ~depth in
+  let plans, mc_snaps, pairs =
+    sample_path (module Sys) ~reference:(Mc_ws.make_probe spec) ~rng ~depth
+  in
   let m = List.length plans in
   let workload = Ch.Scenario.mc_workload ~n ~ops_per_client in
   let module Run = G.Runner.Ws.Make (C.Weak_set_ms) in
@@ -261,7 +381,8 @@ let ws_diff ~label ~env ~n ~crash ~max_delay ~ops_per_client ~depth ~seed () =
       check_string
         (Printf.sprintf "%s seed=%d node %d" label seed (i + 1))
         mc_snap (expected (i + 1)))
-    mc_snaps
+    mc_snaps;
+  pairs
 
 (* --- the matrix ---------------------------------------------------------- *)
 
@@ -427,11 +548,12 @@ let consensus_tests =
   List.map
     (fun (label, model, armed, env, crash, churn, depth, seeds) ->
       Alcotest.test_case label `Quick (fun () ->
-          List.iter
-            (fun seed ->
-              consensus_diff model ~armed ~label ~env ~inputs:inputs3 ~crash ~churn
-                ~max_delay:1 ~depth ~seed ())
-            seeds))
+          check_partition ~label
+            (List.concat_map
+               (fun seed ->
+                 consensus_diff model ~armed ~label ~env ~inputs:inputs3 ~crash ~churn
+                   ~max_delay:1 ~depth ~seed ())
+               seeds)))
     (List.map
        (fun (label, model, env, crash, churn, depth, seeds) ->
          (label, model, false, env, crash, churn, depth, seeds))
@@ -442,11 +564,11 @@ let ws_tests =
   List.map
     (fun (label, env, n, crash, max_delay, ops_per_client, depth, seeds) ->
       Alcotest.test_case label `Quick (fun () ->
-          List.iter
-            (fun seed ->
-              ws_diff ~label ~env ~n ~crash ~max_delay ~ops_per_client ~depth
-                ~seed ())
-            seeds))
+          check_partition ~label
+            (List.concat_map
+               (fun seed ->
+                 ws_diff ~label ~env ~n ~crash ~max_delay ~ops_per_client ~depth ~seed ())
+               seeds)))
     ws_cases
 
 (* --- one round against a link-by-link reference ---------------------------- *)
