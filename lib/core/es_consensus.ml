@@ -9,6 +9,22 @@ type state = {
   written_old : Value.Set.t;
 }
 
+(* The set {v} of each small value, built once and shared: processes
+   that propose one value broadcast one set, which the mailboxes compare
+   by address. A race between domains at worst builds one twice. *)
+let singletons = Array.make 1024 Value.Set.empty
+
+let singleton v =
+  if v < 0 || v >= Array.length singletons then Value.Set.singleton v
+  else
+    let s = singletons.(v) in
+    if Value.Set.is_empty s then begin
+      let s = Value.Set.singleton v in
+      singletons.(v) <- s;
+      s
+    end
+    else s
+
 module Impl (P : sig
   val name : string
   val use_written_old_guard : bool
@@ -40,39 +56,35 @@ struct
 
   let union_all ms = List.fold_left Value.Set.union Value.Set.empty ms
 
-  let should_decide st =
-    let singleton_val = Value.Set.singleton st.value in
+  (* [s = {v}], without building [{v}]. *)
+  let is_singleton v s = Value.Set.cardinal s = 1 && Value.equal (Value.Set.min_elt s) v
+
+  let should_decide ~value ~proposed ~written ~written_old =
     if P.use_written_old_guard then
       (* Line 9: PROPOSED = WRITTENOLD = {VAL}. *)
-      Value.Set.equal st.proposed st.written_old
-      && Value.Set.equal st.written_old singleton_val
+      is_singleton value written_old && is_singleton value proposed
     else
       (* Ablation A2: no memory of the previous even round. *)
-      Value.Set.equal st.proposed singleton_val
-      && not (Value.Set.is_empty st.written)
+      is_singleton value proposed && not (Value.Set.is_empty written)
 
   (* Placement of the updates (the listing's indentation is ambiguous;
      the proofs pin it down): PROPOSED is reset only in even rounds
      ("no value is removed from a set PROPOSED in odd rounds", Lemma 2),
      while WRITTENOLD := WRITTEN runs every round (Lemma 2 equates
-     WRITTENOLD at even round k with WRITTEN at round k-1). *)
+     WRITTENOLD at even round k with WRITTEN at round k-1). Each branch
+     builds the one state it returns. *)
   let compute st ~round ~inbox:{ Anon_giraf.Intf.current; fresh = _ } =
     let written = intersect_all current in
     let proposed = Value.Set.union (union_all current) st.proposed in
-    let st = { st with written; proposed } in
-    if round mod 2 <> 0 then begin
-      let st = { st with written_old = written } in
-      (st, st.proposed, None)
-    end
-    else if should_decide st then (st, st.proposed, Some st.value)
+    if round mod 2 <> 0 then ({ st with proposed; written; written_old = written }, proposed, None)
+    else if should_decide ~value:st.value ~proposed ~written ~written_old:st.written_old then
+      ({ st with proposed; written }, proposed, Some st.value)
     else begin
       let value =
         if Value.Set.is_empty written then st.value else Value.Set.max_elt written
       in
-      let st =
-        { value; proposed = Value.Set.singleton value; written; written_old = written }
-      in
-      (st, st.proposed, None)
+      let proposed = singleton value in
+      ({ value; proposed; written; written_old = written }, proposed, None)
     end
 end
 

@@ -65,8 +65,6 @@ let timely_all ctx =
   let source = match ctx.senders with [] -> None | s :: _ -> Some s in
   { source; groups }
 
-let late_arrival ctx rng max_delay = ctx.round + Rng.int_in rng 1 (Int.max 1 max_delay)
-
 (* Source candidates must be correct (so they survive the round) and
    actually broadcasting this round: how many senders are, and the
    [i]-th of them, without building their list. *)
@@ -93,69 +91,52 @@ let pick_source ~rotation ctx rng =
     | Round_robin -> Some (nth_candidate ctx (ctx.round mod count) ctx.senders)
     | Random_source -> Some (nth_candidate ctx (Rng.int rng count) ctx.senders))
 
-(* One noisy round: its context and draws, and the scratch where row [d]
-   of [late] collects a sender's receivers arriving at [round + d];
-   [owed] is [ctx.obligated]. *)
-type draws = {
-  ctx : ctx;
-  rng : Rng.t;
-  noise : float;
-  max_delay : int;
-  late : Pidset.Rows.t;
-  rows : int;
-  owed : Pidset.t;
-}
-
 (* Sender [p]'s draws: every alive receiver but [p] drawn in turn, in
-   [ctx.alive] order, into the row of its arrival. *)
-let rec draw d ~is_source (p : int) = function
-  | [] -> ()
+   [alive] order, into the row of [late] of its delay, 0 for timely;
+   [owed] holds the receivers a source must reach timely. Returns the
+   last row drawn into, [top] if none is later. *)
+let rec draw rng ~noise ~max_delay late ~owed ~is_source (p : int) top = function
+  | [] -> top
   | q :: tl ->
-    if q = p then draw d ~is_source p tl
-    else
-      let must_be_timely = is_source && Pidset.mem q d.owed in
+    if q = p then draw rng ~noise ~max_delay late ~owed ~is_source p top tl
+    else begin
+      let must_be_timely = is_source && Pidset.mem q owed in
       (* [Rng.chance] draws nothing for a [noise] of 0. *)
       let row =
-        if must_be_timely || (d.noise > 0. && Rng.chance d.rng d.noise) then 0
-        else late_arrival d.ctx d.rng d.max_delay - d.ctx.round
+        if must_be_timely || (noise > 0. && Rng.chance rng noise) then 0
+        else Rng.int_in rng 1 (Int.max 1 max_delay)
       in
-      Pidset.Rows.add d.late ~row q;
-      draw d ~is_source p tl
+      Pidset.Rows.add late ~row q;
+      draw rng ~noise ~max_delay late ~owed ~is_source p (Int.max top row) tl
+    end
 
-(* The drawn rows from [row] on as groups, ascending arrival. *)
-let[@tail_mod_cons] rec drawn_groups d row =
-  if row >= d.rows then []
-  else if Pidset.Rows.is_empty d.late ~row then drawn_groups d (row + 1)
+(* The drawn rows from [row] to [last] as groups, ascending arrival. *)
+let rec drawn_groups late ~round ~last row =
+  if row > last then []
+  else if Pidset.Rows.is_empty late ~row then drawn_groups late ~round ~last (row + 1)
   else
-    let receivers = Pidset.Rows.take d.late ~row in
-    { arrival = d.ctx.round + row; receivers } :: drawn_groups d (row + 1)
+    let receivers = Pidset.Rows.take late ~row in
+    let rest = drawn_groups late ~round ~last (row + 1) in
+    { arrival = round + row; receivers } :: rest
 
-let[@tail_mod_cons] rec noisy_rows d source = function
+(* Every sender's groups, drawn sender by sender. *)
+let rec noisy_rows ctx rng ~noise ~max_delay late ~owed source = function
   | [] -> []
   | p :: tl ->
     let is_source = match source with Some s -> s = p | None -> false in
-    draw d ~is_source p d.ctx.alive;
-    let row = drawn_groups d 0 in
-    (p, row) :: noisy_rows d source tl
+    let last = draw rng ~noise ~max_delay late ~owed ~is_source p (-1) ctx.alive in
+    let groups = drawn_groups late ~round:ctx.round ~last 0 in
+    (p, groups) :: noisy_rows ctx rng ~noise ~max_delay late ~owed source tl
 
 (* One round of "minimal + noise" schedule: [source] (if any) is timely to
    all obligated receivers; every other (sender, receiver) link is timely
-   with probability [noise], late otherwise. *)
+   with probability [noise], late otherwise. Row [d] of one
+   [Pidset.Rows] collects a sender's receivers arriving at [round + d]. *)
 let noisy_round ~source ~noise ~max_delay ctx rng =
   let rows = 1 + Int.max 1 max_delay in
-  let size = 1 + List.fold_left Int.max (-1) ctx.alive in
-  let d =
-    {
-      ctx;
-      rng;
-      noise;
-      max_delay;
-      late = Pidset.Rows.create ~rows ~size;
-      rows;
-      owed = Pidset.of_list ctx.obligated;
-    }
-  in
-  { source; groups = noisy_rows d source ctx.senders }
+  let late = Pidset.Rows.create ~rows ~size:(1 + List.fold_left Int.max (-1) ctx.alive) in
+  let owed = match source with Some _ -> Pidset.of_list ctx.obligated | None -> Pidset.empty in
+  { source; groups = noisy_rows ctx rng ~noise ~max_delay late ~owed source ctx.senders }
 
 (* Pre-GST schedule that provably stalls Alg. 2: two camps, the source
    alternating between the two smallest correct senders by round parity,

@@ -72,20 +72,16 @@ val peek :
     deduplicated and ascending as {!take}'s [current]; nothing is
     removed. *)
 
-val take :
-  compare:('msg -> 'msg -> int) ->
-  'msg t ->
-  int ->
-  round:int ->
-  'msg list * (int * 'msg) list Lazy.t
+val take : compare:('msg -> 'msg -> int) -> 'msg t -> int -> round:int -> 'msg Intf.inbox
 (** [take ~compare mb p ~round] removes process [p]'s entries with
-    [arrival <= round] and returns [(current, fresh)]: [fresh] is their
-    [(sent, msg)] list in canonical order (late messages included, for
-    algorithms that read earlier-round mailboxes), and [current] is the
-    deduplicated round-[round] message set (Alg. 1 line 10) in ascending
-    order, keeping of each run of equal messages the copy [fresh] lists
-    last. The caller guarantees the process's own round-[round] message
-    is among the arrivals (self-delivery is implicit and always timely).
+    [arrival <= round] and returns them as the inbox of [p]'s next
+    [compute]: [fresh] is their [(sent, msg)] list in canonical order
+    (late messages included, for algorithms that read earlier-round
+    mailboxes), and [current] is the deduplicated round-[round] message
+    set (Alg. 1 line 10) in ascending order, keeping of each run of
+    equal messages the copy [fresh] lists last. The caller guarantees
+    the process's own round-[round] message is among the arrivals
+    (self-delivery is implicit and always timely).
 
     [fresh] is built only when forced ([Lazy.from_val \[\]] when nothing
     arrived). Forcing it later, after further {!file}s or
@@ -99,8 +95,10 @@ val take :
     that name a receiver plus one, and its only message comparisons are
     the adjacent checks on the round-[round] messages [p] holds;
     [fresh], when forced, costs the entries of the filings taken that
-    name a receiver. Each bucket {!insert} filled is
-    stable-sorted once, when it is first read. *)
+    name a receiver. Besides [current]'s list, a lockstep [take]
+    allocates the inbox and [fresh]'s suspension, and a share list only
+    where it drops a share ahead of one it keeps. Each bucket {!insert}
+    filled is stable-sorted once, when it is first read. *)
 
 val file :
   compare:('msg -> 'msg -> int) ->
@@ -115,7 +113,8 @@ val file :
     sender receives it at the group's arrival ([>= sent]); [groups]
     lists the senders of [outgoing] in its order, as
     {!Dispatch.stats.groups} does. The broadcasts are ordered once, by
-    message and equal messages by descending sender. As in lockstep, no
+    message and equal messages by descending sender, with the
+    comparisons of [List.stable_sort]. As in lockstep, no
     receiver may hold an entry sent after round [sent], nor have taken
     round [sent] or a later one.
 

@@ -3,12 +3,14 @@ open Anon_kernel
 type last_broadcast = Silent | Broadcast_all | Broadcast_subset
 type event = { pid : int; round : int; broadcast : last_broadcast }
 
-(* [events] sorted by (round, pid), and indexed by round once. *)
+(* [events] sorted by (round, pid), and indexed by round once; the
+   correct pids listed once. *)
 type t = {
   n : int;
   by_pid : event option array;
   events : event list;
   by_round : event By_round.t;
+  correct : int list;
 }
 
 let check_events ~n evs =
@@ -34,7 +36,13 @@ let of_events ~n evs =
     Array.to_list by_pid |> List.filter_map Fun.id
     |> List.sort (fun a b -> compare (a.round, a.pid) (b.round, b.pid))
   in
-  { n; by_pid; events; by_round = By_round.index (fun ev -> Some ev.round) events }
+  {
+    n;
+    by_pid;
+    events;
+    by_round = By_round.index (fun ev -> Some ev.round) events;
+    correct = List.filter (fun p -> Option.is_none by_pid.(p)) (List.init n Fun.id);
+  }
 
 let none ~n = of_events ~n []
 
@@ -62,8 +70,7 @@ let events t = t.events
 
 let is_correct t pid = t.by_pid.(pid) = None
 
-let correct t =
-  List.filter (is_correct t) (List.init t.n Fun.id)
+let correct t = t.correct
 
 let event t pid = t.by_pid.(pid)
 

@@ -19,7 +19,7 @@ type run = {
   round : int;
   crashing_events : Crash.event list;
   eligible : Pidset.t;
-  receivers : unit -> int list;
+  receivers : int list;
   crash_rng : Rng.t;
   mutable timely : (int * Pidset.t) list;
   mutable cur : Pidset.t;
@@ -33,18 +33,21 @@ let nobody = { Adversary.arrival = -1; receivers = Pidset.empty }
 (* One group of [sender]'s broadcast as delivered: its arrival clamped
    to the round, its receivers those of the group that may receive (the
    sender stays a member if it was one), counted; [g] itself when
-   neither changes. *)
+   neither changes. A timely group's receivers but the sender join the
+   sender's timely ones. *)
 let deliver r ~(sender : int) (g : Adversary.group) =
   let arrival = Int.max g.arrival r.round in
   let reached = Pidset.inter g.receivers r.eligible in
-  let self = Pidset.mem sender reached in
-  let count = Pidset.cardinal reached - if self then 1 else 0 in
+  let others = if arrival = r.round then Pidset.remove sender reached else reached in
+  let count =
+    Pidset.cardinal others - if others == reached && Pidset.mem sender reached then 1 else 0
+  in
   if count = 0 then nobody
   else begin
     r.delivered <- r.delivered + count;
     if arrival = r.round then begin
       r.timely_count <- r.timely_count + count;
-      r.cur <- Pidset.union r.cur (if self then Pidset.remove sender reached else reached)
+      r.cur <- (if Pidset.is_empty r.cur then others else Pidset.union r.cur others)
     end;
     if arrival = g.arrival && reached == g.receivers then g else { arrival; receivers = reached }
   end
@@ -88,7 +91,7 @@ let crash_broadcast r ~sender (ev : Crash.event) ~scripted gs =
        exact subset); without one the RNG picks as before. *)
     deliver_groups r ~sender gs
   | Crash.Silent | Crash.Broadcast_all | Crash.Broadcast_subset -> (
-    let others = List.filter (fun q -> q <> sender) (r.receivers ()) in
+    let others = List.filter (fun q -> q <> sender) r.receivers in
     let reached = Crash.reach ev.broadcast r.crash_rng others in
     match ev.broadcast with
     | Crash.Broadcast_all ->
@@ -117,7 +120,7 @@ let rec skip_past (s : int) = function (p, _) :: tl when p = s -> skip_past s tl
    listing each sender with the groups it reached (its plan entry itself
    when nothing changed): the entries of senders that broadcast nothing
    are passed over, and a sender's entries after its first. *)
-let[@tail_mod_cons] rec send r outgoing (plan : entries) =
+let rec send r outgoing (plan : entries) =
   match outgoing with
   | [] -> []
   | { sender; _ } :: tl ->
@@ -139,7 +142,8 @@ let[@tail_mod_cons] rec send r outgoing (plan : entries) =
       | ((p, gs) as e) :: _ when p = sender && reached == gs -> e
       | _ -> (sender, reached)
     in
-    entry :: send r tl (skip_past sender plan)
+    let rest = send r tl (skip_past sender plan) in
+    entry :: rest
 
 let dispatch ~round ~outgoing ~crashing_events ~eligible ~receivers ~plan ~crash_rng =
   let r =

@@ -30,7 +30,7 @@ val dispatch :
   outgoing:'msg outbound list ->
   crashing_events:Crash.event list ->
   eligible:Anon_kernel.Pidset.t ->
-  receivers:(unit -> int list) ->
+  receivers:int list ->
   plan:Adversary.plan ->
   crash_rng:Anon_kernel.Rng.t ->
   stats
@@ -40,7 +40,7 @@ val dispatch :
     A crashing sender reaches only what its crash event allows: for
     [Broadcast_subset] a plan entry for it, when present, pins the
     subset (and arrivals) deterministically, otherwise {!Crash.reach}
-    draws it with [crash_rng] from [receivers ()] (called only then) and
+    draws it with [crash_rng] from [receivers] and
     each reached receiver's arrival is drawn in turn, sender by sender
     in [outgoing] order; all other senders follow [plan], a sender's
     first entry winning. *)

@@ -130,9 +130,9 @@ module type CORE = sig
       included) labelled with the algorithm round [k-1]. *)
 
   val ctx : t -> Adversary.ctx
-  (** The adversary context after {!compute}: senders, obligated and alive
-      receivers all coincide — the live processes not crashing this
-      round. *)
+  (** The adversary context as the round's {!compute} left it: senders,
+      obligated and alive receivers all coincide — the live processes
+      not crashing this round. *)
 
   val deliver : t -> plan:Adversary.plan -> crash_rng:Anon_kernel.Rng.t -> Dispatch.stats
   (** Dispatch the round's broadcasts under [plan] and file them into the

@@ -76,11 +76,9 @@ module Make (A : Intf.ALGORITHM) = struct
               let st, m = A.initialize t.inputs.(p) in
               (st, m, None)
             | Some (st, _) ->
-              let current, fresh =
-                Backend.take ~compare:A.msg_compare t.mailboxes p ~round:(k - 1)
-              in
-              Trace.Log.read t.log ~pid:p ~round:(k - 1) current;
-              A.compute st ~round:(k - 1) ~inbox:{ Intf.current; fresh })
+              let inbox = Backend.take ~compare:A.msg_compare t.mailboxes p ~round:(k - 1) in
+              Trace.Log.read t.log ~pid:p ~round:(k - 1) inbox.current;
+              A.compute st ~round:(k - 1) ~inbox)
       in
       match decision with
       | Some v ->

@@ -28,18 +28,26 @@ module Consensus (A : Intf.ALGORITHM) = struct
     churn : Churn.t;
     env : Env.t;
     st : A.state option array;  (* None before initialize / while away *)
-    out : A.msg option array;  (* this round's broadcast; None = sends nothing *)
     inflight : A.msg Backend.t;  (* undrained arrivals *)
     fate : fate array;
     version : int array;  (* bumped whenever p's observable view changes *)
-    is_crashing : bool array;  (* scratch mirror of crashing_now pids *)
     mutable round : int;  (* 0 before the first begin_round *)
     mutable crashing_now : Crash.event list;  (* latched round-[round] events *)
     mutable outgoing : A.msg Dispatch.outbound list;  (* ascending pid *)
     mutable stable : int option;  (* ESS: the current segment's stable source *)
+    mutable alive : int list;  (* the last [alive] built, see [alive] *)
+    mutable alive_set : Pidset.t;  (* [alive] as a set *)
+    scheduled : bool;  (* whether [crash] or [churn] holds an event *)
     correct : int list;
     correct_stayers : int list;
   }
+
+  (* [l] without the pids [keep] rejects: [l] itself when it keeps all. *)
+  let rec kept keep = function
+    | [] -> []
+    | p :: tl as l ->
+      let tl' = kept keep tl in
+      if not (keep p) then tl' else if tl' == tl then l else p :: tl'
 
   let create ~inputs ~crash ~churn ~env =
     let n = Array.length inputs in
@@ -51,28 +59,27 @@ module Consensus (A : Intf.ALGORITHM) = struct
       churn;
       env;
       st = Array.make n None;
-      out = Array.make n None;
       inflight = Backend.create ~n;
       fate = Array.make n Live;
       version = Array.make n 0;
-      is_crashing = Array.make n false;
       round = 0;
       crashing_now = [];
       outgoing = [];
       stable = None;
+      alive = [];
+      alive_set = Pidset.empty;
+      scheduled = Crash.events crash <> [] || Churn.events churn <> [];
       correct;
-      correct_stayers = List.filter (Churn.is_stayer churn) correct;
+      correct_stayers = kept (Churn.is_stayer churn) correct;
     }
 
   let copy t =
     {
       t with
       st = Array.copy t.st;
-      out = Array.copy t.out;
       inflight = Backend.copy t.inflight;
       fate = Array.copy t.fate;
       version = Array.copy t.version;
-      is_crashing = Array.copy t.is_crashing;
     }
 
   let n t = t.n
@@ -80,7 +87,14 @@ module Consensus (A : Intf.ALGORITHM) = struct
   let round t = t.round
   let fate t p = t.fate.(p)
   let state t p = t.st.(p)
-  let out t p = t.out.(p)
+  (* A process's broadcast is its entry in [outgoing] while it is live:
+     a decider, a crasher and a leaver went out of [Live] when they
+     stopped sending. *)
+  let rec sent p = function
+    | [] -> None
+    | (o : _ Dispatch.outbound) :: tl -> if o.sender = p then Some o.msg else sent p tl
+
+  let out t p = match t.fate.(p) with Live -> sent p t.outgoing | Crashed | Halted | Away -> None
   let inflight t p = Backend.to_list ~compare:A.msg_compare t.inflight p
   let version t p = t.version.(p)
   let stable t = t.stable
@@ -102,7 +116,6 @@ module Consensus (A : Intf.ALGORITHM) = struct
       (match t.fate.(ev.pid) with
       | Live ->
         t.fate.(ev.pid) <- Away;
-        t.out.(ev.pid) <- None;
         touch t ev.pid;
         (match on_leave with Some f -> f ~pid:ev.pid | None -> ())
       | Crashed | Halted | Away -> ());
@@ -121,108 +134,126 @@ module Consensus (A : Intf.ALGORITHM) = struct
       | Crashed | Halted -> ());
       rejoin t on_rejoin tl
 
-  let rec unmark t = function
-    | [] -> ()
-    | (ev : Crash.event) :: tl ->
-      t.is_crashing.(ev.pid) <- false;
-      unmark t tl
+  let rec crashing (p : int) = function
+    | [] -> false
+    | (ev : Crash.event) :: tl -> ev.pid = p || crashing p tl
 
-  (* The round's crash events of processes that can still crash, each
-     marked in [is_crashing]: a process that already crashed or decided
-     cannot crash again. *)
+  (* The round's crash events of processes that can still crash: a
+     process that already crashed or decided cannot crash again. *)
   let[@tail_mod_cons] rec latch t = function
     | [] -> []
     | (ev : Crash.event) :: tl -> (
       match t.fate.(ev.pid) with
-      | Live | Away ->
-        t.is_crashing.(ev.pid) <- true;
-        ev :: latch t tl
+      | Live | Away -> ev :: latch t tl
       | Crashed | Halted -> latch t tl)
 
   (* A round without events allocates nothing: each helper returns at
-     once on an empty list. *)
+     once on an empty list, and schedules without events are not looked
+     up. *)
   let begin_round ?on_leave ?on_rejoin t =
     let k = t.round + 1 in
     t.round <- k;
-    leave t on_leave (Churn.leaving_at t.churn ~round:k);
-    rejoin t on_rejoin (Churn.rejoining_at t.churn ~round:k);
-    (* Latch the round's crash events against the fates as they stand
-       before the compute. *)
-    unmark t t.crashing_now;
-    t.crashing_now <- latch t (Crash.crashing_at t.crash ~round:k)
-
-  let compute ?observe ?on_decide ?on_compute t =
-    let k = t.round in
-    let rev_out = ref [] in
-    for p = 0 to t.n - 1 do
-      match t.fate.(p) with
-      | Crashed | Halted | Away -> ()
-      | Live ->
-        touch t p;
-        (match t.st.(p) with
-        | None ->
-          (* Round 1 and just after a rejoin: start fresh from the
-             original input. *)
-          let st, m = A.initialize t.inputs.(p) in
-          t.st.(p) <- Some st;
-          t.out.(p) <- Some m;
-          rev_out := { Dispatch.sender = p; msg = m } :: !rev_out
-        | Some st ->
-          let current, fresh =
-            Backend.take ~compare:A.msg_compare t.inflight p ~round:(k - 1)
-          in
-          let st', m, dec =
-            A.compute st ~round:(k - 1) ~inbox:{ Intf.current; fresh }
-          in
-          t.st.(p) <- Some st';
-          (match dec with
-          | None ->
-            t.out.(p) <- Some m;
-            rev_out := { Dispatch.sender = p; msg = m } :: !rev_out
-          | Some v ->
-            (* Deciders halt and send nothing. *)
-            t.fate.(p) <- Halted;
-            t.out.(p) <- None;
-            (match on_decide with
-            | Some f -> f ~pid:p ~round:(k - 1) ~value:v
-            | None -> ()));
-          (match on_compute with Some f -> f ~pid:p st' | None -> ()));
-        (match (observe, t.st.(p)) with
-        | Some f, Some st -> f ~pid:p ~round:(k - 1) st
-        | None, _ | _, None -> ())
-    done;
-    t.outgoing <- List.rev !rev_out;
-    t.outgoing
+    if t.scheduled then begin
+      leave t on_leave (Churn.leaving_at t.churn ~round:k);
+      rejoin t on_rejoin (Churn.rejoining_at t.churn ~round:k);
+      (* Latch the round's crash events against the fates as they stand
+         before the compute. *)
+      match (t.crashing_now, Crash.crashing_at t.crash ~round:k) with
+      | [], [] -> ()
+      | _, evs -> t.crashing_now <- latch t evs
+    end
 
   (* After the compute phase the normal senders, the obligated receivers
      and the alive receivers all coincide: the live processes (every one
      of which broadcast) not crashing this round. Deciders left both sets
      when they halted. *)
-  let alive t =
-    let acc = ref [] in
-    for p = t.n - 1 downto 0 do
-      if t.fate.(p) = Live && not t.is_crashing.(p) then acc := p :: !acc
-    done;
-    !acc
+  let is_alive t p = t.fate.(p) = Live && not (crashing p t.crashing_now)
+
+  let rec lists_alive t p = function
+    | q :: tl when q = p -> is_alive t p && lists_alive t (p + 1) tl
+    | [] when p >= t.n -> true
+    | l -> p < t.n && (not (is_alive t p)) && lists_alive t (p + 1) l
+
+  let rec alive_from t p =
+    if p >= t.n then [] else if is_alive t p then p :: alive_from t (p + 1) else alive_from t (p + 1)
+
+  (* The alive processes, ascending, kept for the round's context and
+     dispatch, which read them between the compute phase and the crash
+     step: the previous round's list and set when they still hold. *)
+  let refresh_alive t =
+    if not (lists_alive t 0 t.alive) then begin
+      let l = alive_from t 0 in
+      t.alive <- l;
+      t.alive_set <- Pidset.of_list l
+    end
+
+  (* Process [p]'s compute, then those of the processes after it, in pid
+     order: iteration [k] runs [initialize] on a process without state
+     and [compute] on round [k-1]'s mailbox otherwise. The broadcasts,
+     ascending pid, are built as the recursion returns. *)
+  let rec compute_from t ~k observe on_decide on_compute p =
+    if p >= t.n then []
+    else
+      match t.fate.(p) with
+      | Crashed | Halted | Away -> compute_from t ~k observe on_decide on_compute (p + 1)
+      | Live -> (
+        touch t p;
+        match t.st.(p) with
+        | None ->
+          (* Round 1 and just after a rejoin: start fresh from the
+             original input. *)
+          let st, m = A.initialize t.inputs.(p) in
+          t.st.(p) <- Some st;
+          (match observe with Some f -> f ~pid:p ~round:(k - 1) st | None -> ());
+          let rest = compute_from t ~k observe on_decide on_compute (p + 1) in
+          { Dispatch.sender = p; msg = m } :: rest
+        | Some st -> (
+          let inbox = Backend.take ~compare:A.msg_compare t.inflight p ~round:(k - 1) in
+          let st', m, dec = A.compute st ~round:(k - 1) ~inbox in
+          t.st.(p) <- Some st';
+          match dec with
+          | None ->
+            (match on_compute with Some f -> f ~pid:p st' | None -> ());
+            (match observe with Some f -> f ~pid:p ~round:(k - 1) st' | None -> ());
+            let rest = compute_from t ~k observe on_decide on_compute (p + 1) in
+            { Dispatch.sender = p; msg = m } :: rest
+          | Some v ->
+            (* Deciders halt and send nothing. *)
+            t.fate.(p) <- Halted;
+            (match on_decide with Some f -> f ~pid:p ~round:(k - 1) ~value:v | None -> ());
+            (match on_compute with Some f -> f ~pid:p st' | None -> ());
+            (match observe with Some f -> f ~pid:p ~round:(k - 1) st' | None -> ());
+            compute_from t ~k observe on_decide on_compute (p + 1)))
+
+  let compute ?observe ?on_decide ?on_compute t =
+    t.outgoing <- compute_from t ~k:t.round observe on_decide on_compute 0;
+    refresh_alive t;
+    t.outgoing
 
   let ctx t =
-    let alive = alive t in
     {
       Adversary.round = t.round;
-      senders = alive;
-      obligated = alive;
+      senders = t.alive;
+      obligated = t.alive;
       correct = t.correct;
-      alive;
+      alive = t.alive;
     }
+
+  (* The live processes: the alive ones and the live crashers. *)
+  let rec add_live t set = function
+    | [] -> set
+    | (ev : Crash.event) :: tl ->
+      add_live t
+        (if t.fate.(ev.pid) = Live then Pidset.union set (Pidset.of_list [ ev.pid ]) else set)
+        tl
 
   (* The round's dispatch, shared by [deliver] and its dry run
      [preview]: the live processes may receive; eligibility, crash
      broadcast kinds and clamping stay in Dispatch. *)
   let dispatch t ~plan ~crash_rng =
-    Dispatch.dispatch ~round:t.round ~outgoing:t.outgoing
-      ~crashing_events:t.crashing_now
-      ~eligible:(Pidset.init t.n (fun q -> t.fate.(q) = Live))
-      ~receivers:(fun () -> alive t) ~plan ~crash_rng
+    Dispatch.dispatch ~round:t.round ~outgoing:t.outgoing ~crashing_events:t.crashing_now
+      ~eligible:(add_live t t.alive_set t.crashing_now)
+      ~receivers:t.alive ~plan ~crash_rng
 
   (* Where a stable source is owed, the plan's source becomes it. *)
   let latched_stable t (plan : Adversary.plan) =
@@ -237,7 +268,6 @@ module Consensus (A : Intf.ALGORITHM) = struct
     | (ev : Crash.event) :: tl ->
       t.fate.(ev.pid) <- Crashed;
       t.st.(ev.pid) <- None;
-      t.out.(ev.pid) <- None;
       Backend.clear t.inflight ev.pid;
       touch t ev.pid;
       crash t tl

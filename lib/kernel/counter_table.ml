@@ -191,8 +191,8 @@ let note visits =
 
 (* Index of the first element >= [x] of the ascending [s]: a gallop back
    from the end, where Alg. 3's lookups land, then bisection. Every probe
-   counts one visit. *)
-let search visits s x =
+   counts one visit, and compares two ints inline. *)
+let search visits (s : int Seg.t) (x : int) =
   let rec bisect lo hi =
     if lo >= hi then lo
     else

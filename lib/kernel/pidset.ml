@@ -45,13 +45,6 @@ let mem p s =
   let w = p asr 5 in
   p >= 0 && w < Array.length s && s.(w) land bit p <> 0
 
-let init n f =
-  let a = zeros (Int.max 0 ((n + bits - 1) / bits)) in
-  for p = 0 to n - 1 do
-    if f p then a.(p / bits) <- a.(p / bits) lor bit p
-  done;
-  trim a
-
 let rec top m = function
   | [] -> m
   | p :: tl ->

@@ -17,10 +17,6 @@ val is_empty : t -> bool
 val of_list : int list -> t
 (** @raise Invalid_argument on a negative pid, as every constructor. *)
 
-val init : int -> (int -> bool) -> t
-(** [init n f] holds every [p] in [\[0, n)] with [f p], tested in
-    ascending order. *)
-
 val to_list : t -> int list
 (** Ascending. *)
 

@@ -31,8 +31,8 @@ let instance_seed ~seed ~instance = seed + (1_000_003 * instance)
 
 (* Process [i] of an instance proposes batch value [i mod b]. *)
 let instance_inputs ~n batch_values =
-  let vs = Array.of_list batch_values in
-  Array.init n (fun i -> vs.(i mod Array.length vs))
+  let b = List.length batch_values in
+  Array.init n (fun i -> List.nth batch_values (i mod b))
 
 type instance_result = {
   instance : int;
@@ -135,6 +135,7 @@ module Make (A : G.Intf.ALGORITHM) = struct
     let arrived = ref 0 in  (* proposals with arrival <= current round *)
     let next_instance = ref 0 in
     let inflight : live list ref = ref [] in  (* ascending id *)
+    let in_flight = ref 0 in  (* List.length !inflight *)
     let closed = ref (Array.make 16 None) in  (* by instance id, grown by doubling *)
     let commit = ref 0 in
     let committed_proposals = ref 0 in
@@ -189,25 +190,29 @@ module Make (A : G.Intf.ALGORITHM) = struct
         decisions := (pid, round, value) :: !decisions;
         M.incr m_decisions
       in
-      inflight :=
-        !inflight
-        @ [
-            {
-              id;
-              core;
-              adversary;
-              rng;
-              crash_rng;
-              opened = gr;
-              opened_ns = (if obs_on then Anon_obs.Clock.now_ns () else 0L);
-              first_proposal = first;
-              batch_values;
-              arrivals;
-              decisions;
-              on_decide = Some on_decide;
-              local_rounds = 0;
-            };
-          ]
+      incr in_flight;
+      {
+        id;
+        core;
+        adversary;
+        rng;
+        crash_rng;
+        opened = gr;
+        opened_ns = (if obs_on then Anon_obs.Clock.now_ns () else 0L);
+        first_proposal = first;
+        batch_values;
+        arrivals;
+        decisions;
+        on_decide = Some on_decide;
+        local_rounds = 0;
+      }
+    in
+    (* The instances round [gr] opens, ascending id. *)
+    let rec open_all gr =
+      if !in_flight < config.window && !next < nq && queue.(!next).Workload.arrival <= gr then
+        let inst = open_instance gr in
+        inst :: open_all gr
+      else []
     in
     (* One local round of one instance — the exact Runner.run round body:
        begin_round, compute, plan from the instance's own adversary and
@@ -301,6 +306,7 @@ module Make (A : G.Intf.ALGORITHM) = struct
       | inst :: tl as insts ->
         if Core.all_decided inst.core then begin
           close ~gr ~done_:true inst;
+          decr in_flight;
           sweep gr tl
         end
         else
@@ -316,15 +322,9 @@ module Make (A : G.Intf.ALGORITHM) = struct
       while !arrived < nq && queue.(!arrived).Workload.arrival <= gr do
         incr arrived
       done;
-      while
-        List.length !inflight < config.window
-        && !next < nq
-        && queue.(!next).Workload.arrival <= gr
-      do
-        open_instance gr
-      done;
+      (match open_all gr with [] -> () | opened -> inflight := !inflight @ opened);
       if obs_on then begin
-        M.observe h_inflight (float_of_int (List.length !inflight));
+        M.observe h_inflight (float_of_int !in_flight);
         M.observe h_queue (float_of_int (!arrived - !next))
       end;
       step_all !inflight;

@@ -120,7 +120,7 @@ let prop_schedule_lookups =
 (* Packets filed one at a time, as the live backend and the MS emulation
    file them. *)
 let take_string mb ~round =
-  let current, fresh = G.Backend.take ~compare:String.compare mb 0 ~round in
+  let { G.Intf.current; fresh } = G.Backend.take ~compare:String.compare mb 0 ~round in
   (current, Lazy.force fresh)
 
 let test_mailbox_current_dedup () =
@@ -278,7 +278,7 @@ let prop_mailbox_matches_model =
         match file () with () -> false | exception Invalid_argument _ -> true
       in
       let drain boxes model q round =
-        let current, fresh = G.Backend.take ~compare boxes q ~round in
+        let { G.Intf.current; fresh } = G.Backend.take ~compare boxes q ~round in
         let current', fresh', rest' = model_ready_inbox ~compare ~round model.(q) in
         model.(q) <- rest';
         unforced := (fresh, fresh') :: !unforced;
@@ -334,7 +334,7 @@ let prop_mailbox_matches_model =
               end
               else begin
                 let ahead = G.Backend.copy lock in
-                ignore (G.Backend.take ~compare ahead q ~round);
+                ignore (G.Backend.take ~compare ahead q ~round : string G.Intf.inbox);
                 let taken q' = if q' = q then round else lock_taken.(q') in
                 let refused = List.exists (fun (q', _, _) -> taken q' >= sent) !entries in
                 ok := !ok && refuses (fun () -> file ahead) = refused
@@ -387,7 +387,7 @@ let test_mailbox_tie_order () =
   G.Backend.file ~compare:String.compare box ~sent:1
     (List.map (fun (sender, msg) -> { G.Dispatch.sender; msg }) broadcasts)
     (List.map (fun (pid, _) -> (pid, if pid <> 0 then [ to_p0 ] else [])) broadcasts);
-  let current, fresh = G.Backend.take ~compare:String.compare box 0 ~round:1 in
+  let { G.Intf.current; fresh } = G.Backend.take ~compare:String.compare box 0 ~round:1 in
   check_bool "fresh: a by descending pid, then b" true
     (same_fresh (Lazy.force fresh) [ (1, a2); (1, a1); (1, a0); (1, "b") ]);
   check_bool "current keeps p0's copy" true (List.hd current == a0);
@@ -959,7 +959,7 @@ let prop_dispatch_matches_reference =
       let stats =
         G.Dispatch.dispatch ~round ~outgoing ~crashing_events:crashing
           ~eligible:(Pidset.of_list live)
-          ~receivers:(fun () -> receivers)
+          ~receivers
           ~plan ~crash_rng:rng1
       in
       let expected_log, expected_stats =
@@ -1425,7 +1425,7 @@ let test_dispatch_crash_modes () =
         ~outgoing:[ { G.Dispatch.sender = 0; msg = "m" } ]
         ~crashing_events:[ { G.Crash.pid = 0; round = 3; broadcast } ]
         ~eligible:(Pidset.of_list [ 0; 1; 2; 3 ])
-        ~receivers:(fun () -> [ 0; 1; 2; 3 ])
+        ~receivers:[ 0; 1; 2; 3 ]
         ~plan:{ G.Adversary.source = None; groups = [] }
         ~crash_rng:(Rng.make 1)
     in
@@ -2172,7 +2172,7 @@ let prop_plan_enum_agrees_with_checker =
         let stats =
           G.Dispatch.dispatch ~round ~outgoing ~crashing_events
             ~eligible:(Pidset.of_list live)
-            ~receivers:(fun () -> live)
+            ~receivers:live
             ~plan ~crash_rng:(Rng.make 0)
         in
         G.Checker.check_env

@@ -2,8 +2,10 @@
    validation discipline, the W=1/B=1 and W=8/B=4 (under crash and churn)
    differentials against one-shot Runner executions (the multiplexer adds
    no semantics), window independence, sharded jobs-equivalence of the
-   load report, log contiguity under crash/churn stalls, and a
-   fuzz-campaign smoke over dynamic-graph + churn load runs. *)
+   load report, log contiguity under crash/churn stalls, a
+   fuzz-campaign smoke over dynamic-graph + churn load runs, and two
+   pins on the benchmark's load sweep: its reports, recorded, and the
+   words an instance round allocates. *)
 
 open Anon_kernel
 module G = Anon_giraf
@@ -449,6 +451,112 @@ let test_report_json_shape () =
   check_bool "round-trips" true
     (match of_string (to_string j) with Ok j' -> equal j j' | Error _ -> false)
 
+(* --- pins on the benchmark's load sweep ------------------------------------ *)
+
+(* The reports of [bench/spine]'s load-rsm sweep (n=3, ES at GST 4,
+   window 8, batch 4, two shards, skew 0.2, values below 8, 2 500
+   proposals at rates 4, 8, 12 and 32, seed 42, one domain), recorded
+   one JSON line per rate in load_rsm_sweep.jsonl: a change to any
+   instance's decision rounds, the commit log or the counts shows here.
+   Pre-GST delays do not: ES reads only [current], and every link but
+   the source's is late. *)
+let sweep_rates = [ 4.; 8.; 12.; 32. ]
+
+module L_es = Load.Make (C.Es_consensus)
+
+let recorded_sweep () =
+  let path =
+    List.find Sys.file_exists [ "load_rsm_sweep.jsonl"; "test/load_rsm_sweep.jsonl" ]
+  in
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let test_sweep_reports () =
+  let recorded = recorded_sweep () in
+  check_int "one recorded report per rate" (List.length sweep_rates) (List.length recorded);
+  List.iter2
+    (fun rate expected ->
+      let w =
+        Workload.make ~skew:0.2 ~value_range:8 ~shards:2 ~proposals:2500 ~rate ~seed:42 ()
+      in
+      let r =
+        L_es.run ~jobs:1 ~env:"es:4" ~n:3 ~window:8 ~batch:4 ~horizon:20_000
+          ~adversary:(fun ~shard:_ ~instance:_ -> G.Adversary.es ~gst:4 ())
+          w
+      in
+      check_string
+        (Printf.sprintf "rate %g report" rate)
+        expected
+        (Anon_obs.Json.to_string (Load.to_json r)))
+    sweep_rates recorded
+
+(* Words are counted, not time: each count is net of the [Gc.minor_words]
+   probe's own words. *)
+let words f =
+  let probe =
+    let a = Gc.minor_words () in
+    Gc.minor_words () -. a
+  in
+  let a = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. a -. probe
+
+module Es_core = G.Step_core.Consensus (C.Es_consensus)
+
+(* 3 000 n=3 ES instances at GST 4, each set up as the multiplexer opens
+   one (its adversary, RNG streams, inputs and core) and stepped as it
+   steps one (begin_round, compute, ctx, plan, deliver) until decided:
+   21 000 rounds. The bounds are the words measured when they were set
+   (287.1 per round, set-up included, and 48 per [create]), plus 2%. *)
+let instances = 3_000
+let round_words_bound = 292.9
+let create_words_bound = 49.
+
+let test_instance_round_words () =
+  let n = 3 in
+  let crash = G.Crash.none ~n and churn = G.Churn.none ~n in
+  let rounds = ref 0 in
+  let total =
+    words (fun () ->
+        for instance = 0 to instances - 1 do
+          let adversary = G.Adversary.es ~gst:4 () in
+          let rng = Rng.make (Rsm.instance_seed ~seed:42 ~instance) in
+          let crash_rng = Rng.split rng in
+          let inputs = [| instance mod 8; (instance + 3) mod 8; instance mod 8 |] in
+          let core = Es_core.create ~inputs ~crash ~churn ~env:(G.Adversary.env adversary) in
+          while not (Es_core.all_decided core) do
+            incr rounds;
+            Es_core.begin_round core;
+            ignore (Es_core.compute core : C.Es_consensus.msg G.Dispatch.outbound list);
+            let plan = G.Adversary.plan adversary (Es_core.ctx core) rng in
+            ignore (Es_core.deliver core ~plan ~crash_rng : G.Dispatch.stats)
+          done
+        done)
+  in
+  check_int "rounds" 21_000 !rounds;
+  let per_round = total /. float_of_int !rounds in
+  check_bool
+    (Printf.sprintf "%.1f words per round <= %.1f" per_round round_words_bound)
+    true
+    (per_round <= round_words_bound)
+
+let test_create_words () =
+  let n = 3 in
+  let crash = G.Crash.none ~n and churn = G.Churn.none ~n in
+  let inputs = [| 0; 3; 0 |] and env = G.Env.Es { gst = 4 } in
+  let total =
+    words (fun () ->
+        for _ = 1 to instances do
+          ignore (Es_core.create ~inputs ~crash ~churn ~env : Es_core.t)
+        done)
+  in
+  let per_create = total /. float_of_int instances in
+  check_bool
+    (Printf.sprintf "%.1f words per create <= %.1f" per_create create_words_bound)
+    true
+    (per_create <= create_words_bound)
+
 let () =
   Alcotest.run "rsm"
     [
@@ -494,5 +602,11 @@ let () =
         [
           Alcotest.test_case "dynamic+churn load smoke" `Quick
             test_fuzz_dynamic_churn_smoke;
+        ] );
+      ( "load-rsm pins",
+        [
+          Alcotest.test_case "sweep reports = recorded" `Quick test_sweep_reports;
+          Alcotest.test_case "n=3 instance round words" `Quick test_instance_round_words;
+          Alcotest.test_case "n=3 create words" `Quick test_create_words;
         ] );
     ]

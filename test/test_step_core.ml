@@ -847,7 +847,7 @@ let test_quiet_begin_round () =
 (* An n=3 ES instance at GST 4 driven to its decision through the three
    phases, as the multiplexer steps one, stays within its words per
    round: the figure measured when the budget was set, plus 10%. *)
-let es_round_words = 480.
+let es_round_words = 272.
 
 let test_es_round_budget () =
   let core = es_core ~n:3 ~gst:4 in
