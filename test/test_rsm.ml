@@ -603,7 +603,7 @@ let () =
           Alcotest.test_case "dynamic+churn load smoke" `Quick
             test_fuzz_dynamic_churn_smoke;
         ] );
-      ( "load-rsm pins",
+      ( "load pins",
         [
           Alcotest.test_case "sweep reports = recorded" `Quick test_sweep_reports;
           Alcotest.test_case "n=3 instance round words" `Quick test_instance_round_words;
