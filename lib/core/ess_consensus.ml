@@ -89,26 +89,35 @@ module Impl (P : PARAMS) = struct
   let union_proposed ms =
     List.fold_left (fun acc m -> Pvalue.Set.union acc m.m_proposed) Pvalue.Set.empty ms
 
-  (* Line 8. The paper merges with pointwise [min] (default 0): a history's
-     counter is only as high as the slowest table that travelled this
-     round. [`Max] is ablation A3. *)
-  let merge_counters ms =
-    let tables = List.map (fun m -> m.m_counters) ms in
+  (* The inbox's tables and histories, in inbox order, in one pass. *)
+  let rec tables_and_histories = function
+    | [] -> ([], [])
+    | m :: ms ->
+      let ts, hs = tables_and_histories ms in
+      (m.m_counters :: ts, m.m_history :: hs)
+
+  (* Lines 8 and 9 as one kernel call. The paper merges with pointwise
+     [min] (default 0): a history's counter is only as high as the slowest
+     table that travelled this round. Then every received history's
+     counter becomes one more than the best counter among its prefixes, in
+     inbox order. [`Max] is ablation A3. *)
+  let update_counters current =
+    let tables, histories = tables_and_histories current in
     match P.merge with
-    | `Min -> Counter_table.min_merge tables
-    | `Max -> Counter_table.max_merge tables
+    | `Min -> Counter_table.merge_bump tables histories
+    | `Max -> Counter_table.merge_bump [ Counter_table.max_merge tables ] histories
+
+  (* [s = {VAL}], without building [{VAL}]. *)
+  let is_singleton v s =
+    Pvalue.Set.cardinal s = 1
+    && match Pvalue.Set.min_elt s with Pvalue.Val x -> Value.equal x v | Pvalue.Bot -> false
 
   let is_leader_in counters history = Counter_table.is_max counters history
 
   let compute st ~round ~inbox:{ Anon_giraf.Intf.current; fresh = _ } =
     let written = intersect_proposed current in
     let proposed = Pvalue.Set.union (union_proposed current) st.proposed in
-    let counters = merge_counters current in
-    (* Line 9: bump the counter of every received history to one more than
-       the best counter among its prefixes. *)
-    let counters =
-      Counter_table.bump_all counters (List.map (fun m -> m.m_history) current)
-    in
+    let counters = update_counters current in
     let st = { st with written; proposed; counters } in
     (* As in Alg. 2, WRITTENOLD := WRITTEN runs every round (the agreement
        proof of Thm. 2 "compares Lemma 2", which needs WRITTENOLD at an
@@ -121,8 +130,7 @@ module Impl (P : PARAMS) = struct
       (st, message_of st, None)
     end
     else if
-      Pvalue.Set.equal st.written_old (Pvalue.Set.singleton (Pvalue.v st.value))
-      && Pvalue.subset_of_val_bot st.value st.proposed
+      is_singleton st.value st.written_old && Pvalue.subset_of_val_bot st.value st.proposed
     then (st, message_of st, Some st.value)
     else begin
       let value =

@@ -36,12 +36,13 @@ module Seg = struct
     in
     go s.root s.height
 
-  (* The array of length [len] that agrees with [s] below [from] (at most
-     [length s]) and holds [f i] at every [i >= from]; [f] is called on
-     ascending [i]. Every full tree node built passes through [cons]. *)
-  let rebuild ?(cons = Fun.id) s ~from ~len f =
-    let body = if len = 0 then 0 else (len - 1) land lnot mask in
-    let at i = if i < from then get s i else f i in
+  (* The least height whose root covers [body] slots. *)
+  let rec height_for body h = if body <= cap h then h else height_for body (h + 1)
+
+  (* The tree of [height] over the first [body] slots of the array that
+     agrees with [s] below [from] and holds [a] from there on. *)
+  let tree ~cons s ~from a ~body ~height =
+    let at i = if i < from then get s i else a.(i - from) in
     let tfrom = Int.min from (Int.min s.body body) in
     let rec build h base =
       if base + cap h <= tfrom then node_at s h base
@@ -66,24 +67,31 @@ module Seg = struct
         in
         if base + cap h <= body then cons n else n
     in
-    let rec height h = if body <= cap h then h else height (h + 1) in
-    let height = height 0 in
+    build height 0
+
+  (* The array that agrees with [s] below [from] (at most [length s]) and
+     holds the first [m] slots of [a] from there on. Every full tree node
+     built passes through [cons]. *)
+  let splice ~cons s ~from a m =
+    let len = from + m in
+    let body = if len = 0 then 0 else (len - 1) land lnot mask in
+    let height = if body = s.body then s.height else height_for body 0 in
     let root =
       if body = s.body && from >= body then s.root
       else if body = 0 then Leaf [||]
-      else build height 0
+      else tree ~cons s ~from a ~body ~height
     in
-    let m = len - body and kept = Int.max 0 (from - body) in
+    let n = len - body and kept = Int.max 0 (from - body) in
     let tail =
-      if kept = 0 || body <> s.body then Array.init m (fun o -> at (body + o))
-      else begin
-        let a = Array.make m s.tail.(0) in
-        Array.blit s.tail 0 a 0 kept;
-        for i = body + kept to len - 1 do
-          a.(i - body) <- f i
-        done;
-        a
+      if n = 0 then [||]
+      else if kept = 0 then Array.sub a (body - from) n
+      else if body = s.body then begin
+        let t = Array.make n s.tail.(0) in
+        Array.blit s.tail 0 t 0 kept;
+        Array.blit a 0 t kept (n - kept);
+        t
       end
+      else Array.init n (fun o -> if o < kept then get s (body + o) else a.(o - kept))
     in
     { root; height; body; tail }
 
@@ -112,18 +120,33 @@ module Seg = struct
     if body = a.body && body = b.body && a.tail == b.tail then length a else body
 end
 
-(* Full int nodes are hash-consed in a domain-local weak set, so tables
+module Runs = Map.Make (Int)
+
+(* One entry of a table: a history, its intern id (read here without a
+   call into [History]), its count (>= 1), [pm] the largest count over it
+   and its prefixes in the table, and [rmax] the largest count over it
+   and the entries before it. *)
+type entry = { hist : History.t; id : int; count : int; pm : int; rmax : int }
+
+(* An immutable table: its entries in one sequence, ascending by id, and
+   [runs], which maps a run ({!History.run}) to the ascending ids of its
+   entries. *)
+type t = { entries : entry Seg.t; runs : int Seg.t Runs.t }
+
+(* Full entry nodes are hash-consed in a domain-local weak set, so tables
    with equal content share them physically wherever they were built, and
    [Seg.shared] skips them. A full inner node's children are full, hence
-   already canonical, which is what [equal] relies on. The set outlives
-   interner scopes; sharing across them is harmless, since nodes are
-   immutable and equal by content. *)
+   already canonical, which is what [equal] relies on. Histories compare
+   physically: ids repeat across interner scopes, histories do not. *)
 module Canonical = Weak.Make (struct
-  type t = int Seg.node
+  type t = entry Seg.node
+
+  let same e f =
+    e == f || (e.hist == f.hist && e.count = f.count && e.pm = f.pm && e.rmax = f.rmax)
 
   let equal a b =
     match (a, b) with
-    | Seg.Leaf x, Seg.Leaf y -> Array.length x = Array.length y && Array.for_all2 Int.equal x y
+    | Seg.Leaf x, Seg.Leaf y -> Array.length x = Array.length y && Array.for_all2 same x y
     | Seg.Node x, Seg.Node y -> Array.length x = Array.length y && Array.for_all2 ( == ) x y
     | Seg.Leaf _, Seg.Node _ | Seg.Node _, Seg.Leaf _ -> false
 
@@ -131,7 +154,7 @@ module Canonical = Weak.Make (struct
      shifted runs like [c; c+1; ...] must not collide. *)
   let hash n =
     let rec sum = function
-      | Seg.Leaf a -> Array.fold_left (fun h x -> (h * 65599) + x) 0 a
+      | Seg.Leaf a -> Array.fold_left (fun h e -> (h * 65599) + (e.id * 31) + e.count) 0 a
       | Seg.Node cs -> Array.fold_left (fun h c -> (h * 65599) + sum c) 1 cs
     in
     Hashtbl.hash (sum n)
@@ -139,38 +162,10 @@ end)
 
 let canonical_key = Domain.DLS.new_key (fun () -> Canonical.create 256)
 let cons n = Canonical.merge (Domain.DLS.get canonical_key) n
-let ints s ~from ~len f = Seg.rebuild ~cons s ~from ~len f
-
-module Runs = Map.Make (Int)
-
-(* An immutable table sorted by intern id. [ids], [counts] and [hists] run
-   in parallel and every stored count is >= 1 (absent means 0). [pm] holds
-   the largest count over each entry and its prefixes in the table, and
-   [rmax] the largest count over each entry and the entries before it;
-   [peak] is the largest count (0 when empty). [runs] maps a run
-   ({!History.run}) to the ascending ids of its entries. *)
-type t = {
-  ids : int Seg.t;
-  counts : int Seg.t;
-  hists : History.t Seg.t;
-  pm : int Seg.t;
-  rmax : int Seg.t;
-  runs : int Seg.t Runs.t;
-  peak : int;
-}
-
-let empty =
-  {
-    ids = Seg.empty;
-    counts = Seg.empty;
-    hists = Seg.empty;
-    pm = Seg.empty;
-    rmax = Seg.empty;
-    runs = Runs.empty;
-    peak = 0;
-  }
-
-let cardinal t = Seg.length t.ids
+let no_entry = { hist = History.empty; id = -1; count = 0; pm = 0; rmax = 0 }
+let empty = { entries = Seg.empty; runs = Runs.empty }
+let cardinal t = Seg.length t.entries
+let peak t = if cardinal t = 0 then 0 else (Seg.get t.entries (cardinal t - 1)).rmax
 
 (* Operation counts, read as per-run deltas by the observability layer.
    Domain-local so parallel simulations never race on them. [slots] counts
@@ -189,282 +184,349 @@ let note visits =
   let ops = Domain.DLS.get ops_key in
   ops.slots <- ops.slots + visits
 
-(* Index of the first element >= [x] of the ascending [s]: a gallop back
-   from the end, where Alg. 3's lookups land, then bisection. Every probe
-   counts one visit, and compares two ints inline. *)
-let search visits (s : int Seg.t) (x : int) =
-  let rec bisect lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) lsr 1 in
-      incr visits;
-      if Seg.get s mid < x then bisect (mid + 1) hi else bisect lo mid
-  in
-  (* Every slot from [hi] on holds at least [x]. *)
-  let rec gallop hi step =
-    let lo = hi - step in
-    if lo <= 0 then bisect 0 hi
-    else begin
-      incr visits;
-      if Seg.get s lo < x then bisect (lo + 1) hi else gallop lo (2 * step)
-    end
-  in
-  gallop (Seg.length s) 1
+(* Index of the first entry with an id >= [x]: a gallop back from the
+   end, where Alg. 3's lookups land, then bisection. Every probe counts
+   one visit. Top-level, so a search allocates no closure. *)
+let rec bisect visits (s : entry Seg.t) x lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    incr visits;
+    if (Seg.get s mid).id < x then bisect visits s x (mid + 1) hi else bisect visits s x lo mid
 
-(* The id of [h]'s deepest ancestor-or-self in the table, or -1: one
-   search per run on [h]'s path, up to the first run holding one. *)
-let rec deepest runs h =
+(* Every slot from [hi] on holds at least [x]. *)
+let rec gallop visits s x hi step =
+  let lo = hi - step in
+  if lo <= 0 then bisect visits s x 0 hi
+  else begin
+    incr visits;
+    if (Seg.get s lo).id < x then bisect visits s x (lo + 1) hi
+    else gallop visits s x lo (2 * step)
+  end
+
+let search visits s x = gallop visits s x (Seg.length s) 1
+
+(* The same search over a run's ids, whose probes are index words and
+   count no visit. (Reading the key through a function instead costs an
+   indirect call per probe, a fifth of the kernels' time.) *)
+let rec bisect_ids (s : int Seg.t) x lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if Seg.get s mid < x then bisect_ids s x (mid + 1) hi else bisect_ids s x lo mid
+
+let rec gallop_ids s x hi step =
+  let lo = hi - step in
+  if lo <= 0 then bisect_ids s x 0 hi
+  else if Seg.get s lo < x then bisect_ids s x (lo + 1) hi
+  else gallop_ids s x lo (2 * step)
+
+let search_ids s x = gallop_ids s x (Seg.length s) 1
+
+(* The id of [h]'s deepest ancestor-or-self below id [below] in the run
+   index, or -1: one search per run on [h]'s path, up to the first run
+   holding one. *)
+let rec deepest runs h below =
   let run = History.run h in
   let found =
     match Runs.find_opt run runs with
     | None -> -1
     | Some ids ->
-      let k = search (ref 0) ids (History.id h + 1) - 1 in
+      let k = search_ids ids (Int.min (History.id h + 1) below) - 1 in
       if k < 0 then -1 else Seg.get ids k
   in
-  if found >= 0 || run = 0 then found else deepest runs (History.run_parent h)
+  if found >= 0 || run = 0 then found else deepest runs (History.run_parent h) below
 
-(* [ids] with the additions and removals [chg] (ascending [(id, added)])
-   applied: one rebuild from the first change. *)
-let edit_run ids chg =
-  let n = Seg.length ids in
-  let from = search (ref 0) ids (fst (List.hd chg)) in
-  let rec go i chg acc =
-    match chg with
-    | (id, added) :: rest when i = n || Seg.get ids i >= id ->
-      if added then go i rest (id :: acc) else go (i + 1) rest acc
-    | _ when i < n -> go (i + 1) chg (Seg.get ids i :: acc)
-    | _ -> Array.of_list (List.rev acc)
-  in
-  let tail = go from chg [] in
-  ints ids ~from ~len:(from + Array.length tail) (fun i -> tail.(i - from))
+(* Fills [a] down from [k] with the ids of [ids] from [i] down to [from]
+   and the changes [chg]: descending, [2 * id + 1] for an addition and
+   [2 * id] for a removal. *)
+let rec merge_changes a k ids i from chg =
+  match chg with
+  | c :: rest when i < from || Seg.get ids i <= c lsr 1 ->
+    if c land 1 = 1 then begin
+      a.(k) <- c lsr 1;
+      merge_changes a (k - 1) ids i from rest
+    end
+    else merge_changes a k ids (i - 1) from rest
+  | _ when i >= from ->
+    a.(k) <- Seg.get ids i;
+    merge_changes a (k - 1) ids (i - 1) from chg
+  | _ -> ()
 
-(* The run index after the entries [t] holds from [from] on are replaced
-   by [hists]: the ids in only one of the two suffixes change, per run. *)
-let reindex t ~from hists =
-  let n = cardinal t and s = Array.length hists in
-  let rec diff i j acc =
-    let old_id = if i < n then Seg.get t.ids i else max_int in
-    let new_id = if j < s then History.id hists.(j) else max_int in
-    if i = n && j = s then acc
-    else if old_id = new_id then diff (i + 1) (j + 1) acc
-    else if old_id < new_id then
-      diff (i + 1) j ((History.run (Seg.get t.hists i), (old_id, false)) :: acc)
-    else diff i (j + 1) ((History.run hists.(j), (new_id, true)) :: acc)
-  in
-  let rec apply runs = function
-    | [] -> runs
-    | (run, _) :: _ as chg ->
-      let mine, rest = List.partition (fun (r, _) -> r = run) chg in
-      let ids = Option.value ~default:Seg.empty (Runs.find_opt run runs) in
-      let ids = edit_run ids (List.map snd mine) in
-      apply (if Seg.length ids = 0 then Runs.remove run runs else Runs.add run ids runs) rest
-  in
-  apply t.runs (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) (List.rev (diff from 0 [])))
+(* A run index being edited as two suffixes are walked in id order: the
+   changes of one run are kept until a change of another run arrives,
+   then applied with one rebuild of that run's ids from the batch's
+   least id, [low]. [grow] is the batch's additions less its removals,
+   and [chg] its changes, newest first. *)
+type reindex = {
+  mutable index : int Seg.t Runs.t;
+  mutable run : int;
+  mutable low : int;
+  mutable grow : int;
+  mutable chg : int list;
+}
 
-(* [t] with its entries from slot [from] on replaced by [ids], [counts] and
-   [hists] (ascending ids, counts >= 1). Entries before [from] keep their
-   [pm] and [rmax], since their prefixes have smaller ids; the new ones
-   are computed in id order, each from its deepest proper ancestor. *)
-let splice visits t ~from ids counts hists =
-  let s = Array.length ids in
-  let len = from + s in
-  visits := !visits + len - (from land lnot Seg.mask);
-  let ids' = ints t.ids ~from ~len (fun i -> ids.(i - from)) in
-  let runs = reindex t ~from hists in
-  let pm = Array.make s 0 and rmax = Array.make s 0 in
-  let peak = ref (if from = 0 then 0 else Seg.get t.rmax (from - 1)) in
-  for k = 0 to s - 1 do
-    let h = hists.(k) in
-    let a = if History.id h = 0 then -1 else deepest runs (History.parent h) in
+let flush r =
+  match r.chg with
+  | [] -> ()
+  | _ :: _ ->
+    let ids = Option.value ~default:Seg.empty (Runs.find_opt r.run r.index) in
+    let n = Seg.length ids in
+    let from = search_ids ids r.low in
+    let len = n - from + r.grow in
+    let a = Array.make len 0 in
+    merge_changes a (len - 1) ids (n - 1) from r.chg;
+    let ids = Seg.splice ~cons:Fun.id ids ~from a len in
+    r.index <-
+      (if Seg.length ids = 0 then Runs.remove r.run r.index else Runs.add r.run ids r.index);
+    r.chg <- []
+
+let change r h id ~added =
+  let run = History.run h in
+  if run <> r.run then begin
+    flush r;
+    r.run <- run;
+    r.low <- id;
+    r.grow <- 0
+  end;
+  r.grow <- (r.grow + if added then 1 else -1);
+  r.chg <- ((2 * id) + Bool.to_int added) :: r.chg
+
+(* The index of id [x] in the ascending [a] between [lo], whose id is at
+   most [x], and [hi]. *)
+let rec find_in a x lo hi =
+  let mid = (lo + hi) lsr 1 in
+  if lo + 1 >= hi then lo else if a.(mid).id <= x then find_in a x mid hi else find_in a x lo mid
+
+(* [t] with its entries from slot [from] on replaced by the first [m] of
+   [hists] and [counts] (ascending ids, counts >= 1): the one rebuild
+   every edit goes through. Walking the old and the new suffix in id
+   order gives the run index's additions and removals, applied run by
+   run as they come. The new entries' [pm] and [rmax] then follow in id
+   order, each from its deepest proper ancestor in the new index, since
+   prefixes have smaller ids: the entries before [from] keep theirs. *)
+let splice visits t ~from hists counts m =
+  let n = cardinal t in
+  visits := !visits + from + m - (from land lnot Seg.mask);
+  let r = { index = t.runs; run = -1; low = 0; grow = 0; chg = [] } in
+  let i = ref from and k = ref 0 in
+  while !i < n || !k < m do
+    let old = if !i < n then Seg.get t.entries !i else no_entry in
+    let id = if !k < m then History.id hists.(!k) else max_int in
+    if !i < n && old.id = id then begin
+      incr i;
+      incr k
+    end
+    else if !i < n && old.id < id then begin
+      change r old.hist old.id ~added:false;
+      incr i
+    end
+    else begin
+      change r hists.(!k) id ~added:true;
+      incr k
+    end
+  done;
+  flush r;
+  let runs = r.index in
+  let out = Array.make m no_entry in
+  let peak = ref (if from = 0 then 0 else (Seg.get t.entries (from - 1)).rmax) in
+  for k = 0 to m - 1 do
+    let h = hists.(k) and c = counts.(k) in
+    let id = History.id h in
+    let a = if id = 0 then -1 else deepest runs (History.parent h) max_int in
     let above =
       if a < 0 then 0
-      else
-        let j = search visits ids' a in
-        if j < from then Seg.get t.pm j else pm.(j - from)
+      else if k = 0 || a < out.(0).id then (Seg.get t.entries (search visits t.entries a)).pm
+      else out.(find_in out a 0 k).pm
     in
-    pm.(k) <- Int.max counts.(k) above;
-    peak := Int.max !peak counts.(k);
-    rmax.(k) <- !peak
+    peak := Int.max !peak c;
+    out.(k) <- { hist = h; id; count = c; pm = Int.max c above; rmax = !peak }
   done;
-  let column s a = ints s ~from ~len (fun i -> a.(i - from)) in
-  {
-    ids = ids';
-    counts = column t.counts counts;
-    hists = Seg.rebuild t.hists ~from ~len (fun i -> hists.(i - from));
-    pm = column t.pm pm;
-    rmax = column t.rmax rmax;
-    runs;
-    peak = !peak;
-  }
+  { entries = Seg.splice ~cons t.entries ~from out m; runs }
 
-let found t i id = i < cardinal t && Seg.get t.ids i = id
+let found t i id = i < cardinal t && (Seg.get t.entries i).id = id
 
 let get t h =
   let visits = ref 0 in
   let id = History.id h in
-  let i = search visits t.ids id in
+  let i = search visits t.entries id in
   note !visits;
-  if found t i id then Seg.get t.counts i else 0
-
-(* The entries of [t] from [i] on, as parallel arrays. *)
-let suffix t i =
-  let n = cardinal t - i in
-  ( Array.init n (fun k -> Seg.get t.ids (i + k)),
-    Array.init n (fun k -> Seg.get t.counts (i + k)),
-    Array.init n (fun k -> Seg.get t.hists (i + k)) )
+  if found t i id then (Seg.get t.entries i).count else 0
 
 let set t h c =
   let visits = ref 0 in
   let id = History.id h in
-  let i = search visits t.ids id in
+  let i = search visits t.entries id in
   let hit = found t i id in
   let t' =
     if c <= 0 && not hit then t
     else
-      let ids, counts, hists = suffix t (if hit then i + 1 else i) in
-      let add a x = if c > 0 then Array.append [| x |] a else a in
-      splice visits t ~from:i (add ids id) (add counts c) (add hists h)
+      let rest = if hit then i + 1 else i and add = if c > 0 then 1 else 0 in
+      let m = cardinal t - rest + add in
+      let hists = Array.make m h and counts = Array.make m c in
+      for j = rest to cardinal t - 1 do
+        let e = Seg.get t.entries j in
+        hists.(j - rest + add) <- e.hist;
+        counts.(j - rest + add) <- e.count
+      done;
+      splice visits t ~from:i hists counts m
   in
   note !visits;
   t'
 
 (* Leading entries that [a] and [b] hold in shared segments. *)
-let shared a b = Int.min (Seg.shared a.ids b.ids) (Seg.shared a.counts b.counts)
+let shared a b = Seg.shared a.entries b.entries
 
-(* One pass over [t0]'s entries with a cursor per other table: an entry
-   survives only if every cursor lands on its id, with the least count.
-   The pass starts after the entries every table shares; entries before
-   the first change are [t0]'s own and stay shared. *)
+(* Line 8's scan: one pass over [t0]'s entries with a cursor per other
+   table, in which an entry survives only if every cursor lands on its id,
+   with the least count. The pass starts after the entries every table
+   shares; entries before the first change are [t0]'s own. Returns the
+   first changed slot ([cardinal t0] if none) and the merged count of
+   every slot from it on (0 if dropped); nothing is rebuilt. *)
 let intersect visits t0 others =
   let k = Array.length others and n0 = cardinal t0 in
   let start = Array.fold_left (fun s t -> Int.min s (shared t0 t)) n0 others in
   let cursors = Array.make k start in
-  let first = ref n0 and srcs = ref [] and cs = ref [] in
+  let first = ref n0 and merged = ref [||] in
   for i = start to n0 - 1 do
-    let id = Seg.get t0.ids i and c0 = Seg.get t0.counts i in
-    let c = ref c0 and j = ref 0 in
+    let e = Seg.get t0.entries i in
+    let c = ref e.count and j = ref 0 in
     while !c > 0 && !j < k do
       let t = others.(!j) in
       let n = cardinal t and p = ref cursors.(!j) in
-      while !p < n && Seg.get t.ids !p < id do incr p done;
+      while !p < n && (Seg.get t.entries !p).id < e.id do incr p done;
       cursors.(!j) <- !p;
-      if !p < n && Seg.get t.ids !p = id then c := Int.min !c (Seg.get t.counts !p)
-      else c := 0;
+      (if !p = n then c := 0
+       else
+         let f = Seg.get t.entries !p in
+         c := if f.id = e.id then Int.min !c f.count else 0);
       incr j
     done;
-    if !c <> c0 && !first = n0 then first := i;
-    if !c > 0 && !first < n0 then begin
-      srcs := i :: !srcs;
-      cs := !c :: !cs
-    end
+    if !c <> e.count && !first = n0 then begin
+      first := i;
+      merged := Array.make (n0 - i) 0
+    end;
+    if !first < n0 then !merged.(i - !first) <- !c
   done;
   visits := Array.fold_left (fun v p -> v + p - start) (!visits + n0 - start) cursors;
-  if !first = n0 then t0
-  else
-    let srcs = Array.of_list (List.rev !srcs) in
-    splice visits t0 ~from:!first
-      (Array.map (Seg.get t0.ids) srcs)
-      (Array.of_list (List.rev !cs))
-      (Array.map (Seg.get t0.hists) srcs)
+  (!first, !merged)
 
-let min_merge ts =
+(* Line 9 against the merged table, which is [t0] below slot [first] and
+   [merged] from there on: the new count of every bumped history, in id
+   order, each bump seeing those before it in list order. The largest
+   count over [h]'s prefixes is [t0]'s pm at [h]'s deepest ancestor-or-self
+   below [first] (all of whose prefixes are there too), a merged count at
+   an ancestor from [first] on, or an earlier bump of a prefix. *)
+let bumps visits t0 ~first merged hs =
+  let n0 = cardinal t0 in
+  let below = if first = n0 then max_int else (Seg.get t0.entries first).id in
+  List.fold_left
+    (fun bumped h ->
+      let id = History.id h and a = deepest t0.runs h below in
+      let m = if a < 0 then 0 else (Seg.get t0.entries (search visits t0.entries a)).pm in
+      let m = ref m and i = ref first in
+      while !i < n0 && (Seg.get t0.entries !i).id <= id do
+        let c = merged.(!i - first) in
+        if c > !m && History.is_prefix ~prefix:(Seg.get t0.entries !i).hist h then m := c;
+        incr i
+      done;
+      visits := !visits + !i - first;
+      let m =
+        List.fold_left
+          (fun m (_, p, c) -> if c > m && History.is_prefix ~prefix:p h then c else m)
+          !m bumped
+      in
+      (id, h, m + 1) :: List.filter (fun (id', _, _) -> id' <> id) bumped)
+    [] hs
+  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+
+let merge_bump ts hs =
   let ops = Domain.DLS.get ops_key in
   ops.min_merges <- ops.min_merges + 1;
-  match ts with
-  | [] -> empty
-  | t0 :: ts ->
-    let others = Array.of_list (List.filter (fun t -> t != t0) ts) in
-    if Array.length others = 0 then t0
-    else
-      let visits = ref 0 in
-      let t = intersect visits t0 others in
-      note !visits;
-      t
+  ops.prefix_bumps <- ops.prefix_bumps + List.length hs;
+  let t0, others =
+    match ts with
+    | [] -> (empty, [||])
+    | t0 :: ts -> (t0, Array.of_list (List.filter (fun t -> t != t0) ts))
+  in
+  let visits = ref 0 and n0 = cardinal t0 in
+  let first, merged = if Array.length others = 0 then (n0, [||]) else intersect visits t0 others in
+  let bumped = bumps visits t0 ~first merged hs in
+  let t =
+    match bumped with
+    | [] when first = n0 -> t0
+    | _ ->
+      let from =
+        match bumped with
+        | (id, _, _) :: _ -> Int.min first (search visits t0.entries id)
+        | [] -> first
+      in
+      (* The merged entries from [from] on, with the bumps merged in. *)
+      let ub = n0 - from + List.length bumped in
+      let hists = Array.make ub History.empty and counts = Array.make ub 0 in
+      let i = ref from and k = ref 0 and rest = ref bumped in
+      while !i < n0 || match !rest with [] -> false | _ :: _ -> true do
+        let e = if !i < n0 then Seg.get t0.entries !i else no_entry in
+        match !rest with
+        | (id, h, c) :: more when !i = n0 || id <= e.id ->
+          hists.(!k) <- h;
+          counts.(!k) <- c;
+          incr k;
+          if id = e.id then incr i;
+          rest := more
+        | _ ->
+          let c = if !i < first then e.count else merged.(!i - first) in
+          if c > 0 then begin
+            hists.(!k) <- e.hist;
+            counts.(!k) <- c;
+            incr k
+          end;
+          incr i
+      done;
+      splice visits t0 ~from hists counts !k
+  in
+  note !visits;
+  t
 
 (* Sorted union of two tables keeping the larger count. *)
 let union_max a b =
   let na = cardinal a and nb = cardinal b in
-  let id t i = Seg.get t.ids i and count t i = Seg.get t.counts i in
-  let rec go i j acc =
-    if i = na && j = nb then List.rev acc
-    else if j = nb || (i < na && id a i < id b j) then go (i + 1) j ((a, i, count a i) :: acc)
-    else if i = na || id b j < id a i then go i (j + 1) ((b, j, count b j) :: acc)
-    else go (i + 1) (j + 1) ((a, i, Int.max (count a i) (count b j)) :: acc)
-  in
   if nb = 0 || a == b then a
   else if na = 0 then b
   else
     let visits = ref (na + nb) in
-    let entries = Array.of_list (go 0 0 []) in
-    let t =
-      splice visits empty ~from:0
-        (Array.map (fun (t, i, _) -> id t i) entries)
-        (Array.map (fun (_, _, c) -> c) entries)
-        (Array.map (fun (t, i, _) -> Seg.get t.hists i) entries)
-    in
+    let hists = Array.make (na + nb) History.empty and counts = Array.make (na + nb) 0 in
+    let i = ref 0 and j = ref 0 and k = ref 0 in
+    while !i < na || !j < nb do
+      let x = if !i < na then Seg.get a.entries !i else no_entry
+      and y = if !j < nb then Seg.get b.entries !j else no_entry in
+      let from_a = !j = nb || (!i < na && x.id <= y.id)
+      and from_b = !i = na || (!j < nb && y.id <= x.id) in
+      hists.(!k) <- (if from_a then x.hist else y.hist);
+      counts.(!k) <- Int.max (if from_a then x.count else 0) (if from_b then y.count else 0);
+      if from_a then incr i;
+      if from_b then incr j;
+      incr k
+    done;
+    let t = splice visits empty ~from:0 hists counts !k in
     note !visits;
     t
 
 let max_merge ts = List.fold_left union_max empty ts
+let is_max t h = peak t = 0 || get t h >= peak t
 
-let bump_all t hs =
-  let ops = Domain.DLS.get ops_key in
-  ops.prefix_bumps <- ops.prefix_bumps + List.length hs;
-  match hs with
-  | [] -> t
-  | _ :: _ ->
-    let visits = ref 0 in
-    (* The new count of every bumped history, each bump seeing the ones
-       before it: the largest count over [h]'s prefixes is [pm] at its
-       deepest ancestor-or-self in [t], or an earlier bump of a prefix. *)
-    let bumped =
-      List.fold_left
-        (fun bumped h ->
-          let a = deepest t.runs h in
-          let m = if a < 0 then 0 else Seg.get t.pm (search visits t.ids a) in
-          let m =
-            List.fold_left
-              (fun m (p, c) -> if c > m && History.is_prefix ~prefix:p h then c else m)
-              m bumped
-          in
-          (h, m + 1) :: List.filter (fun (p, _) -> not (History.equal p h)) bumped)
-        [] hs
-      |> List.sort (fun (h, _) (h', _) -> History.compare h h')
-    in
-    let from = search visits t.ids (History.id (fst (List.hd bumped))) in
-    let n = cardinal t in
-    (* Merge the bumps into [t]'s entries from [from] on. *)
-    let rec merge i bumped acc =
-      match bumped with
-      | (h, c) :: rest when i = n || History.id h <= Seg.get t.ids i ->
-        let i = if found t i (History.id h) then i + 1 else i in
-        merge i rest ((History.id h, c, h) :: acc)
-      | _ when i < n ->
-        merge (i + 1) bumped ((Seg.get t.ids i, Seg.get t.counts i, Seg.get t.hists i) :: acc)
-      | _ -> Array.of_list (List.rev acc)
-    in
-    let entries = merge from bumped [] in
-    let t =
-      splice visits t ~from
-        (Array.map (fun (id, _, _) -> id) entries)
-        (Array.map (fun (_, c, _) -> c) entries)
-        (Array.map (fun (_, _, h) -> h) entries)
-    in
-    note !visits;
-    t
-
-let bump_prefix_max t h = bump_all t [ h ]
-let is_max t h = t.peak = 0 || get t h >= t.peak
-
-let bindings t = List.init (cardinal t) (fun i -> (Seg.get t.hists i, Seg.get t.counts i))
+let bindings t =
+  List.init (cardinal t) (fun i ->
+      let e = Seg.get t.entries i in
+      (e.hist, e.count))
 
 let max_binding t =
+  let peak = peak t in
   List.fold_left
     (fun best (h, c) ->
       match best with
-      | Some (h', _) when c < t.peak || History.compare_lexicographic h' h <= 0 -> best
-      | Some _ | None -> if c = t.peak then Some (h, c) else best)
+      | Some (h', _) when c < peak || History.compare_lexicographic h' h <= 0 -> best
+      | Some _ | None -> if c = peak then Some (h, c) else best)
     None (bindings t)
 
 (* Each entry hashes its history's digest with its count, and the sums
@@ -473,28 +535,33 @@ let digest t =
   let mix = Hashing.Fast.mix in
   let s1 = ref 0 and s2 = ref 0 in
   for i = 0 to cardinal t - 1 do
-    let a, b = History.digest (Seg.get t.hists i) and c = Seg.get t.counts i in
-    s1 := !s1 + mix (a + (c * 0x5851f42d4c957f2d));
-    s2 := !s2 + mix (b lxor (c * 0x14057b7ef767814f))
+    let e = Seg.get t.entries i in
+    let a, b = History.digest e.hist in
+    s1 := !s1 + mix (a + (e.count * 0x5851f42d4c957f2d));
+    s2 := !s2 + mix (b lxor (e.count * 0x14057b7ef767814f))
   done;
   (!s1, !s2)
 
-let compare a b =
-  let na = cardinal a and nb = cardinal b in
-  let rec go i =
-    if i = na then (i, if i = nb then 0 else -1)
-    else if i = nb then (i, 1)
+(* The first slot from [i] on where [a] and [b] differ, with the order
+   there: by id, then by count; a table that ends first is smaller. *)
+let rec differ a b i =
+  if i = cardinal a then (i, if i = cardinal b then 0 else -1)
+  else if i = cardinal b then (i, 1)
+  else
+    let x = Seg.get a.entries i and y = Seg.get b.entries i in
+    if x == y then differ a b (i + 1)
     else
-      let c = Int.compare (Seg.get a.ids i) (Seg.get b.ids i) in
+      let c = Int.compare x.id y.id in
       if c <> 0 then (i, c)
       else
-        let c = Int.compare (Seg.get a.counts i) (Seg.get b.counts i) in
-        if c <> 0 then (i, c) else go (i + 1)
-  in
+        let c = Int.compare x.count y.count in
+        if c <> 0 then (i, c) else differ a b (i + 1)
+
+let compare a b =
   if a == b then 0
   else
     let start = shared a b in
-    let stop, c = go start in
+    let stop, c = differ a b start in
     note (stop - start);
     c
 

@@ -2,28 +2,31 @@
 
     Conceptually [C] maps {e every} history to a natural number, defaulting
     to 0; only non-zero entries are stored ("no memory is allocated for
-    histories it has not yet heard of"). The two operations the algorithm
-    performs each round are:
+    histories it has not yet heard of"). Each round the algorithm runs
+    lines 8 and 9 on its inbox, as one kernel call, {!merge_bump}:
 
     - line 8: pointwise [min] over all received tables (with default 0 this
-      keeps exactly the keys present in {e all} tables), and
-    - line 9: [C\[m.HISTORY\] := 1 + max {C\[H\] | H prefix of m.HISTORY}].
+      keeps exactly the keys present in {e all} tables), then
+    - line 9: [C\[m.HISTORY\] := 1 + max {C\[H\] | H prefix of m.HISTORY}]
+      for every received history, in inbox order.
 
-    A table is immutable: parallel sequences of intern ids (strictly
-    ascending), counts and histories, a prefix-max sequence (the largest
-    count over each entry and its prefixes in the table), a running-max
-    sequence, and a per-run index mapping each {!History.run} to the
-    ascending ids of its entries. Each sequence keeps its last 1 to 32
-    entries in a tail array and the rest in full 32-slot segments under a
-    radix tree of 32-way nodes; an update copies the tail and, when it
-    reaches further back, the nodes from its first changed slot on,
-    sharing the ones before. Alg. 3's updates land at the end, since new
-    histories get the largest ids, so they copy about one tail per
-    sequence, and no allocation exceeds 33 words at any size. Full
-    segments and nodes of ints are hash-consed, so tables with equal
-    content share them wherever they were built. Below, [T] is the number
-    of entries, [S] the entries from the first changed slot to the end,
-    and [r] the number of runs on a history's root path.
+    A table is immutable: one sequence of entries in ascending intern-id
+    order, each a history with its count, its prefix-max (the largest
+    count over the entry and its prefixes in the table) and its running
+    max (the largest count over it and the entries before it), and a
+    per-run index mapping each {!History.run} to the ascending ids of its
+    entries. The entry sequence keeps its last 1 to 32 entries in a tail
+    array and the rest in full 32-slot segments under a radix tree of
+    32-way nodes; an edit copies the tail and, when it reaches further
+    back, the nodes from its first changed slot on, sharing the ones
+    before; each run's ids are stored the same way. Alg. 3's edits land
+    at the end, since new histories get the largest ids, so a round
+    copies the entries' tail and the tails of the one or two runs that
+    change, and no allocation exceeds 33 words at any size. Full
+    segments and nodes of entries are hash-consed, so tables with equal
+    content share them wherever they were built. Below, [T] is the
+    number of entries, [S] the entries from the first changed slot to the
+    end, and [r] the number of runs on a history's root path.
 
     {b Order contract.} Tables travel inside messages, and {!compare}
     orders message sets, so it fixes ESS inbox order and hence the order
@@ -42,40 +45,44 @@ val get : t -> History.t -> int
 val set : t -> History.t -> int -> t
 (** [set t h c] stores [c]; storing 0 removes the entry. O(S·r·log T). *)
 
-val min_merge : t list -> t
-(** Pointwise minimum with default 0 of a list of tables: a key survives
-    only if present (non-zero) in every table, with the minimum value.
-    [min_merge []] is [empty]. One sorted k-way intersection pass that
-    starts after the leading segments all [k] tables share, which, being
-    hash-consed, are all their equal full segments: O(k·(tail + S)) plus
-    the rebuild below, O(k·T) at worst. Returns the first table itself
-    when nothing changes. *)
+val merge_bump : t list -> History.t list -> t
+(** [merge_bump ts hs] is Alg. 3's lines 8 and 9 on one inbox: the
+    pointwise minimum with default 0 of the tables [ts] (a key survives
+    only if present in every table, with the least count; [[]] gives
+    [empty]), then [C\[h\] := 1 + max {C\[H\] | H prefix of h}] for each
+    [h] of [hs] in list order (the max is at least 0, over the default).
+
+    Each bump sees the ones before it, so list order matters: a
+    descendant bumped before its ancestor does not see the ancestor's new
+    count, while one bumped after it does. A history listed twice is
+    bumped twice.
+
+    One rebuild, from the first slot either line changes. Line 8 is a
+    sorted k-way intersection over the tables not physically equal to the
+    first, starting after the leading segments all [k] of them share,
+    which, being hash-consed, are all their equal full segments:
+    O(k·(32 + S)), O(k·T) at worst. The [j]-th bump reads the
+    prefix-max at [h]'s deepest ancestor-or-self below the first changed
+    slot, found by one search of the run index per run on [h]'s path, and
+    checks the merged entries from that slot on and the [j - 1] earlier
+    bumps with {!History.is_prefix}: O(r·log T + (S + j)·r). The rebuild
+    applies the run index's additions and removals in id order, each
+    maximal batch of one run's changes with one rebuild of that run's ids
+    from the batch's first change, O(S) per batch, and recomputes the
+    prefix-max and running max from the first changed slot on,
+    O(S·r·log T); this covers bumping a history whose descendants are in
+    the table. Returns the first table itself when neither line changes
+    anything. *)
 
 val max_merge : t list -> t
 (** Pointwise maximum of a list of tables: the union of their keys, each
-    with its largest count (ablation A3). [max_merge []] is [empty].
-    O(k·T). *)
-
-val bump_prefix_max : t -> History.t -> t
-(** Alg. 3 line 9: [C\[h\] := 1 + max {C\[H\] | H prefix of h}] (the max is
-    at least 0, over the default). [h]'s deepest ancestor-or-self in the
-    table comes from one search of the run index per run on its root path,
-    and the max is that entry's prefix-max: O(r·log T), with no walk of
-    the table or of [h]'s parent links. Every edit then recomputes the
-    prefix-max and running-max from its first changed slot on (prefixes
-    have smaller ids), O(S·r·log T); this covers bumping a history whose
-    descendants are in the table. *)
-
-val bump_all : t -> History.t list -> t
-(** Line 9 for a whole inbox: [bump_prefix_max] for each history in list
-    order, each bump seeing the ones before it, with one rebuild of the
-    table instead of one per history. O(k·r·log T + k²·r) for [k]
-    histories, plus the rebuild. [bump_all t [] == t]. *)
+    with its largest count (ablation A3, whose line 9 is [merge_bump] on
+    the one merged table). [max_merge []] is [empty]. O(k·T). *)
 
 val is_max : t -> History.t -> bool
 (** Alg. 3 leader test: [∀H, C\[h\] ≥ C\[H\]] — whether [h]'s counter ties
     the table's maximum (trivially true on an all-zero table). One lookup
-    against the cached maximum, O(log T). *)
+    against the last entry's running max, O(log T). *)
 
 val max_binding : t -> (History.t * int) option
 (** Some entry of maximal counter, [None] if the table is all-zero. Ties
@@ -83,12 +90,12 @@ val max_binding : t -> (History.t * int) option
     deterministic. *)
 
 val min_merge_ops : unit -> int
-(** Domain-local count of [min_merge] calls. Monotone within a domain;
-    observability samples it before/after a run for deltas. *)
+(** Domain-local count of line-8 steps, one per [merge_bump] call.
+    Monotone within a domain; observability samples it before/after a run
+    for deltas. *)
 
 val prefix_bump_ops : unit -> int
-(** Domain-local count of histories bumped, by [bump_prefix_max] or
-    [bump_all]. *)
+(** Domain-local count of histories bumped by [merge_bump]. *)
 
 val slot_visits : unit -> int
 (** Domain-local count of the table entries the operations above scanned,

@@ -348,6 +348,47 @@ let test_keys_tell_counts_apart () =
   in
   Alcotest.(check string) "same content, same key" a a'
 
+(* --- the ess-long run, pinned --------------------------------------------------- *)
+
+(* The benchmark's ess-long run (n = 5, blocked until GST 300, horizon
+   400). Every observed (round, pid, leader flag, counter-table digest,
+   history digest) and every decision fold into one hash, recorded before
+   lines 8 and 9 became one kernel call, so a changed count fails here.
+   (Its inboxes hold histories of one length, so no bump sees another's:
+   bump order is test_kernel's "merge_bump keeps inbox order".) A
+   checked run (the run, then the environment and consensus checks, in a
+   fresh interner scope) took 741 thousand minor words when pinned, 2.14
+   million while lines 8 and 9 rebuilt each table twice; the bound leaves
+   3% for the weak hash-consing set, whose growth depends on what earlier
+   cases left in it. *)
+let ess_long_config =
+  G.Runner.default_config ~horizon:400 ~inputs:(ordered 5) ~crash:(G.Crash.none ~n:5)
+    (G.Adversary.ess_blocking ~gst:300 ())
+
+let test_ess_long_pinned () =
+  let h = ref Hashing.init in
+  let feed x = h := Hashing.int !h x in
+  let observe ~pid ~round st =
+    let c1, c2 = Counter_table.digest (Ess.counters st)
+    and h1, h2 = History.digest (Ess.history st) in
+    List.iter feed [ round; pid; Bool.to_int (Ess.is_leader st); c1; c2; h1; h2 ]
+  in
+  let out = History.with_fresh_interner (fun () -> R.run ~observe ess_long_config) in
+  List.iter (fun (pid, round, v) -> List.iter feed [ pid; round; v ]) out.decisions;
+  check_int "rounds" 305 out.rounds_executed;
+  Alcotest.(check string) "content hash" "a38c6142fca70ba7" (Hashing.to_hex !h);
+  let words =
+    History.with_fresh_interner (fun () ->
+        let before = Gc.minor_words () in
+        let out = R.run ess_long_config in
+        let findings = G.Checker.check_env out.trace @ G.Checker.check_consensus out.trace in
+        let words = Gc.minor_words () -. before in
+        check_int "checked" 0 (List.length findings);
+        words)
+  in
+  check_bool (Printf.sprintf "%.0f minor words per checked run <= 765 000" words) true
+    (words <= 765_000.)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "ess-consensus"
@@ -377,6 +418,8 @@ let () =
           qc prop_ess_safety;
         ] );
       ( "ablations", [ Alcotest.test_case "leaders-only stalls" `Quick test_leaders_only_stalls ] );
+      ( "pins",
+        [ Alcotest.test_case "ess-long run: content and words" `Quick test_ess_long_pinned ] );
       ( "keys",
         [
           Alcotest.test_case "equal across interner scopes" `Quick test_keys_across_scopes;

@@ -365,21 +365,35 @@ let test_ct_get_set () =
 let test_ct_min_merge () =
   let t1 = Counter_table.set (Counter_table.set Counter_table.empty h1 3) h12 5 in
   let t2 = Counter_table.set (Counter_table.set Counter_table.empty h1 2) h9 7 in
-  let m = Counter_table.min_merge [ t1; t2 ] in
+  let m = Counter_table.merge_bump [ t1; t2 ] [] in
   check_int "common key min" 2 (Counter_table.get m h1);
   check_int "missing key drops (h12)" 0 (Counter_table.get m h12);
   check_int "missing key drops (h9)" 0 (Counter_table.get m h9);
-  check_int "empty merge" 0 (Counter_table.cardinal (Counter_table.min_merge []))
+  check_int "empty merge" 0 (Counter_table.cardinal (Counter_table.merge_bump [] []))
 
 let test_ct_bump_prefix_max () =
   let t = Counter_table.set Counter_table.empty h1 4 in
-  let t = Counter_table.bump_prefix_max t h123 in
+  let t = Counter_table.merge_bump [ t ] [ h123 ] in
   check_int "1 + max over prefixes" 5 (Counter_table.get t h123);
   (* Bumping again now sees its own entry. *)
-  let t = Counter_table.bump_prefix_max t h123 in
+  let t = Counter_table.merge_bump [ t ] [ h123 ] in
   check_int "rebump" 6 (Counter_table.get t h123);
-  let t2 = Counter_table.bump_prefix_max Counter_table.empty h9 in
+  let t2 = Counter_table.merge_bump [ Counter_table.empty ] [ h9 ] in
   check_int "bump from zero" 1 (Counter_table.get t2 h9)
+
+(* Line 9 keeps inbox order: a descendant bumped before its ancestor
+   does not see the ancestor's new count, and one bumped after it does.
+   A pass over the histories in id order gives 6 in both cases. *)
+let test_ct_merge_bump_inbox_order () =
+  let ta = Counter_table.set (Counter_table.set Counter_table.empty h1 4) h9 2 in
+  let tb = Counter_table.set Counter_table.empty h1 7 in
+  let t = Counter_table.merge_bump [ ta; tb ] [ h12; h1 ] in
+  check_int "min-merged away" 0 (Counter_table.get t h9);
+  check_int "descendant first: 1 + 4" 5 (Counter_table.get t h12);
+  check_int "then its ancestor: 1 + 4" 5 (Counter_table.get t h1);
+  let t = Counter_table.merge_bump [ ta; tb ] [ h1; h12 ] in
+  check_int "ancestor first: 1 + 4" 5 (Counter_table.get t h1);
+  check_int "then the descendant sees it: 1 + 5" 6 (Counter_table.get t h12)
 
 let test_ct_is_max () =
   let t = Counter_table.set (Counter_table.set Counter_table.empty h1 3) h9 5 in
@@ -398,7 +412,7 @@ let test_ct_max_binding () =
   | Some _ | None -> Alcotest.fail "expected a max binding of 5")
 
 let prop_ct_min_merge_model =
-  (* min_merge against a naive model over a tiny key universe. *)
+  (* Line 8 alone against a naive model over a tiny key universe. *)
   let table_gen =
     QCheck.Gen.(
       list_size (int_bound 4)
@@ -411,7 +425,7 @@ let prop_ct_min_merge_model =
   QCheck.Test.make ~name:"min_merge pointwise min with default 0" ~count:200
     (QCheck.make QCheck.Gen.(list_size (int_range 1 4) table_gen))
     (fun tables ->
-      let merged = Counter_table.min_merge tables in
+      let merged = Counter_table.merge_bump tables [] in
       List.for_all
         (fun k ->
           let h = History.of_list [ k ] in
@@ -461,25 +475,31 @@ end
 
 type ct_op =
   | Set of int * int * int  (* table, history, count (0 removes) *)
-  | Min_merge of int list
+  | Min_merge of int list  (* line 8 alone *)
   | Max_merge of int list
   | Bump of int * int  (* table, history *)
   | Bump_all of int * int list  (* table, histories in inbox order *)
+  | Merge_bump of int list * (int * int) list
+      (* tables; histories in inbox order, each (history, levels up) *)
   | Bump_prefix of int * int * int  (* table, history, levels up *)
   | Twin of int  (* table, rebuilt by other ops with equal content *)
-  | Twin_merge of int  (* min_merge of a table's twin and the table *)
+  | Twin_merge of int  (* line 8 over a table's twin and the table *)
   | Trim of int * int  (* table, entries removed from the top id down *)
 
 let pp_ct_op = function
   | Set (t, h, c) -> Printf.sprintf "set t%d h%d %d" t h c
-  | Min_merge ts -> "min_merge [" ^ String.concat ";" (List.map string_of_int ts) ^ "]"
+  | Min_merge ts -> "merge_bump [" ^ String.concat ";" (List.map string_of_int ts) ^ "] []"
   | Max_merge ts -> "max_merge [" ^ String.concat ";" (List.map string_of_int ts) ^ "]"
-  | Bump (t, h) -> Printf.sprintf "bump t%d h%d" t h
+  | Bump (t, h) -> Printf.sprintf "merge_bump [t%d] [h%d]" t h
   | Bump_all (t, hs) ->
-    Printf.sprintf "bump_all t%d [%s]" t (String.concat ";" (List.map string_of_int hs))
-  | Bump_prefix (t, h, up) -> Printf.sprintf "bump t%d (h%d up %d)" t h up
+    Printf.sprintf "merge_bump [t%d] [%s]" t (String.concat ";" (List.map string_of_int hs))
+  | Merge_bump (ts, hs) ->
+    Printf.sprintf "merge_bump [%s] [%s]"
+      (String.concat ";" (List.map string_of_int ts))
+      (String.concat ";" (List.map (fun (h, up) -> Printf.sprintf "h%d up %d" h up) hs))
+  | Bump_prefix (t, h, up) -> Printf.sprintf "merge_bump [t%d] [h%d up %d]" t h up
   | Twin t -> Printf.sprintf "twin t%d" t
-  | Twin_merge t -> Printf.sprintf "min_merge [twin t%d; t%d]" t t
+  | Twin_merge t -> Printf.sprintf "merge_bump [twin t%d; t%d] []" t t
   | Trim (t, k) -> Printf.sprintf "trim t%d by %d" t k
 
 (* Every history over {0,1,2} up to length 4, [empty] included: plenty of
@@ -517,9 +537,26 @@ let ct_deep_universe seed =
   done;
   Array.of_list (List.rev !all)
 
+(* The fused kernel's inputs: no table, one, a table listed twice or up
+   to four; an inbox of up to eight histories with repeats and
+   prefix pairs in both orders. *)
+let merge_bump_gen =
+  QCheck.Gen.(
+    let tables = oneof [ list_size (int_bound 4) nat; map (fun t -> [ t; t ]) nat ] in
+    let inbox =
+      list_size (int_bound 4) (triple nat (int_range 1 5) (int_bound 3))
+      >|= List.concat_map (fun (h, up, shape) ->
+              match shape with
+              | 0 -> [ (h, 0) ]
+              | 1 -> [ (h, 0); (h, 0) ]
+              | 2 -> [ (h, 0); (h, up) ]
+              | _ -> [ (h, up); (h, 0) ])
+    in
+    map2 (fun ts hs -> Merge_bump (ts, hs)) tables inbox)
+
 (* Checks the table against the map model after every op of a random
    sequence over the histories [universe seed]; [ops] adds generators to
-   the five every universe draws from. *)
+   the six every universe draws from. *)
 let ct_differential ~name ~count ~ops universe =
   let op_gen =
     QCheck.Gen.(
@@ -530,6 +567,7 @@ let ct_differential ~name ~count ~ops universe =
            (1, map (fun ts -> Max_merge ts) (list_size (int_bound 4) nat));
            (3, map2 (fun t h -> Bump (t, h)) nat nat);
            (2, map2 (fun t hs -> Bump_all (t, hs)) nat (list_size (int_bound 5) nat));
+           (3, merge_bump_gen);
          ]
         @ ops))
   in
@@ -544,6 +582,7 @@ let ct_differential ~name ~count ~ops universe =
       History.with_fresh_interner (fun () ->
           let hs = universe seed in
           let h i = hs.(i mod Array.length hs) in
+          let rec lift h k = if k = 0 then h else lift (History.parent h) (k - 1) in
           (* Besides [empty], two dense tables over a random ~4/5 of the
              universe: more than one segment. *)
           let dense rng =
@@ -589,28 +628,32 @@ let ct_differential ~name ~count ~ops universe =
                   (Counter_table.set t (h j) c, Ref_table.set r (h j) c)
                 | Min_merge is ->
                   let ts, rs = List.split (List.map nth is) in
-                  (Counter_table.min_merge ts, Ref_table.min_merge rs)
+                  (Counter_table.merge_bump ts [], Ref_table.min_merge rs)
                 | Max_merge is ->
                   let ts, rs = List.split (List.map nth is) in
                   (Counter_table.max_merge ts, Ref_table.max_merge rs)
                 | Bump (i, j) ->
                   let t, r = nth i in
-                  (Counter_table.bump_prefix_max t (h j), Ref_table.bump r (h j))
+                  (Counter_table.merge_bump [ t ] [ h j ], Ref_table.bump r (h j))
                 | Bump_all (i, js) ->
                   let t, r = nth i in
                   let hs = List.map h js in
-                  (Counter_table.bump_all t hs, List.fold_left Ref_table.bump r hs)
+                  (Counter_table.merge_bump [ t ] hs, List.fold_left Ref_table.bump r hs)
+                | Merge_bump (is, js) ->
+                  let ts, rs = List.split (List.map nth is) in
+                  let hs = List.map (fun (j, up) -> lift (h j) up) js in
+                  ( Counter_table.merge_bump ts hs,
+                    List.fold_left Ref_table.bump (Ref_table.min_merge rs) hs )
                 | Bump_prefix (i, j, up) ->
                   let t, r = nth i in
-                  let rec lift h k = if k = 0 then h else lift (History.parent h) (k - 1) in
                   let p = lift (h j) up in
-                  (Counter_table.bump_prefix_max t p, Ref_table.bump r p)
+                  (Counter_table.merge_bump [ t ] [ p ], Ref_table.bump r p)
                 | Twin i ->
                   let t, r = nth i in
                   (twin t, r)
                 | Twin_merge i ->
                   let t, r = nth i in
-                  (Counter_table.min_merge [ twin t; t ], r)
+                  (Counter_table.merge_bump [ twin t; t ] [], r)
                 | Trim (i, k) ->
                   (* One removal at a time from the end, so the length
                      crosses segment boundaries. *)
@@ -626,7 +669,7 @@ let ct_differential ~name ~count ~ops universe =
             ops))
 
 (* Two tables with equal content, one appended in id order and one whose
-   odd entries land in the middle: min_merge skips every full segment
+   odd entries land in the middle: line 8 skips every full segment
    they share through hash-consing and visits at most two 32-slot
    segments' worth of entries. The deep universe is large enough for a
    tree with two inner levels (more than 32 x 32 + 32 entries). *)
@@ -643,7 +686,7 @@ let test_ct_hash_consing () =
       check_bool "more than 1 056 entries" true (Counter_table.cardinal a > 1056);
       check_bool "equal content" true (Counter_table.equal a b);
       let before = Counter_table.slot_visits () in
-      let m = Counter_table.min_merge [ a; b ] in
+      let m = Counter_table.merge_bump [ a; b ] [] in
       let visited = Counter_table.slot_visits () - before in
       check_bool (Printf.sprintf "visited %d <= 64" visited) true (visited <= 64);
       check_bool "merge = a" true (Counter_table.equal m a);
@@ -708,7 +751,7 @@ let test_ct_digest_allocation () =
 
 let prop_ct_max_merge_laws =
   (* Ablation A3's merge: the model's pointwise-max union, commutative and
-     idempotent, and pointwise at least min_merge. *)
+     idempotent, and pointwise at least line 8's min-merge. *)
   let kvs_gen =
     QCheck.Gen.(
       list_size (int_bound 5) (pair (list_size (int_bound 2) (int_bound 2)) (int_range 1 5)))
@@ -722,7 +765,7 @@ let prop_ct_max_merge_laws =
       let tables = List.map (build Counter_table.set Counter_table.empty) kvss in
       let refs = List.map (build Ref_table.set Ref_table.empty) kvss in
       let merged = Counter_table.max_merge tables in
-      let lo = Counter_table.min_merge tables in
+      let lo = Counter_table.merge_bump tables [] in
       List.equal
         (fun (h, c) (h', c') -> History.equal h h' && c = c')
         (Counter_table.bindings merged)
@@ -897,6 +940,7 @@ let () =
           Alcotest.test_case "get/set" `Quick test_ct_get_set;
           Alcotest.test_case "min_merge" `Quick test_ct_min_merge;
           Alcotest.test_case "bump_prefix_max" `Quick test_ct_bump_prefix_max;
+          Alcotest.test_case "merge_bump keeps inbox order" `Quick test_ct_merge_bump_inbox_order;
           Alcotest.test_case "is_max" `Quick test_ct_is_max;
           Alcotest.test_case "max_binding" `Quick test_ct_max_binding;
           qc prop_ct_min_merge_model;
