@@ -146,7 +146,7 @@ let rewrite spec ~env (ctx : Adv.ctx) rng (plan : Adv.plan) =
   | Some (Drop_obligated { from_round }) when k >= from_round ->
     demote_covering ~obligated:ctx.obligated ~round:k plan
   | Some (Unstable_source { from_round }) when k >= from_round -> (
-    match List.filter (fun s -> List.mem s ctx.correct) ctx.senders with
+    match List.filter (fun s -> List.mem s ctx.correct) ctx.obligated with
     | [] | [ _ ] -> plan (* cannot alternate without two correct senders *)
     | s0 :: s1 :: _ ->
       let keep = if k mod 2 = 0 then s0 else s1 in

@@ -1,12 +1,6 @@
 open Anon_kernel
 
-type ctx = {
-  round : int;
-  senders : int list;
-  obligated : int list;
-  correct : int list;
-  alive : int list;
-}
+type ctx = { round : int; obligated : int list; correct : int list }
 
 type group = { arrival : int; receivers : Pidset.t }
 type plan = { source : int option; groups : (int * group list) list }
@@ -61,13 +55,14 @@ let of_links ~source ls = { source; groups = List.map (fun (s, ds) -> (s, groups
 let[@tail_mod_cons] rec each gs = function [] -> [] | p :: tl -> (p, gs) :: each gs tl
 
 let timely_all ctx =
-  let groups = each [ { arrival = ctx.round; receivers = Pidset.of_list ctx.alive } ] ctx.senders in
-  let source = match ctx.senders with [] -> None | s :: _ -> Some s in
+  let receivers = Pidset.of_list ctx.obligated in
+  let groups = each [ { arrival = ctx.round; receivers } ] ctx.obligated in
+  let source = match ctx.obligated with [] -> None | s :: _ -> Some s in
   { source; groups }
 
 (* Source candidates must be correct (so they survive the round) and
-   actually broadcasting this round: how many senders are, and the
-   [i]-th of them, without building their list. *)
+   actually broadcasting this round: how many obligated processes are,
+   and the [i]-th of them, without building their list. *)
 let rec count_candidates ctx count = function
   | [] -> count
   | p :: tl -> count_candidates ctx (if mem p ctx.correct then count + 1 else count) tl
@@ -82,32 +77,31 @@ let rec nth_candidate ctx i = function
 (* [Rng.pick] over the candidates draws [Rng.int] over their count, as
    [Random_source] does here. *)
 let pick_source ~rotation ctx rng =
-  match count_candidates ctx 0 ctx.senders with
+  match count_candidates ctx 0 ctx.obligated with
   | 0 -> None
   | count -> (
     match rotation with
-    | Pinned p when mem p ctx.correct && mem p ctx.senders -> Some p
-    | Pinned _ -> Some (nth_candidate ctx 0 ctx.senders)
-    | Round_robin -> Some (nth_candidate ctx (ctx.round mod count) ctx.senders)
-    | Random_source -> Some (nth_candidate ctx (Rng.int rng count) ctx.senders))
+    | Pinned p when mem p ctx.correct && mem p ctx.obligated -> Some p
+    | Pinned _ -> Some (nth_candidate ctx 0 ctx.obligated)
+    | Round_robin -> Some (nth_candidate ctx (ctx.round mod count) ctx.obligated)
+    | Random_source -> Some (nth_candidate ctx (Rng.int rng count) ctx.obligated))
 
-(* Sender [p]'s draws: every alive receiver but [p] drawn in turn, in
-   [alive] order, into the row of [late] of its delay, 0 for timely;
-   [owed] holds the receivers a source must reach timely. Returns the
+(* Sender [p]'s draws: every obligated receiver but [p] drawn in turn,
+   in [obligated] order, into the row of [late] of its delay, 0 for
+   timely. A source owes every receiver and draws nothing. Returns the
    last row drawn into, [top] if none is later. *)
-let rec draw rng ~noise ~max_delay late ~owed ~is_source (p : int) top = function
+let rec draw rng ~noise ~max_delay late ~is_source (p : int) top = function
   | [] -> top
   | q :: tl ->
-    if q = p then draw rng ~noise ~max_delay late ~owed ~is_source p top tl
+    if q = p then draw rng ~noise ~max_delay late ~is_source p top tl
     else begin
-      let must_be_timely = is_source && Pidset.mem q owed in
       (* [Rng.chance] draws nothing for a [noise] of 0. *)
       let row =
-        if must_be_timely || (noise > 0. && Rng.chance rng noise) then 0
+        if is_source || (noise > 0. && Rng.chance rng noise) then 0
         else Rng.int_in rng 1 (Int.max 1 max_delay)
       in
       Pidset.Rows.add late ~row q;
-      draw rng ~noise ~max_delay late ~owed ~is_source p (Int.max top row) tl
+      draw rng ~noise ~max_delay late ~is_source p (Int.max top row) tl
     end
 
 (* The drawn rows from [row] to [last] as groups, ascending arrival. *)
@@ -120,13 +114,13 @@ let rec drawn_groups late ~round ~last row =
     { arrival = round + row; receivers } :: rest
 
 (* Every sender's groups, drawn sender by sender. *)
-let rec noisy_rows ctx rng ~noise ~max_delay late ~owed source = function
+let rec noisy_rows ctx rng ~noise ~max_delay late source = function
   | [] -> []
   | p :: tl ->
     let is_source = match source with Some s -> s = p | None -> false in
-    let last = draw rng ~noise ~max_delay late ~owed ~is_source p (-1) ctx.alive in
+    let last = draw rng ~noise ~max_delay late ~is_source p (-1) ctx.obligated in
     let groups = drawn_groups late ~round:ctx.round ~last 0 in
-    (p, groups) :: noisy_rows ctx rng ~noise ~max_delay late ~owed source tl
+    (p, groups) :: noisy_rows ctx rng ~noise ~max_delay late source tl
 
 (* One round of "minimal + noise" schedule: [source] (if any) is timely to
    all obligated receivers; every other (sender, receiver) link is timely
@@ -134,41 +128,32 @@ let rec noisy_rows ctx rng ~noise ~max_delay late ~owed source = function
    [Pidset.Rows] collects a sender's receivers arriving at [round + d]. *)
 let noisy_round ~source ~noise ~max_delay ctx rng =
   let rows = 1 + Int.max 1 max_delay in
-  let late = Pidset.Rows.create ~rows ~size:(1 + List.fold_left Int.max (-1) ctx.alive) in
-  let owed = match source with Some _ -> Pidset.of_list ctx.obligated | None -> Pidset.empty in
-  { source; groups = noisy_rows ctx rng ~noise ~max_delay late ~owed source ctx.senders }
+  let late = Pidset.Rows.create ~rows ~size:(1 + List.fold_left Int.max (-1) ctx.obligated) in
+  { source; groups = noisy_rows ctx rng ~noise ~max_delay late source ctx.obligated }
 
 (* Pre-GST schedule that provably stalls Alg. 2: two camps, the source
    alternating between the two smallest correct senders by round parity,
    all other links exactly one round late. Each camp's champion keeps
    seeing its own value written while the other value stays in PROPOSED, so
    the decide guard never fires. The source is timely to every obligated
-   receiver and one round late to the others; every other sender shares
-   one group. *)
+   receiver; every other sender shares one late group. *)
 let blocking_round ctx =
   let source =
-    match count_candidates ctx 0 ctx.senders with
+    match count_candidates ctx 0 ctx.obligated with
     | 0 -> None
-    | 1 -> Some (nth_candidate ctx 0 ctx.senders)
-    | _ -> Some (nth_candidate ctx (if ctx.round mod 2 = 1 then 0 else 1) ctx.senders)
+    | 1 -> Some (nth_candidate ctx 0 ctx.obligated)
+    | _ -> Some (nth_candidate ctx (if ctx.round mod 2 = 1 then 0 else 1) ctx.obligated)
   in
-  let alive = Pidset.of_list ctx.alive in
-  let late = [ { arrival = ctx.round + 1; receivers = alive } ] in
-  let source_groups () =
-    let obligated = Pidset.of_list ctx.obligated in
-    let timely = { arrival = ctx.round; receivers = Pidset.inter alive obligated } in
-    match Pidset.diff alive obligated with
-    | rest when Pidset.is_empty rest -> [ timely ]
-    | rest -> [ timely; { arrival = ctx.round + 1; receivers = rest } ]
-  in
+  let obligated = Pidset.of_list ctx.obligated in
+  let late = [ { arrival = ctx.round + 1; receivers = obligated } ] in
   let[@tail_mod_cons] rec rows = function
     | [] -> []
     | p :: tl -> (
       match source with
-      | Some s when s = p -> (p, source_groups ()) :: rows tl
+      | Some s when s = p -> (p, [ { arrival = ctx.round; receivers = obligated } ]) :: rows tl
       | Some _ | None -> (p, late) :: rows tl)
   in
-  { source; groups = rows ctx.senders }
+  { source; groups = rows ctx.obligated }
 
 (* The stable source's rotation: the pinned [source], else the smallest
    correct pid. *)

@@ -13,12 +13,13 @@
 
 type ctx = {
   round : int;
-  senders : int list;  (** Broadcasting normally this round (alive, not halted, not crashing). *)
   obligated : int list;
-      (** Correct, non-halted processes — the receivers a source must reach
-          timely. *)
+      (** The live processes not crashing this round, ascending: after the
+          compute phase they are at once the normal senders, the
+          receivers a source owes its timely message (every process that
+          enters the round, Lemma 1) and every receiver. A crasher is in
+          no context list; its broadcast is {!Dispatch}'s. *)
   correct : int list;  (** Statically correct processes. *)
-  alive : int list;  (** All processes still taking steps (receivers). *)
 }
 
 type group = { arrival : int; receivers : Anon_kernel.Pidset.t }
@@ -135,5 +136,5 @@ val map_plan :
     — or deliberately not, to exercise the checker. *)
 
 val timely_all : ctx -> plan
-(** Helper: the fully synchronous plan for [ctx] (every sender timely to
-    every alive receiver): one group, shared by every sender. *)
+(** Helper: the fully synchronous plan for [ctx] (every obligated
+    process timely to every other): one group, shared by every sender. *)

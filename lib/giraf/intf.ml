@@ -130,9 +130,9 @@ module type CORE = sig
       included) labelled with the algorithm round [k-1]. *)
 
   val ctx : t -> Adversary.ctx
-  (** The adversary context as the round's {!compute} left it: senders,
-      obligated and alive receivers all coincide — the live processes
-      not crashing this round. *)
+  (** The adversary context as the round's {!compute} left it: its
+      [obligated] list is the live processes not crashing this round,
+      ascending — the normal senders and every receiver. *)
 
   val deliver : t -> plan:Adversary.plan -> crash_rng:Anon_kernel.Rng.t -> Dispatch.stats
   (** Dispatch the round's broadcasts under [plan] and file them into the
@@ -151,11 +151,7 @@ module type CORE = sig
       exactly as {!deliver} would. *)
 
   val set_state : t -> int -> state -> unit
-  (** Replace a process's state between rounds; bumps its version. *)
-
-  val touch : t -> int -> unit
-  (** Bump a process's version: a layer above changed a part of its view
-      the core does not hold. *)
+  (** Replace a process's state between rounds. *)
 
   val n : t -> int
   val round : t -> int
@@ -175,7 +171,6 @@ module type CORE = sig
   (** The process's proposal, which [initialize] reads at round 1 and at
       every rejoin. *)
 
-  val version : t -> int -> int
   val crashing_pids : t -> int list
 
   val stable : t -> int option

@@ -45,16 +45,11 @@ type fate = Timely | Late of int | Absent
 
 let enumerate spec (ctx : Adversary.ctx) =
   let round = ctx.round in
-  let all_senders =
-    ctx.senders @ List.filter (fun c -> not (List.mem c ctx.senders)) spec.crashing
-  in
-  let correct_senders = List.filter (fun s -> List.mem s ctx.correct) ctx.senders in
-  (* A round owes something only while a correct process sends and some
-     process listens. *)
-  let owed =
-    if ctx.obligated = [] || correct_senders = [] then Env.Nothing
-    else Env.owes spec.env ~round
-  in
+  (* Crashers are never obligated. *)
+  let all_senders = ctx.obligated @ spec.crashing in
+  let correct_senders = List.filter (fun s -> List.mem s ctx.correct) ctx.obligated in
+  (* A round owes something only while a correct process sends. *)
+  let owed = if correct_senders = [] then Env.Nothing else Env.owes spec.env ~round in
   let source_choices =
     match owed with
     | Env.Nothing -> [ None ]
@@ -62,19 +57,18 @@ let enumerate spec (ctx : Adversary.ctx) =
     | Env.Every_sender -> [ Some (List.hd correct_senders) ]
     | Env.Stable_source -> (
       match spec.stable with
-      | Some s when List.mem s ctx.senders -> [ Some s ]
+      | Some s when List.mem s ctx.obligated -> [ Some s ]
       | Some _ | None -> List.map (fun s -> Some s) correct_senders)
     (* Any sender, even a crasher, may be the source. *)
     | Env.A_source -> List.map (fun s -> Some s) all_senders
   in
   let assignments ~source s =
-    let receivers = List.filter (fun q -> q <> s) ctx.alive in
+    let receivers = List.filter (fun q -> q <> s) ctx.obligated in
     let crashing = List.mem s spec.crashing in
-    (* Links to the obligated receivers are forced timely from the source,
-       and from every correct sender where every sender is owed. *)
-    let forced q =
-      List.mem q ctx.obligated
-      && (source = Some s || (owed = Env.Every_sender && List.mem s correct_senders))
+    (* Every receiver is obligated: the source's links are forced timely,
+       and every correct sender's where every sender is owed. *)
+    let forced =
+      source = Some s || (owed = Env.Every_sender && List.mem s correct_senders)
     in
     let fates =
       Timely
@@ -82,15 +76,13 @@ let enumerate spec (ctx : Adversary.ctx) =
          @ if crashing then [ Absent ] else [])
     in
     let per_receiver =
-      List.map (fun q -> (q, if forced q then [ Timely ] else fates)) receivers
+      List.map (fun q -> (q, if forced then [ Timely ] else fates)) receivers
     in
     let combos = product (List.map snd per_receiver) in
     let tagged =
       List.map (fun fs -> List.combine (List.map fst per_receiver) fs) combos
     in
-    let covers fs =
-      List.for_all (fun q -> q = s || List.assoc_opt q fs = Some Timely) ctx.obligated
-    in
+    let covers fs = List.for_all (fun (_, f) -> f = Timely) fs in
     let tagged =
       if owed = Env.Stable_source && Some s <> source && not crashing then
         match List.filter (fun fs -> not (covers fs)) tagged with
@@ -131,7 +123,7 @@ let enumerate spec (ctx : Adversary.ctx) =
        admissible, not armed. *)
     if (not spec.include_inadmissible) || owed = Env.Nothing || trivially_covered then []
     else
-      let late = Anon_kernel.Pidset.of_list ctx.alive in
+      let late = Anon_kernel.Pidset.of_list ctx.obligated in
       let groups =
         List.map
           (fun s ->
@@ -161,13 +153,10 @@ let memo () : memo = Ints.create 128
 
 (* Everything [enumerate] reads besides the constant parts of the spec:
    the round, the ESS stable source (-1 for none), the crashers, and the
-   ctx process lists ([correct] is fixed by the crash schedule the memo's
-   exploration runs under). *)
+   obligated processes ([correct] is fixed by the crash schedule the
+   memo's exploration runs under). *)
 let memo_key spec (ctx : Adversary.ctx) =
-  (ctx.round :: Option.value spec.stable ~default:(-1) :: spec.crashing)
-  @ (-2 :: ctx.senders)
-  @ (-3 :: ctx.obligated)
-  @ (-4 :: ctx.alive)
+  (ctx.round :: Option.value spec.stable ~default:(-1) :: spec.crashing) @ (-2 :: ctx.obligated)
 
 let enumerate_memo memo spec ctx =
   let key = memo_key spec ctx in

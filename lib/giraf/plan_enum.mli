@@ -50,11 +50,12 @@ val product : 'a list list -> 'a list list
 val enumerate : spec -> Adversary.ctx -> choice list
 (** All distinct delivery patterns for this round (sender and receiver
     order normalised, declared source ignored), deterministically
-    ordered. *)
+    ordered. The senders are [ctx.obligated], then [spec.crashing] (a
+    crasher is never obligated); the receivers are [ctx.obligated]. *)
 
 type memo
 (** A cache over [enumerate] results. Many states of one exploration share
-    their (round, stable, crashing, process-set) signature and therefore
+    their (round, stable, crashing, obligated) signature and therefore
     their exact choice list; memoizing skips the combinatorial rebuild.
     The cache assumes a fixed [spec] apart from its [stable]/[crashing]
     fields and a fixed [ctx.correct] — one exploration's worth. Not

@@ -30,7 +30,6 @@ module Consensus (A : Intf.ALGORITHM) = struct
     st : A.state option array;  (* None before initialize / while away *)
     inflight : A.msg Backend.t;  (* undrained arrivals *)
     fate : fate array;
-    version : int array;  (* bumped whenever p's observable view changes *)
     mutable round : int;  (* 0 before the first begin_round *)
     mutable crashing_now : Crash.event list;  (* latched round-[round] events *)
     mutable outgoing : A.msg Dispatch.outbound list;  (* ascending pid *)
@@ -61,7 +60,6 @@ module Consensus (A : Intf.ALGORITHM) = struct
       st = Array.make n None;
       inflight = Backend.create ~n;
       fate = Array.make n Live;
-      version = Array.make n 0;
       round = 0;
       crashing_now = [];
       outgoing = [];
@@ -74,13 +72,7 @@ module Consensus (A : Intf.ALGORITHM) = struct
     }
 
   let copy t =
-    {
-      t with
-      st = Array.copy t.st;
-      inflight = Backend.copy t.inflight;
-      fate = Array.copy t.fate;
-      version = Array.copy t.version;
-    }
+    { t with st = Array.copy t.st; inflight = Backend.copy t.inflight; fate = Array.copy t.fate }
 
   let n t = t.n
   let input t p = t.inputs.(p)
@@ -96,15 +88,10 @@ module Consensus (A : Intf.ALGORITHM) = struct
 
   let out t p = match t.fate.(p) with Live -> sent p t.outgoing | Crashed | Halted | Away -> None
   let inflight t p = Backend.to_list ~compare:A.msg_compare t.inflight p
-  let version t p = t.version.(p)
   let stable t = t.stable
   let crashing_pids t = List.map (fun (ev : Crash.event) -> ev.pid) t.crashing_now
   let mailbox_pending t p = Backend.length t.inflight p
-  let touch t p = t.version.(p) <- t.version.(p) + 1
-
-  let set_state t p st =
-    t.st.(p) <- Some st;
-    touch t p
+  let set_state t p st = t.st.(p) <- Some st
 
   (* Churn transitions. Halted processes ignore churn — decisions are
      irrevocable, there is nothing left to leave. A rejoiner restarts
@@ -116,7 +103,6 @@ module Consensus (A : Intf.ALGORITHM) = struct
       (match t.fate.(ev.pid) with
       | Live ->
         t.fate.(ev.pid) <- Away;
-        touch t ev.pid;
         (match on_leave with Some f -> f ~pid:ev.pid | None -> ())
       | Crashed | Halted | Away -> ());
       leave t on_leave tl
@@ -129,7 +115,6 @@ module Consensus (A : Intf.ALGORITHM) = struct
         t.fate.(ev.pid) <- Live;
         t.st.(ev.pid) <- None;
         Backend.clear t.inflight ev.pid;
-        touch t ev.pid;
         (match on_rejoin with Some f -> f ~pid:ev.pid | None -> ())
       | Crashed | Halted -> ());
       rejoin t on_rejoin tl
@@ -164,9 +149,9 @@ module Consensus (A : Intf.ALGORITHM) = struct
     end
 
   (* After the compute phase the normal senders, the obligated receivers
-     and the alive receivers all coincide: the live processes (every one
-     of which broadcast) not crashing this round. Deciders left both sets
-     when they halted. *)
+     and the alive receivers are one set: the live processes (every one
+     of which broadcast) not crashing this round. Deciders left it when
+     they halted. *)
   let is_alive t p = t.fate.(p) = Live && not (crashing p t.crashing_now)
 
   let rec lists_alive t p = function
@@ -197,7 +182,6 @@ module Consensus (A : Intf.ALGORITHM) = struct
       match t.fate.(p) with
       | Crashed | Halted | Away -> compute_from t ~k observe on_decide on_compute (p + 1)
       | Live -> (
-        touch t p;
         match t.st.(p) with
         | None ->
           (* Round 1 and just after a rejoin: start fresh from the
@@ -230,14 +214,7 @@ module Consensus (A : Intf.ALGORITHM) = struct
     refresh_alive t;
     t.outgoing
 
-  let ctx t =
-    {
-      Adversary.round = t.round;
-      senders = t.alive;
-      obligated = t.alive;
-      correct = t.correct;
-      alive = t.alive;
-    }
+  let ctx t = { Adversary.round = t.round; obligated = t.alive; correct = t.correct }
 
   (* The live processes: the alive ones and the live crashers. *)
   let rec add_live t set = function
@@ -269,26 +246,17 @@ module Consensus (A : Intf.ALGORITHM) = struct
       t.fate.(ev.pid) <- Crashed;
       t.st.(ev.pid) <- None;
       Backend.clear t.inflight ev.pid;
-      touch t ev.pid;
       crash t tl
 
   let preview t ~plan ~crash_rng = (dispatch t ~plan ~crash_rng, latched_stable t plan)
 
   (* The dispatched round is filed once, one ordering of its broadcasts
-     for every receiver. Every process that may receive is touched. *)
+     for every receiver. *)
   let deliver t ~plan ~crash_rng =
     let stats = dispatch t ~plan ~crash_rng in
-    for q = 0 to t.n - 1 do
-      if t.fate.(q) = Live then touch t q
-    done;
     Backend.file ~compare:A.msg_compare t.inflight ~sent:t.round t.outgoing stats.groups;
     crash t t.crashing_now;
-    let stable = latched_stable t plan in
-    if not (Option.equal Int.equal stable t.stable) then begin
-      (match t.stable with Some p -> touch t p | None -> ());
-      (match stable with Some p -> touch t p | None -> ());
-      t.stable <- stable
-    end;
+    t.stable <- latched_stable t plan;
     stats
 
   let undecided_correct_stayers t =
@@ -378,9 +346,8 @@ module Service (S : Intf.SERVICE) = struct
         | (start, op) :: rest, Some st when start <= k -> (
           t.script.(p) <- rest;
           match op with
-          | Do_get ->
-            Core.touch t.core p;
-            (match on_get with Some f -> f ~pid:p ~result:(S.get st) | None -> ())
+          | Do_get -> (
+            match on_get with Some f -> f ~pid:p ~result:(S.get st) | None -> ())
           | Do_add v -> add p st v
           | Do_add_with f -> add p st (f (S.get st)))
         | _ -> ()

@@ -24,8 +24,7 @@
     processes never decide, and it adds only the client scripts, the
     BLOCK flags and a client-operation phase between rounds. It reaches
     the core through the [on_compute] hook (an add completes when
-    [compute] clears BLOCK) and [set_state]/[touch] (the operation
-    phase).
+    [compute] clears BLOCK) and [set_state] (the operation phase).
 
     {!Runner} (both families, one round loop) and [Anon_rsm] drive a core
     round-by-round; the model checker ([Anon_mc.System]) cuts the same
@@ -37,12 +36,7 @@
     which the runner emits its deliver events, so the checker pays
     nothing for the runner's observability. A search and its replay read
     the stable source ([stable]) and the stop rule ([all_decided]) from
-    the core.
-
-    Per-process [version] counters increment whenever that process's
-    observable view changes: state, broadcast, mailbox, fate, stable
-    flag, or (through [touch]) a client script or BLOCK flag. The checker
-    uses them to rehash only the views that changed. *)
+    the core. *)
 
 type fate = Intf.fate = Live | Crashed | Halted | Away
 

@@ -63,7 +63,7 @@ let a1 () =
 let a2_adversary () =
   let plan (ctx : G.Adversary.ctx) _rng =
     let source =
-      match List.filter (fun p -> List.mem p ctx.correct) ctx.senders with
+      match List.filter (fun p -> List.mem p ctx.correct) ctx.obligated with
       | [] -> None
       | s :: _ -> Some s
     in
@@ -75,8 +75,8 @@ let a2_adversary () =
             { G.Adversary.receiver = q;
               arrival = (if timely then ctx.round else ctx.round + 1) }
           in
-          (p, List.map plan_receiver (List.filter (fun q -> q <> p) ctx.alive)))
-        ctx.senders
+          (p, List.map plan_receiver (List.filter (fun q -> q <> p) ctx.obligated)))
+        ctx.obligated
     in
     G.Adversary.of_links ~source deliveries
   in

@@ -90,19 +90,6 @@ let inter a b =
     done;
     trim c
 
-let rec disjoint (a : t) (b : t) i = i < 0 || (a.(i) land b.(i) = 0 && disjoint a b (i - 1))
-
-let diff a b =
-  let la = Array.length a and lb = Array.length b in
-  if disjoint a b (Int.min la lb - 1) then a
-  else if subset a b then empty
-  else
-    let c = sub a la in
-    for i = 0 to Int.min la lb - 1 do
-      c.(i) <- a.(i) land lnot b.(i)
-    done;
-    trim c
-
 (* Bits set in a 32-bit word. *)
 let popcount x =
   let x = x - ((x lsr 1) land 0x55555555) in

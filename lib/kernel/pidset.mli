@@ -4,9 +4,9 @@
     broadcast to a set of processes), so the lockstep layers hold
     receiver sets as bitsets over pids: 32 pids per word, any number of
     words. Membership, cardinality and the cardinality of an
-    intersection allocate nothing; {!inter}, {!union}, {!remove} and
-    {!diff} return an argument itself, without allocating, when the
-    result equals it. The representation is canonical (no trailing
+    intersection allocate nothing; {!inter}, {!union} and {!remove}
+    return an argument itself, without allocating, when the result
+    equals it. The representation is canonical (no trailing
     empty words), so structural equality is set equality. *)
 
 type t
@@ -26,7 +26,6 @@ val mem : int -> t -> bool
 val remove : int -> t -> t
 val union : t -> t -> t
 val inter : t -> t -> t
-val diff : t -> t -> t
 val cardinal : t -> int
 val inter_cardinal : t -> t -> int
 

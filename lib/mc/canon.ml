@@ -62,7 +62,7 @@ module Digest = struct
     Format.fprintf ppf "r%d g%x.%x v%x.%x" k.round k.global1 k.global2 k.sum1 k.sum2
 
   type t = {
-    versions : int array;  (* last refreshed Step_core version; -1 = never *)
+    valid : bool array;  (* whether a slot holds its view's current pair *)
     h1 : int array;
     h2 : int array;
     mutable sum1 : int;
@@ -71,7 +71,7 @@ module Digest = struct
 
   let create ~n =
     {
-      versions = Array.make n (-1);
+      valid = Array.make n false;
       h1 = Array.make n 0;
       h2 = Array.make n 0;
       sum1 = 0;
@@ -80,7 +80,7 @@ module Digest = struct
 
   let copy t =
     {
-      versions = Array.copy t.versions;
+      valid = Array.copy t.valid;
       h1 = Array.copy t.h1;
       h2 = Array.copy t.h2;
       sum1 = t.sum1;
@@ -88,19 +88,20 @@ module Digest = struct
     }
 
   let slot t p = (t.h1.(p), t.h2.(p))
+  let invalidate t p = t.valid.(p) <- false
 
-  let assign t ~slot ~version a b =
+  let assign t ~slot a b =
     t.sum1 <- t.sum1 - t.h1.(slot) + a;
     t.sum2 <- t.sum2 - t.h2.(slot) + b;
     t.h1.(slot) <- a;
     t.h2.(slot) <- b;
-    t.versions.(slot) <- version
+    t.valid.(slot) <- true
 
-  let refresh_stream t ~slot ~version fill =
-    if t.versions.(slot) <> version then begin
+  let refresh_stream t ~slot fill =
+    if not t.valid.(slot) then begin
       let h = sums () in
       fill (Hash h);
-      assign t ~slot ~version h.a h.b
+      assign t ~slot h.a h.b
     end
 
   let key_of_sums ~round ~global:(global1, global2) sum1 sum2 =

@@ -24,10 +24,10 @@
 
     Each process view is hashed under two independent FNV-1a streams and
     the per-view hashes are combined by wrapping 64-bit addition; the pair
-    of sums is a commutative function of the view multiset. A per-slot
-    cache keyed on {!Anon_giraf.Step_core} version counters means only
-    the processes whose views changed since the parent state are
-    re-hashed.
+    of sums is a commutative function of the view multiset. A slot keeps
+    its view's hash pair until it is invalidated, so a successor
+    re-hashes only the views its step invalidated (the model checker's
+    step invalidates every view it may change).
 
     A key is a fixed-size record of ints: the round, the two stream
     hashes of the global facts, and the two view sums. It is 128 bits
@@ -41,7 +41,7 @@ module Digest : sig
   type t
 
   val create : n:int -> t
-  (** All slots empty (version [-1]); refresh every slot before reading
+  (** All slots empty and invalid; refresh every slot before reading
       {!key}. *)
 
   val copy : t -> t
@@ -78,11 +78,16 @@ module Digest : sig
   val hash_key : key -> int
   val pp_key : Format.formatter -> key -> unit
 
-  val refresh_stream : t -> slot:int -> version:int -> (stream -> unit) -> unit
-  (** [refresh_stream t ~slot ~version fill] replaces [slot]'s
+  val invalidate : t -> int -> unit
+  (** [invalidate t p]: slot [p]'s view may have changed, so the next
+      {!refresh_stream} of [p] re-hashes it. *)
+
+  val refresh_stream : t -> slot:int -> (stream -> unit) -> unit
+  (** [refresh_stream t ~slot fill] replaces an invalid [slot]'s
       contribution with the sums [fill] accumulates on a fresh hash
-      stream — skipped entirely when the cached version already matches,
-      so [fill] must be a pure function of the versioned view. *)
+      stream, and marks it valid; a valid slot is left as it is, so
+      [fill] must be a pure function of the view, which may not change
+      without an {!invalidate}. *)
 
   val key : t -> round:int -> global:int * int -> key
   (** The key over the current slot contributions, [global] the global
@@ -92,10 +97,10 @@ module Digest : sig
   (** A slot's contribution, the hash pair of its view — current once
       the slot is refreshed. *)
 
-  val assign : t -> slot:int -> version:int -> int -> int -> unit
-  (** [assign t ~slot ~version a b] sets [slot]'s contribution to the
-      pair [(a, b)], known to be the hash pair of its view at [version]
-      — what {!refresh_stream} would compute for it. *)
+  val assign : t -> slot:int -> int -> int -> unit
+  (** [assign t ~slot a b] sets [slot]'s contribution to the pair [(a,
+      b)], known to be the hash pair of its current view — what
+      {!refresh_stream} would compute for it — and marks it valid. *)
 
   val key_of_sums : round:int -> global:int * int -> int -> int -> key
   (** The key whose slot contributions sum (wrapping) to the given pair:

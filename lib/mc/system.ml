@@ -258,7 +258,6 @@ module Make (F : FAMILY) = struct
      with their ids, found by physical equality: a stepped successor's
      in-flight mail is mostly its parent's broadcasts. *)
   let refresh ~late s =
-    let core = F.core s.node in
     let msgs = s.caches.msgs in
     let held m =
       let rec find = function
@@ -269,7 +268,7 @@ module Make (F : FAMILY) = struct
       msgs.texts.(find late)
     in
     for p = 0 to n - 1 do
-      D.refresh_stream s.digest ~slot:p ~version:(Core.version core p) (fun st ->
+      D.refresh_stream s.digest ~slot:p (fun st ->
           s.ids.(p) <- -1;
           let out m =
             let i = msg_id msgs m in
@@ -296,9 +295,19 @@ module Make (F : FAMILY) = struct
     in
     go (n - 1) []
 
+  (* The one place that decides which views a step may change: those of
+     the processes live in the parent, and any whose fate moved. A view
+     that is not live is its fate alone ([write_view]), unchanged while
+     the fate is. *)
   let step s plan =
     let node, vs, loud = F.step s.node plan in
-    ({ s with node; digest = D.copy s.digest; ids = Array.copy s.ids }, vs, loud)
+    let core = F.core s.node and core' = F.core node in
+    let digest = D.copy s.digest in
+    for p = 0 to n - 1 do
+      let fate = Core.fate core p in
+      if fate = G.Step_core.Live || Core.fate core' p <> fate then D.invalidate digest p
+    done;
+    ({ s with node; digest; ids = Array.copy s.ids }, vs, loud)
 
   let apply s plan =
     let s', _, _ = step s plan in
@@ -430,11 +439,10 @@ module Make (F : FAMILY) = struct
        known quiet transitions from the memo, and hashes only the other
        views; it then teaches the unknown ones. *)
     let learn row s' loud =
-      let core' = F.core s'.node in
       for p = 0 to n - 1 do
         match resolve p row.(p) with
         | Known (Quiet (h1, h2)) ->
-          D.assign s'.digest ~slot:p ~version:(Core.version core' p) h1 h2;
+          D.assign s'.digest ~slot:p h1 h2;
           s'.ids.(p) <- unknown
         | Known Loud | Unknown _ | Unseen -> ()
       done;
@@ -467,7 +475,7 @@ module Make (F : FAMILY) = struct
           Explore.Stepped { plan = c.plan; sys = s'; violations })
       choices
 
-  (* Reference rendering and key, bypassing the per-slot version cache
+  (* Reference rendering and key, bypassing the per-slot digest cache
      and the message renderings — the differential test pins [key =
      key_full] along sampled walks. *)
   let rendered s =

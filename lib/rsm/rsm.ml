@@ -345,12 +345,13 @@ module Make (A : G.Intf.ALGORITHM) = struct
     inflight := [];
     let instances = List.init !next_instance (fun i -> Option.get !closed.(i)) in
     (* Every decider of an instance is a replica of the log, so no
-       churner is exempt from agreement. *)
+       churner is exempt from agreement. Its processes proposed the
+       first [n] batch values ([instance_inputs]). *)
     let violations =
       List.concat_map
         (fun (ir : instance_result) ->
           G.Checker.check_decisions
-            ~inputs:(Array.to_list (instance_inputs ~n:config.n ir.batch_values))
+            ~inputs:(List.filteri (fun i _ -> i < config.n) ir.batch_values)
             ir.decisions)
         instances
     in

@@ -101,10 +101,7 @@ let test_wrap_injects_faults () =
   let plans spec =
     let wrapped = Ch.Fault.wrap spec inner in
     List.init 20 (fun i ->
-        let ctx =
-          { G.Adversary.round = i + 1; senders = all; obligated = all; correct = all;
-            alive = all }
-        in
+        let ctx = { G.Adversary.round = i + 1; obligated = all; correct = all } in
         let rng = Rng.make (100 + i) in
         let copy = Rng.copy rng in
         (ctx.round, G.Adversary.plan inner ctx rng, G.Adversary.plan wrapped ctx copy))

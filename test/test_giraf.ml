@@ -521,16 +521,14 @@ let test_shell_by_hand () =
 
 (* --- Adversary ----------------------------------------------------------------- *)
 
-let ctx ~round ~senders ~obligated ~correct ~alive =
-  { G.Adversary.round; senders; obligated; correct; alive }
+let ctx ~round ~obligated ~correct = { G.Adversary.round; obligated; correct }
 
 let all_pids = [ 0; 1; 2; 3 ]
 
 let test_adversary_sync () =
   let plan =
     G.Adversary.plan (G.Adversary.sync ())
-      (ctx ~round:5 ~senders:all_pids ~obligated:all_pids ~correct:all_pids
-         ~alive:all_pids)
+      (ctx ~round:5 ~obligated:all_pids ~correct:all_pids)
       (Rng.make 1)
   in
   check_int "every sender planned" 4 (List.length (G.Adversary.links plan));
@@ -561,8 +559,7 @@ let test_adversary_ms_source () =
   let adv = G.Adversary.ms ~rotation:G.Adversary.Round_robin () in
   let plan =
     G.Adversary.plan adv
-      (ctx ~round:5 ~senders:all_pids ~obligated:all_pids ~correct:all_pids
-         ~alive:all_pids)
+      (ctx ~round:5 ~obligated:all_pids ~correct:all_pids)
       (Rng.make 1)
   in
   check_bool "source covers obligated" true (source_covers plan all_pids)
@@ -571,8 +568,7 @@ let test_adversary_ms_rotation () =
   let adv = G.Adversary.ms ~rotation:G.Adversary.Round_robin () in
   let src round =
     (G.Adversary.plan adv
-       (ctx ~round ~senders:all_pids ~obligated:all_pids ~correct:all_pids
-          ~alive:all_pids)
+       (ctx ~round ~obligated:all_pids ~correct:all_pids)
        (Rng.make 1))
       .source
   in
@@ -584,8 +580,7 @@ let test_adversary_source_is_correct_sender () =
   for round = 1 to 20 do
     let plan =
       G.Adversary.plan adv
-        (ctx ~round ~senders:[ 0; 1; 2 ] ~obligated:[ 0; 1 ] ~correct:[ 0; 1 ]
-           ~alive:[ 0; 1; 2 ])
+        (ctx ~round ~obligated:[ 0; 1; 2 ] ~correct:[ 0; 1 ])
         (Rng.make round)
     in
     match plan.source with
@@ -597,8 +592,7 @@ let test_adversary_es_post_gst () =
   let adv = G.Adversary.es ~gst:10 () in
   let plan =
     G.Adversary.plan adv
-      (ctx ~round:10 ~senders:all_pids ~obligated:all_pids ~correct:all_pids
-         ~alive:all_pids)
+      (ctx ~round:10 ~obligated:all_pids ~correct:all_pids)
       (Rng.make 1)
   in
   List.iter
@@ -612,8 +606,7 @@ let test_adversary_blocking_alternates () =
   let adv = G.Adversary.es_blocking ~gst:100 () in
   let src round =
     (G.Adversary.plan adv
-       (ctx ~round ~senders:all_pids ~obligated:all_pids ~correct:all_pids
-          ~alive:all_pids)
+       (ctx ~round ~obligated:all_pids ~correct:all_pids)
        (Rng.make 1))
       .source
   in
@@ -624,8 +617,8 @@ let test_adversary_blocking_alternates () =
 
 (* The adversaries as they built plans link by link, before plans held
    receiver sets: every sender's links are mapped afresh from its own
-   filtered copy of [alive]. Kept as the reference the set construction
-   must equal, link for link. *)
+   filtered copy of [obligated]. Kept as the reference the set
+   construction must equal, link for link. *)
 module Ref_adversary = struct
   open G.Adversary
 
@@ -665,20 +658,20 @@ module Ref_adversary = struct
       dynamic ~stability ~rooted ~rotation ~noise ~max_delay ()
     | Async { max_delay; timely_chance } -> async ~max_delay ~timely_chance ()
 
-  let receivers_of ctx sender = List.filter (fun q -> q <> sender) ctx.alive
+  let receivers_of ctx sender = List.filter (fun q -> q <> sender) ctx.obligated
 
   let timely_all ctx =
     let deliveries =
       List.map
         (fun p ->
           (p, List.map (fun q -> { receiver = q; arrival = ctx.round }) (receivers_of ctx p)))
-        ctx.senders
+        ctx.obligated
     in
-    let source = match ctx.senders with [] -> None | s :: _ -> Some s in
+    let source = match ctx.obligated with [] -> None | s :: _ -> Some s in
     { source; deliveries }
 
   let late_arrival ctx rng max_delay = ctx.round + Rng.int_in rng 1 (max 1 max_delay)
-  let source_candidates ctx = List.filter (fun p -> List.mem p ctx.correct) ctx.senders
+  let source_candidates ctx = List.filter (fun p -> List.mem p ctx.correct) ctx.obligated
 
   let pick_source ~rotation ctx rng =
     match source_candidates ctx with
@@ -695,15 +688,14 @@ module Ref_adversary = struct
         (fun p ->
           let is_source = match source with Some s -> s = p | None -> false in
           let plan_receiver q =
-            let must_be_timely = is_source && List.mem q ctx.obligated in
             let arrival =
-              if must_be_timely || Rng.chance rng noise then ctx.round
+              if is_source || Rng.chance rng noise then ctx.round
               else late_arrival ctx rng max_delay
             in
             { receiver = q; arrival }
           in
           (p, List.map plan_receiver (receivers_of ctx p)))
-        ctx.senders
+        ctx.obligated
     in
     { source; deliveries }
 
@@ -718,14 +710,10 @@ module Ref_adversary = struct
       List.map
         (fun p ->
           let is_source = match source with Some s -> s = p | None -> false in
-          let plan q =
-            let arrival =
-              if is_source && List.mem q ctx.obligated then ctx.round else ctx.round + 1
-            in
-            { receiver = q; arrival }
-          in
+          let arrival = if is_source then ctx.round else ctx.round + 1 in
+          let plan q = { receiver = q; arrival } in
           (p, List.map plan (receivers_of ctx p)))
-        ctx.senders
+        ctx.obligated
     in
     { source; deliveries }
 
@@ -765,8 +753,8 @@ module Ref_adversary = struct
       noisy_round ~source:None ~noise:timely_chance ~max_delay ctx rng
 end
 
-(* Random contexts over n <= 12: random alive (sometimes shuffled, now and
-   then naming a pid twice), sender, obligated and correct subsets, rounds
+(* Random contexts over n <= 12: a random obligated list (sometimes
+   shuffled, now and then naming a pid twice) and correct subset, rounds
    on both sides of GST, and every built-in adversary with random
    parameters. Each plan must hold the reference's links, and both must
    leave the RNG in the same state. *)
@@ -777,19 +765,17 @@ let prop_plans_match_reference =
       let rng = Rng.make seed in
       let n = Rng.int_in rng 1 12 in
       let subset () = List.filter (fun _ -> Rng.chance rng 0.7) (List.init n Fun.id) in
-      let alive =
+      let obligated =
         let a = subset () in
         let a = if Rng.chance rng 0.2 then Rng.shuffle rng a else a in
         match a with
         | p :: _ when Rng.chance rng 0.1 -> a @ [ p ]
         | _ -> a
       in
-      let senders = if Rng.bool rng then alive else subset () in
-      let obligated = if Rng.bool rng then alive else subset () in
       let correct = subset () in
       let gst = Rng.int_in rng 1 15 in
       let round = Rng.int_in rng 1 30 in
-      let c = ctx ~round ~senders ~obligated ~correct ~alive in
+      let c = ctx ~round ~obligated ~correct in
       let rotation =
         Rng.pick rng
           G.Adversary.[ Round_robin; Random_source; Pinned (Rng.int rng (n + 1)) ]
@@ -816,11 +802,11 @@ let prop_plans_match_reference =
       let rng1 = Rng.make plan_seed and rng2 = Rng.make plan_seed in
       let got = G.Adversary.plan (Ref_adversary.build spec) c rng1 in
       let expected = Ref_adversary.plan spec c rng2 in
-      (* Each sender's links sorted, [alive]'s order being no set's
-         order; as a set when [alive] names a pid twice, which a set
+      (* Each sender's links sorted, [obligated]'s order being no set's
+         order; as a set when [obligated] names a pid twice, which a set
          holds once. *)
       let sort =
-        if List.length (List.sort_uniq Int.compare alive) < List.length alive then
+        if List.length (List.sort_uniq Int.compare obligated) < List.length obligated then
           List.sort_uniq compare
         else List.sort compare
       in
@@ -1023,7 +1009,7 @@ let test_runner_inbox_contents () =
 let silent_adversary () =
   G.Adversary.scripted ~name:"silent" ~env:G.Env.Async (fun ctx _ ->
       { G.Adversary.source = None;
-        groups = List.map (fun p -> (p, [])) ctx.senders })
+        groups = List.map (fun p -> (p, [])) ctx.obligated })
 
 let test_runner_own_message_always_present () =
   (* Even under a fully silent adversary (no deliveries at all), each
@@ -2054,7 +2040,7 @@ let test_adversaries_satisfy_own_env () =
                   | Some ev -> ev.round > round)
                 (List.init n Fun.id)
             in
-            let c = ctx ~round ~senders:live ~obligated:live ~correct ~alive:live in
+            let c = ctx ~round ~obligated:live ~correct in
             let plan = G.Adversary.plan adv c rng in
             List.iter
               (fun (_, ds) ->
@@ -2164,7 +2150,7 @@ let prop_plan_enum_agrees_with_checker =
           include_inadmissible = true;
         }
       in
-      let c = ctx ~round ~senders:live ~obligated:live ~correct ~alive:live in
+      let c = ctx ~round ~obligated:live ~correct in
       let senders = List.sort compare (live @ crashing) in
       let outgoing = List.map (fun sender -> { G.Dispatch.sender; msg = () }) senders in
       let crashing_events = G.Crash.crashing_at crash ~round in

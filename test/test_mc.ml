@@ -103,21 +103,19 @@ let test_ws_verified () =
 
 (* --- the incremental canonical digest ----------------------------------------- *)
 
-(* Property: after an arbitrary sequence of per-slot edits — refreshed
-   through the piecewise stream path, with branches taken via [copy]
-   along the way — the maintained digest equals the from-scratch
-   [full_key] over the current views. *)
+(* Property: after an arbitrary sequence of per-slot edits — each
+   invalidating its slot before or after a branch taken via [copy], then
+   refreshed through the piecewise stream path — the maintained digest
+   equals the from-scratch [full_key] over the current views. *)
 let test_digest_incremental_matches_full () =
   let module Canon = Anon_mc.Canon in
   let module Rng = Anon_kernel.Rng in
   let rng = Rng.make 99 in
   let n = 5 in
   let views = Array.init n (fun p -> Printf.sprintf "view-%d" p) in
-  let versions = Array.make n 0 in
   let refresh_all d =
     for p = 0 to n - 1 do
-      Canon.Digest.refresh_stream d ~slot:p ~version:versions.(p) (fun st ->
-          Canon.Digest.feed_string st views.(p))
+      Canon.Digest.refresh_stream d ~slot:p (fun st -> Canon.Digest.feed_string st views.(p))
     done
   in
   let d = ref (Canon.Digest.create ~n) in
@@ -126,8 +124,10 @@ let test_digest_incremental_matches_full () =
     views.(p) <-
       Printf.sprintf "v%d|%d|%s" p step
         (String.make (Rng.int rng 8) (Char.chr (97 + Rng.int rng 26)));
-    versions.(p) <- versions.(p) + 1;
+    let before = Rng.bool rng in
+    if before then Canon.Digest.invalidate !d p;
     if Rng.bool rng then d := Canon.Digest.copy !d;
+    if not before then Canon.Digest.invalidate !d p;
     refresh_all !d;
     let round = step mod 7 and global = if step mod 3 = 0 then "g" else "" in
     Alcotest.check

@@ -508,10 +508,10 @@ module Es_core = G.Step_core.Consensus (C.Es_consensus)
    one (its adversary, RNG streams, inputs and core) and stepped as it
    steps one (begin_round, compute, ctx, plan, deliver) until decided:
    21 000 rounds. The bounds are the words measured when they were set
-   (287.1 per round, set-up included, and 48 per [create]), plus 2%. *)
+   (283.5 per round, set-up included, and 43 per [create]), plus 2%. *)
 let instances = 3_000
-let round_words_bound = 292.9
-let create_words_bound = 49.
+let round_words_bound = 289.2
+let create_words_bound = 44.
 
 let test_instance_round_words () =
   let n = 3 in

@@ -138,7 +138,7 @@ let check_partition ~label pairs =
 let sample_path (module Sys : Anon_mc.Explore.SYSTEM_DEBUG)
     ~reference:(module Ref : Anon_mc.Explore.SYSTEM_DEBUG) ~rng ~depth =
   (* Every node doubles as a digest property check: the incrementally
-     maintained canonical key (per-slot version cache, piecewise-fed hash
+     maintained canonical key (per-slot digest cache, piecewise-fed hash
      streams) must equal the from-scratch rehash of the rendered views. *)
   let check_digest s =
     check_key "incremental key = full rehash" (Sys.key_full s) (Sys.key s)
@@ -795,7 +795,7 @@ let prop_round_matches_links =
             previewed.groups
         in
         let expected, (timely, delivered, timely_count) =
-          reference_round ~round ~outgoing ~crashing ~eligible ~receivers:ctx.alive ~links
+          reference_round ~round ~outgoing ~crashing ~eligible ~receivers:ctx.obligated ~links
             ~crash_rng:(K.Rng.copy crash_rng)
         in
         if List.sort compare scheduled <> expected then
@@ -813,12 +813,81 @@ let prop_round_matches_links =
       done;
       !ok)
 
+module Es_core = G.Step_core.Consensus (C.Es_consensus)
+
+(* The one process list of a round's context. Random ES runs over n <= 8,
+   with crashers of all three broadcast kinds, a churner that may
+   rejoin, and deciders: after every compute phase, [ctx]'s [obligated]
+   is ascending without repeats, and is both the live processes not
+   crashing this round and the senders of the compute's broadcasts
+   without the crashing ones. *)
+let prop_ctx_obligated =
+  QCheck.Test.make ~name:"ctx.obligated = live, not crashing = senders" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = K.Rng.make seed in
+      let n = K.Rng.int_in rng 1 8 and horizon = 12 in
+      let crash_events =
+        List.filter_map
+          (fun pid ->
+            if K.Rng.chance rng 0.3 then
+              Some
+                {
+                  G.Crash.pid;
+                  round = K.Rng.int_in rng 1 horizon;
+                  broadcast = K.Rng.pick rng G.Crash.[ Silent; Broadcast_all; Broadcast_subset ];
+                }
+            else None)
+          (List.init n Fun.id)
+      in
+      let crash = G.Crash.of_events ~n crash_events in
+      let churn =
+        match G.Crash.correct crash with
+        | pid :: _ when K.Rng.bool rng ->
+          let leave = K.Rng.int_in rng 1 horizon in
+          let rejoin = if K.Rng.bool rng then Some (leave + K.Rng.int_in rng 1 3) else None in
+          G.Churn.of_events ~n [ { G.Churn.pid; leave; rejoin } ]
+        | _ -> G.Churn.none ~n
+      in
+      let gst = K.Rng.int_in rng 1 8 in
+      let adversary = G.Adversary.es ~gst ~noise:(K.Rng.pick rng [ 0.0; 0.3 ]) () in
+      let core =
+        Es_core.create ~inputs:(Array.init n (fun p -> p mod 3)) ~crash ~churn
+          ~env:(G.Adversary.env adversary)
+      in
+      let crash_rng = K.Rng.split rng in
+      let ok = ref true in
+      for round = 1 to horizon do
+        Es_core.begin_round core;
+        let outgoing = Es_core.compute core in
+        let ctx = Es_core.ctx core in
+        let crashing = Es_core.crashing_pids core in
+        let live =
+          List.filter
+            (fun p -> Es_core.fate core p = G.Step_core.Live && not (List.mem p crashing))
+            (List.init n Fun.id)
+        in
+        let senders =
+          List.filter
+            (fun p -> not (List.mem p crashing))
+            (List.map (fun (o : _ G.Dispatch.outbound) -> o.sender) outgoing)
+        in
+        if
+          ctx.obligated <> List.sort_uniq Int.compare ctx.obligated
+          || ctx.obligated <> live || ctx.obligated <> senders
+        then begin
+          ok := false;
+          Printf.printf "seed %d: obligated at round %d\n" seed round
+        end;
+        let plan = G.Adversary.plan adversary ctx rng in
+        ignore (Es_core.deliver core ~plan ~crash_rng : G.Dispatch.stats)
+      done;
+      !ok)
+
 (* --- allocation budget of the round path ---------------------------------- *)
 
 (* Words are counted, not time, so the budgets are deterministic. Each
    count is net of the [Gc.minor_words] probe's own words. *)
-module Es_core = G.Step_core.Consensus (C.Es_consensus)
-
 let words f =
   let probe =
     let a = Gc.minor_words () in
@@ -847,7 +916,7 @@ let test_quiet_begin_round () =
 (* An n=3 ES instance at GST 4 driven to its decision through the three
    phases, as the multiplexer steps one, stays within its words per
    round: the figure measured when the budget was set, plus 10%. *)
-let es_round_words = 272.
+let es_round_words = 268.6
 
 let test_es_round_budget () =
   let core = es_core ~n:3 ~gst:4 in
@@ -946,6 +1015,7 @@ let () =
     [
       ("consensus", consensus_tests);
       ("weak-set", ws_tests);
-      ("round", [ QCheck_alcotest.to_alcotest prop_round_matches_links ]);
+      ( "round",
+        List.map QCheck_alcotest.to_alcotest [ prop_round_matches_links; prop_ctx_obligated ] );
       ("allocation", allocation_tests);
     ]
